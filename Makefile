@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-json bench-delta serve-test loadgen predict-diff adversarial check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-json bench-delta bench-test serve-test loadgen predict-diff adversarial check
 
 all: check
 
@@ -10,9 +10,11 @@ vet:
 # vet plus the repo's clock-discipline check: pipeline code reads time
 # through simclock.Clock only (time.Now is allowed in simclock's Real
 # implementation, socket deadlines, cmd/, and tests) so instrumented runs
-# stay deterministic.
+# stay deterministic. And gofmt: any file it would rewrite fails the target.
 lint: vet
 	$(GO) run ./cmd/lintclock .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -128,6 +130,13 @@ adversarial:
 	$(GO) test -race ./internal/chaos/ -run 'Adversarial'
 	$(GO) test ./internal/eval/ -run 'Adversarial'
 
+# The end-to-end benchmark (BENCHMARK.json) is a module of its own under
+# bench/, outside `go build ./...`: vet it and run its unit tests so a change
+# to an API it builds against fails here, not in the benchmark driver.
+bench-test:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+
 # Perf-regression gate: diff the newest working-tree BENCH_<date>.json
 # against the version committed at HEAD; fail on >15% ns/op or any allocs/op
 # regression. In `make check` the target is advisory (leading `-`): timing on
@@ -140,5 +149,5 @@ bench-delta:
 		echo "bench-delta: $$f not committed at HEAD; nothing to diff"; rm -f .bench_head.json; exit 0; fi; \
 	$(GO) run ./cmd/benchdelta -old .bench_head.json -new $$f; st=$$?; rm -f .bench_head.json; exit $$st
 
-check: lint build race chaos chaos-disk cluster-diff fsck serve-test predict-diff adversarial
+check: lint build race chaos chaos-disk cluster-diff fsck serve-test predict-diff adversarial bench-test
 	-$(MAKE) bench-delta

@@ -13,10 +13,10 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		{Name: "e/untimed", NsPerOp: 0, Metrics: map[string]float64{"qps": 9}},
 	}}
 	new := benchDoc{Results: []benchResult{
-		{Name: "a/fast", NsPerOp: 1100, AllocsPerOp: fp(10)},  // +10%: within 15%
-		{Name: "b/zero", NsPerOp: 510, AllocsPerOp: fp(1)},    // 0 -> 1 alloc: regression
-		{Name: "c/slow", NsPerOp: 2400, AllocsPerOp: fp(4)},   // +20% ns: regression
-		{Name: "e/untimed", NsPerOp: 0},                       // no timing on either side
+		{Name: "a/fast", NsPerOp: 1100, AllocsPerOp: fp(10)}, // +10%: within 15%
+		{Name: "b/zero", NsPerOp: 510, AllocsPerOp: fp(1)},   // 0 -> 1 alloc: regression
+		{Name: "c/slow", NsPerOp: 2400, AllocsPerOp: fp(4)},  // +20% ns: regression
+		{Name: "e/untimed", NsPerOp: 0},                      // no timing on either side
 		{Name: "f/new", NsPerOp: 50},
 	}}
 	byName := map[string]delta{}

@@ -97,7 +97,7 @@ func TestClusterDegradedSurface(t *testing.T) {
 	cr, err := StartCluster(spec, cluster.Config{
 		Nodes: 2, LeaseRounds: 2, SealEvery: 4,
 		Telemetry: spec.Pipeline.Telemetry,
-		Faults: []cluster.NodeFault{{Round: killRound, Node: 1, Down: downRounds}},
+		Faults:    []cluster.NodeFault{{Round: killRound, Node: 1, Down: downRounds}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -89,16 +89,16 @@ type Stats struct {
 // as its placement. Not safe for concurrent Steps; like the map's own tick,
 // the replication round is part of the deterministic simulation loop.
 type Cluster struct {
-	m     *core.Map
-	cfg   Config
-	src   core.PartitionStore
-	parts int
-	nodes []*node
-	logs  []*plog
+	m      *core.Map
+	cfg    Config
+	src    core.PartitionStore
+	parts  int
+	nodes  []*node
+	logs   []*plog
 	leases []lease
-	round int
-	fab   *fabric
-	tel   *clusterTel
+	round  int
+	fab    *fabric
+	tel    *clusterTel
 
 	failovers, rebalances        uint64
 	recordsShipped, bytesShipped uint64

@@ -265,6 +265,10 @@ type Map struct {
 	certs     *CertStore
 	analytics *snapshot.Store
 
+	// Ledger handles of the two classes core itself spends.
+	classSeed    discovery.Class
+	classPredict discovery.Class
+
 	shards []*stateShard
 
 	// exclusions are active operator opt-outs (Appendix D).
@@ -399,12 +403,12 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	for _, cc := range classes {
 		m.ledger.Register(cc.Name, cc.ProbesPerTick)
 	}
-	m.ledger.Register(discovery.ClassSeed, 0)
+	m.classSeed = m.ledger.Register(discovery.ClassSeed, 0)
 	predictAlloc := 0
 	if !cfg.DisablePrediction {
 		predictAlloc = cfg.PredictBudgetPerTick
 	}
-	m.ledger.Register(discovery.ClassPredict, predictAlloc)
+	m.classPredict = m.ledger.Register(discovery.ClassPredict, predictAlloc)
 
 	m.pops = discovery.DefaultPoPs()
 	m.disc, err = discovery.New(discovery.Config{
@@ -662,17 +666,18 @@ func (m *Map) seedScan() {
 		// The sample is fully scanned, so its port pairs carry uncensored
 		// co-occurrence evidence — mark before the observations stream in.
 		m.predictor.ObserveFull(addr)
+		open := 0
 		for port := 1; port <= 65535; port++ {
-			m.ledger.Spend(discovery.ClassSeed)
 			if m.net.ProbeTCP(scanner, addr, uint16(port)) != simnet.Open {
 				continue
 			}
-			m.ledger.Confirm(discovery.ClassSeed)
+			open++
 			c := discovery.Candidate{Addr: addr, Port: uint16(port),
 				Transport: entity.TCP, Method: entity.DetectBackgroundScan,
 				PoP: m.pops[0].Name, Time: now}
 			m.enqueue(pendingTask{cand: c, kind: taskCandidate})
 		}
+		m.ledger.Account(m.classSeed, 65535, open)
 		// Batch per address: pseudo-host detection must engage before the
 		// next address's candidates are processed, exactly as inline
 		// handling did.
@@ -1189,26 +1194,28 @@ func (m *Map) refreshSlot(s *stateShard, key slotKey, udpProto string, attempt i
 // capped by whatever the shared per-tick total has left after discovery.
 func (m *Map) runPrediction(now time.Time) {
 	budget := m.cfg.PredictBudgetPerTick
-	if g := m.ledger.Grant(discovery.ClassPredict); g < budget {
+	if g := m.ledger.Grant(m.classPredict); g < budget {
 		budget = g
 	}
 	targets := m.predictor.Recommend(now, budget)
 	scanner := simnet.Scanner{ID: m.cfg.ScannerID, SourceIPs: m.cfg.SourceIPs,
 		Country: "US", BlockedFrac: 0.02}
+	probed, open := 0, 0
 	for _, t := range targets {
 		if m.excludedAddr(t.Addr) {
 			continue
 		}
-		m.predictiveProbes.Add(1)
-		m.ledger.Spend(discovery.ClassPredict)
+		probed++
 		if m.net.ProbeTCP(scanner, t.Addr, t.Port) != simnet.Open {
 			continue
 		}
-		m.ledger.Confirm(discovery.ClassPredict)
+		open++
 		c := discovery.Candidate{Addr: t.Addr, Port: t.Port, Transport: t.Transport,
 			Method: entity.DetectPredicted, PoP: m.pops[0].Name, Time: now}
 		m.enqueue(pendingTask{cand: c, kind: taskCandidate})
 	}
+	m.predictiveProbes.Add(uint64(probed))
+	m.ledger.Account(m.classPredict, probed, open)
 }
 
 // runReinjection retries recently evicted services.

@@ -17,10 +17,18 @@ const (
 	ClassPredict = "predict"
 )
 
+// Class is a registered class's dense handle: its index into the ledger's
+// counters, resolved once so the scan path never hashes a class name.
+type Class int
+
+// NoClass is the handle of a class the ledger does not know: it is granted
+// nothing and accounts nothing.
+const NoClass Class = -1
+
 // Ledger is the explicit probe-budget ledger: every scan class — the
 // discovery classes, the predictive engine, the seed scan — registers a
-// per-tick allocation and accounts each probe target it spends and each L4
-// confirmation it gets back. The difference is the class's wasted probes,
+// per-tick allocation and accounts the probe targets it spends and the L4
+// confirmations it gets back. The difference is the class's wasted probes,
 // and confirmed/spent is its budget efficiency — the number the
 // exhaustive-vs-predictive evaluation (make predict-diff) compares.
 //
@@ -29,52 +37,71 @@ const (
 // what the shared per-tick total (the sum of all allocations) has left. The
 // tick phases run in a fixed order, so grant arithmetic is deterministic.
 //
+// Accounting is per batch, not per probe: a class takes its Grant, runs its
+// whole loop for the tick, then calls Account once with what it spent and
+// got confirmed. Every Grant therefore still sees all spend that preceded
+// it, because each class's loop ends before the next class asks.
+//
 // Units are probe targets (one discovery target may emit a TCP SYN plus a
 // protocol UDP probe; it spends once), matching ClassConfig.ProbesPerTick.
 //
 // All methods lock: the scan path is serial, but telemetry collection may
 // read totals concurrently with a live run.
 type Ledger struct {
-	mu        sync.Mutex
-	order     []string
-	alloc     map[string]int
+	mu    sync.Mutex
+	index map[string]Class
+	// Per-class columns, indexed by Class in registration order.
+	names     []string
+	alloc     []int
+	tickSpent []int
+	spent     []uint64
+	confirmed []uint64
 	totalCap  int
-	tickSpent map[string]int
 	tickTotal int
-	spent     map[string]uint64
-	confirmed map[string]uint64
 }
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		alloc:     make(map[string]int),
-		tickSpent: make(map[string]int),
-		spent:     make(map[string]uint64),
-		confirmed: make(map[string]uint64),
-	}
+	return &Ledger{index: make(map[string]Class)}
 }
 
-// Register adds a class with its per-tick allocation. Classes must be
-// registered before the first tick; re-registering replaces the allocation.
-func (l *Ledger) Register(class string, perTick int) {
+// Register adds a class with its per-tick allocation and returns its handle.
+// Classes must be registered before the first tick; re-registering replaces
+// the allocation and returns the same handle.
+func (l *Ledger) Register(class string, perTick int) Class {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, ok := l.alloc[class]; ok {
-		l.totalCap += perTick - old
-		l.alloc[class] = perTick
-		return
+	if c, ok := l.index[class]; ok {
+		l.totalCap += perTick - l.alloc[c]
+		l.alloc[c] = perTick
+		return c
 	}
-	l.order = append(l.order, class)
-	l.alloc[class] = perTick
+	c := Class(len(l.names))
+	l.index[class] = c
+	l.names = append(l.names, class)
+	l.alloc = append(l.alloc, perTick)
+	l.tickSpent = append(l.tickSpent, 0)
+	l.spent = append(l.spent, 0)
+	l.confirmed = append(l.confirmed, 0)
 	l.totalCap += perTick
+	return c
+}
+
+// Class returns a registered class's handle, or NoClass.
+func (l *Ledger) Class(class string) Class {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.index[class]; ok {
+		return c
+	}
+	return NoClass
 }
 
 // Classes returns the registered class names in registration order.
 func (l *Ledger) Classes() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]string(nil), l.order...)
+	return append([]string(nil), l.names...)
 }
 
 // BeginTick resets the per-tick spend; cumulative totals carry on.
@@ -85,40 +112,32 @@ func (l *Ledger) BeginTick() {
 	l.tickTotal = 0
 }
 
+func (l *Ledger) known(c Class) bool { return c >= 0 && int(c) < len(l.names) }
+
 // Grant reports how many probe targets the class may still spend this tick:
 // its own remaining allocation, capped by what the shared per-tick total has
 // left. Unregistered classes get nothing.
-func (l *Ledger) Grant(class string) int {
+func (l *Ledger) Grant(c Class) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	alloc, ok := l.alloc[class]
-	if !ok {
+	if !l.known(c) {
 		return 0
 	}
-	g := alloc - l.tickSpent[class]
-	if rem := l.totalCap - l.tickTotal; rem < g {
-		g = rem
-	}
-	if g < 0 {
-		return 0
-	}
-	return g
+	return max(min(l.alloc[c]-l.tickSpent[c], l.totalCap-l.tickTotal), 0)
 }
 
-// Spend accounts one probe target against the class.
-func (l *Ledger) Spend(class string) {
+// Account books one batch for the class: spent probe targets, of which
+// confirmed drew an L4-responsive answer.
+func (l *Ledger) Account(c Class, spent, confirmed int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.tickSpent[class]++
-	l.tickTotal++
-	l.spent[class]++
-}
-
-// Confirm accounts one L4-responsive answer for the class.
-func (l *Ledger) Confirm(class string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.confirmed[class]++
+	if !l.known(c) {
+		return
+	}
+	l.tickSpent[c] += spent
+	l.tickTotal += spent
+	l.spent[c] += uint64(spent)
+	l.confirmed[c] += uint64(confirmed)
 }
 
 // ClassTotals is one class's cumulative accounting.
@@ -149,19 +168,24 @@ func (ct ClassTotals) Efficiency() float64 {
 func (l *Ledger) Totals() []ClassTotals {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]ClassTotals, 0, len(l.order))
-	for _, c := range l.order {
-		out = append(out, ClassTotals{Class: c, Spent: l.spent[c], Confirmed: l.confirmed[c]})
+	out := make([]ClassTotals, 0, len(l.names))
+	for c, name := range l.names {
+		out = append(out, ClassTotals{Class: name, Spent: l.spent[c], Confirmed: l.confirmed[c]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
 }
 
-// ClassTotals returns one class's cumulative accounting.
+// ClassTotals returns one class's cumulative accounting (zero for a class
+// that is not registered).
 func (l *Ledger) ClassTotals(class string) ClassTotals {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return ClassTotals{Class: class, Spent: l.spent[class], Confirmed: l.confirmed[class]}
+	ct := ClassTotals{Class: class}
+	if c, ok := l.index[class]; ok {
+		ct.Spent, ct.Confirmed = l.spent[c], l.confirmed[c]
+	}
+	return ct
 }
 
 // TotalSpent sums cumulative spend across classes.
@@ -169,8 +193,8 @@ func (l *Ledger) TotalSpent() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n uint64
-	for _, c := range l.order {
-		n += l.spent[c]
+	for _, s := range l.spent {
+		n += s
 	}
 	return n
 }
@@ -194,8 +218,9 @@ func (l *Ledger) Restore(st LedgerState) {
 	clear(l.spent)
 	clear(l.confirmed)
 	for _, ct := range st.Classes {
-		l.spent[ct.Class] = ct.Spent
-		l.confirmed[ct.Class] = ct.Confirmed
+		if c, ok := l.index[ct.Class]; ok {
+			l.spent[c], l.confirmed[c] = ct.Spent, ct.Confirmed
+		}
 	}
 	clear(l.tickSpent)
 	l.tickTotal = 0

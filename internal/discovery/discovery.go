@@ -92,7 +92,9 @@ type Config struct {
 	Seed uint64
 	// Ledger, when set, accounts every probe target spent and every
 	// L4-responsive answer per scan class, and caps each class's per-tick
-	// spend at its registered grant. Nil leaves budgets implicit in
+	// spend at its registered grant. Register the classes before New: it
+	// resolves each class's ledger handle once, and a class the ledger does
+	// not know is granted nothing. Nil leaves budgets implicit in
 	// ProbesPerTick exactly as before.
 	Ledger *Ledger
 	// WirePackets routes probes through full packet encode/decode (the
@@ -144,9 +146,10 @@ type udpProbe struct {
 }
 
 type classState struct {
-	cfg  ClassConfig
-	iter *cyclic.Iterator
-	gen  uint64 // reseed counter across restarts
+	cfg    ClassConfig
+	iter   *cyclic.Iterator
+	gen    uint64 // reseed counter across restarts
+	ledger Class  // the class's handle in cfg.Ledger
 }
 
 // New creates a discovery engine.
@@ -168,7 +171,11 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("discovery: class %q: %w", cc.Name, err)
 		}
-		e.classes = append(e.classes, &classState{cfg: cc, iter: it})
+		cs := &classState{cfg: cc, iter: it, ledger: NoClass}
+		if cfg.Ledger != nil {
+			cs.ledger = cfg.Ledger.Class(cc.Name)
+		}
+		e.classes = append(e.classes, cs)
 	}
 	// Precompute UDP probes for ports whose conventional protocol is
 	// UDP-based.
@@ -224,7 +231,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 	for _, cs := range e.classes {
 		budget := cs.cfg.ProbesPerTick
 		if e.cfg.Ledger != nil {
-			if g := e.cfg.Ledger.Grant(cs.cfg.Name); g < budget {
+			if g := e.cfg.Ledger.Grant(cs.ledger); g < budget {
 				budget = g
 			}
 		}
@@ -236,6 +243,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 		// With backoff disabled nothing is ever deferred and the loop is
 		// byte-identical to the legacy schedule.
 		maxDraws := budget * 4
+		probed, confirmed := 0, 0 // the ledger's batch for this class
 		for spent, draws := 0, 0; spent < budget && draws < maxDraws; draws++ {
 			addr, port, ok := cs.iter.Next()
 			if !ok {
@@ -263,33 +271,30 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 				e.stats.Deferred++
 				continue
 			}
-			e.probe(now, cs.cfg.Name, cs.cfg.Method, addr, port, emit)
+			probed++
+			if e.probe(now, cs.cfg.Method, addr, port, emit) {
+				confirmed++
+			}
 			spent++
+		}
+		// One flush per class, before the next class takes its Grant.
+		if e.cfg.Ledger != nil {
+			e.cfg.Ledger.Account(cs.ledger, probed, confirmed)
 		}
 	}
 }
 
 // probe sends one TCP SYN (plus a protocol-specific UDP probe when the port
-// conventionally carries a UDP protocol) from the next PoP in rotation. The
-// ledger accounts the target once regardless of how many wire probes it
-// takes, and confirms it at most once.
-func (e *Engine) probe(now time.Time, class string, method entity.DetectionMethod, addr netip.Addr, port uint16, emit func(Candidate)) {
+// conventionally carries a UDP protocol) from the next PoP in rotation, and
+// reports whether either drew an L4-responsive answer: the ledger accounts
+// the target once regardless of how many wire probes it takes, and confirms
+// it at most once.
+func (e *Engine) probe(now time.Time, method entity.DetectionMethod, addr netip.Addr, port uint16, emit func(Candidate)) (confirmed bool) {
 	pop := e.cfg.PoPs[e.popIdx%len(e.cfg.PoPs)]
 	e.popIdx++
 	sc := e.cfg.Scanner
 	sc.ID = e.scannerID()
 	sc.Country = pop.Country
-
-	if e.cfg.Ledger != nil {
-		e.cfg.Ledger.Spend(class)
-	}
-	confirmed := false
-	confirm := func() {
-		if !confirmed && e.cfg.Ledger != nil {
-			e.cfg.Ledger.Confirm(class)
-		}
-		confirmed = true
-	}
 
 	e.stats.ProbesSent++
 	var outcome simnet.Outcome
@@ -301,7 +306,7 @@ func (e *Engine) probe(now time.Time, class string, method entity.DetectionMetho
 	switch outcome {
 	case simnet.Open:
 		e.stats.OpenResponses++
-		confirm()
+		confirmed = true
 		emit(Candidate{Addr: addr, Port: port, Transport: entity.TCP,
 			Method: method, PoP: pop.Name, Time: now})
 	case simnet.Closed:
@@ -322,13 +327,14 @@ func (e *Engine) probe(now time.Time, class string, method entity.DetectionMetho
 		}
 		if uout == simnet.Open && len(resp) > 0 {
 			e.stats.OpenResponses++
-			confirm()
+			confirmed = true
 			emit(Candidate{Addr: addr, Port: port, Transport: entity.UDP,
 				Method: method, PoP: pop.Name, Time: now, UDPProtocol: up.protocol})
 		} else {
 			e.stats.Dropped++
 		}
 	}
+	return confirmed
 }
 
 // wireProbeTCP sends the probe as a crafted SYN packet through the full

@@ -95,15 +95,15 @@ func TestFastEnvelopeMalformed(t *testing.T) {
 	meta := marshalEnvelope(envelope{T: "meta", Meta: &metaRec{}})
 	row := marshalEnvelope(envelope{T: "row", Row: &rowRec{Entity: "e", Events: 1}})
 	cases := map[string][][]byte{
-		"truncated json":     {meta, row, []byte(`{"t":"ev","ev":{"seq":1`)},
-		"bad base64":         {meta, row, []byte(`{"t":"ev","ev":{"seq":1,"ns":0,"kind":"k","payload":"@@@@"}}`)},
-		"unknown type":       {meta, []byte(`{"t":"wat"}`)},
-		"row before meta":    {row},
-		"double meta":        {meta, meta},
-		"event outside row":  {meta, marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 1}})},
-		"overdeclared row":   {meta, row, marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 1}}), marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 2}})},
-		"seq overflow":       {meta, row, []byte(`{"t":"ev","ev":{"seq":99999999999999999999,"ns":0,"kind":"k"}}`)},
-		"leading zero":       {meta, row, []byte(`{"t":"ev","ev":{"seq":01,"ns":0,"kind":"k"}}`)},
+		"truncated json":      {meta, row, []byte(`{"t":"ev","ev":{"seq":1`)},
+		"bad base64":          {meta, row, []byte(`{"t":"ev","ev":{"seq":1,"ns":0,"kind":"k","payload":"@@@@"}}`)},
+		"unknown type":        {meta, []byte(`{"t":"wat"}`)},
+		"row before meta":     {row},
+		"double meta":         {meta, meta},
+		"event outside row":   {meta, marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 1}})},
+		"overdeclared row":    {meta, row, marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 1}}), marshalEnvelope(envelope{T: "ev", Ev: &evRec{Seq: 2}})},
+		"seq overflow":        {meta, row, []byte(`{"t":"ev","ev":{"seq":99999999999999999999,"ns":0,"kind":"k"}}`)},
+		"leading zero":        {meta, row, []byte(`{"t":"ev","ev":{"seq":01,"ns":0,"kind":"k"}}`)},
 		"raw control in kind": {meta, row, []byte("{\"t\":\"ev\",\"ev\":{\"seq\":1,\"ns\":0,\"kind\":\"a\x01b\"}}")},
 	}
 	for name, payloads := range cases {

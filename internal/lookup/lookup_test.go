@@ -210,9 +210,9 @@ func TestSearchEndpointLimit(t *testing.T) {
 func TestSearchEndpointErrors(t *testing.T) {
 	s := searchFixture(t)
 	cases := []string{
-		"/v2/hosts/search",                 // missing q
+		"/v2/hosts/search", // missing q
 		"/v2/hosts/search?q=" + url.QueryEscape("location.country: US and"), // parse error
-		"/v2/hosts/search?limit=-2&q=x",    // bad limit
+		"/v2/hosts/search?limit=-2&q=x",                                     // bad limit
 		"/v2/hosts/search?limit=banana&q=x",
 	}
 	for _, u := range cases {

@@ -34,7 +34,9 @@
 package predict
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,6 +134,18 @@ type Engine struct {
 	hosts        []netip.Addr
 	// hosts24 lists each populated /24's member hosts, address-sorted.
 	hosts24 map[netip.Addr][]netip.Addr
+
+	// Derived state, never serialized: each count map's best ports (see
+	// top), built lazily by Recommend and dropped by the one mutation that
+	// changes that map's counts. Refresh observations change no count, so a
+	// steady model answers Recommend without rebuilding any list.
+	top24   map[netip.Addr][]portCount // of net24Ports[/24]
+	topCooc map[uint16][]portCount     // of cooc[q]
+	topFull map[uint16][]portCount     // of fullCooc[q]
+	// Recommend's reusable scratch (it runs serially under mu).
+	cands []scored
+	qs    []uint16
+	dense []uint16
 }
 
 type evictedEntry struct {
@@ -157,6 +171,9 @@ func New(cfg Config) *Engine {
 		topo:          NewTopology(),
 		suggested:     make(map[Target]time.Time),
 		evicted:       make(map[Target]evictedEntry),
+		top24:         make(map[netip.Addr][]portCount),
+		topCooc:       make(map[uint16][]portCount),
+		topFull:       make(map[uint16][]portCount),
 	}
 }
 
@@ -228,6 +245,7 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 			e.net24Ports[n24] = m
 		}
 		m[port]++
+		delete(e.top24, n24)
 		e.portHosts[port]++
 		e.topo.ObserveService(n24)
 	}
@@ -248,6 +266,7 @@ func (e *Engine) bump(q, p uint16) {
 		e.cooc[q] = m
 	}
 	m[p]++
+	delete(e.topCooc, q)
 }
 
 func (e *Engine) bumpFull(q, p uint16) {
@@ -257,6 +276,7 @@ func (e *Engine) bumpFull(q, p uint16) {
 		e.fullCooc[q] = m
 	}
 	m[p]++
+	delete(e.topFull, q)
 }
 
 // ObserveFull marks a host as fully scanned (all 65K ports probed, e.g. by
@@ -368,7 +388,7 @@ func (e *Engine) Recommend(now time.Time, budget int) []Target {
 				break
 			}
 			known := e.hostPorts[addr]
-			for _, cand := range e.candidatesFor(addr, base, known) {
+			for _, cand := range e.candidatesFor(base, known) {
 				if len(out) >= refineBudget {
 					break
 				}
@@ -442,36 +462,22 @@ func addrAt(base netip.Addr, off uint8) netip.Addr {
 // densePorts returns the /24's dominant ports for expansion: conditional
 // frequency at least max(MinScore, 0.5) — expansion probes addresses with no
 // evidence of a host, so only strong prefix-wide patterns justify it — best
-// two by (frequency, port).
+// two by (frequency, port). The floor is monotone in the count, so they are
+// the qualifying head of the /24's top list. The result is scratch, valid
+// until the next call.
 func (e *Engine) densePorts(base netip.Addr, members int) []uint16 {
-	m := e.net24Ports[base]
-	if m == nil || members == 0 {
+	e.dense = e.dense[:0]
+	if members == 0 {
 		return nil
 	}
-	floor := e.cfg.MinScore
-	if floor < 0.5 {
-		floor = 0.5
-	}
-	var out []portCount
-	for p, c := range m {
-		if float64(c)/float64(members) >= floor {
-			out = append(out, portCount{p, c})
+	floor := max(e.cfg.MinScore, 0.5)
+	for _, pc := range top(e, e.top24, base, e.net24Ports[base]) {
+		if len(e.dense) == 2 || float64(pc.count)/float64(members) < floor {
+			break
 		}
+		e.dense = append(e.dense, pc.port)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count > out[j].count
-		}
-		return out[i].port < out[j].port
-	})
-	if len(out) > 2 {
-		out = out[:2]
-	}
-	ports := make([]uint16, len(out))
-	for i, pc := range out {
-		ports[i] = pc.port
-	}
-	return ports
+	return e.dense
 }
 
 type scored struct {
@@ -481,32 +487,36 @@ type scored struct {
 	reason string
 }
 
+// upsert records one signal's likelihood for port p on the candidate
+// scratch: the strongest signal wins, and on a tie the earlier one keeps the
+// reason. A host has at most TopK × (1 + known ports) candidates, so the
+// lookup is a short scan, not a map.
+func (e *Engine) upsert(p uint16, count, denom int, reason string) {
+	score := min(float64(count)/float64(denom), 1) // eviction keeps cooc cumulative; clamp the estimate
+	for i := range e.cands {
+		if s := &e.cands[i]; s.port == p {
+			if score > s.score {
+				s.score, s.reason = score, reason
+			}
+			return
+		}
+	}
+	e.cands = append(e.cands, scored{port: p, score: score, reason: reason})
+}
+
 // candidatesFor runs the two-stage model for one host: every candidate port
 // gets its strongest conditional likelihood (cross-/24 locality or cross-port
 // co-occurrence), candidates below MinScore are dropped, and survivors rank
-// by likelihood with the stage-1 prior as tiebreak.
-func (e *Engine) candidatesFor(addr, n24 netip.Addr, known map[uint16]entity.Transport) []scored {
-	agg := map[uint16]*scored{}
-	upsert := func(p uint16, score float64, reason string) {
-		if score > 1 {
-			score = 1 // eviction keeps cooc cumulative; clamp the estimate
-		}
-		s := agg[p]
-		if s == nil {
-			agg[p] = &scored{port: p, score: score, reason: reason}
-			return
-		}
-		if score > s.score {
-			s.score, s.reason = score, reason
-		}
-	}
+// by likelihood with the stage-1 prior as tiebreak. The result is scratch,
+// valid until the next call.
+func (e *Engine) candidatesFor(n24 netip.Addr, known map[uint16]entity.Transport) []scored {
+	e.cands = e.cands[:0]
+	k := e.cfg.TopK
 
 	// Cross-/24 locality: P(p | host's /24).
-	if m := e.net24Ports[n24]; m != nil {
-		if members := len(e.hosts24[n24]); members > 0 {
-			for _, pc := range topPorts(m, e.cfg.TopK) {
-				upsert(pc.port, float64(pc.count)/float64(members), "net24")
-			}
+	if members := len(e.hosts24[n24]); members > 0 {
+		for _, pc := range head(top(e, e.top24, n24, e.net24Ports[n24]), k) {
+			e.upsert(pc.port, pc.count, members, "net24")
 		}
 	}
 
@@ -516,55 +526,41 @@ func (e *Engine) candidatesFor(addr, n24 netip.Addr, known map[uint16]entity.Tra
 	// host running q would drown real tail-port associations. When no
 	// fully scanned host runs q, fall back to the live counts. Known ports
 	// iterate sorted so equal-likelihood reasons are deterministic.
-	qs := make([]uint16, 0, len(known))
+	e.qs = e.qs[:0]
 	for q := range known {
-		qs = append(qs, q)
+		e.qs = append(e.qs, q)
 	}
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	for _, q := range qs {
+	slices.Sort(e.qs)
+	for _, q := range e.qs {
 		if fn := e.fullPortHosts[q]; fn > 0 {
-			if m := e.fullCooc[q]; m != nil {
-				for _, pc := range topPorts(m, e.cfg.TopK) {
-					upsert(pc.port, float64(pc.count)/float64(fn), "cooc")
-				}
+			for _, pc := range head(top(e, e.topFull, q, e.fullCooc[q]), k) {
+				e.upsert(pc.port, pc.count, fn, "cooc")
 			}
 			continue
 		}
-		qn := e.portHosts[q]
-		if qn == 0 {
-			continue
-		}
-		if m := e.cooc[q]; m != nil {
-			for _, pc := range topPorts(m, e.cfg.TopK) {
-				upsert(pc.port, float64(pc.count)/float64(qn), "cooc")
+		if qn := e.portHosts[q]; qn > 0 {
+			for _, pc := range head(top(e, e.topCooc, q, e.cooc[q]), k) {
+				e.upsert(pc.port, pc.count, qn, "cooc")
 			}
 		}
 	}
 
 	total := len(e.hosts)
-	out := make([]scored, 0, len(agg))
-	for _, s := range agg {
+	out := e.cands[:0]
+	for _, s := range e.cands {
 		if s.score < e.cfg.MinScore {
 			continue
 		}
 		if total > 0 {
 			s.prior = float64(e.portHosts[s.port]) / float64(total)
 		}
-		out = append(out, *s)
+		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		if out[i].prior != out[j].prior {
-			return out[i].prior > out[j].prior
-		}
-		return out[i].port < out[j].port
+	slices.SortFunc(out, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(b.prior, a.prior),
+			cmp.Compare(a.port, b.port))
 	})
-	if len(out) > e.cfg.TopK {
-		out = out[:e.cfg.TopK]
-	}
-	return out
+	return head(out, k)
 }
 
 type portCount struct {
@@ -572,21 +568,39 @@ type portCount struct {
 	count int
 }
 
-func topPorts(m map[uint16]int, k int) []portCount {
-	out := make([]portCount, 0, len(m))
+// head returns s's first k elements (all of s when it is shorter).
+func head[T any](s []T, k int) []T {
+	return s[:min(k, len(s))]
+}
+
+// top returns m's best ports by (count descending, port ascending) from
+// cache, selecting them on first use after the entry was dropped. A list
+// keeps TopK ports for candidatesFor, and never fewer than the two
+// densePorts reads. Selection inserts into a bounded sorted window: one pass
+// over m, no full sort, and — (count, port) being a total order — a result
+// independent of map iteration order.
+func top[K comparable](e *Engine, cache map[K][]portCount, key K, m map[uint16]int) []portCount {
+	if list, ok := cache[key]; ok {
+		return list
+	}
+	slots := max(e.cfg.TopK, 2)
+	list := make([]portCount, 0, min(slots, len(m)))
 	for p, c := range m {
-		out = append(out, portCount{p, c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count > out[j].count
+		i := len(list)
+		for i > 0 && (c > list[i-1].count || c == list[i-1].count && p < list[i-1].port) {
+			i--
 		}
-		return out[i].port < out[j].port
-	})
-	if len(out) > k {
-		out = out[:k]
+		if i == slots {
+			continue
+		}
+		if len(list) < slots {
+			list = append(list, portCount{})
+		}
+		copy(list[i+1:], list[i:])
+		list[i] = portCount{p, c}
 	}
-	return out
+	cache[key] = list
+	return list
 }
 
 // RecordEvicted queues an evicted service for re-injection and removes it
@@ -614,6 +628,7 @@ func (e *Engine) RecordEvicted(addr netip.Addr, port uint16, transport entity.Tr
 	}
 	if n24, ok := net24(addr); ok {
 		if m := e.net24Ports[n24]; m != nil {
+			delete(e.top24, n24)
 			if m[port] > 1 {
 				m[port]--
 			} else {
@@ -707,9 +722,9 @@ type State struct {
 	FullHosts     []netip.Addr              `json:"full_hosts,omitempty"`
 	FullCooc      map[uint16]map[uint16]int `json:"full_cooc,omitempty"`
 	FullPortHosts map[uint16]int            `json:"full_port_hosts,omitempty"`
-	Suggested  []SuggestedEntry                           `json:"suggested,omitempty"`
-	Evicted    []EvictedState                             `json:"evicted,omitempty"`
-	Cursor     int                                        `json:"cursor"`
+	Suggested     []SuggestedEntry          `json:"suggested,omitempty"`
+	Evicted       []EvictedState            `json:"evicted,omitempty"`
+	Cursor        int                       `json:"cursor"`
 	// ExpandCursor is the expansion phase's rotation position.
 	ExpandCursor int `json:"expand_cursor"`
 	// Topology is the density-ranked prefix tree.
@@ -861,4 +876,7 @@ func (e *Engine) Restore(st State) {
 	}
 	e.cursor = st.Cursor
 	e.expandCursor = st.ExpandCursor
+	clear(e.top24)
+	clear(e.topCooc)
+	clear(e.topFull)
 }

@@ -1,7 +1,9 @@
 package predict
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -27,6 +29,9 @@ type Topology struct {
 	// excluded holds masked, sorted opt-out prefixes (the exclusion
 	// subtrees).
 	excluded []netip.Prefix
+	// ranked caches Ranked's answer; every change to a count or to the
+	// exclusion list resets it to nil. Derived, never serialized.
+	ranked []netip.Addr
 }
 
 type prefixNode16 struct {
@@ -71,6 +76,7 @@ func (t *Topology) ObserveHost(n24 netip.Addr) {
 	leaf := t.node24(n24)
 	leaf.hosts++
 	t.roots[net16of(n24)].hosts++
+	t.ranked = nil
 }
 
 // ObserveService records a newly confirmed service inside the /24.
@@ -78,6 +84,7 @@ func (t *Topology) ObserveService(n24 netip.Addr) {
 	leaf := t.node24(n24)
 	leaf.services++
 	t.roots[net16of(n24)].services++
+	t.ranked = nil
 }
 
 // EvictService removes one confirmed service from the /24's density.
@@ -89,6 +96,7 @@ func (t *Topology) EvictService(n24 netip.Addr) {
 	if leaf := root.children[n24]; leaf != nil && leaf.services > 0 {
 		leaf.services--
 		root.services--
+		t.ranked = nil
 	}
 }
 
@@ -106,6 +114,7 @@ func (t *Topology) SetExcluded(prefixes []netip.Prefix) {
 		return out[i].Bits() < out[j].Bits()
 	})
 	t.excluded = out
+	t.ranked = nil
 }
 
 // Allowed reports whether addr is outside every exclusion subtree.
@@ -130,59 +139,51 @@ func (t *Topology) excluded24(base netip.Addr) bool {
 	return false
 }
 
+// density is one tree node's rank key.
+type density struct {
+	base            netip.Addr
+	hosts, services int
+}
+
+// sortByDensity orders nodes by (services, hosts) descending, base address
+// as the tiebreak.
+func sortByDensity(nodes []density) {
+	slices.SortFunc(nodes, func(a, b density) int {
+		return cmp.Or(cmp.Compare(b.services, a.services), cmp.Compare(b.hosts, a.hosts),
+			a.base.Compare(b.base))
+	})
+}
+
 // Ranked returns the populated /24 bases in probe-priority order: /16
 // subtrees by (services, hosts) descending, then each subtree's /24s the
 // same way, base address as the tiebreak. Leaves inside exclusion subtrees
-// never appear.
+// never appear. The slice is shared by every call until the tree changes;
+// callers must not modify it.
 func (t *Topology) Ranked() []netip.Addr {
-	type n16 struct {
-		base     netip.Addr
-		hosts    int
-		services int
+	if t.ranked != nil {
+		return t.ranked
 	}
-	tops := make([]n16, 0, len(t.roots))
+	tops := make([]density, 0, len(t.roots))
 	for base, root := range t.roots {
-		tops = append(tops, n16{base: base, hosts: root.hosts, services: root.services})
+		tops = append(tops, density{base: base, hosts: root.hosts, services: root.services})
 	}
-	sort.Slice(tops, func(i, j int) bool {
-		a, b := tops[i], tops[j]
-		if a.services != b.services {
-			return a.services > b.services
-		}
-		if a.hosts != b.hosts {
-			return a.hosts > b.hosts
-		}
-		return a.base.Less(b.base)
-	})
-	var out []netip.Addr
+	sortByDensity(tops)
+	out := make([]netip.Addr, 0, t.Tracked24s()) // non-nil even when empty
+	var leaves []density
 	for _, top := range tops {
-		root := t.roots[top.base]
-		type n24 struct {
-			base     netip.Addr
-			hosts    int
-			services int
-		}
-		leaves := make([]n24, 0, len(root.children))
-		for base, leaf := range root.children {
+		leaves = leaves[:0]
+		for base, leaf := range t.roots[top.base].children {
 			if t.excluded24(base) {
 				continue
 			}
-			leaves = append(leaves, n24{base: base, hosts: leaf.hosts, services: leaf.services})
+			leaves = append(leaves, density{base: base, hosts: leaf.hosts, services: leaf.services})
 		}
-		sort.Slice(leaves, func(i, j int) bool {
-			a, b := leaves[i], leaves[j]
-			if a.services != b.services {
-				return a.services > b.services
-			}
-			if a.hosts != b.hosts {
-				return a.hosts > b.hosts
-			}
-			return a.base.Less(b.base)
-		})
+		sortByDensity(leaves)
 		for _, leaf := range leaves {
 			out = append(out, leaf.base)
 		}
 	}
+	t.ranked = out
 	return out
 }
 
@@ -239,4 +240,5 @@ func (t *Topology) Restore(st TopologyState) {
 		root.services += pd.Services
 	}
 	t.excluded = append([]netip.Prefix(nil), st.Excluded...)
+	t.ranked = nil
 }

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -144,4 +145,38 @@ func TestTopologyStateRoundTrip(t *testing.T) {
 	if restored.Tracked24s() != topo.Tracked24s() {
 		t.Fatal("leaf count differs after round trip")
 	}
+}
+
+// TestTopologyRankedFollowsEveryMutation asks for the ranking (so it is
+// cached) before each kind of change, and requires the next answer to match
+// the uncached ranking in reference_test.go.
+func TestTopologyRankedFollowsEveryMutation(t *testing.T) {
+	topo := NewTopology()
+	check := func(step string) {
+		t.Helper()
+		if got, want := topo.Ranked(), topo.refRanked(); !slices.Equal(got, want) {
+			t.Fatalf("after %s: Ranked = %v, want %v", step, got, want)
+		}
+	}
+	topo.ObserveHost(ip("10.1.1.0"))
+	check("first host")
+	topo.ObserveHost(ip("10.1.2.0"))
+	topo.ObserveHost(ip("10.1.2.0")) // hosts alone break the tie
+	check("ObserveHost")
+	topo.ObserveService(ip("10.1.1.0"))
+	check("ObserveService")
+	older := topo.State()
+	topo.ObserveService(ip("10.1.2.0"))
+	topo.ObserveService(ip("10.1.2.0"))
+	check("second ObserveService")
+	topo.EvictService(ip("10.1.2.0"))
+	topo.EvictService(ip("10.1.2.0"))
+	check("EvictService")
+	topo.SetExcluded([]netip.Prefix{pfx("10.1.1.0/24")})
+	check("SetExcluded")
+	topo.ObserveHost(ip("10.7.0.0"))
+	topo.ObserveService(ip("10.7.0.0"))
+	check("new /16")
+	topo.Restore(older)
+	check("Restore")
 }

@@ -175,10 +175,10 @@ func validateScenario(a AdversaryConfig) error {
 		return nil
 	}
 	for name, v := range map[string]float64{
-		"farm_density":     a.FarmDensity,
-		"tarpit_rate":      a.TarpitRate,
-		"tarpit_drip_rate": a.TarpitDripRate,
-		"detector_rate":    a.DetectorRate,
+		"farm_density":      a.FarmDensity,
+		"tarpit_rate":       a.TarpitRate,
+		"tarpit_drip_rate":  a.TarpitDripRate,
+		"detector_rate":     a.DetectorRate,
 		"banner_churn_rate": a.BannerChurnRate,
 	} {
 		if err := check(name, v); err != nil {

@@ -34,16 +34,16 @@ func TestParseScenarioJSON(t *testing.T) {
 
 func TestParseScenarioErrors(t *testing.T) {
 	for _, bad := range []string{
-		"tarpit_rate=1.5",             // out of range
-		"tarpit_rate=abc",             // not a number
-		"honeypot_farms=-1",           // negative
-		"no_such_knob=1",              // unknown key
-		"tarpit_rate",                 // not key=value
-		"detector_base_block=-5h",     // negative duration
-		`{"no_such_knob":1}`,          // unknown JSON field
-		`{"tarpit_rate":2}`,           // JSON out of range
-		`{"honeypot_farms":1} extra`,  // trailing data
-		`{"honeypot_farms":"two"}`,    // wrong type
+		"tarpit_rate=1.5",            // out of range
+		"tarpit_rate=abc",            // not a number
+		"honeypot_farms=-1",          // negative
+		"no_such_knob=1",             // unknown key
+		"tarpit_rate",                // not key=value
+		"detector_base_block=-5h",    // negative duration
+		`{"no_such_knob":1}`,         // unknown JSON field
+		`{"tarpit_rate":2}`,          // JSON out of range
+		`{"honeypot_farms":1} extra`, // trailing data
+		`{"honeypot_farms":"two"}`,   // wrong type
 	} {
 		if _, err := ParseScenario(bad); !errors.Is(err, ErrScenario) {
 			t.Errorf("ParseScenario(%q): err = %v, want ErrScenario", bad, err)

@@ -137,9 +137,9 @@ type Internet struct {
 	// Adversary state (see adversary.go). advSeed is fixed at generation;
 	// the detector maps are guarded by pathMu like the blocking state.
 	advSeed    uint64
-	detCounts  map[blockKey]int    // per (scanner, /24, day) detector-visible probes
-	detOffense map[scanNetKey]int  // repeat-offense count per (scanner, /24)
-	detEvents  map[string]int      // cumulative detector blocks per scanner ID
+	detCounts  map[blockKey]int   // per (scanner, /24, day) detector-visible probes
+	detOffense map[scanNetKey]int // repeat-offense count per (scanner, /24)
+	detEvents  map[string]int     // cumulative detector blocks per scanner ID
 
 	// Stats counters.
 	probesSeen atomic.Uint64
