@@ -6,7 +6,6 @@
 //	benchtables -table 2        # just Table 2
 //	benchtables -figure 3       # just Figure 3
 //	benchtables -quick          # small universe (seconds instead of minutes)
-//	benchtables -bench-json     # machine-readable benchmarks → BENCH_<date>.json
 //	benchtables -predict-diff   # predictive-vs-exhaustive scheduling comparison
 //	benchtables -adversarial    # hostile-universe per-engine scorecard
 package main
@@ -26,9 +25,6 @@ func main() {
 	figure := flag.Int("figure", 0, "render only this figure (2-5)")
 	quick := flag.Bool("quick", false, "use the small/fast lab configuration")
 	seed := flag.Uint64("seed", 1, "universe seed")
-	benchJSON := flag.Bool("bench-json", false,
-		"run the pipeline/search benchmarks and write BENCH_<date>.json instead of rendering tables")
-	benchDir := flag.String("bench-dir", ".", "directory BENCH_<date>.json is written into")
 	predictDiff := flag.Bool("predict-diff", false,
 		"replay the predictive-vs-exhaustive scheduling comparison and render its tables")
 	adversarial := flag.Bool("adversarial", false,
@@ -54,16 +50,6 @@ func main() {
 			}
 			fmt.Println(r.Render())
 		}
-		return
-	}
-
-	if *benchJSON {
-		path, err := runBenchJSON(*benchDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-json:", err)
-			os.Exit(1)
-		}
-		fmt.Println(path)
 		return
 	}
 

@@ -15,40 +15,50 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 
 	"censysmap/internal/cqrs"
 	"censysmap/internal/durable"
 )
 
-func main() {
-	dir := flag.String("dir", "", "store directory to verify (required)")
-	repair := flag.Bool("repair", false, "apply every provable fix in place")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("censysfsck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", "", "store directory to verify (required)")
+	repair := fs.Bool("repair", false, "apply every provable fix in place")
+	jsonOut := fs.Bool("json", false, "emit the report as JSON")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "usage: censysfsck -dir <store> [-repair] [-json]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: censysfsck -dir <store> [-repair] [-json]")
+		return 2
 	}
 	rep, err := durable.Fsck(*dir, durable.FsckOptions{
 		Rebuild: map[string]durable.SnapshotRebuilder{"journal": cqrs.RebuildSnapshotPayload},
 		Repair:  *repair,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "censysfsck:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "censysfsck:", err)
+		return 2
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "censysfsck:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "censysfsck:", err)
+			return 2
 		}
 	} else {
-		fmt.Printf("generation %d: %d records verified\n", rep.Gen, rep.RecordsVerified)
+		fmt.Fprintf(stdout, "generation %d: %d records verified\n", rep.Gen, rep.RecordsVerified)
 		for _, f := range rep.Findings {
 			loc := f.File
 			if f.Record >= 0 {
@@ -57,25 +67,30 @@ func main() {
 			if f.Offset >= 0 {
 				loc = fmt.Sprintf("%s offset %d", loc, f.Offset)
 			}
-			fmt.Printf("  %-12s %-20s %s", f.Fault, f.Action, loc)
+			fmt.Fprintf(stdout, "  %-12s %-20s %s", f.Fault, f.Action, loc)
 			if f.Detail != "" {
-				fmt.Printf(" (%s)", f.Detail)
+				fmt.Fprintf(stdout, " (%s)", f.Detail)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		for store, parts := range rep.Quarantined {
-			fmt.Printf("  QUARANTINED  %s partitions %v\n", store, parts)
+		stores := make([]string, 0, len(rep.Quarantined))
+		for store := range rep.Quarantined {
+			stores = append(stores, store)
+		}
+		sort.Strings(stores)
+		for _, store := range stores {
+			fmt.Fprintf(stdout, "  QUARANTINED  %s partitions %v\n", store, rep.Quarantined[store])
 		}
 		for _, p := range rep.Repaired {
-			fmt.Printf("  repaired     %s\n", p)
+			fmt.Fprintf(stdout, "  repaired     %s\n", p)
 		}
 		if rep.Clean {
-			fmt.Println("clean")
+			fmt.Fprintln(stdout, "clean")
 		}
 	}
 
 	if rep.Clean {
-		return
+		return 0
 	}
 	// Repaired-only stores exit 0: a second pass would come back clean.
 	if *repair && len(rep.Quarantined) == 0 {
@@ -86,8 +101,8 @@ func main() {
 			}
 		}
 		if !unrepaired {
-			return
+			return 0
 		}
 	}
-	os.Exit(1)
+	return 1
 }

@@ -4,7 +4,6 @@
 //
 //	loadgen -universe 10.0.0.0/22 -days 2 -qps 200,400,800 -requests 1000
 //	loadgen -cluster-nodes 3 ...          # same workload through a cluster
-//	loadgen -bench-dir .                  # merge rows into BENCH_<date>.json
 //
 // The workload is deterministic for a fixed -workload-seed: a Zipf-skewed
 // query mix over the live dataset (point lookups and history reads over
@@ -19,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -28,7 +26,6 @@ import (
 	"net/netip"
 	"net/url"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,7 +129,6 @@ type levelResult struct {
 	rateLimited int
 	errors      int
 	p50, p99    time.Duration
-	mean        time.Duration
 }
 
 // runLevel fires one schedule open-loop against the handler.
@@ -180,11 +176,6 @@ func runLevel(h http.Handler, reqs []genReq) levelResult {
 	if len(lat) > 0 {
 		res.p50 = lat[len(lat)*50/100]
 		res.p99 = lat[len(lat)*99/100]
-		var sum time.Duration
-		for _, l := range lat {
-			sum += l
-		}
-		res.mean = sum / time.Duration(len(lat))
 	}
 	return res
 }
@@ -210,7 +201,6 @@ func main() {
 	mixFlag := flag.String("mix", "lookup=70,search=20,export=10", "request class weights")
 	clusterNodes := flag.Int("cluster-nodes", 0, "drive an N-node cluster (0 = serial)")
 	capacity := flag.Int("capacity", 64, "serving-tier admission capacity")
-	benchDir := flag.String("bench-dir", "", "merge serve/ rows into BENCH_<date>.json in this directory")
 	flag.Parse()
 
 	prefix, err := netip.ParsePrefix(*universe)
@@ -279,13 +269,11 @@ func main() {
 	rng := rand.New(rand.NewSource(*workloadSeed))
 	fmt.Printf("\n%-10s %10s %8s %6s %8s %8s %9s %9s\n",
 		"offered", "achieved", "served", "shed", "limited", "errors", "p50", "p99")
-	results := make([]levelResult, 0, len(levels))
 	maxSustainable := 0.0
 	for _, qps := range levels {
 		reqs := buildSchedule(rng, addrs, mix, *requests, qps)
 		r := runLevel(front, reqs)
 		r.offered = qps
-		results = append(results, r)
 		if r.sustainable() && qps > maxSustainable {
 			maxSustainable = qps
 		}
@@ -294,80 +282,6 @@ func main() {
 			r.p50.Round(time.Microsecond), r.p99.Round(time.Microsecond))
 	}
 	fmt.Printf("\nmax sustainable QPS (%s): %.0f\n", label, maxSustainable)
-
-	if *benchDir != "" {
-		path, err := mergeBench(*benchDir, label, results, maxSustainable)
-		if err != nil {
-			fatal("bench merge:", err)
-		}
-		fmt.Println(path)
-	}
-}
-
-// benchResult / benchDoc mirror cmd/benchtables' BENCH_<date>.json schema so
-// loadgen rows merge into the same document.
-type benchResult struct {
-	Name       string  `json:"name"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	// AllocsPerOp/BytesPerOp are written by benchtables; mirrored here so
-	// merging serve/* rows into an existing document round-trips them.
-	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-type benchDoc struct {
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []benchResult `json:"results"`
-}
-
-// mergeBench folds the sweep into BENCH_<date>.json: existing serve/<label>
-// rows are replaced, everything else is preserved.
-func mergeBench(dir, label string, results []levelResult, maxQPS float64) (string, error) {
-	date := time.Now().UTC().Format("2006-01-02")
-	path := fmt.Sprintf("%s/BENCH_%s.json", dir, date)
-	doc := benchDoc{Date: date, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	if blob, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(blob, &doc); err != nil {
-			return "", fmt.Errorf("existing %s: %w", path, err)
-		}
-	}
-	prefix := "serve/" + label
-	kept := doc.Results[:0]
-	for _, r := range doc.Results {
-		if !strings.HasPrefix(r.Name, prefix) {
-			kept = append(kept, r)
-		}
-	}
-	doc.Results = kept
-	for _, r := range results {
-		doc.Results = append(doc.Results, benchResult{
-			Name:       fmt.Sprintf("%s/qps%.0f", prefix, r.offered),
-			Iterations: r.served,
-			NsPerOp:    float64(r.mean.Nanoseconds()),
-			Metrics: map[string]float64{
-				"p50_ms":       float64(r.p50.Microseconds()) / 1000,
-				"p99_ms":       float64(r.p99.Microseconds()) / 1000,
-				"offered_qps":  r.offered,
-				"achieved_qps": r.achieved,
-				"served":       float64(r.served),
-				"shed":         float64(r.shed),
-				"errors":       float64(r.rateLimited + r.errors),
-			},
-		})
-	}
-	doc.Results = append(doc.Results, benchResult{
-		Name:    prefix + "/max_sustainable_qps",
-		Metrics: map[string]float64{"qps": maxQPS},
-	})
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 func fatal(args ...any) {

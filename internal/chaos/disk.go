@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"censysmap/internal/core"
 	"censysmap/internal/cqrs"
@@ -190,21 +189,6 @@ type rowState struct {
 	entity string
 	events []journal.Event
 	want   int
-}
-
-// probeEnv mirrors the durable record envelope for target classification.
-type probeEnv struct {
-	T   string `json:"t"`
-	Row *struct {
-		Entity string `json:"entity"`
-		Events int    `json:"events"`
-	} `json:"row"`
-	Ev *struct {
-		Seq     uint64 `json:"seq"`
-		NS      int64  `json:"ns"`
-		Kind    string `json:"kind"`
-		Payload []byte `json:"payload"`
-	} `json:"ev"`
 }
 
 // Draw-domain tags for disk-fault target selection (disjoint from the
@@ -411,19 +395,16 @@ func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
 		for fi, fr := range scan.Frames {
 			rec := diskRecord{rel: rel, partition: part, record: fi,
 				payloadOff: fr.PayloadOff, payloadLen: len(fr.Payload)}
-			var e probeEnv
-			if err := json.Unmarshal(fr.Payload, &e); err != nil {
+			dr, err := durable.DecodeRecord(fr.Payload)
+			if err != nil {
 				return nil, nil, fmt.Errorf("chaos: %s record %d: %w", rel, fi, err)
 			}
-			switch {
-			case e.T == "row" && e.Row != nil:
-				rs.entity, rs.want, rs.events = e.Row.Entity, e.Row.Events, rs.events[:0]
-			case e.T == "ev" && e.Ev != nil:
-				rec.repairable = provablyRepairable(rs, e, fr.Payload)
-				rs.events = append(rs.events, journal.Event{
-					Entity: rs.entity, Seq: e.Ev.Seq,
-					Time: time.Unix(0, e.Ev.NS).UTC(), Kind: e.Ev.Kind, Payload: e.Ev.Payload,
-				})
+			switch dr.Tag {
+			case durable.TagRow:
+				rs.entity, rs.want, rs.events = dr.Row.Entity, dr.Row.Events, rs.events[:0]
+			case durable.TagEvent:
+				rec.repairable = provablyRepairable(rs, dr.Ev)
+				rs.events = append(rs.events, dr.Ev.Event(rs.entity))
 			}
 			records = append(records, rec)
 		}
@@ -446,19 +427,19 @@ func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
 // at least one prior event in its row, and replaying those priors must
 // reproduce the stored payload byte-for-byte (no un-journaled state baked
 // into the original snapshot).
-func provablyRepairable(rs *rowState, e probeEnv, payload []byte) bool {
-	if e.Ev.Kind != journal.SnapshotKind || len(rs.events) == 0 || len(rs.events) >= rs.want {
+func provablyRepairable(rs *rowState, ev durable.EventRecord) bool {
+	if ev.Kind != journal.SnapshotKind || len(rs.events) == 0 || len(rs.events) >= rs.want {
 		return false
 	}
 	prev := rs.events[len(rs.events)-1]
-	if e.Ev.Seq != prev.Seq+1 || e.Ev.NS != prev.Time.UnixNano() {
+	if ev.Seq != prev.Seq+1 || ev.NS != prev.Time.UnixNano() {
 		return false
 	}
 	rebuilt, err := cqrs.RebuildSnapshotPayload(rs.entity, rs.events)
 	if err != nil {
 		return false
 	}
-	return bytes.Equal(rebuilt, e.Ev.Payload)
+	return bytes.Equal(rebuilt, ev.Payload)
 }
 
 func filterSegs(segs []diskSegment, keep func(diskSegment) bool) []diskSegment {

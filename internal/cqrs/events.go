@@ -11,21 +11,11 @@ package cqrs
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"censysmap/internal/entity"
 	"censysmap/internal/journal"
 )
-
-// slowApply forces ApplyEvent down the encoding/json fallback path. Both
-// paths are bit-identical (the differential suite proves it); the toggle
-// exists so benchmarks can measure the fast decoder against its predecessor.
-var slowApply atomic.Bool
-
-// SetFastApply enables or disables the pooled span-scanning decoder in
-// ApplyEvent (on by default). Off routes every event through encoding/json.
-func SetFastApply(on bool) { slowApply.Store(!on) }
 
 // Event kinds journaled by the write side. Each is a delta touching one
 // service slot; full host state appears only in snapshots.
@@ -86,24 +76,18 @@ func DecodeHostSnapshot(payload []byte) (*entity.Host, error) {
 func ApplyEvent(h *entity.Host, ev journal.Event) error {
 	switch ev.Kind {
 	case KindServiceFound, KindServiceChanged, KindServiceRestored:
-		ok := false
-		if !slowApply.Load() {
-			d := decoderPool.Get().(*decoder)
-			ok = d.applyService(h, ev.Payload)
-			decoderPool.Put(d)
-		}
+		d := decoderPool.Get().(*decoder)
+		ok := d.applyService(h, ev.Payload)
+		decoderPool.Put(d)
 		if !ok {
 			if err := applyServiceSlow(h, ev); err != nil {
 				return err
 			}
 		}
 	case KindServicePending, KindServiceRemoved:
-		ok := false
-		if !slowApply.Load() {
-			d := decoderPool.Get().(*decoder)
-			ok = d.applyKey(h, ev.Payload, ev.Kind == KindServiceRemoved)
-			decoderPool.Put(d)
-		}
+		d := decoderPool.Get().(*decoder)
+		ok := d.applyKey(h, ev.Payload, ev.Kind == KindServiceRemoved)
+		decoderPool.Put(d)
 		if !ok {
 			if err := applyKeySlow(h, ev); err != nil {
 				return err

@@ -33,26 +33,18 @@ func benchSaveDir(b *testing.B, entities, eventsEach, recsPerSeg int) string {
 	return dir
 }
 
-// BenchmarkSegmentLoad compares the batched shared-buffer reader against the
-// legacy per-file os.ReadFile loop on a full recovery.
+// BenchmarkSegmentLoad times a full recovery of a many-segment store.
 func BenchmarkSegmentLoad(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		perFile bool
-	}{{"batched", false}, {"perfile", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			dir := benchSaveDir(b, 512, 4, 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Load(dir, LoadOptions{PerFileReads: mode.perFile})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Report.Clean() {
-					b.Fatal("findings")
-				}
-			}
-		})
+	dir := benchSaveDir(b, 512, 4, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Load(dir, LoadOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Report.Clean() {
+			b.Fatal("findings")
+		}
 	}
 }

@@ -4,85 +4,53 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
-// copyTree duplicates a fixture store into a temp dir so loads that queue
-// repairs never touch the committed testdata.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	if err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	}); err != nil {
-		t.Fatal(err)
+// TestReadSegmentsMatchesReadFile holds the batched shared-buffer reader to
+// os.ReadFile's answers — same bytes, same error text — for an intact chain,
+// a missing file, and files whose size moved between the stat pass and the
+// read (simulated by handing readSized a stale size).
+func TestReadSegmentsMatchesReadFile(t *testing.T) {
+	dir := t.TempDir()
+	contents := map[string][]byte{
+		"a.seg":     bytes.Repeat([]byte("a"), 100),
+		"empty.seg": {},
+		"b.seg":     bytes.Repeat([]byte("b"), 37),
 	}
-}
-
-// TestBatchedReadDifferential holds the batched shared-buffer reader
-// byte-equivalent to the legacy per-file reader: identical stores, findings,
-// quarantine sets, and checkpoints over a clean store, a freshly corrupted
-// store, and both committed corrupted fixtures.
-func TestBatchedReadDifferential(t *testing.T) {
-	dirs := make(map[string]string)
-
-	clean := t.TempDir()
-	saveFixture(t, clean, fixtureStore(t))
-	dirs["clean"] = clean
-
-	corrupted := t.TempDir()
-	saveFixture(t, corrupted, fixtureStore(t))
-	corruptMatching(t, corrupted, `"kind":"snapshot"`)
-	dirs["corrupted"] = corrupted
-
-	for _, fixture := range []string{"store_repairable", "store_quarantine"} {
-		dst := t.TempDir()
-		copyTree(t, filepath.Join("testdata", fixture), dst)
-		dirs[fixture] = dst
+	for name, data := range contents {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	segs := []segManifest{{File: "a.seg"}, {File: "gone.seg"}, {File: "empty.seg"}, {File: "b.seg"}}
 
-	for name, dir := range dirs {
-		// Load is read-only (repairs are only queued, applied by fsck
-		// -repair), so both strategies can read the same directory — and
-		// must, since Finding.Detail strings embed absolute paths.
-		rebuild := map[string]SnapshotRebuilder{"journal": fixtureRebuilder}
-		per, perErr := Load(dir, LoadOptions{Rebuild: rebuild, PerFileReads: true})
-		bat, batErr := Load(dir, LoadOptions{Rebuild: rebuild})
-		if (perErr == nil) != (batErr == nil) {
-			t.Fatalf("%s: per-file err %v, batched err %v", name, perErr, batErr)
-		}
-		if perErr != nil {
-			continue
-		}
-		if !bytes.Equal(per.Checkpoint, bat.Checkpoint) {
-			t.Fatalf("%s: checkpoints differ", name)
-		}
-		if !reflect.DeepEqual(per.Report, bat.Report) {
-			t.Fatalf("%s: reports differ:\n per-file %+v\n batched  %+v", name, per.Report, bat.Report)
-		}
-		if len(per.Stores) != len(bat.Stores) {
-			t.Fatalf("%s: store sets differ", name)
-		}
-		for sn, ps := range per.Stores {
-			bs, ok := bat.Stores[sn]
-			if !ok {
-				t.Fatalf("%s: store %s missing from batched result", name, sn)
+	check := func(t *testing.T, datas [][]byte, errs []error) {
+		t.Helper()
+		for i, sm := range segs {
+			want, wantErr := os.ReadFile(filepath.Join(dir, sm.File))
+			if (errs[i] == nil) != (wantErr == nil) ||
+				(wantErr != nil && errs[i].Error() != wantErr.Error()) {
+				t.Fatalf("%s: err %v, os.ReadFile says %v", sm.File, errs[i], wantErr)
 			}
-			if !reflect.DeepEqual(dumpAll(ps), dumpAll(bs)) {
-				t.Fatalf("%s: store %s dumps differ between readers", name, sn)
+			if !bytes.Equal(datas[i], want) {
+				t.Fatalf("%s: %d bytes, os.ReadFile says %d", sm.File, len(datas[i]), len(want))
 			}
 		}
+	}
+
+	l := &loader{dir: dir}
+	datas, errs := l.readSegments(segs)
+	check(t, datas, errs)
+
+	for name, sizes := range map[string][]int64{
+		"grown since stat":  {60, 0, 0, 10},
+		"shrunk since stat": {150, 0, 8, 64},
+		"stat failed":       {0, 0, 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			datas, errs := readSized(dir, segs, sizes)
+			check(t, datas, errs)
+		})
 	}
 }

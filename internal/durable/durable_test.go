@@ -1,7 +1,7 @@
 package durable
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,10 +101,50 @@ func TestSaveBumpsGeneration(t *testing.T) {
 	}
 }
 
-// corruptMatching flips one payload byte of the first record whose payload
-// contains needle, in any segment under dir/stores/journal, and returns the
-// file it hit.
-func corruptMatching(t *testing.T, dir, needle string) string {
+// isEventOfKind reports whether a frame payload is an event record of kind.
+func isEventOfKind(payload []byte, kind string) bool {
+	rec, err := DecodeRecord(payload)
+	return err == nil && rec.Tag == TagEvent && rec.Ev.Kind == kind
+}
+
+// TestVersion1ManifestRejected: a store saved before the binary record format
+// (manifest version 1, JSON envelope records) must fail Load and Fsck at the
+// manifest instead of feeding its records to the version-2 decoder.
+func TestVersion1ManifestRejected(t *testing.T) {
+	dir := t.TempDir()
+	saveFixture(t, dir, fixtureStore(t))
+	old := buildSingleRecord(KindManifest, 0, []byte(`{"version":1,"gen":1,"stores":[]}`))
+	for _, name := range []string{"MANIFEST", "MANIFEST.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Load(dir, LoadOptions{}); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("Load err = %v, want ErrBadHeader", err)
+	}
+	if _, err := Fsck(dir, FsckOptions{}); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("Fsck err = %v, want ErrBadHeader", err)
+	}
+
+	// A version-1 MANIFEST does not shadow a current MANIFEST.bak, and a save
+	// over a version-1 directory starts a fresh generation chain.
+	saveFixture(t, dir, fixtureStore(t))
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Load(dir, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Gen != 1 || !res.Report.Clean() {
+		t.Fatalf("gen %d, findings %+v", res.Report.Gen, res.Report.Findings)
+	}
+}
+
+// corruptMatching flips one payload byte of the first event record of the
+// given kind, in any segment under dir/stores/journal, and returns the file
+// it hit.
+func corruptMatching(t *testing.T, dir, kind string) string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "stores", "journal", "p*", "seg-*.seg"))
 	if err != nil {
@@ -120,7 +160,7 @@ func corruptMatching(t *testing.T, dir, needle string) string {
 			t.Fatal(err)
 		}
 		for _, f := range scan.Frames {
-			if !bytes.Contains(f.Payload, []byte(needle)) {
+			if !isEventOfKind(f.Payload, kind) {
 				continue
 			}
 			data[f.PayloadOff+1] ^= 0x20
@@ -130,7 +170,7 @@ func corruptMatching(t *testing.T, dir, needle string) string {
 			return p
 		}
 	}
-	t.Fatalf("no record containing %q found", needle)
+	t.Fatalf("no %q event record found", kind)
 	return ""
 }
 
@@ -138,7 +178,7 @@ func TestLoadRepairsSnapshotByCRCProof(t *testing.T) {
 	dir := t.TempDir()
 	s := fixtureStore(t)
 	saveFixture(t, dir, s)
-	corruptMatching(t, dir, `"kind":"snapshot"`)
+	corruptMatching(t, dir, journal.SnapshotKind)
 
 	res, err := Load(dir, LoadOptions{
 		Rebuild: map[string]SnapshotRebuilder{"journal": fixtureRebuilder},
@@ -167,7 +207,7 @@ func TestLoadRepairsSnapshotByCRCProof(t *testing.T) {
 	// Without a rebuilder the same fault condemns the partition.
 	dir2 := t.TempDir()
 	saveFixture(t, dir2, s)
-	corruptMatching(t, dir2, `"kind":"snapshot"`)
+	corruptMatching(t, dir2, journal.SnapshotKind)
 	res2, err := Load(dir2, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +339,7 @@ func TestFindingContext(t *testing.T) {
 	dir := t.TempDir()
 	s := fixtureStore(t)
 	saveFixture(t, dir, s)
-	hit := corruptMatching(t, dir, `"kind":"service_observed"`)
+	hit := corruptMatching(t, dir, "service_observed")
 	res, err := Load(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +367,7 @@ func TestFsckRepairMakesStoreClean(t *testing.T) {
 	dir := t.TempDir()
 	s := fixtureStore(t)
 	saveFixture(t, dir, s)
-	corruptMatching(t, dir, `"kind":"snapshot"`)
+	corruptMatching(t, dir, journal.SnapshotKind)
 	if err := os.WriteFile(filepath.Join(dir, "checkpoint", "CURRENT"), []byte("0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,87 +1,34 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"censysmap/internal/journal"
 )
 
-// A journal partition serializes to a flat record stream:
+// A journal partition serializes to a flat record stream (record.go has the
+// byte grammar):
 //
-//	record 0:  {"t":"meta", ...}        partition access counters
+//	record 0:  meta           partition access counters
 //	then, per row in sorted entity order:
-//	           {"t":"row", ...}         row header (entity, counts, bookkeeping)
-//	           {"t":"ev", ...} × N      the row's events, HDD tier then SSD tier
-//
-// Envelopes marshal with encoding/json over fixed structs, so identical
-// partitions always produce identical bytes — the property the CRC-proven
-// snapshot repair and the differential suite both rest on. Event timestamps
-// travel as UnixNano and are restored as UTC instants, matching the
-// simulation clock's representation bit-for-bit.
-
-type envelope struct {
-	T    string   `json:"t"`
-	Meta *metaRec `json:"meta,omitempty"`
-	Row  *rowRec  `json:"row,omitempty"`
-	Ev   *evRec   `json:"ev,omitempty"`
-}
-
-type metaRec struct {
-	SSDReads uint64 `json:"ssd_reads"`
-	HDDReads uint64 `json:"hdd_reads"`
-	Appends  uint64 `json:"appends"`
-	Snaps    uint64 `json:"snaps"`
-}
-
-type rowRec struct {
-	Entity   string `json:"entity"`
-	LastSnap int    `json:"last_snap"`
-	NextSeq  uint64 `json:"next_seq"`
-	// HDD is how many of the row's events belong to the HDD tier (they come
-	// first in the stream); Events is the row's total event count.
-	HDD    int `json:"hdd"`
-	Events int `json:"events"`
-}
-
-type evRec struct {
-	Seq     uint64 `json:"seq"`
-	NS      int64  `json:"ns"`
-	Kind    string `json:"kind"`
-	Payload []byte `json:"payload,omitempty"`
-}
-
-func marshalEnvelope(e envelope) []byte {
-	b, err := json.Marshal(e)
-	if err != nil {
-		panic("durable: envelope marshal cannot fail: " + err.Error())
-	}
-	return b
-}
-
-func eventEnvelope(ev journal.Event) []byte {
-	return marshalEnvelope(envelope{T: "ev", Ev: &evRec{
-		Seq: ev.Seq, NS: ev.Time.UnixNano(), Kind: ev.Kind, Payload: ev.Payload,
-	}})
-}
+//	           row            row header (entity, counts, bookkeeping)
+//	           ev × N         the row's events, HDD tier then SSD tier
 
 // encodePartition flattens one partition dump into record payloads.
 func encodePartition(d journal.PartitionDump) [][]byte {
 	out := make([][]byte, 0, 1+2*len(d.Rows))
-	out = append(out, marshalEnvelope(envelope{T: "meta", Meta: &metaRec{
+	out = append(out, appendMeta(nil, MetaRecord{
 		SSDReads: d.SSDReads, HDDReads: d.HDDReads, Appends: d.Appends, Snaps: d.Snaps,
-	}}))
+	}))
 	for _, r := range d.Rows {
-		out = append(out, marshalEnvelope(envelope{T: "row", Row: &rowRec{
+		out = append(out, appendRow(nil, RowRecord{
 			Entity: r.Entity, LastSnap: r.LastSnap, NextSeq: r.NextSeq,
 			HDD: len(r.HDD), Events: len(r.HDD) + len(r.SSD),
-		}}))
-		for _, ev := range r.HDD {
-			out = append(out, eventEnvelope(ev))
-		}
-		for _, ev := range r.SSD {
-			out = append(out, eventEnvelope(ev))
+		}))
+		for _, tier := range [][]journal.Event{r.HDD, r.SSD} {
+			for _, ev := range tier {
+				out = append(out, appendEvent(nil, eventRecord(ev)))
+			}
 		}
 	}
 	return out
@@ -90,7 +37,7 @@ func encodePartition(d journal.PartitionDump) [][]byte {
 // SnapshotRebuilder reconstructs a snapshot-event payload for an entity from
 // the events preceding it — the write side's snapshot encoder replayed over
 // the journaled history. Recovery uses it to repair corrupt snapshot
-// records: the candidate is accepted only when its envelope hashes to the
+// records: the candidate is accepted only when its record hashes to the
 // frame's stored CRC32C, which proves byte-exact reconstruction.
 type SnapshotRebuilder func(entity string, prior []journal.Event) ([]byte, error)
 
@@ -101,16 +48,6 @@ type partitionDecoder struct {
 	dump    journal.PartitionDump
 	sawMeta bool
 
-	// fastDecode enables the hand-rolled envelope scanner (fastenvelope.go);
-	// off, every record goes through encoding/json — the legacy decode path
-	// LoadOptions.PerFileReads restores for A/B benchmarks.
-	fastDecode bool
-	// Scratch envelope bodies the fast parser fills in place of per-record
-	// heap structs; apply consumes them before the next record arrives.
-	scratchMeta metaRec
-	scratchRow  rowRec
-	scratchEv   evRec
-
 	// Current row being filled, with its declared shape.
 	cur     *journal.RowDump
 	curHDD  int
@@ -118,34 +55,25 @@ type partitionDecoder struct {
 	curGot  int
 }
 
-// next consumes one decoded record payload.
+// next consumes one CRC-verified record payload. Event payloads in the dump
+// alias it.
 func (pd *partitionDecoder) next(payload []byte) error {
-	if pd.fastDecode {
-		if e, ok := pd.parseFast(payload); ok {
-			return pd.apply(e)
-		}
+	rec, err := DecodeRecord(payload)
+	if err != nil {
+		return err
 	}
-	var e envelope
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return fmt.Errorf("envelope: %w", err)
-	}
-	return pd.apply(e)
-}
-
-// apply folds one decoded envelope into the dump state machine.
-func (pd *partitionDecoder) apply(e envelope) error {
-	switch e.T {
-	case "meta":
-		if pd.sawMeta || e.Meta == nil {
+	switch rec.Tag {
+	case TagMeta:
+		if pd.sawMeta {
 			return fmt.Errorf("unexpected meta record")
 		}
 		pd.sawMeta = true
-		pd.dump.SSDReads = e.Meta.SSDReads
-		pd.dump.HDDReads = e.Meta.HDDReads
-		pd.dump.Appends = e.Meta.Appends
-		pd.dump.Snaps = e.Meta.Snaps
-	case "row":
-		if !pd.sawMeta || e.Row == nil {
+		pd.dump.SSDReads = rec.Meta.SSDReads
+		pd.dump.HDDReads = rec.Meta.HDDReads
+		pd.dump.Appends = rec.Meta.Appends
+		pd.dump.Snaps = rec.Meta.Snaps
+	case TagRow:
+		if !pd.sawMeta {
 			return fmt.Errorf("row record out of place")
 		}
 		if pd.cur != nil && pd.curGot != pd.curWant {
@@ -153,28 +81,23 @@ func (pd *partitionDecoder) apply(e envelope) error {
 		}
 		pd.flushRow()
 		pd.cur = &journal.RowDump{
-			Entity: e.Row.Entity, LastSnap: e.Row.LastSnap, NextSeq: e.Row.NextSeq,
+			Entity: rec.Row.Entity, LastSnap: rec.Row.LastSnap, NextSeq: rec.Row.NextSeq,
 		}
-		pd.curHDD, pd.curWant, pd.curGot = e.Row.HDD, e.Row.Events, 0
-	case "ev":
-		if pd.cur == nil || e.Ev == nil {
+		pd.curHDD, pd.curWant, pd.curGot = rec.Row.HDD, rec.Row.Events, 0
+	case TagEvent:
+		if pd.cur == nil {
 			return fmt.Errorf("event record outside a row")
 		}
 		if pd.curGot >= pd.curWant {
 			return fmt.Errorf("row %q: more events than declared %d", pd.cur.Entity, pd.curWant)
 		}
-		ev := journal.Event{
-			Entity: pd.cur.Entity, Seq: e.Ev.Seq,
-			Time: time.Unix(0, e.Ev.NS).UTC(), Kind: e.Ev.Kind, Payload: e.Ev.Payload,
-		}
+		ev := rec.Ev.Event(pd.cur.Entity)
 		if pd.curGot < pd.curHDD {
 			pd.cur.HDD = append(pd.cur.HDD, ev)
 		} else {
 			pd.cur.SSD = append(pd.cur.SSD, ev)
 		}
 		pd.curGot++
-	default:
-		return fmt.Errorf("unknown envelope type %q", e.T)
 	}
 	return nil
 }
@@ -203,7 +126,8 @@ func (pd *partitionDecoder) finish() (journal.PartitionDump, error) {
 // decoder's current position: only a snapshot event mid-row can be rebuilt
 // (from the row's prior events; its timestamp equals the triggering delta's,
 // because the write side journals both at the same instant). The candidate
-// envelope is returned only if it hashes to storedCRC — byte-exact proof.
+// record is returned only if it hashes to storedCRC — byte-exact proof, since
+// the encoder is deterministic.
 func (pd *partitionDecoder) tryRepair(storedCRC uint32, rebuild SnapshotRebuilder) ([]byte, bool) {
 	if rebuild == nil || pd.cur == nil || pd.curGot == 0 || pd.curGot >= pd.curWant {
 		return nil, false
@@ -216,9 +140,9 @@ func (pd *partitionDecoder) tryRepair(storedCRC uint32, rebuild SnapshotRebuilde
 	if err != nil {
 		return nil, false
 	}
-	candidate := marshalEnvelope(envelope{T: "ev", Ev: &evRec{
-		Seq: prev.Seq + 1, NS: prev.Time.UnixNano(), Kind: journal.SnapshotKind, Payload: payload,
-	}})
+	candidate := appendEvent(nil, eventRecord(journal.Event{
+		Seq: prev.Seq + 1, Time: prev.Time, Kind: journal.SnapshotKind, Payload: payload,
+	}))
 	if Checksum(candidate) != storedCRC {
 		return nil, false
 	}

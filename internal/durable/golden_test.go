@@ -56,36 +56,6 @@ func digestStore(s *journal.Store) []byte {
 	return []byte(sb.String())
 }
 
-// corruptGolden flips one payload byte of the first record containing needle.
-func corruptGolden(t *testing.T, dir, needle string) {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "stores", "journal", "p*", "seg-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scan, err := InspectSegment(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range scan.Frames {
-			if !strings.Contains(string(f.Payload), needle) {
-				continue
-			}
-			data[f.PayloadOff+1] ^= 0x20
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-	}
-	t.Fatalf("no record containing %q", needle)
-}
-
 // rebuildFixtures regenerates the committed corrupted stores. The base store
 // is fixtureStore (fixed clock), so the bytes are reproducible.
 func rebuildFixtures(t *testing.T) {
@@ -101,7 +71,7 @@ func rebuildFixtures(t *testing.T) {
 	// Every fault here is repairable: recovery must restore the exact saved
 	// state and fsck -repair must leave the store clean.
 	build("store_repairable", func(dir string) {
-		corruptGolden(t, dir, `"kind":"snapshot"`)
+		corruptMatching(t, dir, journal.SnapshotKind)
 		// Tear the active tail of partition 0.
 		paths, _ := filepath.Glob(filepath.Join(dir, "stores", "journal", "p0000", "seg-*.seg"))
 		for _, p := range paths {

@@ -1,0 +1,245 @@
+package durable
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"censysmap/internal/journal"
+)
+
+// The journal record codec: the one place that knows what the payload of a
+// KindJournal frame looks like (grammar in the package comment). The encoder
+// is byte-deterministic and the decoder accepts exactly the encoder's output
+// — minimal varints only, no trailing bytes — so decode∘encode is the
+// identity in both directions. CRC-proven snapshot repair rests on that: a
+// rebuilt record either hashes to the frame's stored CRC32C or is not the
+// record that was written.
+
+// ErrBadRecord marks a CRC-valid journal record whose bytes are not a
+// well-formed meta, row, or event record.
+var ErrBadRecord = errors.New("durable: malformed record")
+
+// Record tags: the first byte of every journal record.
+const (
+	TagMeta  byte = 1
+	TagRow   byte = 2
+	TagEvent byte = 3
+)
+
+// Record is one decoded journal record. Tag says which of the three bodies
+// is filled.
+type Record struct {
+	Tag  byte
+	Meta MetaRecord
+	Row  RowRecord
+	Ev   EventRecord
+}
+
+// MetaRecord carries a partition's access counters; it is record 0.
+type MetaRecord struct {
+	SSDReads, HDDReads, Appends, Snaps uint64
+}
+
+// RowRecord heads one row's events. HDD is how many of the row's Events
+// belong to the HDD tier (they come first in the stream).
+type RowRecord struct {
+	Entity      string
+	LastSnap    int
+	NextSeq     uint64
+	HDD, Events int
+}
+
+// EventRecord is one journaled event; NS is its time as UnixNano. After
+// DecodeRecord, Payload aliases the decoded bytes.
+type EventRecord struct {
+	Seq     uint64
+	NS      int64
+	Kind    string
+	Payload []byte
+}
+
+func eventRecord(ev journal.Event) EventRecord {
+	return EventRecord{Seq: ev.Seq, NS: ev.Time.UnixNano(), Kind: ev.Kind, Payload: ev.Payload}
+}
+
+// Event returns the journal event the record stores for a row of entity.
+// Times are restored as UTC instants, the simulation clock's representation.
+func (e EventRecord) Event(entity string) journal.Event {
+	return journal.Event{
+		Entity: entity, Seq: e.Seq, Time: time.Unix(0, e.NS).UTC(), Kind: e.Kind, Payload: e.Payload,
+	}
+}
+
+func appendBytes[T string | []byte](dst []byte, b T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+func appendMeta(dst []byte, m MetaRecord) []byte {
+	dst = append(dst, TagMeta)
+	dst = binary.AppendUvarint(dst, m.SSDReads)
+	dst = binary.AppendUvarint(dst, m.HDDReads)
+	dst = binary.AppendUvarint(dst, m.Appends)
+	return binary.AppendUvarint(dst, m.Snaps)
+}
+
+func appendRow(dst []byte, r RowRecord) []byte {
+	dst = append(dst, TagRow)
+	dst = appendBytes(dst, r.Entity)
+	dst = binary.AppendVarint(dst, int64(r.LastSnap))
+	dst = binary.AppendUvarint(dst, r.NextSeq)
+	dst = binary.AppendUvarint(dst, uint64(r.HDD))
+	return binary.AppendUvarint(dst, uint64(r.Events))
+}
+
+func appendEvent(dst []byte, e EventRecord) []byte {
+	dst = slices.Grow(dst, 1+3*binary.MaxVarintLen64+8+len(e.Kind)+len(e.Payload))
+	dst = append(dst, TagEvent)
+	dst = binary.AppendUvarint(dst, e.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.NS))
+	dst = appendBytes(dst, e.Kind)
+	return appendBytes(dst, e.Payload)
+}
+
+// recordReader is a bounds-checked cursor over one record; the first failure
+// sticks and every later read returns zero.
+type recordReader struct {
+	b   []byte
+	err error
+}
+
+func (r *recordReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrBadRecord, what)
+	}
+}
+
+func (r *recordReader) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	// n <= 0 is truncation or 64-bit overflow; a zero final byte is a padded
+	// encoding AppendUvarint never emits.
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.fail(what + ": bad varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// count reads a uvarint that must fit a non-negative int.
+func (r *recordReader) count(what string) int {
+	v := r.uvarint(what)
+	if v > math.MaxInt {
+		r.fail(what + ": out of range")
+		return 0
+	}
+	return int(v)
+}
+
+func (r *recordReader) int64be(what string) int64 {
+	if r.err == nil && len(r.b) < 8 {
+		r.fail(what + ": truncated")
+	}
+	if r.err != nil {
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return int64(v)
+}
+
+func (r *recordReader) bytes(what string) []byte {
+	n := r.uvarint(what)
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)) {
+		r.fail(what + ": length past end of record")
+		return nil
+	}
+	if n == 0 {
+		// nil, not an empty alias: an absent payload round-trips as absent.
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// DecodeRecord strictly decodes one journal record. Any deviation from the
+// encoder's output — unknown tag, truncated or padded varint, a length past
+// the end, trailing bytes — is an error wrapping ErrBadRecord. It never
+// panics or reads outside b (see FuzzRecordDecode).
+func DecodeRecord(b []byte) (Record, error) {
+	if len(b) == 0 {
+		return Record{}, fmt.Errorf("%w: empty", ErrBadRecord)
+	}
+	rec := Record{Tag: b[0]}
+	r := recordReader{b: b[1:]}
+	switch rec.Tag {
+	case TagMeta:
+		rec.Meta = MetaRecord{
+			SSDReads: r.uvarint("ssd_reads"), HDDReads: r.uvarint("hdd_reads"),
+			Appends: r.uvarint("appends"), Snaps: r.uvarint("snaps"),
+		}
+	case TagRow:
+		rec.Row.Entity = string(r.bytes("entity"))
+		// The zigzag form of a signed varint is minimal exactly when the
+		// unsigned one is.
+		zz := r.uvarint("last_snap")
+		snap := int64(zz>>1) ^ -int64(zz&1)
+		if int64(int(snap)) != snap {
+			r.fail("last_snap: out of range")
+		}
+		rec.Row.LastSnap = int(snap)
+		rec.Row.NextSeq = r.uvarint("next_seq")
+		rec.Row.HDD = r.count("hdd")
+		rec.Row.Events = r.count("events")
+		if rec.Row.HDD > rec.Row.Events {
+			r.fail("hdd exceeds events")
+		}
+	case TagEvent:
+		rec.Ev.Seq = r.uvarint("seq")
+		rec.Ev.NS = r.int64be("ns")
+		rec.Ev.Kind = internKind(r.bytes("kind"))
+		rec.Ev.Payload = r.bytes("payload")
+	default:
+		return Record{}, fmt.Errorf("%w: unknown tag %d", ErrBadRecord, rec.Tag)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(fmt.Sprintf("%d trailing bytes", len(r.b)))
+	}
+	if r.err != nil {
+		return Record{}, r.err
+	}
+	return rec, nil
+}
+
+// internKind returns a shared string for the well-known event kinds (the
+// write side's cqrs kinds plus the journal snapshot marker) so steady-state
+// decode doesn't allocate a fresh kind string per event. Unknown kinds are
+// copied as usual.
+func internKind(b []byte) string {
+	switch string(b) {
+	case journal.SnapshotKind:
+		return journal.SnapshotKind
+	case "service_found":
+		return "service_found"
+	case "service_changed":
+		return "service_changed"
+	case "service_pending":
+		return "service_pending"
+	case "service_restored":
+		return "service_restored"
+	case "service_removed":
+		return "service_removed"
+	}
+	return string(b)
+}

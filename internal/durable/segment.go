@@ -15,9 +15,29 @@
 //
 // A sealed segment carries the footer and is immutable; the active (last)
 // segment of a partition has no footer and is the only file a torn write can
-// hit. Every decoder in this package is bounds-checked and returns typed
-// errors — it never panics or over-reads on corrupt input (see
-// FuzzSegmentDecode).
+// hit.
+//
+// Manifest, checkpoint and replica payloads are opaque to the frame layer. A
+// journal segment's payloads are records of one binary grammar (record.go is
+// the only code that reads or writes it; manifest version 2):
+//
+//	record := meta | row | ev
+//	meta   := 0x01 uvarint ssd_reads | uvarint hdd_reads | uvarint appends | uvarint snaps
+//	row    := 0x02 bytes entity | varint last_snap | uvarint next_seq
+//	               | uvarint hdd | uvarint events
+//	ev     := 0x03 uvarint seq | i64be unix_ns | bytes kind | bytes payload
+//	bytes  := uvarint length | byte*length
+//
+// A partition is one meta record, then per row (sorted by entity) a row
+// record followed by its `events` ev records, the first `hdd` of them the
+// HDD tier. The event payload is the journal's bytes verbatim. Varints are
+// minimal and nothing may trail a record, so each record has exactly one
+// encoding — which is what lets recovery prove a rebuilt snapshot record
+// byte-exact against the frame's CRC32C.
+//
+// Every decoder in this package is bounds-checked and returns typed errors —
+// it never panics or over-reads on corrupt input (see FuzzSegmentDecode and
+// FuzzRecordDecode).
 package durable
 
 import (

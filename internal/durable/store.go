@@ -128,6 +128,11 @@ func (m *Metrics) Stats() StorageStats {
 	}
 }
 
+// manifestVersion names the on-disk format a store directory was saved in.
+// Version 2 is the binary journal record (record.go); version 1 stores held
+// JSON envelopes and have no reader.
+const manifestVersion = 2
+
 // manifest is the authoritative description of a saved store directory.
 type manifest struct {
 	Version int             `json:"version"`
@@ -209,7 +214,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 	if old != nil {
 		gen = old.Gen + 1
 	}
-	man := manifest{Version: 1, Gen: gen}
+	man := manifest{Version: manifestVersion, Gen: gen}
 
 	for _, ns := range stores {
 		// An incremental save may reuse the previous generation's partition
@@ -344,6 +349,11 @@ func readManifest(dir string) (*manifest, error) {
 			lastErr = fmt.Errorf("%s: %w", name, err)
 			continue
 		}
+		if m.Version != manifestVersion {
+			lastErr = fmt.Errorf("%s: %w: store format version %d, want %d",
+				name, ErrBadHeader, m.Version, manifestVersion)
+			continue
+		}
 		return &m, nil
 	}
 	return nil, fmt.Errorf("durable: no readable manifest in %s: %w", dir, lastErr)
@@ -369,11 +379,6 @@ type LoadOptions struct {
 	Rebuild map[string]SnapshotRebuilder
 	// Metrics receives recovery counters; a fresh set is created when nil.
 	Metrics *Metrics
-	// PerFileReads restores the legacy loader — one os.ReadFile per segment
-	// and reflective encoding/json envelope decode — instead of the batched
-	// shared-buffer reader with the hand-rolled envelope scanner; kept for
-	// benchmarking the two load paths against each other.
-	PerFileReads bool
 }
 
 // Result is a recovered store directory.
@@ -398,7 +403,6 @@ type loader struct {
 	rebuild map[string]SnapshotRebuilder
 	report  *RecoveryReport
 	repairs []repairAction
-	perFile bool
 }
 
 // Load recovers the stores and checkpoint saved under dir, detecting and
@@ -452,7 +456,6 @@ func newLoader(dir string, opts LoadOptions) (*loader, error) {
 		metrics: m,
 		rebuild: opts.Rebuild,
 		report:  &RecoveryReport{Gen: man.Gen, Quarantined: make(map[string][]int)},
-		perFile: opts.PerFileReads,
 	}, nil
 }
 
@@ -590,7 +593,7 @@ func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journa
 
 	// Decode the record stream, attempting CRC-proven snapshot repair at
 	// each corrupt record.
-	pd := &partitionDecoder{fastDecode: !l.perFile}
+	pd := &partitionDecoder{}
 	rebuild := l.rebuild[store]
 	for _, fr := range stream {
 		if !fr.ok {

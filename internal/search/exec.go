@@ -172,51 +172,6 @@ func (p *indexPart) evalPlan(n planNode) []uint32 {
 	}
 }
 
-// evalAnd evaluates a conjunction. The default is the fused streaming
-// evaluator (fused.go); the legacy pairwise-materializing evaluator below is
-// kept behind SetFusedAnd for differential testing and A/B benchmarks.
-func (p *indexPart) evalAnd(a planAnd) []uint32 {
-	if !legacyAnd.Load() {
-		return p.evalAndFused(a)
-	}
-	return p.evalAndLegacy(a)
-}
-
-// evalAndLegacy intersects include children in ascending estimated-
-// selectivity order with early exit on empty, then subtracts each exclude
-// child — the AND(x, NOT(y)) rewrite never materializes the partition's full
-// doc set, but each pairwise intersectU32/diffU32 allocates an intermediate.
-func (p *indexPart) evalAndLegacy(a planAnd) []uint32 {
-	acc := p.live // read-only alias; conjunction of only negations starts here
-	if len(a.include) == 1 {
-		acc = p.evalPlan(a.include[0])
-	} else if len(a.include) > 0 {
-		order := make([]int, len(a.include))
-		for i := range order {
-			order[i] = i
-		}
-		ests := make([]int, len(a.include))
-		for i, c := range a.include {
-			ests[i] = p.estimate(c)
-		}
-		sort.SliceStable(order, func(x, y int) bool { return ests[order[x]] < ests[order[y]] })
-		acc = p.evalPlan(a.include[order[0]])
-		for _, idx := range order[1:] {
-			if len(acc) == 0 {
-				return acc
-			}
-			acc = intersectU32(acc, p.evalPlan(a.include[idx]))
-		}
-	}
-	for _, c := range a.exclude {
-		if len(acc) == 0 {
-			return acc
-		}
-		acc = diffU32(acc, p.evalPlan(c))
-	}
-	return acc
-}
-
 // estimate bounds a node's result size cheaply (posting-list lengths for
 // terms, column entry counts for ranges, partition size for scans). It only
 // orders conjuncts; correctness never depends on it.

@@ -1,23 +1,11 @@
 package search
 
-import "sync/atomic"
-
-// legacyAnd switches evalAnd back to the pairwise-materializing evaluator.
-// The fused evaluator is the default; the legacy path is kept for the
-// fused-vs-legacy differential test and for A/B benchmark rows.
-var legacyAnd atomic.Bool
-
-// SetFusedAnd enables or disables the fused AND/AND-NOT evaluator (on by
-// default). Both evaluators are bit-identical; the toggle exists so tests
-// and benchmarks can compare them.
-func SetFusedAnd(on bool) { legacyAnd.Store(!on) }
-
-// evalAndFused evaluates a conjunction by streaming every candidate from the
+// evalAnd evaluates a conjunction by streaming every candidate from the
 // smallest include list through the remaining include and exclude lists with
 // monotone cursors — one output allocation, no intermediate sets. Children
 // are still evaluated in estimated-selectivity order so an empty conjunct
 // short-circuits before the more expensive ones run.
-func (p *indexPart) evalAndFused(a planAnd) []uint32 {
+func (p *indexPart) evalAnd(a planAnd) []uint32 {
 	var incBuf [8][]uint32
 	inc := incBuf[:0]
 	if len(a.include) == 0 {
@@ -30,8 +18,8 @@ func (p *indexPart) evalAndFused(a planAnd) []uint32 {
 			order = append(order, i)
 			ests = append(ests, p.estimate(c))
 		}
-		// Stable insertion sort on the estimates (same order the legacy
-		// evaluator's sort.SliceStable produces, without the closure alloc).
+		// Stable insertion sort on the estimates (sort.SliceStable's order
+		// without the closure alloc).
 		for i := 1; i < len(order); i++ {
 			for j := i; j > 0 && ests[order[j]] < ests[order[j-1]]; j-- {
 				order[j], order[j-1] = order[j-1], order[j]
@@ -53,8 +41,7 @@ func (p *indexPart) evalAndFused(a planAnd) []uint32 {
 		}
 	}
 	if len(inc) == 1 && len(exc) == 0 {
-		// Alias return, matching the legacy single-include fast path; the
-		// caller treats plan results as read-only.
+		// Alias return: the caller treats plan results as read-only.
 		return inc[0]
 	}
 	// Estimates bound result sizes; the evaluated lengths are exact. Walk

@@ -3,16 +3,14 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
-// TestFusedAndDifferential holds the fused AND/AND-NOT evaluator
-// bit-identical to the legacy pairwise evaluator over hand-picked conjunction
-// shapes and generated query trees, across partition counts. The cache is off
-// so both runs actually evaluate.
+// TestFusedAndDifferential holds the fused AND/AND-NOT evaluator equal to the
+// naive reference evaluator (differential_test.go) over hand-picked
+// conjunction shapes and generated query trees, across partition counts. The
+// cache is off so every run actually evaluates.
 func TestFusedAndDifferential(t *testing.T) {
-	defer SetFusedAnd(true)
 	shapes := []string{
 		`services.protocol: HTTP`,
 		`services.protocol: HTTP and location.country: US`,
@@ -34,27 +32,18 @@ func TestFusedAndDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d_docs%d_parts%d", cfg.seed, cfg.docs, cfg.parts), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(cfg.seed)))
 			ix := NewPartitioned(cfg.parts)
+			docs := make([]*refDoc, 0, cfg.docs)
 			for i := 0; i < cfg.docs; i++ {
-				ix.Upsert(genHost(rng, i))
+				h := genHost(rng, i)
+				ix.Upsert(h)
+				docs = append(docs, refDocFrom(h))
 			}
 			ix.SetQueryCache(false)
-			queries := append([]string(nil), shapes...)
-			for i := 0; i < 200; i++ {
-				queries = append(queries, genQuery(rng, 3))
+			for _, qs := range shapes {
+				checkQuery(t, ix, docs, qs)
 			}
-			for _, qs := range queries {
-				q, err := ParseQuery(qs)
-				if err != nil {
-					t.Fatalf("ParseQuery(%q): %v", qs, err)
-				}
-				SetFusedAnd(true)
-				fused := ix.Execute(q)
-				SetFusedAnd(false)
-				legacy := ix.Execute(q)
-				if !reflect.DeepEqual(fused, legacy) {
-					t.Fatalf("query %q diverged:\n fused  %v\n legacy %v\n (plan %s)",
-						qs, fused, legacy, q.key)
-				}
+			for i := 0; i < 200; i++ {
+				checkQuery(t, ix, docs, genQuery(rng, 3))
 			}
 		})
 	}

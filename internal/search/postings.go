@@ -29,31 +29,6 @@ func removeU32(s []uint32, v uint32) []uint32 {
 	return append(s[:i], s[i+1:]...)
 }
 
-// intersectU32 returns a ∩ b as a new sorted slice. Inputs are not mutated.
-func intersectU32(a, b []uint32) []uint32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return nil
-	}
-	out := make([]uint32, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // unionU32 returns a ∪ b as a new sorted, deduped slice.
 func unionU32(a, b []uint32) []uint32 {
 	if len(a) == 0 {
