@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
+	$(GO) test ./internal/cqrs/ -fuzz FuzzPayloadDecode -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzScenarioDecode -fuzztime 30s

@@ -10,29 +10,84 @@ package cluster
 // the bytes a fresh disk recovery would.
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
+	"censysmap/internal/binrec"
 	"censysmap/internal/durable"
 	"censysmap/internal/journal"
 )
 
-// wireRecord is one replication-log entry. T is "ev" for a journal event
-// replicated verbatim, "ctl" for a round-control record carrying the
-// origin's tier split.
-type wireRecord struct {
-	T       string `json:"t"`
-	Entity  string `json:"e,omitempty"`
-	Seq     uint64 `json:"s,omitempty"`
-	NS      int64  `json:"ns,omitempty"`
-	Kind    string `json:"k,omitempty"`
-	Payload []byte `json:"p,omitempty"`
-	// Control fields: the round the record closes and each migrated
-	// entity's target HDD length. encoding/json sorts map keys, so the
-	// encoding is deterministic.
-	Round int            `json:"r,omitempty"`
-	Tiers map[string]int `json:"tiers,omitempty"`
+// A wire record is one replication-log entry: a journal event replicated
+// verbatim, or a round-control record carrying the origin's tier split — the
+// round it closes and each migrated entity's target HDD length, entities
+// strictly ascending.
+//
+//	ev  := 0x01 bytes entity | uvarint seq | i64be unix_ns | bytes kind | bytes payload
+//	ctl := 0x02 uvarint round | uvarint n | (bytes entity | uvarint hdd_len){n}
+//
+// Read and written with internal/binrec, so each record has one encoding.
+const (
+	wireEv  byte = 1
+	wireCtl byte = 2
+)
+
+// ErrBadWireRecord marks a replication-log entry that is not a well-formed
+// ev or ctl record.
+var ErrBadWireRecord = errors.New("cluster: malformed wire record")
+
+func appendWireEv(dst []byte, ev journal.Event) []byte {
+	dst = append(dst, wireEv)
+	dst = binrec.AppendBytes(dst, ev.Entity)
+	dst = binary.AppendUvarint(dst, ev.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ev.Time.UnixNano()))
+	dst = binrec.AppendBytes(dst, ev.Kind)
+	return binrec.AppendBytes(dst, ev.Payload)
+}
+
+func appendWireCtl(dst []byte, round int, tiers map[string]int) []byte {
+	dst = append(dst, wireCtl)
+	dst = binary.AppendUvarint(dst, uint64(round))
+	dst = binary.AppendUvarint(dst, uint64(len(tiers)))
+	for _, e := range slices.Sorted(maps.Keys(tiers)) {
+		dst = binrec.AppendBytes(dst, e)
+		dst = binary.AppendUvarint(dst, uint64(tiers[e]))
+	}
+	return dst
+}
+
+// decodeWire strictly decodes one wire record: an event (tiers nil) or a
+// control record's tier split. Times are restored as UTC instants, the
+// simulation clock's representation.
+func decodeWire(b []byte) (tag byte, ev journal.Event, tiers map[string]int, err error) {
+	r := binrec.Reader{B: b, Bad: ErrBadWireRecord}
+	switch tag = r.Byte("tag"); tag {
+	case wireEv:
+		ev.Entity = string(r.Bytes("entity"))
+		ev.Seq = r.Uvarint("seq")
+		ev.Time = time.Unix(0, r.Int64BE("ns")).UTC()
+		ev.Kind = string(r.Bytes("kind"))
+		ev.Payload = r.Bytes("payload")
+	case wireCtl:
+		r.Count("round")
+		n := r.Count("tiers")
+		tiers = make(map[string]int)
+		prev := ""
+		for i := 0; i < n && r.Err == nil; i++ {
+			e := string(r.Bytes("tier entity"))
+			if i > 0 && e <= prev {
+				r.Fail("tier entities not strictly ascending")
+			}
+			tiers[e], prev = r.Count("hdd_len"), e
+		}
+	default:
+		r.Fail(fmt.Sprintf("unknown tag %d", tag))
+	}
+	return tag, ev, tiers, r.End()
 }
 
 // plog is one partition's replication log.
@@ -61,9 +116,7 @@ func newPlog() *plog {
 func (lg *plog) extract(d journal.PartitionDump, round int) (added int) {
 	var tiers map[string]int
 	appendEv := func(ev journal.Event) {
-		rec, _ := json.Marshal(wireRecord{T: "ev", Entity: ev.Entity, Seq: ev.Seq,
-			NS: ev.Time.UnixNano(), Kind: ev.Kind, Payload: ev.Payload})
-		lg.records = append(lg.records, rec)
+		lg.records = append(lg.records, appendWireEv(nil, ev))
 		added++
 	}
 	for _, row := range d.Rows {
@@ -90,8 +143,7 @@ func (lg *plog) extract(d journal.PartitionDump, round int) (added int) {
 		}
 	}
 	if tiers != nil {
-		rec, _ := json.Marshal(wireRecord{T: "ctl", Round: round, Tiers: tiers})
-		lg.records = append(lg.records, rec)
+		lg.records = append(lg.records, appendWireCtl(nil, round, tiers))
 		added++
 	}
 	lg.lastAdded = added
@@ -171,23 +223,17 @@ func applyShipment(store *journal.Store, partition int, from int, sh shipment) (
 			partition, sh.Start, from)
 	}
 	for _, rec := range recs[skip:] {
-		var w wireRecord
-		if err := json.Unmarshal(rec, &w); err != nil {
-			return from, fmt.Errorf("partition %d: bad wire record: %w", partition, err)
+		tag, ev, tiers, err := decodeWire(rec)
+		if err != nil {
+			return from, fmt.Errorf("partition %d: %w", partition, err)
 		}
-		switch w.T {
-		case "ev":
-			ev := journal.Event{Entity: w.Entity, Seq: w.Seq,
-				Time: time.Unix(0, w.NS).UTC(), Kind: w.Kind, Payload: w.Payload}
-			if err := store.ApplyReplicated(ev); err != nil {
-				return from, err
-			}
-		case "ctl":
-			if _, err := store.SyncTierSplit(partition, w.Tiers); err != nil {
-				return from, err
-			}
-		default:
-			return from, fmt.Errorf("partition %d: unknown wire record type %q", partition, w.T)
+		if tag == wireEv {
+			err = store.ApplyReplicated(ev)
+		} else {
+			_, err = store.SyncTierSplit(partition, tiers)
+		}
+		if err != nil {
+			return from, err
 		}
 		from++
 	}

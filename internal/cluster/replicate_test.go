@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +145,64 @@ func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
 	}
 	if n := len(replica.Entities()); n != 0 {
 		t.Fatalf("refused ship still wrote %d rows", n)
+	}
+}
+
+// TestWireRecord: ev and ctl records decode to what was encoded and
+// re-encode to the same bytes; anything the encoder would not emit is
+// ErrBadWireRecord, which applyShipment passes up with the replica untouched.
+func TestWireRecord(t *testing.T) {
+	at := time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC)
+	for _, ev := range []journal.Event{
+		{Entity: "10.1.0.1", Seq: 3, Time: at, Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
+		{Entity: "", Seq: 1<<64 - 1, Time: time.Unix(0, -1<<63).UTC(), Kind: ""},
+	} {
+		rec := appendWireEv(nil, ev)
+		tag, got, tiers, err := decodeWire(rec)
+		if err != nil || tag != wireEv || tiers != nil || !reflect.DeepEqual(got, ev) {
+			t.Fatalf("ev round trip: tag %d, %+v, %v, %v; want %+v", tag, got, tiers, err, ev)
+		}
+		if again := appendWireEv(nil, got); !bytes.Equal(again, rec) {
+			t.Fatalf("ev re-encoded to different bytes")
+		}
+	}
+	for _, want := range []map[string]int{{}, {"b": 2, "a": 0, "cert:aa": 1 << 40}} {
+		rec := appendWireCtl(nil, 7, want)
+		tag, _, tiers, err := decodeWire(rec)
+		if err != nil || tag != wireCtl || !reflect.DeepEqual(tiers, want) {
+			t.Fatalf("ctl round trip: tag %d, %v, %v; want %v", tag, tiers, err, want)
+		}
+		if again := appendWireCtl(nil, 7, tiers); !bytes.Equal(again, rec) {
+			t.Fatalf("ctl re-encoded to different bytes")
+		}
+	}
+
+	ev := appendWireEv(nil, journal.Event{Entity: "e", Seq: 1, Time: at, Kind: "k", Payload: []byte("p")})
+	ctl := appendWireCtl(nil, 1, map[string]int{"a": 1, "b": 2})
+	swapped := append([]byte(nil), ctl...)
+	swapped[4], swapped[7] = 'b', 'a' // tag round n | 1 'a' 1 | 1 'b' 2
+	duplicate := append([]byte(nil), ctl...)
+	duplicate[7] = 'a'
+	bad := map[string][]byte{
+		"empty":           {},
+		"unknown tag":     {9},
+		"json envelope":   []byte(`{"t":"ev","e":"10.1.0.1"}`),
+		"truncated ev":    ev[:len(ev)-1],
+		"trailing byte":   append(append([]byte(nil), ev...), 0),
+		"padded varint":   {wireCtl, 0x80, 0x00, 0},
+		"tier overcount":  append([]byte{wireCtl, 1, 3}, ctl[3:]...),
+		"unsorted tiers":  swapped,
+		"duplicate tiers": duplicate,
+	}
+	for name, rec := range bad {
+		if _, _, _, err := decodeWire(rec); !errors.Is(err, ErrBadWireRecord) {
+			t.Errorf("%s: err = %v, want ErrBadWireRecord", name, err)
+		}
+		replica := journal.NewStore()
+		off, err := applyShipment(replica, 0, 0, shipment{Tail: [][]byte{rec}})
+		if !errors.Is(err, ErrBadWireRecord) || off != 0 || len(replica.Entities()) != 0 {
+			t.Errorf("%s: applyShipment offset %d, err %v", name, off, err)
+		}
 	}
 }
 

@@ -1,23 +1,25 @@
 package cqrs
 
-// Hand-rolled JSON codec for the journal's delta payloads. The golden files
-// in internal/journal pin the byte format produced by encoding/json, so the
-// append-style encoders below reproduce that output bit-for-bit — the same
-// HTML escaping, sorted map keys, RFC3339Nano timestamps, and omitempty
-// semantics — while writing into caller-owned buffers instead of allocating
-// a fresh []byte per event. The write path layers an arena on top
-// (eventEncoder), so journaling one delta costs zero steady-state heap
-// allocations beyond the retained payload bytes themselves.
+// JSON rendering of journal events, the one place JSON is still owed:
+// /v2/hosts/{ip}/history. The journal stores the binary payloads of
+// payload.go; the append-style writers below render a parsed payload exactly
+// as encoding/json renders the entity it encodes — the same HTML escaping,
+// sorted map keys, RFC3339Nano timestamps and omitempty semantics, and U+FFFD
+// for bytes that are not UTF-8 — straight from the views, without building
+// the entity or allocating.
 //
-// Correctness is proven two ways: the golden fixtures (exact committed
-// bytes) and a randomized differential test against encoding/json
-// (codec_test.go), covering escaping, map ordering, and time formatting.
+// Correctness is held by a randomized differential test against
+// encoding/json (codec_test.go) and by the serve tier's committed
+// conformance goldens.
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 	"unicode/utf8"
 
-	"censysmap/internal/entity"
+	"censysmap/internal/binrec"
+	"censysmap/internal/journal"
 )
 
 // jsonSafe marks ASCII bytes encoding/json emits verbatim inside strings
@@ -35,7 +37,7 @@ const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string exactly as encoding/json
 // (with its default HTML escaping) would render it.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString(dst, s []byte) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -62,7 +64,7 @@ func appendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		c, size := utf8.DecodeRune(s[i:])
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
@@ -92,282 +94,133 @@ func appendJSONTime(dst []byte, t time.Time) []byte {
 	return append(dst, '"')
 }
 
-// appendUint appends n in decimal without strconv's interface plumbing.
-func appendUint(dst []byte, n uint64) []byte {
-	if n == 0 {
-		return append(dst, '0')
+// appendServiceJSON appends the encoding/json rendering of the Service record
+// a view encodes.
+func appendServiceJSON(dst []byte, v *serviceView) []byte {
+	str := func(name string, b []byte) {
+		dst = append(dst, name...)
+		dst = appendJSONString(dst, b)
 	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, buf[i:]...)
-}
-
-// sortStringsInPlace is an allocation-free insertion sort for the small key
-// slices the encoders build on the stack (attribute and service-key sets).
-func sortStringsInPlace(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	optional := func(name string, b []byte) {
+		if len(b) > 0 {
+			str(name, b)
 		}
-	}
-}
-
-// appendService appends the encoding/json rendering of a Service record.
-func appendService(dst []byte, s *entity.Service) []byte {
-	if s == nil {
-		return append(dst, "null"...)
 	}
 	dst = append(dst, `{"port":`...)
-	dst = appendUint(dst, uint64(s.Port))
-	dst = append(dst, `,"transport":`...)
-	dst = appendJSONString(dst, string(s.Transport))
-	dst = append(dst, `,"protocol":`...)
-	dst = appendJSONString(dst, s.Protocol)
-	if s.TLS {
+	dst = strconv.AppendUint(dst, uint64(v.port), 10)
+	str(`,"transport":`, v.transport)
+	str(`,"protocol":`, v.protocol)
+	if v.flags&flagTLS != 0 {
 		dst = append(dst, `,"tls":true`...)
 	}
-	if s.CertSHA256 != "" {
-		dst = append(dst, `,"cert_sha256":`...)
-		dst = appendJSONString(dst, s.CertSHA256)
-	}
-	if s.Banner != "" {
-		dst = append(dst, `,"banner":`...)
-		dst = appendJSONString(dst, s.Banner)
-	}
-	if len(s.Attributes) > 0 {
+	optional(`,"cert_sha256":`, v.cert)
+	optional(`,"banner":`, v.banner)
+	if v.nattr > 0 {
 		dst = append(dst, `,"attributes":{`...)
-		var keyArr [16]string
-		keys := keyArr[:0]
-		if len(s.Attributes) > len(keyArr) {
-			keys = make([]string, 0, len(s.Attributes))
-		}
-		for k := range s.Attributes {
-			keys = append(keys, k)
-		}
-		sortStringsInPlace(keys)
-		for i, k := range keys {
+		r := binrec.Reader{B: v.attrs}
+		for i := 0; i < v.nattr; i++ {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
+			k, val := attr(&r)
 			dst = appendJSONString(dst, k)
 			dst = append(dst, ':')
-			dst = appendJSONString(dst, s.Attributes[k])
+			dst = appendJSONString(dst, val)
 		}
 		dst = append(dst, '}')
 	}
-	if s.Method != "" {
-		dst = append(dst, `,"method":`...)
-		dst = appendJSONString(dst, string(s.Method))
-	}
-	if s.Verified {
+	optional(`,"method":`, v.method)
+	if v.flags&flagVerified != 0 {
 		dst = append(dst, `,"verified":true`...)
 	}
 	dst = append(dst, `,"first_seen":`...)
-	dst = appendJSONTime(dst, s.FirstSeen)
+	dst = appendJSONTime(dst, v.first)
 	dst = append(dst, `,"last_seen":`...)
-	dst = appendJSONTime(dst, s.LastSeen)
-	if s.PendingRemovalSince != nil {
+	dst = appendJSONTime(dst, v.last)
+	if v.flags&flagPending != 0 {
 		dst = append(dst, `,"pending_removal_since":`...)
-		dst = appendJSONTime(dst, *s.PendingRemovalSince)
+		dst = appendJSONTime(dst, v.pending)
 	}
-	if s.SourcePoP != "" {
-		dst = append(dst, `,"source_pop":`...)
-		dst = appendJSONString(dst, s.SourcePoP)
-	}
+	optional(`,"source_pop":`, v.pop)
 	return append(dst, '}')
 }
 
-// AppendServiceEvent appends a found/changed/restored delta payload to dst,
-// byte-identical to EncodeServiceEvent's output.
-func AppendServiceEvent(dst []byte, svc *entity.Service) []byte {
-	dst = append(dst, `{"service":`...)
-	dst = appendService(dst, svc)
-	return append(dst, '}')
-}
-
-// AppendKeyEvent appends a pending/removed delta payload to dst,
-// byte-identical to EncodeKeyEvent's output.
-func AppendKeyEvent(dst []byte, key entity.ServiceKey, since time.Time) []byte {
-	dst = append(dst, `{"port":`...)
-	dst = appendUint(dst, uint64(key.Port))
-	dst = append(dst, `,"transport":`...)
-	dst = appendJSONString(dst, string(key.Transport))
-	dst = append(dst, `,"since":`...)
-	dst = appendJSONTime(dst, since)
-	return append(dst, '}')
-}
-
-// AppendHostSnapshot appends a full-state snapshot payload to dst,
-// byte-identical to EncodeHostSnapshot's output.
-func AppendHostSnapshot(dst []byte, h *entity.Host) []byte {
-	if h == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, `{"ip":"`...)
-	if h.IP.IsValid() {
-		// Address text is always escape-free ASCII, so it can bypass
-		// appendJSONString; the zero Addr marshals to the empty string
-		// (netip.Addr.MarshalText), not String()'s "invalid IP".
-		dst = h.IP.AppendTo(dst)
-	}
-	dst = append(dst, '"')
-	if len(h.Services) > 0 {
-		dst = append(dst, `,"services":{`...)
-		var keyArr [16]string
-		keys := keyArr[:0]
-		if len(h.Services) > len(keyArr) {
-			keys = make([]string, 0, len(h.Services))
+// appendPayloadJSON appends the JSON body of one event's payload: what
+// encoding/json makes of {"service": Service} for found/changed/restored, of
+// {"port","transport","since"} for pending/removed, and of the entity.Host
+// for a snapshot.
+func appendPayloadJSON(dst []byte, kind string, payload []byte) ([]byte, error) {
+	r := binrec.Reader{B: payload, Bad: ErrBadPayload}
+	switch kind {
+	case KindServiceFound, KindServiceChanged, KindServiceRestored:
+		v := readService(&r)
+		if err := r.End(); err != nil {
+			return dst, err
 		}
-		for k := range h.Services {
-			keys = append(keys, k)
+		dst = append(dst, `{"service":`...)
+		dst = appendServiceJSON(dst, &v)
+		return append(dst, '}'), nil
+	case KindServicePending, KindServiceRemoved:
+		port, transport, since := readKey(&r)
+		if err := r.End(); err != nil {
+			return dst, err
 		}
-		sortStringsInPlace(keys)
-		for i, k := range keys {
-			if i > 0 {
+		dst = append(dst, `{"port":`...)
+		dst = strconv.AppendUint(dst, uint64(port), 10)
+		dst = append(dst, `,"transport":`...)
+		dst = appendJSONString(dst, transport)
+		dst = append(dst, `,"since":`...)
+		dst = appendJSONTime(dst, since)
+		return append(dst, '}'), nil
+	case journal.SnapshotKind:
+		s := openSnapshot(payload)
+		dst = append(dst, `{"ip":"`...)
+		if s.ip.IsValid() {
+			// Address text is escape-free ASCII; the zero Addr marshals to
+			// the empty string, not String()'s "invalid IP".
+			dst = s.ip.AppendTo(dst)
+		}
+		dst = append(dst, '"')
+		first := true
+		for key, v := range s.services() {
+			if first {
+				dst, first = append(dst, `,"services":{`...), false
+			} else {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, k)
+			dst = appendJSONString(dst, key)
 			dst = append(dst, ':')
-			dst = appendService(dst, h.Services[k])
+			dst = appendServiceJSON(dst, v)
 		}
-		dst = append(dst, '}')
-	}
-	if h.Location != nil {
-		dst = append(dst, `,"location":{`...)
-		first := true
-		if h.Location.Country != "" {
-			dst = append(dst, `"country":`...)
-			dst = appendJSONString(dst, h.Location.Country)
-			first = false
-		}
-		if h.Location.City != "" {
-			if !first {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `"city":`...)
-			dst = appendJSONString(dst, h.Location.City)
-		}
-		dst = append(dst, '}')
-	}
-	if h.AS != nil {
-		dst = append(dst, `,"as":{`...)
-		first := true
-		if h.AS.Number != 0 {
-			dst = append(dst, `"number":`...)
-			dst = appendUint(dst, uint64(h.AS.Number))
-			first = false
-		}
-		if h.AS.Name != "" {
-			if !first {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `"name":`...)
-			dst = appendJSONString(dst, h.AS.Name)
-			first = false
-		}
-		if h.AS.Org != "" {
-			if !first {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `"org":`...)
-			dst = appendJSONString(dst, h.AS.Org)
-		}
-		dst = append(dst, '}')
-	}
-	if len(h.Software) > 0 {
-		dst = append(dst, `,"software":[`...)
-		for i, sw := range h.Software {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '{')
-			if sw.Vendor != "" {
-				dst = append(dst, `"vendor":`...)
-				dst = appendJSONString(dst, sw.Vendor)
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `"product":`...)
-			dst = appendJSONString(dst, sw.Product)
-			if sw.Version != "" {
-				dst = append(dst, `,"version":`...)
-				dst = appendJSONString(dst, sw.Version)
-			}
-			if sw.Part != "" {
-				dst = append(dst, `,"part":`...)
-				dst = appendJSONString(dst, sw.Part)
-			}
+		if s.n > 0 {
 			dst = append(dst, '}')
 		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"last_updated":`...)
+		dst = appendJSONTime(dst, s.updated)
+		return append(dst, '}'), s.r.End()
 	}
-	dst = appendStringArray(dst, `,"vulns":[`, h.Vulns)
-	dst = appendStringArray(dst, `,"labels":[`, h.Labels)
-	dst = append(dst, `,"last_updated":`...)
-	dst = appendJSONTime(dst, h.LastUpdated)
-	return append(dst, '}')
+	return dst, fmt.Errorf("%w: no grammar for kind %q", ErrBadPayload, kind)
 }
 
-func appendStringArray(dst []byte, prefix string, vals []string) []byte {
-	if len(vals) == 0 {
-		return dst
-	}
-	dst = append(dst, prefix...)
-	for i, v := range vals {
-		if i > 0 {
-			dst = append(dst, ',')
+// AppendEventJSON appends one journaled event as the history API shows it:
+//
+//	{"seq":N,"time":"<RFC3339Nano>","kind":"...","body":{...}}
+//
+// with body the payload rendered as JSON, left out when the payload is empty.
+// On a malformed payload dst comes back unextended, with the error.
+func AppendEventJSON(dst []byte, ev journal.Event) ([]byte, error) {
+	out := append(dst, `{"seq":`...)
+	out = strconv.AppendUint(out, ev.Seq, 10)
+	out = append(out, `,"time":`...)
+	out = appendJSONTime(out, ev.Time)
+	out = append(out, `,"kind":`...)
+	out = appendJSONString(out, []byte(ev.Kind))
+	if len(ev.Payload) > 0 {
+		out = append(out, `,"body":`...)
+		var err error
+		if out, err = appendPayloadJSON(out, ev.Kind, ev.Payload); err != nil {
+			return dst, fmt.Errorf("cqrs: render %s seq %d: %w", ev.Entity, ev.Seq, err)
 		}
-		dst = appendJSONString(dst, v)
 	}
-	return append(dst, ']')
-}
-
-// eventEncoder amortizes write-path payload allocations: payloads are
-// encoded into a reused scratch buffer, then copied into the tail of a large
-// arena chunk. The journal retains every payload forever, so the bytes must
-// outlive the call — the arena satisfies that with one chunk allocation per
-// ~64 KiB of journaled deltas instead of one per event. Each procShard owns
-// one encoder and serializes access under the shard lock.
-type eventEncoder struct {
-	scratch []byte
-	arena   []byte
-}
-
-// arenaChunk is the arena growth quantum. Large enough to amortize hundreds
-// of typical delta payloads, small enough that a mostly-idle shard wastes
-// little.
-const arenaChunk = 64 << 10
-
-// intern copies the scratch buffer into arena-backed stable storage.
-func (e *eventEncoder) intern() []byte {
-	n := len(e.scratch)
-	if cap(e.arena)-len(e.arena) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		e.arena = make([]byte, 0, size)
-	}
-	off := len(e.arena)
-	e.arena = append(e.arena, e.scratch...)
-	return e.arena[off : off+n : off+n]
-}
-
-func (e *eventEncoder) serviceEvent(svc *entity.Service) []byte {
-	e.scratch = AppendServiceEvent(e.scratch[:0], svc)
-	return e.intern()
-}
-
-func (e *eventEncoder) keyEvent(key entity.ServiceKey, since time.Time) []byte {
-	e.scratch = AppendKeyEvent(e.scratch[:0], key, since)
-	return e.intern()
-}
-
-func (e *eventEncoder) hostSnapshot(h *entity.Host) []byte {
-	e.scratch = AppendHostSnapshot(e.scratch[:0], h)
-	return e.intern()
+	return append(out, '}'), nil
 }

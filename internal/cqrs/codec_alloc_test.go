@@ -64,7 +64,8 @@ func TestEncodeZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeZeroAlloc locks in zero steady-state allocations for replaying
-// an unchanged service delta onto a warm host record.
+// an unchanged service delta onto a warm host record, and for rendering
+// history entries — a delta and a snapshot — into a reused buffer.
 func TestDecodeZeroAlloc(t *testing.T) {
 	svc := allocProbeService()
 	evSvc := journal.Event{
@@ -91,5 +92,18 @@ func TestDecodeZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("ApplyEvent steady state: %v allocs/op, want 0", avg)
+	}
+
+	evSnap := journal.Event{Kind: journal.SnapshotKind, Time: evSvc.Time, Payload: EncodeHostSnapshot(h)}
+	buf := make([]byte, 0, 4096)
+	if avg := testing.AllocsPerRun(200, func() {
+		for _, ev := range []journal.Event{evSvc, evPend, evSnap} {
+			var err error
+			if buf, err = AppendEventJSON(buf[:0], ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); avg != 0 {
+		t.Fatalf("AppendEventJSON: %v allocs/op, want 0", avg)
 	}
 }

@@ -3,6 +3,7 @@ package cqrs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -82,38 +83,44 @@ func randService(rng *rand.Rand) *entity.Service {
 	return svc
 }
 
+// randHost generates journaled host state: derived context is attached at
+// read time and is no part of a snapshot.
 func randHost(rng *rand.Rand) *entity.Host {
-	h := &entity.Host{LastUpdated: randTime(rng)}
+	h := &entity.Host{LastUpdated: randTime(rng), Services: map[string]*entity.Service{}}
 	if rng.Intn(8) > 0 {
 		h.IP = netip.AddrFrom4([4]byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
 	}
 	for i, n := 0, rng.Intn(20); i < n; i++ {
 		h.SetService(randService(rng))
 	}
-	if rng.Intn(2) == 0 {
-		h.Location = &entity.Location{Country: randString(rng), City: randString(rng)}
-	}
-	if rng.Intn(2) == 0 {
-		h.AS = &entity.AS{Number: uint32(rng.Intn(3)) * 64512, Name: randString(rng), Org: randString(rng)}
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Software = append(h.Software, entity.Software{
-			Vendor: randString(rng), Product: "nginx", Version: randString(rng), Part: "a",
-		})
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Vulns = append(h.Vulns, randString(rng))
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		h.Labels = append(h.Labels, randString(rng))
-	}
 	return h
 }
 
-// TestCodecDifferentialEncode holds the hand-rolled encoders byte-identical
-// to encoding/json over randomized inputs covering the full escaping and
-// omitempty surface.
+// servicePayload and keyPayload are the JSON bodies the history API shows for
+// found/changed/restored and for pending/removed events.
+type servicePayload struct {
+	Service *entity.Service `json:"service"`
+}
+
+type keyPayload struct {
+	Port      uint16           `json:"port"`
+	Transport entity.Transport `json:"transport"`
+	Since     time.Time        `json:"since,omitempty"`
+}
+
+// TestCodecDifferentialEncode holds the history renderer byte-identical to
+// encoding/json: a payload rendered straight from its binary form must read
+// exactly as json.Marshal of the entity it encodes, over randomized inputs
+// covering the full escaping and omitempty surface.
 func TestCodecDifferentialEncode(t *testing.T) {
+	render := func(kind string, payload []byte) []byte {
+		t.Helper()
+		got, err := appendPayloadJSON(nil, kind, payload)
+		if err != nil {
+			t.Fatalf("render %s: %v", kind, err)
+		}
+		return got
+	}
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 2000; i++ {
 		svc := randService(rng)
@@ -121,14 +128,14 @@ func TestCodecDifferentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference marshal: %v", err)
 		}
-		if got := EncodeServiceEvent(svc); !bytes.Equal(got, want) {
+		if got := render(KindServiceChanged, EncodeServiceEvent(svc)); !bytes.Equal(got, want) {
 			t.Fatalf("service event %d:\n got %s\nwant %s", i, got, want)
 		}
 
 		key := entity.ServiceKey{Port: svc.Port, Transport: svc.Transport}
 		since := randTime(rng)
 		want, _ = json.Marshal(keyPayload{Port: key.Port, Transport: key.Transport, Since: since})
-		if got := EncodeKeyEvent(key, since); !bytes.Equal(got, want) {
+		if got := render(KindServicePending, EncodeKeyEvent(key, since)); !bytes.Equal(got, want) {
 			t.Fatalf("key event %d:\n got %s\nwant %s", i, got, want)
 		}
 
@@ -137,152 +144,63 @@ func TestCodecDifferentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference marshal host: %v", err)
 		}
-		if got := EncodeHostSnapshot(h); !bytes.Equal(got, want) {
+		if got := render(journal.SnapshotKind, EncodeHostSnapshot(h)); !bytes.Equal(got, want) {
 			t.Fatalf("host snapshot %d:\n got %s\nwant %s", i, got, want)
 		}
 	}
 	// Degenerate shapes the generator can miss.
-	if got, want := EncodeServiceEvent(nil), `{"service":null}`; string(got) != want {
-		t.Fatalf("nil service: got %s want %s", got, want)
-	}
 	want, _ := json.Marshal(&entity.Host{})
-	if got := EncodeHostSnapshot(&entity.Host{}); !bytes.Equal(got, want) {
+	if got := render(journal.SnapshotKind, EncodeHostSnapshot(&entity.Host{})); !bytes.Equal(got, want) {
 		t.Fatalf("zero host: got %s want %s", got, want)
 	}
 	want, _ = json.Marshal(keyPayload{})
-	if got := EncodeKeyEvent(entity.ServiceKey{}, time.Time{}); !bytes.Equal(got, want) {
+	if got := render(KindServiceRemoved, EncodeKeyEvent(entity.ServiceKey{}, time.Time{})); !bytes.Equal(got, want) {
 		t.Fatalf("zero key event: got %s want %s", got, want)
 	}
-}
-
-// applyReference is the pre-codec reducer (pure encoding/json), kept here as
-// the semantic oracle for the fast decode path.
-func applyReference(h *entity.Host, ev journal.Event) error {
-	switch ev.Kind {
-	case KindServiceFound, KindServiceChanged, KindServiceRestored:
-		var p servicePayload
-		if err := json.Unmarshal(ev.Payload, &p); err != nil {
-			return fmt.Errorf("cqrs: apply %s: %w", ev.Kind, err)
-		}
-		if p.Service == nil {
-			return fmt.Errorf("cqrs: %s event without service", ev.Kind)
-		}
-		h.SetService(p.Service)
-	case KindServicePending:
-		var p keyPayload
-		if err := json.Unmarshal(ev.Payload, &p); err != nil {
-			return fmt.Errorf("cqrs: apply pending: %w", err)
-		}
-		if svc := h.Service(entity.ServiceKey{Port: p.Port, Transport: p.Transport}); svc != nil {
-			since := p.Since
-			svc.PendingRemovalSince = &since
-		}
-	case KindServiceRemoved:
-		var p keyPayload
-		if err := json.Unmarshal(ev.Payload, &p); err != nil {
-			return fmt.Errorf("cqrs: apply removed: %w", err)
-		}
-		h.RemoveService(entity.ServiceKey{Port: p.Port, Transport: p.Transport})
-	}
-	if ev.Time.After(h.LastUpdated) {
-		h.LastUpdated = ev.Time
-	}
-	return nil
-}
-
-// TestApplyEventDifferential replays randomized event sequences through the
-// fast decoder and the encoding/json oracle and requires the resulting host
-// states to re-encode to identical bytes.
-func TestApplyEventDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	kinds := []string{KindServiceFound, KindServiceChanged, KindServiceRestored}
-	for seq := 0; seq < 200; seq++ {
-		fast := &entity.Host{}
-		ref := &entity.Host{}
-		for i := 0; i < 30; i++ {
-			var ev journal.Event
-			ev.Time = randTime(rng)
-			switch rng.Intn(4) {
-			case 0, 1:
-				ev.Kind = kinds[rng.Intn(len(kinds))]
-				ev.Payload = EncodeServiceEvent(randService(rng))
-			case 2:
-				ev.Kind = KindServicePending
-				ev.Payload = EncodeKeyEvent(entity.ServiceKey{
-					Port: uint16(rng.Intn(8)), Transport: entity.TCP,
-				}, randTime(rng))
-			default:
-				ev.Kind = KindServiceRemoved
-				ev.Payload = EncodeKeyEvent(entity.ServiceKey{
-					Port: uint16(rng.Intn(8)), Transport: entity.TCP,
-				}, randTime(rng))
-			}
-			if err := ApplyEvent(fast, ev); err != nil {
-				t.Fatalf("seq %d ev %d: fast apply: %v", seq, i, err)
-			}
-			if err := applyReference(ref, ev); err != nil {
-				t.Fatalf("seq %d ev %d: reference apply: %v", seq, i, err)
-			}
-		}
-		got := EncodeHostSnapshot(fast)
-		want := EncodeHostSnapshot(ref)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("seq %d diverged:\n fast %s\n ref  %s", seq, got, want)
-		}
+	want, _ = json.Marshal(servicePayload{Service: &entity.Service{}})
+	if got := render(KindServiceFound, EncodeServiceEvent(&entity.Service{})); !bytes.Equal(got, want) {
+		t.Fatalf("zero service: got %s want %s", got, want)
 	}
 }
 
-// TestApplyEventFallbackShapes feeds payload shapes the span scanner must
-// reject to the full ApplyEvent and requires behavior identical to the
-// encoding/json oracle — including error text.
-func TestApplyEventFallbackShapes(t *testing.T) {
-	base := EncodeServiceEvent(&entity.Service{
-		Port: 80, Transport: entity.TCP, Protocol: "HTTP",
-		FirstSeen: time.Date(2024, 8, 20, 1, 0, 0, 0, time.UTC),
-		LastSeen:  time.Date(2024, 8, 21, 1, 0, 0, 0, time.UTC),
-	})
-	payloads := [][]byte{
-		[]byte(` { "service" : { "port" : 80 , "transport" : "tcp" , "protocol" : "HTTP" , "first_seen" : "2024-08-20T01:00:00Z" , "last_seen" : "2024-08-21T01:00:00Z" } } `),
-		[]byte(`{"service":{"transport":"tcp","port":80,"protocol":"HTTP","first_seen":"2024-08-20T01:00:00Z","last_seen":"2024-08-21T01:00:00Z"}}`),
-		[]byte(`{"service":{"port":80,"transport":"tcp","protocol":"HTTP","first_seen":"2024-08-20T01:00:00+00:00","last_seen":"2024-08-21T01:00:00Z"}}`),
-		[]byte(`{"service":{"port":80,"transport":"tcp","protocol":"HTTP","future_field":1,"first_seen":"2024-08-20T01:00:00Z","last_seen":"2024-08-21T01:00:00Z"}}`),
-		[]byte(`{"service":null}`),
-		[]byte(`{"service":`),
-		[]byte(`{"service":{}}`),
-		[]byte(`not json`),
-		[]byte(`{"service":{"port":99999,"transport":"tcp"}}`),
-		[]byte(`{"service":{"port":80,"transport":"tcp","first_seen":"2024-02-30T01:00:00Z"}}`),
-		base,
-		append(append([]byte{}, base...), ' '),
-		append(append([]byte{}, base...), 'x'),
+// TestAppendEventJSON: the history entry's envelope matches encoding/json,
+// an empty payload has no body, and a payload that does not parse leaves the
+// buffer as it was.
+func TestAppendEventJSON(t *testing.T) {
+	type entry struct {
+		Seq  uint64          `json:"seq"`
+		Time time.Time       `json:"time"`
+		Kind string          `json:"kind"`
+		Body json.RawMessage `json:"body,omitempty"`
 	}
-	for i, payload := range payloads {
-		for _, kind := range []string{KindServiceFound, KindServicePending, KindServiceRemoved} {
-			ev := journal.Event{Kind: kind, Time: time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC), Payload: payload}
-			if kind != KindServiceFound {
-				// Key events get key-shaped payloads for the valid cases;
-				// the malformed ones are interesting for every kind.
-				ev.Payload = []byte(`{"port":80,"transport":"tcp","since":"2024-08-22T00:00:00Z"}`)
-				if i >= 5 && i <= 9 {
-					ev.Payload = payload
-				}
-			}
-			fast := &entity.Host{}
-			ref := &entity.Host{}
-			fast.SetService(&entity.Service{Port: 80, Transport: entity.TCP, Protocol: "OLD"})
-			ref.SetService(&entity.Service{Port: 80, Transport: entity.TCP, Protocol: "OLD"})
-			errFast := ApplyEvent(fast, ev)
-			errRef := applyReference(ref, ev)
-			if (errFast == nil) != (errRef == nil) {
-				t.Fatalf("payload %d kind %s: fast err %v, ref err %v", i, kind, errFast, errRef)
-			}
-			if errFast != nil && errFast.Error() != errRef.Error() {
-				t.Fatalf("payload %d kind %s: error text diverged:\n fast %q\n ref  %q", i, kind, errFast, errRef)
-			}
-			got, want := EncodeHostSnapshot(fast), EncodeHostSnapshot(ref)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("payload %d kind %s diverged:\n fast %s\n ref  %s", i, kind, got, want)
-			}
+	rng := rand.New(rand.NewSource(3))
+	svc := randService(rng)
+	body, _ := json.Marshal(servicePayload{Service: svc})
+	ev := journal.Event{Entity: "10.0.0.1", Seq: 7, Time: randTime(rng), Kind: KindServiceFound,
+		Payload: EncodeServiceEvent(svc)}
+	for _, c := range []struct {
+		ev   journal.Event
+		want entry
+	}{
+		{ev, entry{Seq: 7, Time: ev.Time, Kind: ev.Kind, Body: body}},
+		{journal.Event{Seq: 1 << 63, Kind: "future <kind>"}, entry{Seq: 1 << 63, Kind: "future <kind>"}},
+	} {
+		want, err := json.Marshal(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEventJSON([]byte("["), c.ev)
+		if err != nil || string(got) != "["+string(want) {
+			t.Fatalf("got %s, %v\nwant [%s", got, err, want)
+		}
+	}
+	for name, bad := range map[string]journal.Event{
+		"truncated":    {Kind: KindServiceFound, Payload: ev.Payload[:len(ev.Payload)-1]},
+		"unknown kind": {Kind: "future_kind", Payload: []byte{1}},
+	} {
+		got, err := AppendEventJSON([]byte("["), bad)
+		if !errors.Is(err, ErrBadPayload) || string(got) != "[" {
+			t.Errorf("%s: got %q, %v; want the buffer unextended and ErrBadPayload", name, got, err)
 		}
 	}
 }

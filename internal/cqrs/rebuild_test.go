@@ -161,3 +161,49 @@ func TestRebuildHonorsAsOf(t *testing.T) {
 		t.Fatalf("asOf replay leaked future failure events: %+v", ssh)
 	}
 }
+
+// TestReplayIsLossless: what the write side holds is what replay gives back,
+// to the byte and to the nanosecond. Banners and attributes that are not
+// UTF-8 (the JSON payload journaled them as U+FFFD), a zero FirstSeen (which
+// UnixNano cannot carry) and a nanosecond LastSeen must come out of HostAt
+// and RebuildProcessor reflect.DeepEqual to CurrentState — from deltas alone
+// and across a snapshot.
+func TestReplayIsLossless(t *testing.T) {
+	for _, every := range []int{100, 2} {
+		cfg := Config{EvictAfter: 72 * time.Hour, SnapshotEvery: every}
+		j := journal.NewStore()
+		p := NewProcessor(cfg, j)
+		late := at(3).Add(123456789 * time.Nanosecond)
+		for i, o := range []Observation{
+			{Time: time.Time{}, Port: 80, Service: &entity.Service{Protocol: "HTTP", Banner: "\xff\xfe raw \xc3("}},
+			{Time: at(1), Port: 80, Service: &entity.Service{Protocol: "HTTP", Banner: "\xff\xfe raw \xc3(",
+				Attributes: map[string]string{"k\xff": "v\xed\xa0\x80", "k\xfe": "<&> "}}},
+			{Time: at(2), Port: 161, Service: &entity.Service{Protocol: "SNMP", Banner: "\x00\x01"}},
+			{Time: late, Port: 80, Service: &entity.Service{Protocol: "HTTP", Banner: "v2 \xf0\x28\x8c\x28", TLS: true}},
+			{Time: late, Port: 161}, // failed refresh: pending since a nanosecond instant
+		} {
+			o.Addr, o.Transport, o.PoP, o.Method = addr, entity.TCP, "p\xffp", entity.DetectRefresh
+			if o.Service != nil {
+				o.Success, o.Service.Port, o.Service.Transport = true, o.Port, o.Transport
+			}
+			if err := p.Apply(o); err != nil {
+				t.Fatalf("apply %d: %v", i, err)
+			}
+		}
+		want := p.CurrentState(addr.String())
+		if svc := want.Service(entity.ServiceKey{Port: 80, Transport: entity.TCP}); !svc.FirstSeen.IsZero() || svc.LastSeen != late {
+			t.Fatalf("fixture lost its edge times: %+v", svc)
+		}
+		got, ok := NewReader(j, nil).HostAt(addr.String(), late)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("snapshot every %d: HostAt replayed\n got  %s\n want %s", every, hostJSON(t, got), hostJSON(t, want))
+		}
+		rebuilt, err := RebuildProcessor(cfg, j, late)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rebuilt.CurrentState(addr.String()); !reflect.DeepEqual(got, want) {
+			t.Errorf("snapshot every %d: RebuildProcessor replayed\n got  %s\n want %s", every, hostJSON(t, got), hostJSON(t, want))
+		}
+	}
+}

@@ -107,37 +107,41 @@ func isEventOfKind(payload []byte, kind string) bool {
 	return err == nil && rec.Tag == TagEvent && rec.Ev.Kind == kind
 }
 
-// TestVersion1ManifestRejected: a store saved before the binary record format
-// (manifest version 1, JSON envelope records) must fail Load and Fsck at the
-// manifest instead of feeding its records to the version-2 decoder.
-func TestVersion1ManifestRejected(t *testing.T) {
-	dir := t.TempDir()
-	saveFixture(t, dir, fixtureStore(t))
-	old := buildSingleRecord(KindManifest, 0, []byte(`{"version":1,"gen":1,"stores":[]}`))
-	for _, name := range []string{"MANIFEST", "MANIFEST.bak"} {
-		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+// TestOldManifestVersionsRejected: a store saved in an earlier format —
+// version 1, JSON envelope records; version 2, binary records around JSON
+// payloads — must fail Load and Fsck at the manifest instead of feeding its
+// records to today's decoders.
+func TestOldManifestVersionsRejected(t *testing.T) {
+	for version := 1; version < manifestVersion; version++ {
+		dir := t.TempDir()
+		saveFixture(t, dir, fixtureStore(t))
+		old := buildSingleRecord(KindManifest, 0,
+			fmt.Appendf(nil, `{"version":%d,"gen":1,"stores":[]}`, version))
+		for _, name := range []string{"MANIFEST", "MANIFEST.bak"} {
+			if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Load(dir, LoadOptions{}); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("version %d: Load err = %v, want ErrBadHeader", version, err)
+		}
+		if _, err := Fsck(dir, FsckOptions{}); !errors.Is(err, ErrBadHeader) {
+			t.Fatalf("version %d: Fsck err = %v, want ErrBadHeader", version, err)
+		}
+
+		// An old MANIFEST does not shadow a current MANIFEST.bak, and a save
+		// over an old directory starts a fresh generation chain.
+		saveFixture(t, dir, fixtureStore(t))
+		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := Load(dir, LoadOptions{}); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("Load err = %v, want ErrBadHeader", err)
-	}
-	if _, err := Fsck(dir, FsckOptions{}); !errors.Is(err, ErrBadHeader) {
-		t.Fatalf("Fsck err = %v, want ErrBadHeader", err)
-	}
-
-	// A version-1 MANIFEST does not shadow a current MANIFEST.bak, and a save
-	// over a version-1 directory starts a fresh generation chain.
-	saveFixture(t, dir, fixtureStore(t))
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Load(dir, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Gen != 1 || !res.Report.Clean() {
-		t.Fatalf("gen %d, findings %+v", res.Report.Gen, res.Report.Findings)
+		res, err := Load(dir, LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Gen != 1 || !res.Report.Clean() {
+			t.Fatalf("version %d: gen %d, findings %+v", version, res.Report.Gen, res.Report.Findings)
+		}
 	}
 }
 

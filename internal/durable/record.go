@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
+	"censysmap/internal/binrec"
 	"censysmap/internal/journal"
 )
 
@@ -74,11 +74,6 @@ func (e EventRecord) Event(entity string) journal.Event {
 	}
 }
 
-func appendBytes[T string | []byte](dst []byte, b T) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 func appendMeta(dst []byte, m MetaRecord) []byte {
 	dst = append(dst, TagMeta)
 	dst = binary.AppendUvarint(dst, m.SSDReads)
@@ -89,7 +84,7 @@ func appendMeta(dst []byte, m MetaRecord) []byte {
 
 func appendRow(dst []byte, r RowRecord) []byte {
 	dst = append(dst, TagRow)
-	dst = appendBytes(dst, r.Entity)
+	dst = binrec.AppendBytes(dst, r.Entity)
 	dst = binary.AppendVarint(dst, int64(r.LastSnap))
 	dst = binary.AppendUvarint(dst, r.NextSeq)
 	dst = binary.AppendUvarint(dst, uint64(r.HDD))
@@ -101,76 +96,8 @@ func appendEvent(dst []byte, e EventRecord) []byte {
 	dst = append(dst, TagEvent)
 	dst = binary.AppendUvarint(dst, e.Seq)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(e.NS))
-	dst = appendBytes(dst, e.Kind)
-	return appendBytes(dst, e.Payload)
-}
-
-// recordReader is a bounds-checked cursor over one record; the first failure
-// sticks and every later read returns zero.
-type recordReader struct {
-	b   []byte
-	err error
-}
-
-func (r *recordReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrBadRecord, what)
-	}
-}
-
-func (r *recordReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	// n <= 0 is truncation or 64-bit overflow; a zero final byte is a padded
-	// encoding AppendUvarint never emits.
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.fail(what + ": bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// count reads a uvarint that must fit a non-negative int.
-func (r *recordReader) count(what string) int {
-	v := r.uvarint(what)
-	if v > math.MaxInt {
-		r.fail(what + ": out of range")
-		return 0
-	}
-	return int(v)
-}
-
-func (r *recordReader) int64be(what string) int64 {
-	if r.err == nil && len(r.b) < 8 {
-		r.fail(what + ": truncated")
-	}
-	if r.err != nil {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return int64(v)
-}
-
-func (r *recordReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(what + ": length past end of record")
-		return nil
-	}
-	if n == 0 {
-		// nil, not an empty alias: an absent payload round-trips as absent.
-		return nil
-	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
+	dst = binrec.AppendBytes(dst, e.Kind)
+	return binrec.AppendBytes(dst, e.Payload)
 }
 
 // DecodeRecord strictly decodes one journal record. Any deviation from the
@@ -182,42 +109,36 @@ func DecodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: empty", ErrBadRecord)
 	}
 	rec := Record{Tag: b[0]}
-	r := recordReader{b: b[1:]}
+	r := binrec.Reader{B: b[1:], Bad: ErrBadRecord}
 	switch rec.Tag {
 	case TagMeta:
 		rec.Meta = MetaRecord{
-			SSDReads: r.uvarint("ssd_reads"), HDDReads: r.uvarint("hdd_reads"),
-			Appends: r.uvarint("appends"), Snaps: r.uvarint("snaps"),
+			SSDReads: r.Uvarint("ssd_reads"), HDDReads: r.Uvarint("hdd_reads"),
+			Appends: r.Uvarint("appends"), Snaps: r.Uvarint("snaps"),
 		}
 	case TagRow:
-		rec.Row.Entity = string(r.bytes("entity"))
-		// The zigzag form of a signed varint is minimal exactly when the
-		// unsigned one is.
-		zz := r.uvarint("last_snap")
-		snap := int64(zz>>1) ^ -int64(zz&1)
+		rec.Row.Entity = string(r.Bytes("entity"))
+		snap := r.Varint("last_snap")
 		if int64(int(snap)) != snap {
-			r.fail("last_snap: out of range")
+			r.Fail("last_snap: out of range")
 		}
 		rec.Row.LastSnap = int(snap)
-		rec.Row.NextSeq = r.uvarint("next_seq")
-		rec.Row.HDD = r.count("hdd")
-		rec.Row.Events = r.count("events")
+		rec.Row.NextSeq = r.Uvarint("next_seq")
+		rec.Row.HDD = r.Count("hdd")
+		rec.Row.Events = r.Count("events")
 		if rec.Row.HDD > rec.Row.Events {
-			r.fail("hdd exceeds events")
+			r.Fail("hdd exceeds events")
 		}
 	case TagEvent:
-		rec.Ev.Seq = r.uvarint("seq")
-		rec.Ev.NS = r.int64be("ns")
-		rec.Ev.Kind = internKind(r.bytes("kind"))
-		rec.Ev.Payload = r.bytes("payload")
+		rec.Ev.Seq = r.Uvarint("seq")
+		rec.Ev.NS = r.Int64BE("ns")
+		rec.Ev.Kind = internKind(r.Bytes("kind"))
+		rec.Ev.Payload = r.Bytes("payload")
 	default:
 		return Record{}, fmt.Errorf("%w: unknown tag %d", ErrBadRecord, rec.Tag)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(fmt.Sprintf("%d trailing bytes", len(r.b)))
-	}
-	if r.err != nil {
-		return Record{}, r.err
+	if err := r.End(); err != nil {
+		return Record{}, err
 	}
 	return rec, nil
 }

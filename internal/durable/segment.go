@@ -19,7 +19,7 @@
 //
 // Manifest, checkpoint and replica payloads are opaque to the frame layer. A
 // journal segment's payloads are records of one binary grammar (record.go is
-// the only code that reads or writes it; manifest version 2):
+// the only code that reads or writes it):
 //
 //	record := meta | row | ev
 //	meta   := 0x01 uvarint ssd_reads | uvarint hdd_reads | uvarint appends | uvarint snaps
@@ -30,7 +30,9 @@
 //
 // A partition is one meta record, then per row (sorted by entity) a row
 // record followed by its `events` ev records, the first `hdd` of them the
-// HDD tier. The event payload is the journal's bytes verbatim. Varints are
+// HDD tier. The event payload is the journal's bytes verbatim — for the host
+// journal the binary delta of cqrs/payload.go, which durable never looks
+// into; a change to either grammar bumps manifestVersion. Varints are
 // minimal and nothing may trail a record, so each record has exactly one
 // encoding — which is what lets recovery prove a rebuilt snapshot record
 // byte-exact against the frame's CRC32C.

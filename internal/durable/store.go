@@ -129,9 +129,10 @@ func (m *Metrics) Stats() StorageStats {
 }
 
 // manifestVersion names the on-disk format a store directory was saved in.
-// Version 2 is the binary journal record (record.go); version 1 stores held
-// JSON envelopes and have no reader.
-const manifestVersion = 2
+// Version 3 is the binary journal record (record.go) around the binary event
+// payload (cqrs/payload.go); versions 1 (JSON envelopes) and 2 (binary records
+// around JSON payloads) have no reader.
+const manifestVersion = 3
 
 // manifest is the authoritative description of a saved store directory.
 type manifest struct {

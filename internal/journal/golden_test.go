@@ -1,13 +1,15 @@
 // Golden-file tests for the journal's delta encoding: the exact bytes the
-// write side journals for each event kind, and the exact event stream a
-// representative service lifecycle produces. A diff here means the on-disk
-// journal format changed — which breaks replay of existing journals and must
-// be deliberate. Regenerate with:
+// write side journals for each event kind (binary, so the files hold them
+// hex-dumped), and the exact event stream a representative service lifecycle
+// produces. A diff here means the on-disk journal format changed — which
+// breaks replay of existing journals and must be deliberate (bump
+// durable's manifestVersion with it). Regenerate with:
 //
 //	go test ./internal/journal/ -run TestGolden -update
 package journal_test
 
 import (
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"net/netip"
@@ -27,6 +29,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 var goldenEpoch = time.Date(2024, 8, 20, 0, 0, 0, 0, time.UTC)
 
 func gat(h int) time.Time { return goldenEpoch.Add(time.Duration(h) * time.Hour) }
+
+// hexLine is how a golden file holds one payload.
+func hexLine(payload []byte) []byte { return []byte(hex.EncodeToString(payload) + "\n") }
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -67,16 +72,16 @@ func goldenService() *entity.Service {
 }
 
 func TestGoldenEventPayloads(t *testing.T) {
-	checkGolden(t, "service_event.golden", cqrs.EncodeServiceEvent(goldenService()))
+	checkGolden(t, "service_event.golden", hexLine(cqrs.EncodeServiceEvent(goldenService())))
 	checkGolden(t, "key_event.golden",
-		cqrs.EncodeKeyEvent(entity.ServiceKey{Port: 443, Transport: entity.TCP}, gat(30)))
+		hexLine(cqrs.EncodeKeyEvent(entity.ServiceKey{Port: 443, Transport: entity.TCP}, gat(30))))
 
 	h := entity.NewHost(netip.MustParseAddr("10.1.2.3"))
 	h.SetService(goldenService())
 	h.SetService(&entity.Service{Port: 22, Transport: entity.TCP, Protocol: "SSH",
 		Banner: "SSH-2.0-OpenSSH_9.6", FirstSeen: gat(1), LastSeen: gat(25)})
 	h.LastUpdated = gat(25)
-	checkGolden(t, "host_snapshot.golden", cqrs.EncodeHostSnapshot(h))
+	checkGolden(t, "host_snapshot.golden", hexLine(cqrs.EncodeHostSnapshot(h)))
 }
 
 // TestGoldenDeltaStream drives a processor through a full service lifecycle
@@ -115,7 +120,7 @@ func TestGoldenDeltaStream(t *testing.T) {
 
 	var sb strings.Builder
 	for _, ev := range j.Events(a.String()) {
-		fmt.Fprintf(&sb, "%s seq=%d t=%s kind=%s payload=%s\n",
+		fmt.Fprintf(&sb, "%s seq=%d t=%s kind=%s payload=%x\n",
 			ev.Entity, ev.Seq, ev.Time.UTC().Format(time.RFC3339), ev.Kind, ev.Payload)
 	}
 	checkGolden(t, "delta_stream.golden", []byte(sb.String()))

@@ -287,14 +287,6 @@ func (s *Service) handleHost(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// historyEntry is the wire form of one journaled change.
-type historyEntry struct {
-	Seq  uint64          `json:"seq"`
-	Time time.Time       `json:"time"`
-	Kind string          `json:"kind"`
-	Body json.RawMessage `json:"body,omitempty"`
-}
-
 func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 	ip, err := netip.ParseAddr(r.PathValue("ip"))
 	if err != nil {
@@ -315,13 +307,20 @@ func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	events := reader.History(ip.String())
-	out := make([]historyEntry, 0, len(events))
-	for _, ev := range events {
-		out = append(out, historyEntry{Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind,
-			Body: json.RawMessage(ev.Payload)})
+	// The journal stores binary payloads; JSON is rendered here, at the edge
+	// (cqrs.AppendEventJSON has the entry's wire form).
+	body := []byte{'['}
+	for i, ev := range reader.History(ip.String()) {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = cqrs.AppendEventJSON(body, ev); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, ']', '\n')) // the client has gone if this fails
 }
 
 func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {

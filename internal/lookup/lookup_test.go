@@ -120,13 +120,23 @@ func TestHistoryEndpoint(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var entries []historyEntry
+	var entries []struct {
+		Seq  uint64    `json:"seq"`
+		Time time.Time `json:"time"`
+		Kind string    `json:"kind"`
+		Body struct {
+			Service *entity.Service `json:"service"`
+		} `json:"body"`
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &entries); err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 2 || entries[0].Kind != cqrs.KindServiceFound ||
-		entries[1].Kind != cqrs.KindServiceChanged {
+		entries[1].Kind != cqrs.KindServiceChanged || entries[1].Seq != 1 || entries[1].Time.IsZero() {
 		t.Fatalf("entries = %+v", entries)
+	}
+	if svc := entries[1].Body.Service; svc == nil || svc.Port == 0 || svc.Protocol == "" {
+		t.Fatalf("history body does not hold the journaled service: %s", rec.Body.Bytes())
 	}
 }
 
