@@ -72,7 +72,13 @@ func TestSystemCrashRecoveryUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.Start()
+	if err := m2.CheckInvariants(); err != nil {
+		t.Fatalf("resumed map: %v", err)
+	}
 	sys.Clock().Advance((ticks - crashAt) * time.Hour)
+	if err := m2.CheckInvariants(); err != nil {
+		t.Fatalf("resumed map at the end of the run: %v", err)
+	}
 
 	want, err := chaos.Observe(base.Map())
 	if err != nil {

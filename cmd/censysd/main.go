@@ -33,13 +33,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"net/netip"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"censysmap"
@@ -66,29 +71,42 @@ func parseTenants(raw string) ([]serve.Tenant, error) {
 }
 
 func main() {
-	universe := flag.String("universe", "10.0.0.0/20", "IPv4 universe prefix")
-	days := flag.Int("days", 2, "simulated days to warm up before serving")
-	listen := flag.String("listen", ":8181", "REST API listen address")
-	seed := flag.Uint64("seed", 1, "universe seed")
-	rate := flag.Duration("rate", time.Minute, "simulated time advanced per real second")
-	clusterNodes := flag.Int("cluster-nodes", 0, "simulate an N-node serving cluster (0 = single-process)")
-	nodeID := flag.Int("node-id", 0, "node this process identifies as (requires -cluster-nodes)")
-	apiKeys := flag.String("api-keys", "",
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, warms the map up, serves until
+// ctx is cancelled, and returns the exit code (0 clean shutdown, 1 runtime
+// failure, 2 usage).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("censysd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	universe := fs.String("universe", "10.0.0.0/20", "IPv4 universe prefix")
+	days := fs.Int("days", 2, "simulated days to warm up before serving")
+	listen := fs.String("listen", ":8181", "REST API listen address")
+	seed := fs.Uint64("seed", 1, "universe seed")
+	rate := fs.Duration("rate", time.Minute, "simulated time advanced per real second")
+	clusterNodes := fs.Int("cluster-nodes", 0, "simulate an N-node serving cluster (0 = single-process)")
+	nodeID := fs.Int("node-id", 0, "node this process identifies as (requires -cluster-nodes)")
+	apiKeys := fs.String("api-keys", "",
 		"serving-tier tenants, comma-separated name:key:tier (tiers: free, standard, enterprise, internal)")
-	anonTier := flag.String("anonymous-tier", "free",
+	anonTier := fs.String("anonymous-tier", "free",
 		"tier unauthenticated requests are served under; empty requires an API key (401)")
-	capacity := flag.Int("capacity", 64,
+	capacity := fs.Int("capacity", 64,
 		"max concurrently admitted requests; load shedding starts at half this")
-	pprofAddr := flag.String("pprof", "",
+	pprofAddr := fs.String("pprof", "",
 		"side listener exposing net/http/pprof (e.g. localhost:6060); empty disables")
-	predict := flag.Bool("predict", true,
+	predict := fs.Bool("predict", true,
 		"GPS-style predictive scanning: seed scan, cross-port model, predicted targets")
-	predictBudget := flag.Int("predict-budget", 0,
+	predictBudget := fs.Int("predict-budget", 0,
 		"predictive probes per scheduling tick (0 = pipeline default; requires -predict)")
-	scenario := flag.String("scenario", "",
+	scenario := fs.String("scenario", "",
 		"adversarial scenario: a preset ("+strings.Join(simnet.ScenarioNames(), ", ")+
 			") or key=value pairs like honeypot_farms=2,tarpit_rate=0.1 (empty = benign)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	// The profiler gets its own listener and mux so /debug/pprof/ never
 	// shares a port with the public API surface (it bypasses the serving
@@ -102,27 +120,27 @@ func main() {
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, pmux); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof listener:", err)
+				fmt.Fprintln(stderr, "pprof listener:", err)
 			}
 		}()
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	prefix, err := netip.ParsePrefix(*universe)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bad -universe:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "bad -universe:", err)
+		return 2
 	}
 	sys, err := censysmap.NewSystem(censysmap.Options{Universe: prefix, Seed: *seed,
 		DisablePrediction: !*predict, PredictBudgetPerTick: *predictBudget,
 		Scenario: *scenario})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *scenario != "" {
 		st := sys.Internet().AdversaryStats()
-		fmt.Printf("scenario %q: %d farms (%d honeypots), %d tarpits (%d drip), %d detector /24s, %d churn hosts\n",
+		fmt.Fprintf(stdout, "scenario %q: %d farms (%d honeypots), %d tarpits (%d drip), %d detector /24s, %d churn hosts\n",
 			*scenario, st.Farms, st.HoneypotHosts, st.TarpitHosts, st.DripTarpits,
 			st.DetectorNets, st.ChurnHosts)
 	}
@@ -130,57 +148,48 @@ func main() {
 	var cl *cluster.Cluster
 	if *clusterNodes > 0 {
 		if *nodeID < 0 || *nodeID >= *clusterNodes {
-			fmt.Fprintf(os.Stderr, "bad -node-id: %d outside 0..%d\n", *nodeID, *clusterNodes-1)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad -node-id: %d outside 0..%d\n", *nodeID, *clusterNodes-1)
+			return 2
 		}
 		cl, err = cluster.New(sys.Map(), cluster.Config{
 			Nodes:     *clusterNodes,
 			Telemetry: sys.Metrics(),
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	// advance moves simulated time, driving a replication round around each
 	// advance when clustered.
-	advance := func(d time.Duration) {
+	advance := func(d time.Duration) error {
 		if cl == nil {
 			sys.Run(d)
-			return
+			return nil
 		}
-		if err := cl.Step(func() { sys.Run(d) }); err != nil {
-			fmt.Fprintln(os.Stderr, "replication:", err)
-			os.Exit(1)
-		}
+		return cl.Step(func() { sys.Run(d) })
 	}
 
-	fmt.Printf("universe %v: %d hosts; warming up %d simulated days...\n",
+	fmt.Fprintf(stdout, "universe %v: %d hosts; warming up %d simulated days...\n",
 		prefix, sys.Internet().Hosts(), *days)
 	start := time.Now()
-	advance(time.Duration(*days) * 24 * time.Hour)
-	fmt.Printf("warmup done in %v: %d services mapped, %d web properties, sim time %v\n",
+	if err := advance(time.Duration(*days) * 24 * time.Hour); err != nil {
+		fmt.Fprintln(stderr, "replication:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "warmup done in %v: %d services mapped, %d web properties, sim time %v\n",
 		time.Since(start).Round(time.Millisecond), len(sys.Services()),
 		len(sys.WebProperties()), sys.Now().Format(time.RFC3339))
 	if cl != nil {
 		st := cl.Stats()
-		fmt.Printf("cluster: %d nodes, serving as %s; %d partitions replicated, %d records shipped\n",
+		fmt.Fprintf(stdout, "cluster: %d nodes, serving as %s; %d partitions replicated, %d records shipped\n",
 			cl.Nodes(), cl.NodeName(*nodeID), cl.Partitions(), st.RecordsShipped)
 	}
 
-	// Keep simulated time flowing while serving. Queries route through the
-	// placement on every request, so each advance's replication round is
-	// immediately visible.
-	go func() {
-		for range time.Tick(time.Second) {
-			advance(*rate)
-		}
-	}()
-
 	tenants, err := parseTenants(*apiKeys)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	front, err := sys.Frontend(serve.Config{
 		Tenants:       tenants,
@@ -188,8 +197,8 @@ func main() {
 		Capacity:      *capacity,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	mux := http.NewServeMux()
@@ -206,9 +215,35 @@ func main() {
 			fmt.Fprintf(w, "%s\n", h.IP)
 		}
 	})
-	fmt.Printf("serving on %s\n", *listen)
-	if err := http.ListenAndServe(*listen, mux); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "serving on %s\n", ln.Addr())
+	srv := &http.Server{Handler: mux}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	// Keep simulated time flowing while serving. Queries route through the
+	// placement on every request, so each advance's replication round is
+	// immediately visible.
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			err = advance(*rate)
+		case err = <-served:
+		case <-ctx.Done():
+			err = srv.Shutdown(context.Background())
+			if err == nil {
+				return 0
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"censysmap/internal/cqrs"
 	"censysmap/internal/durable"
@@ -58,7 +59,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		fmt.Fprintf(stdout, "generation %d: %d records verified\n", rep.Gen, rep.RecordsVerified)
+		fmt.Fprintf(stdout, "generation %d: %d records verified; bytes:", rep.Gen, rep.RecordsVerified)
+		for _, owner := range slices.Sorted(maps.Keys(rep.Bytes)) {
+			fmt.Fprintf(stdout, " %s %d", owner, rep.Bytes[owner])
+		}
+		fmt.Fprintln(stdout)
 		for _, f := range rep.Findings {
 			loc := f.File
 			if f.Record >= 0 {
@@ -73,12 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintln(stdout)
 		}
-		stores := make([]string, 0, len(rep.Quarantined))
-		for store := range rep.Quarantined {
-			stores = append(stores, store)
-		}
-		sort.Strings(stores)
-		for _, store := range stores {
+		for _, store := range slices.Sorted(maps.Keys(rep.Quarantined)) {
 			fmt.Fprintf(stdout, "  QUARANTINED  %s partitions %v\n", store, rep.Quarantined[store])
 		}
 		for _, p := range rep.Repaired {

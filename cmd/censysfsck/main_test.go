@@ -53,6 +53,7 @@ func TestRepairableFixtureText(t *testing.T) {
 	// rebuilder cannot prove the flipped one and reports it as quarantined;
 	// the other three faults are the repairable classes.
 	for _, want := range []string{
+		"generation 1: 16 records verified; bytes: checkpoint 118 journal 1421\n",
 		"torn_tail    truncated_restored   stores/journal/p0000/seg-000003.seg record 0 offset 16",
 		"checksum     quarantined          stores/journal/p0000/seg-000000.seg record 3",
 		"stale_current rescanned_generation checkpoint/CURRENT",
@@ -79,6 +80,11 @@ func TestQuarantineFixtureJSON(t *testing.T) {
 	}
 	if rep.Clean || len(rep.Findings) != 1 {
 		t.Fatalf("report = %+v, want one finding", rep)
+	}
+	// The byte split sizes what the manifest references: the deleted segment
+	// counts zero, both checkpoint mirrors count.
+	if want := map[string]int64{"journal": 1261, "checkpoint": 118}; !reflect.DeepEqual(rep.Bytes, want) {
+		t.Errorf("bytes = %v, want %v", rep.Bytes, want)
 	}
 	f := rep.Findings[0]
 	if f.Fault != durable.FaultMissing || f.Action != durable.ActionQuarantined ||

@@ -109,7 +109,7 @@ func (r *Run) ResumeFromDisk(dir string) (*durable.RecoveryReport, error) {
 	}
 	r.Map = m
 	m.Start()
-	return res.Report, nil
+	return res.Report, m.CheckInvariants()
 }
 
 // DiskFaults is a deterministic disk-corruption schedule. Every target is a

@@ -98,11 +98,16 @@ func Start(spec RunSpec) (*Run, error) {
 	return &Run{Net: net, Clock: clk, Injector: inj, Map: m, spec: spec}, nil
 }
 
-// Step advances the run by n ticks.
+// Step advances the run by n ticks. Every tick boundary must satisfy the
+// Map's cross-layer invariants; a violation is a pipeline bug no differential
+// may mask, so it panics rather than letting the run continue.
 func (r *Run) Step(n int) {
 	for i := 0; i < n; i++ {
 		r.Clock.Advance(r.spec.Pipeline.Tick)
 		r.tick++
+		if err := r.Map.CheckInvariants(); err != nil {
+			panic(fmt.Sprintf("chaos: invariants broken after tick %d:\n%v", r.tick, err))
+		}
 	}
 }
 
@@ -140,7 +145,7 @@ func (r *Run) Resume(d core.Durable, cp core.Checkpoint) error {
 	}
 	r.Map = m
 	m.Start()
-	return nil
+	return m.CheckInvariants()
 }
 
 // Complete runs spec for its full duration without interruption and returns

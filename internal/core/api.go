@@ -142,27 +142,22 @@ type ServiceRecord struct {
 // query (Appendix E).
 func (m *Map) CurrentServices(includePending bool) []ServiceRecord {
 	var out []ServiceRecord
-	for _, id := range m.processor.EntityIDs() {
-		addr, err := netip.ParseAddr(id)
-		if err != nil || m.isSuppressed(addr) {
-			continue
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		if m.isSuppressed(h.IP) {
+			return
 		}
-		h := m.processor.CurrentState(id)
-		if h == nil {
-			continue
-		}
-		for _, svc := range h.AllServices() {
+		for _, svc := range h.Services {
 			if svc.PendingRemovalSince != nil && !includePending {
 				continue
 			}
 			out = append(out, ServiceRecord{
-				Addr: addr, Port: svc.Port, Transport: svc.Transport,
+				Addr: h.IP, Port: svc.Port, Transport: svc.Transport,
 				Protocol: svc.Protocol, Verified: svc.Verified, TLS: svc.TLS,
 				Method: svc.Method, LastSeen: svc.LastSeen,
 				Pending: svc.PendingRemovalSince != nil,
 			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Addr != out[j].Addr {
 			return out[i].Addr.Less(out[j].Addr)

@@ -33,9 +33,11 @@ import (
 //   - The processor's materialized write-side state is NOT durable: it is
 //     rebuilt from the journal (snapshot + delta replay) on Resume — the
 //     whole point of event sourcing.
-//   - Checkpoint carries everything else: the small, fast-changing pipeline
-//     bookkeeping (refresh clocks, scan positions, model state, counters)
-//     serialized at a tick boundary. It is plain data and JSON round-trips.
+//   - Checkpoint carries only what replay cannot reach: the small,
+//     fast-changing pipeline bookkeeping (un-journaled liveness, scan
+//     positions, model state, counters) serialized at a tick boundary. It is
+//     plain data and JSON round-trips. The per-slot refresh set (known) is
+//     not in it: Resume re-derives it from the rebuilt write-side state.
 //
 // Checkpoints are only consistent at tick boundaries: mid-tick, probes have
 // consumed path-sequence numbers that no replay can reissue. Map.Checkpoint
@@ -103,15 +105,6 @@ func (m *Map) SaveDurable(dir string, opts durable.SaveOptions) error {
 	}, blob, opts)
 }
 
-// KnownSlot is one dataset slot's refresh bookkeeping.
-type KnownSlot struct {
-	Addr        netip.Addr       `json:"addr"`
-	Port        uint16           `json:"port"`
-	Transport   entity.Transport `json:"transport"`
-	Last        time.Time        `json:"last"`
-	UDPProtocol string           `json:"udp_protocol,omitempty"`
-}
-
 // HostCount is a per-host counter entry (pseudo-detection bookkeeping).
 type HostCount struct {
 	Addr  netip.Addr `json:"addr"`
@@ -138,7 +131,6 @@ type Checkpoint struct {
 
 	Processor cqrs.Ephemeral `json:"processor"`
 
-	Known         []KnownSlot     `json:"known,omitempty"`
 	PseudoHosts   []netip.Addr    `json:"pseudo_hosts,omitempty"`
 	FoundPerHost  []HostCount     `json:"found_per_host,omitempty"`
 	HoneypotHosts []netip.Addr    `json:"honeypot_hosts,omitempty"`
@@ -166,47 +158,27 @@ func (m *Map) Checkpoint() Checkpoint {
 		Predictor:  m.predictor.State(),
 		WebProps:   m.webProps.State(),
 	}
+	var retries []retryEntry
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for key, last := range s.known {
-			cp.Known = append(cp.Known, KnownSlot{Addr: key.addr, Port: key.port,
-				Transport: key.transport, Last: last, UDPProtocol: s.udpProto[key]})
-		}
 		for a := range s.pseudoHosts {
 			cp.PseudoHosts = append(cp.PseudoHosts, a)
-		}
-		for a := range s.honeypots {
-			cp.HoneypotHosts = append(cp.HoneypotHosts, a)
 		}
 		for a, c := range s.foundPerHost {
 			cp.FoundPerHost = append(cp.FoundPerHost, HostCount{Addr: a, Count: c})
 		}
 		s.mu.Unlock()
-		for _, r := range s.retries {
-			cp.Retries = append(cp.Retries, RetryState{Due: r.due, Kind: int(r.task.kind),
-				Attempt: r.task.attempt, Cand: r.task.cand})
-		}
+		retries = append(retries, s.retries...)
 	}
-	sort.Slice(cp.Known, func(i, j int) bool {
-		a, b := cp.Known[i], cp.Known[j]
-		if a.Addr != b.Addr {
-			return a.Addr.Less(b.Addr)
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.Transport < b.Transport
-	})
+	sort.Slice(retries, func(i, j int) bool { return lessRetry(retries[i], retries[j]) })
+	for _, r := range retries {
+		cp.Retries = append(cp.Retries, RetryState{Due: r.due, Kind: int(r.task.kind),
+			Attempt: r.task.attempt, Cand: r.task.cand})
+	}
 	sort.Slice(cp.PseudoHosts, func(i, j int) bool { return cp.PseudoHosts[i].Less(cp.PseudoHosts[j]) })
-	sort.Slice(cp.HoneypotHosts, func(i, j int) bool { return cp.HoneypotHosts[i].Less(cp.HoneypotHosts[j]) })
+	cp.HoneypotHosts = m.HoneypotHosts()
 	cp.FarmSeen = m.farmSeenState()
 	sort.Slice(cp.FoundPerHost, func(i, j int) bool { return cp.FoundPerHost[i].Addr.Less(cp.FoundPerHost[j].Addr) })
-	sort.Slice(cp.Retries, func(i, j int) bool {
-		return lessRetry(retryEntry{due: cp.Retries[i].Due, task: pendingTask{cand: cp.Retries[i].Cand,
-			kind: taskKind(cp.Retries[i].Kind), attempt: cp.Retries[i].Attempt}},
-			retryEntry{due: cp.Retries[j].Due, task: pendingTask{cand: cp.Retries[j].Cand,
-				kind: taskKind(cp.Retries[j].Kind), attempt: cp.Retries[j].Attempt}})
-	})
 	return cp
 }
 
@@ -234,17 +206,6 @@ func (m *Map) restore(cp *Checkpoint) error {
 	m.pseudoFiltered.Store(cp.Stats.PseudoFiltered)
 	m.honeypotsFlagged.Store(cp.Stats.HoneypotsFlagged)
 
-	for _, ks := range cp.Known {
-		if m.quarantinedAddr(ks.Addr) {
-			continue
-		}
-		s := m.shardFor(ks.Addr)
-		key := slotKey{ks.Addr, ks.Port, ks.Transport}
-		s.known[key] = ks.Last
-		if ks.UDPProtocol != "" {
-			s.udpProto[key] = ks.UDPProtocol
-		}
-	}
 	for _, a := range cp.PseudoHosts {
 		if m.quarantinedAddr(a) {
 			continue
@@ -262,6 +223,9 @@ func (m *Map) restore(cp *Checkpoint) error {
 			continue
 		}
 		m.shardFor(a).honeypots[a] = true
+	}
+	for i, known := range m.liveSlots() {
+		m.shards[i].known = known
 	}
 	m.restoreFarmSeen(cp.FarmSeen)
 	for _, r := range cp.Retries {
@@ -282,6 +246,31 @@ func (m *Map) restore(cp *Checkpoint) error {
 		return fmt.Errorf("core: restore web-property state: %w", err)
 	}
 	return nil
+}
+
+// liveSlots derives every shard's known set from the write side's
+// materialized state: each service of a host that is neither suppressed
+// (pseudo, honeypot) nor quarantined, stamped with the record's own LastSeen.
+// It is what Resume installs and what CheckInvariants holds the live set to.
+func (m *Map) liveSlots() []map[slotKey]knownSlot {
+	out := make([]map[slotKey]knownSlot, len(m.shards))
+	for i := range out {
+		out[i] = make(map[slotKey]knownSlot)
+	}
+	m.processor.Walk(func(id string, h *entity.Host) {
+		if m.quarantinedID(id) || m.isSuppressed(h.IP) {
+			return
+		}
+		i := shard.Of(id, len(m.shards))
+		for _, svc := range h.Services {
+			ks := knownSlot{last: svc.LastSeen}
+			if svc.Transport == entity.UDP {
+				ks.udp = svc.Protocol
+			}
+			out[i][slotKey{h.IP, svc.Port, svc.Transport}] = ks
+		}
+	})
+	return out
 }
 
 // quarantinedAddr reports whether addr belongs to a quarantined journal

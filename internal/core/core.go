@@ -180,6 +180,28 @@ type slotKey struct {
 	transport entity.Transport
 }
 
+// slotOf names the slot a candidate addresses.
+func slotOf(c discovery.Candidate) slotKey { return slotKey{c.Addr, c.Port, c.Transport} }
+
+// lessSlot is the canonical (addr, port, transport) slot order.
+func lessSlot(a, b slotKey) bool {
+	if a.addr != b.addr {
+		return a.addr.Less(b.addr)
+	}
+	if a.port != b.port {
+		return a.port < b.port
+	}
+	return a.transport < b.transport
+}
+
+// knownSlot is one dataset slot's refresh bookkeeping. Both fields restate
+// the slot's materialized service record, so Resume re-derives them instead
+// of checkpointing them (see liveSlots).
+type knownSlot struct {
+	last time.Time // last successful interrogation (the record's LastSeen)
+	udp  string    // UDP only: the protocol whose probe elicited the reply (the record's Protocol)
+}
+
 // taskKind selects the per-candidate processing semantics.
 type taskKind int
 
@@ -213,11 +235,10 @@ type retryEntry struct {
 // mutex makes the read-side API safe to call concurrently with a run.
 type stateShard struct {
 	mu sync.Mutex
-	// known tracks every service slot currently in the dataset with its
-	// last interrogation time (drives refresh and dedup).
-	known map[slotKey]time.Time
-	// udpProto remembers the identified protocol per UDP slot for refresh.
-	udpProto map[slotKey]string
+	// known tracks every service slot currently in the dataset (drives
+	// refresh and dedup): exactly the materialized services of hosts that
+	// are neither suppressed nor quarantined, which CheckInvariants asserts.
+	known map[slotKey]knownSlot
 	// pseudoHosts are flagged and excluded from interrogation and search.
 	pseudoHosts map[netip.Addr]bool
 	// foundPerHost counts found services, for pseudo detection.
@@ -357,8 +378,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	}
 	for i := range m.shards {
 		m.shards[i] = &stateShard{
-			known:        make(map[slotKey]time.Time),
-			udpProto:     make(map[slotKey]string),
+			known:        make(map[slotKey]knownSlot),
 			pseudoHosts:  make(map[netip.Addr]bool),
 			foundPerHost: make(map[netip.Addr]int),
 			honeypots:    make(map[netip.Addr]bool),
@@ -461,19 +481,9 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		if err != nil {
 			return nil, fmt.Errorf("core: resume: rebuild processor from journal: %w", err)
 		}
-		eph := cp.Processor
-		if m.quarParts != nil {
-			// Liveness for quarantined entities must not be re-patched onto
-			// the (empty) rebuilt state or re-exported by later checkpoints.
-			kept := make([]cqrs.SlotLiveness, 0, len(eph.Slots))
-			for _, sl := range eph.Slots {
-				if !m.quarantinedID(sl.Entity) {
-					kept = append(kept, sl)
-				}
-			}
-			eph.Slots = kept
-		}
-		m.processor.RestoreEphemeral(eph)
+		// Liveness entries of quarantined entities find no rebuilt record to
+		// patch, and later checkpoints list only what is materialized.
+		m.processor.RestoreEphemeral(cp.Processor)
 	} else {
 		j = journal.NewPartitioned(cfg.Shards)
 		m.processor = cqrs.NewProcessor(pcfg, j)
@@ -780,14 +790,8 @@ func lessRetry(a, b retryEntry) bool {
 	if !a.due.Equal(b.due) {
 		return a.due.Before(b.due)
 	}
-	if a.task.cand.Addr != b.task.cand.Addr {
-		return a.task.cand.Addr.Less(b.task.cand.Addr)
-	}
-	if a.task.cand.Port != b.task.cand.Port {
-		return a.task.cand.Port < b.task.cand.Port
-	}
-	if a.task.cand.Transport != b.task.cand.Transport {
-		return a.task.cand.Transport < b.task.cand.Transport
+	if ka, kb := slotOf(a.task.cand), slotOf(b.task.cand); ka != kb {
+		return lessSlot(ka, kb)
 	}
 	if a.task.kind != b.task.kind {
 		return a.task.kind < b.task.kind
@@ -899,7 +903,7 @@ func (m *Map) drainShard(s *stateShard, now time.Time) {
 // serial inline pipeline did.
 func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 	c := t.cand
-	key := slotKey{c.Addr, c.Port, c.Transport}
+	key := slotOf(c)
 	switch t.kind {
 	case taskCandidate:
 		s.mu.Lock()
@@ -908,20 +912,19 @@ func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 			m.pseudoFiltered.Add(1)
 			return
 		}
-		last, ok := s.known[key]
+		ks, ok := s.known[key]
 		s.mu.Unlock()
-		if ok && now.Sub(last) < m.cfg.RefreshEvery-2*time.Hour {
+		if ok && now.Sub(ks.last) < m.cfg.RefreshEvery-2*time.Hour {
 			return // fresh enough; the refresh loop owns this slot
 		}
 		m.attemptInterrogate(s, t, now)
 
 	case taskRefresh:
 		s.mu.Lock()
-		pseudo := s.pseudoHosts[c.Addr] || s.honeypots[c.Addr]
 		_, stillKnown := s.known[key]
 		s.mu.Unlock()
-		if pseudo || !stillKnown {
-			return // flagged or evicted earlier in this batch
+		if !stillKnown {
+			return // evicted or suppressed (which purges known) earlier in this batch
 		}
 		m.refreshScans.Add(1)
 		m.refreshSlot(s, key, c.UDPProtocol, t.attempt, now)
@@ -977,14 +980,6 @@ func (m *Map) crls() []*CRLSource {
 	}
 }
 
-// isPseudo reports whether the pseudo filter has flagged addr.
-func (m *Map) isPseudo(addr netip.Addr) bool {
-	s := m.shardFor(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pseudoHosts[addr]
-}
-
 // isSuppressed reports whether addr is excluded from the dataset by any
 // host-level filter (pseudo-service or honeypot).
 func (m *Map) isSuppressed(addr netip.Addr) bool {
@@ -994,50 +989,31 @@ func (m *Map) isSuppressed(addr netip.Addr) bool {
 	return s.pseudoHosts[addr] || s.honeypots[addr]
 }
 
-// interrogate runs one candidate end to end on the caller's goroutine (the
-// user-request scan path; tests use it to seed state).
-func (m *Map) interrogate(c discovery.Candidate, now time.Time) bool {
-	return m.interrogateOn(m.shardFor(c.Addr), c, now)
-}
-
-// interrogateOn runs Phase 2 from the candidate's PoP and applies the result.
-func (m *Map) interrogateOn(s *stateShard, c discovery.Candidate, now time.Time) bool {
-	in := m.inter[c.PoP]
-	if in == nil {
-		in = m.inter[m.pops[0].Name]
-		c.PoP = m.pops[0].Name
-	}
-	m.interrogations.Add(1)
-	obs := in.Interrogate(c, now)
-	m.apply(s, obs, c, now)
-	return obs.Success
-}
-
 // apply feeds an observation into the write side and the learning loops.
 // It runs on the worker that owns the candidate's shard; everything it
 // touches is either shard-local, internally synchronized, or buffered for a
 // serial fan-in after the batch.
 func (m *Map) apply(s *stateShard, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
-	key := slotKey{c.Addr, c.Port, c.Transport}
+	key := slotOf(c)
 	if obs.Success {
 		s.mu.Lock()
-		s.known[key] = now
-		if c.Transport == entity.UDP && c.UDPProtocol != "" {
-			s.udpProto[key] = c.UDPProtocol
+		// A re-injection can reach a host flagged since the eviction; it
+		// stays out of the refresh set.
+		if !s.pseudoHosts[c.Addr] && !s.honeypots[c.Addr] {
+			s.known[key] = knownSlot{last: now, udp: c.UDPProtocol}
 		}
-		s.mu.Unlock()
-		m.predictor.Observe(c.Addr, c.Port, c.Transport)
-		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
-
 		// Pseudo-host detection: an implausible number of services on one
 		// host gets the host flagged and dropped (Censys' pseudo-service
 		// filtering).
-		s.mu.Lock()
 		s.foundPerHost[c.Addr]++
 		over := m.cfg.PseudoServiceThreshold > 0 && s.foundPerHost[c.Addr] > m.cfg.PseudoServiceThreshold
 		s.mu.Unlock()
+		m.predictor.Observe(c.Addr, c.Port, c.Transport)
+		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
 		if over {
-			m.markPseudo(s, c.Addr, now)
+			if m.suppress(s, s.pseudoHosts, c.Addr) {
+				m.pseudoFiltered.Add(1)
+			}
 			return
 		}
 
@@ -1062,42 +1038,39 @@ func (m *Map) apply(s *stateShard, obs cqrs.Observation, c discovery.Candidate, 
 
 	// Eviction bookkeeping: when the write side removes the slot, queue
 	// re-injection and forget it.
-	if !obs.Success {
-		if state := m.processor.CurrentState(c.Addr.String()); state == nil ||
-			state.Service(entity.ServiceKey{Port: c.Port, Transport: c.Transport}) == nil {
-			s.mu.Lock()
-			_, was := s.known[key]
-			if was {
-				delete(s.known, key)
-				delete(s.udpProto, key)
+	if !obs.Success && !m.processor.HasService(c.Addr.String(), obs.Key()) {
+		s.mu.Lock()
+		_, was := s.known[key]
+		delete(s.known, key)
+		s.mu.Unlock()
+		if was {
+			if !m.cfg.DisableReinjection {
+				m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
 			}
-			s.mu.Unlock()
-			if was {
-				if !m.cfg.DisableReinjection {
-					m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
-				}
-				m.reinjected.Add(1) // queued for re-injection
-			}
+			m.reinjected.Add(1) // queued for re-injection
 		}
 	}
 }
 
-// markPseudo flags a host and purges its services from the dataset.
-func (m *Map) markPseudo(s *stateShard, addr netip.Addr, now time.Time) {
+// suppress flags addr in one of its shard's host-level filter sets (pseudo
+// or honeypot) and purges the host from the refresh set and the search index;
+// its journaled records stay, hidden by isSuppressed. It reports false when
+// the host was already flagged.
+func (m *Map) suppress(s *stateShard, flagged map[netip.Addr]bool, addr netip.Addr) bool {
 	s.mu.Lock()
-	if s.pseudoHosts[addr] {
+	if flagged[addr] {
 		s.mu.Unlock()
-		return
+		return false
 	}
-	s.pseudoHosts[addr] = true
+	flagged[addr] = true
 	for key := range s.known {
 		if key.addr == addr {
 			delete(s.known, key)
 		}
 	}
 	s.mu.Unlock()
-	m.pseudoFiltered.Add(1)
 	m.index.Remove(addr.String())
+	return true
 }
 
 // refreshDue collects services whose refresh cadence has elapsed and
@@ -1113,53 +1086,40 @@ func (m *Map) refreshDue(now time.Time) {
 	for _, s := range m.shards {
 		for _, r := range s.retries {
 			if r.task.kind == taskRefresh {
-				retrying[slotKey{r.task.cand.Addr, r.task.cand.Port, r.task.cand.Transport}] = true
+				retrying[slotOf(r.task.cand)] = true
 			}
 		}
 	}
-	var due []slotKey
+	var due []discovery.Candidate
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for key, last := range s.known {
-			if now.Sub(last) < m.cfg.RefreshEvery || retrying[key] {
+		for key, ks := range s.known {
+			if now.Sub(ks.last) < m.cfg.RefreshEvery || retrying[key] {
 				continue
 			}
-			due = append(due, key)
+			due = append(due, discovery.Candidate{
+				Addr: key.addr, Port: key.port, Transport: key.transport,
+				Method: entity.DetectRefresh, Time: now, UDPProtocol: ks.udp,
+			})
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].addr != due[j].addr {
-			return due[i].addr.Less(due[j].addr)
+	sort.Slice(due, func(i, j int) bool { return lessSlot(slotOf(due[i]), slotOf(due[j])) })
+	for _, c := range due {
+		if !m.excludedAddr(c.Addr) {
+			m.enqueue(pendingTask{kind: taskRefresh, cand: c})
 		}
-		if due[i].port != due[j].port {
-			return due[i].port < due[j].port
-		}
-		return due[i].transport < due[j].transport
-	})
-	for _, key := range due {
-		if m.excludedAddr(key.addr) {
-			continue
-		}
-		s := m.shardFor(key.addr)
-		s.mu.Lock()
-		udp := s.udpProto[key]
-		s.mu.Unlock()
-		m.enqueue(pendingTask{kind: taskRefresh, cand: discovery.Candidate{
-			Addr: key.addr, Port: key.port, Transport: key.transport,
-			Method: entity.DetectRefresh, Time: now, UDPProtocol: udp,
-		}})
 	}
 }
 
 // refreshSlot retries across PoPs: the slot only registers as failed if no
 // vantage point can reach it — and, when a retry policy is set, only after
 // the backoff ladder is exhausted too.
-func (m *Map) refreshSlot(s *stateShard, key slotKey, udpProto string, attempt int, now time.Time) {
+func (m *Map) refreshSlot(s *stateShard, key slotKey, udp string, attempt int, now time.Time) {
 	cand := discovery.Candidate{
 		Addr: key.addr, Port: key.port, Transport: key.transport,
 		Method: entity.DetectRefresh, Time: now,
-		UDPProtocol: udpProto,
+		UDPProtocol: udp,
 	}
 	traced := m.tracer.Hit(key.addr)
 	for _, pop := range m.pops {
@@ -1227,7 +1187,7 @@ func (m *Map) runReinjection(now time.Time) {
 		s := m.shardFor(t.Addr)
 		key := slotKey{t.Addr, t.Port, t.Transport}
 		s.mu.Lock()
-		udp := s.udpProto[key]
+		udp := s.known[key].udp
 		s.mu.Unlock()
 		c := discovery.Candidate{Addr: t.Addr, Port: t.Port, Transport: t.Transport,
 			Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now,
@@ -1255,7 +1215,7 @@ func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 		return
 	}
 	h := m.processor.CurrentState(ev.Entity)
-	if h == nil {
+	if h == nil || len(h.Services) == 0 {
 		m.index.Remove(ev.Entity)
 		if traced {
 			m.traceEvent(addr, "index", "remove", ev.Time)
@@ -1263,13 +1223,6 @@ func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 		return
 	}
 	m.enricher.Enrich(h)
-	if len(h.Services) == 0 {
-		m.index.Remove(ev.Entity)
-		if traced {
-			m.traceEvent(addr, "index", "remove", ev.Time)
-		}
-		return
-	}
 	m.index.Upsert(h)
 	if traced {
 		m.traceEvent(addr, "index", "upsert", ev.Time)

@@ -232,8 +232,9 @@ func TestReinjectionRecoversReturningService(t *testing.T) {
 	m := testMap(t, net)
 
 	// Seed the dataset directly through a user-request style scan.
-	m.interrogate(discovery.Candidate{Addr: addr, Port: 9955,
-		Transport: entity.TCP, Method: entity.DetectUserRequest, PoP: "chi"}, clk.Now())
+	m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: addr, Port: 9955,
+		Transport: entity.TCP, Method: entity.DetectUserRequest, PoP: "chi"}})
+	m.runBatch(clk.Now(), "user")
 	if !hasService(m, addr, 9955) {
 		t.Fatal("seed scan failed")
 	}

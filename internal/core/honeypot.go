@@ -103,23 +103,13 @@ func (m *Map) mergeFarmObservations(now time.Time) {
 }
 
 // markHoneypot flags a host as a honeypot and purges its services from the
-// dataset (the honeypot analogue of markPseudo). Idempotent.
+// dataset, like the pseudo filter does. Idempotent.
 func (m *Map) markHoneypot(addr netip.Addr, now time.Time) {
 	s := m.shardFor(addr)
-	s.mu.Lock()
-	if s.honeypots[addr] {
-		s.mu.Unlock()
+	if !m.suppress(s, s.honeypots, addr) {
 		return
 	}
-	s.honeypots[addr] = true
-	for key := range s.known {
-		if key.addr == addr {
-			delete(s.known, key)
-		}
-	}
-	s.mu.Unlock()
 	m.honeypotsFlagged.Add(1)
-	m.index.Remove(addr.String())
 	if m.tracer.Hit(addr) {
 		m.traceEvent(addr, "honeypot", "flagged", now)
 	}

@@ -41,29 +41,21 @@ func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, er
 	m.exclusions = append(m.exclusions, ex)
 	m.syncExclusions()
 
-	// Retire already-collected data: journal removal events for every
-	// known slot in the prefix, then drop the slots from the live set. The
-	// slots are collected and processed in canonical order so the journal's
-	// removal events are appended deterministically.
+	// Retire already-collected data: drop every known slot in the prefix
+	// from the live set and journal its removal. The slots are processed in
+	// canonical order so the removal events are appended deterministically.
 	var retire []slotKey
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for key := range s.known {
 			if prefix.Contains(key.addr) {
 				retire = append(retire, key)
+				delete(s.known, key)
 			}
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(retire, func(i, j int) bool {
-		if retire[i].addr != retire[j].addr {
-			return retire[i].addr.Less(retire[j].addr)
-		}
-		if retire[i].port != retire[j].port {
-			return retire[i].port < retire[j].port
-		}
-		return retire[i].transport < retire[j].transport
-	})
+	sort.Slice(retire, func(i, j int) bool { return lessSlot(retire[i], retire[j]) })
 	for _, key := range retire {
 		obs := cqrs.Observation{Addr: key.addr, Port: key.port,
 			Transport: key.transport, Time: now, Method: entity.DetectRefresh}
@@ -72,11 +64,6 @@ func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, er
 		_ = m.processor.Apply(obs)
 		obs.Time = now.Add(m.cfg.EvictAfter)
 		_ = m.processor.Apply(obs)
-		s := m.shardFor(key.addr)
-		s.mu.Lock()
-		delete(s.known, key)
-		delete(s.udpProto, key)
-		s.mu.Unlock()
 		m.index.Remove(key.addr.String())
 	}
 	m.processor.Drain()

@@ -2,6 +2,7 @@ package cqrs
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,10 +66,42 @@ func TestUnchangedRefreshJournalsNothing(t *testing.T) {
 	if obs != 6 || noChange != 5 {
 		t.Fatalf("stats = %d/%d", obs, noChange)
 	}
-	// Liveness still tracked without journaling.
-	seen, ok := p.LastSeen(addr.String(), entity.ServiceKey{Port: 80, Transport: entity.TCP})
-	if !ok || !seen.Equal(at(5)) {
-		t.Fatalf("lastSeen = %v ok=%v", seen, ok)
+	// Liveness still tracked without journaling: the materialized record is
+	// its only owner, and Ephemeral reads it from there.
+	key := entity.ServiceKey{Port: 80, Transport: entity.TCP}
+	if svc := p.CurrentState(addr.String()).Service(key); svc == nil || !svc.LastSeen.Equal(at(5)) {
+		t.Fatalf("materialized service = %+v, want LastSeen %v", svc, at(5))
+	}
+	want := []SlotLiveness{{Entity: addr.String(), Key: key.String(), At: at(5), PoP: "chi"}}
+	if got := p.Ephemeral().Slots; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Ephemeral().Slots = %+v, want %+v", got, want)
+	}
+}
+
+// An evicted slot's liveness leaves the checkpointed ephemerals with its
+// record (the parent kept it in a side table forever).
+func TestEvictedSlotLeavesEphemeral(t *testing.T) {
+	p, _ := newPipeline()
+	p.Apply(obsHTTP(at(0), "x"))
+	other := obsHTTP(at(0), "y")
+	other.Port, other.Service.Port = 8080, 8080
+	p.Apply(other)
+	p.Apply(failObs(at(24)))
+	if n := len(p.Ephemeral().Slots); n != 2 {
+		t.Fatalf("pending slot must stay listed: %d slots, want 2", n)
+	}
+	p.Apply(failObs(at(24 + 72)))
+	key := entity.ServiceKey{Port: 80, Transport: entity.TCP}
+	if p.HasService(addr.String(), key) {
+		t.Fatal("slot not evicted")
+	}
+	slots := p.Ephemeral().Slots
+	if len(slots) != 1 || slots[0].Key != "8080/tcp" {
+		t.Fatalf("Ephemeral().Slots after eviction = %+v, want only 8080/tcp", slots)
+	}
+	if !p.HasService(addr.String(), entity.ServiceKey{Port: 8080, Transport: entity.TCP}) ||
+		p.HasService("10.9.9.9", key) {
+		t.Fatal("HasService disagrees with materialized state")
 	}
 }
 

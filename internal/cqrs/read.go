@@ -2,7 +2,6 @@ package cqrs
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"sync"
 	"time"
@@ -45,24 +44,9 @@ func (r *Reader) HostAt(id string, asOf time.Time) (*entity.Host, bool) {
 	if !found {
 		return nil, false
 	}
-	var h *entity.Host
-	if snap.Kind == journal.SnapshotKind {
-		decoded, err := DecodeHostSnapshot(snap.Payload)
-		if err != nil {
-			return nil, false
-		}
-		h = decoded
-	} else {
-		addr, err := netip.ParseAddr(id)
-		if err != nil {
-			return nil, false
-		}
-		h = entity.NewHost(addr)
-	}
-	for _, ev := range deltas {
-		if err := ApplyEvent(h, ev); err != nil {
-			return nil, false
-		}
+	h, err := replayHost(id, snap, deltas)
+	if err != nil {
+		return nil, false
 	}
 	if r.enricher != nil {
 		r.enricher.Enrich(h)

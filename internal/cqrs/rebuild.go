@@ -18,8 +18,8 @@ import (
 // snapshot at exactly the tick the uninterrupted run would have.
 //
 // What replay cannot reconstruct is the deliberately un-journaled liveness
-// bookkeeping (per-slot last-seen times moved by no-change refreshes); the
-// caller restores that from a Checkpoint via RestoreEphemeral.
+// bookkeeping (LastSeen/SourcePoP moved by no-change refreshes); the caller
+// patches that from a Checkpoint via RestoreEphemeral.
 func RebuildProcessor(cfg Config, j *journal.Store, asOf time.Time) (*Processor, error) {
 	p := NewProcessor(cfg, j)
 	for _, id := range j.Entities() {
@@ -27,24 +27,9 @@ func RebuildProcessor(cfg Config, j *journal.Store, asOf time.Time) (*Processor,
 		if !found {
 			continue
 		}
-		var h *entity.Host
-		if snap.Kind == journal.SnapshotKind {
-			decoded, err := DecodeHostSnapshot(snap.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
-			}
-			h = decoded
-		} else {
-			addr, err := netip.ParseAddr(id)
-			if err != nil {
-				return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
-			}
-			h = entity.NewHost(addr)
-		}
-		for _, ev := range deltas {
-			if err := ApplyEvent(h, ev); err != nil {
-				return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
-			}
+		h, err := replayHost(id, snap, deltas)
+		if err != nil {
+			return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
 		}
 		s := p.shardFor(id)
 		s.state[id] = h
@@ -62,37 +47,52 @@ func RebuildProcessor(cfg Config, j *journal.Store, asOf time.Time) (*Processor,
 // un-journaled LastSeen movement baked into the original snapshot) safely
 // fails the repair instead of corrupting state.
 func RebuildSnapshotPayload(id string, prior []journal.Event) ([]byte, error) {
+	var snap journal.Event
 	start := -1
 	for i := len(prior) - 1; i >= 0; i-- {
 		if prior[i].Kind == journal.SnapshotKind {
-			start = i
+			snap, start = prior[i], i
 			break
 		}
 	}
+	h, err := replayHost(id, snap, prior[start+1:])
+	if err != nil {
+		return nil, fmt.Errorf("cqrs: rebuild snapshot %s: %w", id, err)
+	}
+	return EncodeHostSnapshot(h), nil
+}
+
+// replayHost reduces an entity's latest snapshot (a non-snapshot snap means
+// it has none yet: start from an empty host) and the deltas after it to the
+// host they describe — the one reducer behind history lookups, processor
+// rebuild and snapshot repair.
+func replayHost(id string, snap journal.Event, deltas []journal.Event) (*entity.Host, error) {
 	var h *entity.Host
-	if start >= 0 {
-		decoded, err := DecodeHostSnapshot(prior[start].Payload)
+	if snap.Kind == journal.SnapshotKind {
+		decoded, err := DecodeHostSnapshot(snap.Payload)
 		if err != nil {
-			return nil, fmt.Errorf("cqrs: rebuild snapshot %s: %w", id, err)
+			return nil, err
 		}
 		h = decoded
 	} else {
 		addr, err := netip.ParseAddr(id)
 		if err != nil {
-			return nil, fmt.Errorf("cqrs: rebuild snapshot %s: %w", id, err)
+			return nil, err
 		}
 		h = entity.NewHost(addr)
 	}
-	for _, ev := range prior[start+1:] {
+	for _, ev := range deltas {
 		if err := ApplyEvent(h, ev); err != nil {
-			return nil, fmt.Errorf("cqrs: rebuild snapshot %s seq %d: %w", id, ev.Seq, err)
+			return nil, fmt.Errorf("seq %d: %w", ev.Seq, err)
 		}
 	}
-	return EncodeHostSnapshot(h), nil
+	return h, nil
 }
 
-// SlotLiveness is one slot's un-journaled refresh bookkeeping, exported for
-// checkpointing.
+// SlotLiveness is one live slot's un-journaled refresh bookkeeping: a
+// no-change refresh moves a service's LastSeen/SourcePoP without journaling
+// (it changes every scan and would defeat delta encoding), so the
+// journal-rebuilt record can trail the live one by exactly these two fields.
 type SlotLiveness struct {
 	Entity string    `json:"entity"`
 	Key    string    `json:"key"`
@@ -101,8 +101,9 @@ type SlotLiveness struct {
 }
 
 // Ephemeral is the write-side state that lives outside the journal: the
-// per-slot last-seen bookkeeping and the evaluation counters. Together with
-// RebuildProcessor it makes a processor restart bit-exact.
+// per-slot liveness of every materialized service and the evaluation
+// counters. Together with RebuildProcessor it makes a processor restart
+// bit-exact.
 type Ephemeral struct {
 	Observations uint64         `json:"observations"`
 	NoChange     uint64         `json:"no_change"`
@@ -110,17 +111,15 @@ type Ephemeral struct {
 }
 
 // Ephemeral captures the un-journaled write-side state in canonical order.
+// The materialized records are the only owner of liveness, so an evicted
+// slot leaves the list with its record.
 func (p *Processor) Ephemeral() Ephemeral {
 	e := Ephemeral{Observations: p.observations.Load(), NoChange: p.noChange.Load()}
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for id, slots := range s.lastSeen {
-			for key, ls := range slots {
-				e.Slots = append(e.Slots, SlotLiveness{Entity: id, Key: key, At: ls.at, PoP: ls.pop})
-			}
+	p.Walk(func(id string, h *entity.Host) {
+		for key, svc := range h.Services {
+			e.Slots = append(e.Slots, SlotLiveness{Entity: id, Key: key, At: svc.LastSeen, PoP: svc.SourcePoP})
 		}
-		s.mu.Unlock()
-	}
+	})
 	sort.Slice(e.Slots, func(i, j int) bool {
 		if e.Slots[i].Entity != e.Slots[j].Entity {
 			return e.Slots[i].Entity < e.Slots[j].Entity
@@ -130,29 +129,16 @@ func (p *Processor) Ephemeral() Ephemeral {
 	return e
 }
 
-// RestoreEphemeral reinstates captured un-journaled state onto a rebuilt
-// processor. Beyond refilling the last-seen map it patches the materialized
-// service records: a no-change refresh moves LastSeen/SourcePoP without
-// journaling, so the journal-rebuilt record can trail the live one — the
-// checkpointed liveness entry is authoritative for both fields. (For slots
-// whose latest movement was journaled the patch is a no-op: the journaled
-// delta carries the same LastSeen/SourcePoP the touch recorded.)
+// RestoreEphemeral patches captured liveness onto a rebuilt processor's
+// records; an entry whose slot replay did not materialize is ignored. (For
+// slots whose latest movement was journaled the patch is a no-op: the
+// journaled delta carries the same LastSeen/SourcePoP.)
 func (p *Processor) RestoreEphemeral(e Ephemeral) {
 	p.observations.Store(e.Observations)
 	p.noChange.Store(e.NoChange)
 	for _, sl := range e.Slots {
 		s := p.shardFor(sl.Entity)
 		s.mu.Lock()
-		m := s.lastSeen[sl.Entity]
-		if m == nil {
-			m = make(map[string]slotSeen)
-			s.lastSeen[sl.Entity] = m
-		}
-		m[sl.Key] = slotSeen{at: sl.At, pop: sl.PoP}
-		// The liveness entry records the slot's last *successful*
-		// observation, which is also the last thing to have set the live
-		// record's LastSeen/SourcePoP — pending events never touch those
-		// fields, so the patch is correct for pending slots too.
 		if h := s.state[sl.Entity]; h != nil {
 			if svc := h.Services[sl.Key]; svc != nil {
 				svc.LastSeen = sl.At

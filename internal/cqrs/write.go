@@ -72,26 +72,12 @@ type procShard struct {
 	state map[string]*entity.Host
 	// sinceSnap counts deltas since each entity's last snapshot.
 	sinceSnap map[string]int
-	// lastSeen tracks per-slot refresh liveness without journaling it:
-	// "last time Censys saw the service" changes every scan and would
-	// defeat delta encoding if journaled. It is exactly the state a
-	// checkpoint must carry to make journal replay bit-exact (see
-	// Ephemeral): the PoP rides along because no-change refreshes also
-	// move SourcePoP without journaling.
-	lastSeen map[string]map[string]slotSeen
-
 	// enc amortizes payload encoding: deltas are marshalled into a reused
 	// scratch buffer and interned into arena chunks, since the journal
 	// retains every payload indefinitely. Guarded by mu.
 	enc eventEncoder
 
 	queue []OutEvent
-}
-
-// slotSeen is the un-journaled liveness bookkeeping for one service slot.
-type slotSeen struct {
-	at  time.Time
-	pop string
 }
 
 // Processor is the write side: it turns observations into journaled deltas
@@ -130,7 +116,6 @@ func NewProcessor(cfg Config, j *journal.Store) *Processor {
 		p.shards[i] = &procShard{
 			state:     make(map[string]*entity.Host),
 			sinceSnap: make(map[string]int),
-			lastSeen:  make(map[string]map[string]slotSeen),
 		}
 	}
 	return p
@@ -177,7 +162,6 @@ func (p *Processor) Apply(obs Observation) error {
 
 	switch {
 	case obs.Success && obs.Service != nil:
-		s.touch(id, key, obs.Time, obs.PoP)
 		svc := obs.Service.Clone()
 		svc.LastSeen = obs.Time
 		svc.SourcePoP = obs.PoP
@@ -220,15 +204,6 @@ func (p *Processor) Apply(obs Observation) error {
 	default:
 		return nil // failed scan of an unknown slot: nothing to record
 	}
-}
-
-func (s *procShard) touch(id string, key entity.ServiceKey, t time.Time, pop string) {
-	m := s.lastSeen[id]
-	if m == nil {
-		m = make(map[string]slotSeen)
-		s.lastSeen[id] = m
-	}
-	m[key.String()] = slotSeen{at: t, pop: pop}
 }
 
 // emit journals a service-carrying delta and updates write-side state. The
@@ -318,13 +293,27 @@ func (p *Processor) CurrentState(id string) *entity.Host {
 	return s.state[id].Clone()
 }
 
-// LastSeen reports the most recent successful observation of a slot.
-func (p *Processor) LastSeen(id string, key entity.ServiceKey) (time.Time, bool) {
+// HasService reports whether the entity's materialized state holds the slot,
+// without cloning the host.
+func (p *Processor) HasService(id string, key entity.ServiceKey) bool {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ls, ok := s.lastSeen[id][key.String()]
-	return ls.at, ok
+	h := s.state[id]
+	return h != nil && h.Service(key) != nil
+}
+
+// Walk calls fn once per entity with materialized state, in no particular
+// order, holding the entity's shard lock: fn reads the live, uncloned host
+// and must neither retain it nor call back into the Processor.
+func (p *Processor) Walk(fn func(id string, h *entity.Host)) {
+	for _, s := range p.shards {
+		s.mu.Lock()
+		for id, h := range s.state {
+			fn(id, h)
+		}
+		s.mu.Unlock()
+	}
 }
 
 // EntityIDs lists entities with materialized state, sorted. Sorting is load
@@ -332,13 +321,7 @@ func (p *Processor) LastSeen(id string, key entity.ServiceKey) (time.Time, bool)
 // would leak nondeterminism into their output.
 func (p *Processor) EntityIDs() []string {
 	var out []string
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for id := range s.state {
-			out = append(out, id)
-		}
-		s.mu.Unlock()
-	}
+	p.Walk(func(id string, _ *entity.Host) { out = append(out, id) })
 	sort.Strings(out)
 	return out
 }

@@ -2,6 +2,8 @@ package durable
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -27,6 +29,10 @@ type FsckReport struct {
 	Clean bool `json:"clean"`
 	// RecordsVerified counts CRC-valid records across all stores.
 	RecordsVerified uint64 `json:"records_verified"`
+	// Bytes splits the verified generation's on-disk size by owner: one entry
+	// per store (segment files plus doublewrite sidecars) and "checkpoint"
+	// (both mirrors).
+	Bytes map[string]int64 `json:"bytes"`
 	// Findings lists each fault with the action recovery takes for it.
 	Findings []Finding `json:"findings,omitempty"`
 	// Quarantined maps store -> partitions recovery would give up on.
@@ -63,6 +69,7 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		Gen:             l.report.Gen,
 		Clean:           l.report.Clean(),
 		RecordsVerified: l.metrics.RecordsVerified.Value(),
+		Bytes:           l.diskBytes(),
 		Findings:        l.report.Findings,
 		Quarantined:     l.report.Quarantined,
 	}
@@ -76,4 +83,29 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		sort.Strings(rep.Repaired)
 	}
 	return rep, nil
+}
+
+// diskBytes sizes the files the manifest's generation references; a missing
+// file (already a finding) counts as zero.
+func (l *loader) diskBytes() map[string]int64 {
+	out := make(map[string]int64, len(l.man.Stores)+1)
+	add := func(owner, rel string) {
+		if fi, err := os.Stat(filepath.Join(l.dir, rel)); err == nil {
+			out[owner] += fi.Size()
+		}
+	}
+	for _, sm := range l.man.Stores {
+		for _, pm := range sm.Partitions {
+			for _, seg := range pm.Segments {
+				add(sm.Name, seg.File)
+			}
+			if pm.DWB != "" {
+				add(sm.Name, pm.DWB)
+			}
+		}
+	}
+	for _, mirror := range []string{"a", "b"} {
+		add("checkpoint", filepath.Join("checkpoint", fmt.Sprintf("cp-%06d.%s", l.man.Gen, mirror)))
+	}
+	return out
 }

@@ -129,6 +129,17 @@ func TestIncrementalSaveSkipsCleanPartitions(t *testing.T) {
 	if string(res.Checkpoint) != `{"t":3}` {
 		t.Fatalf("checkpoint = %s", res.Checkpoint)
 	}
+	// A standing directory keeps one checkpoint generation, not one per save.
+	cps, err := filepath.Glob(filepath.Join(dir, "checkpoint", "cp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cps {
+		cps[i] = filepath.Base(cps[i])
+	}
+	if want := []string{"cp-000003.a", "cp-000003.b"}; !reflect.DeepEqual(cps, want) {
+		t.Fatalf("checkpoint files after 3 saves = %v, want %v", cps, want)
+	}
 	if !reflect.DeepEqual(dumpAll(s), dumpAll(res.Stores["journal"])) {
 		t.Fatal("stitched incremental load differs from live store")
 	}

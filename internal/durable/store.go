@@ -321,6 +321,17 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 	if err := writeFileAtomic(filepath.Join(dir, "MANIFEST"), mseg); err != nil {
 		return fmt.Errorf("durable: save MANIFEST: %w", err)
 	}
+	// Only now is the previous generation's checkpoint unreachable: until the
+	// rename above, a crash recovers through the old MANIFEST, which pins it.
+	current := fmt.Sprintf("cp-%06d.", gen)
+	all, _ := filepath.Glob(filepath.Join(cpDir, "cp-*"))
+	for _, p := range all {
+		if !strings.HasPrefix(filepath.Base(p), current) {
+			if err := os.Remove(p); err != nil {
+				return fmt.Errorf("durable: remove superseded checkpoint: %w", err)
+			}
+		}
+	}
 	return nil
 }
 
