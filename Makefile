@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test serve-test loadgen predict-diff adversarial loc check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test serve-test predict-diff adversarial loc check
 
 all: check
 
@@ -84,16 +84,12 @@ serve-test:
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement'
 
-# Deterministic open-loop load generation against the assembled system:
-# seeded Zipf query mix, simclock arrivals, QPS sweep to the max sustainable
-# level; serial then 3-node cluster, one sweep table each on stdout.
-loadgen:
-	$(GO) run ./cmd/loadgen
-	$(GO) run ./cmd/loadgen -cluster-nodes 3
-
-# Serial vs sharded pipeline throughput (1/4/8 workers).
+# The end-to-end benchmark (BENCHMARK.json), the one measurement system:
+# `make bench WORKLOAD=scan_sweep` (or scan_refresh, serve_live, recover)
+# prints the layer table and the result JSON.
+WORKLOAD ?= serve_live
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkPipelineThroughput -benchtime 2x .
+	bash bench/run.sh --workload $(WORKLOAD) --trace 1
 
 # Read-path query engine benchmarks (the EXPERIMENTS.md "Read path" table).
 bench-search:

@@ -8,19 +8,17 @@ package censysmap
 
 import (
 	"net/netip"
-	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"censysmap/internal/chaos"
 	"censysmap/internal/core"
 	"censysmap/internal/cqrs"
 	"censysmap/internal/engines"
 	"censysmap/internal/eval"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
-	"censysmap/internal/telemetry"
 )
 
 var (
@@ -220,7 +218,7 @@ func BenchmarkAblation_DeltaJournaling(b *testing.B) {
 // bounds replay length but amplifies writes.
 func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
-		b.Run(itoaN(k), func(b *testing.B) {
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net, _ := ablationUniverse(1)
 				cfg := core.DefaultConfig()
@@ -245,7 +243,7 @@ func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 // trade-off).
 func BenchmarkAblation_EvictionWindow(b *testing.B) {
 	for _, hours := range []int{12, 72, 240} {
-		b.Run(itoaN(hours)+"h", func(b *testing.B) {
+		b.Run(strconv.Itoa(hours)+"h", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net, clk := ablationUniverse(1)
 				cfg := core.DefaultConfig()
@@ -320,172 +318,6 @@ func BenchmarkAblation_Prediction(b *testing.B) {
 				b.ReportMetric(100*float64(hit)/float64(len(truth)), "coverage_%")
 				b.ReportMetric(float64(m.Stats().PredictiveProbes), "pred_probes")
 			}
-		})
-	}
-}
-
-// BenchmarkPipelineThroughput measures steady-state pipeline speed under an
-// interrogation-heavy load: a dense universe on a tight refresh cadence, so
-// most wall-clock time goes to Phase-2 protocol ladders rather than Phase-1
-// SYN probing. The serial variant (one shard, one worker) is the
-// pre-sharding pipeline; the sharded variants fan interrogation out over 8
-// state shards with 1, 4, and 8 workers. All variants produce bit-identical
-// datasets (see TestPipelineDeterministic* in internal/core); only
-// wall-clock differs. The warm-up day (seed scan plus initial discovery) is
-// untimed. Speedup is bounded by the cores available — the gomaxprocs
-// metric is reported so single-core results read as what they are.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	variants := []struct {
-		name    string
-		shards  int
-		workers int
-	}{
-		{"serial", 1, 1},
-		{"shards8_workers1", 8, 1},
-		{"shards8_workers4", 8, 4},
-		{"shards8_workers8", 8, 8},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
-			cfg.Shards = v.shards
-			cfg.InterroWorkers = v.workers
-			cfg.RefreshEvery = time.Hour
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
-// BenchmarkPipelineTelemetryOverhead reruns the shards8_workers4 throughput
-// variant with the full telemetry stack attached — registry, every layer's
-// counters, the paper-gauge collect hooks, and default 1-in-64 tracing —
-// against the bare pipeline. The acceptance budget is 5%: instrumentation is
-// event-driven counters and collect-time bridges only, so the hot path adds
-// a handful of striped atomic adds per interrogation.
-func BenchmarkPipelineTelemetryOverhead(b *testing.B) {
-	for _, enabled := range []bool{false, true} {
-		name := "disabled"
-		if enabled {
-			name = "enabled"
-		}
-		b.Run(name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
-			cfg.Shards = 8
-			cfg.InterroWorkers = 4
-			cfg.RefreshEvery = time.Hour
-			if enabled {
-				cfg.Telemetry = telemetry.New()
-			}
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
-			if enabled {
-				snap := m.MetricsSnapshot()
-				b.ReportMetric(float64(len(snap.Families)), "families")
-				b.ReportMetric(snap.Total("censys_core_interrogations_total"), "interro_metric")
-			}
-		})
-	}
-}
-
-func itoaN(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
-}
-
-// BenchmarkPipelineUnderFaults measures pipeline throughput and dataset
-// completeness as deterministic chaos loss is dialed from 0% through 5% to
-// 20%, with the bounded-retry ladder on. The interesting metrics are
-// services found per universe and interrogations per simulated day: loss
-// costs coverage, retries buy it back at the price of extra interrogations.
-func BenchmarkPipelineUnderFaults(b *testing.B) {
-	variants := []struct {
-		name string
-		loss float64
-	}{
-		{"baseline", 0},
-		{"loss5", 0.05},
-		{"loss20", 0.20},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			simCfg := simnet.DefaultConfig()
-			simCfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-			simCfg.Seed = 1
-			simCfg.CloudBlocks = 1
-			simCfg.WebProperties = 20
-			simCfg.HostDensity = 0.5
-			net := simnet.New(simCfg, simclock.New())
-			inj := chaos.New(chaos.Config{Seed: 1, Loss: v.loss})
-			net.SetFaultInjector(inj)
-
-			cfg := core.DefaultConfig()
-			cfg.CloudBlocks = 1
-			cfg.RefreshEvery = time.Hour
-			cfg.RetryPolicy = core.RetryPolicy{MaxRetries: 2, BaseDelay: cfg.Tick, MaxDelay: 4 * cfg.Tick}
-			m, err := core.New(cfg, net)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Run(24 * time.Hour) // warm-up: build the dataset to refresh
-			before := m.Stats().Interrogations
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Run(24 * time.Hour)
-			}
-			b.StopTimer()
-			perDay := float64(m.Stats().Interrogations-before) / float64(b.N)
-			b.ReportMetric(perDay, "interro/simday")
-			b.ReportMetric(float64(len(m.CurrentServices(false))), "services")
-			b.ReportMetric(float64(inj.Stats().Total()), "drops")
 		})
 	}
 }

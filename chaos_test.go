@@ -37,7 +37,7 @@ func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	// The seed scan has already run by now (NewSystem starts the pipeline);
 	// both the baseline and the crashed run attach at the same point, so
 	// the comparison stays aligned.
-	sys.Internet().SetFaultInjector(chaos.New(chaos.Mild(seed)))
+	sys.Internet().SetFaultInjector(chaos.Mild(seed))
 	return sys, pcfg
 }
 

@@ -18,8 +18,8 @@ import (
 	"net/netip"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/simnet"
-	"censysmap/internal/telemetry"
 )
 
 // Config sets the fault mix. All rates are probabilities in [0, 1]; a
@@ -41,8 +41,8 @@ type Config struct {
 	StormRate float64
 	// BlockRate is the probability that a given (scanner, /24, day)
 	// decides to block the scanner for the whole day — the rate-triggered
-	// blocking failure mode, injected deterministically rather than by
-	// lowering the simnet's interleaving-sensitive live threshold.
+	// blocking failure mode as a seeded draw, independent of how much the
+	// scanner actually sends.
 	BlockRate float64
 	// TimeoutRate drops interrogation connections only (discovery probes
 	// pass), modelling handshake timeouts after a successful SYN scan.
@@ -61,76 +61,6 @@ func Severe(seed uint64) Config {
 		StormRate: 0.03, BlockRate: 0.02, TimeoutRate: 0.08}
 }
 
-// Stats counts injected drops by fault kind.
-type Stats struct {
-	Loss    uint64 `json:"loss"`
-	Burst   uint64 `json:"burst"`
-	Storm   uint64 `json:"storm"`
-	Block   uint64 `json:"block"`
-	Timeout uint64 `json:"timeout"`
-}
-
-// Total is the number of packets the injector dropped.
-func (s Stats) Total() uint64 { return s.Loss + s.Burst + s.Storm + s.Block + s.Timeout }
-
-// Injector implements simnet.FaultInjector with seeded, schedule-stable
-// draws. Safe for concurrent use.
-//
-// Drop counts are telemetry counters rather than private atomics: Stats()
-// (what harness assertions read) and a registry the injector is attached to
-// (what /v2/metrics serves) observe the *same* counter memory, so test
-// assertions and production metrics cannot drift apart.
-type Injector struct {
-	cfg Config
-
-	loss    *telemetry.Counter
-	burst   *telemetry.Counter
-	storm   *telemetry.Counter
-	block   *telemetry.Counter
-	timeout *telemetry.Counter
-}
-
-// New returns an Injector for the given fault mix.
-func New(cfg Config) *Injector {
-	return &Injector{
-		cfg:     cfg,
-		loss:    telemetry.NewCounter(),
-		burst:   telemetry.NewCounter(),
-		storm:   telemetry.NewCounter(),
-		block:   telemetry.NewCounter(),
-		timeout: telemetry.NewCounter(),
-	}
-}
-
-// Config returns the injector's fault mix.
-func (in *Injector) Config() Config { return in.cfg }
-
-// Stats returns cumulative drop counts by kind.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Loss:    in.loss.Value(),
-		Burst:   in.burst.Value(),
-		Storm:   in.storm.Value(),
-		Block:   in.block.Value(),
-		Timeout: in.timeout.Value(),
-	}
-}
-
-// Register exposes the injector's live counters on reg as
-// censys_chaos_faults_total{kind=...}. The registered family reads the same
-// striped counters Stats() sums — one source of truth for both.
-func (in *Injector) Register(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	const name, help = "censys_chaos_faults_total", "packets dropped by the chaos injector, by fault kind"
-	reg.RegisterCounter(name, help, map[string]string{"kind": "loss"}, in.loss)
-	reg.RegisterCounter(name, help, map[string]string{"kind": "burst"}, in.burst)
-	reg.RegisterCounter(name, help, map[string]string{"kind": "storm"}, in.storm)
-	reg.RegisterCounter(name, help, map[string]string{"kind": "block"}, in.block)
-	reg.RegisterCounter(name, help, map[string]string{"kind": "timeout"}, in.timeout)
-}
-
 // Draw domain tags: each fault kind hashes in its own constant so the draws
 // are independent streams of the same seed.
 const (
@@ -142,84 +72,45 @@ const (
 	tagTimeout
 )
 
-// Drop implements simnet.FaultInjector. Widest-scope faults are consulted
-// first so the per-kind counters attribute each drop to the dominant cause.
-func (in *Injector) Drop(sc simnet.Scanner, addr netip.Addr, op simnet.Op, seq uint64, now time.Time) bool {
-	c := in.cfg
-	scID := strHash(sc.ID)
-	a := addrU32(addr)
-	n24 := addrU32(net24(addr))
+// Drop makes a Config a simnet.FaultInjector: install it with
+// Internet.SetFaultInjector. It is stateless and safe for concurrent use —
+// the path model counts what it drops, under the simnet.CauseFault* causes.
+// Widest-scope faults are consulted first so each drop is attributed to the
+// dominant cause.
+func (c Config) Drop(sc simnet.Scanner, addr netip.Addr, op simnet.Op, seq uint64, now time.Time) simnet.Cause {
+	scID := draw.StrHash(sc.ID)
+	a := uint64(draw.AddrU32(addr))
+	n24 := a &^ 0xFF
 	unix := uint64(now.Unix())
 
 	if c.BlockRate > 0 {
 		day := unix / 86400
-		if frac(mix(c.Seed, tagBlock, uint64(n24), scID, day)) < c.BlockRate {
-			in.block.AddAt(int(a), 1)
-			return true
+		if draw.Frac(draw.Mix(c.Seed, tagBlock, n24, scID, day)) < c.BlockRate {
+			return simnet.CauseFaultBlock
 		}
 	}
 	if c.StormRate > 0 {
 		hour := unix / 3600
-		if frac(mix(c.Seed, tagStorm, uint64(n24), hour)) < c.StormRate {
-			in.storm.AddAt(int(a), 1)
-			return true
+		if draw.Frac(draw.Mix(c.Seed, tagStorm, n24, hour)) < c.StormRate {
+			return simnet.CauseFaultStorm
 		}
 	}
 	if c.BurstRate > 0 && c.BurstLoss > 0 {
 		win := unix / (6 * 3600)
-		if frac(mix(c.Seed, tagBurstGate, uint64(a), scID, win)) < c.BurstRate &&
-			frac(mix(c.Seed, tagBurstPkt, uint64(a), seq)) < c.BurstLoss {
-			in.burst.AddAt(int(a), 1)
-			return true
+		if draw.Frac(draw.Mix(c.Seed, tagBurstGate, a, scID, win)) < c.BurstRate &&
+			draw.Frac(draw.Mix(c.Seed, tagBurstPkt, a, seq)) < c.BurstLoss {
+			return simnet.CauseFaultBurst
 		}
 	}
 	if c.TimeoutRate > 0 && op == simnet.OpConnect {
-		if frac(mix(c.Seed, tagTimeout, uint64(a), scID, seq)) < c.TimeoutRate {
-			in.timeout.AddAt(int(a), 1)
-			return true
+		if draw.Frac(draw.Mix(c.Seed, tagTimeout, a, scID, seq)) < c.TimeoutRate {
+			return simnet.CauseFaultTimeout
 		}
 	}
 	if c.Loss > 0 {
-		if frac(mix(c.Seed, tagLoss, uint64(a), scID, seq)) < c.Loss {
-			in.loss.AddAt(int(a), 1)
-			return true
+		if draw.Frac(draw.Mix(c.Seed, tagLoss, a, scID, seq)) < c.Loss {
+			return simnet.CauseFaultLoss
 		}
 	}
-	return false
-}
-
-// Hash helpers, mirroring the simnet's unexported deterministic draw
-// machinery so the injector's streams have the same statistical quality
-// without exporting simnet internals.
-
-func mix(vals ...uint64) uint64 {
-	x := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vals {
-		x ^= v + 0x9E3779B97F4A7C15 + (x << 6) + (x >> 2)
-		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		x ^= x >> 31
-	}
-	return x
-}
-
-func frac(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
-func addrU32(a netip.Addr) uint32 {
-	b := a.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func net24(a netip.Addr) netip.Addr {
-	v := addrU32(a) &^ 0xFF
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-func strHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	return simnet.Delivered
 }

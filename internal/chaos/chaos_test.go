@@ -3,9 +3,24 @@ package chaos
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"censysmap/internal/core"
+	"censysmap/internal/simnet"
 )
+
+// faultCauses are the drop causes a chaos Config returns.
+var faultCauses = []simnet.Cause{simnet.CauseFaultBlock, simnet.CauseFaultStorm,
+	simnet.CauseFaultBurst, simnet.CauseFaultTimeout, simnet.CauseFaultLoss}
+
+// injected is how many of the path's drops the chaos Config caused.
+func injected(s simnet.PathStats) uint64 {
+	var n uint64
+	for _, c := range faultCauses {
+		n += s[c]
+	}
+	return n
+}
 
 func mustComplete(t *testing.T, spec RunSpec) *Run {
 	t.Helper()
@@ -42,11 +57,11 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	r1 := mustComplete(t, spec)
 	r2 := mustComplete(t, spec)
 
-	s1, s2 := r1.Injector.Stats(), r2.Injector.Stats()
+	s1, s2 := r1.Net.PathStats(), r2.Net.PathStats()
 	if s1 != s2 {
 		t.Fatalf("fault schedules diverged: %+v vs %+v", s1, s2)
 	}
-	if s1.Total() == 0 {
+	if injected(s1) == 0 {
 		t.Fatal("severe config injected no faults")
 	}
 	if d := Diff(mustObserve(t, r1.Map), mustObserve(t, r2.Map)); len(d) > 0 {
@@ -61,38 +76,51 @@ func TestFaultKindsAllFire(t *testing.T) {
 	spec := Lab(7, Config{Seed: 42, Loss: 0.05, BurstRate: 0.2, BurstLoss: 0.6,
 		StormRate: 0.1, BlockRate: 0.4, TimeoutRate: 0.1}, 24)
 	r := mustComplete(t, spec)
-	s := r.Injector.Stats()
-	if s.Loss == 0 || s.Burst == 0 || s.Storm == 0 || s.Block == 0 || s.Timeout == 0 {
-		t.Fatalf("some fault kinds never fired: %+v", s)
+	s := r.Net.PathStats()
+	for _, c := range faultCauses {
+		if s[c] == 0 {
+			t.Errorf("fault kind %v never fired: %+v", c, s)
+		}
 	}
 }
 
 // TestLayoutInvarianceUnderFaults: the PR-1 determinism contract holds under
 // chaos too — Shards and InterroWorkers must not change the fault schedule,
 // the dataset, the journals, or any query answer. Retries are on, so the
-// backoff ladder is also exercised across layouts.
+// backoff ladder is also exercised across layouts. The second universe's
+// rate threshold is low enough to trip: which probe trips a block, and so
+// everything the block eats, is decided by serial discovery probes alone.
 func TestLayoutInvarianceUnderFaults(t *testing.T) {
-	base := Lab(11, Severe(99), 24)
-	retryOn(&base)
+	faults := Lab(11, Severe(99), 24)
+	retryOn(&faults)
+	blocking := Lab(11, Mild(99), 24)
+	retryOn(&blocking)
+	blocking.Net.BlockThreshold = 1
+	blocking.Net.BlockDuration = 6 * time.Hour
+	blocking.Pipeline.SourceIPs = 8
 
-	layouts := [][2]int{{1, 1}, {8, 4}, {3, 2}}
-	var ref Observation
-	var refFaults Stats
-	for i, l := range layouts {
-		spec := base
-		spec.Pipeline.Shards = l[0]
-		spec.Pipeline.InterroWorkers = l[1]
-		r := mustComplete(t, spec)
-		o := mustObserve(t, r.Map)
-		if i == 0 {
-			ref, refFaults = o, r.Injector.Stats()
-			continue
+	for name, base := range map[string]RunSpec{"faults": faults, "rate blocks": blocking} {
+		var ref Observation
+		var refDrops simnet.PathStats
+		for i, l := range [][2]int{{1, 1}, {8, 4}, {3, 2}} {
+			spec := base
+			spec.Pipeline.Shards = l[0]
+			spec.Pipeline.InterroWorkers = l[1]
+			r := mustComplete(t, spec)
+			o := mustObserve(t, r.Map)
+			if i == 0 {
+				ref, refDrops = o, r.Net.PathStats()
+				continue
+			}
+			if got := r.Net.PathStats(); got != refDrops {
+				t.Fatalf("%s: layout %v changed the drop schedule: %+v vs %+v", name, l, got, refDrops)
+			}
+			if d := Diff(ref, o); len(d) > 0 {
+				t.Fatalf("%s: layout %v changed the outcome: %v", name, l, d)
+			}
 		}
-		if got := r.Injector.Stats(); got != refFaults {
-			t.Fatalf("layout %v changed the fault schedule: %+v vs %+v", l, got, refFaults)
-		}
-		if d := Diff(ref, o); len(d) > 0 {
-			t.Fatalf("layout %v changed the outcome: %v", l, d)
+		if name == "rate blocks" && refDrops[simnet.CauseRateBlock] == 0 {
+			t.Fatalf("BlockThreshold %d never tripped: %+v", base.Net.BlockThreshold, refDrops)
 		}
 	}
 }
@@ -156,7 +184,7 @@ func TestRetryRecoversFromTimeouts(t *testing.T) {
 func TestZeroPolicyMatchesBaseline(t *testing.T) {
 	spec := Lab(13, Config{}, 12)
 	withInjector := mustComplete(t, spec)
-	if n := withInjector.Injector.Stats().Total(); n != 0 {
+	if n := injected(withInjector.Net.PathStats()); n != 0 {
 		t.Fatalf("zero config injected %d drops", n)
 	}
 

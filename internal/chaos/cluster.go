@@ -16,6 +16,7 @@ import (
 
 	"censysmap/internal/cluster"
 	"censysmap/internal/cqrs"
+	"censysmap/internal/draw"
 	"censysmap/internal/shard"
 )
 
@@ -56,8 +57,8 @@ func nodeFaultSchedule(nf NodeFaults, nodes, rounds, leaseRounds int) []cluster.
 			break
 		}
 		span := uint64(last - next + 1)
-		round := next + int(mix(nf.Seed, uint64(k), nodeFaultTag)%span)
-		victim := int(mix(nf.Seed, uint64(k), nodeFaultTag+1) % uint64(nodes))
+		round := next + int(draw.Mix(nf.Seed, uint64(k), nodeFaultTag)%span)
+		victim := int(draw.Mix(nf.Seed, uint64(k), nodeFaultTag+1) % uint64(nodes))
 		out = append(out, cluster.NodeFault{Round: round, Node: victim, Down: down})
 		next = round + down + 1
 	}

@@ -15,6 +15,7 @@ import (
 
 	"censysmap/internal/core"
 	"censysmap/internal/cqrs"
+	"censysmap/internal/draw"
 	"censysmap/internal/durable"
 	"censysmap/internal/journal"
 	"censysmap/internal/search"
@@ -229,7 +230,7 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no segment left to delete")
 		}
-		s := cands[mix(f.Seed, tagMissing, uint64(i))%uint64(len(cands))]
+		s := cands[draw.Mix(f.Seed, tagMissing, uint64(i))%uint64(len(cands))]
 		if err := os.Remove(filepath.Join(dir, s.rel)); err != nil {
 			return out, err
 		}
@@ -244,10 +245,10 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no sealed segment left to truncate")
 		}
-		s := cands[mix(f.Seed, tagTruncate, uint64(i))%uint64(len(cands))]
+		s := cands[draw.Mix(f.Seed, tagTruncate, uint64(i))%uint64(len(cands))]
 		// Cut mid-frame-header at a drawn record: the footer and at least one
 		// record are gone, beyond what any sidecar covers.
-		fi := int(mix(f.Seed, tagTruncate, uint64(i), 1) % uint64(len(s.frames)))
+		fi := int(draw.Mix(f.Seed, tagTruncate, uint64(i), 1) % uint64(len(s.frames)))
 		cut := s.frames[fi].Offset + 3
 		if err := os.Truncate(filepath.Join(dir, s.rel), cut); err != nil {
 			return out, err
@@ -263,8 +264,8 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no unrepairable record left to flip")
 		}
-		r := cands[mix(f.Seed, tagDeltaFlip, uint64(i))%uint64(len(cands))]
-		if err := flipBit(dir, r, mix(f.Seed, tagDeltaFlip, uint64(i), tagFlipBit)); err != nil {
+		r := cands[draw.Mix(f.Seed, tagDeltaFlip, uint64(i))%uint64(len(cands))]
+		if err := flipBit(dir, r, draw.Mix(f.Seed, tagDeltaFlip, uint64(i), tagFlipBit)); err != nil {
 			return out, err
 		}
 		claimed[r.partition] = true
@@ -281,10 +282,10 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no active segment left to tear")
 		}
-		s := cands[mix(f.Seed, tagTornTail, uint64(i))%uint64(len(cands))]
+		s := cands[draw.Mix(f.Seed, tagTornTail, uint64(i))%uint64(len(cands))]
 		last := s.frames[len(s.frames)-1]
 		span := uint64(8 + len(last.Payload)) // frame header + payload
-		cut := last.Offset + 1 + int64(mix(f.Seed, tagTornTail, uint64(i), 1)%(span-1))
+		cut := last.Offset + 1 + int64(draw.Mix(f.Seed, tagTornTail, uint64(i), 1)%(span-1))
 		if err := os.Truncate(filepath.Join(dir, s.rel), cut); err != nil {
 			return out, err
 		}
@@ -301,8 +302,8 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no provably repairable snapshot left to flip")
 		}
-		r := cands[mix(f.Seed, tagSnapFlip, uint64(i))%uint64(len(cands))]
-		if err := flipBit(dir, r, mix(f.Seed, tagSnapFlip, uint64(i), tagFlipBit)); err != nil {
+		r := cands[draw.Mix(f.Seed, tagSnapFlip, uint64(i))%uint64(len(cands))]
+		if err := flipBit(dir, r, draw.Mix(f.Seed, tagSnapFlip, uint64(i), tagFlipBit)); err != nil {
 			return out, err
 		}
 		snapDone[r.rel+"#"+strconv.Itoa(r.record)] = true
@@ -342,8 +343,8 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 		if hi <= lo {
 			return out, fmt.Errorf("chaos: checkpoint %s too small to corrupt", rel)
 		}
-		pick := mix(f.Seed, tagCPFlip)
-		data[lo+int64(pick%uint64(hi-lo))] ^= 1 << (mix(pick) % 8)
+		pick := draw.Mix(f.Seed, tagCPFlip)
+		data[lo+int64(pick%uint64(hi-lo))] ^= 1 << (draw.Mix(pick) % 8)
 		if err := os.WriteFile(filepath.Join(dir, rel), data, 0o644); err != nil {
 			return out, err
 		}
@@ -463,14 +464,14 @@ func filterRecords(recs []diskRecord, keep func(diskRecord) bool) []diskRecord {
 }
 
 // flipBit flips one drawn bit of the record's payload in place.
-func flipBit(dir string, r diskRecord, draw uint64) error {
+func flipBit(dir string, r diskRecord, drawn uint64) error {
 	path := filepath.Join(dir, r.rel)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	off := r.payloadOff + int64(draw%uint64(r.payloadLen))
-	data[off] ^= 1 << (mix(draw) % 8)
+	off := r.payloadOff + int64(drawn%uint64(r.payloadLen))
+	data[off] ^= 1 << (draw.Mix(drawn) % 8)
 	return os.WriteFile(path, data, 0o644)
 }
 

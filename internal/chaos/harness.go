@@ -61,13 +61,12 @@ func Lab(universeSeed uint64, fault Config, ticks int) RunSpec {
 	}
 }
 
-// Run is a live pipeline mid-flight: the simulated world, its clock, the
-// injector, and the Map.
+// Run is a live pipeline mid-flight: the simulated world (fault injector
+// installed), its clock, and the Map.
 type Run struct {
-	Net      *simnet.Internet
-	Clock    *simclock.Sim
-	Injector *Injector
-	Map      *core.Map
+	Net   *simnet.Internet
+	Clock *simclock.Sim
+	Map   *core.Map
 
 	spec RunSpec
 	tick int
@@ -87,15 +86,13 @@ func Start(spec RunSpec) (*Run, error) {
 	ncfg.Seed = spec.UniverseSeed
 	clk := simclock.New()
 	net := simnet.New(ncfg, clk)
-	inj := New(spec.Fault)
-	net.SetFaultInjector(inj)
-	inj.Register(spec.Pipeline.Telemetry)
+	net.SetFaultInjector(spec.Fault)
 	m, err := core.New(spec.Pipeline, net)
 	if err != nil {
 		return nil, err
 	}
 	m.Start()
-	return &Run{Net: net, Clock: clk, Injector: inj, Map: m, spec: spec}, nil
+	return &Run{Net: net, Clock: clk, Map: m, spec: spec}, nil
 }
 
 // Step advances the run by n ticks. Every tick boundary must satisfy the

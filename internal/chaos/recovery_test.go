@@ -48,7 +48,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			}
 			// The resumed process re-issues no probes: the fault schedules
 			// (and thus every path-sequence draw) must line up exactly.
-			if bs, cs := base.Injector.Stats(), crashed.Injector.Stats(); bs != cs {
+			if bs, cs := base.Net.PathStats(), crashed.Net.PathStats(); bs != cs {
 				t.Fatalf("fault schedule diverged across crash: %+v vs %+v", bs, cs)
 			}
 		})

@@ -3,6 +3,7 @@ package chaos
 import (
 	"testing"
 
+	"censysmap/internal/simnet"
 	"censysmap/internal/telemetry"
 )
 
@@ -53,9 +54,9 @@ func TestTelemetryDeterministicSameLayout(t *testing.T) {
 func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 	layouts := [][2]int{{1, 1}, {8, 4}, {3, 2}}
 	type result struct {
-		snap   telemetry.Snapshot
-		spans  []telemetry.Span
-		faults Stats
+		snap  telemetry.Snapshot
+		spans []telemetry.Span
+		drops simnet.PathStats
 	}
 	var results []result
 	for _, l := range layouts {
@@ -64,9 +65,9 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		results = append(results, result{
-			snap:   r.Map.MetricsSnapshot(),
-			spans:  r.Map.Traces(),
-			faults: r.Injector.Stats(),
+			snap:  r.Map.MetricsSnapshot(),
+			spans: r.Map.Traces(),
+			drops: r.Net.PathStats(),
 		})
 		r.Map.Stop()
 	}
@@ -76,7 +77,7 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 		"censys_cqrs_events_total",
 		"censys_journal_appends_total",
 		"censys_journal_snapshots_total",
-		"censys_chaos_faults_total",
+		"censys_simnet_drops_total",
 		"censys_interro_outcomes_total",
 		"censys_interro_deadline_exhausted_total",
 		"censys_interro_deadline_virtual_ms_total",
@@ -129,8 +130,8 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 			t.Errorf("layout %v: TTD count/sum = %d/%v, want %d/%v",
 				layouts[i+1], ttd.Count, ttd.Sum, bttd.Count, bttd.Sum)
 		}
-		if res.faults != base.faults {
-			t.Errorf("layout %v: chaos faults %+v, want %+v", layouts[i+1], res.faults, base.faults)
+		if res.drops != base.drops {
+			t.Errorf("layout %v: path drops %+v, want %+v", layouts[i+1], res.drops, base.drops)
 		}
 		if len(res.spans) != len(base.spans) {
 			t.Errorf("layout %v: %d spans, want %d", layouts[i+1], len(res.spans), len(base.spans))
@@ -186,9 +187,10 @@ func TestDifferentialUnchangedByInstrumentation(t *testing.T) {
 	ri.Map.Stop()
 }
 
-// TestChaosCountersSingleSource: the injector's Stats() and the registered
-// censys_chaos_faults_total family read the same counters — by construction
-// they cannot disagree.
+// TestChaosCountersSingleSource: Internet.PathStats and the registered
+// censys_simnet_drops_total family read the same counters — by construction
+// they cannot disagree — and injected faults are counted there like any
+// other cause.
 func TestChaosCountersSingleSource(t *testing.T) {
 	spec := telemetrySpec(4, 2)
 	r, err := Complete(spec)
@@ -196,28 +198,22 @@ func TestChaosCountersSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Map.Stop()
-	st := r.Injector.Stats()
-	if st.Total() == 0 {
+	st := r.Net.PathStats()
+	if injected(st) == 0 {
 		t.Fatal("mild fault mix injected nothing; test universe too quiet")
 	}
 	snap := r.Map.MetricsSnapshot()
-	for _, kv := range []struct {
-		kind string
-		want uint64
-	}{
-		{"loss", st.Loss}, {"burst", st.Burst}, {"storm", st.Storm},
-		{"block", st.Block}, {"timeout", st.Timeout},
-	} {
-		v, ok := snap.Get("censys_chaos_faults_total", map[string]string{"kind": kv.kind})
+	for c := simnet.Delivered + 1; c < simnet.NumCauses; c++ {
+		v, ok := snap.Get("censys_simnet_drops_total", map[string]string{"cause": c.String()})
 		if !ok {
-			t.Fatalf("censys_chaos_faults_total{kind=%q} missing", kv.kind)
+			t.Fatalf("censys_simnet_drops_total{cause=%q} missing", c)
 		}
-		if uint64(v.Value) != kv.want {
-			t.Errorf("kind %s: metric %v != Stats %d", kv.kind, v.Value, kv.want)
+		if uint64(v.Value) != st[c] {
+			t.Errorf("cause %v: metric %v != PathStats %d", c, v.Value, st[c])
 		}
 	}
-	if got := snap.Total("censys_chaos_faults_total"); uint64(got) != st.Total() {
-		t.Errorf("family total %v != Stats total %d", got, st.Total())
+	if got := snap.Total("censys_simnet_drops_total"); uint64(got) != st.Total() {
+		t.Errorf("family total %v != PathStats total %d", got, st.Total())
 	}
 }
 

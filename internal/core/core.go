@@ -37,6 +37,7 @@ import (
 
 	"censysmap/internal/cqrs"
 	"censysmap/internal/discovery"
+	"censysmap/internal/draw"
 	"censysmap/internal/durable"
 	"censysmap/internal/enrich"
 	"censysmap/internal/entity"
@@ -270,6 +271,9 @@ type Map struct {
 	cfg   Config
 	net   *simnet.Internet
 	clock *simclock.Sim
+	// scanner is the identity every probe the Map sends carries (per-PoP
+	// interrogators override only its Country).
+	scanner simnet.Scanner
 
 	disc      *discovery.Engine
 	ledger    *discovery.Ledger
@@ -391,7 +395,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	// A small fraction of networks blocklist even polite scanners (the
 	// paper's opt-out list covers 0.03% of address space; broader
 	// defensive blocking is somewhat higher).
-	scanner := simnet.Scanner{ID: cfg.ScannerID, SourceIPs: cfg.SourceIPs,
+	m.scanner = simnet.Scanner{ID: cfg.ScannerID, SourceIPs: cfg.SourceIPs,
 		Country: "US", BlockedFrac: 0.02}
 
 	// Discovery: the three standard classes over the universe prefix.
@@ -432,7 +436,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 	m.pops = discovery.DefaultPoPs()
 	m.disc, err = discovery.New(discovery.Config{
-		Scanner:     scanner,
+		Scanner:     m.scanner,
 		PoPs:        m.pops,
 		Classes:     classes,
 		Excluded:    cfg.Excluded,
@@ -449,7 +453,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	// Interrogators are shared by all workers; their counters are atomic.
 	m.inter = make(map[string]*interro.Interrogator, len(m.pops))
 	for _, pop := range m.pops {
-		sc := scanner
+		sc := m.scanner
 		sc.Country = pop.Country
 		in := interro.New(net, sc)
 		in.Budget = cfg.InterroBudget
@@ -531,11 +535,11 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 	// Web properties & certificates.
 	if d != nil {
-		m.webProps = webprop.NewWithJournal(webprop.DefaultConfig(), net, scanner, d.WebJournal)
+		m.webProps = webprop.NewWithJournal(webprop.DefaultConfig(), net, m.scanner, d.WebJournal)
 		m.certs = d.Certs
 		m.analytics = d.Analytics
 	} else {
-		m.webProps = webprop.New(webprop.DefaultConfig(), net, scanner)
+		m.webProps = webprop.New(webprop.DefaultConfig(), net, m.scanner)
 		m.certs = NewCertStore(net.Roots)
 		m.analytics = snapshot.NewStore()
 	}
@@ -597,9 +601,7 @@ func buildGeoDB(net *simnet.Internet) *enrich.GeoDB {
 	g := enrich.NewGeoDB()
 	seen := map[netip.Addr]bool{}
 	for _, a := range net.Addrs() {
-		b := a.As4()
-		b[3] = 0
-		base := netip.AddrFrom4(b)
+		base := draw.Net24(a)
 		if seen[base] {
 			continue
 		}
@@ -650,12 +652,9 @@ func (m *Map) seedScan() {
 		return
 	}
 	now := m.clock.Now()
-	scanner := simnet.Scanner{ID: m.cfg.ScannerID, SourceIPs: m.cfg.SourceIPs,
-		Country: "US", BlockedFrac: 0.02}
 	prefix := m.net.Config().Prefix.Masked()
 	count := uint64(1) << (32 - prefix.Bits())
-	base := prefix.Addr().As4()
-	baseVal := uint64(base[0])<<24 | uint64(base[1])<<16 | uint64(base[2])<<8 | uint64(base[3])
+	baseVal := uint64(draw.AddrU32(prefix.Addr()))
 	for off := uint64(0); off < count; off++ {
 		// Deterministic sampling keyed on the address. The multiply alone
 		// leaves an arithmetic lattice mod 2^16 that aliases against the
@@ -665,11 +664,10 @@ func (m *Map) seedScan() {
 		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 		h ^= h >> 31
-		if float64(h>>11)/float64(1<<53) >= m.cfg.SeedScanFraction {
+		if draw.Frac(h) >= m.cfg.SeedScanFraction {
 			continue
 		}
-		v := uint32(baseVal + off)
-		addr := netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+		addr := draw.U32Addr(uint32(baseVal + off))
 		if m.excludedAddr(addr) {
 			continue
 		}
@@ -678,7 +676,7 @@ func (m *Map) seedScan() {
 		m.predictor.ObserveFull(addr)
 		open := 0
 		for port := 1; port <= 65535; port++ {
-			if m.net.ProbeTCP(scanner, addr, uint16(port)) != simnet.Open {
+			if m.net.ProbeTCP(m.scanner, addr, uint16(port)) != simnet.Open {
 				continue
 			}
 			open++
@@ -1158,15 +1156,13 @@ func (m *Map) runPrediction(now time.Time) {
 		budget = g
 	}
 	targets := m.predictor.Recommend(now, budget)
-	scanner := simnet.Scanner{ID: m.cfg.ScannerID, SourceIPs: m.cfg.SourceIPs,
-		Country: "US", BlockedFrac: 0.02}
 	probed, open := 0, 0
 	for _, t := range targets {
 		if m.excludedAddr(t.Addr) {
 			continue
 		}
 		probed++
-		if m.net.ProbeTCP(scanner, t.Addr, t.Port) != simnet.Open {
+		if m.net.ProbeTCP(m.scanner, t.Addr, t.Port) != simnet.Open {
 			continue
 		}
 		open++

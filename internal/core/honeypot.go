@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 )
@@ -76,9 +77,7 @@ func (m *Map) mergeFarmObservations(now time.Time) {
 	threshold := m.cfg.HoneypotUniformityThreshold
 	for _, s := range m.shards {
 		for _, o := range s.fpObs {
-			b := o.addr.As4()
-			b[3] = 0
-			key := farmKey{net: netip.AddrFrom4(b), port: o.port, fp: o.fp}
+			key := farmKey{net: draw.Net24(o.addr), port: o.port, fp: o.fp}
 			set := m.farmSeen[key]
 			if set == nil {
 				set = make(map[netip.Addr]bool)

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"censysmap/internal/cqrs"
 	"censysmap/internal/entity"
 )
 
@@ -30,7 +29,9 @@ const exclusionTTL = 365 * 24 * time.Hour
 
 // AddExclusion registers a verified opt-out request for a prefix: scanning
 // stops immediately, services already mapped inside the prefix are removed
-// from the dataset, and the exclusion expires after one year.
+// from the dataset (journaled as removals dated now), and the exclusion
+// expires after one year. A journal failure while retiring is returned, with
+// the exclusion itself still in force.
 func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, error) {
 	if !prefix.Addr().Is4() {
 		return Exclusion{}, fmt.Errorf("core: exclusions are IPv4 prefixes")
@@ -56,18 +57,16 @@ func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, er
 		s.mu.Unlock()
 	}
 	sort.Slice(retire, func(i, j int) bool { return lessSlot(retire[i], retire[j]) })
+	var firstErr error
 	for _, key := range retire {
-		obs := cqrs.Observation{Addr: key.addr, Port: key.port,
-			Transport: key.transport, Time: now, Method: entity.DetectRefresh}
-		// Two failure applications straddling the eviction window force
-		// immediate removal through the normal state machine.
-		_ = m.processor.Apply(obs)
-		obs.Time = now.Add(m.cfg.EvictAfter)
-		_ = m.processor.Apply(obs)
+		err := m.processor.Retire(key.addr, entity.ServiceKey{Port: key.port, Transport: key.transport}, now)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("core: retire %v %d/%v: %w", key.addr, key.port, key.transport, err)
+		}
 		m.index.Remove(key.addr.String())
 	}
 	m.processor.Drain()
-	return ex, nil
+	return ex, firstErr
 }
 
 // RemoveExclusion rescinds an opt-out (operators often do once they

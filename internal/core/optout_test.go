@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"censysmap/internal/cqrs"
 	"censysmap/internal/snapshot"
 )
 
@@ -51,6 +52,11 @@ func TestExclusionStopsScanningAndPurgesData(t *testing.T) {
 	}
 }
 
+// TestExclusionRescindResumesScanning: a rescinded opt-out is rediscovered on
+// the next passes — including the very hosts whose data the opt-out retired.
+// Regression: the retirement used to be journaled 72 h (EvictAfter) in the
+// future, so every append for a retired host failed ErrOutOfOrder, silently,
+// until the clock caught up.
 func TestExclusionRescindResumesScanning(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
@@ -62,8 +68,24 @@ func TestExclusionRescindResumesScanning(t *testing.T) {
 		victim = netip.PrefixFrom(netip.AddrFrom4(b), 24)
 		break
 	}
+	retired := map[string]bool{}
+	for _, r := range m.CurrentServices(true) {
+		if victim.Contains(r.Addr) {
+			retired[r.Addr.String()] = true
+		}
+	}
 	if _, err := m.AddExclusion(victim, "noc@example.net"); err != nil {
 		t.Fatal(err)
+	}
+	optedOut := m.Clock().Now()
+	for id := range retired {
+		evs := m.Journal().Events(id)
+		if last := evs[len(evs)-1]; last.Kind != cqrs.KindServiceRemoved || !last.Time.Equal(optedOut) {
+			t.Fatalf("%s: last event %s at %v, want a removal dated %v", id, last.Kind, last.Time, optedOut)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("after opt-out: %v", err)
 	}
 	if !m.RemoveExclusion(victim) {
 		t.Fatal("rescind failed")
@@ -71,9 +93,22 @@ func TestExclusionRescindResumesScanning(t *testing.T) {
 	if m.RemoveExclusion(victim) {
 		t.Fatal("double rescind succeeded")
 	}
-	m.Run(2 * 24 * time.Hour)
+	m.Run(2 * 24 * time.Hour) // inside the 72 h eviction window
 	if countIn(m, victim) == 0 {
 		t.Fatal("scanning did not resume after rescind")
+	}
+	back := 0
+	for id := range retired {
+		evs := m.Journal().Events(id)
+		if last := evs[len(evs)-1]; last.Time.After(optedOut) {
+			back++
+		}
+	}
+	if back == 0 {
+		t.Fatalf("none of the %d retired hosts was journaled again within 48 h of the rescind", len(retired))
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("after rediscovery: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //     atomics at collect time — the per-task cost is zero.
 //   - Event-driven instruments exist only where no source counter does:
 //     retries scheduled, per-phase batch volume, CQRS events by kind,
-//     time-to-discovery, chaos faults, and trace spans.
+//     time-to-discovery, and trace spans.
 //   - The paper-metric gauges (freshness, coverage, time-to-discovery) walk
 //     the dataset and ground truth, so they run as OnCollect hooks — the
 //     O(universe) work happens only when a snapshot is actually taken.
@@ -108,6 +108,9 @@ func (m *Map) attachTelemetry() {
 		tel.phaseTasks[ph] = phaseVec.With(ph)
 	}
 	m.tel = tel
+
+	// What the network path dropped, by cause — counted by the simnet itself.
+	m.net.AttachTelemetry(reg)
 
 	// Pipeline counters: collect-time bridges over RunStats.
 	reg.CounterFunc("censys_core_ticks_total", "pipeline ticks executed", nil,

@@ -352,3 +352,35 @@ func TestHostAtBadEntityID(t *testing.T) {
 		t.Fatal("bad entity id reconstructed")
 	}
 }
+
+// TestRetireRemovesNowAndReplays: Retire journals one removal dated t — no
+// grace window, nothing in the future — so the entity's row accepts the next
+// append, and replay agrees with the materialized state.
+func TestRetireRemovesNowAndReplays(t *testing.T) {
+	p, r := newPipeline()
+	key := entity.ServiceKey{Port: 80, Transport: entity.TCP}
+	if err := p.Retire(addr, key, at(0)); err != nil || len(p.Journal().Events(addr.String())) != 0 {
+		t.Fatalf("retiring an unknown slot: err %v, %d events; want a no-op", err, len(p.Journal().Events(addr.String())))
+	}
+	p.Apply(obsHTTP(at(0), "x"))
+	p.Apply(failObs(at(1))) // pending since hour 1
+	if err := p.Retire(addr, key, at(2)); err != nil {
+		t.Fatal(err)
+	}
+	evs := p.Journal().Events(addr.String())
+	if last := evs[len(evs)-1]; len(evs) != 3 || last.Kind != KindServiceRemoved || !last.Time.Equal(at(2)) {
+		t.Fatalf("journal = %d events ending %s at %v; want found, pending, removed at %v", len(evs), last.Kind, last.Time, at(2))
+	}
+	if p.HasService(addr.String(), key) {
+		t.Fatal("retired service still materialized")
+	}
+	if h, ok := r.HostAt(addr.String(), at(2)); ok && h.Service(key) != nil {
+		t.Fatal("retired service survives replay")
+	}
+	if err := p.Apply(obsHTTP(at(3), "x")); err != nil {
+		t.Fatalf("rediscovery after retirement: %v", err)
+	}
+	if !p.HasService(addr.String(), key) {
+		t.Fatal("rediscovered service not materialized")
+	}
+}

@@ -206,6 +206,32 @@ func (p *Processor) Apply(obs Observation) error {
 	}
 }
 
+// Retire evicts a materialized service at once, dated t, without the grace
+// window Apply gives a failed refresh: the opt-out path, where data already
+// collected is removed on request. A slot the entity does not hold is a
+// no-op.
+func (p *Processor) Retire(addr netip.Addr, key entity.ServiceKey, t time.Time) error {
+	id := addr.String()
+	s := p.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+
+	h := s.state[id]
+	if h == nil {
+		return nil
+	}
+	existing := h.Service(key)
+	if existing == nil {
+		return nil
+	}
+	since := t
+	if existing.PendingRemovalSince != nil {
+		since = *existing.PendingRemovalSince
+	}
+	h.RemoveService(key)
+	return p.emitKey(s, h, t, KindServiceRemoved, key, since)
+}
+
 // emit journals a service-carrying delta and updates write-side state. The
 // caller holds the shard lock.
 func (p *Processor) emit(s *procShard, h *entity.Host, t time.Time, kind string, svc *entity.Service) error {

@@ -3,6 +3,8 @@ package cyclic
 import (
 	"fmt"
 	"net/netip"
+
+	"censysmap/internal/draw"
 )
 
 // Space maps a linear index onto an (address, port) probe target, so a single
@@ -58,7 +60,8 @@ func (s *Space) Ports() []uint16 { return s.ports }
 func (s *Space) Target(i uint64) (netip.Addr, uint16) {
 	host := i % s.hosts
 	port := s.ports[i/s.hosts]
-	return addAddr(s.base, host), port
+	// base + host, wrapping at 2^32.
+	return draw.U32Addr(draw.AddrU32(s.base) + uint32(host)), port
 }
 
 // Index is the inverse of Target. ok is false if the pair is outside the space.
@@ -66,8 +69,9 @@ func (s *Space) Index(addr netip.Addr, port uint16) (uint64, bool) {
 	if !addr.Is4() {
 		return 0, false
 	}
-	off, ok := subAddr(addr, s.base)
-	if !ok || off >= s.hosts {
+	a, base := draw.AddrU32(addr), draw.AddrU32(s.base)
+	off := uint64(a - base)
+	if a < base || off >= s.hosts {
 		return 0, false
 	}
 	for pi, p := range s.ports {
@@ -133,25 +137,3 @@ func (it *Iterator) Restore(st CycleState) { it.cycle.Restore(st) }
 
 // Space returns the underlying probe space.
 func (it *Iterator) Space() *Space { return it.space }
-
-// addAddr returns base + off as an IPv4 address (wrapping at 2^32).
-func addAddr(base netip.Addr, off uint64) netip.Addr {
-	b := base.As4()
-	v := uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
-	v = (v + off) & 0xFFFFFFFF
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-// subAddr returns a - b when a >= b in address order.
-func subAddr(a, b netip.Addr) (uint64, bool) {
-	av, bv := addrVal(a), addrVal(b)
-	if av < bv {
-		return 0, false
-	}
-	return av - bv, true
-}
-
-func addrVal(a netip.Addr) uint64 {
-	b := a.As4()
-	return uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
-}

@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+
+	"censysmap/internal/draw"
 )
 
 func mustSpace(t *testing.T, base string, hosts uint64, ports []uint16) *Space {
@@ -115,7 +117,7 @@ func TestIteratorFullCoverage(t *testing.T) {
 		if !ok {
 			break
 		}
-		key := [2]uint64{addrVal(addr), uint64(port)}
+		key := [2]uint64{uint64(draw.AddrU32(addr)), uint64(port)}
 		if seen[key] {
 			t.Fatalf("target (%v,%d) repeated", addr, port)
 		}
@@ -143,7 +145,7 @@ func TestShardedIteratorsPartition(t *testing.T) {
 			if !ok {
 				break
 			}
-			counts[[2]uint64{addrVal(addr), uint64(port)}]++
+			counts[[2]uint64{uint64(draw.AddrU32(addr)), uint64(port)}]++
 		}
 	}
 	if uint64(len(counts)) != s.Size() {
@@ -171,10 +173,10 @@ func TestIteratorReset(t *testing.T) {
 }
 
 func TestAddrArithmeticQuick(t *testing.T) {
-	base := netip.MustParseAddr("10.0.0.0")
+	s := mustSpace(t, "10.0.0.0", 1<<24, []uint16{80})
 	f := func(off uint32) bool {
-		a := addAddr(base, uint64(off%1<<24))
-		d, ok := subAddr(a, base)
+		a, _ := s.Target(uint64(off % 1 << 24))
+		d, ok := s.Index(a, 80)
 		return ok && d == uint64(off%1<<24)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -183,8 +185,8 @@ func TestAddrArithmeticQuick(t *testing.T) {
 }
 
 func TestAddAddrWraps(t *testing.T) {
-	a := addAddr(netip.MustParseAddr("255.255.255.255"), 1)
-	if a.String() != "0.0.0.0" {
+	s := mustSpace(t, "255.255.255.255", 2, []uint16{80})
+	if a, _ := s.Target(1); a.String() != "0.0.0.0" {
 		t.Fatalf("wrap = %v, want 0.0.0.0", a)
 	}
 }

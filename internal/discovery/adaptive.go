@@ -18,6 +18,8 @@ import (
 	"net/netip"
 	"sort"
 	"strconv"
+
+	"censysmap/internal/draw"
 )
 
 // BackoffPolicy configures adaptive backoff and scanner rotation. The zero
@@ -83,7 +85,7 @@ func (e *Engine) deferred(addr netip.Addr) bool {
 	if !e.cfg.Backoff.Enabled() || len(e.backoff) == 0 {
 		return false
 	}
-	nb := e.backoff[net24(addr)]
+	nb := e.backoff[draw.Net24(addr)]
 	return nb != nil && nb.until > e.tickNo
 }
 
@@ -98,7 +100,7 @@ func (e *Engine) noteOutcome(addr netip.Addr, dropped bool) {
 	if !e.cfg.Backoff.Enabled() {
 		return
 	}
-	key := net24(addr)
+	key := draw.Net24(addr)
 	nb := e.backoff[key]
 	if !dropped {
 		if e.answered == nil {
@@ -216,11 +218,4 @@ func (e *Engine) restoreAnswered(addrs []netip.Addr) {
 	for _, a := range addrs {
 		e.answered[a] = true
 	}
-}
-
-// net24 returns the /24 base address containing a (IPv4).
-func net24(a netip.Addr) netip.Addr {
-	b := a.As4()
-	b[3] = 0
-	return netip.AddrFrom4(b)
 }

@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"encoding/json"
-	"net/netip"
 	"testing"
 	"time"
 
@@ -148,12 +147,5 @@ func TestBackoffStateSurvivesRestore(t *testing.T) {
 	}
 	if stateA != stateB {
 		t.Fatalf("state diverges across kill/resume:\n  %s\n  %s", stateA, stateB)
-	}
-}
-
-func TestNet24(t *testing.T) {
-	got := net24(netip.MustParseAddr("10.1.2.3"))
-	if got != netip.MustParseAddr("10.1.2.0") {
-		t.Fatalf("net24 = %v", got)
 	}
 }

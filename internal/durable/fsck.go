@@ -104,8 +104,8 @@ func (l *loader) diskBytes() map[string]int64 {
 			}
 		}
 	}
-	for _, mirror := range []string{"a", "b"} {
-		add("checkpoint", filepath.Join("checkpoint", fmt.Sprintf("cp-%06d.%s", l.man.Gen, mirror)))
+	for _, mirror := range checkpointMirrors {
+		add("checkpoint", checkpointFile(l.man.Gen, mirror))
 	}
 	return out
 }

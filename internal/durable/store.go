@@ -299,8 +299,8 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 		return fmt.Errorf("durable: save checkpoint dir: %w", err)
 	}
 	cpSeg := buildSingleRecord(KindCheckpoint, 0, checkpoint)
-	for _, suffix := range []string{"a", "b"} {
-		p := filepath.Join(cpDir, fmt.Sprintf("cp-%06d.%s", gen, suffix))
+	for _, mirror := range checkpointMirrors {
+		p := filepath.Join(dir, checkpointFile(gen, mirror))
 		if err := writeFileAtomic(p, cpSeg); err != nil {
 			return fmt.Errorf("durable: save checkpoint %s: %w", p, err)
 		}
@@ -323,7 +323,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 	}
 	// Only now is the previous generation's checkpoint unreachable: until the
 	// rename above, a crash recovers through the old MANIFEST, which pins it.
-	current := fmt.Sprintf("cp-%06d.", gen)
+	current := filepath.Base(checkpointFile(gen, ""))
 	all, _ := filepath.Glob(filepath.Join(cpDir, "cp-*"))
 	for _, p := range all {
 		if !strings.HasPrefix(filepath.Base(p), current) {
@@ -333,6 +333,16 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 		}
 	}
 	return nil
+}
+
+// checkpointMirrors are the two copies a generation's checkpoint is kept
+// in: "a" is read first, "b" is the fallback.
+var checkpointMirrors = []string{"a", "b"}
+
+// checkpointFile is the store-relative path of one mirror of generation
+// gen's checkpoint.
+func checkpointFile(gen uint64, mirror string) string {
+	return filepath.Join("checkpoint", fmt.Sprintf("cp-%06d.%s", gen, mirror))
 }
 
 func writeFileAtomic(path string, data []byte) error {
@@ -714,8 +724,7 @@ func (l *loader) recoverCheckpoint() ([]byte, error) {
 		})
 	}
 
-	aRel := filepath.Join("checkpoint", fmt.Sprintf("cp-%06d.a", gen))
-	bRel := filepath.Join("checkpoint", fmt.Sprintf("cp-%06d.b", gen))
+	aRel, bRel := checkpointFile(gen, "a"), checkpointFile(gen, "b")
 	primary, perr2 := readCheckpointFile(filepath.Join(l.dir, aRel))
 	if perr2 == nil {
 		return primary, nil

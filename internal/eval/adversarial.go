@@ -256,7 +256,7 @@ func RunAdversarial(p AdversarialProfile) (AdversarialResult, error) {
 			row.MeanAgeHours = ageSum.Hours() / float64(row.Records)
 		}
 		row.DetectorBlocks = net.DetectorBlockEvents(e.Name())
-		row.BlockedNets = net.BlockedNetworksPrefix(e.Name())
+		row.BlockedNets = net.BlockedNetworks(e.Name())
 		res.Rows = append(res.Rows, row)
 	}
 

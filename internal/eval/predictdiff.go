@@ -100,9 +100,9 @@ type exclusionRecorder struct {
 	connects atomic.Uint64 // OpConnect into an excluded prefix
 }
 
-func (r *exclusionRecorder) Drop(sc simnet.Scanner, addr netip.Addr, op simnet.Op, seq uint64, now time.Time) bool {
+func (r *exclusionRecorder) Drop(sc simnet.Scanner, addr netip.Addr, op simnet.Op, seq uint64, now time.Time) simnet.Cause {
 	if op == simnet.OpConnectName {
-		return false
+		return simnet.Delivered
 	}
 	for _, p := range r.excluded {
 		if p.Contains(addr) {
@@ -114,7 +114,7 @@ func (r *exclusionRecorder) Drop(sc simnet.Scanner, addr netip.Addr, op simnet.O
 			break
 		}
 	}
-	return false
+	return simnet.Delivered
 }
 
 // PredictCurvePoint is one day's coverage-vs-footprint sample.

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 )
 
@@ -177,29 +178,13 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// net24 returns the /24 base of an IPv4 (or IPv4-mapped) address via prefix
-// masking. The bool is false for IPv6 and zone-carrying addresses — the map
-// scans IPv4 space only, and Addr.As4 (the old implementation) panics on
-// them.
-func net24(a netip.Addr) (netip.Addr, bool) {
-	a = a.Unmap()
-	if !a.Is4() {
-		return netip.Addr{}, false
-	}
-	p, err := a.Prefix(24)
-	if err != nil {
-		return netip.Addr{}, false
-	}
-	return p.Addr(), true
-}
-
 // Observe feeds one confirmed service into the models. Call it for every
 // interrogation that verified a service (from any scan class). Non-IPv4
 // addresses are ignored: the scan universe is IPv4, and the /24 locality
 // signal has no meaning for them.
 func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transport) {
-	n24, ok := net24(addr)
-	if !ok {
+	n24 := draw.Net24(addr)
+	if !n24.IsValid() {
 		return
 	}
 	addr = addr.Unmap()
@@ -626,7 +611,7 @@ func (e *Engine) RecordEvicted(addr netip.Addr, port uint16, transport entity.Tr
 	} else {
 		delete(e.portHosts, port)
 	}
-	if n24, ok := net24(addr); ok {
+	if n24 := draw.Net24(addr); n24.IsValid() {
 		if m := e.net24Ports[n24]; m != nil {
 			delete(e.top24, n24)
 			if m[port] > 1 {
@@ -857,7 +842,7 @@ func (e *Engine) Restore(st State) {
 		}
 		e.hostPorts[k] = c
 		e.hosts = append(e.hosts, k)
-		if n24, ok := net24(k); ok {
+		if n24 := draw.Net24(k); n24.IsValid() {
 			e.hosts24[n24] = append(e.hosts24[n24], k)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 )
 
@@ -89,7 +90,7 @@ func TestTopologyExpansion(t *testing.T) {
 			continue
 		}
 		sawExpand = true
-		if n24, _ := net24(r.Addr); n24 != ip("10.4.4.0") {
+		if draw.Net24(r.Addr) != ip("10.4.4.0") {
 			t.Fatalf("expansion left the dense /24: %v", r)
 		}
 		if r.Port != 7777 {

@@ -6,6 +6,8 @@
 // (and therefore the same lock and, during a tick, the same worker).
 package shard
 
+import "censysmap/internal/draw"
+
 // Of maps an entity key (e.g. an IP address string) to a shard index in
 // [0, n). It is a FNV-1a hash, stable across processes and runs — shard
 // assignment is part of the deterministic behaviour of the pipeline.
@@ -13,10 +15,5 @@ func Of(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
+	return int(draw.StrHash(key) % uint64(n))
 }

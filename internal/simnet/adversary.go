@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 )
@@ -109,18 +110,12 @@ func (n *Internet) generateAdversary() {
 	if !a.Enabled() {
 		return
 	}
-	seed := mix(n.cfg.Seed, 0xAD5E, a.Seed)
+	seed := draw.Mix(n.cfg.Seed, 0xAD5E, a.Seed)
 	n.advSeed = seed
-	n.detCounts = make(map[blockKey]int)
-	n.detOffense = make(map[scanNetKey]int)
-	n.detEvents = make(map[string]int)
 
-	base := addrU32(n.cfg.Prefix.Masked().Addr())
+	base := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
 	count := uint32(1) << (32 - n.cfg.Prefix.Bits())
-	blocks := count >> 8
-	if blocks == 0 {
-		blocks = 1 // sub-/24 universes: the whole prefix is one "block"
-	}
+	blocks := max(count>>8, 1) // sub-/24 universes: the whole prefix is one "block"
 
 	// Honeypot farms: distinct non-cloud /24s, one shared identity per farm.
 	if a.HoneypotFarms > 0 {
@@ -128,7 +123,7 @@ func (n *Internet) generateAdversary() {
 		for f := 0; f < a.HoneypotFarms && f < int(blocks); f++ {
 			var blk uint32
 			for try := uint64(0); ; try++ {
-				blk = uint32(mix(seed, 0xFA23, uint64(f), try) % uint64(blocks))
+				blk = uint32(draw.Mix(seed, 0xFA23, uint64(f), try) % uint64(blocks))
 				if !taken[blk] && int(blk) >= n.cfg.CloudBlocks {
 					break
 				}
@@ -143,7 +138,7 @@ func (n *Internet) generateAdversary() {
 			n.buildFarm(f, base+blk<<8, count)
 		}
 		sort.Slice(n.addrs, func(i, j int) bool {
-			return addrU32(n.addrs[i]) < addrU32(n.addrs[j])
+			return draw.AddrU32(n.addrs[i]) < draw.AddrU32(n.addrs[j])
 		})
 	}
 
@@ -155,13 +150,13 @@ func (n *Internet) generateAdversary() {
 			if h.Honeypot || h.Pseudo {
 				continue
 			}
-			off := uint64(addrU32(addr) - base)
-			if a.TarpitRate > 0 && frac(mix(seed, 0x7A99, off)) < a.TarpitRate {
+			off := uint64(draw.AddrU32(addr) - base)
+			if a.TarpitRate > 0 && draw.Frac(draw.Mix(seed, 0x7A99, off)) < a.TarpitRate {
 				h.Tarpit = true
-				h.TarpitDrip = frac(mix(seed, 0x7A9A, off)) < a.TarpitDripRate
+				h.TarpitDrip = draw.Frac(draw.Mix(seed, 0x7A9A, off)) < a.TarpitDripRate
 				continue // a tarpit masks everything else on the host
 			}
-			if a.BannerChurnRate > 0 && frac(mix(seed, 0xC49B, off)) < a.BannerChurnRate {
+			if a.BannerChurnRate > 0 && draw.Frac(draw.Mix(seed, 0xC49B, off)) < a.BannerChurnRate {
 				h.BannerChurn = true
 			}
 		}
@@ -171,28 +166,28 @@ func (n *Internet) generateAdversary() {
 // buildFarm populates one /24 with honeypots sharing a single ICS identity.
 func (n *Internet) buildFarm(farm int, blockBase uint32, universe uint32) {
 	a := n.cfg.Adversary
-	proto := farmProtocols[int(mix(n.advSeed, 0xFA24, uint64(farm))%uint64(len(farmProtocols)))]
+	proto := farmProtocols[int(draw.Mix(n.advSeed, 0xFA24, uint64(farm))%uint64(len(farmProtocols)))]
 	p := protocols.Lookup(proto)
 	if p == nil || len(p.DefaultPorts) == 0 {
 		return
 	}
 	port := p.DefaultPorts[0]
-	spec := pickCatalog(proto, mix(n.advSeed, 0xFA26, uint64(farm)))
+	spec := pickCatalog(proto, draw.Mix(n.advSeed, 0xFA26, uint64(farm)))
 	spec.Protocol = proto
-	country := pickCountry(mix(n.advSeed, 0xFA27, uint64(farm)))
-	asn := 64900 + uint32(mix(n.advSeed, 0xFA28, uint64(farm))%90)
+	country := pickCountry(draw.Mix(n.advSeed, 0xFA27, uint64(farm)))
+	asn := 64900 + uint32(draw.Mix(n.advSeed, 0xFA28, uint64(farm))%90)
 	density := a.farmDensity()
-	prefixBase := addrU32(n.cfg.Prefix.Masked().Addr())
+	prefixBase := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
 
 	for i := uint32(0); i < 256; i++ {
 		off := blockBase + i - prefixBase
 		if off >= universe {
 			break
 		}
-		if frac(mix(n.advSeed, 0xFA25, uint64(farm), uint64(i))) >= density {
+		if draw.Frac(draw.Mix(n.advSeed, 0xFA25, uint64(farm), uint64(i))) >= density {
 			continue
 		}
-		addr := u32Addr(blockBase + i)
+		addr := draw.U32Addr(blockBase + i)
 		h := &Host{
 			Addr:     addr,
 			Country:  country,
@@ -222,7 +217,7 @@ func (n *Internet) churnSpec(h *Host, s *Slot, now time.Time) protocols.Spec {
 	period := n.cfg.Adversary.churnPeriod()
 	gen := uint64(now.Sub(n.epoch) / period)
 	rotated := pickCatalog(s.Spec.Protocol,
-		mix(n.advSeed, 0xC4A7, uint64(addrU32(h.Addr)), uint64(s.Port), gen))
+		draw.Mix(n.advSeed, 0xC4A7, uint64(draw.AddrU32(h.Addr)), uint64(s.Port), gen))
 	rotated.Protocol = s.Spec.Protocol
 	rotated.TLS = s.Spec.TLS
 	rotated.CertDER = s.Spec.CertDER
@@ -243,7 +238,7 @@ func (n *Internet) detectorAt(netID uint64) bool {
 	if a.DetectorRate <= 0 {
 		return false
 	}
-	return frac(mix(n.advSeed, 0xDE7C, netID)) < a.DetectorRate
+	return draw.Frac(draw.Mix(n.advSeed, 0xDE7C, netID)) < a.DetectorRate
 }
 
 // TarpitConn is the scanner-side view of a tarpit endpoint. A stalling
@@ -263,7 +258,7 @@ func (c *TarpitConn) Read(p []byte) (int, error) {
 	if !c.drip || len(p) == 0 {
 		return 0, protocols.ErrTimeout
 	}
-	p[0] = byte('a' + mix(c.seed, c.reads)%26)
+	p[0] = byte('a' + draw.Mix(c.seed, c.reads)%26)
 	return 1, nil
 }
 
@@ -309,12 +304,9 @@ func (n *Internet) AdversaryStats() AdversaryStats {
 	}
 	st.Farms = len(farms)
 	if n.cfg.Adversary.DetectorRate > 0 {
-		base := addrU32(n.cfg.Prefix.Masked().Addr()) &^ 0xFF
+		base := draw.AddrU32(n.cfg.Prefix.Masked().Addr()) &^ 0xFF
 		count := uint32(1) << (32 - n.cfg.Prefix.Bits())
-		blocks := count >> 8
-		if blocks == 0 {
-			blocks = 1
-		}
+		blocks := max(count>>8, 1)
 		for blk := uint32(0); blk < blocks; blk++ {
 			if n.detectorAt(uint64(base + blk<<8)) {
 				st.DetectorNets++
@@ -322,35 +314,4 @@ func (n *Internet) AdversaryStats() AdversaryStats {
 		}
 	}
 	return st
-}
-
-// DetectorBlockEvents returns the cumulative number of detector-triggered
-// blocks against scanners whose ID starts with idPrefix. Rotated scanner
-// identities ("engine+r1", "engine+r2", ...) share the prefix, so this is
-// the rotation-aware accounting the eval harness reads.
-func (n *Internet) DetectorBlockEvents(idPrefix string) int {
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	total := 0
-	for id, c := range n.detEvents {
-		if len(id) >= len(idPrefix) && id[:len(idPrefix)] == idPrefix {
-			total += c
-		}
-	}
-	return total
-}
-
-// BlockedNetworksPrefix reports active (scanner, network) blocks across all
-// scanner identities sharing idPrefix (rotation-aware).
-func (n *Internet) BlockedNetworksPrefix(idPrefix string) int {
-	now := n.clock.Now()
-	count := 0
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	for k, till := range n.blockedTill {
-		if len(k.scanner) >= len(idPrefix) && k.scanner[:len(idPrefix)] == idPrefix && now.Before(till) {
-			count++
-		}
-	}
-	return count
 }

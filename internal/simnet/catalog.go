@@ -1,6 +1,9 @@
 package simnet
 
-import "censysmap/internal/protocols"
+import (
+	"censysmap/internal/draw"
+	"censysmap/internal/protocols"
+)
 
 // catalog entries give services realistic vendor/product/version identities,
 // which is what the enrichment fingerprints and CVE matching chew on.
@@ -120,7 +123,7 @@ func pickCatalog(proto string, r uint64) protocols.Spec {
 	for _, e := range entries {
 		total += e.weight
 	}
-	x := frac(mix(r, 0xCA7)) * total
+	x := draw.Frac(draw.Mix(r, 0xCA7)) * total
 	var chosen catalogEntry
 	for _, e := range entries {
 		if x < e.weight {

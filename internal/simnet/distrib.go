@@ -1,6 +1,10 @@
 package simnet
 
-import "sort"
+import (
+	"sort"
+
+	"censysmap/internal/draw"
+)
 
 // This file holds the statistical shape of the synthetic Internet: port
 // popularity, protocol mix, country weights, and per-protocol product
@@ -45,15 +49,15 @@ func init() {
 // pickPort draws a port. onDefault reports whether it came from the named
 // head list (and so plausibly runs its IANA protocol).
 func pickPort(r uint64) (port uint16, onDefault bool) {
-	if frac(mix(r, 0xA1)) < headWeight {
-		x := frac(mix(r, 0xA2)) * headTotal
+	if draw.Frac(draw.Mix(r, 0xA1)) < headWeight {
+		x := draw.Frac(draw.Mix(r, 0xA2)) * headTotal
 		i := sort.SearchFloat64s(headCum, x)
 		if i >= len(headPorts) {
 			i = len(headPorts) - 1
 		}
 		return headPorts[i].port, true
 	}
-	p := uint16(mix(r, 0xA3)%65535) + 1
+	p := uint16(draw.Mix(r, 0xA3)%65535) + 1
 	return p, false
 }
 
@@ -108,11 +112,11 @@ var ianaOwner = map[uint16]string{
 // pickProtocol chooses the L7 protocol for a service at the given port.
 func pickProtocol(r uint64, port uint16, onDefault bool) string {
 	if onDefault {
-		if owner, ok := ianaOwner[port]; ok && frac(mix(r, 0xB1)) < 0.88 {
+		if owner, ok := ianaOwner[port]; ok && draw.Frac(draw.Mix(r, 0xB1)) < 0.88 {
 			return owner
 		}
 	}
-	x := frac(mix(r, 0xB2)) * protoTotal
+	x := draw.Frac(draw.Mix(r, 0xB2)) * protoTotal
 	i := sort.SearchFloat64s(protoCum, x)
 	if i >= len(protocolWeights) {
 		i = len(protocolWeights) - 1
@@ -184,7 +188,7 @@ func init() {
 }
 
 func pickCountry(r uint64) string {
-	x := frac(r) * countryTotal
+	x := draw.Frac(r) * countryTotal
 	i := sort.SearchFloat64s(countryCum, x)
 	if i >= len(countries) {
 		i = len(countries) - 1

@@ -1,0 +1,288 @@
+package simnet
+
+import (
+	"net/netip"
+	"strings"
+	"time"
+
+	"censysmap/internal/draw"
+	"censysmap/internal/telemetry"
+)
+
+// This file owns everything between a scanner and a host. A probe to a live
+// address passes one ordered chain of layers; the first to return a non-zero
+// Cause decides its fate, and pathOK counts it. The order and every draw key
+// are frozen — one seed names one schedule of drops:
+//
+//	active block → rate block → scan detector → (sequence number assigned)
+//	→ injected fault → reputation blocklist → geoblock → outage → path loss
+
+// Cause says which layer of the path dropped a probe; Delivered (zero) means
+// none did. A block's cause counts the probe that tripped it and every probe
+// it eats until it expires.
+type Cause uint8
+
+// The drop causes, in chain order.
+const (
+	Delivered      Cause = iota
+	CauseRateBlock       // over BlockThreshold probes per source IP to the /24 today
+	CauseDetector        // a scan detector's escalating block
+	// The five kinds a FaultInjector may return (internal/chaos draws them).
+	CauseFaultBlock
+	CauseFaultStorm
+	CauseFaultBurst
+	CauseFaultTimeout
+	CauseFaultLoss
+	CauseReputation // the /24 blocklists this scanner outright
+	CauseGeoblock   // the /24 drops out-of-country vantage points
+	CauseOutage     // the whole /24 is down this hour
+	CauseLoss       // ordinary per-packet path loss
+
+	NumCauses
+)
+
+var causeNames = [NumCauses]string{
+	"delivered", "rate_block", "detector",
+	"fault_block", "fault_storm", "fault_burst", "fault_timeout", "fault_loss",
+	"reputation", "geoblock", "outage", "loss",
+}
+
+// String is the cause's metric label.
+func (c Cause) String() string { return causeNames[c] }
+
+// Op classifies the network operation the path is consulted about, so a
+// layer can treat discovery probes and interrogation connections differently
+// (blocking counts probes only; injected timeouts hit connections only).
+type Op int
+
+// Operation kinds.
+const (
+	// OpProbe is a stateless discovery probe (ProbeTCP / ProbeUDP).
+	OpProbe Op = iota
+	// OpConnect is an application-layer interrogation connection.
+	OpConnect
+	// OpConnectName is a name-addressed web-property connection.
+	OpConnectName
+)
+
+// FaultInjector decides whether an otherwise-deliverable probe is dropped,
+// and why. It is consulted once per probe that gets past the blocking
+// layers, immediately after the per-(scanner, addr) sequence number is
+// assigned — so an injected drop consumes a sequence number exactly like
+// natural path loss, and the natural loss draws for subsequent probes are
+// unchanged.
+//
+// Implementations must be deterministic functions of their own seed and the
+// arguments (never of call interleaving), and safe for concurrent use:
+// parallel interrogation workers probe concurrently.
+type FaultInjector interface {
+	Drop(sc Scanner, addr netip.Addr, op Op, seq uint64, now time.Time) Cause
+}
+
+// SetFaultInjector installs (or removes, with nil) a fault injector on the
+// network path. It must only be called while no probes are in flight —
+// between runs, not mid-tick.
+func (n *Internet) SetFaultInjector(f FaultInjector) { n.fault = f }
+
+// scanNetKey names one path: a scanner identity and a /24 (base address as an
+// integer).
+type scanNetKey struct {
+	scanner string
+	net     uint32
+}
+
+// netPath is everything the network remembers about one scanner on one /24.
+// Guarded by Internet.pathMu.
+type netPath struct {
+	// day is the simulated day the two counters belong to; they reset when
+	// it rolls over. probes counts discovery probes against the rate
+	// threshold, detProbes those seen by the /24's scan detector (tripping
+	// it opens a fresh window).
+	day               int64
+	probes, detProbes int
+	// offenses is how many times the detector has blocked this scanner; each
+	// doubles the next block. Never reset.
+	offenses int
+	// blockedTill ends the current block; blockedBy is the layer that set it.
+	blockedTill time.Time
+	blockedBy   Cause
+	// seq is the probe ordinal per address (indexed by last octet). The
+	// fault and loss draws key on it, not on a global ordinal, so a probe's
+	// outcome depends only on how many times this scanner has probed this
+	// address — not on how probes interleave across workers.
+	seq [256]uint32
+}
+
+// pathOK reports whether a probe from sc reaches addr, running the chain and
+// counting the cause when it does not.
+func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) bool {
+	n.probesSeen.Add(1)
+	now := n.clock.Now()
+	a := draw.AddrU32(addr)
+	c, seq := n.blocking(sc, a, op, now)
+	if c == Delivered && n.fault != nil {
+		c = n.fault.Drop(sc, addr, op, seq, now)
+	}
+	if c == Delivered {
+		c = n.ambient(sc, a, seq, now)
+	}
+	if c == Delivered {
+		return true
+	}
+	n.drops[c].AddAt(int(a), 1)
+	return false
+}
+
+// blocking is the stateful head of the chain: an active block, the rate
+// threshold, the scan detector. A probe that passes all three is assigned
+// its sequence number.
+//
+// Only OpProbe feeds the two counters. Discovery probing is serial in the
+// pipeline, so which probe trips a block — and hence every drop the block
+// causes, for every op — is a pure function of the probe schedule,
+// independent of worker/shard layout. Connect traffic from parallel
+// interrogation workers never advances either.
+func (n *Internet) blocking(sc Scanner, a uint32, op Op, now time.Time) (Cause, uint64) {
+	key := scanNetKey{sc.ID, a &^ 0xFF}
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	p := n.paths[key]
+	if p == nil {
+		p = &netPath{}
+		n.paths[key] = p
+	}
+	if now.Before(p.blockedTill) {
+		return p.blockedBy, 0
+	}
+	if op == OpProbe {
+		if day := int64(now.Sub(n.epoch) / (24 * time.Hour)); day != p.day {
+			p.day, p.probes, p.detProbes = day, 0, 0
+		}
+		p.probes++
+		if n.cfg.BlockThreshold > 0 && p.probes > n.cfg.BlockThreshold*max(sc.SourceIPs, 1) {
+			p.blockedTill, p.blockedBy = now.Add(n.cfg.BlockDuration), CauseRateBlock
+			return CauseRateBlock, 0
+		}
+		if adv := n.cfg.Adversary; adv.DetectorThreshold > 0 && n.detectorAt(uint64(key.net)) {
+			p.detProbes++
+			if p.detProbes > adv.DetectorThreshold {
+				p.offenses++
+				p.detProbes = 0
+				dur := adv.baseBlock()
+				for i := 1; i < p.offenses; i++ {
+					dur *= 2
+					if dur >= adv.maxBlock() {
+						dur = adv.maxBlock()
+						break
+					}
+				}
+				p.blockedTill, p.blockedBy = now.Add(dur), CauseDetector
+				return CauseDetector, 0
+			}
+		}
+	}
+	seq := p.seq[uint8(a)]
+	p.seq[uint8(a)] = seq + 1
+	return Delivered, uint64(seq)
+}
+
+// ambient is the stateless tail of the chain: what the network does to any
+// probe, as pure draws on (seed, network, scanner, hour, sequence number).
+func (n *Internet) ambient(sc Scanner, a uint32, seq uint64, now time.Time) Cause {
+	seed := n.cfg.Seed
+	net := a &^ 0xFF
+	netID := uint64(net)
+	// Reputation blocklists: some networks drop this scanner wholesale.
+	if sc.BlockedFrac > 0 && draw.Frac(draw.Mix(seed, 0xB10C, netID, draw.StrHash(sc.ID))) < sc.BlockedFrac {
+		return CauseReputation
+	}
+	// Geoblocking: a small fraction of networks drop foreign scanners.
+	if draw.Frac(draw.Mix(seed, 0x6E0, netID)) < n.cfg.GeoblockRate {
+		block24 := uint64(net-draw.AddrU32(n.cfg.Prefix.Masked().Addr())) >> 8
+		if sc.Country != pickCountry(draw.Mix(seed, 0xC0, block24)) {
+			return CauseGeoblock
+		}
+	}
+	// Transient outage: whole /24 down for this hour.
+	hour := int64(now.Sub(n.epoch) / time.Hour)
+	if draw.Frac(draw.Mix(seed, 0x007, netID, uint64(hour))) < n.cfg.OutageRate {
+		return CauseOutage
+	}
+	// Path loss: base scaled by a per-(scanner-country, /16) component so
+	// vantage points see different networks differently (Wan et al.).
+	// Proportional scaling keeps BaseLoss=0 a true no-loss configuration.
+	net16 := uint64(a &^ 0xFFFF)
+	loss := n.cfg.BaseLoss * (1 + 2*draw.Frac(draw.Mix(seed, 0x105, net16, draw.StrHash(sc.Country))))
+	if draw.Frac(draw.Mix(seed, 0x10D, uint64(a), draw.StrHash(sc.ID), seq)) < loss {
+		return CauseLoss
+	}
+	return Delivered
+}
+
+// PathStats is the number of probes each layer of the path has dropped,
+// indexed by Cause (the Delivered slot stays zero). It is the one count of
+// what the network ate: natural and injected drops alike.
+type PathStats [NumCauses]uint64
+
+// Total is the number of probes the path dropped.
+func (s PathStats) Total() uint64 {
+	var t uint64
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
+// PathStats returns the cumulative drop counts by cause.
+func (n *Internet) PathStats() PathStats {
+	var s PathStats
+	for c := range s {
+		s[c] = n.drops[c].Value()
+	}
+	return s
+}
+
+// AttachTelemetry exposes the drop counters on reg as
+// censys_simnet_drops_total{cause=...}. The family reads the same striped
+// counters PathStats sums, so assertions and /v2/metrics cannot drift apart.
+func (n *Internet) AttachTelemetry(reg *telemetry.Registry) {
+	for c := Delivered + 1; c < NumCauses; c++ {
+		reg.RegisterCounter("censys_simnet_drops_total",
+			"probes dropped between scanner and host, by the path layer that dropped them",
+			map[string]string{"cause": c.String()}, &n.drops[c])
+	}
+}
+
+// BlockedNetworks reports how many (scanner, network) blocks are active
+// across all scanner identities whose ID starts with idPrefix. Rotated
+// identities ("engine+r1", "engine+r2", ...) share the prefix, so this is
+// the rotation-aware accounting the eval harness reads.
+func (n *Internet) BlockedNetworks(idPrefix string) int {
+	now := n.clock.Now()
+	count := 0
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	for k, p := range n.paths {
+		if strings.HasPrefix(k.scanner, idPrefix) && now.Before(p.blockedTill) {
+			count++
+		}
+	}
+	return count
+}
+
+// DetectorBlockEvents returns the cumulative number of detector-triggered
+// blocks against scanners whose ID starts with idPrefix (rotation-aware,
+// like BlockedNetworks): the sum of their paths' offense counts.
+// PathStats()[CauseDetector] is the probes those blocks ate, all scanners
+// together.
+func (n *Internet) DetectorBlockEvents(idPrefix string) int {
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	total := 0
+	for k, p := range n.paths {
+		if strings.HasPrefix(k.scanner, idPrefix) {
+			total += p.offenses
+		}
+	}
+	return total
+}

@@ -1,0 +1,129 @@
+package simnet
+
+import (
+	"net/netip"
+	"testing"
+	"time"
+
+	"censysmap/internal/draw"
+	"censysmap/internal/entity"
+	"censysmap/internal/simclock"
+)
+
+// quietConfig is smallConfig with every path layer switched off, so a test
+// turns on exactly the one it is about.
+func quietConfig() Config {
+	cfg := smallConfig()
+	cfg.BaseLoss = 0
+	cfg.OutageRate = 0
+	cfg.GeoblockRate = 0
+	cfg.BlockThreshold = 0
+	return cfg
+}
+
+// TestPathStateBoundedByPairs: the network keeps one record per (scanner,
+// /24) it has seen, however long the run — the day-keyed counters reset on
+// rollover instead of accumulating a key per day.
+func TestPathStateBoundedByPairs(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Adversary = AdversaryConfig{Seed: 1, DetectorRate: 0.5, DetectorThreshold: 1 << 30}
+	clk := simclock.New()
+	n := New(cfg, clk)
+	scanners := []Scanner{censysScanner, {ID: "other", SourceIPs: 4, Country: "DE"}}
+	pairs := map[scanNetKey]bool{}
+	for day := 0; day < 60; day++ {
+		for _, sc := range scanners {
+			for _, a := range n.Addrs() {
+				n.ProbeTCP(sc, a, 80)
+				n.Connect(sc, a, 80, entity.TCP)
+				pairs[scanNetKey{sc.ID, draw.AddrU32(a) &^ 0xFF}] = true
+			}
+		}
+		clk.Advance(24 * time.Hour)
+	}
+	if len(n.paths) != len(pairs) {
+		t.Fatalf("%d path records after 60 days, want %d: one per (scanner, /24) touched", len(n.paths), len(pairs))
+	}
+}
+
+// everyNth is a FaultInjector that drops every nth probe with a fixed cause.
+type everyNth struct {
+	cause Cause
+	n     uint64
+}
+
+func (f everyNth) Drop(_ Scanner, _ netip.Addr, _ Op, seq uint64, _ time.Time) Cause {
+	if seq%f.n == 0 {
+		return f.cause
+	}
+	return Delivered
+}
+
+// TestEveryCauseReachableAndCounted: each Cause can be the fate of a probe,
+// it is counted under its own name and no other, and the counts add up —
+// every probe that enters the path is either delivered or in PathStats.
+func TestEveryCauseReachableAndCounted(t *testing.T) {
+	foreign := Scanner{ID: "s", SourceIPs: 1, Country: "ZZ"}
+	local := Scanner{ID: "s", SourceIPs: 1, Country: "US"}
+	cases := map[Cause]struct {
+		scanner Scanner
+		setup   func(*Config)
+	}{
+		CauseRateBlock:  {local, func(c *Config) { c.BlockThreshold = 20 }},
+		CauseDetector:   {local, func(c *Config) { c.Adversary = AdversaryConfig{DetectorRate: 1, DetectorThreshold: 20} }},
+		CauseReputation: {Scanner{ID: "s", SourceIPs: 1, Country: "US", BlockedFrac: 1}, func(*Config) {}},
+		CauseGeoblock:   {foreign, func(c *Config) { c.GeoblockRate = 1 }},
+		CauseOutage:     {local, func(c *Config) { c.OutageRate = 1 }},
+		CauseLoss:       {local, func(c *Config) { c.BaseLoss = 0.2 }},
+	}
+	for c := Delivered + 1; c < NumCauses; c++ {
+		tc, ok := cases[c]
+		cfg := quietConfig()
+		var fault FaultInjector
+		if ok {
+			tc.setup(&cfg)
+		} else if c >= CauseFaultBlock && c <= CauseFaultLoss {
+			tc.scanner, fault = local, everyNth{c, 3}
+		} else {
+			t.Fatalf("cause %v has no case: add one", c)
+		}
+		n := New(cfg, simclock.New())
+		n.SetFaultInjector(fault)
+		var entered, delivered uint64
+		for round := 0; round < 4; round++ {
+			for _, a := range n.Addrs() {
+				entered++
+				if n.ProbeTCP(tc.scanner, a, 80) != Dropped {
+					delivered++
+				}
+			}
+		}
+		st := n.PathStats()
+		if st[c] == 0 {
+			t.Errorf("%v: never fired: %v", c, st)
+		}
+		if st.Total() != st[c] {
+			t.Errorf("%v: other causes counted too: %v", c, st)
+		}
+		if st.Total()+delivered != entered {
+			t.Errorf("%v: %d dropped + %d delivered != %d entered", c, st.Total(), delivered, entered)
+		}
+	}
+}
+
+// TestConnectsNeverTripBlocks: only discovery probes feed the rate and
+// detector counters, so parallel interrogation traffic cannot decide which
+// probe trips a block.
+func TestConnectsNeverTripBlocks(t *testing.T) {
+	cfg := quietConfig()
+	cfg.BlockThreshold = 10
+	n := New(cfg, simclock.New())
+	sc := Scanner{ID: "x", SourceIPs: 1, Country: "US"}
+	target := n.Addrs()[0]
+	for i := 0; i < 100; i++ {
+		n.Connect(sc, target, 80, entity.TCP)
+	}
+	if n.BlockedNetworks("x") != 0 || n.PathStats().Total() != 0 {
+		t.Fatalf("connect traffic tripped a block: %v", n.PathStats())
+	}
+}

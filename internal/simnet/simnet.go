@@ -25,9 +25,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
+	"censysmap/internal/telemetry"
 	"censysmap/internal/x509lite"
 )
 
@@ -117,48 +119,20 @@ type Internet struct {
 
 	webProps map[string]*WebSite // keyed by name
 
-	// Blocking state: per (scanner, /24) counters and active blocks.
-	// pathMu guards probeCounts, blockedTill, and pathSeq so concurrent
-	// probes from parallel interrogation workers are safe.
-	pathMu      sync.Mutex
-	probeCounts map[blockKey]int
-	blockedTill map[scanNetKey]time.Time
-	// pathSeq counts probes per (scanner, addr). The path-loss draw is keyed
-	// on it instead of the global probe ordinal, so a probe's outcome depends
-	// only on how many times this scanner has probed this address — not on
-	// how probes to different addresses interleave. That makes outcomes
-	// independent of worker count and goroutine scheduling.
-	pathSeq map[pathKey]uint64
+	// The path model (path.go): one record per (scanner, /24) under pathMu
+	// (parallel interrogation workers probe concurrently), the optional
+	// fault injector (written only between runs), and the drop counters by
+	// Cause, striped by address.
+	pathMu sync.Mutex
+	paths  map[scanNetKey]*netPath
+	fault  FaultInjector
+	drops  [NumCauses]telemetry.Counter
 
-	// fault, when set, injects additional deterministic drops on the path
-	// (see FaultInjector). Written only between runs; read per probe.
-	fault FaultInjector
-
-	// Adversary state (see adversary.go). advSeed is fixed at generation;
-	// the detector maps are guarded by pathMu like the blocking state.
-	advSeed    uint64
-	detCounts  map[blockKey]int   // per (scanner, /24, day) detector-visible probes
-	detOffense map[scanNetKey]int // repeat-offense count per (scanner, /24)
-	detEvents  map[string]int     // cumulative detector blocks per scanner ID
+	// advSeed seeds the adversary draws (adversary.go); fixed at generation.
+	advSeed uint64
 
 	// Stats counters.
 	probesSeen atomic.Uint64
-}
-
-type pathKey struct {
-	scanner string
-	addr    netip.Addr
-}
-
-type blockKey struct {
-	scanner string
-	net     netip.Addr // /24 base
-	day     int64
-}
-
-type scanNetKey struct {
-	scanner string
-	net     netip.Addr
 }
 
 // Host is one simulated host.
@@ -222,15 +196,13 @@ func New(cfg Config, clock simclock.Clock) *Internet {
 		panic("simnet: config requires an IPv4 prefix")
 	}
 	n := &Internet{
-		cfg:         cfg,
-		clock:       clock,
-		epoch:       clock.Now(),
-		hosts:       make(map[netip.Addr]*Host),
-		webProps:    make(map[string]*WebSite),
-		probeCounts: make(map[blockKey]int),
-		blockedTill: make(map[scanNetKey]time.Time),
-		pathSeq:     make(map[pathKey]uint64),
-		CT:          x509lite.NewCTLog("sim-argon"),
+		cfg:      cfg,
+		clock:    clock,
+		epoch:    clock.Now(),
+		hosts:    make(map[netip.Addr]*Host),
+		webProps: make(map[string]*WebSite),
+		paths:    make(map[scanNetKey]*netPath),
+		CT:       x509lite.NewCTLog("sim-argon"),
 	}
 	n.buildPKI()
 	n.generateHosts()
@@ -252,10 +224,10 @@ func (n *Internet) buildPKI() {
 	start := n.epoch.Add(-5 * 365 * 24 * time.Hour)
 	life := 15 * 365 * 24 * time.Hour
 	n.trustedCAs = []*x509lite.CA{
-		x509lite.NewCA("Sim Trust Services CA", mix(n.cfg.Seed, 0xCA, 1), start, life),
-		x509lite.NewCA("Let's Simulate Authority X1", mix(n.cfg.Seed, 0xCA, 2), start, life),
+		x509lite.NewCA("Sim Trust Services CA", draw.Mix(n.cfg.Seed, 0xCA, 1), start, life),
+		x509lite.NewCA("Let's Simulate Authority X1", draw.Mix(n.cfg.Seed, 0xCA, 2), start, life),
 	}
-	n.rogueCA = x509lite.NewCA("Unknown Issuing CA", mix(n.cfg.Seed, 0xCA, 3), start, life)
+	n.rogueCA = x509lite.NewCA("Unknown Issuing CA", draw.Mix(n.cfg.Seed, 0xCA, 3), start, life)
 	n.Roots = x509lite.NewRootStore(n.trustedCAs[0].Cert, n.trustedCAs[1].Cert)
 }
 
@@ -271,11 +243,11 @@ func (n *Internet) TrustedCA(i int) *x509lite.CA {
 
 // generateHosts populates the universe deterministically.
 func (n *Internet) generateHosts() {
-	base := addrU32(n.cfg.Prefix.Masked().Addr())
+	base := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
 	count := uint32(1) << (32 - n.cfg.Prefix.Bits())
 	for off := uint32(0); off < count; off++ {
-		a := u32Addr(base + off)
-		if frac(mix(n.cfg.Seed, 0x5057, uint64(off))) >= n.cfg.HostDensity {
+		a := draw.U32Addr(base + off)
+		if draw.Frac(draw.Mix(n.cfg.Seed, 0x5057, uint64(off))) >= n.cfg.HostDensity {
 			continue
 		}
 		h := n.makeHost(a, off)
@@ -289,12 +261,12 @@ func (n *Internet) makeHost(a netip.Addr, off uint32) *Host {
 	cloud := int(block24) < n.cfg.CloudBlocks
 	h := &Host{
 		Addr:    a,
-		Country: pickCountry(mix(n.cfg.Seed, 0xC0, uint64(block24))),
+		Country: pickCountry(draw.Mix(n.cfg.Seed, 0xC0, uint64(block24))),
 		Cloud:   cloud,
-		Pseudo:  frac(mix(n.cfg.Seed, 0x9D, uint64(off))) < n.cfg.PseudoHostRate,
+		Pseudo:  draw.Frac(draw.Mix(n.cfg.Seed, 0x9D, uint64(off))) < n.cfg.PseudoHostRate,
 	}
 	block20 := off >> 12
-	h.ASN = 64000 + uint32(mix(n.cfg.Seed, 0xA5, uint64(block20))%900)
+	h.ASN = 64000 + uint32(draw.Mix(n.cfg.Seed, 0xA5, uint64(block20))%900)
 	if cloud {
 		h.ASN = 14618 // EC2-like
 		h.ASOrg = "Simazon Cloud"
@@ -312,7 +284,7 @@ func (n *Internet) makeHost(a netip.Addr, off uint32) *Host {
 		// host carries each template service independently, plus an
 		// occasional off-template service so the tail stays realistic.
 		for i, tp := range tmpl.ports {
-			if frac(mix(n.cfg.Seed, 0xDE9, uint64(off)*16+uint64(i))) >= tp.p {
+			if draw.Frac(draw.Mix(n.cfg.Seed, 0xDE9, uint64(off)*16+uint64(i))) >= tp.p {
 				continue
 			}
 			slot := n.finishSlot(off, i, cloud, h.Country, tp.port, tp.proto)
@@ -322,7 +294,7 @@ func (n *Internet) makeHost(a netip.Addr, off uint32) *Host {
 			used[slot.Port] = true
 			h.Slots = append(h.Slots, slot)
 		}
-		if frac(mix(n.cfg.Seed, 0xDEA, uint64(off))) < 0.25 {
+		if draw.Frac(draw.Mix(n.cfg.Seed, 0xDEA, uint64(off))) < 0.25 {
 			slot := n.makeSlot(off, len(tmpl.ports), cloud, h.Country)
 			if !used[slot.Port] {
 				used[slot.Port] = true
@@ -337,7 +309,7 @@ func (n *Internet) makeHost(a netip.Addr, off uint32) *Host {
 	if cloud {
 		mean *= 1.6
 	}
-	slots := 1 + int(float64(mix(n.cfg.Seed, 0x51, uint64(off))%1000)/1000*2*(mean-1)+0.5)
+	slots := 1 + int(float64(draw.Mix(n.cfg.Seed, 0x51, uint64(off))%1000)/1000*2*(mean-1)+0.5)
 	for i := 0; i < slots; i++ {
 		slot := n.makeSlot(off, i, cloud, h.Country)
 		if used[slot.Port] {
@@ -357,10 +329,10 @@ func (n *Internet) makeHost(a netip.Addr, off uint32) *Host {
 			if s.Spec.Protocol != "HTTP" || (s.Port != 80 && s.Port != 443) {
 				continue
 			}
-			if frac(mix(n.cfg.Seed, 0xC09A, uint64(off))) < 0.3 {
+			if draw.Frac(draw.Mix(n.cfg.Seed, 0xC09A, uint64(off))) < 0.3 {
 				mgmt := *s
 				mgmt.Port = companionPort
-				mgmt.Spec = pickCatalog("HTTP", mix(n.cfg.Seed, 0xC09B, uint64(off)))
+				mgmt.Spec = pickCatalog("HTTP", draw.Mix(n.cfg.Seed, 0xC09B, uint64(off)))
 				mgmt.Spec.Protocol = "HTTP"
 				mgmt.Spec.Title = "Management Console"
 				h.Slots = append(h.Slots, &mgmt)
@@ -377,14 +349,14 @@ func (n *Internet) patternFor(block24 uint32, cloud bool) *deployTemplate {
 	if cloud || n.cfg.DeploymentPatterns <= 0 {
 		return nil
 	}
-	if frac(mix(n.cfg.Seed, 0xDEB1, uint64(block24))) >= n.cfg.DeploymentPatterns {
+	if draw.Frac(draw.Mix(n.cfg.Seed, 0xDEB1, uint64(block24))) >= n.cfg.DeploymentPatterns {
 		return nil
 	}
-	return &deployTemplates[mix(n.cfg.Seed, 0xDEB2, uint64(block24))%uint64(len(deployTemplates))]
+	return &deployTemplates[draw.Mix(n.cfg.Seed, 0xDEB2, uint64(block24))%uint64(len(deployTemplates))]
 }
 
 func (n *Internet) makeSlot(off uint32, i int, cloud bool, country string) *Slot {
-	r := func(purpose uint64) uint64 { return mix(n.cfg.Seed, purpose, uint64(off)*16+uint64(i)) }
+	r := func(purpose uint64) uint64 { return draw.Mix(n.cfg.Seed, purpose, uint64(off)*16+uint64(i)) }
 	port, onDefault := pickPort(r(0x01))
 	proto := pickProtocol(r(0x02), port, onDefault)
 	return n.finishSlot(off, i, cloud, country, port, proto)
@@ -394,7 +366,7 @@ func (n *Internet) makeSlot(off uint32, i int, cloud bool, country string) *Slot
 // churn schedule. The draw sequence matches the old inline implementation,
 // so unpatterned universes generate byte-identically.
 func (n *Internet) finishSlot(off uint32, i int, cloud bool, country string, port uint16, proto string) *Slot {
-	r := func(purpose uint64) uint64 { return mix(n.cfg.Seed, purpose, uint64(off)*16+uint64(i)) }
+	r := func(purpose uint64) uint64 { return draw.Mix(n.cfg.Seed, purpose, uint64(off)*16+uint64(i)) }
 	p := protocols.Lookup(proto)
 	transport := p.Transport
 
@@ -406,7 +378,7 @@ func (n *Internet) finishSlot(off uint32, i int, cloud bool, country string, por
 	birthBack := time.Duration(r(0x04)%uint64(120*24)) * time.Hour
 	slot.Birth = n.epoch.Add(-birthBack)
 
-	churns := cloud || frac(r(0x05)) < n.cfg.ChurnFraction
+	churns := cloud || draw.Frac(r(0x05)) < n.cfg.ChurnFraction
 	if churns {
 		// Periods from 12 hours to ~3 weeks; cloud churns fastest.
 		maxP := 21 * 24 * time.Hour
@@ -414,7 +386,7 @@ func (n *Internet) finishSlot(off uint32, i int, cloud bool, country string, por
 			maxP = 4 * 24 * time.Hour
 		}
 		slot.Period = 12*time.Hour + time.Duration(r(0x06)%uint64(maxP-12*time.Hour))
-		slot.Duty = 0.35 + frac(r(0x07))*0.5
+		slot.Duty = 0.35 + draw.Frac(r(0x07))*0.5
 		slot.Phase = time.Duration(r(0x08) % uint64(slot.Period))
 	}
 	return slot
@@ -425,8 +397,8 @@ func (n *Internet) makeSpec(proto string, rnd uint64, country string) protocols.
 	spec := pickCatalog(proto, rnd)
 	spec.Protocol = proto
 
-	if proto == "HTTP" && frac(mix(rnd, 0x71)) < 0.45 {
-		n.addTLS(&spec, fmt.Sprintf("host-%x.sim.example", rnd%0xFFFFFF), mix(rnd, 0x72))
+	if proto == "HTTP" && draw.Frac(draw.Mix(rnd, 0x71)) < 0.45 {
+		n.addTLS(&spec, fmt.Sprintf("host-%x.sim.example", rnd%0xFFFFFF), draw.Mix(rnd, 0x72))
 	}
 	return spec
 }
@@ -435,7 +407,7 @@ func (n *Internet) makeSpec(proto string, rnd uint64, country string) protocols.
 func (n *Internet) addTLS(spec *protocols.Spec, name string, rnd uint64) {
 	var cert *x509lite.Certificate
 	switch {
-	case frac(mix(rnd, 1)) < 0.22: // self-signed device certs
+	case draw.Frac(draw.Mix(rnd, 1)) < 0.22: // self-signed device certs
 		nm := x509lite.Name{CommonName: name}
 		cert = &x509lite.Certificate{
 			Serial: rnd | 1, Subject: nm, Issuer: nm, KeyID: rnd,
@@ -444,7 +416,7 @@ func (n *Internet) addTLS(spec *protocols.Spec, name string, rnd uint64) {
 			DNSNames:  []string{name},
 		}
 		cert.Sign(rnd)
-	case frac(mix(rnd, 2)) < 0.05: // expired
+	case draw.Frac(draw.Mix(rnd, 2)) < 0.05: // expired
 		ca := n.TrustedCA(int(rnd))
 		cert = ca.Issue(x509lite.Name{CommonName: name}, []string{name}, rnd,
 			n.epoch.Add(-200*24*time.Hour), 90*24*time.Hour)
@@ -467,12 +439,12 @@ func (n *Internet) generateWebProperties() {
 		return
 	}
 	for i := 0; i < n.cfg.WebProperties; i++ {
-		r := mix(n.cfg.Seed, 0x3EB, uint64(i))
+		r := draw.Mix(n.cfg.Seed, 0x3EB, uint64(i))
 		name := fmt.Sprintf("app%d.sim%d.example", i, r%40)
 		site := &WebSite{Name: name, Birth: n.epoch.Add(-time.Duration(r%uint64(90*24)) * time.Hour)}
 		// Served by 1-3 hosts (CDN-ish).
 		for j := uint64(0); j <= r%3; j++ {
-			site.Addrs = append(site.Addrs, n.addrs[mix(r, j)%uint64(len(n.addrs))])
+			site.Addrs = append(site.Addrs, n.addrs[draw.Mix(r, j)%uint64(len(n.addrs))])
 		}
 		spec := pickCatalog("HTTP", r)
 		spec.Protocol = "HTTP"
@@ -525,7 +497,7 @@ func (n *Internet) WebSites() map[string]*WebSite { return n.webProps }
 func (n *Internet) PassiveDNS() []string {
 	var out []string
 	for name := range n.webProps {
-		if mix(n.cfg.Seed, 0xDD5, uint64(len(name)), uint64(name[3]))%2 == 0 {
+		if draw.Mix(n.cfg.Seed, 0xDD5, uint64(len(name)), uint64(name[3]))%2 == 0 {
 			out = append(out, name)
 		}
 	}
@@ -554,32 +526,3 @@ func (n *Internet) RemoveHost(addr netip.Addr) {
 		}
 	}
 }
-
-// ---- deterministic randomness helpers ----
-
-// mix hashes its arguments with a splitmix64 finalizer chain.
-func mix(vals ...uint64) uint64 {
-	x := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vals {
-		x ^= v + 0x9E3779B97F4A7C15 + (x << 6) + (x >> 2)
-		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		x ^= x >> 31
-	}
-	return x
-}
-
-// frac maps a hash to [0, 1).
-func frac(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
-
-func addrU32(a netip.Addr) uint32 {
-	b := a.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func u32Addr(v uint32) netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-// net24 returns the /24 base address containing a.
-func net24(a netip.Addr) netip.Addr { return u32Addr(addrU32(a) &^ 0xFF) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
@@ -266,7 +267,7 @@ func TestBlockingTriggersOnAggressiveScanning(t *testing.T) {
 	}
 	// Once blocked, even live services stop answering.
 	ref := firstTCPService(n)
-	if net24(ref.Addr) == net24(target) {
+	if draw.Net24(ref.Addr) == draw.Net24(target) {
 		if n.ProbeTCP(aggressive, ref.Addr, ref.Port) != Dropped {
 			t.Fatal("blocked scanner still gets responses")
 		}

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/wire"
@@ -121,7 +122,7 @@ func (n *Internet) Connect(sc Scanner, addr netip.Addr, port uint16, transport e
 		}
 		return &TarpitConn{
 			drip: h.TarpitDrip,
-			seed: mix(n.advSeed, 0x7A9B, uint64(addrU32(addr)), uint64(port)),
+			seed: draw.Mix(n.advSeed, 0x7A9B, uint64(draw.AddrU32(addr)), uint64(port)),
 		}, true
 	}
 	for _, s := range h.Slots {
@@ -213,130 +214,6 @@ func (n *Internet) HandlePacket(sc Scanner, pkt []byte) []byte {
 		return resp
 	}
 	return nil
-}
-
-// pathOK models everything between scanner and host: blocking, geoblocking,
-// transient outages, and path loss. It also feeds the rate-based blocking
-// counters.
-func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) bool {
-	n.probesSeen.Add(1)
-	now := n.clock.Now()
-	net := net24(addr)
-
-	n.pathMu.Lock()
-	// Active block for this scanner on this network?
-	if till, ok := n.blockedTill[scanNetKey{sc.ID, net}]; ok {
-		if now.Before(till) {
-			n.pathMu.Unlock()
-			return false
-		}
-		delete(n.blockedTill, scanNetKey{sc.ID, net})
-	}
-
-	// Rate accounting: per scanner, per /24, per simulated day.
-	day := int64(now.Sub(n.epoch) / (24 * time.Hour))
-	bk := blockKey{sc.ID, net, day}
-	n.probeCounts[bk]++
-	srcs := sc.SourceIPs
-	if srcs < 1 {
-		srcs = 1
-	}
-	if n.cfg.BlockThreshold > 0 && n.probeCounts[bk] > n.cfg.BlockThreshold*srcs {
-		n.blockedTill[scanNetKey{sc.ID, net}] = now.Add(n.cfg.BlockDuration)
-		n.pathMu.Unlock()
-		return false
-	}
-	// Scan detectors: networks that watch discovery traffic and block with
-	// escalating durations. Only OpProbe feeds the counters — discovery
-	// probing is serial in the pipeline, so detector triggering (and hence
-	// the resulting blocks, which affect every op) is a pure function of the
-	// probe schedule, independent of worker/shard layout. Connect traffic
-	// from parallel interrogation workers never advances a detector.
-	if adv := n.cfg.Adversary; adv.DetectorRate > 0 && adv.DetectorThreshold > 0 &&
-		op == OpProbe && n.detectorAt(uint64(addrU32(net))) {
-		n.detCounts[bk]++
-		if n.detCounts[bk] > adv.DetectorThreshold {
-			snk := scanNetKey{sc.ID, net}
-			off := n.detOffense[snk] + 1
-			n.detOffense[snk] = off
-			dur := adv.baseBlock()
-			for i := 1; i < off; i++ {
-				dur *= 2
-				if dur >= adv.maxBlock() {
-					dur = adv.maxBlock()
-					break
-				}
-			}
-			n.blockedTill[snk] = now.Add(dur)
-			n.detEvents[sc.ID]++
-			n.detCounts[bk] = 0 // fresh window after the block expires
-			n.pathMu.Unlock()
-			return false
-		}
-	}
-	// Per-(scanner, addr) probe ordinal for the loss draw below.
-	pk := pathKey{sc.ID, addr}
-	seq := n.pathSeq[pk]
-	n.pathSeq[pk] = seq + 1
-	n.pathMu.Unlock()
-
-	// Injected faults: consulted after the sequence number is consumed, so an
-	// injected drop is indistinguishable from natural loss to later draws.
-	if n.fault != nil && n.fault.Drop(sc, addr, op, seq, now) {
-		return false
-	}
-
-	netID := uint64(addrU32(net))
-	// Reputation blocklists: some networks drop this scanner wholesale.
-	if sc.BlockedFrac > 0 && frac(mix(n.cfg.Seed, 0xB10C, netID, strHash(sc.ID))) < sc.BlockedFrac {
-		return false
-	}
-	// Geoblocking: a small fraction of networks drop foreign scanners.
-	if frac(mix(n.cfg.Seed, 0x6E0, netID)) < n.cfg.GeoblockRate {
-		netCountry := pickCountry(mix(n.cfg.Seed, 0xC0, uint64(addrU32(net)-addrU32(n.cfg.Prefix.Masked().Addr()))>>8))
-		if sc.Country != netCountry {
-			return false
-		}
-	}
-
-	// Transient outage: whole /24 down for this hour.
-	hour := int64(now.Sub(n.epoch) / time.Hour)
-	if frac(mix(n.cfg.Seed, 0x007, netID, uint64(hour))) < n.cfg.OutageRate {
-		return false
-	}
-
-	// Path loss: base scaled by a per-(scanner-country, /16) component so
-	// vantage points see different networks differently (Wan et al.).
-	// Proportional scaling keeps BaseLoss=0 a true no-loss configuration.
-	net16 := uint64(addrU32(addr) &^ 0xFFFF)
-	loss := n.cfg.BaseLoss * (1 + 2*frac(mix(n.cfg.Seed, 0x105, net16, strHash(sc.Country))))
-	if frac(mix(n.cfg.Seed, 0x10D, uint64(addrU32(addr)), strHash(sc.ID), seq)) < loss {
-		return false
-	}
-	return true
-}
-
-func strHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// BlockedNetworks reports how many (scanner, network) blocks are active.
-func (n *Internet) BlockedNetworks(scannerID string) int {
-	now := n.clock.Now()
-	count := 0
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	for k, till := range n.blockedTill {
-		if k.scanner == scannerID && now.Before(till) {
-			count++
-		}
-	}
-	return count
 }
 
 // ProbesSeen returns the total probes the network has processed.

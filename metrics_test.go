@@ -47,12 +47,18 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 		"censys_paper_coverage_ratio",
 		"censys_paper_freshness_hours_bucket",
 		"censys_journal_appends_total{partition=\"0\"}",
+		"censys_simnet_drops_total{cause=\"loss\"}",
 		// This request itself is counted before the snapshot is taken.
 		"censys_lookup_requests_total{route=\"GET /v2/metrics\"}",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text exposition missing %q", want)
 		}
+	}
+	// A day of scanning the default universe loses probes on the path, and
+	// the running system says how many.
+	if strings.Contains(text, "censys_simnet_drops_total{cause=\"loss\"} 0\n") {
+		t.Error("a day of scanning counted no path loss")
 	}
 }
 
