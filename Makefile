@@ -114,7 +114,7 @@ predict-diff:
 # kill/resume), and the per-engine mislabel/blocking/freshness replay.
 adversarial:
 	$(GO) test -race ./internal/simnet/ ./internal/interro/ ./internal/protocols/ ./internal/discovery/
-	$(GO) test -race ./internal/core/ -run 'Tarpit|Honeypot|Pseudo'
+	$(GO) test -race ./internal/core/ -run 'Tarpit|Honeypot|Pseudo|Flagged'
 	$(GO) test -race ./internal/chaos/ -run 'Adversarial'
 	$(GO) test ./internal/eval/ -run 'Adversarial'
 

@@ -25,11 +25,22 @@ func clusterSpec(seed uint64, ticks int) RunSpec {
 // run — node kills, lease failovers, rejoin catch-up and all — must be
 // externally indistinguishable from the serial run: identical dataset,
 // journal, query answers, follower-read answers, and per-partition replica
-// state on the serving nodes.
+// state on the serving nodes. The last seed runs the hostile substrate, whose
+// honeypot farm gets flagged: its hosts leave follower reads too, because
+// their retirement is replicated like any other removal.
 func TestClusterDifferential(t *testing.T) {
 	const ticks = 30
-	for _, seed := range []uint64{31, 87} {
-		serial, err := Complete(clusterSpec(seed, ticks))
+	const hostile = 401
+	spec := func(seed uint64) RunSpec {
+		if seed != hostile {
+			return clusterSpec(seed, ticks)
+		}
+		s := adversarialSpec(seed, ticks)
+		s.Pipeline.Shards = 6
+		return s
+	}
+	for _, seed := range []uint64{31, 87, hostile} {
+		serial, err := Complete(spec(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +56,7 @@ func TestClusterDifferential(t *testing.T) {
 				faults := nodeFaultSchedule(NodeFaults{Seed: seed*3 + 1, Kills: 2, DownRounds: 3},
 					nodes, ticks, ccfg.LeaseRounds)
 				ccfg.Faults = faults
-				cr, err := CompleteCluster(clusterSpec(seed, ticks), ccfg)
+				cr, err := CompleteCluster(spec(seed), ccfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,6 +70,12 @@ func TestClusterDifferential(t *testing.T) {
 				}
 				if diffs := ClusterDiff(base, baseRead, co); len(diffs) != 0 {
 					t.Fatalf("cluster diverged from serial run:\n%v", diffs)
+				}
+				if seed == hostile && len(cr.Map.HoneypotHosts()) == 0 {
+					t.Fatal("no honeypot flagged; the follower-read case is vacuous")
+				}
+				if leaks := flaggedFollowerReads(cr); len(leaks) != 0 {
+					t.Fatalf("%d flagged hosts on follower reads, first: %s", len(leaks), leaks[0])
 				}
 				st := co.Stats
 				if st.RecordsShipped == 0 || st.SegmentsSealed == 0 {
@@ -84,6 +101,25 @@ func TestClusterDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// flaggedFollowerReads holds follower reads to the single-owner rule: a host
+// the honeypot filter took out of the dataset had its services retired through
+// the journal, so the replica serving its partition — which has never heard of
+// the flagged set — reconstructs it with no service. It returns one line per
+// flagged host a placement-routed read still serves.
+func flaggedFollowerReads(cr *ClusterRun) []string {
+	var out []string
+	for _, addr := range cr.Map.HoneypotHosts() {
+		id := addr.String()
+		rd := cr.Cluster.ReaderFor(shard.Of(id, cr.Cluster.Partitions()))
+		if rd == nil {
+			out = append(out, fmt.Sprintf("flagged host %s: partition unserved", id))
+		} else if h, ok := rd.HostAt(id, cr.Clock.Now()); ok && len(h.Services) > 0 {
+			out = append(out, fmt.Sprintf("flagged host %s: follower read serves %d services", id, len(h.Services)))
+		}
+	}
+	return out
 }
 
 // TestClusterDegradedSurface: a 2-node cluster losing a node walks through

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"censysmap/internal/cqrs"
+	"censysmap/internal/entity"
+	"censysmap/internal/journal"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
 )
@@ -182,5 +189,173 @@ func TestHoneypotFarmsGetFlagged(t *testing.T) {
 		if _, ok := m.HostCurrent(a); ok {
 			t.Fatalf("HostCurrent still serves flagged honeypot %v", a)
 		}
+	}
+}
+
+// TestFlaggedHostOnNoReadSurface: whatever takes a host out of the dataset —
+// the pseudo-service filter, the honeypot-farm detector, an operator opt-out
+// — takes it off every read surface, because they all read what the write
+// side materializes and the host's services were retired from it. What stays
+// is history: the finds, then one service_removed per slot dated at the flag,
+// and the time-travel view from before it.
+func TestFlaggedHostOnNoReadSurface(t *testing.T) {
+	ncfg := simnet.DefaultConfig()
+	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	ncfg.PseudoHostRate = 0.02
+	ncfg.CloudBlocks = 1
+	ncfg.WebProperties = 0
+	ncfg.BaseLoss = 0
+	ncfg.OutageRate = 0
+	ncfg.GeoblockRate = 0
+	ncfg.Adversary = simnet.AdversaryConfig{Seed: 9, HoneypotFarms: 1}
+	net := simnet.New(ncfg, simclock.New())
+
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = 1
+	// Thresholds (and no all-port seed scan) such that flags land ticks after
+	// a host's first find, so there is a before to time-travel to.
+	cfg.DisablePrediction = true
+	cfg.PseudoServiceThreshold = 12
+	cfg.HoneypotUniformityThreshold = 60
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(48 * time.Hour)
+
+	// flaggedAt is when a host's journal ends in a removal, or the zero time.
+	flaggedAt := func(addr netip.Addr) time.Time {
+		evs := m.History(addr)
+		for len(evs) > 0 && evs[len(evs)-1].Kind == journal.SnapshotKind {
+			evs = evs[:len(evs)-1]
+		}
+		if len(evs) == 0 || evs[len(evs)-1].Kind != cqrs.KindServiceRemoved {
+			return time.Time{}
+		}
+		return evs[len(evs)-1].Time
+	}
+	// Of the hosts a filter flagged, take the first that held services before.
+	pick := func(why flagReason) (netip.Addr, time.Time) {
+		for _, a := range m.flaggedHosts(why) {
+			at := flaggedAt(a)
+			if h, ok := m.Host(a, at.Add(-time.Nanosecond)); !at.IsZero() && ok && len(h.Services) > 0 {
+				return a, at
+			}
+		}
+		t.Fatalf("no %s host was flagged after holding services (%d flagged)", why, len(m.flaggedHosts(why)))
+		return netip.Addr{}, time.Time{}
+	}
+	type flaggedCase struct {
+		cause string
+		addr  netip.Addr
+		at    time.Time
+	}
+	var cases []flaggedCase
+	for _, why := range []flagReason{flagPseudo, flagHoneypot} {
+		addr, at := pick(why)
+		cases = append(cases, flaggedCase{string(why), addr, at})
+	}
+	// The opt-out victim presents a certificate, so the cert pivot is tested.
+	for _, r := range m.CurrentServices(false) {
+		if h, ok := m.HostCurrent(r.Addr); ok && r.TLS && m.barred(r.Addr) == "" && len(h.Services) > 1 {
+			if _, err := m.AddExclusion(netip.PrefixFrom(r.Addr, 28), "noc@example.net"); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, flaggedCase{"opted-out prefix", r.Addr, m.clock.Now()})
+			break
+		}
+	}
+	if len(cases) != 3 {
+		t.Fatal("no TLS host to opt out")
+	}
+	// Another day: nothing re-adds the hosts, and a daily snapshot is taken.
+	m.Run(25 * time.Hour)
+	m.Stop()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	dates := m.Analytics().Dates()
+	today, _ := m.Analytics().At(dates[len(dates)-1])
+	all, err := m.Search(`services.port: [1 TO 65535]`)
+	if err != nil || len(all) == 0 {
+		t.Fatalf("search for every host: %d hosts, err %v", len(all), err)
+	}
+	if rows, err := m.ExportQuery(`ip: ` + all[0].IP.String()); err != nil || len(rows) == 0 {
+		t.Fatalf("ExportQuery by ip finds a live host: %d rows, err %v", len(rows), err)
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.cause, func(t *testing.T) {
+			id := tc.addr.String()
+			before, ok := m.Host(tc.addr, tc.at.Add(-time.Nanosecond))
+			if !ok || len(before.Services) == 0 {
+				t.Fatalf("time travel to just before the flag: found %v", ok)
+			}
+
+			// The public lookup serves no service: the answer a host whose
+			// services were all evicted gets.
+			rec := httptest.NewRecorder()
+			m.Lookup().ServeHTTP(rec, httptest.NewRequest("GET", "/v2/hosts/"+id, nil))
+			var body entity.Host
+			if rec.Code != http.StatusNotFound {
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Fatalf("GET /v2/hosts/%s: %d, body does not decode: %v", id, rec.Code, err)
+				}
+			}
+			if len(body.Services) != 0 {
+				t.Errorf("GET /v2/hosts/%s: %d with %d services in a %d-byte body", id, rec.Code, len(body.Services), rec.Body.Len())
+			}
+			if h, ok := m.Host(tc.addr, time.Time{}); ok && len(h.Services) != 0 {
+				t.Errorf("Host(now) holds %d services", len(h.Services))
+			}
+			if _, ok := m.HostCurrent(tc.addr); ok {
+				t.Error("HostCurrent serves the host")
+			}
+			if h := m.processor.CurrentState(id); h != nil && len(h.Services) != 0 {
+				t.Errorf("the write side materializes %d services", len(h.Services))
+			}
+			if m.index.Host(id) != nil {
+				t.Error("the search index holds a document")
+			}
+			for _, h := range all {
+				if h.IP == tc.addr {
+					t.Error("Search returns the host")
+				}
+			}
+			rows, err := m.ExportQuery(`ip: ` + id)
+			if err != nil || len(rows) != 0 {
+				t.Errorf("ExportQuery: %d rows, err %v", len(rows), err)
+			}
+			for _, r := range m.CurrentServices(true) {
+				if r.Addr == tc.addr {
+					t.Errorf("CurrentServices exports %v:%d", r.Addr, r.Port)
+				}
+			}
+			for _, r := range today.Rows {
+				if r.IP == id {
+					t.Errorf("the daily snapshot of %v has a row for port %d", today.Date, r.Port)
+				}
+			}
+			for _, svc := range before.Services {
+				for _, loc := range m.CertHosts(svc.CertSHA256) {
+					if strings.HasPrefix(loc, id+" ") {
+						t.Errorf("CertHosts(%.12s) still locates %s", svc.CertSHA256, loc)
+					}
+				}
+			}
+
+			// History: every slot ever found ends removed, and the journal's
+			// tail is one removal per slot held at the flag, dated at it.
+			removed := 0
+			for _, ev := range m.History(tc.addr) {
+				if ev.Kind == cqrs.KindServiceRemoved && ev.Time.Equal(tc.at) {
+					removed++
+				}
+			}
+			if removed < len(before.Services) || flaggedAt(tc.addr) != tc.at {
+				t.Errorf("history: %d removals dated %v (journal ends %v) for %d slots held just before",
+					removed, tc.at, flaggedAt(tc.addr), len(before.Services))
+			}
+		})
 	}
 }

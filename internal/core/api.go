@@ -95,7 +95,7 @@ func (m *Map) Host(addr netip.Addr, at time.Time) (*entity.Host, bool) {
 // cached-current-state path of the lookup API.
 func (m *Map) HostCurrent(addr netip.Addr) (*entity.Host, bool) {
 	h := m.processor.CurrentState(addr.String())
-	if h == nil || len(h.Services) == 0 || m.isSuppressed(addr) {
+	if h == nil || len(h.Services) == 0 {
 		return nil, false
 	}
 	m.enricher.Enrich(h)
@@ -143,9 +143,6 @@ type ServiceRecord struct {
 func (m *Map) CurrentServices(includePending bool) []ServiceRecord {
 	var out []ServiceRecord
 	m.processor.Walk(func(_ string, h *entity.Host) {
-		if m.isSuppressed(h.IP) {
-			return
-		}
 		for _, svc := range h.Services {
 			if svc.PendingRemovalSince != nil && !includePending {
 				continue
@@ -217,13 +214,24 @@ func (m *Map) InterroStats() interro.Stats {
 	return total
 }
 
-// PseudoHosts reports how many hosts the pseudo filter has flagged.
-func (m *Map) PseudoHosts() int {
-	n := 0
+// flaggedHosts lists the hosts flagged for one reason, sorted.
+func (m *Map) flaggedHosts(why flagReason) []netip.Addr {
+	var out []netip.Addr
 	for _, s := range m.shards {
 		s.mu.Lock()
-		n += len(s.pseudoHosts)
+		for a, r := range s.flagged {
+			if r == why {
+				out = append(out, a)
+			}
+		}
 		s.mu.Unlock()
 	}
-	return n
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
 }
+
+// PseudoHosts reports how many hosts the pseudo filter has flagged.
+func (m *Map) PseudoHosts() int { return len(m.flaggedHosts(flagPseudo)) }
+
+// HoneypotHosts returns every currently flagged honeypot host, sorted.
+func (m *Map) HoneypotHosts() []netip.Addr { return m.flaggedHosts(flagHoneypot) }

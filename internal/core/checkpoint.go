@@ -10,7 +10,6 @@ import (
 	"censysmap/internal/cqrs"
 	"censysmap/internal/discovery"
 	"censysmap/internal/durable"
-	"censysmap/internal/entity"
 	"censysmap/internal/journal"
 	"censysmap/internal/predict"
 	"censysmap/internal/search"
@@ -36,8 +35,8 @@ import (
 //   - Checkpoint carries only what replay cannot reach: the small,
 //     fast-changing pipeline bookkeeping (un-journaled liveness, scan
 //     positions, model state, counters) serialized at a tick boundary. It is
-//     plain data and JSON round-trips. The per-slot refresh set (known) is
-//     not in it: Resume re-derives it from the rebuilt write-side state.
+//     plain data and JSON round-trips. It holds no per-slot table but
+//     processor.slots: the refresh set is the rebuilt write-side state.
 //
 // Checkpoints are only consistent at tick boundaries: mid-tick, probes have
 // consumed path-sequence numbers that no replay can reissue. Map.Checkpoint
@@ -131,12 +130,13 @@ type Checkpoint struct {
 
 	Processor cqrs.Ephemeral `json:"processor"`
 
-	PseudoHosts   []netip.Addr    `json:"pseudo_hosts,omitempty"`
-	FoundPerHost  []HostCount     `json:"found_per_host,omitempty"`
-	HoneypotHosts []netip.Addr    `json:"honeypot_hosts,omitempty"`
-	FarmSeen      []FarmSeenEntry `json:"farm_seen,omitempty"`
-	Retries       []RetryState    `json:"retries,omitempty"`
-	Exclusions    []Exclusion     `json:"exclusions,omitempty"`
+	// Flagged is every host a host-level filter took out of the dataset,
+	// with the filter (encoding/json writes map keys sorted).
+	Flagged      map[netip.Addr]flagReason `json:"flagged,omitempty"`
+	FoundPerHost []HostCount               `json:"found_per_host,omitempty"`
+	FarmSeen     []FarmSeenEntry           `json:"farm_seen,omitempty"`
+	Retries      []RetryState              `json:"retries,omitempty"`
+	Exclusions   []Exclusion               `json:"exclusions,omitempty"`
 
 	Discovery discovery.State `json:"discovery"`
 	Predictor predict.State   `json:"predictor"`
@@ -153,6 +153,7 @@ func (m *Map) Checkpoint() Checkpoint {
 		LastDaily:  m.lastDaily,
 		Stats:      m.Stats(),
 		Processor:  m.processor.Ephemeral(),
+		Flagged:    make(map[netip.Addr]flagReason),
 		Exclusions: append([]Exclusion(nil), m.exclusions...),
 		Discovery:  m.disc.State(),
 		Predictor:  m.predictor.State(),
@@ -161,8 +162,8 @@ func (m *Map) Checkpoint() Checkpoint {
 	var retries []retryEntry
 	for _, s := range m.shards {
 		s.mu.Lock()
-		for a := range s.pseudoHosts {
-			cp.PseudoHosts = append(cp.PseudoHosts, a)
+		for a, why := range s.flagged {
+			cp.Flagged[a] = why
 		}
 		for a, c := range s.foundPerHost {
 			cp.FoundPerHost = append(cp.FoundPerHost, HostCount{Addr: a, Count: c})
@@ -175,8 +176,6 @@ func (m *Map) Checkpoint() Checkpoint {
 		cp.Retries = append(cp.Retries, RetryState{Due: r.due, Kind: int(r.task.kind),
 			Attempt: r.task.attempt, Cand: r.task.cand})
 	}
-	sort.Slice(cp.PseudoHosts, func(i, j int) bool { return cp.PseudoHosts[i].Less(cp.PseudoHosts[j]) })
-	cp.HoneypotHosts = m.HoneypotHosts()
 	cp.FarmSeen = m.farmSeenState()
 	sort.Slice(cp.FoundPerHost, func(i, j int) bool { return cp.FoundPerHost[i].Addr.Less(cp.FoundPerHost[j].Addr) })
 	return cp
@@ -206,26 +205,17 @@ func (m *Map) restore(cp *Checkpoint) error {
 	m.pseudoFiltered.Store(cp.Stats.PseudoFiltered)
 	m.honeypotsFlagged.Store(cp.Stats.HoneypotsFlagged)
 
-	for _, a := range cp.PseudoHosts {
+	for a, why := range cp.Flagged {
 		if m.quarantinedAddr(a) {
 			continue
 		}
-		m.shardFor(a).pseudoHosts[a] = true
+		m.shardFor(a).flagged[a] = why
 	}
 	for _, hc := range cp.FoundPerHost {
 		if m.quarantinedAddr(hc.Addr) {
 			continue
 		}
 		m.shardFor(hc.Addr).foundPerHost[hc.Addr] = hc.Count
-	}
-	for _, a := range cp.HoneypotHosts {
-		if m.quarantinedAddr(a) {
-			continue
-		}
-		m.shardFor(a).honeypots[a] = true
-	}
-	for i, known := range m.liveSlots() {
-		m.shards[i].known = known
 	}
 	m.restoreFarmSeen(cp.FarmSeen)
 	for _, r := range cp.Retries {
@@ -246,31 +236,6 @@ func (m *Map) restore(cp *Checkpoint) error {
 		return fmt.Errorf("core: restore web-property state: %w", err)
 	}
 	return nil
-}
-
-// liveSlots derives every shard's known set from the write side's
-// materialized state: each service of a host that is neither suppressed
-// (pseudo, honeypot) nor quarantined, stamped with the record's own LastSeen.
-// It is what Resume installs and what CheckInvariants holds the live set to.
-func (m *Map) liveSlots() []map[slotKey]knownSlot {
-	out := make([]map[slotKey]knownSlot, len(m.shards))
-	for i := range out {
-		out[i] = make(map[slotKey]knownSlot)
-	}
-	m.processor.Walk(func(id string, h *entity.Host) {
-		if m.quarantinedID(id) || m.isSuppressed(h.IP) {
-			return
-		}
-		i := shard.Of(id, len(m.shards))
-		for _, svc := range h.Services {
-			ks := knownSlot{last: svc.LastSeen}
-			if svc.Transport == entity.UDP {
-				ks.udp = svc.Protocol
-			}
-			out[i][slotKey{h.IP, svc.Port, svc.Transport}] = ks
-		}
-	})
-	return out
 }
 
 // quarantinedAddr reports whether addr belongs to a quarantined journal

@@ -22,21 +22,25 @@ import (
 )
 
 // checkpointBytesPerServiceCeiling is ~20 % above what the universe below
-// measures (239 B of bookkeeping per live service; with the parent's known
-// table restated beside processor.slots it reads 338).
+// measures (239 B of bookkeeping per live service; with a per-slot table
+// restated beside processor.slots it read 338).
 const checkpointBytesPerServiceCeiling = 287
 
-// flatKnown merges every shard's known set, with times reduced to instants so
-// a JSON round trip (which drops nothing but representation) compares equal.
-func flatKnown(m *Map) map[slotKey][2]any {
+// refreshSet is what the refresh loop works from — every slot the write side
+// materializes, with its refresh clock and, for UDP, the protocol a refresh
+// probes with — times reduced to instants so a JSON round trip (which drops
+// nothing but representation) compares equal.
+func refreshSet(m *Map) map[slotKey][2]any {
 	out := make(map[slotKey][2]any)
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for key, ks := range s.known {
-			out[key] = [2]any{ks.last.UnixNano(), ks.udp}
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		for _, svc := range h.Services {
+			udp := ""
+			if svc.Transport == entity.UDP {
+				udp = svc.Protocol
+			}
+			out[slotKey{h.IP, svc.Port, svc.Transport}] = [2]any{svc.LastSeen.UnixNano(), udp}
 		}
-		s.mu.Unlock()
-	}
+	})
 	return out
 }
 
@@ -52,8 +56,8 @@ func servicesDigest(m *Map) string {
 // TestCheckpointHoldsNoDerivedState pins the ownership rule the checkpoint
 // is built on: per-slot facts live in the journal-rebuilt write-side state
 // (plus its liveness patch, processor.slots) and nowhere else, so the
-// refresh set is re-derived on resume — under any layout, from a parent-era
-// blob, and around a quarantined partition — and the checkpoint stays small.
+// refresh set a resumed map works from is the live one — under any layout
+// and around a quarantined partition — and the checkpoint stays small.
 func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	ncfg := simnet.DefaultConfig()
 	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
@@ -85,11 +89,11 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	m.Run(5 * 24 * time.Hour)
 	m.Stop()
 
-	live := flatKnown(m)
+	live := refreshSet(m)
 	udp := 0
 	for key, v := range live {
 		if optOut.Contains(key.addr) {
-			t.Fatalf("opted-out slot %v still known", key)
+			t.Fatalf("opted-out slot %v still in the dataset", key)
 		}
 		if v[1] != "" {
 			udp++
@@ -118,8 +122,8 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 		got = append(got, name)
 	}
 	sort.Strings(got)
-	want := []string{"discovery", "exclusions", "farm_seen", "found_per_host", "honeypot_hosts",
-		"last_daily", "predictor", "processor", "pseudo_hosts", "seeded", "stats", "taken_at", "web_props"}
+	want := []string{"discovery", "exclusions", "farm_seen", "flagged", "found_per_host",
+		"last_daily", "predictor", "processor", "seeded", "stats", "taken_at", "web_props"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint sections = %v, want %v", got, want)
 	}
@@ -134,23 +138,6 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 			bookkeeping, services, per, checkpointBytesPerServiceCeiling)
 	} else {
 		t.Logf("checkpoint %d B, bookkeeping %d B = %d B/service", len(blob), bookkeeping, per)
-	}
-
-	// (c) A parent-format blob restates known; the section is ignored and
-	// re-derived.
-	var parent map[string]any
-	if err := json.Unmarshal(blob, &parent); err != nil {
-		t.Fatal(err)
-	}
-	var known []map[string]any
-	for key, v := range live {
-		known = append(known, map[string]any{"addr": key.addr, "port": key.port, "transport": key.transport,
-			"last": time.Unix(0, v[0].(int64)).UTC(), "udp_protocol": v[1]})
-	}
-	parent["known"] = known
-	parentBlob, err := json.Marshal(parent)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	resume := func(blob []byte, d Durable, shards, workers int) *Map {
@@ -170,26 +157,23 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 		}
 		return r
 	}
-	// (b) The derived set equals the live one under either layout.
-	for _, tc := range []struct {
-		name            string
-		blob            []byte
-		shards, workers int
-	}{
-		{"1x1", blob, 1, 1},
-		{"8x4", blob, 8, 4},
-		{"parent blob", parentBlob, 8, 4},
-	} {
-		r := resume(tc.blob, m.Durable(), tc.shards, tc.workers)
-		if got := flatKnown(r); !reflect.DeepEqual(got, live) {
-			t.Fatalf("%s: resumed known (%d slots) differs from live (%d slots)", tc.name, len(got), len(live))
+	// (b) The resumed refresh set equals the live one under either layout,
+	// and so do the flagged hosts that gate it.
+	for _, layout := range [][2]int{{1, 1}, {8, 4}} {
+		r := resume(blob, m.Durable(), layout[0], layout[1])
+		if got := refreshSet(r); !reflect.DeepEqual(got, live) {
+			t.Fatalf("%v: resumed refresh set (%d slots) differs from live (%d slots)", layout, len(got), len(live))
 		}
 		if got := servicesDigest(r); got != wantDigest {
-			t.Fatalf("%s: resumed dataset digest %s, live %s", tc.name, got[:12], wantDigest[:12])
+			t.Fatalf("%v: resumed dataset digest %s, live %s", layout, got[:12], wantDigest[:12])
+		}
+		if r.PseudoHosts() != m.PseudoHosts() || !reflect.DeepEqual(r.HoneypotHosts(), m.HoneypotHosts()) {
+			t.Fatalf("%v: resumed with %d pseudo hosts and %d honeypots, live has %d and %d", layout,
+				r.PseudoHosts(), len(r.HoneypotHosts()), m.PseudoHosts(), len(m.HoneypotHosts()))
 		}
 	}
 
-	// One quarantined partition: its slots are fenced out of the derived set,
+	// One quarantined partition: its slots are fenced out of the refresh set,
 	// every other partition's are untouched.
 	dir := t.TempDir()
 	if err := m.SaveDurable(dir, durable.SaveOptions{}); err != nil {
@@ -219,17 +203,16 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 		}
 	}
 	if fenced == 0 {
-		t.Fatal("partition 3 held no known slot; quarantine case vacuous")
+		t.Fatal("partition 3 held no slot; quarantine case vacuous")
 	}
-	if got := flatKnown(degraded); !reflect.DeepEqual(got, live) {
-		t.Fatalf("degraded known (%d slots) differs from live minus partition 3 (%d slots)", len(got), len(live))
+	if got := refreshSet(degraded); !reflect.DeepEqual(got, live) {
+		t.Fatalf("degraded refresh set (%d slots) differs from live minus partition 3 (%d slots)", len(got), len(live))
 	}
 }
 
-// A re-injection is interrogated unconditionally, so it can succeed against a
-// host flagged since the eviction; the slot must stay out of the refresh set
-// (a resumed map would not re-derive it).
-func TestReinjectionIntoSuppressedHostStaysOutOfKnown(t *testing.T) {
+// A re-injection is interrogated without a dataset check, so without the
+// write gate it would probe — and re-add — a host flagged since the eviction.
+func TestReinjectionIntoFlaggedHostIsGated(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
 	m.Run(26 * time.Hour)
@@ -237,22 +220,25 @@ func TestReinjectionIntoSuppressedHostStaysOutOfKnown(t *testing.T) {
 
 	recs := m.CurrentServices(false)
 	host := recs[0].Addr
-	s := m.shardFor(host)
-	if !m.suppress(s, s.honeypots, host) {
+	now := m.clock.Now()
+	if !m.suppress(host, flagHoneypot, now) {
 		t.Fatal("host already flagged")
 	}
-	before := s.foundPerHost[host]
-	now := m.clock.Now()
+	before := m.Stats()
+	tasks := 0
 	for _, r := range recs {
 		if r.Addr == host && r.Transport == entity.TCP {
+			tasks++
 			m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: host, Port: r.Port,
 				Transport: r.Transport, Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now}})
 		}
 	}
 	m.runBatch(now, "reinject")
 	m.processor.Drain()
-	if s.foundPerHost[host] == before {
-		t.Fatal("no re-injection succeeded; the case is vacuous")
+	after := m.Stats()
+	if tasks == 0 || after.PseudoFiltered-before.PseudoFiltered != uint64(tasks) || after.Interrogations != before.Interrogations {
+		t.Fatalf("%d re-injections into a flagged host: %d gated, %d interrogated", tasks,
+			after.PseudoFiltered-before.PseudoFiltered, after.Interrogations-before.Interrogations)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)

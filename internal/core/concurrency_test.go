@@ -45,12 +45,8 @@ func concMap(t *testing.T, net *simnet.Internet, shards, workers int) *Map {
 // pseudoFlagged gathers the addresses the pseudo-host filter has flagged.
 func pseudoFlagged(m *Map) map[netip.Addr]bool {
 	out := map[netip.Addr]bool{}
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for a := range s.pseudoHosts {
-			out[a] = true
-		}
-		s.mu.Unlock()
+	for _, a := range m.flaggedHosts(flagPseudo) {
+		out[a] = true
 	}
 	return out
 }

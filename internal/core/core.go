@@ -195,25 +195,25 @@ func lessSlot(a, b slotKey) bool {
 	return a.transport < b.transport
 }
 
-// knownSlot is one dataset slot's refresh bookkeeping. Both fields restate
-// the slot's materialized service record, so Resume re-derives them instead
-// of checkpointing them (see liveSlots).
-type knownSlot struct {
-	last time.Time // last successful interrogation (the record's LastSeen)
-	udp  string    // UDP only: the protocol whose probe elicited the reply (the record's Protocol)
-}
+// flagReason says which host-level filter flagged a host.
+type flagReason string
+
+const (
+	flagPseudo   flagReason = "pseudo"   // more found services than PseudoServiceThreshold
+	flagHoneypot flagReason = "honeypot" // member of a uniform honeypot farm
+)
 
 // taskKind selects the per-candidate processing semantics.
 type taskKind int
 
 const (
-	// taskCandidate is a Phase-1/predictive candidate: dedup against known
-	// freshness and the pseudo filter, then interrogate once from its PoP.
+	// taskCandidate is a Phase-1/predictive candidate: dedup against the
+	// slot's freshness in the dataset, then interrogate once from its PoP.
 	taskCandidate taskKind = iota
-	// taskRefresh re-interrogates a known slot with the PoP retry ladder,
-	// skipping slots that disappeared or went pseudo earlier in the batch.
+	// taskRefresh re-interrogates a dataset slot with the PoP retry ladder,
+	// skipping slots that left the dataset earlier in the batch.
 	taskRefresh
-	// taskDirect interrogates unconditionally (re-injection retries).
+	// taskDirect interrogates without a dataset check (re-injection).
 	taskDirect
 )
 
@@ -223,6 +223,9 @@ type pendingTask struct {
 	// attempt counts failed interrogations of this task so far (retry
 	// bookkeeping; 0 for first attempts).
 	attempt int
+	// id is cand.Addr's entity ID. enqueue renders it once, to pick the
+	// shard, and every write-side lookup the task makes reuses it.
+	id string
 }
 
 // retryEntry is a failed task waiting out its backoff.
@@ -236,17 +239,13 @@ type retryEntry struct {
 // mutex makes the read-side API safe to call concurrently with a run.
 type stateShard struct {
 	mu sync.Mutex
-	// known tracks every service slot currently in the dataset (drives
-	// refresh and dedup): exactly the materialized services of hosts that
-	// are neither suppressed nor quarantined, which CheckInvariants asserts.
-	known map[slotKey]knownSlot
-	// pseudoHosts are flagged and excluded from interrogation and search.
-	pseudoHosts map[netip.Addr]bool
+	// flagged holds the hosts a host-level filter (pseudo-service, honeypot
+	// farm) took out of the dataset. It is a write gate only (processTask):
+	// flagging retires the host's services through the journal, so no read
+	// path consults it.
+	flagged map[netip.Addr]flagReason
 	// foundPerHost counts found services, for pseudo detection.
 	foundPerHost map[netip.Addr]int
-	// honeypots are hosts flagged by the farm-uniformity detector; like
-	// pseudo hosts they are suppressed from interrogation and the dataset.
-	honeypots map[netip.Addr]bool
 
 	// pending is the shard's FIFO task queue for the current batch, filled
 	// serially between batches.
@@ -295,6 +294,8 @@ type Map struct {
 	classPredict discovery.Class
 
 	shards []*stateShard
+	// phases are the fill-then-drain stanzas Tick runs, in order.
+	phases []tickPhase
 
 	// exclusions are active operator opt-outs (Appendix D).
 	exclusions []Exclusion
@@ -382,10 +383,8 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	}
 	for i := range m.shards {
 		m.shards[i] = &stateShard{
-			known:        make(map[slotKey]knownSlot),
-			pseudoHosts:  make(map[netip.Addr]bool),
+			flagged:      make(map[netip.Addr]flagReason),
 			foundPerHost: make(map[netip.Addr]int),
-			honeypots:    make(map[netip.Addr]bool),
 		}
 	}
 	if cfg.HoneypotUniformityThreshold > 0 {
@@ -532,6 +531,15 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	// engine's exclusion set so pruned subtrees never emit targets.
 	m.predictor = predict.New(predict.DefaultConfig())
 	m.syncExclusions()
+	m.phases = []tickPhase{
+		// Retries whose backoff has elapsed fire before new work.
+		{"retry", true, m.flushRetries},
+		{"discovery", true, m.discover},
+		// Re-interrogate dataset services on cadence (paper §4.6).
+		{"refresh", true, m.refreshDue},
+		{"predict", !cfg.DisablePrediction, m.runPrediction},
+		{"reinject", !cfg.DisableReinjection, m.runReinjection},
+	}
 
 	// Web properties & certificates.
 	if d != nil {
@@ -708,40 +716,25 @@ func (m *Map) Run(d time.Duration) {
 	m.clock.Advance(d)
 }
 
-// Tick executes one scheduling quantum. Each phase enqueues its candidates
-// into per-shard FIFO queues and then runs the batch through the worker
-// pool; phases are barriers, so within a tick every phase observes the full
-// effects of the previous one, exactly as the serial pipeline did.
+// tickPhase is one fill-then-drain stanza of a tick: fill enqueues the
+// phase's tasks into the per-shard FIFO queues, then the batch runs through
+// the worker pool under the phase's name.
+type tickPhase struct {
+	name    string
+	enabled bool
+	fill    func(now time.Time)
+}
+
+// Tick executes one scheduling quantum. Phases are barriers, so within a
+// tick every phase observes the full effects of the previous one, exactly
+// as the serial pipeline did.
 func (m *Map) Tick(now time.Time) {
 	m.ticks.Add(1)
-
-	// Phase 0: retries whose backoff has elapsed fire before new work, in
-	// canonical order.
-	m.flushRetries(now)
-	m.runBatch(now, "retry")
-
-	// Phase 1: discovery. New candidates go to the interrogation pool.
-	m.disc.Tick(now, func(c discovery.Candidate) {
-		if m.tracer.Hit(c.Addr) {
-			m.traceEvent(c.Addr, "discovery", "candidate pop="+c.PoP, now)
+	for _, ph := range m.phases {
+		if ph.enabled {
+			ph.fill(now)
+			m.runBatch(now, ph.name)
 		}
-		m.enqueue(pendingTask{cand: c, kind: taskCandidate})
-	})
-	m.runBatch(now, "discovery")
-
-	// Refresh: re-interrogate known services on cadence, retrying from
-	// other PoPs before declaring failure (paper §4.6).
-	m.refreshDue(now)
-	m.runBatch(now, "refresh")
-
-	// Predictive scanning + re-injection.
-	if !m.cfg.DisablePrediction {
-		m.runPrediction(now)
-		m.runBatch(now, "predict")
-	}
-	if !m.cfg.DisableReinjection {
-		m.runReinjection(now)
-		m.runBatch(now, "reinject")
 	}
 
 	// Name-based scanning.
@@ -759,6 +752,16 @@ func (m *Map) Tick(now time.Time) {
 		m.processor.Journal().Migrate()
 		m.snapshotDaily(now)
 	}
+}
+
+// discover runs Phase 1: new candidates go to the interrogation pool.
+func (m *Map) discover(now time.Time) {
+	m.disc.Tick(now, func(c discovery.Candidate) {
+		if m.tracer.Hit(c.Addr) {
+			m.traceEvent(c.Addr, "discovery", "candidate pop="+c.PoP, now)
+		}
+		m.enqueue(pendingTask{cand: c, kind: taskCandidate})
+	})
 }
 
 // scheduleRetry defers a failed task for a later re-attempt. It returns
@@ -832,10 +835,11 @@ func (m *Map) flushRetries(now time.Time) {
 // tasks for quarantined partitions are fenced: their journal history is
 // gone, so writing new events would silently fork those entities' state.
 func (m *Map) enqueue(t pendingTask) {
-	if m.quarantinedAddr(t.cand.Addr) {
+	t.id = t.cand.Addr.String()
+	if m.quarantinedID(t.id) {
 		return
 	}
-	s := m.shardFor(t.cand.Addr)
+	s := m.shards[shard.Of(t.id, len(m.shards))]
 	s.pending = append(s.pending, t)
 }
 
@@ -896,36 +900,32 @@ func (m *Map) drainShard(s *stateShard, now time.Time) {
 }
 
 // processTask applies one task's gating checks and interrogation. Checks run
-// at process time, not enqueue time, so a host flagged pseudo (or a slot
-// evicted) earlier in the batch suppresses later tasks exactly as the
-// serial inline pipeline did.
+// at process time, not enqueue time, so a host flagged (or a slot evicted)
+// earlier in the batch suppresses later tasks exactly as the serial inline
+// pipeline did. The flagged-host gate is all that is left of suppression
+// once the host's services are retired: nothing is written for it again.
 func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
-	c := t.cand
-	key := slotOf(c)
+	s.mu.Lock()
+	_, flagged := s.flagged[t.cand.Addr]
+	s.mu.Unlock()
+	if flagged {
+		m.pseudoFiltered.Add(1)
+		return
+	}
+	key := entity.ServiceKey{Port: t.cand.Port, Transport: t.cand.Transport}
 	switch t.kind {
 	case taskCandidate:
-		s.mu.Lock()
-		if s.pseudoHosts[c.Addr] || s.honeypots[c.Addr] {
-			s.mu.Unlock()
-			m.pseudoFiltered.Add(1)
-			return
-		}
-		ks, ok := s.known[key]
-		s.mu.Unlock()
-		if ok && now.Sub(ks.last) < m.cfg.RefreshEvery-2*time.Hour {
+		if seen, ok := m.processor.LastSeen(t.id, key); ok && now.Sub(seen) < m.cfg.RefreshEvery-2*time.Hour {
 			return // fresh enough; the refresh loop owns this slot
 		}
 		m.attemptInterrogate(s, t, now)
 
 	case taskRefresh:
-		s.mu.Lock()
-		_, stillKnown := s.known[key]
-		s.mu.Unlock()
-		if !stillKnown {
-			return // evicted or suppressed (which purges known) earlier in this batch
+		if _, ok := m.processor.LastSeen(t.id, key); !ok {
+			return // evicted or retired earlier in this batch
 		}
 		m.refreshScans.Add(1)
-		m.refreshSlot(s, key, c.UDPProtocol, t.attempt, now)
+		m.refreshSlot(s, t, now)
 
 	case taskDirect:
 		m.attemptInterrogate(s, t, now)
@@ -951,17 +951,13 @@ func (m *Map) attemptInterrogate(s *stateShard, t pendingTask, now time.Time) {
 	if !obs.Success && m.scheduleRetry(s, t, now) {
 		return
 	}
-	m.apply(s, obs, c, now)
+	m.apply(s, t.id, obs, c, now)
 }
 
 // snapshotDaily appends today's full map state to the analytics store.
 func (m *Map) snapshotDaily(now time.Time) {
 	var hosts []*entity.Host
 	for _, id := range m.processor.EntityIDs() {
-		addr, err := netip.ParseAddr(id)
-		if err != nil || m.isSuppressed(addr) {
-			continue
-		}
 		if h := m.processor.CurrentState(id); h != nil && len(h.Services) > 0 {
 			m.enricher.Enrich(h)
 			hosts = append(hosts, h)
@@ -978,38 +974,23 @@ func (m *Map) crls() []*CRLSource {
 	}
 }
 
-// isSuppressed reports whether addr is excluded from the dataset by any
-// host-level filter (pseudo-service or honeypot).
-func (m *Map) isSuppressed(addr netip.Addr) bool {
-	s := m.shardFor(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pseudoHosts[addr] || s.honeypots[addr]
-}
-
 // apply feeds an observation into the write side and the learning loops.
 // It runs on the worker that owns the candidate's shard; everything it
 // touches is either shard-local, internally synchronized, or buffered for a
-// serial fan-in after the batch.
-func (m *Map) apply(s *stateShard, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
-	key := slotOf(c)
+// serial fan-in after the batch. id is c.Addr's entity ID.
+func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
 	if obs.Success {
-		s.mu.Lock()
-		// A re-injection can reach a host flagged since the eviction; it
-		// stays out of the refresh set.
-		if !s.pseudoHosts[c.Addr] && !s.honeypots[c.Addr] {
-			s.known[key] = knownSlot{last: now, udp: c.UDPProtocol}
-		}
 		// Pseudo-host detection: an implausible number of services on one
 		// host gets the host flagged and dropped (Censys' pseudo-service
 		// filtering).
+		s.mu.Lock()
 		s.foundPerHost[c.Addr]++
 		over := m.cfg.PseudoServiceThreshold > 0 && s.foundPerHost[c.Addr] > m.cfg.PseudoServiceThreshold
 		s.mu.Unlock()
 		m.predictor.Observe(c.Addr, c.Port, c.Transport)
 		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
 		if over {
-			if m.suppress(s, s.pseudoHosts, c.Addr) {
+			if m.suppress(c.Addr, flagPseudo, now) {
 				m.pseudoFiltered.Add(1)
 			}
 			return
@@ -1031,50 +1012,64 @@ func (m *Map) apply(s *stateShard, obs cqrs.Observation, c discovery.Candidate, 
 		// Verified ICS fingerprints feed the honeypot uniformity detector;
 		// buffered shard-locally, merged serially after the batch.
 		m.observeFingerprint(s, c.Addr, c.Port, obs.Service)
+		_ = m.processor.Apply(obs)
+		return
 	}
-	_ = m.processor.Apply(obs)
 
-	// Eviction bookkeeping: when the write side removes the slot, queue
-	// re-injection and forget it.
-	if !obs.Success && !m.processor.HasService(c.Addr.String(), obs.Key()) {
-		s.mu.Lock()
-		_, was := s.known[key]
-		delete(s.known, key)
-		s.mu.Unlock()
-		if was {
-			if !m.cfg.DisableReinjection {
-				m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
-			}
-			m.reinjected.Add(1) // queued for re-injection
+	// Eviction bookkeeping: when this failure makes the write side remove
+	// the slot, queue it for re-injection.
+	_, was := m.processor.LastSeen(id, obs.Key())
+	_ = m.processor.Apply(obs)
+	if !was {
+		return
+	}
+	if _, still := m.processor.LastSeen(id, obs.Key()); !still {
+		if !m.cfg.DisableReinjection {
+			m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
 		}
+		m.reinjected.Add(1) // queued for re-injection
 	}
 }
 
-// suppress flags addr in one of its shard's host-level filter sets (pseudo
-// or honeypot) and purges the host from the refresh set and the search index;
-// its journaled records stay, hidden by isSuppressed. It reports false when
-// the host was already flagged.
-func (m *Map) suppress(s *stateShard, flagged map[netip.Addr]bool, addr netip.Addr) bool {
+// suppress flags addr and takes it out of the dataset: every service the
+// write side materializes for it is retired in canonical key order, so the
+// removals are journaled, replicated and drained into the read models like
+// any other. It reports false when the host was already flagged.
+func (m *Map) suppress(addr netip.Addr, why flagReason, now time.Time) bool {
+	s := m.shardFor(addr)
 	s.mu.Lock()
-	if flagged[addr] {
-		s.mu.Unlock()
-		return false
-	}
-	flagged[addr] = true
-	for key := range s.known {
-		if key.addr == addr {
-			delete(s.known, key)
-		}
+	_, already := s.flagged[addr]
+	if !already {
+		s.flagged[addr] = why
 	}
 	s.mu.Unlock()
-	m.index.Remove(addr.String())
+	if already {
+		return false
+	}
+	// Like Apply's: the journal refuses only an out-of-order append, which a
+	// removal dated now cannot be.
+	_ = m.retireHost(addr, now)
 	return true
 }
 
-// refreshDue collects services whose refresh cadence has elapsed and
-// enqueues them in canonical (addr, port, transport) order — the map
-// iteration order over per-shard known sets must not leak into the probe
-// sequence.
+// retireHost journals, dated now, the removal of every service the write
+// side materializes for addr, in canonical key order. It returns the first
+// journal failure.
+func (m *Map) retireHost(addr netip.Addr, now time.Time) error {
+	var first error
+	if h := m.processor.CurrentState(addr.String()); h != nil {
+		for _, svc := range h.AllServices() {
+			if err := m.processor.Retire(addr, svc.Key(), now); err != nil && first == nil {
+				first = fmt.Errorf("core: retire %v %v: %w", addr, svc.Key(), err)
+			}
+		}
+	}
+	return first
+}
+
+// refreshDue collects dataset services whose refresh cadence has elapsed and
+// enqueues them in canonical (addr, port, transport) order — the write
+// side's map iteration order must not leak into the probe sequence.
 func (m *Map) refreshDue(now time.Time) {
 	m.pruneExclusions(now)
 	// Slots with an in-flight retry chain are owned by that chain until it
@@ -1089,19 +1084,20 @@ func (m *Map) refreshDue(now time.Time) {
 		}
 	}
 	var due []discovery.Candidate
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for key, ks := range s.known {
-			if now.Sub(ks.last) < m.cfg.RefreshEvery || retrying[key] {
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		for _, svc := range h.Services {
+			if now.Sub(svc.LastSeen) < m.cfg.RefreshEvery || retrying[slotKey{h.IP, svc.Port, svc.Transport}] {
 				continue
 			}
-			due = append(due, discovery.Candidate{
-				Addr: key.addr, Port: key.port, Transport: key.transport,
-				Method: entity.DetectRefresh, Time: now, UDPProtocol: ks.udp,
-			})
+			c := discovery.Candidate{Addr: h.IP, Port: svc.Port, Transport: svc.Transport,
+				Method: entity.DetectRefresh, Time: now}
+			if svc.Transport == entity.UDP {
+				// The protocol whose probe elicited the reply.
+				c.UDPProtocol = svc.Protocol
+			}
+			due = append(due, c)
 		}
-		s.mu.Unlock()
-	}
+	})
 	sort.Slice(due, func(i, j int) bool { return lessSlot(slotOf(due[i]), slotOf(due[j])) })
 	for _, c := range due {
 		if !m.excludedAddr(c.Addr) {
@@ -1113,23 +1109,20 @@ func (m *Map) refreshDue(now time.Time) {
 // refreshSlot retries across PoPs: the slot only registers as failed if no
 // vantage point can reach it — and, when a retry policy is set, only after
 // the backoff ladder is exhausted too.
-func (m *Map) refreshSlot(s *stateShard, key slotKey, udp string, attempt int, now time.Time) {
-	cand := discovery.Candidate{
-		Addr: key.addr, Port: key.port, Transport: key.transport,
-		Method: entity.DetectRefresh, Time: now,
-		UDPProtocol: udp,
-	}
-	traced := m.tracer.Hit(key.addr)
+func (m *Map) refreshSlot(s *stateShard, t pendingTask, now time.Time) {
+	cand := t.cand
+	cand.Time = now
+	traced := m.tracer.Hit(cand.Addr)
 	for _, pop := range m.pops {
 		cand.PoP = pop.Name
 		in := m.inter[pop.Name]
 		m.interrogations.Add(1)
 		obs := in.Interrogate(cand, now)
 		if traced {
-			m.traceEvent(key.addr, "refresh", attemptDetail(obs.Success, pop.Name, attempt), now)
+			m.traceEvent(cand.Addr, "refresh", attemptDetail(obs.Success, pop.Name, t.attempt), now)
 		}
 		if obs.Success {
-			m.apply(s, obs, cand, now)
+			m.apply(s, t.id, obs, cand, now)
 			return
 		}
 	}
@@ -1137,13 +1130,13 @@ func (m *Map) refreshSlot(s *stateShard, key slotKey, udp string, attempt int, n
 	// does not start its eviction timer for a fault a later attempt rides
 	// out.
 	cand.PoP = ""
-	if m.scheduleRetry(s, pendingTask{cand: cand, kind: taskRefresh, attempt: attempt}, now) {
+	if m.scheduleRetry(s, pendingTask{cand: cand, kind: taskRefresh, attempt: t.attempt}, now) {
 		return
 	}
 	// Retries exhausted: record the failure (starts/advances eviction).
 	cand.PoP = m.pops[0].Name
 	obs := m.inter[cand.PoP].Interrogate(cand, now)
-	m.apply(s, obs, cand, now)
+	m.apply(s, t.id, obs, cand, now)
 }
 
 // runPrediction probes model-recommended locations (serially — the L4
@@ -1180,14 +1173,8 @@ func (m *Map) runReinjection(now time.Time) {
 		if m.excludedAddr(t.Addr) {
 			continue
 		}
-		s := m.shardFor(t.Addr)
-		key := slotKey{t.Addr, t.Port, t.Transport}
-		s.mu.Lock()
-		udp := s.known[key].udp
-		s.mu.Unlock()
 		c := discovery.Candidate{Addr: t.Addr, Port: t.Port, Transport: t.Transport,
-			Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now,
-			UDPProtocol: udp}
+			Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now}
 		m.enqueue(pendingTask{cand: c, kind: taskDirect})
 	}
 }
@@ -1206,9 +1193,6 @@ func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 	}
 	if ev.Kind == cqrs.KindServiceFound {
 		m.observeFound(addr, slotKey{addr, ev.Key.Port, ev.Key.Transport}, ev.Time)
-	}
-	if m.isSuppressed(addr) {
-		return
 	}
 	h := m.processor.CurrentState(ev.Entity)
 	if h == nil || len(h.Services) == 0 {

@@ -19,7 +19,7 @@ import (
 // byte-identical fingerprint. The detector exploits exactly that. Every
 // verified ICS record contributes a (net24, port, fingerprint) observation;
 // when one key accumulates HoneypotUniformityThreshold distinct hosts, the
-// whole group is flagged and suppressed from the dataset, like pseudo-hosts.
+// whole group is flagged and retired from the dataset, like pseudo-hosts.
 //
 // Determinism: workers only append observations to their shard-local buffer;
 // the merge — and any flagging it triggers — runs serially after each batch
@@ -101,31 +101,16 @@ func (m *Map) mergeFarmObservations(now time.Time) {
 	}
 }
 
-// markHoneypot flags a host as a honeypot and purges its services from the
+// markHoneypot flags a host as a honeypot and retires its services from the
 // dataset, like the pseudo filter does. Idempotent.
 func (m *Map) markHoneypot(addr netip.Addr, now time.Time) {
-	s := m.shardFor(addr)
-	if !m.suppress(s, s.honeypots, addr) {
+	if !m.suppress(addr, flagHoneypot, now) {
 		return
 	}
 	m.honeypotsFlagged.Add(1)
 	if m.tracer.Hit(addr) {
 		m.traceEvent(addr, "honeypot", "flagged", now)
 	}
-}
-
-// HoneypotHosts returns every currently flagged honeypot host, sorted.
-func (m *Map) HoneypotHosts() []netip.Addr {
-	var out []netip.Addr
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for a := range s.honeypots {
-			out = append(out, a)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // FarmSeenEntry is one uniformity-accumulator group's checkpointed state.

@@ -4,43 +4,65 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sort"
+
+	"censysmap/internal/entity"
 )
 
-// CheckInvariants states the single-owner rule for per-slot facts as code:
-// the write side's materialized records own liveness and everything else is
-// derived from them. So at a tick boundary (after Drain) known must equal
-// liveSlots — the set Resume installs — with equal timestamps and UDP
-// protocols, and the search index must hold a document for exactly the hosts
-// of that set. It returns every violation found, nil when consistent.
+// CheckInvariants states the single-owner rule as code: the write side's
+// materialized state is the dataset; the read models are derived from it and
+// the flagged set, the exclusions and the quarantine only gate what enters
+// it. So at a tick boundary (after Drain) no barred host — one a host-level
+// filter flagged, one inside cfg.Excluded or an active exclusion, one homed on
+// a quarantined partition — has a materialized service, the search index
+// holds a document for exactly the hosts that have one, and the cert index
+// locates only those hosts. It returns every violation found, nil when
+// consistent.
 func (m *Map) CheckInvariants() error {
+	var hosts []netip.Addr
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		if len(h.Services) > 0 {
+			hosts = append(hosts, h.IP)
+		}
+	})
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Less(hosts[j]) })
+
 	var errs []error
-	hosts := make(map[netip.Addr]bool)
-	for i, want := range m.liveSlots() {
-		s := m.shards[i]
-		s.mu.Lock()
-		for key, ks := range s.known {
-			if w, ok := want[key]; !ok || !w.last.Equal(ks.last) || w.udp != ks.udp {
-				errs = append(errs, fmt.Errorf("known slot %v is %v %q, its live service record (present: %v) says %v %q",
-					key, ks.last, ks.udp, ok, w.last, w.udp))
-			}
+	inDataset := make(map[string]bool, len(hosts))
+	for _, addr := range hosts {
+		id := addr.String()
+		inDataset[id] = true
+		if why := m.barred(addr); why != "" {
+			errs = append(errs, fmt.Errorf("%s host %v has materialized services", why, addr))
 		}
-		for key := range want {
-			hosts[key.addr] = true
-			if _, ok := s.known[key]; !ok {
-				errs = append(errs, fmt.Errorf("live service %v is missing from known", key))
-			}
-		}
-		s.mu.Unlock()
-	}
-	for addr := range hosts {
-		if m.index.Host(addr.String()) == nil {
-			errs = append(errs, fmt.Errorf("host %v has live services but no index document", addr))
+		if m.index.Host(id) == nil {
+			errs = append(errs, fmt.Errorf("host %v has materialized services but no index document", addr))
 		}
 	}
 	if n := m.index.Len(); n != len(hosts) {
-		errs = append(errs, fmt.Errorf("index holds %d documents for %d live hosts", n, len(hosts)))
+		errs = append(errs, fmt.Errorf("index holds %d documents for %d hosts with services", n, len(hosts)))
+	}
+	for _, id := range m.certIdx.Entities() {
+		if !inDataset[id] {
+			errs = append(errs, fmt.Errorf("cert index locates %s, which has no materialized service", id))
+		}
 	}
 	return errors.Join(errs...)
 }
 
-func (k slotKey) String() string { return fmt.Sprintf("%v:%d/%s", k.addr, k.port, k.transport) }
+// barred names why addr must not be in the dataset ("" when it may be).
+func (m *Map) barred(addr netip.Addr) string {
+	s := m.shardFor(addr)
+	s.mu.Lock()
+	why, flagged := s.flagged[addr]
+	s.mu.Unlock()
+	switch {
+	case flagged:
+		return string(why)
+	case m.excludedAddr(addr):
+		return "excluded"
+	case m.quarantinedAddr(addr):
+		return "quarantined"
+	}
+	return ""
+}

@@ -42,28 +42,21 @@ func (m *Map) AddExclusion(prefix netip.Prefix, requester string) (Exclusion, er
 	m.exclusions = append(m.exclusions, ex)
 	m.syncExclusions()
 
-	// Retire already-collected data: drop every known slot in the prefix
-	// from the live set and journal its removal. The slots are processed in
-	// canonical order so the removal events are appended deterministically.
-	var retire []slotKey
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for key := range s.known {
-			if prefix.Contains(key.addr) {
-				retire = append(retire, key)
-				delete(s.known, key)
-			}
+	// Retire already-collected data: journal the removal of every dataset
+	// slot in the prefix, in canonical order so the removal events are
+	// appended deterministically; the drain takes them out of the read models.
+	var hosts []netip.Addr
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		if prefix.Contains(h.IP) {
+			hosts = append(hosts, h.IP)
 		}
-		s.mu.Unlock()
-	}
-	sort.Slice(retire, func(i, j int) bool { return lessSlot(retire[i], retire[j]) })
+	})
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Less(hosts[j]) })
 	var firstErr error
-	for _, key := range retire {
-		err := m.processor.Retire(key.addr, entity.ServiceKey{Port: key.port, Transport: key.transport}, now)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: retire %v %d/%v: %w", key.addr, key.port, key.transport, err)
+	for _, addr := range hosts {
+		if err := m.retireHost(addr, now); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		m.index.Remove(key.addr.String())
 	}
 	m.processor.Drain()
 	return ex, firstErr

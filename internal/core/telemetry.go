@@ -32,9 +32,6 @@ import (
 // labeled values partition differently, but their sums match; see the
 // determinism suite in internal/chaos).
 
-// tickPhases are the per-tick batch phases, in execution order.
-var tickPhases = []string{"seed", "retry", "discovery", "refresh", "predict", "reinject"}
-
 // phaseTaskBounds bucket the tasks-per-batch histograms.
 var phaseTaskBounds = []float64{0, 1, 4, 16, 64, 256, 1024, 4096}
 
@@ -104,8 +101,11 @@ func (m *Map) attachTelemetry() {
 	}
 	phaseVec := reg.HistogramVec("censys_core_phase_tasks",
 		"tasks drained per batch, by tick phase", "phase", phaseTaskBounds)
-	for _, ph := range tickPhases {
-		tel.phaseTasks[ph] = phaseVec.With(ph)
+	// The one-time seed scan's batches, then Tick's phase table in order —
+	// disabled phases too, so the family does not depend on the ablations.
+	tel.phaseTasks["seed"] = phaseVec.With("seed")
+	for _, ph := range m.phases {
+		tel.phaseTasks[ph.name] = phaseVec.With(ph.name)
 	}
 	m.tel = tel
 

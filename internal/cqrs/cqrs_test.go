@@ -92,16 +92,16 @@ func TestEvictedSlotLeavesEphemeral(t *testing.T) {
 	}
 	p.Apply(failObs(at(24 + 72)))
 	key := entity.ServiceKey{Port: 80, Transport: entity.TCP}
-	if p.HasService(addr.String(), key) {
+	if _, ok := p.LastSeen(addr.String(), key); ok {
 		t.Fatal("slot not evicted")
 	}
 	slots := p.Ephemeral().Slots
 	if len(slots) != 1 || slots[0].Key != "8080/tcp" {
 		t.Fatalf("Ephemeral().Slots after eviction = %+v, want only 8080/tcp", slots)
 	}
-	if !p.HasService(addr.String(), entity.ServiceKey{Port: 8080, Transport: entity.TCP}) ||
-		p.HasService("10.9.9.9", key) {
-		t.Fatal("HasService disagrees with materialized state")
+	seen, ok := p.LastSeen(addr.String(), entity.ServiceKey{Port: 8080, Transport: entity.TCP})
+	if _, stranger := p.LastSeen("10.9.9.9", key); !ok || !seen.Equal(at(0)) || stranger {
+		t.Fatalf("LastSeen disagrees with materialized state: %v %v, unknown host %v", seen, ok, stranger)
 	}
 }
 
@@ -371,7 +371,7 @@ func TestRetireRemovesNowAndReplays(t *testing.T) {
 	if last := evs[len(evs)-1]; len(evs) != 3 || last.Kind != KindServiceRemoved || !last.Time.Equal(at(2)) {
 		t.Fatalf("journal = %d events ending %s at %v; want found, pending, removed at %v", len(evs), last.Kind, last.Time, at(2))
 	}
-	if p.HasService(addr.String(), key) {
+	if _, ok := p.LastSeen(addr.String(), key); ok {
 		t.Fatal("retired service still materialized")
 	}
 	if h, ok := r.HostAt(addr.String(), at(2)); ok && h.Service(key) != nil {
@@ -380,7 +380,7 @@ func TestRetireRemovesNowAndReplays(t *testing.T) {
 	if err := p.Apply(obsHTTP(at(3), "x")); err != nil {
 		t.Fatalf("rediscovery after retirement: %v", err)
 	}
-	if !p.HasService(addr.String(), key) {
+	if _, ok := p.LastSeen(addr.String(), key); !ok {
 		t.Fatal("rediscovered service not materialized")
 	}
 }

@@ -156,6 +156,24 @@ func (ci *CertIndex) DropEntities(pred func(entity string) bool) {
 	}
 }
 
+// Entities returns every entity some locator names, sorted.
+func (ci *CertIndex) Entities() []string {
+	ci.mu.RLock()
+	defer ci.mu.RUnlock()
+	seen := make(map[string]bool)
+	for _, locs := range ci.byFP {
+		for loc := range locs {
+			seen[loc.entity] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for id := range seen {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Fingerprints returns how many distinct certificates are indexed.
 func (ci *CertIndex) Fingerprints() int {
 	ci.mu.RLock()

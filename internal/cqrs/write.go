@@ -319,14 +319,18 @@ func (p *Processor) CurrentState(id string) *entity.Host {
 	return s.state[id].Clone()
 }
 
-// HasService reports whether the entity's materialized state holds the slot,
-// without cloning the host.
-func (p *Processor) HasService(id string, key entity.ServiceKey) bool {
+// LastSeen reports when the entity's materialized state last confirmed the
+// slot, and whether it holds the slot at all, without cloning the host.
+func (p *Processor) LastSeen(id string, key entity.ServiceKey) (time.Time, bool) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := s.state[id]
-	return h != nil && h.Service(key) != nil
+	if h := s.state[id]; h != nil {
+		if svc := h.Service(key); svc != nil {
+			return svc.LastSeen, true
+		}
+	}
+	return time.Time{}, false
 }
 
 // Walk calls fn once per entity with materialized state, in no particular

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -113,7 +114,14 @@ type ServiceKey struct {
 }
 
 // String renders the key as "80/tcp".
-func (k ServiceKey) String() string { return fmt.Sprintf("%d/%s", k.Port, k.Transport) }
+func (k ServiceKey) String() string { return string(k.appendTo(nil)) }
+
+// appendTo appends the String form to b.
+func (k ServiceKey) appendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(k.Port), 10)
+	b = append(b, '/')
+	return append(b, k.Transport...)
+}
 
 // ConfigEqual reports whether two service records describe the same service
 // configuration, ignoring observation bookkeeping (timestamps, PoP, method).
@@ -199,9 +207,11 @@ func NewHost(ip netip.Addr) *Host {
 // ID returns the entity identifier used as the journal row key.
 func (h *Host) ID() string { return h.IP.String() }
 
-// Service returns the service in the given slot, or nil.
+// Service returns the service in the given slot, or nil. The map key is
+// built in a stack buffer, so the lookup does not allocate.
 func (h *Host) Service(key ServiceKey) *Service {
-	return h.Services[key.String()]
+	var b [16]byte
+	return h.Services[string(key.appendTo(b[:0]))]
 }
 
 // SetService stores svc in its slot.
@@ -215,10 +225,11 @@ func (h *Host) SetService(svc *Service) {
 // RemoveService deletes the service in the given slot, reporting whether one
 // was present.
 func (h *Host) RemoveService(key ServiceKey) bool {
-	if _, ok := h.Services[key.String()]; !ok {
+	k := key.String()
+	if _, ok := h.Services[k]; !ok {
 		return false
 	}
-	delete(h.Services, key.String())
+	delete(h.Services, k)
 	return true
 }
 

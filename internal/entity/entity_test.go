@@ -235,3 +235,17 @@ func TestWebPropertyConfigEqual(t *testing.T) {
 		t.Fatal("endpoint count change not detected")
 	}
 }
+
+// The write pipeline asks Host.Service about every candidate and refresh it
+// gates; the slot key is rendered into a stack buffer for it.
+func TestHostServiceLookupDoesNotAllocate(t *testing.T) {
+	h := NewHost(netip.MustParseAddr("10.0.0.1"))
+	h.SetService(&Service{Port: 65535, Transport: UDP, Protocol: "DNS"})
+	key := ServiceKey{Port: 65535, Transport: UDP}
+	if key.String() != "65535/udp" || h.Service(key) == nil || h.Service(ServiceKey{Port: 80, Transport: TCP}) != nil {
+		t.Fatalf("Service(%s) disagrees with SetService", key)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Service(key) }); n != 0 {
+		t.Fatalf("Host.Service allocates %v times per lookup", n)
+	}
+}
