@@ -8,11 +8,14 @@
 //	benchtables -quick          # small universe (seconds instead of minutes)
 //	benchtables -predict-diff   # predictive-vs-exhaustive scheduling comparison
 //	benchtables -adversarial    # hostile-universe per-engine scorecard
+//
+// Exit codes: 0 rendered, 1 a lab or replay could not be built, 2 usage.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,37 +23,45 @@ import (
 	"censysmap/internal/eval"
 )
 
-func main() {
-	table := flag.Int("table", 0, "render only this table (1-5)")
-	figure := flag.Int("figure", 0, "render only this figure (2-5)")
-	quick := flag.Bool("quick", false, "use the small/fast lab configuration")
-	seed := flag.Uint64("seed", 1, "universe seed")
-	predictDiff := flag.Bool("predict-diff", false,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, renders the selected tables and
+// figures to stdout and progress to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "render only this table (1-5)")
+	figure := fs.Int("figure", 0, "render only this figure (2-5)")
+	quick := fs.Bool("quick", false, "use the small/fast lab configuration")
+	seed := fs.Uint64("seed", 1, "universe seed")
+	predictDiff := fs.Bool("predict-diff", false,
 		"replay the predictive-vs-exhaustive scheduling comparison and render its tables")
-	adversarial := flag.Bool("adversarial", false,
+	adversarial := fs.Bool("adversarial", false,
 		"replay the adversarial scenario pack and render the per-engine scorecard")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *adversarial {
 		r, err := eval.RunAdversarial(eval.DefaultAdversarialProfile())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "adversarial:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "adversarial:", err)
+			return 1
 		}
-		fmt.Println(r.Render())
-		return
+		fmt.Fprintln(stdout, r.Render())
+		return 0
 	}
 
 	if *predictDiff {
 		for _, p := range eval.DefaultPredictProfiles() {
 			r, err := eval.PredictDiff(p)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "predict-diff:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "predict-diff:", err)
+				return 1
 			}
-			fmt.Println(r.Render())
+			fmt.Fprintln(stdout, r.Render())
 		}
-		return
+		return 0
 	}
 
 	cfg := eval.DefaultLabConfig()
@@ -59,15 +70,15 @@ func main() {
 	}
 	cfg.Seed = *seed
 
-	fmt.Fprintf(os.Stderr, "building lab: universe %v, %d-day warmup (simulated)...\n",
+	fmt.Fprintf(stderr, "building lab: universe %v, %d-day warmup (simulated)...\n",
 		cfg.Prefix, cfg.WarmupDays)
 	start := time.Now()
 	lab, err := eval.NewLab(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lab:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "lab:", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "lab ready in %v: %d hosts, %d live services, %d in map\n\n",
+	fmt.Fprintf(stderr, "lab ready in %v: %d hosts, %d live services, %d in map\n\n",
 		time.Since(start).Round(time.Millisecond), lab.Net.Hosts(),
 		len(lab.GroundTruth()), len(lab.Censys.Records()))
 
@@ -79,28 +90,28 @@ func main() {
 	}
 
 	if want(1, 0) {
-		fmt.Println(eval.Table1(lab).Render())
+		fmt.Fprintln(stdout, eval.Table1(lab).Render())
 	}
 	if want(2, 0) {
-		fmt.Println(eval.RenderTable2(eval.Table2(lab)))
+		fmt.Fprintln(stdout, eval.RenderTable2(eval.Table2(lab)))
 	}
 	if want(3, 0) {
-		fmt.Println(eval.Table3(lab).Render())
+		fmt.Fprintln(stdout, eval.Table3(lab).Render())
 	}
 	if want(4, 0) {
-		fmt.Println(eval.Table4(lab).Render())
+		fmt.Fprintln(stdout, eval.Table4(lab).Render())
 	}
 	if want(0, 2) {
-		fmt.Println(eval.Figure2(lab).Render())
+		fmt.Fprintln(stdout, eval.Figure2(lab).Render())
 	}
 	if want(0, 3) {
-		fmt.Println(eval.Figure3(lab).Render())
+		fmt.Fprintln(stdout, eval.Figure3(lab).Render())
 	}
 	if want(0, 4) {
-		fmt.Println(eval.Figure4(lab).Render())
+		fmt.Fprintln(stdout, eval.Figure4(lab).Render())
 	}
 	if want(0, 5) {
-		fmt.Println(eval.Figure5(lab, lab.Engines()[1], 300).Render())
+		fmt.Fprintln(stdout, eval.Figure5(lab, lab.Engines()[1], 300).Render())
 	}
 	if want(5, 0) {
 		// Table 5 mutates the lab (injects honeypots, advances weeks), so
@@ -110,6 +121,7 @@ func main() {
 			ttd.Honeypots = 25
 			ttd.ObserveFor = 8 * 24 * time.Hour
 		}
-		fmt.Println(eval.Table5(lab, ttd, []engines.Engine{lab.Censys, lab.Baselines[0]}).Render())
+		fmt.Fprintln(stdout, eval.Table5(lab, ttd, []engines.Engine{lab.Censys, lab.Baselines[0]}).Render())
 	}
+	return 0
 }

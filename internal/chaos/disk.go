@@ -20,7 +20,6 @@ import (
 	"censysmap/internal/journal"
 	"censysmap/internal/search"
 	"censysmap/internal/shard"
-	"censysmap/internal/snapshot"
 )
 
 // This file extends the chaos harness below the process boundary: instead of
@@ -37,14 +36,11 @@ import (
 const crashRecordsPerSegment = 8
 
 // parkedStores are the crash-surviving stores not owned by the disk engine:
-// they model the separate durable services (cert Bigtable, ES cluster, the
-// analytics snapshot bucket) whose on-disk formats are outside this PR of
-// the storage layer.
+// they model the separate durable services (cert Bigtable, ES cluster) whose
+// on-disk formats are outside the storage layer.
 type parkedStores struct {
-	certs     *core.CertStore
-	analytics *snapshot.Store
-	index     *search.Index
-	certIdx   *cqrs.CertIndex
+	certs *core.CertStore
+	index *search.Index
 }
 
 // CrashToDisk checkpoints at the current tick boundary, persists the
@@ -65,8 +61,7 @@ func (r *Run) CrashToDisk(dir string) error {
 	}, blob, durable.SaveOptions{RecordsPerSegment: crashRecordsPerSegment}); err != nil {
 		return fmt.Errorf("chaos: save durable stores: %w", err)
 	}
-	r.parked = &parkedStores{certs: d.Certs, analytics: d.Analytics,
-		index: d.Index, certIdx: d.CertIdx}
+	r.parked = &parkedStores{certs: d.Certs, index: d.Index}
 	return nil
 }
 
@@ -98,9 +93,7 @@ func (r *Run) ResumeFromDisk(dir string) (*durable.RecoveryReport, error) {
 		Journal:     res.Stores["journal"],
 		WebJournal:  res.Stores["webjournal"],
 		Certs:       r.parked.certs,
-		Analytics:   r.parked.analytics,
 		Index:       r.parked.index,
-		CertIdx:     r.parked.certIdx,
 		Quarantined: res.Report.Quarantined["journal"],
 		Storage:     res.Metrics,
 	}

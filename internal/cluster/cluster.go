@@ -91,7 +91,7 @@ type Stats struct {
 type Cluster struct {
 	m      *core.Map
 	cfg    Config
-	src    core.PartitionStore
+	src    *journal.Store
 	parts  int
 	nodes  []*node
 	logs   []*plog
@@ -137,7 +137,7 @@ func New(m *core.Map, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: fault %+v needs round >= 1 and down >= 1", f)
 		}
 	}
-	src := m.PartitionStore()
+	src := m.Journal()
 	c := &Cluster{
 		m: m, cfg: cfg, src: src, parts: src.Partitions(),
 		fab: newFabric(),

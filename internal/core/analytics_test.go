@@ -1,0 +1,195 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+
+	"censysmap/internal/entity"
+	"censysmap/internal/simclock"
+	"censysmap/internal/simnet"
+	"censysmap/internal/snapshot"
+)
+
+const (
+	analyticsDays   = 12
+	analyticsOptOut = 3 // the day an opt-out lands, between two ticks at noon
+)
+
+var analyticsOptOutPrefix = netip.MustParsePrefix("10.0.2.0/26")
+
+// hostileUniverse is a /22 that exercises every way out of the dataset —
+// churn fast enough to evict, pseudo-hosts, a honeypot farm — and the
+// pipeline configuration that flags them.
+func hostileUniverse() (*simnet.Internet, Config) {
+	ncfg := simnet.DefaultConfig()
+	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	ncfg.HostDensity = 0.3
+	ncfg.MeanServices = 3
+	ncfg.PseudoHostRate = 0.02
+	ncfg.CloudBlocks = 1
+	ncfg.ChurnFraction = 0.8 // evictions: liveness must leave with the record
+	ncfg.WebProperties = 10
+	ncfg.BaseLoss = 0
+	ncfg.OutageRate = 0
+	ncfg.GeoblockRate = 0
+	ncfg.Adversary = simnet.AdversaryConfig{Seed: 9, HoneypotFarms: 1}
+
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = 1
+	cfg.BackgroundPortsPerIPPerDay = 400
+	cfg.HoneypotUniformityThreshold = 8
+	return simnet.New(ncfg, simclock.New()), cfg
+}
+
+// copiedRows builds the rows of the map as it stands, the way snapshotDaily
+// did when a daily snapshot was a stored copy: every materialized host with
+// services, cloned off the write side, enriched and flattened.
+func copiedRows(m *Map) []snapshot.Row {
+	var hosts []*entity.Host
+	for _, id := range m.processor.EntityIDs() {
+		if h := m.processor.CurrentState(id); h != nil && len(h.Services) > 0 {
+			m.enricher.Enrich(h)
+			hosts = append(hosts, h)
+		}
+	}
+	return snapshot.RowsFromHosts(m.clock.Now(), hosts)
+}
+
+// analyticsRun drives a churning, hostile /22 for analyticsDays under one
+// layout, copying the rows at every day boundary, and returns the final map
+// with the copies by date. With killDay > 0 the map is killed at that day's
+// boundary and resumed from its checkpoint (through JSON) and Durable.
+func analyticsRun(t *testing.T, shards, workers, killDay int) (*Map, map[time.Time][]snapshot.Row) {
+	t.Helper()
+	net, cfg := hostileUniverse()
+	cfg.Shards, cfg.InterroWorkers = shards, workers
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	copies := make(map[time.Time][]snapshot.Row)
+	fingerprints := make(map[string]bool)
+	for day := 1; day <= analyticsDays; day++ {
+		m.Run(12 * time.Hour)
+		if day == analyticsOptOut {
+			if _, err := m.AddExclusion(analyticsOptOutPrefix, "ops@example.net"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Run(12 * time.Hour)
+		rows := copiedRows(m)
+		copies[m.clock.Now()] = rows
+		for _, r := range rows {
+			fingerprints[r.CertSHA256] = true
+		}
+		if day != killDay {
+			continue
+		}
+
+		blob, err := json.Marshal(m.Checkpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := m.Durable()
+		m.Stop()
+		var cp Checkpoint
+		if err := json.Unmarshal(blob, &cp); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Resume(cfg, net, d, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("resumed on day %d: %v", day, err)
+		}
+		// The cert index rebuilt from the replayed state answers as the one
+		// that followed every event, for every certificate seen so far.
+		if len(fingerprints) < 2 || r.certIdx.Fingerprints() != m.certIdx.Fingerprints() {
+			t.Fatalf("rebuilt cert index holds %d fingerprints, followed %d (%d seen in snapshots)",
+				r.certIdx.Fingerprints(), m.certIdx.Fingerprints(), len(fingerprints))
+		}
+		for fp := range fingerprints {
+			if got, want := r.CertHosts(fp), m.CertHosts(fp); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rebuilt CertHosts(%.12s) = %v, followed %v", fp, got, want)
+			}
+		}
+		m = r
+		m.Start()
+	}
+	m.Stop()
+	return m, copies
+}
+
+// TestAnalyticsDerivedEqualsCopied is the differential that lets a daily
+// snapshot be a date: for every retained date, the rows replayed from the
+// journal equal the rows a copy taken at that day's tick held — through
+// churn, evictions, flagged hosts and an opt-out, on an uninterrupted map and
+// on one killed and resumed mid-run, under two layouts.
+func TestAnalyticsDerivedEqualsCopied(t *testing.T) {
+	for _, layout := range [][2]int{{1, 1}, {8, 4}} {
+		for _, killDay := range []int{0, 5} {
+			t.Run(fmt.Sprintf("%dx%d/kill=%d", layout[0], layout[1], killDay), func(t *testing.T) {
+				m, copies := analyticsRun(t, layout[0], layout[1], killDay)
+				st := m.Stats()
+				if st.Reinjected == 0 || m.PseudoHosts() == 0 || len(m.HoneypotHosts()) == 0 {
+					t.Fatalf("universe too tame: %d evictions, %d pseudo hosts, %d honeypots",
+						st.Reinjected, m.PseudoHosts(), len(m.HoneypotHosts()))
+				}
+				dates := m.Analytics().Dates()
+				if len(dates) != analyticsDays {
+					t.Fatalf("%d retained dates after %d days", len(dates), analyticsDays)
+				}
+				pending, optedOut := 0, 0
+				for i, date := range dates {
+					want, ok := copies[date]
+					if !ok {
+						t.Fatalf("retained date %v is no day boundary of the run", date)
+					}
+					got, _ := m.Analytics().At(date)
+					if !got.Date.Equal(date) || !reflect.DeepEqual(got.Rows, want) {
+						t.Fatalf("day %d (%v): %d derived rows differ from the %d copied at the tick",
+							i+1, date, len(got.Rows), len(want))
+					}
+					for _, r := range want {
+						if !r.PendingRemovalSince.IsZero() {
+							pending++
+						}
+						if i+1 >= analyticsOptOut && analyticsOptOutPrefix.Contains(netip.MustParseAddr(r.IP)) {
+							optedOut++
+						}
+					}
+				}
+				if len(copies[dates[0]]) == 0 || pending == 0 || optedOut != 0 {
+					t.Fatalf("copies hold %d rows on day 1, %d pending rows, %d opted-out rows",
+						len(copies[dates[0]]), pending, optedOut)
+				}
+			})
+		}
+	}
+}
+
+// An opt-out lands between ticks and is journaled at the last tick's instant,
+// so the snapshot of that instant — derived, not copied — honours it.
+func TestOptOutReachesTheLastSnapshot(t *testing.T) {
+	net, _ := testUniverse(t)
+	m := testMap(t, net)
+	m.Run(24 * time.Hour)
+	m.Stop()
+	today, ok := m.Analytics().At(m.clock.Now())
+	if !ok || !today.Date.Equal(m.clock.Now()) || len(today.Rows) == 0 {
+		t.Fatalf("snapshot at the day boundary: %d rows, found %v", len(today.Rows), ok)
+	}
+	victim := netip.MustParseAddr(today.Rows[0].IP)
+	if _, err := m.AddExclusion(netip.PrefixFrom(victim, 32), "noc@example.net"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range m.Analytics().Query(today.Date, func(r snapshot.Row) bool { return r.IP == victim.String() }) {
+		t.Errorf("snapshot of %v still exports %s:%d after the opt-out", today.Date, r.IP, r.Port)
+	}
+}

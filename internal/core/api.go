@@ -108,7 +108,7 @@ func (m *Map) History(addr netip.Addr) []journal.Event {
 }
 
 // Analytics exposes the daily-snapshot store (longitudinal queries, bulk
-// export).
+// export). Each read replays the journal as of the snapshot's date (rowsAt).
 func (m *Map) Analytics() *snapshot.Store { return m.analytics }
 
 // Certs exposes the certificate store.

@@ -15,7 +15,6 @@ import (
 	"censysmap/internal/search"
 	"censysmap/internal/shard"
 	"censysmap/internal/simnet"
-	"censysmap/internal/snapshot"
 	"censysmap/internal/webprop"
 )
 
@@ -24,14 +23,12 @@ import (
 //
 //   - Durable is what survives a process crash because it lives in external
 //     stores: the event journals (the CQRS source of truth), the certificate
-//     store, the analytics snapshots, and the asynchronously maintained read
-//     models (the search index and cert->host index — the ES / secondary
-//     Bigtable table analogues). Read models are durable rather than rebuilt
-//     because live index documents capture each host as of its last event
-//     drain; regenerating them from post-crash state would rewrite history.
+//     store, and the search index (the one read model carried; see Durable).
 //   - The processor's materialized write-side state is NOT durable: it is
 //     rebuilt from the journal (snapshot + delta replay) on Resume — the
-//     whole point of event sourcing.
+//     whole point of event sourcing. The cert->host index is a function of
+//     that state and is rebuilt with it; an analytics snapshot is a date
+//     (first_daily..last_daily) whose rows the journal replays on read.
 //   - Checkpoint carries only what replay cannot reach: the small,
 //     fast-changing pipeline bookkeeping (un-journaled liveness, scan
 //     positions, model state, counters) serialized at a tick boundary. It is
@@ -43,7 +40,12 @@ import (
 // must therefore be called between ticks (after Drain has run), which is
 // exactly when the chaos harness calls it.
 
-// Durable bundles the stores that survive a crash.
+// Durable bundles the stores that survive a crash: those that own data and
+// the one read model that is dear to re-derive. The search index's documents
+// derive from the write side too (each as of its host's last event drain),
+// but re-tokenizing costs ~74 µs per host (ROADMAP item 4), which would
+// double recover_ms on scan_refresh. The cert index is one Walk to rebuild
+// and analytics rows are materialized on read, so neither is here.
 type Durable struct {
 	// Journal is the host-event journal (the source of truth).
 	Journal *journal.Store
@@ -51,17 +53,13 @@ type Durable struct {
 	WebJournal *journal.Store
 	// Certs is the certificate store.
 	Certs *CertStore
-	// Analytics is the daily-snapshot store.
-	Analytics *snapshot.Store
 	// Index is the interactive search index.
 	Index *search.Index
-	// CertIdx is the certificate->host read model.
-	CertIdx *cqrs.CertIndex
 
 	// Quarantined lists journal partitions the storage engine could not
 	// recover (indices into Journal's partition space). A Map resumed with
 	// quarantined partitions comes up in degraded mode: it fences writes
-	// for their address slice, purges their read models, and advertises
+	// for their address slice, purges their index documents, and advertises
 	// the degradation via telemetry and response headers.
 	Quarantined []int
 	// Storage carries the storage engine's recovery counters so the
@@ -75,9 +73,7 @@ func (m *Map) Durable() Durable {
 		Journal:     m.processor.Journal(),
 		WebJournal:  m.webProps.Journal(),
 		Certs:       m.certs,
-		Analytics:   m.analytics,
 		Index:       m.index,
-		CertIdx:     m.certIdx,
 		Quarantined: m.QuarantinedPartitions(),
 		Storage:     m.storageMetrics,
 	}
@@ -123,10 +119,14 @@ type RetryState struct {
 // checkpoints of identical pipelines encode to identical bytes regardless of
 // the Shards/InterroWorkers layout that produced them.
 type Checkpoint struct {
-	TakenAt   time.Time `json:"taken_at"`
-	Seeded    bool      `json:"seeded"`
-	LastDaily time.Time `json:"last_daily"`
-	Stats     RunStats  `json:"stats"`
+	TakenAt time.Time `json:"taken_at"`
+	Seeded  bool      `json:"seeded"`
+	// FirstDaily and LastDaily bound the daily ticks taken so far (FirstDaily
+	// is zero before the first); the analytics snapshot dates are the ticks
+	// between them.
+	FirstDaily time.Time `json:"first_daily,omitzero"`
+	LastDaily  time.Time `json:"last_daily"`
+	Stats      RunStats  `json:"stats"`
 
 	Processor cqrs.Ephemeral `json:"processor"`
 
@@ -158,6 +158,10 @@ func (m *Map) Checkpoint() Checkpoint {
 		Discovery:  m.disc.State(),
 		Predictor:  m.predictor.State(),
 		WebProps:   m.webProps.State(),
+	}
+	// Thinning never drops the oldest retained date.
+	if dates := m.analytics.Dates(); len(dates) > 0 {
+		cp.FirstDaily = dates[0]
 	}
 	var retries []retryEntry
 	for _, s := range m.shards {
@@ -197,6 +201,14 @@ func Resume(cfg Config, net *simnet.Internet, d Durable, cp Checkpoint) (*Map, e
 func (m *Map) restore(cp *Checkpoint) error {
 	m.seeded = cp.Seeded
 	m.lastDaily = cp.LastDaily
+	if !cp.FirstDaily.IsZero() {
+		// Daily ticks are whole ticks apart, the fewest that span a day;
+		// ascending, so Record has nothing to refuse.
+		step := (dailyEvery + m.cfg.Tick - 1) / m.cfg.Tick * m.cfg.Tick
+		for at := cp.FirstDaily; !at.After(cp.LastDaily); at = at.Add(step) {
+			_ = m.analytics.Record(at)
+		}
+	}
 	m.ticks.Store(cp.Stats.Ticks)
 	m.interrogations.Store(cp.Stats.Interrogations)
 	m.refreshScans.Store(cp.Stats.RefreshScans)

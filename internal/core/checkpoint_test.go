@@ -17,8 +17,6 @@ import (
 	"censysmap/internal/durable"
 	"censysmap/internal/entity"
 	"censysmap/internal/shard"
-	"censysmap/internal/simclock"
-	"censysmap/internal/simnet"
 )
 
 // checkpointBytesPerServiceCeiling is ~20 % above what the universe below
@@ -59,24 +57,7 @@ func servicesDigest(m *Map) string {
 // refresh set a resumed map works from is the live one — under any layout
 // and around a quarantined partition — and the checkpoint stays small.
 func TestCheckpointHoldsNoDerivedState(t *testing.T) {
-	ncfg := simnet.DefaultConfig()
-	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
-	ncfg.HostDensity = 0.3
-	ncfg.MeanServices = 3
-	ncfg.PseudoHostRate = 0.02
-	ncfg.CloudBlocks = 1
-	ncfg.ChurnFraction = 0.8 // evictions: liveness must leave with the record
-	ncfg.WebProperties = 10
-	ncfg.BaseLoss = 0
-	ncfg.OutageRate = 0
-	ncfg.GeoblockRate = 0
-	ncfg.Adversary = simnet.AdversaryConfig{Seed: 9, HoneypotFarms: 1}
-	net := simnet.New(ncfg, simclock.New())
-
-	cfg := DefaultConfig()
-	cfg.CloudBlocks = 1
-	cfg.BackgroundPortsPerIPPerDay = 400
-	cfg.HoneypotUniformityThreshold = 8
+	net, cfg := hostileUniverse()
 	m, err := New(cfg, net)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +103,7 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 		got = append(got, name)
 	}
 	sort.Strings(got)
-	want := []string{"discovery", "exclusions", "farm_seen", "flagged", "found_per_host",
+	want := []string{"discovery", "exclusions", "farm_seen", "first_daily", "flagged", "found_per_host",
 		"last_daily", "predictor", "processor", "seeded", "stats", "taken_at", "web_props"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint sections = %v, want %v", got, want)

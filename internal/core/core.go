@@ -499,17 +499,16 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	geo, asn := enrichFeedsFor(net)
 	m.enricher = enrich.New(geo, asn)
 	m.reader = cqrs.NewReader(j, m.enricher)
+	m.analytics = snapshot.NewStore(m.rowsAt)
 	if d != nil {
-		m.certIdx = d.CertIdx
 		m.index = d.Index
 	} else {
-		m.certIdx = cqrs.NewCertIndex()
 		m.index = search.NewPartitioned(cfg.Shards)
 	}
 	if m.quarParts != nil {
-		// Purge the carried read models of quarantined entities: the index
-		// stripes by the same hash over the same partition count as the
-		// journal, so the purge is a whole-partition drop.
+		// Purge the carried index of quarantined entities: it stripes by the
+		// same hash over the same partition count as the journal, so the
+		// purge is a whole-partition drop.
 		if m.index.Partitions() != m.quarMod {
 			return nil, fmt.Errorf("core: resume: index has %d partitions, journal %d; cannot align quarantine",
 				m.index.Partitions(), m.quarMod)
@@ -517,8 +516,9 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		for _, p := range m.QuarantinedPartitions() {
 			m.index.DropPartition(p)
 		}
-		m.certIdx.DropEntities(m.quarantinedID)
 	}
+	// The cert index is a function of the write-side state, rebuilt or new.
+	m.certIdx = cqrs.NewCertIndex()
 	m.certIdx.Follow(m.processor)
 	m.processor.Subscribe(m.consumeEvent)
 	m.lookupSvc = lookup.New(m.reader, m.certIdx, clk)
@@ -545,11 +545,9 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	if d != nil {
 		m.webProps = webprop.NewWithJournal(webprop.DefaultConfig(), net, m.scanner, d.WebJournal)
 		m.certs = d.Certs
-		m.analytics = d.Analytics
 	} else {
 		m.webProps = webprop.New(webprop.DefaultConfig(), net, m.scanner)
 		m.certs = NewCertStore(net.Roots)
-		m.analytics = snapshot.NewStore()
 	}
 
 	m.lastDaily = clk.Now()
@@ -746,13 +744,16 @@ func (m *Map) Tick(now time.Time) {
 
 	// Daily housekeeping: cert revalidation, journal tier migration, and
 	// the daily analytics snapshot (§5.3's BigQuery export).
-	if now.Sub(m.lastDaily) >= 24*time.Hour {
+	if now.Sub(m.lastDaily) >= dailyEvery {
 		m.lastDaily = now
 		m.certs.RevalidateAll(m.crls(), now)
 		m.processor.Journal().Migrate()
 		m.snapshotDaily(now)
 	}
 }
+
+// dailyEvery is the least time between two rounds of daily housekeeping.
+const dailyEvery = 24 * time.Hour
 
 // discover runs Phase 1: new candidates go to the interrogation pool.
 func (m *Map) discover(now time.Time) {
@@ -954,16 +955,24 @@ func (m *Map) attemptInterrogate(s *stateShard, t pendingTask, now time.Time) {
 	m.apply(s, t.id, obs, c, now)
 }
 
-// snapshotDaily appends today's full map state to the analytics store.
+// snapshotDaily retains now as an analytics snapshot date: every event of
+// this tick is journaled and dated now, so the journal as of now is the map
+// as it stands. Ticks arrive in time order, the one thing Record refuses.
 func (m *Map) snapshotDaily(now time.Time) {
+	_ = m.analytics.Record(now)
+}
+
+// rowsAt is the analytics store's row source: every host the journal holds,
+// reconstructed as of date (snapshot + delta replay, reaching into the HDD
+// tier for old dates) and enriched, flattened into snapshot rows.
+func (m *Map) rowsAt(date time.Time) []snapshot.Row {
 	var hosts []*entity.Host
-	for _, id := range m.processor.EntityIDs() {
-		if h := m.processor.CurrentState(id); h != nil && len(h.Services) > 0 {
-			m.enricher.Enrich(h)
+	for _, id := range m.processor.Journal().Entities() {
+		if h, ok := m.reader.HostAt(id, date); ok && len(h.Services) > 0 {
 			hosts = append(hosts, h)
 		}
 	}
-	_ = m.analytics.Add(snapshot.Daily{Date: now, Rows: snapshot.RowsFromHosts(now, hosts)})
+	return snapshot.RowsFromHosts(date, hosts)
 }
 
 // crls fetches current CRLs from the universe's CAs.

@@ -20,29 +20,6 @@ type Placement = lookup.Placement
 // Route is one partition's serving state; see lookup.Route.
 type Route = lookup.Route
 
-// PartitionStore is the storage surface the replication layer needs:
-// per-partition dump/restore-grade state inspection, per-partition tier
-// migration, and verbatim event application. *journal.Store implements it;
-// the interface exists so the cluster layer depends on the contract, not the
-// concrete store.
-type PartitionStore interface {
-	// Partitions is the stripe count entity IDs hash into via shard.Of.
-	Partitions() int
-	// DumpPartition snapshots one partition's rows and counters.
-	DumpPartition(i int) journal.PartitionDump
-	// MigratePartition moves one partition's snapshotted SSD prefix to the
-	// HDD tier, returning rows moved.
-	MigratePartition(i int) int
-	// ApplyReplicated appends an origin event verbatim, enforcing sequence
-	// continuity.
-	ApplyReplicated(ev journal.Event) error
-}
-
-var _ PartitionStore = (*journal.Store)(nil)
-
-// PartitionStore exposes the map's journal as the replication surface.
-func (m *Map) PartitionStore() PartitionStore { return m.Journal() }
-
 // SetPlacement installs (or clears, with nil) a partition placement on the
 // lookup service: point lookups route to the serving replica's reader and
 // quorum health surfaces in the degraded header. The single-node deployment
@@ -56,19 +33,3 @@ func (m *Map) SetPlacement(p Placement) { m.lookupSvc.SetPlacement(p) }
 func (m *Map) ReaderOver(j *journal.Store) *cqrs.Reader {
 	return cqrs.NewReader(j, m.enricher)
 }
-
-// SinglePlacement is the one-node degenerate placement: every partition
-// routes to the named node, healthy, served by the provided reader (nil =
-// the service's own). It exists mostly for tests and for exercising the
-// placement plumbing without a cluster.
-type SinglePlacement struct {
-	Node   string
-	Parts  int
-	Reader *cqrs.Reader
-}
-
-func (s SinglePlacement) Partitions() int { return s.Parts }
-
-func (s SinglePlacement) Route(int) Route { return Route{Node: s.Node} }
-
-func (s SinglePlacement) ReaderFor(int) *cqrs.Reader { return s.Reader }

@@ -302,13 +302,19 @@ func TestCertIndexFollowsEvents(t *testing.T) {
 	if len(ci.Locations("fp-two")) != 1 {
 		t.Fatal("new fingerprint not indexed")
 	}
+	// An index that starts following now is built from the processor's state.
+	late := NewCertIndex()
+	late.Follow(p)
+	if got := late.Locations("fp-two"); late.Fingerprints() != 1 || len(got) != 1 || got[0] != "10.0.0.1 443/tcp" {
+		t.Fatalf("index built from state: %d fingerprints, fp-two at %v", late.Fingerprints(), got)
+	}
 
 	// Eviction clears the index.
 	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP, Time: at(2)})
 	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP, Time: at(2 + 80)})
 	p.Drain()
-	if ci.Fingerprints() != 0 {
-		t.Fatalf("fingerprints after eviction = %d", ci.Fingerprints())
+	if ci.Fingerprints() != 0 || late.Fingerprints() != 0 {
+		t.Fatalf("fingerprints after eviction = %d, %d", ci.Fingerprints(), late.Fingerprints())
 	}
 }
 

@@ -62,12 +62,17 @@ func (r *Reader) History(id string) []journal.Event {
 
 // CertIndex is the asynchronously maintained secondary read model mapping
 // certificate fingerprint -> service locations (paper §5.2: "secondary
-// tables that map from certificate fingerprint to IP address"). Wire it to a
-// Processor with Follow.
+// tables that map from certificate fingerprint to IP address"). It is a pure
+// function of the write-side state — every materialized service carrying a
+// certificate — so it is never carried across a crash: Follow builds it from
+// what the processor holds and keeps it current from there.
 type CertIndex struct {
 	mu sync.RWMutex
 	// byFP maps fingerprint -> set of "ip port" locators.
 	byFP map[string]map[certLoc]struct{}
+	// fpOf is each located slot's current fingerprint, so an event touches
+	// the one set its slot is in.
+	fpOf map[certLoc]string
 }
 
 type certLoc struct {
@@ -77,11 +82,23 @@ type certLoc struct {
 
 // NewCertIndex creates an empty index.
 func NewCertIndex() *CertIndex {
-	return &CertIndex{byFP: make(map[string]map[certLoc]struct{})}
+	return &CertIndex{
+		byFP: make(map[string]map[certLoc]struct{}),
+		fpOf: make(map[certLoc]string),
+	}
 }
 
-// Follow subscribes the index to a processor's event stream.
+// Follow indexes every service the processor materializes now and subscribes
+// the index to its event stream. Call it with the processor's queue drained
+// (a new or just-rebuilt processor's is empty).
 func (ci *CertIndex) Follow(p *Processor) {
+	ci.mu.Lock()
+	p.Walk(func(id string, h *entity.Host) {
+		for key, svc := range h.Services {
+			ci.set(certLoc{entity: id, key: key}, svc.CertSHA256)
+		}
+	})
+	ci.mu.Unlock()
 	p.Subscribe(ci.Consume)
 }
 
@@ -92,36 +109,39 @@ func (ci *CertIndex) Consume(ev OutEvent) {
 	loc := certLoc{entity: ev.Entity, key: ev.Key.String()}
 	switch ev.Kind {
 	case KindServiceFound, KindServiceChanged, KindServiceRestored:
-		if ev.Service == nil {
-			return
+		if ev.Service != nil {
+			ci.set(loc, ev.Service.CertSHA256)
 		}
-		// A changed cert must drop stale locators for this slot.
-		for fp, locs := range ci.byFP {
-			if fp == ev.Service.CertSHA256 {
-				continue
-			}
-			delete(locs, loc)
-			if len(locs) == 0 {
-				delete(ci.byFP, fp)
-			}
-		}
-		if ev.Service.CertSHA256 == "" {
-			return
-		}
-		set := ci.byFP[ev.Service.CertSHA256]
-		if set == nil {
-			set = make(map[certLoc]struct{})
-			ci.byFP[ev.Service.CertSHA256] = set
-		}
-		set[loc] = struct{}{}
 	case KindServiceRemoved:
-		for fp, locs := range ci.byFP {
-			delete(locs, loc)
-			if len(locs) == 0 {
-				delete(ci.byFP, fp)
-			}
+		ci.set(loc, "")
+	}
+}
+
+// set makes fp the slot's fingerprint ("" for none), dropping the locator
+// from the set a changed certificate left behind. The caller holds mu.
+func (ci *CertIndex) set(loc certLoc, fp string) {
+	old := ci.fpOf[loc]
+	if old == fp {
+		return
+	}
+	if old != "" {
+		locs := ci.byFP[old]
+		delete(locs, loc)
+		if len(locs) == 0 {
+			delete(ci.byFP, old)
 		}
 	}
+	if fp == "" {
+		delete(ci.fpOf, loc)
+		return
+	}
+	ci.fpOf[loc] = fp
+	set := ci.byFP[fp]
+	if set == nil {
+		set = make(map[certLoc]struct{})
+		ci.byFP[fp] = set
+	}
+	set[loc] = struct{}{}
 }
 
 // Locations returns "entity key" locators currently presenting the
@@ -138,33 +158,13 @@ func (ci *CertIndex) Locations(fingerprint string) []string {
 	return out
 }
 
-// DropEntities removes every locator whose entity matches pred — the
-// degraded-mode purge: when a journal partition is quarantined, its hosts'
-// certificate pivots must disappear with it rather than dangle.
-func (ci *CertIndex) DropEntities(pred func(entity string) bool) {
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	for fp, locs := range ci.byFP {
-		for loc := range locs {
-			if pred(loc.entity) {
-				delete(locs, loc)
-			}
-		}
-		if len(locs) == 0 {
-			delete(ci.byFP, fp)
-		}
-	}
-}
-
 // Entities returns every entity some locator names, sorted.
 func (ci *CertIndex) Entities() []string {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
 	seen := make(map[string]bool)
-	for _, locs := range ci.byFP {
-		for loc := range locs {
-			seen[loc.entity] = true
-		}
+	for loc := range ci.fpOf {
+		seen[loc.entity] = true
 	}
 	out := make([]string, 0, len(seen))
 	for id := range seen {

@@ -1,7 +1,8 @@
 // Package snapshot implements the analytics tier of paper §5.3: daily
 // snapshots of the full Internet map, retained for longitudinal analysis and
 // bulk export. It stands in for the Google BigQuery tables and the Apache
-// Avro raw-data downloads.
+// Avro raw-data downloads. A snapshot is a retained date; its rows are
+// materialized from the journal when read.
 //
 // Retention follows the paper: every daily snapshot is kept for three
 // months; older than that, only one weekday snapshot per week survives, so
@@ -9,10 +10,12 @@
 package snapshot
 
 import (
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,21 +47,31 @@ type Daily struct {
 	Rows []Row
 }
 
-// Store holds the snapshot history.
+// Source materializes the map's rows as they stood at date: the journal
+// reconstructs any host at any instant (paper §5.2), so a daily snapshot is
+// an export of that state, not a second copy of it.
+type Source func(date time.Time) []Row
+
+// retainDaily is how long every daily snapshot is kept (paper: 3 months);
+// beyond it, thinning keeps one snapshot per week.
+const retainDaily = 90 * 24 * time.Hour
+
+// Store is a view: it holds the retained snapshot dates and the source that
+// materializes one, and no row; a read pays a replay of the map as of its date.
 type Store struct {
-	mu     sync.RWMutex
-	dailys []Daily // sorted by date
-	// RetainDaily is how long every daily snapshot is kept (paper: 3
-	// months); beyond it, thinning keeps one snapshot per week.
-	RetainDaily time.Duration
+	source Source
+
+	mu    sync.RWMutex
+	dates []time.Time // ascending
 }
 
-// NewStore creates a store with the paper's retention policy.
-func NewStore() *Store {
-	return &Store{RetainDaily: 90 * 24 * time.Hour}
+// NewStore creates a store with the paper's retention policy over source.
+func NewStore(source Source) *Store {
+	return &Store{source: source}
 }
 
-// RowsFromHosts flattens host records into the snapshot schema.
+// RowsFromHosts flattens host records into the snapshot schema, in canonical
+// (ip, port, transport) order.
 func RowsFromHosts(date time.Time, hosts []*entity.Host) []Row {
 	var rows []Row
 	for _, h := range hosts {
@@ -88,39 +101,36 @@ func RowsFromHosts(date time.Time, hosts []*entity.Host) []Row {
 			rows = append(rows, row)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].IP != rows[j].IP {
-			return rows[i].IP < rows[j].IP
-		}
-		return rows[i].Port < rows[j].Port
+	slices.SortFunc(rows, func(a, b Row) int {
+		return cmp.Or(cmp.Compare(a.IP, b.IP), cmp.Compare(a.Port, b.Port), cmp.Compare(a.Transport, b.Transport))
 	})
 	return rows
 }
 
-// Add appends a daily snapshot and applies retention thinning. Snapshots
-// must arrive in date order.
-func (s *Store) Add(d Daily) error {
+// Record retains date as a daily snapshot and applies retention thinning.
+// Dates must arrive in order.
+func (s *Store) Record(date time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := len(s.dailys); n > 0 && !d.Date.After(s.dailys[n-1].Date) {
-		return fmt.Errorf("snapshot: date %v not after head %v", d.Date, s.dailys[n-1].Date)
+	if n := len(s.dates); n > 0 && !date.After(s.dates[n-1]) {
+		return fmt.Errorf("snapshot: date %v not after head %v", date, s.dates[n-1])
 	}
-	s.dailys = append(s.dailys, d)
-	s.thin(d.Date)
+	s.dates = append(s.dates, date)
+	s.thin(date)
 	return nil
 }
 
 // thin keeps one snapshot per ISO week beyond the daily-retention horizon.
 func (s *Store) thin(now time.Time) {
-	horizon := now.Add(-s.RetainDaily)
-	kept := s.dailys[:0]
+	horizon := now.Add(-retainDaily)
+	kept := s.dates[:0]
 	var lastWeek string
-	for _, d := range s.dailys {
-		if !d.Date.Before(horizon) {
+	for _, d := range s.dates {
+		if !d.Before(horizon) {
 			kept = append(kept, d)
 			continue
 		}
-		y, w := d.Date.ISOWeek()
+		y, w := d.ISOWeek()
 		week := fmt.Sprintf("%d-%02d", y, w)
 		if week == lastWeek {
 			continue // a snapshot from this week is already kept
@@ -128,38 +138,36 @@ func (s *Store) thin(now time.Time) {
 		lastWeek = week
 		kept = append(kept, d)
 	}
-	s.dailys = kept
+	s.dates = kept
 }
 
 // Len reports retained snapshots.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.dailys)
+	return len(s.dates)
 }
 
 // Dates lists retained snapshot dates.
 func (s *Store) Dates() []time.Time {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]time.Time, len(s.dailys))
-	for i, d := range s.dailys {
-		out[i] = d.Date
-	}
-	return out
+	return append([]time.Time(nil), s.dates...)
 }
 
-// At returns the newest snapshot at or before date.
+// At materializes the newest snapshot at or before date.
 func (s *Store) At(date time.Time) (Daily, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	idx := sort.Search(len(s.dailys), func(i int) bool {
-		return s.dailys[i].Date.After(date)
+	idx := sort.Search(len(s.dates), func(i int) bool {
+		return s.dates[i].After(date)
 	})
 	if idx == 0 {
+		s.mu.RUnlock()
 		return Daily{}, false
 	}
-	return s.dailys[idx-1], true
+	at := s.dates[idx-1]
+	s.mu.RUnlock()
+	return Daily{Date: at, Rows: s.source(at)}, true
 }
 
 // Query runs a predicate scan over one snapshot — the arbitrarily-complex
@@ -179,13 +187,11 @@ func (s *Store) Query(date time.Time, pred func(Row) bool) []Row {
 }
 
 // Series computes a longitudinal aggregate across every retained snapshot —
-// e.g. "count of MODBUS services over time".
+// e.g. "count of MODBUS services over time" — materializing one at a time.
 func (s *Store) Series(agg func(Daily) float64) (dates []time.Time, values []float64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, d := range s.dailys {
-		dates = append(dates, d.Date)
-		values = append(values, agg(d))
+	dates = s.Dates()
+	for _, d := range dates {
+		values = append(values, agg(Daily{Date: d, Rows: s.source(d)}))
 	}
 	return dates, values
 }

@@ -23,8 +23,21 @@ func host(ip string, ports ...uint16) *entity.Host {
 	return h
 }
 
-func daily(n int, hosts ...*entity.Host) Daily {
-	return Daily{Date: day(n), Rows: RowsFromHosts(day(n), hosts)}
+// stubMap is the row source of these tests: the hosts the map held on each
+// recorded day, standing in for the journal replay core wires in.
+type stubMap map[time.Time][]*entity.Host
+
+func (m stubMap) rows(date time.Time) []Row { return RowsFromHosts(date, m[date]) }
+
+func newStubStore() (*Store, stubMap) {
+	m := stubMap{}
+	return NewStore(m.rows), m
+}
+
+// record makes hosts the map's state on day n and retains that day.
+func (m stubMap) record(s *Store, n int, hosts ...*entity.Host) error {
+	m[day(n)] = hosts
+	return s.Record(day(n))
 }
 
 func TestRowsFromHostsFlattens(t *testing.T) {
@@ -39,6 +52,14 @@ func TestRowsFromHostsFlattens(t *testing.T) {
 	if rows[0].Country != "US" || rows[0].ASN != 64500 || rows[0].ServiceName != "HTTP" {
 		t.Fatalf("row = %+v", rows[0])
 	}
+	// One port answering on both transports: transport breaks the tie.
+	both := host("10.0.0.3", 53)
+	both.SetService(&entity.Service{Port: 53, Transport: entity.UDP, Protocol: "DNS"})
+	both.SetService(&entity.Service{Port: 22, Transport: entity.TCP, Protocol: "SSH"})
+	rows = RowsFromHosts(day(0), []*entity.Host{both})
+	if len(rows) != 3 || rows[0].Port != 22 || rows[1].Transport != "tcp" || rows[2].Transport != "udp" {
+		t.Fatalf("order on a shared port: %+v", rows)
+	}
 }
 
 func TestRowsIncludePendingTimestamp(t *testing.T) {
@@ -52,23 +73,23 @@ func TestRowsIncludePendingTimestamp(t *testing.T) {
 }
 
 func TestAddOrderEnforced(t *testing.T) {
-	s := NewStore()
-	if err := s.Add(daily(1)); err != nil {
+	s, m := newStubStore()
+	if err := m.record(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(daily(1)); err == nil {
+	if err := m.record(s, 1); err == nil {
 		t.Fatal("same-date snapshot accepted")
 	}
-	if err := s.Add(daily(0)); err == nil {
+	if err := m.record(s, 0); err == nil {
 		t.Fatal("out-of-order snapshot accepted")
 	}
 }
 
 func TestRetentionThinsOldSnapshots(t *testing.T) {
-	s := NewStore()
+	s, m := newStubStore()
 	// 180 days of snapshots: the older ~90 days must thin to ~1/week.
 	for i := 0; i < 180; i++ {
-		if err := s.Add(daily(i, host("10.0.0.1", 80))); err != nil {
+		if err := m.record(s, i, host("10.0.0.1", 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,9 +111,9 @@ func TestRetentionThinsOldSnapshots(t *testing.T) {
 }
 
 func TestAtFindsNewestNotAfter(t *testing.T) {
-	s := NewStore()
-	s.Add(daily(0, host("10.0.0.1", 80)))
-	s.Add(daily(2, host("10.0.0.1", 80, 443)))
+	s, m := newStubStore()
+	m.record(s, 0, host("10.0.0.1", 80))
+	m.record(s, 2, host("10.0.0.1", 80, 443))
 	d, ok := s.At(day(1))
 	if !ok || !d.Date.Equal(day(0)) {
 		t.Fatalf("At(day1) = %v ok=%v", d.Date, ok)
@@ -107,8 +128,8 @@ func TestAtFindsNewestNotAfter(t *testing.T) {
 }
 
 func TestQueryPredicate(t *testing.T) {
-	s := NewStore()
-	s.Add(daily(0, host("10.0.0.1", 80, 22), host("10.0.0.2", 443)))
+	s, m := newStubStore()
+	m.record(s, 0, host("10.0.0.1", 80, 22), host("10.0.0.2", 443))
 	rows := s.Query(day(0), func(r Row) bool { return r.Port == 443 })
 	if len(rows) != 1 || rows[0].IP != "10.0.0.2" {
 		t.Fatalf("rows = %+v", rows)
@@ -119,10 +140,10 @@ func TestQueryPredicate(t *testing.T) {
 }
 
 func TestSeriesLongitudinal(t *testing.T) {
-	s := NewStore()
-	s.Add(daily(0, host("10.0.0.1", 80)))
-	s.Add(daily(1, host("10.0.0.1", 80), host("10.0.0.2", 80)))
-	s.Add(daily(2, host("10.0.0.1", 80), host("10.0.0.2", 80), host("10.0.0.3", 80)))
+	s, m := newStubStore()
+	m.record(s, 0, host("10.0.0.1", 80))
+	m.record(s, 1, host("10.0.0.1", 80), host("10.0.0.2", 80))
+	m.record(s, 2, host("10.0.0.1", 80), host("10.0.0.2", 80), host("10.0.0.3", 80))
 	dates, values := s.Series(func(d Daily) float64 { return float64(len(d.Rows)) })
 	if len(dates) != 3 || values[0] != 1 || values[2] != 3 {
 		t.Fatalf("series = %v %v", dates, values)
@@ -130,8 +151,8 @@ func TestSeriesLongitudinal(t *testing.T) {
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Add(daily(0, host("10.0.0.1", 80, 443), host("10.0.0.9", 22)))
+	s, m := newStubStore()
+	m.record(s, 0, host("10.0.0.1", 80, 443), host("10.0.0.9", 22))
 	var buf bytes.Buffer
 	if err := s.Export(day(0), &buf); err != nil {
 		t.Fatal(err)
@@ -149,7 +170,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 }
 
 func TestExportMissingDate(t *testing.T) {
-	s := NewStore()
+	s, _ := newStubStore()
 	var buf bytes.Buffer
 	if err := s.Export(day(0), &buf); err == nil {
 		t.Fatal("export of empty store succeeded")
