@@ -73,13 +73,16 @@ fuzz:
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
 	$(GO) test ./internal/cqrs/ -fuzz FuzzPayloadDecode -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz FuzzExportCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzScenarioDecode -fuzztime 30s
 
 # The serving-tier suite: HTTP conformance goldens over every /v2 route,
 # the export byte-stability differential (writes interleaved between pages),
-# deterministic rate-limit/quota/shed accounting, and the bounded-allocation
-# regression for limited search — all under the race detector.
+# the rendered-bytes differential (search, export pages and streams against
+# the encoding/json oracle, concurrent first renders), deterministic
+# rate-limit/quota/shed accounting, and the bounded-allocation guards for
+# limited search and pinned export pages — all under the race detector.
 serve-test:
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement'

@@ -97,8 +97,8 @@ func New(reader *cqrs.Reader, certs *cqrs.CertIndex, clock simclock.Clock) *Serv
 
 // AttachSearch registers the interactive-search endpoint
 // (GET /v2/hosts/search?q=<query>[&limit=n]) backed by the query engine.
-// Result fetches use the engine's batched per-partition host path — one lock
-// acquisition per partition, not one per matching host.
+// Result hosts are the index documents' rendered JSON (search.HostsJSON),
+// written verbatim into the envelope: nothing is cloned or re-encoded.
 func (s *Service) AttachSearch(ix *search.Index) {
 	s.index = ix
 	s.mux.HandleFunc("GET /v2/hosts/search", s.handleSearch)
@@ -342,9 +342,9 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		failFanout(w, "search", parts)
 		return
 	}
-	// IDs first, hosts second: a limited search clones and serializes only
-	// the hosts it will return, not the full result slice — the total still
-	// reports the complete match count from the (cheap) ID lists.
+	// IDs first, hosts second: a limited search fetches only the hosts it
+	// will return — the total still reports the complete match count from
+	// the (cheap) ID lists.
 	ids, err := s.index.Search(q)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
@@ -354,12 +354,31 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && total > limit {
 		ids = ids[:limit]
 	}
-	hosts := s.index.HostsByID(ids)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"query": q,
-		"total": total,
-		"hosts": hosts,
-	})
+	hosts, err := s.index.HostsJSON(ids)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
+		return
+	}
+	// The bytes encoding/json makes of {"query", "total", "hosts"} as a map:
+	// keys sorted, each host as rendered, the query through json.Marshal for
+	// the same HTML and invalid-UTF-8 escaping, a trailing newline.
+	query, _ := json.Marshal(q) // a string always marshals
+	size := 64 + len(query)     // the envelope fits in 64 bytes
+	for _, h := range hosts {
+		size += len(h) + 1
+	}
+	body := append(make([]byte, 0, size), `{"hosts":[`...)
+	for i, h := range hosts {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, h...)
+	}
+	body = append(append(body, `],"query":`...), query...)
+	body = strconv.AppendInt(append(body, `,"total":`...), int64(total), 10)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '}', '\n')) // the client has gone if this fails
 }
 
 func (s *Service) handleCertHosts(w http.ResponseWriter, r *http.Request) {

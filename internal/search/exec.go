@@ -49,20 +49,20 @@ func (ix *Index) parseCached(query string) (*Query, error) {
 	return q, nil
 }
 
-// SearchHosts is Search returning the matched host records. Hosts are
-// fetched with one batched pass per partition (a single lock acquisition
-// cloning every match), not one lock round-trip per result.
+// SearchHosts is Search returning a private clone of each matched host record
+// (the Go-API path; the HTTP routes emit HostsJSON's shared bytes instead).
 func (ix *Index) SearchHosts(query string) ([]*entity.Host, error) {
-	q, err := ix.parseCached(query)
+	ids, err := ix.Search(query)
 	if err != nil {
 		return nil, err
 	}
-	perPart := ix.partResults(q)
-	hosts := make([][]*entity.Host, len(ix.parts))
-	for i, p := range ix.parts {
-		hosts[i] = p.hostsFor(perPart[i])
+	hosts := make([]*entity.Host, 0, len(ids))
+	for _, id := range ids {
+		if h := ix.Host(id); h != nil {
+			hosts = append(hosts, h)
+		}
 	}
-	return mergeHostsByID(hosts), nil
+	return hosts, nil
 }
 
 // Execute runs a compiled query. Partitions hold disjoint document sets and
@@ -287,29 +287,4 @@ func (p *indexPart) lookupPhrase(field, phrase string) []uint32 {
 		}
 	}
 	return acc
-}
-
-// mergeHostsByID k-way merges per-partition host lists (each sorted by
-// entity ID) into one list sorted by entity ID.
-func mergeHostsByID(lists [][]*entity.Host) []*entity.Host {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]*entity.Host, 0, total)
-	heads := make([]int, len(lists))
-	for len(out) < total {
-		min := -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if min < 0 || l[heads[i]].ID() < lists[min][heads[min]].ID() {
-				min = i
-			}
-		}
-		out = append(out, lists[min][heads[min]])
-		heads[min]++
-	}
-	return out
 }

@@ -14,6 +14,7 @@
 package search
 
 import (
+	"encoding/json"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,7 +83,9 @@ type indexPart struct {
 	cache   map[string]cacheEntry
 }
 
-// document keeps the per-entity state needed for evaluation and teardown.
+// document keeps the per-entity state needed for evaluation and teardown. It
+// is immutable once posted: Upsert replaces a document, never edits it, which
+// is what lets it carry its host's wire bytes without their going stale.
 type document struct {
 	id    string
 	local uint32
@@ -97,6 +100,25 @@ type document struct {
 	// numbers holds the deduped numeric values entered per field column.
 	numbers map[string][]int64
 	host    *entity.Host
+	// rendered is json.Marshal(host), set by the first read that emits it
+	// (see render) — not at Upsert, because most documents are replaced
+	// before anyone reads them.
+	rendered atomic.Pointer[[]byte]
+}
+
+// render returns the document's canonical JSON, marshalling it on first use.
+// Two racing first readers marshal the same immutable host and store
+// identical bytes, so either store may win.
+func (d *document) render() ([]byte, error) {
+	if b := d.rendered.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := json.Marshal(d.host)
+	if err != nil {
+		return nil, err
+	}
+	d.rendered.Store(&b)
+	return b, nil
 }
 
 // NewIndex creates an empty single-partition index.
@@ -394,39 +416,37 @@ func (ix *Index) Host(id string) *entity.Host {
 	return nil
 }
 
-// HostsByID clones the indexed host records for a sorted entity-ID list,
-// batching the fetch per partition (one lock acquisition per partition, not
-// one per host) and returning the hosts in ID order. It is the bounded-fetch
-// companion to SearchHosts: callers that already hold the matching IDs — a
-// limited search page, a cursor slice — materialize only the hosts they will
-// serve instead of cloning the full result set.
-func (ix *Index) HostsByID(ids []string) []*entity.Host {
-	perPart := make([][]string, len(ix.parts))
-	for _, id := range ids {
-		p := shard.Of(id, len(ix.parts))
-		perPart[p] = append(perPart[p], id)
+// HostsJSON returns the canonical JSON of the indexed hosts for an entity-ID
+// list — json.Marshal of each host, the bytes search and export emit — in
+// list order, skipping IDs no longer indexed. Documents are fetched under one
+// read lock per partition and rendered outside it, each at most once per
+// version: the returned slices are shared by every reader and must not be
+// modified.
+func (ix *Index) HostsJSON(ids []string) ([]json.RawMessage, error) {
+	at := make([]int, len(ids))
+	for k, id := range ids {
+		at[k] = shard.Of(id, len(ix.parts))
 	}
-	hosts := make([][]*entity.Host, len(ix.parts))
+	docs := make([]*document, len(ids))
 	for i, p := range ix.parts {
-		hosts[i] = p.hostsFor(perPart[i])
-	}
-	return mergeHostsByID(hosts)
-}
-
-// hostsFor clones the indexed hosts for a sorted per-partition ID list in
-// one pass under a single read-lock acquisition (the batched fetch behind
-// SearchHosts — one lock per partition, not one per result).
-func (p *indexPart) hostsFor(ids []string) []*entity.Host {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]*entity.Host, 0, len(ids))
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, id := range ids {
-		if d := p.docs[id]; d != nil {
-			out = append(out, d.host.Clone())
+		p.mu.RLock()
+		for k, id := range ids {
+			if at[k] == i {
+				docs[k] = p.docs[id]
+			}
 		}
+		p.mu.RUnlock()
 	}
-	return out
+	out := make([]json.RawMessage, 0, len(ids))
+	for _, d := range docs {
+		if d == nil {
+			continue
+		}
+		b, err := d.render()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
 }

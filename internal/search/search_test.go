@@ -1,6 +1,8 @@
 package search
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/netip"
 	"testing"
 
@@ -161,6 +163,40 @@ func TestSearchHosts(t *testing.T) {
 	hosts, err := ix.SearchHosts(`labels: ics`)
 	if err != nil || len(hosts) != 1 || hosts[0].IP.String() != "10.0.0.3" {
 		t.Fatalf("hosts = %v err = %v", hosts, err)
+	}
+}
+
+// TestHostsJSON: the rendered bytes are json.Marshal of the indexed host, in
+// list order, skipping unknown IDs; a document renders once and keeps its
+// bytes, and an upsert's new document renders the new state.
+func TestHostsJSON(t *testing.T) {
+	ix := NewPartitioned(3)
+	hosts, err := buildIndex(t).SearchHosts(`ip: 10.0.0.*`)
+	if err != nil || len(hosts) != 4 {
+		t.Fatalf("SearchHosts = %d hosts, err %v", len(hosts), err)
+	}
+	for _, h := range hosts {
+		ix.Upsert(h)
+	}
+	list := []string{"10.0.0.4", "10.9.9.9", "10.0.0.1", "10.0.0.3"}
+	got, err := ix.HostsJSON(list)
+	if err != nil || len(got) != 3 {
+		t.Fatalf("HostsJSON = %d lines, err %v", len(got), err)
+	}
+	for i, id := range []string{"10.0.0.4", "10.0.0.1", "10.0.0.3"} {
+		want, _ := json.Marshal(ix.Host(id))
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("line %d:\n got %s\nwant %s", i, got[i], want)
+		}
+	}
+	again, _ := ix.HostsJSON(list[:1])
+	if &again[0][0] != &got[0][0] {
+		t.Fatal("a second read re-rendered an unchanged document")
+	}
+	ix.Upsert(makeHost("10.0.0.4", "FR"))
+	fresh, _ := ix.HostsJSON(list[:1])
+	if want, _ := json.Marshal(ix.Host("10.0.0.4")); !bytes.Equal(fresh[0], want) || bytes.Equal(fresh[0], got[0]) {
+		t.Fatalf("after upsert: %s", fresh[0])
 	}
 }
 

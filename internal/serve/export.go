@@ -15,7 +15,10 @@ import (
 
 // Bulk export is snapshot-pinned: the first request of an export materializes
 // the full sorted result set as canonical JSON lines and stamps it with the
-// search index's generation (the summed per-partition mutation counter).
+// search index's generation (the summed per-partition mutation counter). The
+// lines are the index documents' own rendered bytes (search.HostsJSON): a
+// document is immutable, so a pin shares them instead of copying, and keeps a
+// replaced document's bytes alive for as long as it needs them.
 // Every later page is a slice of those pinned lines, so the concatenation of
 // pages is byte-identical to a single-shot export no matter how many writes
 // land between page fetches. The cursor is an opaque token carrying
@@ -90,12 +93,15 @@ type pin struct {
 	seq   uint64            // insertion order, for eviction
 }
 
+// maxPins bounds the resident pinned snapshots. A pin is slice headers over
+// shared bytes, and rebuilding one costs a search, so the bound is loose.
+const maxPins = 16
+
 // exporter owns the pinned snapshots, bounded to maxPins resident pins with
 // oldest-first eviction (an evicted pin is rebuilt bit-identically while the
 // index generation still matches; once the index moves on, it is expired).
 type exporter struct {
-	ix      *search.Index
-	maxPins int
+	ix *search.Index
 
 	mu   sync.Mutex
 	pins map[pinKey]*pin
@@ -107,8 +113,8 @@ type pinKey struct {
 	gen   uint64
 }
 
-func newExporter(ix *search.Index, maxPins int) *exporter {
-	return &exporter{ix: ix, maxPins: maxPins, pins: make(map[pinKey]*pin)}
+func newExporter(ix *search.Index) *exporter {
+	return &exporter{ix: ix, pins: make(map[pinKey]*pin)}
 }
 
 // materialize runs the query and freezes its full result set as JSON lines.
@@ -118,21 +124,17 @@ func newExporter(ix *search.Index, maxPins int) *exporter {
 func (e *exporter) materialize(query string) (*pin, error) {
 	for attempt := 0; ; attempt++ {
 		g1 := e.ix.Generation()
-		hosts, err := e.ix.SearchHosts(query)
+		ids, err := e.ix.Search(query)
+		if err != nil {
+			return nil, err
+		}
+		lines, err := e.ix.HostsJSON(ids)
 		if err != nil {
 			return nil, err
 		}
 		g2 := e.ix.Generation()
 		if g1 != g2 && attempt < 3 {
 			continue
-		}
-		lines := make([]json.RawMessage, len(hosts))
-		for i, h := range hosts {
-			blob, err := json.Marshal(h)
-			if err != nil {
-				return nil, err
-			}
-			lines[i] = blob
 		}
 		return &pin{query: query, gen: g2, lines: lines}, nil
 	}
@@ -142,7 +144,7 @@ func (e *exporter) materialize(query string) (*pin, error) {
 func (e *exporter) insert(p *pin) {
 	e.seq++
 	p.seq = e.seq
-	for len(e.pins) >= e.maxPins {
+	for len(e.pins) >= maxPins {
 		var victim pinKey
 		oldest := uint64(1<<63 - 1)
 		for k, v := range e.pins {
@@ -217,22 +219,17 @@ func (e *exporter) pinCount() int {
 	return len(e.pins)
 }
 
-// exportPage is the paginated endpoint's response envelope. Results are the
-// pin's raw lines, re-emitted byte-for-byte.
-type exportPage struct {
-	Query      string            `json:"query"`
-	Generation uint64            `json:"generation"`
-	Total      int               `json:"total"`
-	Offset     int               `json:"offset"`
-	Count      int               `json:"count"`
-	Results    []json.RawMessage `json:"results"`
-	NextCursor string            `json:"next_cursor,omitempty"`
-}
-
 // handleExportPage serves GET /v2/export/hosts:
 //
 //	?q=<query>&per_page=<n>         — open an export, first page + cursor
 //	?cursor=<token>[&per_page=<n>]  — next page of a pinned export
+//
+// The body is one JSON object, fields in this order:
+//
+//	{"query":…,"generation":…,"total":…,"offset":…,"count":…,"results":[…],"next_cursor":…}
+//
+// with the pin's lines re-emitted byte for byte and next_cursor absent on the
+// last page.
 func (s *Server) handleExportPage(w http.ResponseWriter, r *http.Request) {
 	per, ok := s.perPage(w, r)
 	if !ok {
@@ -242,31 +239,41 @@ func (s *Server) handleExportPage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	end := off + per
-	if end > len(p.lines) {
-		end = len(p.lines)
-	}
-	if off > len(p.lines) {
-		off = len(p.lines)
-	}
-	page := exportPage{
-		Query:      p.query,
-		Generation: p.gen,
-		Total:      len(p.lines),
-		Offset:     off,
-		Count:      end - off,
-		Results:    p.lines[off:end],
-	}
-	if page.Results == nil {
-		page.Results = []json.RawMessage{}
-	}
+	// Clamp before adding: a cursor's offset can be anything up to MaxInt.
+	off = min(off, len(p.lines))
+	end := off + min(per, len(p.lines)-off)
+	next := ""
 	if end < len(p.lines) {
-		page.NextCursor = encodeCursor(cursor{V: cursorVersion, Q: p.query, Gen: p.gen, Off: end})
+		next = encodeCursor(cursor{V: cursorVersion, Q: p.query, Gen: p.gen, Off: end})
+	}
+
+	query, _ := json.Marshal(p.query)    // a string always marshals
+	size := 256 + len(query) + len(next) // the envelope fits in 256 bytes
+	for _, line := range p.lines[off:end] {
+		size += len(line) + 1
+	}
+	body := append(append(make([]byte, 0, size), `{"query":`...), query...)
+	body = strconv.AppendUint(append(body, `,"generation":`...), p.gen, 10)
+	body = strconv.AppendInt(append(body, `,"total":`...), int64(len(p.lines)), 10)
+	body = strconv.AppendInt(append(body, `,"offset":`...), int64(off), 10)
+	body = strconv.AppendInt(append(body, `,"count":`...), int64(end-off), 10)
+	body = append(body, `,"results":[`...)
+	for i, line := range p.lines[off:end] {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, line...)
+	}
+	body = append(body, ']')
+	if next != "" { // base64url: nothing to escape
+		body = append(append(append(body, `,"next_cursor":"`...), next...), '"')
 	}
 	w.Header().Set(ExportGenerationHeader, strconv.FormatUint(p.gen, 10))
 	w.Header().Set(ExportTotalHeader, strconv.Itoa(len(p.lines)))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
 	s.metrics.exportPage(end - off)
-	writeJSON(w, http.StatusOK, page)
+	_, _ = w.Write(append(body, '}', '\n')) // the client has gone if this fails
 }
 
 // handleExportStream serves GET /v2/export/hosts/stream?q=<query>: the whole
@@ -281,9 +288,7 @@ func (s *Server) handleExportStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ExportTotalHeader, strconv.Itoa(len(p.lines)))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	if off > len(p.lines) {
-		off = len(p.lines)
-	}
+	off = min(off, len(p.lines))
 	for i, line := range p.lines[off:] {
 		_, _ = w.Write(line)
 		_, _ = w.Write([]byte{'\n'})

@@ -4,9 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"net/url"
 	"strings"
 	"testing"
 )
+
+// exportPage is the paginated endpoint's response envelope, decoded.
+type exportPage struct {
+	Query      string            `json:"query"`
+	Generation uint64            `json:"generation"`
+	Total      int               `json:"total"`
+	Offset     int               `json:"offset"`
+	Count      int               `json:"count"`
+	Results    []json.RawMessage `json:"results"`
+	NextCursor string            `json:"next_cursor,omitempty"`
+}
 
 // walkPages drives a paginated export to completion, returning the
 // concatenation of every page's raw result lines (newline-terminated, the
@@ -46,7 +59,7 @@ func walkPages(t *testing.T, f *fixture, query string, perPage int, between func
 // stream fetches the whole export as NDJSON in one shot.
 func (f *fixture) stream(t *testing.T, query string) []byte {
 	t.Helper()
-	rec := f.get("/v2/export/hosts/stream?q="+strings.ReplaceAll(query, " ", "+"), "k-int")
+	rec := f.get("/v2/export/hosts/stream?q="+url.QueryEscape(query), "k-int")
 	if rec.Code != 200 {
 		t.Fatalf("stream: status = %d body=%s", rec.Code, rec.Body)
 	}
@@ -115,18 +128,29 @@ func TestExportStreamMatchesPages(t *testing.T) {
 	}
 }
 
-// TestExportEvictedPinRebuilds: with room for a single pin, opening a second
-// export evicts the first; while the index generation is unchanged the first
-// cursor still resumes, rebuilding the snapshot bit-identically.
+// evictPins opens maxPins more exports, each of a distinct query, so every
+// pin resident before the call is evicted.
+func evictPins(t *testing.T, f *fixture) {
+	t.Helper()
+	for i := 0; i < maxPins; i++ {
+		f.stream(t, fmt.Sprintf("services.port: %d", 1000+i))
+	}
+	if got := f.srv.exp.pinCount(); got != maxPins {
+		t.Fatalf("pins resident = %d, want %d", got, maxPins)
+	}
+}
+
+// TestExportEvictedPinRebuilds: opening maxPins more exports evicts the
+// first; while the index generation is unchanged the first cursor still
+// resumes, rebuilding the snapshot bit-identically.
 func TestExportEvictedPinRebuilds(t *testing.T) {
-	f := newFixture(t, Config{MaxPins: 1})
+	f := newFixture(t, Config{})
 	const query = "services.tls: true"
 
 	first, pages := walkPagesPartial(t, f, query, 3, 1)
-	// Evict the pin with a different export.
-	f.stream(t, "services.protocol: HTTP")
-	if got := f.srv.exp.pinCount(); got != 1 {
-		t.Fatalf("pins resident = %d, want 1", got)
+	evictPins(t, f)
+	if _, ok := f.srv.exp.pins[pinKey{query, pages[0].Generation}]; ok {
+		t.Fatal("the first export's pin is still resident")
 	}
 
 	// Resume: generation unchanged, so the rebuild must be byte-identical.
@@ -140,15 +164,15 @@ func TestExportEvictedPinRebuilds(t *testing.T) {
 // TestExportExpiredCursor410: once the pinned snapshot is evicted AND the
 // index has moved on, the cursor is unservable — 410 Gone, restart.
 func TestExportExpiredCursor410(t *testing.T) {
-	f := newFixture(t, Config{MaxPins: 1})
+	f := newFixture(t, Config{})
 	_, pages := walkPagesPartial(t, f, "services.tls: true", 3, 1)
 	next := pages[len(pages)-1].NextCursor
 	if next == "" {
 		t.Fatal("first page did not return a cursor")
 	}
 
-	f.stream(t, "services.protocol: HTTP") // evict the pin
-	f.seedHost(t, "10.0.2.1", "mover")     // move the generation
+	evictPins(t, f)
+	f.seedHost(t, "10.0.2.1", "mover") // move the generation
 
 	rec := f.get("/v2/export/hosts?cursor="+next, "k-int")
 	if rec.Code != 410 {
@@ -180,6 +204,29 @@ func TestExportEmptyResult(t *testing.T) {
 	}
 	if body := f.stream(t, query); len(body) != 0 {
 		t.Fatalf("empty stream body = %q", body)
+	}
+}
+
+// TestExportCursorOffsetOverflow: a cursor built from what the server hands
+// out (query, generation) with an offset near MaxInt answers an empty last
+// page — the offset is clamped before per_page is added to it.
+func TestExportCursorOffsetOverflow(t *testing.T) {
+	f := newFixture(t, Config{})
+	const query = "services.tls: true"
+	_, pages := walkPagesPartial(t, f, query, 3, 1)
+	for _, off := range []int{math.MaxInt, math.MaxInt - 2, 9, 8} {
+		token := encodeCursor(cursor{V: cursorVersion, Q: query, Gen: pages[0].Generation, Off: off})
+		rec := f.get("/v2/export/hosts?per_page=3&cursor="+token, "k-int")
+		if rec.Code != 200 {
+			t.Fatalf("off=%d: status = %d body=%s", off, rec.Code, rec.Body)
+		}
+		var p exportPage
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Total != 8 || p.Offset != 8 || p.Count != 0 || len(p.Results) != 0 || p.NextCursor != "" {
+			t.Fatalf("off=%d: page = %+v", off, p)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"net/url"
 	"testing"
 )
 
@@ -42,6 +45,40 @@ func FuzzDecodeCursor(f *testing.F) {
 		}
 		if c2 != c {
 			t.Fatalf("round trip changed cursor: %+v -> %+v", c, c2)
+		}
+	})
+}
+
+// FuzzExportCursor drives the paginated export handler with any cursor token
+// and any per_page: it never panics, answers only 200, 400 or 410, and a 200
+// is one valid JSON document. The seeds include cursors the server would
+// accept — its own query and generation — with offsets up to MaxInt.
+func FuzzExportCursor(f *testing.F) {
+	fx := newFixture(f, Config{})
+	gen := fx.ix.Generation()
+	for _, off := range []int{0, 3, 8, 9, math.MaxInt - 2, math.MaxInt} {
+		for _, per := range []string{"1", "3", "1000"} {
+			f.Add(encodeCursor(cursor{V: cursorVersion, Q: "services.tls: true", Gen: gen, Off: off}), per)
+		}
+	}
+	f.Add(encodeCursor(cursor{V: cursorVersion, Q: "services.tls: true", Gen: gen + 1, Off: 0}), "3") // expired
+	f.Add(encodeCursor(cursor{V: cursorVersion, Q: "(((", Gen: gen, Off: 0}), "3")                    // bad query
+	for _, per := range []string{"", "0", "-1", "1001", "abc", "99999999999999999999"} {
+		f.Add(encodeCursor(cursor{V: cursorVersion, Q: "services.tls: true", Gen: gen, Off: 3}), per)
+	}
+	f.Add("!!!not base64url!!!", "3")
+	f.Add("", "")
+
+	f.Fuzz(func(t *testing.T, token, per string) {
+		rec := fx.get("/v2/export/hosts?cursor="+url.QueryEscape(token)+"&per_page="+url.QueryEscape(per), "k-int")
+		switch rec.Code {
+		case 200:
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("200 with an invalid JSON body for token %q per_page %q: %s", token, per, rec.Body)
+			}
+		case 400, 410:
+		default:
+			t.Fatalf("status %d for token %q per_page %q: %s", rec.Code, token, per, rec.Body)
 		}
 	})
 }

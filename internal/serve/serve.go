@@ -139,9 +139,6 @@ type Config struct {
 	// PageSize is the default export page size. Default 100, capped at
 	// MaxPageSize.
 	PageSize int
-	// MaxPins bounds the number of resident pinned export snapshots.
-	// Default 16.
-	MaxPins int
 }
 
 // MaxPageSize caps ?per_page on the paginated export endpoint.
@@ -176,16 +173,13 @@ func New(cfg Config, svc *lookup.Service, ix *search.Index, clock simclock.Clock
 	if cfg.PageSize > MaxPageSize {
 		cfg.PageSize = MaxPageSize
 	}
-	if cfg.MaxPins <= 0 {
-		cfg.MaxPins = 16
-	}
 	s := &Server{
 		cfg:     cfg,
 		svc:     svc,
 		clock:   clock,
 		tenants: make(map[string]*tenantState, len(cfg.Tenants)),
 		adm:     newAdmission(cfg.Capacity),
-		exp:     newExporter(ix, cfg.MaxPins),
+		exp:     newExporter(ix),
 	}
 	for _, t := range cfg.Tenants {
 		if t.Key == "" || t.Name == "" {

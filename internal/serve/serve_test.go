@@ -43,7 +43,7 @@ func defaultTenants() []Tenant {
 	}
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	clk := simclock.New()
 	j := journal.NewStore()
@@ -79,7 +79,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 // seedHost applies one HTTPS observation for addr and mirrors the resulting
 // state into the search index (the wiring core's Subscribe feed provides in
 // the assembled system).
-func (f *fixture) seedHost(t *testing.T, addr, banner string) {
+func (f *fixture) seedHost(t testing.TB, addr, banner string) {
 	t.Helper()
 	a := netip.MustParseAddr(addr)
 	svc := &entity.Service{Port: 443, Transport: entity.TCP, Protocol: "HTTP",
