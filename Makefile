@@ -62,8 +62,11 @@ fsck:
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_quarantine -json
 
 # Short coverage-guided fuzzing: the parsers that face untrusted bytes, plus the search differential (random queries against a naive
-# reference evaluator, serial and partitioned engines must agree). Seed
-# corpora also run as part of plain `make test`.
+# reference evaluator, serial and partitioned engines must agree) and the
+# simnet path-table differential (a byte-driven probe schedule against the
+# map-keyed model; each input builds a universe, so minimizing is capped by
+# count, not the default 60 s). Seed corpora also run as part of plain
+# `make test`.
 fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzParseQuery -fuzztime 30s
@@ -76,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -fuzz FuzzExportCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzScenarioDecode -fuzztime 30s
+	$(GO) test ./internal/simnet/ -fuzz FuzzPathTable -fuzztime 30s -fuzzminimizetime 100x
 
 # The serving-tier suite: HTTP conformance goldens over every /v2 route,
 # the export byte-stability differential (writes interleaved between pages),
@@ -110,11 +114,14 @@ predict-diff:
 	$(GO) test ./internal/predict/ ./internal/discovery/
 
 # The adversarial scenario suite: hostile-substrate generation and scenario
-# codec under the race detector, interrogation deadline budgets against
-# tarpits (including pool liveness at 100% tarpit density), honeypot-farm
-# uniformity flagging, adaptive backoff + scanner rotation, the chaos
-# differentials over a hostile seed (same-seed, layout invariance,
-# kill/resume), and the per-engine mislabel/blocking/freshness replay.
+# codec under the race detector, the path-table differential
+# (TestPathTableMatchesMapModel: dense host and path tables against the
+# map-keyed model through rate blocks, detectors and injected faults),
+# interrogation deadline budgets against tarpits (including pool liveness
+# at 100% tarpit density), honeypot-farm uniformity flagging, adaptive
+# backoff + scanner rotation, the chaos differentials over a hostile seed
+# (same-seed, layout invariance, kill/resume), and the per-engine
+# mislabel/blocking/freshness replay.
 adversarial:
 	$(GO) test -race ./internal/simnet/ ./internal/interro/ ./internal/protocols/ ./internal/discovery/
 	$(GO) test -race ./internal/core/ -run 'Tarpit|Honeypot|Pseudo|Flagged'

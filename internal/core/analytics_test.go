@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -49,8 +50,11 @@ func hostileUniverse() (*simnet.Internet, Config) {
 // did when a daily snapshot was a stored copy: every materialized host with
 // services, cloned off the write side, enriched and flattened.
 func copiedRows(m *Map) []snapshot.Row {
+	var ids []string
+	m.processor.Walk(func(id string, _ *entity.Host) { ids = append(ids, id) })
+	sort.Strings(ids)
 	var hosts []*entity.Host
-	for _, id := range m.processor.EntityIDs() {
+	for _, id := range ids {
 		if h := m.processor.CurrentState(id); h != nil && len(h.Services) > 0 {
 			m.enricher.Enrich(h)
 			hosts = append(hosts, h)

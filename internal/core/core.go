@@ -79,8 +79,6 @@ type Config struct {
 	PseudoServiceThreshold int
 	// Excluded prefixes are never scanned (opt-out list).
 	Excluded []netip.Prefix
-	// WirePackets runs discovery through the userspace packet stack.
-	WirePackets bool
 	// DisablePrediction turns the predictive engine off (ablation).
 	DisablePrediction bool
 	// DisableReinjection turns evicted-service re-injection off (ablation).
@@ -435,14 +433,13 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 	m.pops = discovery.DefaultPoPs()
 	m.disc, err = discovery.New(discovery.Config{
-		Scanner:     m.scanner,
-		PoPs:        m.pops,
-		Classes:     classes,
-		Excluded:    cfg.Excluded,
-		Seed:        net.Config().Seed ^ 0xD15C,
-		Ledger:      m.ledger,
-		WirePackets: cfg.WirePackets,
-		Backoff:     cfg.ScanBackoff,
+		Scanner:  m.scanner,
+		PoPs:     m.pops,
+		Classes:  classes,
+		Excluded: cfg.Excluded,
+		Seed:     net.Config().Seed ^ 0xD15C,
+		Ledger:   m.ledger,
+		Backoff:  cfg.ScanBackoff,
 	}, net)
 	if err != nil {
 		return nil, err

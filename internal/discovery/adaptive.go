@@ -71,13 +71,20 @@ type netBackoff struct {
 	offenses int    // how many times this network triggered a backoff
 }
 
-// scannerID returns the engine's current identity: the configured scanner ID
-// plus a rotation suffix once identities have been rotated.
-func (e *Engine) scannerID() string {
-	if e.rotations == 0 {
-		return e.cfg.Scanner.ID
+// buildScanners sets the identity each PoP probes as: the configured
+// scanner, from the PoP's country, under the configured ID plus a rotation
+// suffix once identities have been rotated.
+func (e *Engine) buildScanners() {
+	id := e.cfg.Scanner.ID
+	if e.rotations > 0 {
+		id += "+r" + strconv.Itoa(e.rotations)
 	}
-	return e.cfg.Scanner.ID + "+r" + strconv.Itoa(e.rotations)
+	e.scanners = e.scanners[:0]
+	for _, pop := range e.cfg.PoPs {
+		sc := e.cfg.Scanner
+		sc.ID, sc.Country = id, pop.Country
+		e.scanners = append(e.scanners, sc)
+	}
 }
 
 // deferred reports whether probes into addr's /24 are currently backed off.
@@ -146,6 +153,7 @@ func (e *Engine) noteOutcome(addr netip.Addr, dropped bool) {
 		e.offensesTotal >= uint64(ra)*uint64(e.rotations+1) {
 		e.rotations++
 		e.stats.Rotations++
+		e.buildScanners()
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simnet"
-	"censysmap/internal/wire"
 )
 
 // PoP is a scanning point of presence (paper §4.5).
@@ -34,7 +33,7 @@ type PoP struct {
 	Name string
 	// Country is the vantage point's location (geoblocking input).
 	Country string
-	// SourceAddr is the address probes originate from (wire mode).
+	// SourceAddr is the address probes originate from on the wire.
 	SourceAddr netip.Addr
 }
 
@@ -97,10 +96,6 @@ type Config struct {
 	// not know is granted nothing. Nil leaves budgets implicit in
 	// ProbesPerTick exactly as before.
 	Ledger *Ledger
-	// WirePackets routes probes through full packet encode/decode (the
-	// userspace network stack) instead of the fast path. Identical
-	// semantics, ~5x the CPU; used where wire fidelity matters.
-	WirePackets bool
 	// Backoff configures adaptive backoff and scanner rotation against
 	// networks that block scanners (see adaptive.go). Zero value disables.
 	Backoff BackoffPolicy
@@ -125,11 +120,16 @@ type Engine struct {
 	cfg     Config
 	net     *simnet.Internet
 	classes []*classState
-	prober  *wire.Prober
-	popIdx  int
-	stats   Stats
-	// udpProbes caches protocol-specific UDP payloads by port.
+	// popIdx is the PoP the next probe leaves from; scanners[i] is the
+	// identity PoP i probes as, rebuilt when the identity rotates.
+	popIdx   int
+	scanners []simnet.Scanner
+	stats    Stats
+	// udpProbes caches protocol-specific UDP payloads by port; udpPorts is
+	// its key set as a bitmap, so the ports that carry no UDP protocol
+	// (almost every probed one) never hash into the map.
 	udpProbes map[uint16]udpProbe
+	udpPorts  [1024]uint64
 
 	// Adaptive-backoff state (see adaptive.go); empty unless cfg.Backoff
 	// is enabled.
@@ -160,9 +160,9 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		net:       net,
-		prober:    wire.NewProber(cfg.Seed, 40000),
 		udpProbes: make(map[uint16]udpProbe),
 	}
+	e.buildScanners()
 	for _, cc := range cfg.Classes {
 		if cc.Space == nil || cc.ProbesPerTick <= 0 {
 			return nil, fmt.Errorf("discovery: class %q misconfigured", cc.Name)
@@ -189,6 +189,7 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 		}
 		for _, port := range p.DefaultPorts {
 			e.udpProbes[port] = udpProbe{protocol: p.Name, payload: payload}
+			e.udpPorts[port>>6] |= 1 << (port & 63)
 		}
 	}
 	return e, nil
@@ -295,25 +296,19 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 // the target once regardless of how many wire probes it takes, and confirms
 // it at most once.
 func (e *Engine) probe(now time.Time, method entity.DetectionMethod, addr netip.Addr, port uint16, emit func(Candidate)) (confirmed bool) {
-	pop := e.cfg.PoPs[e.popIdx%len(e.cfg.PoPs)]
-	e.popIdx++
-	sc := e.cfg.Scanner
-	sc.ID = e.scannerID()
-	sc.Country = pop.Country
+	pop, sc := e.cfg.PoPs[e.popIdx].Name, e.scanners[e.popIdx]
+	if e.popIdx++; e.popIdx == len(e.scanners) {
+		e.popIdx = 0
+	}
 
 	e.stats.ProbesSent++
-	var outcome simnet.Outcome
-	if e.cfg.WirePackets {
-		outcome = e.wireProbeTCP(sc, pop, addr, port)
-	} else {
-		outcome = e.net.ProbeTCP(sc, addr, port)
-	}
+	outcome := e.net.ProbeTCP(sc, addr, port)
 	switch outcome {
 	case simnet.Open:
 		e.stats.OpenResponses++
 		confirmed = true
 		emit(Candidate{Addr: addr, Port: port, Transport: entity.TCP,
-			Method: method, PoP: pop.Name, Time: now})
+			Method: method, PoP: pop, Time: now})
 	case simnet.Closed:
 		e.stats.ClosedResponse++
 	default:
@@ -321,66 +316,20 @@ func (e *Engine) probe(now time.Time, method entity.DetectionMethod, addr netip.
 	}
 	e.noteOutcome(addr, outcome == simnet.Dropped)
 
-	if up, ok := e.udpProbes[port]; ok {
-		e.stats.ProbesSent++
-		var resp []byte
-		var uout simnet.Outcome
-		if e.cfg.WirePackets {
-			resp, uout = e.wireProbeUDP(sc, pop, addr, port, up.payload)
-		} else {
-			resp, uout = e.net.ProbeUDP(sc, addr, port, up.payload)
-		}
-		if uout == simnet.Open && len(resp) > 0 {
-			e.stats.OpenResponses++
-			confirmed = true
-			emit(Candidate{Addr: addr, Port: port, Transport: entity.UDP,
-				Method: method, PoP: pop.Name, Time: now, UDPProtocol: up.protocol})
-		} else {
-			e.stats.Dropped++
-		}
+	if e.udpPorts[port>>6]&(1<<(port&63)) == 0 {
+		return confirmed
+	}
+	up := e.udpProbes[port]
+	e.stats.ProbesSent++
+	if resp, uout := e.net.ProbeUDP(sc, addr, port, up.payload); uout == simnet.Open && len(resp) > 0 {
+		e.stats.OpenResponses++
+		confirmed = true
+		emit(Candidate{Addr: addr, Port: port, Transport: entity.UDP,
+			Method: method, PoP: pop, Time: now, UDPProtocol: up.protocol})
+	} else {
+		e.stats.Dropped++
 	}
 	return confirmed
-}
-
-// wireProbeTCP sends the probe as a crafted SYN packet through the full
-// userspace network stack.
-func (e *Engine) wireProbeTCP(sc simnet.Scanner, pop PoP, addr netip.Addr, port uint16) simnet.Outcome {
-	pkt, err := e.prober.SYN(pop.SourceAddr, addr, port)
-	if err != nil {
-		return simnet.Dropped
-	}
-	resp := e.net.HandlePacket(sc, pkt)
-	if resp == nil {
-		return simnet.Dropped
-	}
-	parsed, ok := e.prober.ParseResponse(pop.SourceAddr, resp)
-	if !ok {
-		return simnet.Dropped
-	}
-	switch parsed.Kind {
-	case wire.ResponseOpen:
-		return simnet.Open
-	case wire.ResponseClosed:
-		return simnet.Closed
-	}
-	return simnet.Dropped
-}
-
-// wireProbeUDP sends the probe as a crafted UDP packet.
-func (e *Engine) wireProbeUDP(sc simnet.Scanner, pop PoP, addr netip.Addr, port uint16, payload []byte) ([]byte, simnet.Outcome) {
-	pkt, err := e.prober.UDPProbe(pop.SourceAddr, addr, port, payload)
-	if err != nil {
-		return nil, simnet.Dropped
-	}
-	resp := e.net.HandlePacket(sc, pkt)
-	if resp == nil {
-		return nil, simnet.Dropped
-	}
-	parsed, ok := e.prober.ParseResponse(pop.SourceAddr, resp)
-	if !ok || parsed.Kind != wire.ResponseUDPReply {
-		return nil, simnet.Dropped
-	}
-	return parsed.Payload, simnet.Open
 }
 
 // Stats returns cumulative counters.
@@ -428,11 +377,12 @@ func (e *Engine) State() State {
 // Restore repositions an engine built with the same Config to a captured
 // state. Classes are matched by name; unknown names are ignored.
 func (e *Engine) Restore(st State) error {
-	e.popIdx = st.PopIdx
+	e.popIdx = st.PopIdx % len(e.scanners)
 	e.stats = st.Stats
 	e.tickNo = st.TickNo
 	e.offensesTotal = st.Offenses
 	e.rotations = st.Rotations
+	e.buildScanners()
 	e.restoreBackoff(st.Backoff)
 	e.restoreAnswered(st.Answered)
 	for _, cp := range st.Classes {

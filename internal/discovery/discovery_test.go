@@ -9,6 +9,7 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
+	"censysmap/internal/wire"
 )
 
 func quietConfig() simnet.Config {
@@ -26,14 +27,13 @@ func censysLike() simnet.Scanner {
 	return simnet.Scanner{ID: "censys", SourceIPs: 256, Country: "US"}
 }
 
-func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig, wirePackets bool) *Engine {
+func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig) *Engine {
 	t.Helper()
 	e, err := New(Config{
-		Scanner:     censysLike(),
-		PoPs:        DefaultPoPs(),
-		Classes:     classes,
-		Seed:        7,
-		WirePackets: wirePackets,
+		Scanner: censysLike(),
+		PoPs:    DefaultPoPs(),
+		Classes: classes,
+		Seed:    7,
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestDiscoveryFindsLiveServices(t *testing.T) {
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
 	cls := priorityClass(t, quietConfig().Prefix, 1<<20)
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 
 	found := map[[2]any]bool{}
 	e.Tick(clk.Now(), func(c Candidate) {
@@ -91,7 +91,7 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
 	cls := priorityClass(t, quietConfig().Prefix, 1<<20)
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 
 	udp := 0
 	e.Tick(clk.Now(), func(c Candidate) {
@@ -116,20 +116,69 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	}
 }
 
+// wireSweep is the wire path, kept as the oracle of the engine's fast path.
+// It walks one pass of cls in the order an engine e would, from the same PoP
+// rotation and identity, but sends every probe as a crafted packet through
+// simnet.HandlePacket and reads the reply with wire.Prober.
+func wireSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, now time.Time) map[Candidate]bool {
+	t.Helper()
+	prober := wire.NewProber(e.cfg.Seed, 40000)
+	it, err := cyclic.NewIterator(cls.Space, e.cfg.Seed^strSeed(cls.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[Candidate]bool{}
+	for i := 0; ; i++ {
+		addr, port, ok := it.Next()
+		if !ok {
+			return found
+		}
+		pop := e.cfg.PoPs[i%len(e.cfg.PoPs)]
+		sc := e.cfg.Scanner
+		sc.Country = pop.Country
+		send := func(pkt []byte, err error) (wire.Response, bool) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := net.HandlePacket(sc, pkt); resp != nil {
+				return prober.ParseResponse(pop.SourceAddr, resp)
+			}
+			return wire.Response{}, false
+		}
+		c := Candidate{Addr: addr, Port: port, Transport: entity.TCP, Method: cls.Method, PoP: pop.Name, Time: now}
+		if r, ok := send(prober.SYN(pop.SourceAddr, addr, port)); ok && r.Kind == wire.ResponseOpen {
+			found[c] = true
+		}
+		if up, ok := e.udpProbes[port]; ok {
+			r, ok := send(prober.UDPProbe(pop.SourceAddr, addr, port, up.payload))
+			if ok && r.Kind == wire.ResponseUDPReply && len(r.Payload) > 0 {
+				c.Transport, c.UDPProtocol = entity.UDP, up.protocol
+				found[c] = true
+			}
+		}
+	}
+}
+
+// TestWirePathMatchesFastPath: one pass of the priority class finds the same
+// candidates, and the network drops the same probes for the same reasons,
+// whether probes take the fast path or travel as packets — in a universe
+// where the rate block and the scan detector both fire.
 func TestWirePathMatchesFastPath(t *testing.T) {
-	cfgA := quietConfig()
+	cfg := quietConfig()
+	cfg.BlockThreshold = 2 // × the scanner's 256 source IPs, per /24 per day
+	cfg.Adversary = simnet.AdversaryConfig{Seed: 1, DetectorRate: 0.5, DetectorThreshold: 300}
+	cls := priorityClass(t, cfg.Prefix, 0)
+	cls.ProbesPerTick, cls.Restart = int(cls.Space.Size()), false
+
 	clkA := simclock.New()
-	netA := simnet.New(cfgA, clkA)
-	eA := newEngine(t, netA, []ClassConfig{priorityClass(t, cfgA.Prefix, 1<<20)}, false)
+	netA := simnet.New(cfg, clkA)
+	e := newEngine(t, netA, []ClassConfig{cls})
+	fast := map[Candidate]bool{}
+	e.Tick(clkA.Now(), func(c Candidate) { fast[c] = true })
 
 	clkB := simclock.New()
-	netB := simnet.New(cfgA, clkB)
-	eB := newEngine(t, netB, []ClassConfig{priorityClass(t, cfgA.Prefix, 1<<20)}, true)
-
-	fast := map[Candidate]bool{}
-	eA.Tick(clkA.Now(), func(c Candidate) { fast[c] = true })
-	wirePath := map[Candidate]bool{}
-	eB.Tick(clkB.Now(), func(c Candidate) { wirePath[c] = true })
+	netB := simnet.New(cfg, clkB)
+	wirePath := wireSweep(t, netB, e, cls, clkB.Now())
 
 	if len(fast) == 0 || len(fast) != len(wirePath) {
 		t.Fatalf("fast path found %d, wire path %d", len(fast), len(wirePath))
@@ -138,6 +187,31 @@ func TestWirePathMatchesFastPath(t *testing.T) {
 		if !wirePath[c] {
 			t.Fatalf("wire path missed %+v", c)
 		}
+	}
+	st := netA.PathStats()
+	if st[simnet.CauseRateBlock] == 0 || st[simnet.CauseDetector] == 0 {
+		t.Fatalf("the rate block or the detector never fired: %v", st)
+	}
+	if wst := netB.PathStats(); wst != st {
+		t.Fatalf("PathStats: fast path %v, wire path %v", st, wst)
+	}
+}
+
+// TestRotatedTickAllocations: a rotated engine's steady-state tick allocates
+// nothing per probe — each PoP's identity is built once per rotation.
+func TestRotatedTickAllocations(t *testing.T) {
+	clk := simclock.New()
+	cfg := quietConfig()
+	net := simnet.New(cfg, clk)
+	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1024)})
+	e.rotations = 1
+	e.buildScanners()
+	tick := func() { e.Tick(clk.Now(), func(Candidate) {}) }
+	for range 4 {
+		tick() // the rotated identity's first probe into each /24 allocates its path record
+	}
+	if a := testing.AllocsPerRun(20, tick); a != 0 {
+		t.Fatalf("rotated engine: %v allocs per 1024-probe tick, want 0", a)
 	}
 }
 
@@ -173,7 +247,7 @@ func TestContinuousRestartCoversAgain(t *testing.T) {
 	space, _ := cyclic.NewPrefixSpace(cfg.Prefix, []uint16{80})
 	cls := ClassConfig{Name: "tiny", Method: entity.DetectPriorityScan,
 		Space: space, ProbesPerTick: int(space.Size()) + 10, Restart: true}
-	e := newEngine(t, net, []ClassConfig{cls}, false)
+	e := newEngine(t, net, []ClassConfig{cls})
 	e.Tick(clk.Now(), func(Candidate) {})
 	if e.Stats().CyclesComplete == 0 {
 		t.Fatal("cycle did not complete")
@@ -189,7 +263,7 @@ func TestProbesRotateAcrossPoPs(t *testing.T) {
 	clk := simclock.New()
 	cfg := quietConfig()
 	net := simnet.New(cfg, clk)
-	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)}, false)
+	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)})
 	pops := map[string]int{}
 	e.Tick(clk.Now(), func(c Candidate) { pops[c.PoP]++ })
 	if len(pops) != 3 {

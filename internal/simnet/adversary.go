@@ -113,9 +113,7 @@ func (n *Internet) generateAdversary() {
 	seed := draw.Mix(n.cfg.Seed, 0xAD5E, a.Seed)
 	n.advSeed = seed
 
-	base := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
-	count := uint32(1) << (32 - n.cfg.Prefix.Bits())
-	blocks := max(count>>8, 1) // sub-/24 universes: the whole prefix is one "block"
+	blocks := max(uint32(len(n.hosts))>>8, 1) // sub-/24 universes: the whole prefix is one "block"
 
 	// Honeypot farms: distinct non-cloud /24s, one shared identity per farm.
 	if a.HoneypotFarms > 0 {
@@ -135,7 +133,7 @@ func (n *Internet) generateAdversary() {
 				continue
 			}
 			taken[blk] = true
-			n.buildFarm(f, base+blk<<8, count)
+			n.buildFarm(f, blk<<8)
 		}
 		sort.Slice(n.addrs, func(i, j int) bool {
 			return draw.AddrU32(n.addrs[i]) < draw.AddrU32(n.addrs[j])
@@ -146,11 +144,11 @@ func (n *Internet) generateAdversary() {
 	// address offset so flags are independent of map iteration order.
 	if a.TarpitRate > 0 || a.BannerChurnRate > 0 {
 		for _, addr := range n.addrs {
-			h := n.hosts[addr]
+			h := n.HostAt(addr)
 			if h.Honeypot || h.Pseudo {
 				continue
 			}
-			off := uint64(draw.AddrU32(addr) - base)
+			off := uint64(draw.AddrU32(addr) - n.base)
 			if a.TarpitRate > 0 && draw.Frac(draw.Mix(seed, 0x7A99, off)) < a.TarpitRate {
 				h.Tarpit = true
 				h.TarpitDrip = draw.Frac(draw.Mix(seed, 0x7A9A, off)) < a.TarpitDripRate
@@ -163,8 +161,9 @@ func (n *Internet) generateAdversary() {
 	}
 }
 
-// buildFarm populates one /24 with honeypots sharing a single ICS identity.
-func (n *Internet) buildFarm(farm int, blockBase uint32, universe uint32) {
+// buildFarm populates one /24 with honeypots sharing a single ICS identity;
+// blockOff is the block's offset in the universe.
+func (n *Internet) buildFarm(farm int, blockOff uint32) {
 	a := n.cfg.Adversary
 	proto := farmProtocols[int(draw.Mix(n.advSeed, 0xFA24, uint64(farm))%uint64(len(farmProtocols)))]
 	p := protocols.Lookup(proto)
@@ -177,19 +176,13 @@ func (n *Internet) buildFarm(farm int, blockBase uint32, universe uint32) {
 	country := pickCountry(draw.Mix(n.advSeed, 0xFA27, uint64(farm)))
 	asn := 64900 + uint32(draw.Mix(n.advSeed, 0xFA28, uint64(farm))%90)
 	density := a.farmDensity()
-	prefixBase := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
 
-	for i := uint32(0); i < 256; i++ {
-		off := blockBase + i - prefixBase
-		if off >= universe {
-			break
-		}
+	for i := uint32(0); i < 256 && blockOff+i < uint32(len(n.hosts)); i++ {
 		if draw.Frac(draw.Mix(n.advSeed, 0xFA25, uint64(farm), uint64(i))) >= density {
 			continue
 		}
-		addr := draw.U32Addr(blockBase + i)
-		h := &Host{
-			Addr:     addr,
+		n.AddHost(&Host{
+			Addr:     draw.U32Addr(n.base + blockOff + i),
 			Country:  country,
 			ASN:      asn,
 			ASOrg:    "Farm Hosting Ltd",
@@ -201,11 +194,7 @@ func (n *Internet) buildFarm(farm int, blockBase uint32, universe uint32) {
 				Spec:      spec,
 				Birth:     n.epoch.Add(-30 * 24 * time.Hour),
 			}},
-		}
-		if _, exists := n.hosts[addr]; !exists {
-			n.addrs = append(n.addrs, addr)
-		}
-		n.hosts[addr] = h
+		})
 	}
 }
 
@@ -288,7 +277,7 @@ func (n *Internet) AdversaryStats() AdversaryStats {
 	var st AdversaryStats
 	farms := map[int]bool{}
 	for _, a := range n.addrs {
-		h := n.hosts[a]
+		h := n.HostAt(a)
 		switch {
 		case h.Honeypot:
 			st.HoneypotHosts++
@@ -304,11 +293,8 @@ func (n *Internet) AdversaryStats() AdversaryStats {
 	}
 	st.Farms = len(farms)
 	if n.cfg.Adversary.DetectorRate > 0 {
-		base := draw.AddrU32(n.cfg.Prefix.Masked().Addr()) &^ 0xFF
-		count := uint32(1) << (32 - n.cfg.Prefix.Bits())
-		blocks := max(count>>8, 1)
-		for blk := uint32(0); blk < blocks; blk++ {
-			if n.detectorAt(uint64(base + blk<<8)) {
+		for blk := range max(uint32(len(n.hosts))>>8, 1) {
+			if n.detectorAt(uint64(n.base&^0xFF + blk<<8)) {
 				st.DetectorNets++
 			}
 		}

@@ -84,11 +84,14 @@ type FaultInjector interface {
 // between runs, not mid-tick.
 func (n *Internet) SetFaultInjector(f FaultInjector) { n.fault = f }
 
-// scanNetKey names one path: a scanner identity and a /24 (base address as an
-// integer).
-type scanNetKey struct {
-	scanner string
-	net     uint32
+// scannerPaths is everything the network remembers about one scanner
+// identity: its ID's draw hash, computed once, and one record per /24 of the
+// universe, indexed by the /24's offset from the universe's first /24 and
+// allocated on the first probe into it. Guarded by Internet.pathMu.
+type scannerPaths struct {
+	id     string
+	idHash uint64
+	nets   []*netPath
 }
 
 // netPath is everything the network remembers about one scanner on one /24.
@@ -103,8 +106,9 @@ type netPath struct {
 	// offenses is how many times the detector has blocked this scanner; each
 	// doubles the next block. Never reset.
 	offenses int
-	// blockedTill ends the current block; blockedBy is the layer that set it.
-	blockedTill time.Time
+	// blockedTill ends the current block, as time since the epoch;
+	// blockedBy is the layer that set it.
+	blockedTill time.Duration
 	blockedBy   Cause
 	// seq is the probe ordinal per address (indexed by last octet). The
 	// fault and loss draws key on it, not on a global ordinal, so a probe's
@@ -114,56 +118,77 @@ type netPath struct {
 }
 
 // pathOK reports whether a probe from sc reaches addr, running the chain and
-// counting the cause when it does not.
-func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) bool {
+// counting the cause when it does not, and returns the clock reading the
+// chain used. addr is in the universe: only a probe to a host gets this far.
+func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) (now time.Time, ok bool) {
 	n.probesSeen.Add(1)
-	now := n.clock.Now()
+	now = n.clock.Now()
+	el := now.Sub(n.epoch)
 	a := draw.AddrU32(addr)
-	c, seq := n.blocking(sc, a, op, now)
+	c, seq, idHash := n.blocking(sc, a, op, el)
 	if c == Delivered && n.fault != nil {
 		c = n.fault.Drop(sc, addr, op, seq, now)
 	}
 	if c == Delivered {
-		c = n.ambient(sc, a, seq, now)
+		c = n.ambient(sc, idHash, a, seq, el)
 	}
 	if c == Delivered {
-		return true
+		return now, true
 	}
 	n.drops[c].AddAt(int(a), 1)
-	return false
+	return now, false
+}
+
+// pathsOf returns the table of scanner identity id, creating it on the
+// identity's first probe. The last table used is cached, so a run of probes
+// from one identity skips the string-keyed lookup. Called with pathMu held.
+func (n *Internet) pathsOf(id string) *scannerPaths {
+	if sp := n.lastScan; sp != nil && sp.id == id {
+		return sp
+	}
+	sp := n.scanners[id]
+	if sp == nil {
+		nets := (n.base+uint32(len(n.hosts))-1)>>8 - n.base>>8 + 1
+		sp = &scannerPaths{id: id, idHash: draw.StrHash(id), nets: make([]*netPath, nets)}
+		n.scanners[id] = sp
+	}
+	n.lastScan = sp
+	return sp
 }
 
 // blocking is the stateful head of the chain: an active block, the rate
 // threshold, the scan detector. A probe that passes all three is assigned
-// its sequence number.
+// its sequence number. It also returns the scanner ID's draw hash for the
+// stateless tail. el is the time since the epoch.
 //
 // Only OpProbe feeds the two counters. Discovery probing is serial in the
 // pipeline, so which probe trips a block — and hence every drop the block
 // causes, for every op — is a pure function of the probe schedule,
 // independent of worker/shard layout. Connect traffic from parallel
 // interrogation workers never advances either.
-func (n *Internet) blocking(sc Scanner, a uint32, op Op, now time.Time) (Cause, uint64) {
-	key := scanNetKey{sc.ID, a &^ 0xFF}
+func (n *Internet) blocking(sc Scanner, a uint32, op Op, el time.Duration) (Cause, uint64, uint64) {
 	n.pathMu.Lock()
 	defer n.pathMu.Unlock()
-	p := n.paths[key]
+	sp := n.pathsOf(sc.ID)
+	i := a>>8 - n.base>>8
+	p := sp.nets[i]
 	if p == nil {
 		p = &netPath{}
-		n.paths[key] = p
+		sp.nets[i] = p
 	}
-	if now.Before(p.blockedTill) {
-		return p.blockedBy, 0
+	if el < p.blockedTill {
+		return p.blockedBy, 0, sp.idHash
 	}
 	if op == OpProbe {
-		if day := int64(now.Sub(n.epoch) / (24 * time.Hour)); day != p.day {
+		if day := int64(el / (24 * time.Hour)); day != p.day {
 			p.day, p.probes, p.detProbes = day, 0, 0
 		}
 		p.probes++
 		if n.cfg.BlockThreshold > 0 && p.probes > n.cfg.BlockThreshold*max(sc.SourceIPs, 1) {
-			p.blockedTill, p.blockedBy = now.Add(n.cfg.BlockDuration), CauseRateBlock
-			return CauseRateBlock, 0
+			p.blockedTill, p.blockedBy = el+n.cfg.BlockDuration, CauseRateBlock
+			return CauseRateBlock, 0, sp.idHash
 		}
-		if adv := n.cfg.Adversary; adv.DetectorThreshold > 0 && n.detectorAt(uint64(key.net)) {
+		if adv := n.cfg.Adversary; adv.DetectorThreshold > 0 && n.detectorAt(uint64(a&^0xFF)) {
 			p.detProbes++
 			if p.detProbes > adv.DetectorThreshold {
 				p.offenses++
@@ -176,35 +201,36 @@ func (n *Internet) blocking(sc Scanner, a uint32, op Op, now time.Time) (Cause, 
 						break
 					}
 				}
-				p.blockedTill, p.blockedBy = now.Add(dur), CauseDetector
-				return CauseDetector, 0
+				p.blockedTill, p.blockedBy = el+dur, CauseDetector
+				return CauseDetector, 0, sp.idHash
 			}
 		}
 	}
 	seq := p.seq[uint8(a)]
 	p.seq[uint8(a)] = seq + 1
-	return Delivered, uint64(seq)
+	return Delivered, uint64(seq), sp.idHash
 }
 
 // ambient is the stateless tail of the chain: what the network does to any
 // probe, as pure draws on (seed, network, scanner, hour, sequence number).
-func (n *Internet) ambient(sc Scanner, a uint32, seq uint64, now time.Time) Cause {
+// idHash is draw.StrHash(sc.ID); el is the time since the epoch.
+func (n *Internet) ambient(sc Scanner, idHash uint64, a uint32, seq uint64, el time.Duration) Cause {
 	seed := n.cfg.Seed
 	net := a &^ 0xFF
 	netID := uint64(net)
 	// Reputation blocklists: some networks drop this scanner wholesale.
-	if sc.BlockedFrac > 0 && draw.Frac(draw.Mix(seed, 0xB10C, netID, draw.StrHash(sc.ID))) < sc.BlockedFrac {
+	if sc.BlockedFrac > 0 && draw.Frac(draw.Mix(seed, 0xB10C, netID, idHash)) < sc.BlockedFrac {
 		return CauseReputation
 	}
 	// Geoblocking: a small fraction of networks drop foreign scanners.
 	if draw.Frac(draw.Mix(seed, 0x6E0, netID)) < n.cfg.GeoblockRate {
-		block24 := uint64(net-draw.AddrU32(n.cfg.Prefix.Masked().Addr())) >> 8
+		block24 := uint64(net-n.base) >> 8
 		if sc.Country != pickCountry(draw.Mix(seed, 0xC0, block24)) {
 			return CauseGeoblock
 		}
 	}
 	// Transient outage: whole /24 down for this hour.
-	hour := int64(now.Sub(n.epoch) / time.Hour)
+	hour := int64(el / time.Hour)
 	if draw.Frac(draw.Mix(seed, 0x007, netID, uint64(hour))) < n.cfg.OutageRate {
 		return CauseOutage
 	}
@@ -213,7 +239,7 @@ func (n *Internet) ambient(sc Scanner, a uint32, seq uint64, now time.Time) Caus
 	// Proportional scaling keeps BaseLoss=0 a true no-loss configuration.
 	net16 := uint64(a &^ 0xFFFF)
 	loss := n.cfg.BaseLoss * (1 + 2*draw.Frac(draw.Mix(seed, 0x105, net16, draw.StrHash(sc.Country))))
-	if draw.Frac(draw.Mix(seed, 0x10D, uint64(a), draw.StrHash(sc.ID), seq)) < loss {
+	if draw.Frac(draw.Mix(seed, 0x10D, uint64(a), idHash, seq)) < loss {
 		return CauseLoss
 	}
 	return Delivered
@@ -258,15 +284,13 @@ func (n *Internet) AttachTelemetry(reg *telemetry.Registry) {
 // identities ("engine+r1", "engine+r2", ...) share the prefix, so this is
 // the rotation-aware accounting the eval harness reads.
 func (n *Internet) BlockedNetworks(idPrefix string) int {
-	now := n.clock.Now()
+	el := n.clock.Now().Sub(n.epoch)
 	count := 0
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	for k, p := range n.paths {
-		if strings.HasPrefix(k.scanner, idPrefix) && now.Before(p.blockedTill) {
+	n.eachPath(idPrefix, func(p *netPath) {
+		if el < p.blockedTill {
 			count++
 		}
-	}
+	})
 	return count
 }
 
@@ -276,13 +300,24 @@ func (n *Internet) BlockedNetworks(idPrefix string) int {
 // PathStats()[CauseDetector] is the probes those blocks ate, all scanners
 // together.
 func (n *Internet) DetectorBlockEvents(idPrefix string) int {
+	total := 0
+	n.eachPath(idPrefix, func(p *netPath) { total += p.offenses })
+	return total
+}
+
+// eachPath calls fn, under pathMu, on every record of every scanner whose ID
+// starts with idPrefix.
+func (n *Internet) eachPath(idPrefix string, fn func(*netPath)) {
 	n.pathMu.Lock()
 	defer n.pathMu.Unlock()
-	total := 0
-	for k, p := range n.paths {
-		if strings.HasPrefix(k.scanner, idPrefix) {
-			total += p.offenses
+	for id, sp := range n.scanners {
+		if !strings.HasPrefix(id, idPrefix) {
+			continue
+		}
+		for _, p := range sp.nets {
+			if p != nil {
+				fn(p)
+			}
 		}
 	}
-	return total
 }

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,8 +43,48 @@ func TestPathStateBoundedByPairs(t *testing.T) {
 		}
 		clk.Advance(24 * time.Hour)
 	}
-	if len(n.paths) != len(pairs) {
-		t.Fatalf("%d path records after 60 days, want %d: one per (scanner, /24) touched", len(n.paths), len(pairs))
+	records := 0
+	n.eachPath("", func(*netPath) { records++ })
+	if len(n.scanners) != len(scanners) || records != len(pairs) {
+		t.Fatalf("%d scanner tables holding %d path records after 60 days, want %d and %d: one per (scanner, /24) touched",
+			len(n.scanners), records, len(scanners), len(pairs))
+	}
+}
+
+// TestProbeAllocations: a probe into dead space and a steady-state probe to
+// a live host allocate nothing.
+func TestProbeAllocations(t *testing.T) {
+	n := New(quietConfig(), simclock.New())
+	ref := firstTCPService(n)
+	dead := draw.U32Addr(n.base)
+	for n.HostAt(dead) != nil {
+		dead = dead.Next()
+	}
+	sc := Scanner{ID: "x+r1", SourceIPs: 1, Country: "US"}
+	n.ProbeTCP(sc, ref.Addr, ref.Port) // the path record's one allocation
+	for name, probe := range map[string]func(){
+		"dead space": func() { n.ProbeTCP(sc, dead, 80) },
+		"live host":  func() { n.ProbeTCP(sc, ref.Addr, ref.Port) },
+	} {
+		if a := testing.AllocsPerRun(1000, probe); a != 0 {
+			t.Errorf("ProbeTCP into %s: %v allocs, want 0", name, a)
+		}
+	}
+}
+
+// TestAddHostOutsideUniversePanics: a host discovery could never sweep is a
+// caller bug, not a silent no-op.
+func TestAddHostOutsideUniversePanics(t *testing.T) {
+	n := New(quietConfig(), simclock.New())
+	for _, a := range []string{"10.0.16.0", "9.255.255.255", "::ffff:10.0.0.1"} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the universe") {
+					t.Errorf("AddHost(%s): recovered %v, want an outside-the-universe panic", a, r)
+				}
+			}()
+			n.AddHost(&Host{Addr: netip.MustParseAddr(a)})
+		}()
 	}
 }
 

@@ -108,7 +108,11 @@ type Internet struct {
 	clock simclock.Clock
 	epoch time.Time
 
-	hosts map[netip.Addr]*Host
+	// hosts is the host table, indexed by address − base over the universe
+	// prefix; nil is "no host". A probe into dead space costs one bounds
+	// check and one load.
+	base  uint32
+	hosts []*Host
 	addrs []netip.Addr // sorted host addresses for iteration
 
 	// Certificate ecosystem.
@@ -119,14 +123,16 @@ type Internet struct {
 
 	webProps map[string]*WebSite // keyed by name
 
-	// The path model (path.go): one record per (scanner, /24) under pathMu
-	// (parallel interrogation workers probe concurrently), the optional
-	// fault injector (written only between runs), and the drop counters by
-	// Cause, striped by address.
-	pathMu sync.Mutex
-	paths  map[scanNetKey]*netPath
-	fault  FaultInjector
-	drops  [NumCauses]telemetry.Counter
+	// The path model (path.go): one table of per-/24 records per scanner
+	// identity under pathMu (parallel interrogation workers probe
+	// concurrently), the last table a probe used, the optional fault
+	// injector (written only between runs), and the drop counters by Cause,
+	// striped by address.
+	pathMu   sync.Mutex
+	scanners map[string]*scannerPaths
+	lastScan *scannerPaths
+	fault    FaultInjector
+	drops    [NumCauses]telemetry.Counter
 
 	// advSeed seeds the adversary draws (adversary.go); fixed at generation.
 	advSeed uint64
@@ -199,9 +205,10 @@ func New(cfg Config, clock simclock.Clock) *Internet {
 		cfg:      cfg,
 		clock:    clock,
 		epoch:    clock.Now(),
-		hosts:    make(map[netip.Addr]*Host),
+		base:     draw.AddrU32(cfg.Prefix.Masked().Addr()),
+		hosts:    make([]*Host, 1<<(32-cfg.Prefix.Bits())),
 		webProps: make(map[string]*WebSite),
-		paths:    make(map[scanNetKey]*netPath),
+		scanners: make(map[string]*scannerPaths),
 		CT:       x509lite.NewCTLog("sim-argon"),
 	}
 	n.buildPKI()
@@ -243,15 +250,12 @@ func (n *Internet) TrustedCA(i int) *x509lite.CA {
 
 // generateHosts populates the universe deterministically.
 func (n *Internet) generateHosts() {
-	base := draw.AddrU32(n.cfg.Prefix.Masked().Addr())
-	count := uint32(1) << (32 - n.cfg.Prefix.Bits())
-	for off := uint32(0); off < count; off++ {
-		a := draw.U32Addr(base + off)
+	for off := range uint32(len(n.hosts)) {
 		if draw.Frac(draw.Mix(n.cfg.Seed, 0x5057, uint64(off))) >= n.cfg.HostDensity {
 			continue
 		}
-		h := n.makeHost(a, off)
-		n.hosts[a] = h
+		a := draw.U32Addr(n.base + off)
+		n.hosts[off] = n.makeHost(a, off)
 		n.addrs = append(n.addrs, a)
 	}
 }
@@ -480,11 +484,26 @@ func siteTitle(r uint64) string {
 	return titles[r%uint64(len(titles))]
 }
 
+// index returns addr's slot in the host table; ok is false for an address
+// outside the universe prefix, or one that is not IPv4.
+func (n *Internet) index(addr netip.Addr) (i uint32, ok bool) {
+	if !addr.Is4() {
+		return 0, false
+	}
+	i = draw.AddrU32(addr) - n.base
+	return i, i < uint32(len(n.hosts))
+}
+
 // HostAt returns the simulated host at addr, or nil.
-func (n *Internet) HostAt(addr netip.Addr) *Host { return n.hosts[addr] }
+func (n *Internet) HostAt(addr netip.Addr) *Host {
+	if i, ok := n.index(addr); ok {
+		return n.hosts[i]
+	}
+	return nil
+}
 
 // Hosts returns the number of live hosts.
-func (n *Internet) Hosts() int { return len(n.hosts) }
+func (n *Internet) Hosts() int { return len(n.addrs) }
 
 // Addrs returns all host addresses (shared slice; do not mutate).
 func (n *Internet) Addrs() []netip.Addr { return n.addrs }
@@ -505,20 +524,26 @@ func (n *Internet) PassiveDNS() []string {
 }
 
 // AddHost injects a host (e.g. a honeypot for the time-to-discovery
-// experiment). Existing hosts at the address are replaced.
+// experiment). Existing hosts at the address are replaced. It panics on an
+// address outside the universe prefix: discovery could never sweep it.
 func (n *Internet) AddHost(h *Host) {
-	if _, exists := n.hosts[h.Addr]; !exists {
+	i, ok := n.index(h.Addr)
+	if !ok {
+		panic(fmt.Sprintf("simnet: AddHost %v outside the universe %v", h.Addr, n.cfg.Prefix))
+	}
+	if n.hosts[i] == nil {
 		n.addrs = append(n.addrs, h.Addr)
 	}
-	n.hosts[h.Addr] = h
+	n.hosts[i] = h
 }
 
 // RemoveHost deletes the host at addr.
 func (n *Internet) RemoveHost(addr netip.Addr) {
-	if _, ok := n.hosts[addr]; !ok {
+	i, ok := n.index(addr)
+	if !ok || n.hosts[i] == nil {
 		return
 	}
-	delete(n.hosts, addr)
+	n.hosts[i] = nil
 	for i, a := range n.addrs {
 		if a == addr {
 			n.addrs = append(n.addrs[:i], n.addrs[i+1:]...)

@@ -385,7 +385,11 @@ func TestConnectNameServesSite(t *testing.T) {
 
 func TestAddRemoveHost(t *testing.T) {
 	n, _ := newSmall(t)
-	addr := netip.MustParseAddr("10.0.200.200")
+	n.RemoveHost(netip.MustParseAddr("10.0.200.200")) // outside the universe: a no-op
+	addr := netip.MustParseAddr("10.0.15.200")
+	for n.HostAt(addr) != nil {
+		addr = addr.Next()
+	}
 	n.RemoveHost(addr) // idempotent on absent host
 	h := &Host{Addr: addr, Country: "US",
 		Slots: []*Slot{{Port: 8080, Transport: entity.TCP,

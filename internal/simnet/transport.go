@@ -40,22 +40,22 @@ const (
 
 // ProbeTCP performs one stateless TCP SYN probe and reports the outcome.
 func (n *Internet) ProbeTCP(sc Scanner, addr netip.Addr, port uint16) Outcome {
-	h := n.hosts[addr]
+	h := n.HostAt(addr)
 	if h == nil {
 		// Dead address space never answers; skip the path model entirely.
 		// (Dead-space probes also don't feed the blocking counters — a
 		// deliberate simplification that keeps 65K background sweeps of a
-		// mostly-empty universe cheap.)
+		// mostly-empty universe cheap: one table load, never pathMu.)
 		n.probesSeen.Add(1)
 		return Dropped
 	}
-	if !n.pathOK(sc, addr, OpProbe) {
+	now, ok := n.pathOK(sc, addr, OpProbe)
+	if !ok {
 		return Dropped
 	}
 	if h.Pseudo || h.Tarpit {
 		return Open // pseudo-hosts and tarpits accept on every port
 	}
-	now := n.clock.Now()
 	for _, s := range h.Slots {
 		if s.Port == port && s.Transport == entity.TCP && s.AliveAt(n.epoch, now) {
 			return Open
@@ -68,15 +68,15 @@ func (n *Internet) ProbeTCP(sc Scanner, addr netip.Addr, port uint16) Outcome {
 // service's reply, if any. UDP has no "closed" signal: silence is the only
 // failure mode, exactly the ambiguity real UDP scanning faces.
 func (n *Internet) ProbeUDP(sc Scanner, addr netip.Addr, port uint16, payload []byte) ([]byte, Outcome) {
-	h := n.hosts[addr]
+	h := n.HostAt(addr)
 	if h == nil || h.Pseudo || h.Tarpit {
 		n.probesSeen.Add(1)
 		return nil, Dropped // dead space / pseudo-hosts / tarpits (TCP phenomena)
 	}
-	if !n.pathOK(sc, addr, OpProbe) {
+	now, ok := n.pathOK(sc, addr, OpProbe)
+	if !ok {
 		return nil, Dropped
 	}
-	now := n.clock.Now()
 	for _, s := range h.Slots {
 		if s.Port == port && s.Transport == entity.UDP && s.AliveAt(n.epoch, now) {
 			sess := protocols.NewSession(s.Spec)
@@ -97,15 +97,15 @@ func (n *Internet) ProbeUDP(sc Scanner, addr netip.Addr, port uint16, payload []
 // (addr, port), as interrogation does after discovery. ok is false when the
 // path fails or no live service listens there.
 func (n *Internet) Connect(sc Scanner, addr netip.Addr, port uint16, transport entity.Transport) (io.ReadWriter, bool) {
-	h := n.hosts[addr]
+	h := n.HostAt(addr)
 	if h == nil {
 		n.probesSeen.Add(1)
 		return nil, false
 	}
-	if !n.pathOK(sc, addr, OpConnect) {
+	now, ok := n.pathOK(sc, addr, OpConnect)
+	if !ok {
 		return nil, false
 	}
-	now := n.clock.Now()
 	if h.Pseudo {
 		// Pseudo-hosts accept the TCP connection then serve an identical
 		// trivial HTTP page on every port.
@@ -153,10 +153,10 @@ func (n *Internet) ConnectName(sc Scanner, name string, port uint16) (io.ReadWri
 		return nil, false
 	}
 	addr := site.Addrs[int(n.probesSeen.Load())%len(site.Addrs)]
-	if !n.pathOK(sc, addr, OpConnectName) {
+	if _, ok := n.pathOK(sc, addr, OpConnectName); !ok {
 		return nil, false
 	}
-	if n.hosts[addr] == nil {
+	if n.HostAt(addr) == nil {
 		return nil, false // serving host is gone
 	}
 	sess := protocols.NewSession(site.Spec)
@@ -166,10 +166,10 @@ func (n *Internet) ConnectName(sc Scanner, name string, port uint16) (io.ReadWri
 	return protocols.NewSessionConn(sess), true
 }
 
-// HandlePacket gives the discovery engine a wire-faithful path: it accepts a
-// raw IPv4 probe packet (TCP SYN or UDP) and returns the response packet the
-// destination would emit, or nil. It shares all path/liveness logic with
-// ProbeTCP/ProbeUDP.
+// HandlePacket is the wire-faithful path, the oracle discovery's tests hold
+// the fast path to: it accepts a raw IPv4 probe packet (TCP SYN or UDP) and
+// returns the response packet the destination would emit, or nil. It shares
+// all path/liveness logic with ProbeTCP/ProbeUDP.
 func (n *Internet) HandlePacket(sc Scanner, pkt []byte) []byte {
 	var ip wire.IPv4
 	seg, err := ip.DecodeFromBytes(pkt)
@@ -237,7 +237,7 @@ type ServiceRef struct {
 func (n *Internet) LiveServices(t time.Time, includePseudo bool) []ServiceRef {
 	var out []ServiceRef
 	for _, a := range n.addrs {
-		h := n.hosts[a]
+		h := n.HostAt(a)
 		if h.Pseudo {
 			if includePseudo {
 				out = append(out, ServiceRef{Addr: a, Pseudo: true})
@@ -267,7 +267,7 @@ func (n *Internet) LiveServices(t time.Time, includePseudo bool) []ServiceRef {
 // SlotAt returns the slot at (addr, port, transport) regardless of liveness,
 // or nil. Evaluation uses it to distinguish "service gone" from "never was".
 func (n *Internet) SlotAt(addr netip.Addr, port uint16, transport entity.Transport) *Slot {
-	h := n.hosts[addr]
+	h := n.HostAt(addr)
 	if h == nil {
 		return nil
 	}
