@@ -62,7 +62,9 @@ fsck:
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_quarantine -json
 
 # Short coverage-guided fuzzing: the parsers that face untrusted bytes, plus the search differential (random queries against a naive
-# reference evaluator, serial and partitioned engines must agree) and the
+# reference evaluator, serial and partitioned engines must agree), the
+# diffing index upsert (a byte-driven upsert/remove schedule against a fresh
+# build), the byte-level tokenizer (against the FieldsFunc tokenizer), and the
 # simnet path-table differential (a byte-driven probe schedule against the
 # map-keyed model; each input builds a universe, so minimizing is capped by
 # count, not the default 60 s). Seed corpora also run as part of plain
@@ -71,6 +73,8 @@ fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzParseQuery -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzSearchDifferential -fuzztime 30s
+	$(GO) test ./internal/search/ -fuzz FuzzIndexUpserts -fuzztime 30s
+	$(GO) test ./internal/search/ -fuzz FuzzTokenize -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
@@ -85,11 +89,15 @@ fuzz:
 # the export byte-stability differential (writes interleaved between pages),
 # the rendered-bytes differential (search, export pages and streams against
 # the encoding/json oracle, concurrent first renders), deterministic
-# rate-limit/quota/shed accounting, and the bounded-allocation guards for
-# limited search and pinned export pages — all under the race detector.
+# rate-limit/quota/shed accounting, the bounded-allocation guards for
+# limited search and pinned export pages, and the search index's own
+# differentials (queries against a naive evaluator with the cache on and off
+# across interleaved upserts, the diffing upsert against a fresh build,
+# Index.Verify) — all under the race detector.
 serve-test:
 	$(GO) test -race ./internal/serve/
 	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement'
+	$(GO) test -race ./internal/search/ -run 'Differential|Incremental|Verify'
 
 # The end-to-end benchmark (BENCHMARK.json), the one measurement system:
 # `make bench WORKLOAD=scan_sweep` (or scan_refresh, serve_live, recover)

@@ -1200,6 +1200,8 @@ func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 	if ev.Kind == cqrs.KindServiceFound {
 		m.observeFound(addr, slotKey{addr, ev.Key.Port, ev.Key.Transport}, ev.Time)
 	}
+	// CurrentState hands over a private clone: enriched, it becomes the
+	// index document's host, so nothing here may touch it after Upsert.
 	h := m.processor.CurrentState(ev.Entity)
 	if h == nil || len(h.Services) == 0 {
 		m.index.Remove(ev.Entity)

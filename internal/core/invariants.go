@@ -15,9 +15,9 @@ import (
 // it. So at a tick boundary (after Drain) no barred host — one a host-level
 // filter flagged, one inside cfg.Excluded or an active exclusion, one homed on
 // a quarantined partition — has a materialized service, the search index
-// holds a document for exactly the hosts that have one, and the cert index
-// locates only those hosts. It returns every violation found, nil when
-// consistent.
+// holds a document for exactly the hosts that have one and posts exactly what
+// those documents hold (search.Index.Verify), and the cert index locates only
+// those hosts. It returns every violation found, nil when consistent.
 func (m *Map) CheckInvariants() error {
 	var hosts []netip.Addr
 	m.processor.Walk(func(_ string, h *entity.Host) {
@@ -35,12 +35,15 @@ func (m *Map) CheckInvariants() error {
 		if why := m.barred(addr); why != "" {
 			errs = append(errs, fmt.Errorf("%s host %v has materialized services", why, addr))
 		}
-		if m.index.Host(id) == nil {
+		if !m.index.Has(id) {
 			errs = append(errs, fmt.Errorf("host %v has materialized services but no index document", addr))
 		}
 	}
 	if n := m.index.Len(); n != len(hosts) {
 		errs = append(errs, fmt.Errorf("index holds %d documents for %d hosts with services", n, len(hosts)))
+	}
+	if err := m.index.Verify(); err != nil {
+		errs = append(errs, err)
 	}
 	for _, id := range m.certIdx.Entities() {
 		if !inDataset[id] {

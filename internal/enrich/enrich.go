@@ -138,11 +138,11 @@ type Fingerprint struct {
 }
 
 // matches evaluates the fingerprint against a field context.
-func (f *Fingerprint) matches(ctx fingerdsl.MapContext) bool {
+func (f *Fingerprint) matches(ctx fingerdsl.Context) bool {
 	if f.Expr != nil {
 		return f.Expr.Match(ctx)
 	}
-	v, ok := ctx[f.Field]
+	v, ok := ctx.Field(f.Field)
 	if !ok {
 		return false
 	}
@@ -169,20 +169,29 @@ func New(geo *GeoDB, asn *ASNDB) *Enricher {
 	return &Enricher{Geo: geo, ASN: asn, CVEs: BuiltinCVEs(), Fingerprints: BuiltinFingerprints()}
 }
 
-// serviceContext flattens a service record into DSL fields.
-func serviceContext(svc *entity.Service) fingerdsl.MapContext {
-	ctx := fingerdsl.MapContext{
-		"port":     strconv.Itoa(int(svc.Port)),
-		"protocol": svc.Protocol,
-		"banner":   svc.Banner,
+// serviceContext exposes a service record as DSL fields: its attributes,
+// then the intrinsic port, protocol, banner and (when set) tls. An attribute
+// shadows the intrinsic field of the same name.
+type serviceContext struct{ svc *entity.Service }
+
+// Field implements fingerdsl.Context.
+func (c serviceContext) Field(name string) (string, bool) {
+	if v, ok := c.svc.Attributes[name]; ok {
+		return v, true
 	}
-	if svc.TLS {
-		ctx["tls"] = "true"
+	switch name {
+	case "port":
+		return strconv.Itoa(int(c.svc.Port)), true
+	case "protocol":
+		return c.svc.Protocol, true
+	case "banner":
+		return c.svc.Banner, true
+	case "tls":
+		if c.svc.TLS {
+			return "true", true
+		}
 	}
-	for k, v := range svc.Attributes {
-		ctx[k] = v
-	}
-	return ctx
+	return "", false
 }
 
 // Enrich implements cqrs.Enricher: geolocation, routing, fingerprint-derived
@@ -205,7 +214,7 @@ func (e *Enricher) Enrich(h *entity.Host) {
 	h.Labels = nil
 	h.Vulns = nil
 	for _, svc := range h.ActiveServices() {
-		ctx := serviceContext(svc)
+		ctx := serviceContext{svc}
 		for i := range e.Fingerprints {
 			fp := &e.Fingerprints[i]
 			if !fp.matches(ctx) {

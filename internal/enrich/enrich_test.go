@@ -2,6 +2,8 @@ package enrich
 
 import (
 	"net/netip"
+	"slices"
+	"strconv"
 	"testing"
 
 	"censysmap/internal/entity"
@@ -171,6 +173,94 @@ func TestCVERuleMatching(t *testing.T) {
 	any := CVERule{ID: "Y", Vendor: "V", Product: "P"}
 	if !any.Matches(entity.Software{Vendor: "V", Product: "P", Version: "9.9"}) {
 		t.Fatal("any-version rule failed")
+	}
+}
+
+// mapContext is a service's DSL fields written out as a map: the oracle of
+// serviceContext.
+func mapContext(svc *entity.Service) fingerdsl.MapContext {
+	ctx := fingerdsl.MapContext{
+		"port":     strconv.Itoa(int(svc.Port)),
+		"protocol": svc.Protocol,
+		"banner":   svc.Banner,
+	}
+	if svc.TLS {
+		ctx["tls"] = "true"
+	}
+	for k, v := range svc.Attributes {
+		ctx[k] = v
+	}
+	return ctx
+}
+
+// shadowCorpus covers every builtin fingerprint's field, the intrinsic
+// fields, and attributes that shadow them.
+func shadowCorpus() []*entity.Service {
+	return []*entity.Service{
+		{Port: 80, Transport: entity.TCP, Protocol: "HTTP", Verified: true,
+			Attributes: map[string]string{"http.server": "Apache httpd/2.4.49", "http.title": "Water treatment HMI"}},
+		{Port: 443, Transport: entity.TCP, Protocol: "HTTP", TLS: true, Verified: true,
+			Attributes: map[string]string{"http.title": "MOVEit Transfer", "http.www_authenticate": "Basic realm=FortiGate"}},
+		{Port: 22, Transport: entity.TCP, Protocol: "SSH", Banner: "SSH-2.0-OpenSSH_7.4",
+			Attributes: map[string]string{"ssh.version": "SSH-2.0-OpenSSH_7.4"}},
+		{Port: 6379, Transport: entity.TCP, Protocol: "REDIS", Attributes: map[string]string{"redis.version": "7.0"}},
+		{Port: 10001, Transport: entity.TCP, Protocol: "HTTP", Banner: "intrinsic banner",
+			Attributes: map[string]string{"protocol": "ATG", "port": "81", "banner": "attr banner", "tls": "no"}},
+		{Port: 502, Transport: entity.TCP, Protocol: "MODBUS", Verified: true,
+			Attributes: map[string]string{"modbus.vendor": "Schneider Electric"}},
+		{Port: 8080, Transport: entity.TCP, Protocol: "HTTP", Verified: true,
+			Attributes: map[string]string{"http.title": "RouterOS router configuration page", "http.server": "nginx/1.24.0"}},
+		{Port: 53, Transport: entity.UDP, Protocol: "DNS", Attributes: map[string]string{"dns.version_bind": "dnsmasq-2.80"}},
+	}
+}
+
+// TestServiceContextShadowing: attributes named port, banner, protocol and
+// tls win over the intrinsic fields; every field and every builtin
+// fingerprint reads the same through serviceContext as through mapContext;
+// and Enrich's output on the corpus is pinned.
+func TestServiceContextShadowing(t *testing.T) {
+	shadowed := serviceContext{shadowCorpus()[4]}
+	for name, want := range map[string]string{"port": "81", "banner": "attr banner", "tls": "no", "protocol": "ATG"} {
+		if got, ok := shadowed.Field(name); !ok || got != want {
+			t.Errorf("Field(%q) = %q, %v; want the attribute %q", name, got, ok, want)
+		}
+	}
+	e := New(nil, nil)
+	h := hostWith()
+	for _, svc := range shadowCorpus() {
+		h.SetService(svc)
+		ctx, ref := serviceContext{svc}, mapContext(svc)
+		names := []string{"port", "protocol", "banner", "tls", "absent", "http.title"}
+		for k := range svc.Attributes {
+			names = append(names, k)
+		}
+		for _, n := range names {
+			got, gotOK := ctx.Field(n)
+			want, wantOK := ref.Field(n)
+			if got != want || gotOK != wantOK {
+				t.Errorf("%d/%s Field(%q) = %q, %v; map context %q, %v", svc.Port, svc.Transport, n, got, gotOK, want, wantOK)
+			}
+		}
+		for i := range e.Fingerprints {
+			fp := &e.Fingerprints[i]
+			if fp.matches(ctx) != fp.matches(ref) {
+				t.Errorf("%d/%s: fingerprint %s disagrees with the map context", svc.Port, svc.Transport, fp.Name)
+			}
+		}
+	}
+	e.Enrich(h)
+	wantSW := []entity.Software{{Vendor: "OpenBSD", Product: "OpenSSH", Version: "7.4", Part: "a"},
+		{Vendor: "OpenBSD", Product: "OpenSSH", Part: "a"}, {Vendor: "Thekelleys", Product: "dnsmasq", Part: "a"},
+		{Vendor: "Apache", Product: "Apache httpd", Part: "a"}, {Vendor: "Apache", Product: "Apache httpd", Version: "2.4.49", Part: "a"},
+		{Vendor: "Progress", Product: "MOVEit Transfer", Version: "2023.0.1", Part: "a"}, {Vendor: "Fortinet", Product: "FortiGate", Part: "h"},
+		{Vendor: "Schneider Electric", Product: "Modicon", Part: "h"}, {Vendor: "Redis", Product: "Redis", Part: "a"},
+		{Vendor: "F5", Product: "nginx", Part: "a"}, {Vendor: "MikroTik", Product: "RouterOS", Part: "o"},
+		{Vendor: "Veeder-Root", Product: "TLS-350", Part: "h"}}
+	wantLabels := []string{"database", "dns", "exposed-database", "file-transfer", "fuel-monitoring", "hmi", "ics", "iot",
+		"network-device", "plc", "remote-access", "router", "vpn", "water-utility", "web"}
+	wantVulns := []string{"CVE-2018-14847", "CVE-2018-15473", "CVE-2021-41773", "CVE-2023-34362"}
+	if !slices.Equal(h.Software, wantSW) || !slices.Equal(h.Labels, wantLabels) || !slices.Equal(h.Vulns, wantVulns) {
+		t.Fatalf("Enrich on the corpus:\n software %+v\n labels %q\n vulns %q", h.Software, h.Labels, h.Vulns)
 	}
 }
 

@@ -224,6 +224,19 @@ func asString(v Value) string {
 	}
 }
 
+// evalString is asString(eval(n, ctx)) without boxing a literal or a field.
+func evalString(n node, ctx Context) (string, error) {
+	switch {
+	case n.str != nil:
+		return *n.str, nil
+	case n.symbol != "":
+		v, _ := ctx.Field(n.symbol)
+		return v, nil
+	}
+	v, err := eval(n, ctx)
+	return asString(v), err
+}
+
 func eval(n node, ctx Context) (Value, error) {
 	switch {
 	case n.str != nil:
@@ -244,8 +257,37 @@ func eval(n node, ctx Context) (Value, error) {
 	op := head.symbol
 	args := n.list[1:]
 
-	// Short-circuit forms first.
+	// Short-circuit forms first, then the two-string predicates fingerprints
+	// are made of, which compare strings without boxing them.
 	switch op {
+	case "=", "!=", "contains", "prefix", "suffix":
+		if len(args) != 2 {
+			break // the arity is reported below, after the arguments
+		}
+		a, err := evalString(args[0], ctx)
+		if err != nil {
+			return nil, err
+		}
+		b, err := evalString(args[1], ctx)
+		if err != nil {
+			return nil, err
+		}
+		switch op {
+		case "=":
+			return a == b, nil
+		case "!=":
+			return a != b, nil
+		case "contains":
+			return strings.Contains(a, b), nil
+		case "prefix":
+			return strings.HasPrefix(a, b), nil
+		}
+		return strings.HasSuffix(a, b), nil
+	case "exists":
+		if len(args) == 1 && args[0].symbol != "" {
+			_, ok := ctx.Field(args[0].symbol)
+			return ok, nil
+		}
 	case "and":
 		for _, a := range args {
 			v, err := eval(a, ctx)
@@ -270,13 +312,14 @@ func eval(n node, ctx Context) (Value, error) {
 		return false, nil
 	}
 
-	vals := make([]Value, len(args))
-	for i, a := range args {
+	var buf [4]Value
+	vals := buf[:0]
+	for _, a := range args {
 		v, err := eval(a, ctx)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
 
 	need := func(k int) error {
@@ -292,31 +335,8 @@ func eval(n node, ctx Context) (Value, error) {
 			return nil, err
 		}
 		return !truthy(vals[0]), nil
-	case "=":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return asString(vals[0]) == asString(vals[1]), nil
-	case "!=":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return asString(vals[0]) != asString(vals[1]), nil
-	case "contains":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return strings.Contains(asString(vals[0]), asString(vals[1])), nil
-	case "prefix":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return strings.HasPrefix(asString(vals[0]), asString(vals[1])), nil
-	case "suffix":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return strings.HasSuffix(asString(vals[0]), asString(vals[1])), nil
+	case "=", "!=", "contains", "prefix", "suffix":
+		return nil, need(2) // two arguments were answered above
 	case "lower":
 		if err := need(1); err != nil {
 			return nil, err
@@ -331,14 +351,8 @@ func eval(n node, ctx Context) (Value, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		// Arg must have been a symbol or string naming a field.
-		name := asString(vals[0])
-		if len(args) == 1 && args[0].symbol != "" {
-			name = args[0].symbol
-			_, ok := ctx.Field(name)
-			return ok, nil
-		}
-		_, ok := ctx.Field(name)
+		// A symbol argument was answered above; a string names the field.
+		_, ok := ctx.Field(asString(vals[0]))
 		return ok, nil
 	case "concat":
 		var sb strings.Builder

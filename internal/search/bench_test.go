@@ -72,6 +72,25 @@ func runQueryBench(b *testing.B, ix *Index, query string) {
 	}
 }
 
+// eightServiceHost is a service-rich host; version v differs from version 0
+// in one service's banner only.
+func eightServiceHost(v int) *entity.Host {
+	h := entity.NewHost(netip.MustParseAddr("10.0.0.1"))
+	h.Location = &entity.Location{Country: "US", City: "Ashburn"}
+	h.AS = &entity.AS{Number: 64500, Name: "EXAMPLE", Org: "Example Networks"}
+	h.Labels = []string{"web"}
+	for i := 0; i < 8; i++ {
+		svc := &entity.Service{Port: uint16(8000 + i), Transport: entity.TCP, Protocol: "HTTP", Verified: true,
+			Banner:     fmt.Sprintf("HTTP/1.1 200 OK server %d", i),
+			Attributes: map[string]string{"http.title": "Welcome to nginx!", "http.server": "nginx/1.24.0"}}
+		if i == 3 {
+			svc.Banner = fmt.Sprintf("HTTP/1.1 200 OK version %d", v)
+		}
+		h.SetService(svc)
+	}
+	return h
+}
+
 func BenchmarkIndexUpsert(b *testing.B) {
 	ix := NewIndex()
 	h := entity.NewHost(netip.MustParseAddr("10.0.0.1"))
@@ -169,5 +188,17 @@ func TestIndexConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if n, _ := ix.Count(`services.protocol: HTTP`); n == 0 {
 		t.Fatal("concurrent writes lost")
+	}
+}
+
+// BenchmarkIndexUpsertChanged re-upserts a service-rich host whose versions
+// differ in one service: the per-event cost of a refresh that changed
+// something.
+func BenchmarkIndexUpsertChanged(b *testing.B) {
+	ix := NewIndex()
+	versions := []*entity.Host{eightServiceHost(1), eightServiceHost(2)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ix.Upsert(versions[i%2])
 	}
 }

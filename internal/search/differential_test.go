@@ -20,8 +20,76 @@ import (
 // the matching IDs. Any divergence — operator rewrite, selectivity
 // reordering, cache staleness, partition merge — fails the comparison.
 
+// Flatten converts a host record into indexable (field, values) pairs — the
+// document schema of the search tier, written out in one function. The
+// index's fragments must hold exactly these values (TestFragmentsMatchFlatten).
+func Flatten(h *entity.Host) map[string][]string {
+	out := map[string][]string{
+		"ip": {h.IP.String()},
+	}
+	add := func(field, v string) {
+		if v != "" {
+			out[field] = append(out[field], v)
+		}
+	}
+	if h.Location != nil {
+		add("location.country", h.Location.Country)
+		add("location.city", h.Location.City)
+	}
+	if h.AS != nil {
+		add("as.number", strconv.FormatUint(uint64(h.AS.Number), 10))
+		add("as.name", h.AS.Name)
+		add("as.org", h.AS.Org)
+	}
+	for _, l := range h.Labels {
+		add("labels", l)
+	}
+	for _, v := range h.Vulns {
+		add("vulns", v)
+	}
+	for _, sw := range h.Software {
+		add("software.product", sw.Product)
+		add("software.vendor", sw.Vendor)
+		add("software.version", sw.Version)
+		add("software.cpe", sw.CPE())
+	}
+	for _, svc := range h.ActiveServices() {
+		add("services.port", strconv.Itoa(int(svc.Port)))
+		add("services.transport", string(svc.Transport))
+		add("services.protocol", svc.Protocol)
+		add("services.service_name", svc.Protocol) // paper's query syntax alias
+		add("services.banner", svc.Banner)
+		if svc.TLS {
+			add("services.tls", "true")
+		}
+		add("services.cert_sha256", svc.CertSHA256)
+		for k, v := range svc.Attributes {
+			add("services."+k, v)
+		}
+	}
+	return out
+}
+
+// refTokenize is the reference tokenizer, the oracle of Tokenize:
+// lowercase, split with strings.FieldsFunc, dedupe through a map.
+func refTokenize(v string) []string {
+	lower := strings.ToLower(v)
+	fields := strings.FieldsFunc(lower, func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '.' || r == '-' || r == '_' || r == '/')
+	})
+	seen := map[string]bool{lower: true}
+	out := []string{lower}
+	for _, f := range fields {
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // refDoc is the reference evaluator's view of one document, built through
-// the same Flatten/Tokenize schema the index uses.
+// the reference Flatten/refTokenize schema.
 type refDoc struct {
 	id      string
 	fields  map[string][]string
@@ -42,7 +110,7 @@ func refDocFrom(h *entity.Host) *refDoc {
 			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 				d.numbers[field] = append(d.numbers[field], n)
 			}
-			for _, tok := range Tokenize(v) {
+			for _, tok := range refTokenize(v) {
 				set[tok] = true
 			}
 		}
@@ -288,37 +356,76 @@ func TestDifferentialGenerated(t *testing.T) {
 }
 
 // TestDifferentialCacheInvalidation interleaves queries and writes: a cached
-// result must never survive a mutation of its partition.
+// result must never survive a mutation of its partition — a new host, a
+// removal, or a one-service edit that swaps a single fragment of a document.
 func TestDifferentialCacheInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ix := NewPartitioned(4)
+	hosts := make(map[string]*entity.Host)
 	docs := make(map[string]*refDoc)
 	queries := []string{
 		`services.protocol: HTTP`,
 		`services.protocol: HTTP and not services.tls: true`,
 		`services.port: [1 TO 4000]`,
 		`not location.country: US`,
+		`services.tls: true`,
+		`services.banner: "banner item 3"`,
+		`services.http.title: "console 7"`,
 	}
-	for i := 0; i < 60; i++ {
-		h := genHost(rng, i)
-		ix.Upsert(h)
-		docs[h.ID()] = refDocFrom(h)
-		if i%7 == 3 {
-			// Remove a random earlier host.
-			var ids []string
-			for id := range docs {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			victim := ids[rng.Intn(len(ids))]
-			ix.Remove(victim)
-			delete(docs, victim)
+	sortedIDs := func() []string {
+		var ids []string
+		for id := range docs {
+			ids = append(ids, id)
 		}
+		sort.Strings(ids)
+		return ids
+	}
+	check := func(q string) {
+		t.Helper()
 		var refDocs []*refDoc
 		for _, d := range docs {
 			refDocs = append(refDocs, d)
 		}
-		checkQuery(t, ix, refDocs, queries[i%len(queries)])
+		checkQuery(t, ix, refDocs, q)
+	}
+	for i := 0; i < 60; i++ {
+		h := genHost(rng, i)
+		ix.Upsert(h)
+		hosts[h.ID()], docs[h.ID()] = h, refDocFrom(h)
+		if i%7 == 3 {
+			// Remove a random earlier host.
+			ids := sortedIDs()
+			victim := ids[rng.Intn(len(ids))]
+			ix.Remove(victim)
+			delete(hosts, victim)
+			delete(docs, victim)
+		}
+		check(queries[i%len(queries)])
+
+		// Edit one service of a random host, with every query cached first.
+		for _, q := range queries {
+			check(q)
+		}
+		ids := sortedIDs()
+		id := ids[rng.Intn(len(ids))]
+		h = hosts[id].Clone()
+		svcs := h.AllServices()
+		svc := svcs[rng.Intn(len(svcs))]
+		switch rng.Intn(4) {
+		case 0:
+			svc.Protocol = []string{"HTTP", "SSH", "MODBUS"}[rng.Intn(3)]
+		case 1:
+			svc.TLS = !svc.TLS
+		case 2:
+			svc.Banner = fmt.Sprintf("banner item %d", rng.Intn(6))
+		default:
+			svc.Attributes = map[string]string{"http.title": fmt.Sprintf("Console %d", rng.Intn(10))}
+		}
+		ix.Upsert(h)
+		hosts[id], docs[id] = h, refDocFrom(h)
+		for _, q := range queries {
+			check(q)
+		}
 	}
 	if st := ix.Stats(); st.Hits == 0 {
 		t.Fatalf("expected some cache hits, stats %+v", st)

@@ -259,32 +259,21 @@ func (p *indexPart) lookupPrefix(field, prefix string) []uint32 {
 }
 
 // lookupPhrase scans live documents in order for a (pre-lowercased)
-// substring match against the precomputed lowercased raw values — no
-// per-query lowercasing. Output is sorted by construction.
+// substring match against the fragments' lowercased values — no per-query
+// lowercasing. A bare phrase (empty field) searches the text fields. Output
+// is sorted by construction.
 func (p *indexPart) lookupPhrase(field, phrase string) []uint32 {
 	var acc []uint32
-	match := func(d *document, f string) bool {
-		for _, v := range d.lowered[f] {
-			if strings.Contains(v, phrase) {
-				return true
-			}
-		}
-		return false
-	}
 	for _, lid := range p.live {
-		d := p.byLocal[lid]
-		if field != "" {
-			if match(d, field) {
-				acc = append(acc, lid)
-			}
-			continue
-		}
-		for _, f := range textFieldList {
-			if match(d, f) {
-				acc = append(acc, lid)
-				break
-			}
+		if p.byLocal[lid].containsPhrase(field, phrase) {
+			acc = append(acc, lid)
 		}
 	}
 	return acc
+}
+
+func (d *document) containsPhrase(field, phrase string) bool {
+	return d.anyEntry(func(e *entry) bool {
+		return (e.field == field || field == "" && e.text) && strings.Contains(e.toks[0], phrase)
+	})
 }

@@ -7,15 +7,17 @@
 // partition keeps a dense docID dictionary (entity ID → uint32) and stores
 // every posting list as a sorted []uint32, so boolean operators are linear
 // merges; numeric fields are sorted (value, doc) columns, so range queries
-// are two binary searches; and documents carry their lowercased raw values
-// and token lists, so phrase matching and removal never re-lowercase or
-// re-tokenize. A query planner (planner.go) and a generation-stamped query
-// cache (cache.go) sit on top. See DESIGN.md, "Read path".
+// are two binary searches. A document is a host fragment plus one immutable
+// fragment per active service, each holding its lowercased values and token
+// lists, so phrase matching never re-lowercases and a reindex touches only
+// the fragments that changed. A query planner (planner.go) and a
+// generation-stamped query cache (cache.go) sit on top. See DESIGN.md, "Read
+// path".
 package search
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,27 +85,41 @@ type indexPart struct {
 	cache   map[string]cacheEntry
 }
 
-// document keeps the per-entity state needed for evaluation and teardown. It
-// is immutable once posted: Upsert replaces a document, never edits it, which
-// is what lets it carry its host's wire bytes without their going stale.
+// document is one indexed entity: its host and the fragments its postings
+// come from. It is immutable once posted: Upsert replaces a document, never
+// edits it, which is what lets it carry its host's wire bytes without their
+// going stale and lets the next version share its unchanged fragments.
 type document struct {
 	id    string
 	local uint32
-	// fields holds raw (not tokenized) values per field, multi-valued.
-	fields map[string][]string
-	// lowered holds the lowercased raw values, precomputed at Upsert so
-	// phrase queries stop re-lowercasing per evaluation.
-	lowered map[string][]string
-	// tokens holds the deduped token list actually posted per field, so
-	// removal reverses the postings without re-running Tokenize.
-	tokens map[string][]string
-	// numbers holds the deduped numeric values entered per field column.
-	numbers map[string][]int64
-	host    *entity.Host
+	// host is the record the caller handed to Upsert; the index owns it.
+	host *entity.Host
+	// frags[0] indexes the host-level fields; frags[1:] one active service
+	// each, in no particular order (postings are sets).
+	frags []*fragment
 	// rendered is json.Marshal(host), set by the first read that emits it
 	// (see render) — not at Upsert, because most documents are replaced
 	// before anyone reads them.
 	rendered atomic.Pointer[[]byte]
+}
+
+// fragment is the indexed form of one active service, or of a host's
+// host-level fields. It is built once and shared, unchanged, by every later
+// version of the document whose service (or host-level fields) is equal.
+type fragment struct {
+	key     entity.ServiceKey // the service's slot; zero for the host fragment
+	entries []entry
+}
+
+// entry is one indexed (field, value) pair of a fragment.
+type entry struct {
+	field string
+	// toks are the value's distinct tokens; toks[0] is the whole lowercased
+	// value, which phrase queries scan.
+	toks  []string
+	num   int64 // the raw value as an integer, when isNum
+	isNum bool
+	text  bool // field is one of textFieldList
 }
 
 // render returns the document's canonical JSON, marshalling it on first use.
@@ -150,130 +166,205 @@ func (ix *Index) part(id string) *indexPart {
 	return ix.parts[shard.Of(id, len(ix.parts))]
 }
 
-// textFields are searched by bare (fieldless) terms.
-var textFields = map[string]bool{
-	"services.banner": true, "services.http.title": true,
-	"services.http.server": true, "as.org": true, "labels": true,
-	"services.protocol": true, "software.product": true,
+// textFieldList names the fields searched by bare (fieldless) terms, sorted
+// for deterministic iteration.
+var textFieldList = []string{
+	"as.org", "labels", "services.banner", "services.http.server",
+	"services.http.title", "services.protocol", "software.product",
 }
-
-// textFieldList is textFields in sorted order, for deterministic iteration.
-var textFieldList = func() []string {
-	out := make([]string, 0, len(textFields))
-	for f := range textFields {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}()
 
 // Tokenize lowercases and splits a value into index tokens; the full
-// lowercased value is always included as a token for exact matches.
-func Tokenize(v string) []string {
-	lower := strings.ToLower(v)
-	fields := strings.FieldsFunc(lower, func(r rune) bool {
-		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '.' || r == '-' || r == '_' || r == '/')
-	})
-	seen := map[string]bool{lower: true}
-	out := []string{lower}
-	for _, f := range fields {
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
+// lowercased value is always the first token, for exact matches.
+func Tokenize(v string) []string { return appendTokens(nil, strings.ToLower(v)) }
+
+// appendTokens appends the distinct tokens of an already lowercased value to
+// dst: the value itself, then each maximal run of [a-z0-9._/-] in order of
+// first appearance (every other rune, non-ASCII included, separates). The
+// tokens are substrings of the value, and a value has a handful of them, so
+// a linear scan dedupes them without building a set.
+func appendTokens(dst []string, lower string) []string {
+	first := len(dst)
+	dst = append(dst, lower)
+	start := -1
+	for i, r := range lower {
+		if 'a' <= r && r <= 'z' || '0' <= r && r <= '9' || r == '.' || r == '-' || r == '_' || r == '/' {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst, start = appendNew(dst, first, lower[start:i]), -1
 		}
 	}
-	return out
+	if start >= 0 {
+		dst = appendNew(dst, first, lower[start:])
+	}
+	return dst
 }
 
-// Flatten converts a host record into indexable (field, values) pairs —
-// the document schema of the search tier.
-func Flatten(h *entity.Host) map[string][]string {
-	out := map[string][]string{
-		"ip": {h.IP.String()},
+func appendNew(dst []string, first int, tok string) []string {
+	if slices.Contains(dst[first:], tok) {
+		return dst
 	}
-	add := func(field, v string) {
-		if v != "" {
-			out[field] = append(out[field], v)
-		}
+	return append(dst, tok)
+}
+
+// parseNumber reads a value shaped [+-]?[0-9]+ as an int64, leaving every
+// other value (most are text) to no strconv call and no error allocation.
+func parseNumber(v string) (int64, bool) {
+	digits := v
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
 	}
+	if digits == "" || strings.Trim(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	return n, err == nil
+}
+
+// fragBuilder accumulates one fragment. Every entry's tokens are a capped
+// window of one shared backing slice, so a fragment costs a few allocations
+// however many values it holds.
+type fragBuilder struct {
+	f    *fragment
+	toks []string
+}
+
+func newFragBuilder(key entity.ServiceKey, values int) fragBuilder {
+	return fragBuilder{
+		f:    &fragment{key: key, entries: make([]entry, 0, values)},
+		toks: make([]string, 0, 3*values),
+	}
+}
+
+// add indexes one value under field; empty values are not indexed.
+func (b *fragBuilder) add(field, v string) {
+	if v == "" {
+		return
+	}
+	lo := len(b.toks)
+	b.toks = appendTokens(b.toks, strings.ToLower(v))
+	e := entry{field: field, toks: b.toks[lo:len(b.toks):len(b.toks)],
+		text: slices.Contains(textFieldList, field)}
+	e.num, e.isNum = parseNumber(v)
+	b.f.entries = append(b.f.entries, e)
+}
+
+// hostFragment indexes a host's host-level fields — the document schema of
+// the search tier, together with serviceFragment.
+func hostFragment(id string, h *entity.Host) *fragment {
+	b := newFragBuilder(entity.ServiceKey{}, 6+len(h.Labels)+len(h.Vulns)+4*len(h.Software))
+	b.add("ip", id)
 	if h.Location != nil {
-		add("location.country", h.Location.Country)
-		add("location.city", h.Location.City)
+		b.add("location.country", h.Location.Country)
+		b.add("location.city", h.Location.City)
 	}
 	if h.AS != nil {
-		add("as.number", strconv.FormatUint(uint64(h.AS.Number), 10))
-		add("as.name", h.AS.Name)
-		add("as.org", h.AS.Org)
+		b.add("as.number", strconv.FormatUint(uint64(h.AS.Number), 10))
+		b.add("as.name", h.AS.Name)
+		b.add("as.org", h.AS.Org)
 	}
 	for _, l := range h.Labels {
-		add("labels", l)
+		b.add("labels", l)
 	}
 	for _, v := range h.Vulns {
-		add("vulns", v)
+		b.add("vulns", v)
 	}
 	for _, sw := range h.Software {
-		add("software.product", sw.Product)
-		add("software.vendor", sw.Vendor)
-		add("software.version", sw.Version)
-		add("software.cpe", sw.CPE())
+		b.add("software.product", sw.Product)
+		b.add("software.vendor", sw.Vendor)
+		b.add("software.version", sw.Version)
+		b.add("software.cpe", sw.CPE())
 	}
-	for _, svc := range h.ActiveServices() {
-		add("services.port", strconv.Itoa(int(svc.Port)))
-		add("services.transport", string(svc.Transport))
-		add("services.protocol", svc.Protocol)
-		add("services.service_name", svc.Protocol) // paper's query syntax alias
-		add("services.banner", svc.Banner)
-		if svc.TLS {
-			add("services.tls", "true")
-		}
-		add("services.cert_sha256", svc.CertSHA256)
-		for k, v := range svc.Attributes {
-			add("services."+k, v)
-		}
-	}
-	return out
+	return b.f
 }
 
-// buildDocument precomputes everything a document needs for evaluation and
-// teardown: lowercased values, deduped per-field tokens, deduped numbers.
-func buildDocument(id string, h *entity.Host) *document {
-	doc := &document{
-		id:      id,
-		fields:  Flatten(h),
-		lowered: make(map[string][]string),
-		tokens:  make(map[string][]string),
-		numbers: make(map[string][]int64),
-		host:    h.Clone(),
+// serviceFragment indexes one active service.
+func serviceFragment(svc *entity.Service) *fragment {
+	b := newFragBuilder(svc.Key(), 7+len(svc.Attributes))
+	b.add("services.port", strconv.Itoa(int(svc.Port)))
+	b.add("services.transport", string(svc.Transport))
+	b.add("services.protocol", svc.Protocol)
+	b.add("services.service_name", svc.Protocol) // paper's query syntax alias
+	b.add("services.banner", svc.Banner)
+	if svc.TLS {
+		b.add("services.tls", "true")
 	}
-	for field, values := range doc.fields {
-		lows := make([]string, len(values))
-		var toks []string
-		seenTok := make(map[string]bool)
-		for i, v := range values {
-			lows[i] = strings.ToLower(v)
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				doc.numbers[field] = appendUniqueInt64(doc.numbers[field], n)
-			}
-			for _, tok := range Tokenize(v) {
-				if !seenTok[tok] {
-					seenTok[tok] = true
-					toks = append(toks, tok)
+	b.add("services.cert_sha256", svc.CertSHA256)
+	for k, v := range svc.Attributes {
+		b.add("services."+k, v)
+	}
+	return b.f
+}
+
+// sameHostFields reports whether two versions of a host agree on every field
+// the host fragment indexes.
+func sameHostFields(a, b *entity.Host) bool {
+	return (a.Location == nil) == (b.Location == nil) && (a.Location == nil || *a.Location == *b.Location) &&
+		(a.AS == nil) == (b.AS == nil) && (a.AS == nil || *a.AS == *b.AS) &&
+		slices.Equal(a.Labels, b.Labels) && slices.Equal(a.Vulns, b.Vulns) && slices.Equal(a.Software, b.Software)
+}
+
+// newDocument builds the document for h, taking from prev (the entity's
+// current document, or nil) every fragment whose source is unchanged: the
+// host fragment when the host-level fields are equal, and a service's
+// fragment when ConfigEqual, which covers every indexed service field.
+func newDocument(id string, h *entity.Host, prev *document) *document {
+	d := &document{id: id, host: h, frags: make([]*fragment, 1, 1+len(h.Services))}
+	if prev != nil && sameHostFields(prev.host, h) {
+		d.frags[0] = prev.frags[0]
+	} else {
+		d.frags[0] = hostFragment(id, h)
+	}
+	for _, s := range h.Services {
+		if s.PendingRemovalSince == nil {
+			d.frags = append(d.frags, prev.fragmentFor(s))
+		}
+	}
+	return d
+}
+
+// fragmentFor returns d's fragment for s's slot if s is unchanged since, else
+// a new one.
+func (d *document) fragmentFor(s *entity.Service) *fragment {
+	if d != nil {
+		key := s.Key()
+		for _, f := range d.frags[1:] {
+			if f.key == key {
+				if s.ConfigEqual(d.host.Service(key)) {
+					return f
 				}
+				break
 			}
 		}
-		doc.lowered[field] = lows
-		doc.tokens[field] = toks
 	}
-	return doc
+	return serviceFragment(s)
 }
 
-func appendUniqueInt64(s []int64, v int64) []int64 {
-	for _, x := range s {
-		if x == v {
-			return s
+// hasFragment reports whether d is built on f itself (not on an equal copy).
+func (d *document) hasFragment(f *fragment) bool {
+	return d != nil && slices.Contains(d.frags, f)
+}
+
+// holdsToken reports whether any fragment of d posts tok under field.
+func (d *document) holdsToken(field, tok string) bool {
+	return d != nil && d.anyEntry(func(e *entry) bool { return e.field == field && slices.Contains(e.toks, tok) })
+}
+
+// holdsNumber reports whether any fragment of d enters n in field's column.
+func (d *document) holdsNumber(field string, n int64) bool {
+	return d != nil && d.anyEntry(func(e *entry) bool { return e.isNum && e.num == n && e.field == field })
+}
+
+func (d *document) anyEntry(match func(e *entry) bool) bool {
+	for _, f := range d.frags {
+		for i := range f.entries {
+			if match(&f.entries[i]) {
+				return true
+			}
 		}
 	}
-	return append(s, v)
+	return false
 }
 
 // localID returns the partition-local dense ID for an entity, allocating on
@@ -288,62 +379,83 @@ func (p *indexPart) localID(id string) uint32 {
 	return lid
 }
 
-// Upsert indexes (or reindexes) a host's current state.
+// Upsert indexes (or reindexes) a host's current state. The index keeps h as
+// the document's host — it is rendered and compared against later versions —
+// so the caller must not modify h afterwards.
+//
+// The new document reuses every fragment of the current one whose source is
+// unchanged; fragments are built outside the partition lock, and the
+// postings are diffed under it against whatever document is current by then.
 func (ix *Index) Upsert(h *entity.Host) {
 	id := h.ID()
 	p := ix.part(id)
-	doc := buildDocument(id, h)
+	p.mu.RLock()
+	prev := p.docs[id]
+	p.mu.RUnlock()
+	doc := newDocument(id, h, prev)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gen.Add(1)
-	p.removeLocked(id)
-	lid := p.localID(id)
-	doc.local = lid
-	for field, toks := range doc.tokens {
-		byTok := p.inverted[field]
-		if byTok == nil {
-			byTok = make(map[string][]uint32)
-			p.inverted[field] = byTok
-		}
-		for _, tok := range toks {
-			byTok[tok] = insertU32(byTok[tok], lid)
-		}
+	cur := p.docs[id]
+	if cur != nil {
+		doc.local = cur.local
+	} else {
+		doc.local = p.localID(id)
+		p.live = insertU32(p.live, doc.local)
 	}
-	for field, ns := range doc.numbers {
-		col := p.numeric[field]
-		for _, n := range ns {
-			col = col.insert(numEntry{val: n, doc: lid})
-		}
-		p.numeric[field] = col
-	}
-	p.live = insertU32(p.live, lid)
-	p.byLocal[lid] = doc
+	p.repost(doc.local, cur, doc)
+	p.byLocal[doc.local] = doc
 	p.docs[id] = doc
 }
 
-// Remove deletes an entity from the index.
-func (ix *Index) Remove(id string) {
-	p := ix.part(id)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.docs[id] == nil {
-		return
+// repost moves local document lid's postings from cur's fragments to next's
+// (either may be nil). A fragment both share is left alone. A fragment only
+// cur has is unposted, except for the entries next still holds elsewhere;
+// a fragment only next has is posted (posting is idempotent). Caller holds
+// the write lock.
+func (p *indexPart) repost(lid uint32, cur, next *document) {
+	if cur != nil {
+		for _, f := range cur.frags {
+			if !next.hasFragment(f) {
+				for i := range f.entries {
+					p.unpost(lid, &f.entries[i], next)
+				}
+			}
+		}
 	}
-	p.gen.Add(1)
-	p.removeLocked(id)
+	if next != nil {
+		for _, f := range next.frags {
+			if !cur.hasFragment(f) {
+				for i := range f.entries {
+					p.post(lid, &f.entries[i])
+				}
+			}
+		}
+	}
 }
 
-// removeLocked unposts a document using its stored token and number lists —
-// no re-tokenization of field values. Caller holds the write lock.
-func (p *indexPart) removeLocked(id string) {
-	doc := p.docs[id]
-	if doc == nil {
-		return
+func (p *indexPart) post(lid uint32, e *entry) {
+	byTok := p.inverted[e.field]
+	if byTok == nil {
+		byTok = make(map[string][]uint32)
+		p.inverted[e.field] = byTok
 	}
-	lid := doc.local
-	for field, toks := range doc.tokens {
-		byTok := p.inverted[field]
-		for _, tok := range toks {
+	for _, tok := range e.toks {
+		byTok[tok] = insertU32(byTok[tok], lid)
+	}
+	if e.isNum {
+		p.numeric[e.field] = p.numeric[e.field].insert(numEntry{val: e.num, doc: lid})
+	}
+}
+
+// unpost withdraws one entry's postings for lid, keeping any that next
+// still holds.
+func (p *indexPart) unpost(lid uint32, e *entry, next *document) {
+	if byTok := p.inverted[e.field]; byTok != nil {
+		for _, tok := range e.toks {
+			if next.holdsToken(e.field, tok) {
+				continue
+			}
 			if list := removeU32(byTok[tok], lid); len(list) == 0 {
 				delete(byTok, tok)
 			} else {
@@ -351,23 +463,36 @@ func (p *indexPart) removeLocked(id string) {
 			}
 		}
 		if len(byTok) == 0 {
-			delete(p.inverted, field)
+			delete(p.inverted, e.field)
 		}
 	}
-	for field, ns := range doc.numbers {
-		col := p.numeric[field]
-		for _, n := range ns {
-			col = col.remove(numEntry{val: n, doc: lid})
-		}
-		if len(col) == 0 {
-			delete(p.numeric, field)
+	if e.isNum && !next.holdsNumber(e.field, e.num) {
+		if col := p.numeric[e.field].remove(numEntry{val: e.num, doc: lid}); len(col) == 0 {
+			delete(p.numeric, e.field)
 		} else {
-			p.numeric[field] = col
+			p.numeric[e.field] = col
 		}
 	}
-	p.live = removeU32(p.live, lid)
-	p.byLocal[lid] = nil
-	delete(p.docs, id)
+}
+
+// Remove deletes an entity from the index.
+func (ix *Index) Remove(id string) {
+	p := ix.part(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if doc := p.docs[id]; doc != nil {
+		p.gen.Add(1)
+		p.removeLocked(doc)
+	}
+}
+
+// removeLocked unposts a document from its fragments. Caller holds the
+// write lock.
+func (p *indexPart) removeLocked(doc *document) {
+	p.repost(doc.local, doc, nil)
+	p.live = removeU32(p.live, doc.local)
+	p.byLocal[doc.local] = nil
+	delete(p.docs, doc.id)
 }
 
 // DropPartition removes every document in partition i — the degraded-mode
@@ -385,12 +510,8 @@ func (ix *Index) DropPartition(i int) {
 		return
 	}
 	p.gen.Add(1)
-	ids := make([]string, 0, len(p.docs))
-	for id := range p.docs {
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		p.removeLocked(id)
+	for _, doc := range p.docs {
+		p.removeLocked(doc)
 	}
 }
 
@@ -403,6 +524,14 @@ func (ix *Index) Len() int {
 		p.mu.RUnlock()
 	}
 	return n
+}
+
+// Has reports whether an entity is indexed.
+func (ix *Index) Has(id string) bool {
+	p := ix.part(id)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.docs[id] != nil
 }
 
 // Host returns the indexed snapshot of an entity.

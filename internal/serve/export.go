@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"censysmap/internal/search"
 )
@@ -310,6 +311,11 @@ func (s *Server) resolveExport(w http.ResponseWriter, r *http.Request) (*pin, in
 	switch {
 	case token == "" && q == "":
 		writeJSON(w, http.StatusBadRequest, errorBody{"missing q or cursor parameter"})
+		return nil, 0, false
+	case !utf8.ValidString(q):
+		// A cursor carries its query through JSON, which would turn the bad
+		// bytes into U+FFFD: the resumed pages would pin different text.
+		writeJSON(w, http.StatusBadRequest, errorBody{"q parameter is not valid UTF-8"})
 		return nil, 0, false
 	case token == "":
 		p, err := s.exp.open(q)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/url"
 	"strings"
 	"testing"
@@ -227,6 +228,33 @@ func TestExportCursorOffsetOverflow(t *testing.T) {
 		if p.Total != 8 || p.Offset != 8 || p.Count != 0 || len(p.Results) != 0 || p.NextCursor != "" {
 			t.Fatalf("off=%d: page = %+v", off, p)
 		}
+	}
+}
+
+// TestExportRejectsInvalidUTF8Query: a q that is not valid UTF-8 is refused
+// with 400 before a pin is opened — a cursor carries its query through JSON,
+// which would resume the export under different text — and a client that
+// also passes a cursor gets the same answer, not "disagrees with cursor".
+func TestExportRejectsInvalidUTF8Query(t *testing.T) {
+	f := newFixture(t, Config{})
+	const bad = "services.banner: \"\xff\""
+	_, pages := walkPagesPartial(t, f, "services.tls: true", 3, 1)
+	token := pages[0].NextCursor
+	for _, u := range []string{
+		"/v2/export/hosts?q=" + url.QueryEscape(bad),
+		"/v2/export/hosts/stream?q=" + url.QueryEscape(bad),
+		"/v2/export/hosts?q=" + url.QueryEscape(bad) + "&cursor=" + token,
+	} {
+		rec := f.get(u, "k-int")
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "not valid UTF-8") {
+			t.Fatalf("%s: status %d body %s", u, rec.Code, rec.Body)
+		}
+	}
+	f.srv.exp.mu.Lock()
+	pins := len(f.srv.exp.pins)
+	f.srv.exp.mu.Unlock()
+	if pins != 1 {
+		t.Fatalf("%d pins resident, want only the valid query's", pins)
 	}
 }
 

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/url"
 	"testing"
@@ -63,6 +65,10 @@ func FuzzExportCursor(f *testing.F) {
 	}
 	f.Add(encodeCursor(cursor{V: cursorVersion, Q: "services.tls: true", Gen: gen + 1, Off: 0}), "3") // expired
 	f.Add(encodeCursor(cursor{V: cursorVersion, Q: "(((", Gen: gen, Off: 0}), "3")                    // bad query
+	// A token hand-built around a query that is not valid UTF-8: the JSON
+	// decoder reads U+FFFD for the bad byte, so it names no pin the server made.
+	f.Add(base64.RawURLEncoding.EncodeToString(
+		fmt.Appendf(nil, "{\"v\":%d,\"q\":\"services.banner: \\\"\xff\\\"\",\"gen\":%d,\"off\":0}", cursorVersion, gen)), "3")
 	for _, per := range []string{"", "0", "-1", "1001", "abc", "99999999999999999999"} {
 		f.Add(encodeCursor(cursor{V: cursorVersion, Q: "services.tls: true", Gen: gen, Off: 3}), per)
 	}

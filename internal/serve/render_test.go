@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"censysmap/internal/entity"
 	"censysmap/internal/search"
@@ -162,15 +163,21 @@ func checkRendered(t *testing.T, f *fixture, round int) {
 					round, q, limit, rec.Code, rec.Body, want)
 			}
 		}
+		if !utf8.ValidString(q) {
+			// A cursor could not carry the query's bytes, so export refuses it.
+			for _, route := range []string{"/v2/export/hosts?q=", "/v2/export/hosts/stream?q="} {
+				if rec := f.get(route+esc, "k-int"); rec.Code != http.StatusBadRequest {
+					t.Fatalf("round %d: %s%q: status %d, want 400", round, route, q, rec.Code)
+				}
+			}
+			continue
+		}
 		lines, gen := refLines(t, f.ix, q), f.ix.Generation()
 		for _, per := range []int{1, 3, 100} {
 			u := "/v2/export/hosts?per_page=" + strconv.Itoa(per) + "&q=" + esc
-			// A cursor carries the query through JSON, which turns invalid
-			// UTF-8 into U+FFFD; a resumed page echoes the decoded query.
-			pageQ := q
 			for off := 0; ; off += per {
 				rec := f.get(u, "k-int")
-				if want := refPage(pageQ, gen, lines, off, per); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+				if want := refPage(q, gen, lines, off, per); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
 					t.Fatalf("round %d: export %q per_page %d offset %d: status %d\n--- got\n%s\n--- want\n%s",
 						round, q, per, off, rec.Code, rec.Body, want)
 				}
@@ -178,11 +185,6 @@ func checkRendered(t *testing.T, f *fixture, round int) {
 					break
 				}
 				token := encodeCursor(cursor{V: cursorVersion, Q: q, Gen: gen, Off: off + per})
-				c, err := decodeCursor(token)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pageQ = c.Q
 				u = "/v2/export/hosts?per_page=" + strconv.Itoa(per) + "&cursor=" + token
 			}
 		}
