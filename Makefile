@@ -31,7 +31,8 @@ race:
 
 # The deterministic chaos suite: fault injection, crash-recovery
 # differentials, and the facade-level recovery test, under the race
-# detector (the injector and retry buffers sit on the hot concurrent path).
+# detector (the injector and the per-shard task queues sit on the hot
+# concurrent path).
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/core/ ./internal/cqrs/
 	$(GO) test -race . -run TestSystemCrashRecoveryUnderChaos

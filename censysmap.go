@@ -22,9 +22,7 @@ import (
 	"time"
 
 	"censysmap/internal/core"
-	"censysmap/internal/discovery"
 	"censysmap/internal/entity"
-	"censysmap/internal/interro"
 	"censysmap/internal/journal"
 	"censysmap/internal/serve"
 	"censysmap/internal/simclock"
@@ -55,9 +53,10 @@ type Options struct {
 	Seed uint64
 	// HostDensity is the live-host fraction (default 0.10).
 	HostDensity float64
-	// Pipeline overrides the scanning/storage configuration; zero fields
-	// take the paper's defaults (daily refresh, 72h eviction, 3 PoPs...).
-	Pipeline core.Config
+	// Pipeline is the scanning/storage configuration, used as given: start
+	// from core.DefaultConfig() and change what differs. Nil means
+	// core.DefaultConfig() with the universe's CloudBlocks.
+	Pipeline *core.Config
 	// Network overrides the synthetic Internet's full configuration; when
 	// set, Universe/Seed/HostDensity are ignored.
 	Network *simnet.Config
@@ -67,16 +66,9 @@ type Options struct {
 	// ("honeypot_farms=2,tarpit_rate=0.1"). The hostile overlay applies on
 	// top of Network/Universe generation, and the pipeline's countermeasures
 	// (interrogation deadline budgets, adaptive scan backoff, honeypot
-	// uniformity detection) default on unless Pipeline sets them explicitly.
+	// uniformity detection) default on unless Pipeline sets them explicitly
+	// (core.Config.ArmCountermeasures).
 	Scenario string
-	// DisablePrediction turns the GPS-style predictive scheduler off:
-	// no seed scan, no cross-port model, no predicted targets. Applied
-	// after Pipeline defaulting, so it works with a zero Pipeline too.
-	DisablePrediction bool
-	// PredictBudgetPerTick caps predictive probes per scheduling tick
-	// (0 keeps the pipeline default). Ignored when DisablePrediction is
-	// set. Applied after Pipeline defaulting.
-	PredictBudgetPerTick int
 	// DisableTelemetry leaves the pipeline uninstrumented. By default a
 	// System carries a telemetry registry and serves GET /v2/metrics.
 	DisableTelemetry bool
@@ -122,42 +114,21 @@ func NewSystem(opts Options) (*System, error) {
 	clk := simclock.New()
 	net := simnet.New(ncfg, clk)
 
-	pcfg := opts.Pipeline
-	if pcfg.ScannerID == "" {
-		telOverride, sampleOverride := pcfg.Telemetry, pcfg.TraceSample
+	var pcfg core.Config
+	if opts.Pipeline != nil {
+		pcfg = *opts.Pipeline
+	} else {
 		pcfg = core.DefaultConfig()
 		pcfg.CloudBlocks = ncfg.CloudBlocks
-		pcfg.Telemetry = telOverride
-		pcfg.TraceSample = sampleOverride
 	}
 	if pcfg.Telemetry == nil && !opts.DisableTelemetry {
 		pcfg.Telemetry = telemetry.New()
-	}
-	if opts.DisablePrediction {
-		pcfg.DisablePrediction = true
 	}
 	if ncfg.Adversary.Enabled() {
 		// A hostile substrate without countermeasures wedges the worker pool
 		// on the first tarpit: default the defenses unless the caller chose
 		// their own (see DESIGN.md, "Adversarial scenarios").
-		if !pcfg.InterroBudget.Enabled() {
-			pcfg.InterroBudget = interro.Budget{
-				ReadTimeout: 2 * time.Second,
-				Handshake:   8 * time.Second,
-				Total:       30 * time.Second,
-			}
-		}
-		if !pcfg.ScanBackoff.Enabled() {
-			pcfg.ScanBackoff = discovery.BackoffPolicy{
-				StreakThreshold: 24, BaseTicks: 4, RotateAfter: 6,
-			}
-		}
-		if pcfg.HoneypotUniformityThreshold == 0 {
-			pcfg.HoneypotUniformityThreshold = 8
-		}
-	}
-	if opts.PredictBudgetPerTick > 0 {
-		pcfg.PredictBudgetPerTick = opts.PredictBudgetPerTick
+		pcfg.ArmCountermeasures()
 	}
 	m, err := core.New(pcfg, net)
 	if err != nil {

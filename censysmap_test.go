@@ -4,9 +4,100 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"censysmap/internal/core"
+	"censysmap/internal/discovery"
+	"censysmap/internal/interro"
 )
+
+// knobs is every value a NewSystem caller can set, one settable leaf per
+// line, reached through the pipeline config and its two policy structs.
+// Adding or removing a knob is a one-line diff here.
+var knobs = []string{
+	"Universe",
+	"Seed",
+	"HostDensity",
+	"Pipeline.SourceIPs",
+	"Pipeline.Tick",
+	"Pipeline.BackgroundPortsPerIPPerDay",
+	"Pipeline.PredictBudgetPerTick",
+	"Pipeline.SeedScanFraction",
+	"Pipeline.CloudBlocks",
+	"Pipeline.PseudoServiceThreshold",
+	"Pipeline.Excluded",
+	"Pipeline.DisablePrediction",
+	"Pipeline.EvictAfter",
+	"Pipeline.SnapshotEvery",
+	"Pipeline.Shards",
+	"Pipeline.InterroWorkers",
+	"Pipeline.InterroBudget.Handshake",
+	"Pipeline.InterroBudget.Total",
+	"Pipeline.ScanBackoff.StreakThreshold",
+	"Pipeline.ScanBackoff.RotateAfter",
+	"Pipeline.HoneypotUniformityThreshold",
+	"Pipeline.Telemetry",
+	"Pipeline.TraceSample",
+	"Network",
+	"Scenario",
+	"DisableTelemetry",
+}
+
+func TestKnobSurface(t *testing.T) {
+	nested := map[reflect.Type]bool{
+		reflect.TypeFor[core.Config]():             true,
+		reflect.TypeFor[interro.Budget]():          true,
+		reflect.TypeFor[discovery.BackoffPolicy](): true,
+	}
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for _, f := range reflect.VisibleFields(typ) {
+			ft := f.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if nested[ft] {
+				walk(prefix+f.Name+".", ft)
+			} else {
+				got = append(got, prefix+f.Name)
+			}
+		}
+	}
+	walk("", reflect.TypeFor[Options]())
+	if !slices.Equal(got, knobs) {
+		t.Fatalf("knob surface changed (%d knobs, was %d); update knobs:\n%s",
+			len(got), len(knobs), strings.Join(got, "\n"))
+	}
+}
+
+// TestSuppliedPipelineReachesTheMap: a supplied Pipeline is used as given —
+// with DisablePrediction set there is no seed scan — and nil means the
+// defaults, which run one.
+func TestSuppliedPipelineReachesTheMap(t *testing.T) {
+	noPredict := core.DefaultConfig()
+	noPredict.DisablePrediction = true
+	for _, c := range []struct {
+		pipeline *core.Config
+		seeded   bool
+	}{{nil, true}, {&noPredict, false}} {
+		sys, err := NewSystem(Options{
+			Universe: netip.MustParsePrefix("10.0.0.0/23"),
+			Seed:     3,
+			Pipeline: c.pipeline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spent := sys.Map().Ledger().ClassTotals(discovery.ClassSeed).Spent; (spent > 0) != c.seeded {
+			t.Errorf("DisablePrediction=%v: seed class spent %d", c.pipeline != nil, spent)
+		}
+	}
+}
 
 // smallSystem builds a fast system for facade tests.
 func smallSystem(t *testing.T) *System {

@@ -11,9 +11,9 @@ import (
 	"censysmap/internal/simnet"
 )
 
-// chaosSystem builds a small System with ambient simnet noise off, a mild
-// chaos injector attached, and the retry ladder on — the facade-level
-// version of the internal/chaos lab setup.
+// chaosSystem builds a small System with ambient simnet noise off and a mild
+// chaos injector attached — the facade-level version of the internal/chaos
+// lab setup.
 func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	t.Helper()
 	ncfg := simnet.DefaultConfig()
@@ -28,9 +28,8 @@ func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	pcfg := core.DefaultConfig()
 	pcfg.CloudBlocks = 1
 	pcfg.SnapshotEvery = 4
-	pcfg.RetryPolicy = core.RetryPolicy{MaxRetries: 2, BaseDelay: pcfg.Tick, MaxDelay: 4 * pcfg.Tick}
 
-	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: pcfg})
+	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: &pcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,7 @@ import (
 
 	"censysmap"
 	"censysmap/internal/cluster"
+	"censysmap/internal/core"
 	"censysmap/internal/serve"
 	"censysmap/internal/simnet"
 )
@@ -131,9 +132,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bad -universe:", err)
 		return 2
 	}
+	if *predictBudget < 0 {
+		fmt.Fprintln(stderr, "bad -predict-budget: negative")
+		return 2
+	}
+	// The default pipeline's CloudBlocks is the default universe's.
+	pipeline := core.DefaultConfig()
+	pipeline.DisablePrediction = !*predict
+	if *predictBudget > 0 {
+		pipeline.PredictBudgetPerTick = *predictBudget
+	}
 	sys, err := censysmap.NewSystem(censysmap.Options{Universe: prefix, Seed: *seed,
-		DisablePrediction: !*predict, PredictBudgetPerTick: *predictBudget,
-		Scenario: *scenario})
+		Pipeline: &pipeline, Scenario: *scenario})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

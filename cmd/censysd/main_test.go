@@ -77,6 +77,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-universe", "not-a-prefix"},
 		{"-universe", "10.9.0.0/24", "-days", "0", "-cluster-nodes", "2", "-node-id", "5"},
 		{"-universe", "10.9.0.0/24", "-days", "0", "-api-keys", "broken"},
+		{"-universe", "10.9.0.0/24", "-days", "0", "-predict-budget", "-1"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(context.Background(), args, io.Discard, &stderr); code != 2 || stderr.Len() == 0 {

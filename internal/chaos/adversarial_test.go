@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"censysmap/internal/discovery"
-	"censysmap/internal/interro"
 	"censysmap/internal/simnet"
 )
 
@@ -33,18 +31,7 @@ func adversarialSpec(seed uint64, ticks int) RunSpec {
 		BannerChurnRate:   0.2,
 		BannerChurnPeriod: 12 * time.Hour,
 	}
-	spec.Pipeline.InterroBudget = interro.Budget{
-		ReadTimeout: 2 * time.Second,
-		Handshake:   8 * time.Second,
-		Total:       30 * time.Second,
-	}
-	spec.Pipeline.ScanBackoff = discovery.BackoffPolicy{
-		StreakThreshold: 24,
-		BaseTicks:       4,
-		RotateAfter:     6,
-	}
-	spec.Pipeline.HoneypotUniformityThreshold = 8
-	retryOn(&spec)
+	spec.Pipeline.ArmCountermeasures()
 	return spec
 }
 

@@ -40,15 +40,6 @@ func mustObserve(t *testing.T, m *core.Map) Observation {
 	return o
 }
 
-// retryOn enables a small deterministic backoff ladder on a spec.
-func retryOn(spec *RunSpec) {
-	spec.Pipeline.RetryPolicy = core.RetryPolicy{
-		MaxRetries: 2,
-		BaseDelay:  spec.Pipeline.Tick,
-		MaxDelay:   4 * spec.Pipeline.Tick,
-	}
-}
-
 // TestSameSeedSameSchedule: a chaos seed names one exact fault schedule —
 // two runs of the same spec inject identical drops of every kind and end in
 // identical externally visible state.
@@ -86,15 +77,12 @@ func TestFaultKindsAllFire(t *testing.T) {
 
 // TestLayoutInvarianceUnderFaults: the PR-1 determinism contract holds under
 // chaos too — Shards and InterroWorkers must not change the fault schedule,
-// the dataset, the journals, or any query answer. Retries are on, so the
-// backoff ladder is also exercised across layouts. The second universe's
+// the dataset, the journals, or any query answer. The second universe's
 // rate threshold is low enough to trip: which probe trips a block, and so
 // everything the block eats, is decided by serial discovery probes alone.
 func TestLayoutInvarianceUnderFaults(t *testing.T) {
 	faults := Lab(11, Severe(99), 24)
-	retryOn(&faults)
 	blocking := Lab(11, Mild(99), 24)
-	retryOn(&blocking)
 	blocking.Net.BlockThreshold = 1
 	blocking.Net.BlockDuration = 6 * time.Hour
 	blocking.Pipeline.SourceIPs = 8
@@ -129,7 +117,6 @@ func TestLayoutInvarianceUnderFaults(t *testing.T) {
 // in different Shards/InterroWorkers layouts checkpoint to identical bytes.
 func TestCheckpointLayoutInvariant(t *testing.T) {
 	base := Lab(5, Mild(5), 10)
-	retryOn(&base)
 
 	var ref []byte
 	for i, l := range [][2]int{{1, 1}, {8, 4}} {
@@ -155,33 +142,10 @@ func TestCheckpointLayoutInvariant(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversFromTimeouts: with interrogation timeouts injected, the
-// bounded-retry ladder must recover services the no-retry pipeline loses,
-// and must never lose any it would otherwise have found.
-func TestRetryRecoversFromTimeouts(t *testing.T) {
-	fault := Config{Seed: 5, TimeoutRate: 0.35}
-	specOff := Lab(3, fault, 30)
-	specOn := specOff
-	retryOn(&specOn)
-
-	rOff := mustComplete(t, specOff)
-	rOn := mustComplete(t, specOn)
-
-	servOff := rOff.Map.CurrentServices(false)
-	servOn := rOn.Map.CurrentServices(false)
-	if len(servOn) <= len(servOff) {
-		t.Fatalf("retries did not recover services: %d with retry vs %d without",
-			len(servOn), len(servOff))
-	}
-	if rOn.Map.Stats().Interrogations <= rOff.Map.Stats().Interrogations {
-		t.Fatal("retry run should attempt strictly more interrogations")
-	}
-}
-
-// TestZeroPolicyMatchesBaseline: a zero-value RetryPolicy and a zero-value
-// fault Config must be exact no-ops — byte-identical to a run without the
-// chaos layer in the loop at all.
-func TestZeroPolicyMatchesBaseline(t *testing.T) {
+// TestZeroFaultConfigMatchesBaseline: a zero-value fault Config must be an
+// exact no-op — byte-identical to a run without the chaos layer in the loop
+// at all.
+func TestZeroFaultConfigMatchesBaseline(t *testing.T) {
 	spec := Lab(13, Config{}, 12)
 	withInjector := mustComplete(t, spec)
 	if n := injected(withInjector.Net.PathStats()); n != 0 {

@@ -17,7 +17,6 @@ func predictiveSpec(seed uint64, ticks int) RunSpec {
 	spec.Pipeline.PredictBudgetPerTick = 600
 	spec.Pipeline.SeedScanFraction = 0.05
 	spec.Pipeline.Excluded = []netip.Prefix{netip.MustParsePrefix("10.40.1.128/25")}
-	retryOn(&spec)
 	return spec
 }
 

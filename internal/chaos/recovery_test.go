@@ -10,30 +10,25 @@ import (
 // partitioned journal plus the latest snapshot, restore the rest from a
 // JSON-round-tripped checkpoint, finish the run — and end bit-identical to
 // the run that never crashed. Five (universe seed, crash tick) pairs, with
-// fault mixes from none to severe and the retry ladder on for the faulty
-// ones (so in-flight backoff state crosses the crash too).
+// fault mixes from none to severe.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	cases := []struct {
 		seed  uint64
 		fault Config
 		ticks int
 		crash int
-		retry bool
 	}{
 		{seed: 1, fault: Config{}, ticks: 26, crash: 3},
-		{seed: 2, fault: Mild(21), ticks: 26, crash: 7, retry: true},
-		{seed: 3, fault: Severe(33), ticks: 26, crash: 13, retry: true},
-		{seed: 4, fault: Mild(44), ticks: 30, crash: 25, retry: true}, // past the daily refresh
-		{seed: 5, fault: Severe(55), ticks: 26, crash: 19, retry: true},
+		{seed: 2, fault: Mild(21), ticks: 26, crash: 7},
+		{seed: 3, fault: Severe(33), ticks: 26, crash: 13},
+		{seed: 4, fault: Mild(44), ticks: 30, crash: 25}, // past the daily refresh
+		{seed: 5, fault: Severe(55), ticks: 26, crash: 19},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("seed%d_crash%d", c.seed, c.crash), func(t *testing.T) {
 			t.Parallel()
 			spec := Lab(c.seed, c.fault, c.ticks)
-			if c.retry {
-				retryOn(&spec)
-			}
 
 			base := mustComplete(t, spec)
 			crashed, err := CompleteWithCrash(spec, c.crash)
@@ -61,7 +56,6 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // uninterrupted result.
 func TestCrashRecoveryAcrossLayouts(t *testing.T) {
 	spec := Lab(8, Mild(77), 26)
-	retryOn(&spec)
 
 	base := mustComplete(t, spec)
 
@@ -90,7 +84,6 @@ func TestCrashRecoveryAcrossLayouts(t *testing.T) {
 // TestDoubleCrash: two crashes in one run — recovery must compose.
 func TestDoubleCrash(t *testing.T) {
 	spec := Lab(9, Severe(66), 26)
-	retryOn(&spec)
 
 	base := mustComplete(t, spec)
 

@@ -15,7 +15,6 @@ func telemetrySpec(shards, workers int) RunSpec {
 	spec.Pipeline.InterroWorkers = workers
 	spec.Pipeline.Telemetry = telemetry.New()
 	spec.Pipeline.TraceSample = 1
-	spec.Pipeline.RetryPolicy.MaxRetries = 2
 	return spec
 }
 
@@ -87,7 +86,6 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 		"censys_adversarial_honeypots_flagged_total",
 		"censys_discovery_probes_total",
 		"censys_core_interrogations_total",
-		"censys_core_retries_scheduled_total",
 		"censys_core_pseudo_filtered_total",
 		"censys_predict_budget_probes_total",
 		"censys_cqrs_observations_total",

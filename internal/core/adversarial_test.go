@@ -53,7 +53,6 @@ func TestTarpitLivenessAllStall(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CloudBlocks = 1
 	cfg.DisablePrediction = true // no 65K seed scan; keep the run focused
-	cfg.InterroBudget.ReadTimeout = 2 * time.Second
 	cfg.InterroBudget.Total = 20 * time.Second
 	m, err := New(cfg, net)
 	if err != nil {
@@ -79,7 +78,7 @@ func TestTarpitLivenessAllStall(t *testing.T) {
 	}
 	// Exactness: every attempt is a TCP candidate against a stalling tarpit
 	// (UDP probes into tarpits drop, nothing ever succeeds, so there are no
-	// refreshes or retries), and each one exhausts Total exactly once.
+	// refreshes), and each one exhausts Total exactly once.
 	if ds.TotalExhausted != is.Attempts {
 		t.Fatalf("TotalExhausted = %d, want exactly Attempts = %d", ds.TotalExhausted, is.Attempts)
 	}
@@ -113,7 +112,6 @@ func TestDripTarpitsGetPseudoFiltered(t *testing.T) {
 	cfg.CloudBlocks = 1
 	cfg.DisablePrediction = true
 	cfg.PseudoServiceThreshold = 5
-	cfg.InterroBudget.ReadTimeout = 2 * time.Second
 	cfg.InterroBudget.Total = 20 * time.Second
 	m, err := New(cfg, net)
 	if err != nil {

@@ -106,18 +106,12 @@ type HostCount struct {
 	Count int        `json:"count"`
 }
 
-// RetryState is one scheduled retry.
-type RetryState struct {
-	Due     time.Time           `json:"due"`
-	Kind    int                 `json:"kind"`
-	Attempt int                 `json:"attempt"`
-	Cand    discovery.Candidate `json:"cand"`
-}
-
 // Checkpoint is the serializable non-durable, non-replayable state of a Map,
 // captured at a tick boundary. All slices are in canonical order, so two
 // checkpoints of identical pipelines encode to identical bytes regardless of
-// the Shards/InterroWorkers layout that produced them.
+// the Shards/InterroWorkers layout that produced them. Decoding skips
+// sections older versions wrote and this one does not (such as `retries`),
+// so their checkpoints still resume.
 type Checkpoint struct {
 	TakenAt time.Time `json:"taken_at"`
 	Seeded  bool      `json:"seeded"`
@@ -135,7 +129,6 @@ type Checkpoint struct {
 	Flagged      map[netip.Addr]flagReason `json:"flagged,omitempty"`
 	FoundPerHost []HostCount               `json:"found_per_host,omitempty"`
 	FarmSeen     []FarmSeenEntry           `json:"farm_seen,omitempty"`
-	Retries      []RetryState              `json:"retries,omitempty"`
 	Exclusions   []Exclusion               `json:"exclusions,omitempty"`
 
 	Discovery discovery.State `json:"discovery"`
@@ -163,7 +156,6 @@ func (m *Map) Checkpoint() Checkpoint {
 	if dates := m.analytics.Dates(); len(dates) > 0 {
 		cp.FirstDaily = dates[0]
 	}
-	var retries []retryEntry
 	for _, s := range m.shards {
 		s.mu.Lock()
 		for a, why := range s.flagged {
@@ -173,12 +165,6 @@ func (m *Map) Checkpoint() Checkpoint {
 			cp.FoundPerHost = append(cp.FoundPerHost, HostCount{Addr: a, Count: c})
 		}
 		s.mu.Unlock()
-		retries = append(retries, s.retries...)
-	}
-	sort.Slice(retries, func(i, j int) bool { return lessRetry(retries[i], retries[j]) })
-	for _, r := range retries {
-		cp.Retries = append(cp.Retries, RetryState{Due: r.due, Kind: int(r.task.kind),
-			Attempt: r.task.attempt, Cand: r.task.cand})
 	}
 	cp.FarmSeen = m.farmSeenState()
 	sort.Slice(cp.FoundPerHost, func(i, j int) bool { return cp.FoundPerHost[i].Addr.Less(cp.FoundPerHost[j].Addr) })
@@ -196,8 +182,8 @@ func Resume(cfg Config, net *simnet.Internet, d Durable, cp Checkpoint) (*Map, e
 
 // restore applies a checkpoint to a freshly built Map (the Resume tail).
 // Bookkeeping for quarantined partitions is dropped: their journal history
-// is gone, so carrying refresh clocks or retries for their addresses would
-// schedule writes the degraded map must fence anyway.
+// is gone, so carrying state for their addresses would schedule writes the
+// degraded map must fence anyway.
 func (m *Map) restore(cp *Checkpoint) error {
 	m.seeded = cp.Seeded
 	m.lastDaily = cp.LastDaily
@@ -230,14 +216,6 @@ func (m *Map) restore(cp *Checkpoint) error {
 		m.shardFor(hc.Addr).foundPerHost[hc.Addr] = hc.Count
 	}
 	m.restoreFarmSeen(cp.FarmSeen)
-	for _, r := range cp.Retries {
-		if m.quarantinedAddr(r.Cand.Addr) {
-			continue
-		}
-		s := m.shardFor(r.Cand.Addr)
-		s.retries = append(s.retries, retryEntry{due: r.Due,
-			task: pendingTask{cand: r.Cand, kind: taskKind(r.Kind), attempt: r.Attempt}})
-	}
 	m.exclusions = append([]Exclusion(nil), cp.Exclusions...)
 	m.syncExclusions()
 	if err := m.disc.Restore(cp.Discovery); err != nil {

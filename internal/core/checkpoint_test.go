@@ -191,6 +191,62 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	}
 }
 
+// TestParentCheckpointWithRetriesResumes: checkpoints written while failed
+// interrogations could wait out a backoff carry a `retries` section. A map
+// resumed from one ignores it and comes back as if it were absent.
+func TestParentCheckpointWithRetriesResumes(t *testing.T) {
+	net, _ := testUniverse(t)
+	m := testMap(t, net)
+	m.Run(26 * time.Hour)
+	m.Stop()
+	blob, err := json.Marshal(m.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &sections); err != nil {
+		t.Fatal(err)
+	}
+	rec := m.CurrentServices(false)[0]
+	type retryState struct { // the section's entries, as they were written
+		Due     time.Time           `json:"due"`
+		Kind    int                 `json:"kind"`
+		Attempt int                 `json:"attempt"`
+		Cand    discovery.Candidate `json:"cand"`
+	}
+	retries, err := json.Marshal([]retryState{{Due: m.clock.Now().Add(time.Hour), Kind: int(taskRefresh),
+		Attempt: 1, Cand: discovery.Candidate{Addr: rec.Addr, Port: rec.Port, Transport: rec.Transport,
+			Method: entity.DetectRefresh}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections["retries"] = retries
+	parent, err := json.Marshal(sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var cp Checkpoint
+	if err := json.Unmarshal(parent, &cp); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(m.cfg, net, m.Durable(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(r.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(blob) {
+		t.Fatal("a resume from the checkpoint with a retries section checkpoints differently")
+	}
+}
+
 // A re-injection is interrogated without a dataset check, so without the
 // write gate it would probe — and re-add — a host flagged since the eviction.
 func TestReinjectionIntoFlaggedHostIsGated(t *testing.T) {

@@ -29,11 +29,12 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"censysmap/internal/cqrs"
 	"censysmap/internal/discovery"
@@ -56,14 +57,10 @@ import (
 
 // Config assembles a Map.
 type Config struct {
-	// ScannerID identifies the engine to networks.
-	ScannerID string
 	// SourceIPs is the source pool size (blocking model input).
 	SourceIPs int
 	// Tick is the scheduling quantum.
 	Tick time.Duration
-	// RefreshEvery is the per-service re-interrogation cadence (daily).
-	RefreshEvery time.Duration
 	// BackgroundPortsPerIPPerDay budgets the 65K background class.
 	BackgroundPortsPerIPPerDay int
 	// PredictBudgetPerTick bounds predictive probes per tick.
@@ -81,8 +78,6 @@ type Config struct {
 	Excluded []netip.Prefix
 	// DisablePrediction turns the predictive engine off (ablation).
 	DisablePrediction bool
-	// DisableReinjection turns evicted-service re-injection off (ablation).
-	DisableReinjection bool
 	// EvictAfter overrides the 72h eviction grace window (ablation).
 	EvictAfter time.Duration
 	// SnapshotEvery overrides journal snapshot cadence (ablation).
@@ -95,10 +90,6 @@ type Config struct {
 	// <= 1 runs the batch on the calling goroutine. Results are identical
 	// for any worker count; see DESIGN.md.
 	InterroWorkers int
-	// RetryPolicy re-attempts failed interrogations with exponential backoff
-	// before a failure enters the eviction state machine. The zero value
-	// disables retries (the pre-retry pipeline, bit for bit).
-	RetryPolicy RetryPolicy
 	// InterroBudget bounds the virtual time one interrogation candidate may
 	// consume (tarpit defense; see internal/interro/budget.go). The zero
 	// value keeps unlimited legacy behavior modulo the hard read cap.
@@ -120,46 +111,17 @@ type Config struct {
 	TraceSample int
 }
 
-// RetryPolicy bounds interrogation retries. Backoff is deterministic
-// (BaseDelay doubling per attempt, capped at MaxDelay) and scheduled on the
-// simulated clock: a retry fires on the first tick at or after its due time,
-// so the schedule is a function of configuration alone.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the initial failure.
-	// <= 0 disables retries.
-	MaxRetries int
-	// BaseDelay is the delay before the first retry; it doubles each
-	// attempt. <= 0 means one hour.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff. <= 0 means uncapped.
-	MaxDelay time.Duration
-}
+// scannerID identifies the engine to networks and their scan detectors.
+const scannerID = "censysmap"
 
-// delay returns the backoff before re-attempt number attempt+1.
-func (rp RetryPolicy) delay(attempt int) time.Duration {
-	d := rp.BaseDelay
-	if d <= 0 {
-		d = time.Hour
-	}
-	for i := 0; i < attempt; i++ {
-		d *= 2
-		if rp.MaxDelay > 0 && d >= rp.MaxDelay {
-			return rp.MaxDelay
-		}
-	}
-	if rp.MaxDelay > 0 && d > rp.MaxDelay {
-		d = rp.MaxDelay
-	}
-	return d
-}
+// refreshEvery is the per-service re-interrogation cadence (daily, §4.6).
+const refreshEvery = 24 * time.Hour
 
 // DefaultConfig returns the production-like configuration.
 func DefaultConfig() Config {
 	return Config{
-		ScannerID:                  "censysmap",
 		SourceIPs:                  256,
 		Tick:                       time.Hour,
-		RefreshEvery:               24 * time.Hour,
 		BackgroundPortsPerIPPerDay: 100,
 		PredictBudgetPerTick:       400,
 		SeedScanFraction:           0.02,
@@ -169,6 +131,23 @@ func DefaultConfig() Config {
 		SnapshotEvery:              16,
 		Shards:                     8,
 		InterroWorkers:             4,
+	}
+}
+
+// ArmCountermeasures fills the adversarial defenses c leaves at zero with
+// the shipped preset: interrogation deadline budgets (8 s per connection,
+// 30 s per candidate), adaptive per-/24 backoff (a 24-drop streak backs a /24
+// off, every six backoffs rotate the scanner identity), and honeypot-farm
+// flagging at 8 uniform hosts. A defense c already sets is kept.
+func (c *Config) ArmCountermeasures() {
+	if !c.InterroBudget.Enabled() {
+		c.InterroBudget = interro.Budget{Handshake: 8 * time.Second, Total: 30 * time.Second}
+	}
+	if !c.ScanBackoff.Enabled() {
+		c.ScanBackoff = discovery.BackoffPolicy{StreakThreshold: 24, RotateAfter: 6}
+	}
+	if c.HoneypotUniformityThreshold == 0 {
+		c.HoneypotUniformityThreshold = 8
 	}
 }
 
@@ -218,18 +197,9 @@ const (
 type pendingTask struct {
 	cand discovery.Candidate
 	kind taskKind
-	// attempt counts failed interrogations of this task so far (retry
-	// bookkeeping; 0 for first attempts).
-	attempt int
 	// id is cand.Addr's entity ID. enqueue renders it once, to pick the
 	// shard, and every write-side lookup the task makes reuses it.
 	id string
-}
-
-// retryEntry is a failed task waiting out its backoff.
-type retryEntry struct {
-	due  time.Time
-	task pendingTask
 }
 
 // stateShard holds the pipeline bookkeeping for one slice of the address
@@ -248,11 +218,6 @@ type stateShard struct {
 	// pending is the shard's FIFO task queue for the current batch, filled
 	// serially between batches.
 	pending []pendingTask
-	// retries buffers failed tasks awaiting their backoff. Appended by the
-	// owning worker during a batch, flushed serially at the start of each
-	// tick in canonical order (see flushRetries), so retry scheduling is
-	// invariant under shard and worker counts.
-	retries []retryEntry
 	// redirects buffers http.location values seen by this shard's worker;
 	// they are flushed to the web-property pipeline serially after the
 	// batch, in shard order, so its scan queue stays deterministic.
@@ -363,9 +328,6 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Hour
 	}
-	if cfg.RefreshEvery <= 0 {
-		cfg.RefreshEvery = 24 * time.Hour
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -392,7 +354,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	// A small fraction of networks blocklist even polite scanners (the
 	// paper's opt-out list covers 0.03% of address space; broader
 	// defensive blocking is somewhat higher).
-	m.scanner = simnet.Scanner{ID: cfg.ScannerID, SourceIPs: cfg.SourceIPs,
+	m.scanner = simnet.Scanner{ID: scannerID, SourceIPs: cfg.SourceIPs,
 		Country: "US", BlockedFrac: 0.02}
 
 	// Discovery: the three standard classes over the universe prefix.
@@ -529,13 +491,11 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	m.predictor = predict.New(predict.DefaultConfig())
 	m.syncExclusions()
 	m.phases = []tickPhase{
-		// Retries whose backoff has elapsed fire before new work.
-		{"retry", true, m.flushRetries},
 		{"discovery", true, m.discover},
 		// Re-interrogate dataset services on cadence (paper §4.6).
 		{"refresh", true, m.refreshDue},
 		{"predict", !cfg.DisablePrediction, m.runPrediction},
-		{"reinject", !cfg.DisableReinjection, m.runReinjection},
+		{"reinject", true, m.runReinjection},
 	}
 
 	// Web properties & certificates.
@@ -568,11 +528,14 @@ func (m *Map) shardFor(addr netip.Addr) *stateShard {
 
 // enrichFeeds caches the derived GeoIP/ASN feeds per universe: five engines
 // sharing one Internet each used to rebuild both feeds with a full
-// O(universe) address scan. The feeds are read-only after construction, so
-// one build per universe is shared by every Map. The host count is part of
-// the key so a universe mutated by AddHost/RemoveHost gets fresh feeds.
+// O(universe) address scan, and a resumed Map reuses its universe's. The
+// feeds are read-only after construction, so one build per universe is
+// shared by every Map. The host count is part of the key so a universe
+// mutated by AddHost/RemoveHost gets fresh feeds. The key holds the universe
+// weakly, and a cleanup drops the entry once the universe is collected, so a
+// process that builds many universes keeps feeds only for the live ones.
 type enrichFeedKey struct {
-	net   *simnet.Internet
+	net   weak.Pointer[simnet.Internet]
 	hosts int
 }
 
@@ -587,7 +550,7 @@ var (
 )
 
 func enrichFeedsFor(net *simnet.Internet) (*enrich.GeoDB, *enrich.ASNDB) {
-	key := enrichFeedKey{net: net, hosts: net.Hosts()}
+	key := enrichFeedKey{net: weak.Make(net), hosts: net.Hosts()}
 	enrichFeedMu.Lock()
 	defer enrichFeedMu.Unlock()
 	if f, ok := enrichFeedCache[key]; ok {
@@ -595,6 +558,11 @@ func enrichFeedsFor(net *simnet.Internet) (*enrich.GeoDB, *enrich.ASNDB) {
 	}
 	f := enrichFeeds{geo: buildGeoDB(net), asn: buildASNDB(net)}
 	enrichFeedCache[key] = f
+	runtime.AddCleanup(net, func(key enrichFeedKey) {
+		enrichFeedMu.Lock()
+		delete(enrichFeedCache, key)
+		enrichFeedMu.Unlock()
+	}, key)
 	return f.geo, f.asn
 }
 
@@ -762,72 +730,6 @@ func (m *Map) discover(now time.Time) {
 	})
 }
 
-// scheduleRetry defers a failed task for a later re-attempt. It returns
-// false — and the caller records the failure normally — when retries are
-// disabled or exhausted. Appending to the shard-local buffer is safe without
-// the lock: only the owning worker touches it during a batch.
-func (m *Map) scheduleRetry(s *stateShard, t pendingTask, now time.Time) bool {
-	rp := m.cfg.RetryPolicy
-	if rp.MaxRetries <= 0 || t.attempt >= rp.MaxRetries {
-		return false
-	}
-	due := now.Add(rp.delay(t.attempt))
-	t.attempt++
-	s.retries = append(s.retries, retryEntry{due: due, task: t})
-	m.tel.retryScheduled()
-	if m.tracer.Hit(t.cand.Addr) {
-		m.traceEvent(t.cand.Addr, "retry",
-			"scheduled attempt="+strconv.Itoa(t.attempt)+" due="+due.UTC().Format(time.RFC3339), now)
-	}
-	return true
-}
-
-// lessRetry is the canonical order retries fire in. Sorting due entries by
-// content rather than buffer position makes the retry schedule a function of
-// which tasks failed — never of how the failing batch was sharded.
-func lessRetry(a, b retryEntry) bool {
-	if !a.due.Equal(b.due) {
-		return a.due.Before(b.due)
-	}
-	if ka, kb := slotOf(a.task.cand), slotOf(b.task.cand); ka != kb {
-		return lessSlot(ka, kb)
-	}
-	if a.task.kind != b.task.kind {
-		return a.task.kind < b.task.kind
-	}
-	if a.task.attempt != b.task.attempt {
-		return a.task.attempt < b.task.attempt
-	}
-	if a.task.cand.Method != b.task.cand.Method {
-		return a.task.cand.Method < b.task.cand.Method
-	}
-	return a.task.cand.PoP < b.task.cand.PoP
-}
-
-// flushRetries enqueues every retry whose backoff has elapsed, in canonical
-// order. Runs serially at the start of each tick.
-func (m *Map) flushRetries(now time.Time) {
-	var due []retryEntry
-	for _, s := range m.shards {
-		kept := s.retries[:0]
-		for _, r := range s.retries {
-			if r.due.After(now) {
-				kept = append(kept, r)
-			} else {
-				due = append(due, r)
-			}
-		}
-		s.retries = kept
-	}
-	if len(due) == 0 {
-		return
-	}
-	sort.Slice(due, func(i, j int) bool { return lessRetry(due[i], due[j]) })
-	for _, r := range due {
-		m.enqueue(r.task)
-	}
-}
-
 // enqueue appends a task to its shard's FIFO queue. Called serially between
 // batches, so per-shard order is exactly enqueue order. In degraded mode,
 // tasks for quarantined partitions are fenced: their journal history is
@@ -913,7 +815,7 @@ func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 	key := entity.ServiceKey{Port: t.cand.Port, Transport: t.cand.Transport}
 	switch t.kind {
 	case taskCandidate:
-		if seen, ok := m.processor.LastSeen(t.id, key); ok && now.Sub(seen) < m.cfg.RefreshEvery-2*time.Hour {
+		if seen, ok := m.processor.LastSeen(t.id, key); ok && now.Sub(seen) < refreshEvery-2*time.Hour {
 			return // fresh enough; the refresh loop owns this slot
 		}
 		m.attemptInterrogate(s, t, now)
@@ -930,24 +832,19 @@ func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 	}
 }
 
-// attemptInterrogate runs one candidate/direct interrogation with retry
-// semantics: a failure whose retry budget remains is deferred (nothing enters
-// the eviction state machine) rather than applied.
+// attemptInterrogate runs one candidate/direct interrogation from the
+// candidate's PoP and applies the outcome.
 func (m *Map) attemptInterrogate(s *stateShard, t pendingTask, now time.Time) {
 	c := t.cand
 	in := m.inter[c.PoP]
 	if in == nil {
 		in = m.inter[m.pops[0].Name]
 		c.PoP = m.pops[0].Name
-		t.cand.PoP = c.PoP
 	}
 	m.interrogations.Add(1)
 	obs := in.Interrogate(c, now)
 	if m.tracer.Hit(c.Addr) {
-		m.traceEvent(c.Addr, "interrogate", attemptDetail(obs.Success, c.PoP, t.attempt), now)
-	}
-	if !obs.Success && m.scheduleRetry(s, t, now) {
-		return
+		m.traceEvent(c.Addr, "interrogate", attemptDetail(obs.Success, c.PoP), now)
 	}
 	m.apply(s, t.id, obs, c, now)
 }
@@ -1030,9 +927,7 @@ func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.
 		return
 	}
 	if _, still := m.processor.LastSeen(id, obs.Key()); !still {
-		if !m.cfg.DisableReinjection {
-			m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
-		}
+		m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
 		m.reinjected.Add(1) // queued for re-injection
 	}
 }
@@ -1078,21 +973,10 @@ func (m *Map) retireHost(addr netip.Addr, now time.Time) error {
 // side's map iteration order must not leak into the probe sequence.
 func (m *Map) refreshDue(now time.Time) {
 	m.pruneExclusions(now)
-	// Slots with an in-flight retry chain are owned by that chain until it
-	// succeeds or exhausts; re-enqueueing them here would fork parallel
-	// retry ladders for the same slot.
-	retrying := make(map[slotKey]bool)
-	for _, s := range m.shards {
-		for _, r := range s.retries {
-			if r.task.kind == taskRefresh {
-				retrying[slotOf(r.task.cand)] = true
-			}
-		}
-	}
 	var due []discovery.Candidate
 	m.processor.Walk(func(_ string, h *entity.Host) {
 		for _, svc := range h.Services {
-			if now.Sub(svc.LastSeen) < m.cfg.RefreshEvery || retrying[slotKey{h.IP, svc.Port, svc.Transport}] {
+			if now.Sub(svc.LastSeen) < refreshEvery {
 				continue
 			}
 			c := discovery.Candidate{Addr: h.IP, Port: svc.Port, Transport: svc.Transport,
@@ -1113,8 +997,7 @@ func (m *Map) refreshDue(now time.Time) {
 }
 
 // refreshSlot retries across PoPs: the slot only registers as failed if no
-// vantage point can reach it — and, when a retry policy is set, only after
-// the backoff ladder is exhausted too.
+// vantage point can reach it.
 func (m *Map) refreshSlot(s *stateShard, t pendingTask, now time.Time) {
 	cand := t.cand
 	cand.Time = now
@@ -1125,21 +1008,17 @@ func (m *Map) refreshSlot(s *stateShard, t pendingTask, now time.Time) {
 		m.interrogations.Add(1)
 		obs := in.Interrogate(cand, now)
 		if traced {
-			m.traceEvent(cand.Addr, "refresh", attemptDetail(obs.Success, pop.Name, t.attempt), now)
+			m.traceEvent(cand.Addr, "refresh", attemptDetail(obs.Success, pop.Name), now)
 		}
 		if obs.Success {
 			m.apply(s, t.id, obs, cand, now)
 			return
 		}
 	}
-	// All PoPs failed. Defer the failure while retries remain: the slot
-	// does not start its eviction timer for a fault a later attempt rides
-	// out.
-	cand.PoP = ""
-	if m.scheduleRetry(s, pendingTask{cand: cand, kind: taskRefresh, attempt: t.attempt}, now) {
-		return
-	}
-	// Retries exhausted: record the failure (starts/advances eviction).
+	// All PoPs failed: record the failure (starts/advances eviction). The
+	// observation comes from one more interrogation from the first PoP; it
+	// consumes a path sequence number, so dropping it moves every dataset
+	// digest (ROADMAP item 2b).
 	cand.PoP = m.pops[0].Name
 	obs := m.inter[cand.PoP].Interrogate(cand, now)
 	m.apply(s, t.id, obs, cand, now)

@@ -5,8 +5,11 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"censysmap/internal/discovery"
 	"censysmap/internal/entity"
@@ -369,6 +372,51 @@ func TestHistoryAccumulates(t *testing.T) {
 	}
 	if len(m.History(recs[0].Addr)) == 0 {
 		t.Fatal("no journaled history")
+	}
+}
+
+// TestEnrichFeedsFollowTheUniverse: the feed cache lets go of a universe's
+// feeds once the universe is collected, and keeps them while it lives, so a
+// resume on it builds none.
+func TestEnrichFeedsFollowTheUniverse(t *testing.T) {
+	var dropped []weak.Pointer[simnet.Internet]
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := simnet.DefaultConfig()
+		cfg.Prefix = netip.MustParsePrefix("10.0.0.0/24")
+		cfg.Seed = seed
+		net := simnet.New(cfg, simclock.New())
+		enrichFeedsFor(net)
+		dropped = append(dropped, weak.Make(net))
+	}
+	cached := func() int {
+		enrichFeedMu.Lock()
+		defer enrichFeedMu.Unlock()
+		n := 0
+		for key := range enrichFeedCache {
+			if slices.Contains(dropped, key.net) {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); cached() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 dropped universes still hold cached feeds", cached())
+		}
+		runtime.GC()
+	}
+
+	net, _ := testUniverse(t)
+	m := testMap(t, net)
+	m.Run(2 * time.Hour)
+	m.Stop()
+	geo, asn := enrichFeedsFor(net)
+	if _, err := Resume(m.cfg, net, m.Durable(), m.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if g, a := enrichFeedsFor(net); g != geo || a != asn {
+		t.Fatal("a resume on a live universe rebuilt its feeds")
 	}
 }
 

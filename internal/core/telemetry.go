@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"strconv"
 	"time"
 
 	"censysmap/internal/discovery"
@@ -19,8 +18,8 @@ import (
 //     exported through CounterFunc/GaugeFunc bridges that read the existing
 //     atomics at collect time — the per-task cost is zero.
 //   - Event-driven instruments exist only where no source counter does:
-//     retries scheduled, per-phase batch volume, CQRS events by kind,
-//     time-to-discovery, and trace spans.
+//     per-phase batch volume, CQRS events by kind, time-to-discovery, and
+//     trace spans.
 //   - The paper-metric gauges (freshness, coverage, time-to-discovery) walk
 //     the dataset and ground truth, so they run as OnCollect hooks — the
 //     O(universe) work happens only when a snapshot is actually taken.
@@ -44,17 +43,8 @@ var freshnessBounds = []float64{1, 2, 4, 8, 16, 24, 48, 72}
 // coreTel holds the Map's pre-resolved event-driven instruments. A nil
 // *coreTel (telemetry disabled) makes every method a cheap nil-check no-op.
 type coreTel struct {
-	retriesScheduled *telemetry.Counter
-	phaseTasks       map[string]*telemetry.Histogram
-	ttdHours         *telemetry.Histogram
-}
-
-// retryScheduled records one deferred re-attempt.
-func (t *coreTel) retryScheduled() {
-	if t == nil {
-		return
-	}
-	t.retriesScheduled.Inc()
+	phaseTasks map[string]*telemetry.Histogram
+	ttdHours   *telemetry.Histogram
 }
 
 // batch records one phase's batch volume. Called serially by the tick
@@ -92,8 +82,6 @@ func (m *Map) attachTelemetry() {
 	}
 
 	tel := &coreTel{
-		retriesScheduled: reg.Counter("censys_core_retries_scheduled_total",
-			"failed interrogations deferred for backoff re-attempt"),
 		phaseTasks: make(map[string]*telemetry.Histogram),
 		ttdHours: reg.Histogram("censys_paper_time_to_discovery_hours",
 			"hours from a service's birth to its service_found event (services born mid-run)",
@@ -358,14 +346,9 @@ func (m *Map) traceEvent(addr netip.Addr, stage, detail string, now time.Time) {
 }
 
 // attemptDetail renders interrogation outcome detail for a span step.
-func attemptDetail(ok bool, pop string, attempt int) string {
-	d := "fail"
+func attemptDetail(ok bool, pop string) string {
 	if ok {
-		d = "ok"
+		return "ok pop=" + pop
 	}
-	d += " pop=" + pop
-	if attempt > 0 {
-		d += " attempt=" + strconv.Itoa(attempt)
-	}
-	return d
+	return "fail pop=" + pop
 }

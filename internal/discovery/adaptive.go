@@ -28,41 +28,22 @@ type BackoffPolicy struct {
 	// StreakThreshold is how many consecutive dropped TCP probes into one
 	// /24 look like blocking. 0 disables the policy.
 	StreakThreshold int
-	// BaseTicks is the first backoff length in ticks (default 8); each
-	// repeat offense doubles it up to MaxTicks (default 512).
-	BaseTicks int
-	MaxTicks  int
 	// RotateAfter rotates the scanner identity after every RotateAfter
 	// backoff events (fresh blocking counters at detectors, modeling a new
-	// source pool). 0 disables rotation.
+	// source pool), at most maxRotations times. 0 disables rotation.
 	RotateAfter int
-	// MaxRotations bounds identity rotation (default 8).
-	MaxRotations int
 }
+
+// A /24's first backoff lasts baseBackoffTicks; each repeat offense doubles
+// it, up to maxBackoffTicks.
+const (
+	baseBackoffTicks = 4
+	maxBackoffTicks  = 512
+	maxRotations     = 8
+)
 
 // Enabled reports whether adaptive backoff is configured.
 func (p BackoffPolicy) Enabled() bool { return p.StreakThreshold > 0 }
-
-func (p BackoffPolicy) baseTicks() uint64 {
-	if p.BaseTicks > 0 {
-		return uint64(p.BaseTicks)
-	}
-	return 8
-}
-
-func (p BackoffPolicy) maxTicks() uint64 {
-	if p.MaxTicks > 0 {
-		return uint64(p.MaxTicks)
-	}
-	return 512
-}
-
-func (p BackoffPolicy) maxRotations() int {
-	if p.MaxRotations > 0 {
-		return p.MaxRotations
-	}
-	return 8
-}
 
 // netBackoff is the per-/24 adaptive state.
 type netBackoff struct {
@@ -136,11 +117,11 @@ func (e *Engine) noteOutcome(addr netip.Addr, dropped bool) {
 	// The network looks like it is blocking us: back off exponentially.
 	nb.streak = 0
 	nb.offenses++
-	dur := e.cfg.Backoff.baseTicks()
+	dur := uint64(baseBackoffTicks)
 	for i := 1; i < nb.offenses; i++ {
 		dur *= 2
-		if dur >= e.cfg.Backoff.maxTicks() {
-			dur = e.cfg.Backoff.maxTicks()
+		if dur >= maxBackoffTicks {
+			dur = maxBackoffTicks
 			break
 		}
 	}
@@ -149,7 +130,7 @@ func (e *Engine) noteOutcome(addr netip.Addr, dropped bool) {
 	e.offensesTotal++
 	// Enough networks hostile to this identity? Rotate to a fresh one.
 	if ra := e.cfg.Backoff.RotateAfter; ra > 0 &&
-		e.rotations < e.cfg.Backoff.maxRotations() &&
+		e.rotations < maxRotations &&
 		e.offensesTotal >= uint64(ra)*uint64(e.rotations+1) {
 		e.rotations++
 		e.stats.Rotations++

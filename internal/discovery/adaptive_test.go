@@ -35,13 +35,7 @@ func adaptiveEngine(t *testing.T, net *simnet.Internet, policy BackoffPolicy) *E
 	return e
 }
 
-var testPolicy = BackoffPolicy{
-	StreakThreshold: 20,
-	BaseTicks:       4,
-	MaxTicks:        64,
-	RotateAfter:     3,
-	MaxRotations:    4,
-}
+var testPolicy = BackoffPolicy{StreakThreshold: 20, RotateAfter: 3}
 
 func TestBackoffEngagesUnderDetectors(t *testing.T) {
 	clk := simclock.New()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"censysmap/internal/core"
-	"censysmap/internal/discovery"
 	"censysmap/internal/engines"
 	"censysmap/internal/interro"
 	"censysmap/internal/protocols"
@@ -40,14 +39,10 @@ type AdversarialProfile struct {
 	// SweepScale compresses the baselines' sweep durations so every profile
 	// completes at least one sweep inside the replay.
 	SweepScale float64
-	// Adversary is the hostile-substrate configuration.
+	// Adversary is the hostile-substrate configuration. The core pipeline
+	// runs with its shipped countermeasures (core.Config.ArmCountermeasures);
+	// the baselines get none — that asymmetry is the experiment.
 	Adversary simnet.AdversaryConfig
-	// Budget / Backoff / HoneypotUniformityThreshold are the core pipeline's
-	// countermeasures (the baselines get none — that asymmetry is the
-	// experiment).
-	Budget                      interro.Budget
-	Backoff                     discovery.BackoffPolicy
-	HoneypotUniformityThreshold int
 }
 
 // DefaultAdversarialProfile returns the standard hostile universe: two
@@ -73,17 +68,6 @@ func DefaultAdversarialProfile() AdversarialProfile {
 			BannerChurnRate:   0.25,
 			BannerChurnPeriod: 24 * time.Hour,
 		},
-		Budget: interro.Budget{
-			ReadTimeout: 2 * time.Second,
-			Handshake:   8 * time.Second,
-			Total:       30 * time.Second,
-		},
-		Backoff: discovery.BackoffPolicy{
-			StreakThreshold: 24,
-			BaseTicks:       4,
-			RotateAfter:     6,
-		},
-		HoneypotUniformityThreshold: 8,
 	}
 }
 
@@ -181,9 +165,7 @@ func RunAdversarial(p AdversarialProfile) (AdversarialResult, error) {
 
 	ccfg := core.DefaultConfig()
 	ccfg.CloudBlocks = p.CloudBlocks
-	ccfg.InterroBudget = p.Budget
-	ccfg.ScanBackoff = p.Backoff
-	ccfg.HoneypotUniformityThreshold = p.HoneypotUniformityThreshold
+	ccfg.ArmCountermeasures()
 	m, err := core.New(ccfg, net)
 	if err != nil {
 		return AdversarialResult{}, err

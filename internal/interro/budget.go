@@ -27,18 +27,15 @@ import (
 // handshake comes near, but which bounds any endpoint that drips forever.
 const DefaultMaxReadsPerConn = 4096
 
-// defaultReadTimeout is the virtual cost of a read that returns ErrTimeout
-// when the budget does not set one (matches the scanner-side socket deadline
-// in protocols.NewNetConn).
-const defaultReadTimeout = 2 * time.Second
+// readTimeout is the virtual cost of a read that returns ErrTimeout (matches
+// the scanner-side socket deadline in protocols.NewNetConn). Data reads
+// charge the endpoint's ReadDelay, if any.
+const readTimeout = 2 * time.Second
 
 // Budget bounds the virtual wall-clock one candidate's interrogation may
 // consume. The zero value disables time budgets (legacy behavior); the
 // per-connection read cap is always enforced.
 type Budget struct {
-	// ReadTimeout is the virtual cost charged for a read that times out
-	// (default 2s). Data reads charge the endpoint's ReadDelay, if any.
-	ReadTimeout time.Duration
 	// Handshake is the per-connection budget; each ladder step reconnects
 	// and gets a fresh allocation. 0 means unlimited.
 	Handshake time.Duration
@@ -46,27 +43,10 @@ type Budget struct {
 	// detection ladder opens. Once exhausted, remaining ladder steps are
 	// skipped entirely. 0 means unlimited.
 	Total time.Duration
-	// MaxReadsPerConn caps reads per connection (<= 0 uses
-	// DefaultMaxReadsPerConn).
-	MaxReadsPerConn int
 }
 
 // Enabled reports whether any virtual-time budget is configured.
 func (b Budget) Enabled() bool { return b.Handshake > 0 || b.Total > 0 }
-
-func (b Budget) readTimeout() time.Duration {
-	if b.ReadTimeout > 0 {
-		return b.ReadTimeout
-	}
-	return defaultReadTimeout
-}
-
-func (b Budget) maxReads() int {
-	if b.MaxReadsPerConn > 0 {
-		return b.MaxReadsPerConn
-	}
-	return DefaultMaxReadsPerConn
-}
 
 // DeadlineStats counts budget-exhaustion events. Like the interrogation
 // outcome counters these are process-local: they reset on resume and are
@@ -145,12 +125,10 @@ func (bs *budgetState) chargeTotal(cost time.Duration) {
 func (bs *budgetState) wrap(conn io.ReadWriter) io.ReadWriter {
 	b := bs.i.Budget
 	bs.conn = budgetConn{
-		inner:       conn,
-		bs:          bs,
-		hsOn:        b.Handshake > 0,
-		hsLeft:      b.Handshake,
-		readTimeout: b.readTimeout(),
-		maxReads:    b.maxReads(),
+		inner:  conn,
+		bs:     bs,
+		hsOn:   b.Handshake > 0,
+		hsLeft: b.Handshake,
 	}
 	return &bs.conn
 }
@@ -165,17 +143,15 @@ type budgetConn struct {
 	hsLeft      time.Duration
 	hsExhausted bool
 
-	readTimeout time.Duration
-	maxReads    int
-	reads       int
-	capHit      bool
+	reads  int
+	capHit bool
 }
 
 func (c *budgetConn) Read(p []byte) (int, error) {
 	if c.bs.totalExhausted || c.hsExhausted {
 		return 0, protocols.ErrTimeout
 	}
-	if c.reads >= c.maxReads {
+	if c.reads >= DefaultMaxReadsPerConn {
 		if !c.capHit {
 			c.capHit = true
 			c.bs.i.deadline.readCap.Add(1)
@@ -186,7 +162,7 @@ func (c *budgetConn) Read(p []byte) (int, error) {
 	n, err := c.inner.Read(p)
 	var cost time.Duration
 	if n == 0 && err == protocols.ErrTimeout {
-		cost = c.readTimeout
+		cost = readTimeout
 	} else if n > 0 {
 		if d, ok := c.inner.(readDelayer); ok {
 			cost = d.ReadDelay()

@@ -38,10 +38,10 @@ func firstTarpit(t *testing.T, net *simnet.Internet, drip bool) netip.Addr {
 func TestStallTarpitExhaustsTotalBudget(t *testing.T) {
 	net, clk := tarpitUniverse(0)
 	in := New(net, scanner)
-	// Handshake == ReadTimeout: a single silent read exhausts the
+	// Handshake == readTimeout: a single silent read exhausts the
 	// per-connection scope, so every connection against a stalling tarpit
 	// trips the handshake counter before the total budget runs dry.
-	in.Budget = Budget{ReadTimeout: 2 * time.Second, Handshake: 2 * time.Second, Total: 20 * time.Second}
+	in.Budget = Budget{Handshake: readTimeout, Total: 20 * time.Second}
 
 	addr := firstTarpit(t, net, false)
 	cand := discovery.Candidate{Addr: addr, Port: 443, Transport: entity.TCP,
@@ -72,7 +72,7 @@ func TestStallTarpitExhaustsTotalBudget(t *testing.T) {
 func TestDripTarpitYieldsUnknownAndChargesDelay(t *testing.T) {
 	net, clk := tarpitUniverse(1.0)
 	in := New(net, scanner)
-	in.Budget = Budget{ReadTimeout: 2 * time.Second, Handshake: 8 * time.Second, Total: 20 * time.Second}
+	in.Budget = Budget{Handshake: 8 * time.Second, Total: 20 * time.Second}
 
 	addr := firstTarpit(t, net, true)
 	cand := discovery.Candidate{Addr: addr, Port: 8080, Transport: entity.TCP,
@@ -93,8 +93,7 @@ func TestDripTarpitYieldsUnknownAndChargesDelay(t *testing.T) {
 // with no budget configured, a connection cannot be read forever.
 func TestHardReadCapBoundsUncappedLadder(t *testing.T) {
 	net, clk := tarpitUniverse(1.0)
-	in := New(net, scanner)
-	in.Budget = Budget{MaxReadsPerConn: 8} // no time budgets at all
+	in := New(net, scanner) // no time budgets at all
 
 	addr := firstTarpit(t, net, true)
 	done := make(chan struct{})
@@ -110,6 +109,35 @@ func TestHardReadCapBoundsUncappedLadder(t *testing.T) {
 	}
 }
 
+// endless answers every read with one byte, forever.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error)  { p[0] = 'x'; return 1, nil }
+func (endless) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestReadCapFailsFast: a connection that never stops answering is cut off
+// after DefaultMaxReadsPerConn reads, and counted once.
+func TestReadCapFailsFast(t *testing.T) {
+	net, _ := tarpitUniverse(1.0)
+	bs := New(net, scanner).newBudgetState()
+	defer bs.release()
+	conn := bs.wrap(endless{})
+	buf := make([]byte, 1)
+	reads := 0
+	for ; reads <= DefaultMaxReadsPerConn; reads++ {
+		if _, err := conn.Read(buf); err != nil {
+			break
+		}
+	}
+	if reads != DefaultMaxReadsPerConn {
+		t.Fatalf("connection cut off after %d reads, want %d", reads, DefaultMaxReadsPerConn)
+	}
+	conn.Read(buf)
+	if got := bs.i.DeadlineStats().ReadCapExhausted; got != 1 {
+		t.Fatalf("ReadCapExhausted = %d, want 1", got)
+	}
+}
+
 // TestBudgetsDoNotChangeBenignOutcomes: on a benign universe, enabling
 // generous budgets must not change a single interrogation outcome — budgets
 // only bite when an endpoint is hostile.
@@ -121,7 +149,7 @@ func TestBudgetsDoNotChangeBenignOutcomes(t *testing.T) {
 	clk2 := simclock.New()
 	net2 := simnet.New(quietConfig(), clk2)
 	budgeted := New(net2, scanner)
-	budgeted.Budget = Budget{ReadTimeout: 2 * time.Second, Handshake: time.Minute, Total: 5 * time.Minute}
+	budgeted.Budget = Budget{Handshake: time.Minute, Total: 5 * time.Minute}
 
 	services := net1.LiveServices(clk1.Now(), false)
 	if len(services) == 0 {
@@ -153,7 +181,7 @@ func TestDeadlineCountersOrderInvariant(t *testing.T) {
 	run := func(reverse bool) DeadlineStats {
 		net, clk := tarpitUniverse(0)
 		in := New(net, scanner)
-		in.Budget = Budget{ReadTimeout: 2 * time.Second, Total: 12 * time.Second}
+		in.Budget = Budget{Total: 12 * time.Second}
 		addrs := net.Addrs()
 		var cands []discovery.Candidate
 		for i, addr := range addrs {

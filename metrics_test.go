@@ -66,10 +66,12 @@ func TestMetricsEndpointPrometheus(t *testing.T) {
 // into the snapshot+traces document, agree with the Go-level accessors, and
 // carry sampled trace spans.
 func TestMetricsEndpointJSON(t *testing.T) {
+	pcfg := core.DefaultConfig()
+	pcfg.TraceSample = 1 // trace every address
 	sys, err := NewSystem(Options{
 		Universe: netip.MustParsePrefix("10.0.0.0/22"),
 		Seed:     7,
-		Pipeline: core.Config{TraceSample: 1}, // trace every address
+		Pipeline: &pcfg,
 	})
 	if err != nil {
 		t.Fatal(err)
