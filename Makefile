@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test serve-test predict-diff adversarial loc check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test paper-tables serve-test predict-diff adversarial loc check
 
 all: check
 
@@ -106,6 +106,11 @@ serve-test:
 WORKLOAD ?= serve_live
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --trace 1
+
+# The paper's tables and figures (EXPERIMENTS.md), rendered by cmd/benchtables
+# on the default lab; `make paper-tables ARGS=-quick` uses the small one.
+paper-tables:
+	$(GO) run ./cmd/benchtables $(ARGS)
 
 # Read-path query engine benchmarks (the EXPERIMENTS.md "Read path" table).
 bench-search:

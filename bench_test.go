@@ -1,185 +1,20 @@
 package censysmap
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (run `go test -bench=. -benchmem`), reporting each experiment's
-// headline numbers as benchmark metrics, plus ablation benches for the
-// design choices DESIGN.md calls out. `cmd/benchtables` prints the full
-// rendered tables.
+// Ablation benches for the design choices DESIGN.md calls out (run
+// `go test -bench=Ablation -benchmem`). The paper's tables and figures are
+// rendered by cmd/benchtables (`make paper-tables`).
 
 import (
 	"net/netip"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"censysmap/internal/core"
 	"censysmap/internal/cqrs"
-	"censysmap/internal/engines"
-	"censysmap/internal/eval"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
 )
-
-var (
-	benchLabOnce sync.Once
-	benchLab     *eval.Lab
-	benchLabErr  error
-)
-
-// lab builds the shared experiment universe once (a 14-simulated-day warmup
-// of all five engines).
-func lab(b *testing.B) *eval.Lab {
-	b.Helper()
-	benchLabOnce.Do(func() {
-		benchLab, benchLabErr = eval.NewLab(eval.QuickLabConfig())
-	})
-	if benchLabErr != nil {
-		b.Fatal(benchLabErr)
-	}
-	return benchLab
-}
-
-func BenchmarkTable1_PortTierCoverage(b *testing.B) {
-	l := lab(b)
-	var res eval.Table1Result
-	for i := 0; i < b.N; i++ {
-		res = eval.Table1(l)
-	}
-	for e, name := range res.Engines {
-		b.ReportMetric(100*res.Coverage[0][e], name+"_top10_%")
-		b.ReportMetric(100*res.Coverage[2][e], name+"_all65k_%")
-	}
-}
-
-func BenchmarkTable2_CoverageAccuracy(b *testing.B) {
-	l := lab(b)
-	var rows []eval.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table2(l)
-	}
-	for _, r := range rows {
-		b.ReportMetric(100*r.PctAccurate, r.Engine+"_accurate_%")
-		b.ReportMetric(float64(r.NumAccurate), r.Engine+"_accurate_n")
-	}
-}
-
-func BenchmarkTable3_CountryProtocol(b *testing.B) {
-	l := lab(b)
-	var res eval.Table3Result
-	for i := 0; i < b.N; i++ {
-		res = eval.Table3(l)
-	}
-	for i, cat := range res.Categories {
-		for e, name := range res.Engines {
-			if name == "censysmap" || name == "shodan" {
-				b.ReportMetric(100*res.Coverage[i][e], name+"_"+cat+"_%")
-			}
-		}
-	}
-}
-
-func BenchmarkTable4_ICS(b *testing.B) {
-	l := lab(b)
-	var res eval.Table4Result
-	for i := 0; i < b.N; i++ {
-		res = eval.Table4(l)
-	}
-	// Aggregate over/under-reporting factor per engine.
-	for _, e := range res.Engines {
-		acc, rep := 0, 0
-		for _, proto := range res.Protocols {
-			acc += res.Cells[proto][e].Accurate
-			rep += res.Cells[proto][e].Reported
-		}
-		b.ReportMetric(float64(acc), e+"_accurate")
-		b.ReportMetric(float64(rep), e+"_reported")
-	}
-}
-
-func BenchmarkTable5_TimeToDiscovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// TTD mutates its lab, so it gets a fresh one per iteration.
-		l, err := eval.NewLab(eval.QuickLabConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := eval.TTDConfig{Honeypots: 25, StaggerEvery: 8 * time.Hour,
-			ObserveFor: 8 * 24 * time.Hour}
-		res := eval.Table5(l, cfg, []engines.Engine{l.Censys, l.Baselines[0]})
-		b.ReportMetric(res.OverallMean["censysmap"], "censysmap_mean_h")
-		b.ReportMetric(res.OverallMedian["censysmap"], "censysmap_median_h")
-		b.ReportMetric(res.OverallMean["shodan"], "shodan_mean_h")
-		b.ReportMetric(res.OverallMedian["shodan"], "shodan_median_h")
-	}
-}
-
-func BenchmarkFigure2_Freshness(b *testing.B) {
-	l := lab(b)
-	var res eval.FreshnessResult
-	for i := 0; i < b.N; i++ {
-		res = eval.Figure2(l)
-	}
-	for i, name := range res.Engines {
-		b.ReportMetric(res.AgesHours[i][4], name+"_p50_age_h")
-	}
-}
-
-func BenchmarkFigure3_Overlap(b *testing.B) {
-	l := lab(b)
-	var res eval.OverlapResult
-	for i := 0; i < b.N; i++ {
-		res = eval.Figure3(l)
-	}
-	ci := 0
-	for i, n := range res.Engines {
-		if n == "censysmap" {
-			ci = i
-		}
-	}
-	for i, n := range res.Engines {
-		if i != ci {
-			b.ReportMetric(100*res.Matrix[ci][i], "censys_covers_"+n+"_%")
-			b.ReportMetric(100*res.Matrix[i][ci], n+"_covers_censys_%")
-		}
-	}
-}
-
-func BenchmarkFigure4_PortPopulation(b *testing.B) {
-	l := lab(b)
-	var res eval.PortPopulationResult
-	for i := 0; i < b.N; i++ {
-		res = eval.Figure4(l)
-	}
-	top10 := 0
-	for i := 0; i < 10 && i < len(res.Counts); i++ {
-		top10 += res.Counts[i]
-	}
-	b.ReportMetric(float64(res.DistinctPorts), "distinct_ports")
-	b.ReportMetric(100*float64(top10)/float64(res.TotalServices), "top10_share_%")
-}
-
-func BenchmarkFigure5_SampleSize(b *testing.B) {
-	l := lab(b)
-	var res eval.SampleSizeResult
-	for i := 0; i < b.N; i++ {
-		res = eval.Figure5(l, l.Engines()[1], 300)
-	}
-	for i, n := range res.SampleSizes {
-		if n == 50 || n == 5 {
-			b.ReportMetric(res.StdDev[i], "stddev_n"+itoa(n))
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 5 {
-		return "5"
-	}
-	return "50"
-}
-
-// ---- ablation benches (design choices from DESIGN.md) ----
 
 // ablationUniverse builds a small universe for pipeline ablations.
 func ablationUniverse(seed uint64) (*simnet.Internet, *simclock.Sim) {

@@ -25,6 +25,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// quickLab is the -quick lab configuration; tests swap in a smaller one.
+var quickLab = eval.QuickLabConfig
+
 // run is the whole command: it parses args, renders the selected tables and
 // figures to stdout and progress to stderr, and returns the exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -66,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := eval.DefaultLabConfig()
 	if *quick {
-		cfg = eval.QuickLabConfig()
+		cfg = quickLab()
 	}
 	cfg.Seed = *seed
 

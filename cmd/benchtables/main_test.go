@@ -2,15 +2,23 @@ package main
 
 import (
 	"bytes"
+	"net/netip"
 	"strings"
 	"testing"
+
+	"censysmap/internal/eval"
 )
 
-// TestQuickTable1 renders one table off the quick lab: the selected table
-// goes to stdout alone, progress to stderr.
+// TestQuickTable1 renders one table off the -quick lab, shrunk to a /24
+// warmed up for one simulated day (the tables' shapes are internal/eval's to
+// test): the selected table goes to stdout alone, progress to stderr.
 func TestQuickTable1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the quick lab: a /21 warmed up for 14 simulated days (~20 s)")
+	defer func(orig func() eval.LabConfig) { quickLab = orig }(quickLab)
+	quickLab = func() eval.LabConfig {
+		cfg := eval.QuickLabConfig()
+		cfg.Prefix = netip.MustParsePrefix("10.0.0.0/24")
+		cfg.WarmupDays = 1
+		return cfg
 	}
 	var out, errb bytes.Buffer
 	if code := run([]string{"-quick", "-table", "1"}, &out, &errb); code != 0 {

@@ -366,9 +366,6 @@ func (c *Cluster) Round() int { return c.round }
 // Nodes reports the cluster size.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
-// Alive reports whether node i is up.
-func (c *Cluster) Alive(i int) bool { return c.nodes[i].alive }
-
 // NodeName returns node i's name as surfaced in ServingNodeHeader.
 func (c *Cluster) NodeName(i int) string { return c.nodes[i].name }
 

@@ -10,7 +10,6 @@ import (
 	"censysmap/internal/interro"
 	"censysmap/internal/journal"
 	"censysmap/internal/lookup"
-	"censysmap/internal/predict"
 	"censysmap/internal/search"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
@@ -42,9 +41,6 @@ func (m *Map) Stats() RunStats {
 // Ledger exposes the probe-budget ledger: per-class spent / confirmed /
 // wasted probe targets (the evaluation harness's efficiency input).
 func (m *Map) Ledger() *discovery.Ledger { return m.ledger }
-
-// PredictorStats returns the predictive engine's model-size counters.
-func (m *Map) PredictorStats() predict.Stats { return m.predictor.ModelStats() }
 
 // Search runs a query against the interactive search index.
 func (m *Map) Search(query string) ([]*entity.Host, error) {
@@ -183,9 +179,6 @@ func (m *Map) DiscoveryStats() discovery.Stats { return m.disc.Stats() }
 
 // ActiveBackoffs reports how many /24s discovery is currently backing off.
 func (m *Map) ActiveBackoffs() int { return m.disc.ActiveBackoffs() }
-
-// ScannerRotations reports how many identity rotations discovery performed.
-func (m *Map) ScannerRotations() int { return m.disc.Rotations() }
 
 // InterroDeadlineStats sums the deadline-budget exhaustion counters across
 // every PoP's interrogator.

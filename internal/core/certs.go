@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,13 +44,23 @@ func NewCertStore(roots *x509lite.RootStore) *CertStore {
 	return &CertStore{roots: roots, byFP: make(map[string]*CertRecord)}
 }
 
-// ObserveDER ingests an encoded certificate from the given source.
-func (cs *CertStore) ObserveDER(der []byte, source string, now time.Time) (*CertRecord, error) {
+// ObserveDER ingests an encoded certificate a handshake presented under
+// fingerprint (the SHA-256 of der). The blob is parsed only when the
+// fingerprint is new; a stored certificate just accrues the source.
+func (cs *CertStore) ObserveDER(der []byte, fingerprint, source string, now time.Time) error {
+	cs.mu.Lock()
+	if rec := cs.byFP[fingerprint]; rec != nil {
+		rec.addSource(source)
+		cs.mu.Unlock()
+		return nil
+	}
+	cs.mu.Unlock()
 	cert, err := x509lite.Parse(der)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return cs.Observe(cert, source, now), nil
+	cs.Observe(cert, source, now)
+	return nil
 }
 
 // Observe ingests a parsed certificate: new certificates are validated and
@@ -68,24 +79,17 @@ func (cs *CertStore) Observe(cert *x509lite.Certificate, source string, now time
 		}
 		cs.byFP[fp] = rec
 	}
-	for _, s := range rec.Sources {
-		if s == source {
-			return rec
-		}
-	}
-	rec.Sources = append(rec.Sources, source)
-	sort.Strings(rec.Sources)
+	rec.addSource(source)
 	return rec
 }
 
-// PollCT ingests new CT entries since the given cursor, returning the new
-// cursor.
-func (cs *CertStore) PollCT(log *x509lite.CTLog, cursor uint64, now time.Time) uint64 {
-	entries := log.Entries(cursor, 0)
-	for _, e := range entries {
-		cs.Observe(e.Cert, "ct", now)
+// addSource records source on the certificate once. Callers hold the
+// store's lock.
+func (rec *CertRecord) addSource(source string) {
+	if !slices.Contains(rec.Sources, source) {
+		rec.Sources = append(rec.Sources, source)
+		sort.Strings(rec.Sources)
 	}
-	return cursor + uint64(len(entries))
 }
 
 // RevalidateAll recomputes validation and revocation for every certificate
@@ -112,27 +116,9 @@ func (cs *CertStore) RevalidateAll(crls []*CRLSource, now time.Time) int {
 	return changed
 }
 
-// Get returns the record for a fingerprint, or nil.
-func (cs *CertStore) Get(fingerprint string) *CertRecord {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return cs.byFP[fingerprint]
-}
-
 // Len reports the number of stored certificates.
 func (cs *CertStore) Len() int {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
 	return len(cs.byFP)
-}
-
-// ByStatus counts certificates per validation status.
-func (cs *CertStore) ByStatus() map[x509lite.ValidationStatus]int {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	out := make(map[x509lite.ValidationStatus]int)
-	for _, rec := range cs.byFP {
-		out[rec.Status]++
-	}
-	return out
 }

@@ -14,6 +14,7 @@ import (
 
 	"censysmap/internal/cqrs"
 	"censysmap/internal/discovery"
+	"censysmap/internal/draw"
 	"censysmap/internal/durable"
 	"censysmap/internal/entity"
 	"censysmap/internal/shard"
@@ -98,15 +99,20 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	if err := json.Unmarshal(blob, &sections); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for name := range sections {
-		got = append(got, name)
-	}
-	sort.Strings(got)
 	want := []string{"discovery", "exclusions", "farm_seen", "first_daily", "flagged", "found_per_host",
 		"last_daily", "predictor", "processor", "seeded", "stats", "taken_at", "web_props"}
-	if !reflect.DeepEqual(got, want) {
+	if got := sectionNames(t, blob); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint sections = %v, want %v", got, want)
+	}
+	// (c) Nor a count of the predictor's host ports (its /24 tables), a copy
+	// of the exclusion list, or the web journal's latest events.
+	want = []string{"cooc", "cursor", "evicted", "expand_cursor", "full_cooc", "full_hosts",
+		"full_port_hosts", "host_ports", "suggested"}
+	if got := sectionNames(t, sections["predictor"]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("predictor subsections = %v, want %v", got, want)
+	}
+	if got, want := sectionNames(t, sections["web_props"]), []string{"ct_cursor", "names"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("web_props subsections = %v, want %v", got, want)
 	}
 
 	// (d) And it stays small. The predictor's model and the web-property
@@ -244,6 +250,184 @@ func TestParentCheckpointWithRetriesResumes(t *testing.T) {
 	}
 	if string(again) != string(blob) {
 		t.Fatal("a resume from the checkpoint with a retries section checkpoints differently")
+	}
+}
+
+// sectionNames lists a JSON object's keys, sorted.
+func sectionNames(t *testing.T, raw []byte) []string {
+	t.Helper()
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &sections); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range sections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// withDerivedSections returns m's checkpoint blob in the older shape: the
+// predictor section also carries net24_ports and the topology tree (its /24
+// densities and its copy of the exclusion list), and web_props the current
+// properties and the scan queue.
+func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
+	t.Helper()
+	var cp Checkpoint
+	if err := json.Unmarshal(blob, &cp); err != nil {
+		t.Fatal(err)
+	}
+	type prefixDensity struct {
+		Base     netip.Addr `json:"base"`
+		Hosts    int        `json:"hosts"`
+		Services int        `json:"services"`
+	}
+	net24Ports := map[netip.Addr]map[uint16]int{}
+	leaves := map[netip.Addr]*prefixDensity{}
+	for addr, ports := range cp.Predictor.HostPorts {
+		n24 := draw.Net24(addr)
+		if leaves[n24] == nil {
+			leaves[n24] = &prefixDensity{Base: n24}
+		}
+		leaves[n24].Hosts++
+		leaves[n24].Services += len(ports)
+		for p := range ports {
+			if net24Ports[n24] == nil {
+				net24Ports[n24] = map[uint16]int{}
+			}
+			net24Ports[n24][p]++
+		}
+	}
+	var prefixes []prefixDensity
+	for _, d := range leaves {
+		prefixes = append(prefixes, *d)
+	}
+	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Base.Less(prefixes[j].Base) })
+	excluded := append([]netip.Prefix(nil), m.cfg.Excluded...)
+	for _, ex := range cp.Exclusions {
+		excluded = append(excluded, ex.Prefix.Masked())
+	}
+	var queue []string
+	for _, rec := range cp.WebProps.Names {
+		queue = append(queue, rec.Name)
+	}
+
+	var sections, predictor, webProps map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &sections); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sections["predictor"], &predictor); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(sections["web_props"], &webProps); err != nil {
+		t.Fatal(err)
+	}
+	set := func(section map[string]json.RawMessage, key string, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		section[key] = b
+	}
+	set(predictor, "net24_ports", net24Ports)
+	set(predictor, "topology", map[string]any{"prefixes": prefixes, "excluded": excluded})
+	set(webProps, "props", m.WebProperties().All())
+	set(webProps, "queue", queue)
+	set(sections, "predictor", predictor)
+	set(sections, "web_props", webProps)
+	old, err := json.Marshal(sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return old
+}
+
+// TestParentCheckpointWithDerivedSectionsResumes: checkpoints of the older
+// shape also carry the predictor's /24 tables and topology tree and the web
+// properties and scan queue, all derivable from what the checkpoint and the
+// web journal keep. A map resumed from one ignores them and runs on exactly
+// as the uninterrupted map does.
+func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
+	const before, after = 5 * 24 * time.Hour, 2 * 24 * time.Hour
+	optOut := netip.MustParsePrefix("10.0.2.0/26")
+	start := func() (*Map, Config) {
+		net, cfg := hostileUniverse()
+		m, err := New(cfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run(24 * time.Hour)
+		if _, err := m.AddExclusion(optOut, "ops@example.net"); err != nil {
+			t.Fatal(err)
+		}
+		m.Run(before - 24*time.Hour)
+		return m, cfg
+	}
+	base, _ := start()
+	base.Run(after)
+	base.Stop()
+
+	m, cfg := start()
+	m.Stop()
+	blob, err := json.Marshal(m.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.predictor.PendingReinjections() == 0 || len(m.WebProperties().All()) == 0 {
+		t.Fatalf("vacuous: %d evictions queued, %d web properties",
+			m.predictor.PendingReinjections(), len(m.WebProperties().All()))
+	}
+	old := withDerivedSections(t, m, blob)
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(old, &sections); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range [][2]string{{"predictor", "net24_ports"}, {"predictor", "topology"},
+		{"web_props", "props"}, {"web_props", "queue"}} {
+		var section map[string]json.RawMessage
+		if err := json.Unmarshal(sections[key[0]], &section); err != nil {
+			t.Fatal(err)
+		}
+		if len(section[key[1]]) < 10 {
+			t.Fatalf("old-shaped blob's %s.%s is empty", key[0], key[1])
+		}
+	}
+
+	var cp Checkpoint
+	if err := json.Unmarshal(old, &cp); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(cfg, m.net, m.Durable(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(r.Checkpoint()); err != nil || string(again) != string(blob) {
+		t.Fatalf("a resume from the old-shaped blob checkpoints differently (%v)", err)
+	}
+	r.Run(after)
+	r.Stop()
+	if got, want := servicesDigest(r), servicesDigest(base); got != want {
+		t.Fatalf("resumed dataset digest %.12s, uninterrupted %.12s", got, want)
+	}
+	for what, pair := range map[string][2]any{
+		"predictor state": {r.predictor.State(), base.predictor.State()},
+		"web properties":  {r.WebProperties().All(), base.WebProperties().All()},
+	} {
+		got, err := json.Marshal(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("resumed %s differs from the uninterrupted run's", what)
+		}
 	}
 }
 

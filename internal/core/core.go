@@ -899,11 +899,10 @@ func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.
 			return
 		}
 
-		// Certificates observed in TLS handshakes enter the cert pipeline.
-		if obs.Service != nil && obs.Service.CertSHA256 != "" {
-			if slot := m.net.SlotAt(c.Addr, c.Port, c.Transport); slot != nil && len(slot.Spec.CertDER) > 0 {
-				m.certs.ObserveDER(slot.Spec.CertDER, "scan", now)
-			}
+		// Certificates observed in TLS handshakes enter the cert pipeline; a
+		// blob that does not parse is no certificate to store.
+		if len(obs.CertDER) > 0 {
+			_ = m.certs.ObserveDER(obs.CertDER, obs.Service.CertSHA256, "scan", now)
 		}
 		// Redirects feed web property names; buffered for the serial
 		// post-batch fan-in (the webprop pipeline is order-sensitive).

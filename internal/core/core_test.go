@@ -5,17 +5,20 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 	"weak"
 
+	"censysmap/internal/cqrs"
 	"censysmap/internal/discovery"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
+	"censysmap/internal/x509lite"
 )
 
 // testUniverse is a small, quiet universe for pipeline tests.
@@ -282,6 +285,40 @@ func TestPseudoHostFiltered(t *testing.T) {
 		if r.Addr == addr {
 			t.Fatal("pseudo host services exported")
 		}
+	}
+}
+
+// TestHandshakeCertificateReachesStore: the certificate store files the blob
+// the TLS handshake returned, not the universe's copy of the slot, so a
+// service simnet does not hold (it answered, then went away) still files its
+// certificate. A fingerprint already stored is not parsed again.
+func TestHandshakeCertificateReachesStore(t *testing.T) {
+	net, _ := testUniverse(t)
+	m := testMap(t, net)
+	addr := netip.MustParseAddr("10.0.1.253")
+	if net.HostAt(addr) != nil {
+		t.Fatalf("%v is populated; pick an empty address", addr)
+	}
+	now := m.clock.Now()
+	cert := net.TrustedCA(0).Issue(x509lite.Name{CommonName: "gone.example"}, []string{"gone.example"},
+		7, now.Add(-time.Hour), 90*24*time.Hour)
+	fp := cert.FingerprintSHA256()
+	c := discovery.Candidate{Addr: addr, Port: 8443, Transport: entity.TCP,
+		Method: entity.DetectBackgroundScan, PoP: m.pops[0].Name, Time: now}
+	obs := cqrs.Observation{Addr: addr, Port: c.Port, Transport: c.Transport, Time: now, PoP: c.PoP,
+		Method: c.Method, Success: true, CertDER: cert.Encode(),
+		Service: &entity.Service{Port: c.Port, Transport: c.Transport, Protocol: "HTTP", TLS: true,
+			CertSHA256: fp, Verified: true, Method: c.Method, SourcePoP: c.PoP}}
+	m.apply(m.shardFor(addr), addr.String(), obs, c, now)
+	rec := m.certs.byFP[fp]
+	if rec == nil || rec.Cert.Subject.CommonName != "gone.example" {
+		t.Fatalf("the handshake's certificate did not reach the store: %+v", rec)
+	}
+	if err := m.certs.ObserveDER([]byte("not a certificate"), fp, "ct", now); err != nil {
+		t.Fatalf("a stored fingerprint was parsed again: %v", err)
+	}
+	if !reflect.DeepEqual(rec.Sources, []string{"ct", "scan"}) || m.certs.Len() != 1 {
+		t.Fatalf("sources %v, %d certificates; want [ct scan] on the one", rec.Sources, m.certs.Len())
 	}
 }
 

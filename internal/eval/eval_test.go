@@ -8,12 +8,21 @@ import (
 	"censysmap/internal/engines"
 )
 
-// sharedLab is built once: experiments read it without mutating (except
-// Table5, which gets its own).
-var sharedLab *Lab
+// sharedLab is built once per test process. Experiments read it without
+// mutating it, except Table 5, which injects honeypots and advances the lab
+// by days: it is the lab's last consumer (the last test of the last file that
+// calls lab), and once it has run, lab fails rather than hand out a lab that
+// moved.
+var (
+	sharedLab  *Lab
+	labMutated bool
+)
 
 func lab(t *testing.T) *Lab {
 	t.Helper()
+	if labMutated {
+		t.Fatal("lab called after Table 5 mutated the shared lab; Table 5 must run last")
+	}
 	if sharedLab == nil {
 		l, err := NewLab(QuickLabConfig())
 		if err != nil {
@@ -315,12 +324,10 @@ func TestFigure5ConvergesByFifty(t *testing.T) {
 }
 
 func TestTable5CensysFasterThanShodan(t *testing.T) {
-	// TTD mutates the lab (injects honeypots, advances weeks), so it gets
-	// a private one.
-	l, err := NewLab(QuickLabConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// TTD mutates the lab (injects honeypots, advances days), so it runs on
+	// the shared lab last.
+	l := lab(t)
+	labMutated = true
 	cfg := TTDConfig{Honeypots: 25, StaggerEvery: 8 * time.Hour, ObserveFor: 8 * 24 * time.Hour}
 	res := Table5(l, cfg, []engines.Engine{l.Censys, l.Baselines[0]})
 	if res.OverallMean["censysmap"] <= 0 {

@@ -97,6 +97,7 @@ func (i *Interrogator) Interrogate(cand discovery.Candidate, now time.Time) cqrs
 	}
 	obs.Success = true
 	obs.Service = buildService(cand, res)
+	obs.CertDER = res.CertDER
 	return obs
 }
 
@@ -280,6 +281,7 @@ func applyTLS(res *protocols.Result, info *protocols.TLSInfo) {
 	}
 	res.TLS = true
 	res.CertSHA256 = info.CertSHA256
+	res.CertDER = info.CertDER
 	if res.Attributes == nil {
 		res.Attributes = make(map[string]string)
 	}

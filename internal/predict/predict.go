@@ -30,11 +30,13 @@
 // All model state is commutative counts, so the concurrent Observe calls
 // from interrogation workers produce identical state in any arrival order;
 // Recommend runs serially on the tick coordinator. State/Restore round-trip
-// the whole model through the core checkpoint for crash recovery.
+// the model through the core checkpoint for crash recovery; every count that
+// is a function of the host-port map is rebuilt rather than stored.
 package predict
 
 import (
 	"cmp"
+	"maps"
 	"net/netip"
 	"slices"
 	"sort"
@@ -693,15 +695,16 @@ type EvictedState struct {
 	LastRetry time.Time `json:"last_retry,omitempty"`
 }
 
-// State is the engine's full serializable model state. Map-shaped signals
-// stay maps (their iteration order never reaches output); the cooldown and
+// State is the engine's serializable model state. Map-shaped signals stay
+// maps (their iteration order never reaches output); the cooldown and
 // re-injection books become canonically sorted slices because their struct
-// keys cannot be JSON map keys. The stage-1 priors and the per-/24 host
-// lists are derived views of HostPorts and are rebuilt on Restore.
+// keys cannot be JSON map keys. Everything counted per host — the stage-1
+// priors, the per-/24 host lists and port counts, the topology tree's
+// densities — is a view of HostPorts and is rebuilt on Restore; the exclusion
+// subtrees belong to the engine's owner, which sets them with SetExcluded.
 type State struct {
-	Net24Ports map[netip.Addr]map[uint16]int              `json:"net24_ports,omitempty"`
-	Cooc       map[uint16]map[uint16]int                  `json:"cooc,omitempty"`
-	HostPorts  map[netip.Addr]map[uint16]entity.Transport `json:"host_ports,omitempty"`
+	Cooc      map[uint16]map[uint16]int                  `json:"cooc,omitempty"`
+	HostPorts map[netip.Addr]map[uint16]entity.Transport `json:"host_ports,omitempty"`
 	// FullHosts is the fully scanned sample (sorted); FullCooc/FullPortHosts
 	// are the sample-conditioned co-occurrence counts.
 	FullHosts     []netip.Addr              `json:"full_hosts,omitempty"`
@@ -712,8 +715,15 @@ type State struct {
 	Cursor        int                       `json:"cursor"`
 	// ExpandCursor is the expansion phase's rotation position.
 	ExpandCursor int `json:"expand_cursor"`
-	// Topology is the density-ranked prefix tree.
-	Topology TopologyState `json:"topology"`
+}
+
+// cloneNested deep-copies a map of maps; the result is never nil.
+func cloneNested[K, P comparable, V any](m map[K]map[P]V) map[K]map[P]V {
+	out := make(map[K]map[P]V, len(m))
+	for k, inner := range m {
+		out[k] = maps.Clone(inner)
+	}
+	return out
 }
 
 func lessTarget(a, b Target) bool {
@@ -734,52 +744,15 @@ func (e *Engine) State() State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := State{
-		Net24Ports:   make(map[netip.Addr]map[uint16]int, len(e.net24Ports)),
-		Cooc:         make(map[uint16]map[uint16]int, len(e.cooc)),
-		HostPorts:    make(map[netip.Addr]map[uint16]entity.Transport, len(e.hostPorts)),
+		Cooc:         cloneNested(e.cooc),
+		HostPorts:    cloneNested(e.hostPorts),
 		Cursor:       e.cursor,
 		ExpandCursor: e.expandCursor,
-		Topology:     e.topo.State(),
-	}
-	for k, m := range e.net24Ports {
-		c := make(map[uint16]int, len(m))
-		for p, n := range m {
-			c[p] = n
-		}
-		st.Net24Ports[k] = c
-	}
-	for k, m := range e.cooc {
-		c := make(map[uint16]int, len(m))
-		for p, n := range m {
-			c[p] = n
-		}
-		st.Cooc[k] = c
 	}
 	if len(e.fullHosts) > 0 {
-		st.FullHosts = make([]netip.Addr, 0, len(e.fullHosts))
-		for a := range e.fullHosts {
-			st.FullHosts = append(st.FullHosts, a)
-		}
-		sort.Slice(st.FullHosts, func(i, j int) bool { return st.FullHosts[i].Less(st.FullHosts[j]) })
-		st.FullCooc = make(map[uint16]map[uint16]int, len(e.fullCooc))
-		for k, m := range e.fullCooc {
-			c := make(map[uint16]int, len(m))
-			for p, n := range m {
-				c[p] = n
-			}
-			st.FullCooc[k] = c
-		}
-		st.FullPortHosts = make(map[uint16]int, len(e.fullPortHosts))
-		for p, n := range e.fullPortHosts {
-			st.FullPortHosts[p] = n
-		}
-	}
-	for k, m := range e.hostPorts {
-		c := make(map[uint16]entity.Transport, len(m))
-		for p, t := range m {
-			c[p] = t
-		}
-		st.HostPorts[k] = c
+		st.FullHosts = slices.SortedFunc(maps.Keys(e.fullHosts), netip.Addr.Compare)
+		st.FullCooc = cloneNested(e.fullCooc)
+		st.FullPortHosts = maps.Clone(e.fullPortHosts)
 	}
 	for tgt, at := range e.suggested {
 		st.Suggested = append(st.Suggested, SuggestedEntry{Target: tgt, At: at})
@@ -793,64 +766,47 @@ func (e *Engine) State() State {
 }
 
 // Restore replaces the engine's model with a captured state. The sorted host
-// rotation lists and the stage-1 priors are rebuilt from the host-port map,
-// so the Recommend order matches the engine that produced the state.
+// rotation lists, the stage-1 priors, the per-/24 port counts and the
+// topology densities are rebuilt from the host-port map — hosts never leave
+// it, and an eviction takes back exactly what Observe counted — so the
+// Recommend order matches the engine that produced the state. The exclusion
+// subtrees are left as they are.
 func (e *Engine) Restore(st State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.net24Ports = make(map[netip.Addr]map[uint16]int, len(st.Net24Ports))
-	for k, m := range st.Net24Ports {
-		c := make(map[uint16]int, len(m))
-		for p, n := range m {
-			c[p] = n
-		}
-		e.net24Ports[k] = c
-	}
-	e.cooc = make(map[uint16]map[uint16]int, len(st.Cooc))
-	for k, m := range st.Cooc {
-		c := make(map[uint16]int, len(m))
-		for p, n := range m {
-			c[p] = n
-		}
-		e.cooc[k] = c
-	}
+	e.cooc = cloneNested(st.Cooc)
 	e.fullHosts = make(map[netip.Addr]bool, len(st.FullHosts))
 	for _, a := range st.FullHosts {
 		e.fullHosts[a] = true
 	}
-	e.fullCooc = make(map[uint16]map[uint16]int, len(st.FullCooc))
-	for k, m := range st.FullCooc {
-		c := make(map[uint16]int, len(m))
-		for p, n := range m {
-			c[p] = n
-		}
-		e.fullCooc[k] = c
-	}
+	e.fullCooc = cloneNested(st.FullCooc)
 	e.fullPortHosts = make(map[uint16]int, len(st.FullPortHosts))
-	for p, n := range st.FullPortHosts {
-		e.fullPortHosts[p] = n
-	}
-	e.hostPorts = make(map[netip.Addr]map[uint16]entity.Transport, len(st.HostPorts))
+	maps.Copy(e.fullPortHosts, st.FullPortHosts)
+	e.hostPorts = cloneNested(st.HostPorts)
 	e.portHosts = make(map[uint16]int)
+	e.net24Ports = make(map[netip.Addr]map[uint16]int)
 	e.hosts = e.hosts[:0]
 	e.hosts24 = make(map[netip.Addr][]netip.Addr)
-	for k, m := range st.HostPorts {
-		c := make(map[uint16]entity.Transport, len(m))
-		for p, t := range m {
-			c[p] = t
+	e.topo.clearCounts()
+	for k, ports := range e.hostPorts {
+		n24 := draw.Net24(k)
+		for p := range ports {
 			e.portHosts[p]++
+			n24Ports := e.net24Ports[n24]
+			if n24Ports == nil {
+				n24Ports = make(map[uint16]int)
+				e.net24Ports[n24] = n24Ports
+			}
+			n24Ports[p]++
 		}
-		e.hostPorts[k] = c
 		e.hosts = append(e.hosts, k)
-		if n24 := draw.Net24(k); n24.IsValid() {
-			e.hosts24[n24] = append(e.hosts24[n24], k)
-		}
+		e.hosts24[n24] = append(e.hosts24[n24], k)
+		e.topo.add(n24, 1, len(ports))
 	}
 	sort.Slice(e.hosts, func(i, j int) bool { return e.hosts[i].Less(e.hosts[j]) })
 	for _, members := range e.hosts24 {
 		sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
 	}
-	e.topo.Restore(st.Topology)
 	e.suggested = make(map[Target]time.Time, len(st.Suggested))
 	for _, s := range st.Suggested {
 		e.suggested[s.Target] = s.At

@@ -168,10 +168,11 @@ func TestConditionalOutranksPrior(t *testing.T) {
 	}
 }
 
-// State/Restore must round-trip the full model — including the new topology
-// tree and expansion cursor — and the restored engine must recommend
-// identically.
+// State/Restore must round-trip the full model — the topology tree rebuilt
+// from the host ports, the expansion cursor carried — and the restored
+// engine, given the same exclusions by its owner, must recommend identically.
 func TestStateRoundTripIdenticalRecommendations(t *testing.T) {
+	excluded := []netip.Prefix{pfx("10.1.2.0/24")}
 	build := func() *Engine {
 		e := New(DefaultConfig())
 		for i := 0; i < 12; i++ {
@@ -180,7 +181,7 @@ func TestStateRoundTripIdenticalRecommendations(t *testing.T) {
 			e.Observe(a, 8443, entity.TCP)
 		}
 		e.RecordEvicted(ip("10.1.0.1"), 8443, entity.TCP, t0)
-		e.SetExcluded([]netip.Prefix{pfx("10.1.2.0/24")})
+		e.SetExcluded(excluded)
 		e.Recommend(t0, 40) // advance both cursors and populate cooldowns
 		return e
 	}
@@ -196,6 +197,7 @@ func TestStateRoundTripIdenticalRecommendations(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(DefaultConfig())
+	restored.SetExcluded(excluded)
 	restored.Restore(decoded)
 
 	now := t0.Add(2 * time.Hour)

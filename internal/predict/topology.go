@@ -72,18 +72,25 @@ func (t *Topology) node24(n24 netip.Addr) *prefixNode24 {
 }
 
 // ObserveHost records a newly seen host inside the /24 rooted at n24.
-func (t *Topology) ObserveHost(n24 netip.Addr) {
+func (t *Topology) ObserveHost(n24 netip.Addr) { t.add(n24, 1, 0) }
+
+// ObserveService records a newly confirmed service inside the /24.
+func (t *Topology) ObserveService(n24 netip.Addr) { t.add(n24, 0, 1) }
+
+// add counts hosts and services into the /24's leaf and its /16.
+func (t *Topology) add(n24 netip.Addr, hosts, services int) {
 	leaf := t.node24(n24)
-	leaf.hosts++
-	t.roots[net16of(n24)].hosts++
+	leaf.hosts += hosts
+	leaf.services += services
+	root := t.roots[net16of(n24)]
+	root.hosts += hosts
+	root.services += services
 	t.ranked = nil
 }
 
-// ObserveService records a newly confirmed service inside the /24.
-func (t *Topology) ObserveService(n24 netip.Addr) {
-	leaf := t.node24(n24)
-	leaf.services++
-	t.roots[net16of(n24)].services++
+// clearCounts empties the tree and keeps the exclusion subtrees.
+func (t *Topology) clearCounts() {
+	t.roots = make(map[netip.Addr]*prefixNode16)
 	t.ranked = nil
 }
 
@@ -194,51 +201,4 @@ func (t *Topology) Tracked24s() int {
 		n += len(root.children)
 	}
 	return n
-}
-
-// PrefixDensity is one /24 leaf's serialized density.
-type PrefixDensity struct {
-	Base     netip.Addr `json:"base"`
-	Hosts    int        `json:"hosts"`
-	Services int        `json:"services"`
-}
-
-// TopologyState is the tree's serializable form: /24 leaves only (the /16
-// level is an aggregation and is rebuilt on restore), canonically sorted.
-type TopologyState struct {
-	Prefixes []PrefixDensity `json:"prefixes,omitempty"`
-	Excluded []netip.Prefix  `json:"excluded,omitempty"`
-}
-
-// State captures the tree for checkpointing.
-func (t *Topology) State() TopologyState {
-	st := TopologyState{Excluded: append([]netip.Prefix(nil), t.excluded...)}
-	for _, root := range t.roots {
-		for base, leaf := range root.children {
-			st.Prefixes = append(st.Prefixes, PrefixDensity{
-				Base: base, Hosts: leaf.hosts, Services: leaf.services})
-		}
-	}
-	sort.Slice(st.Prefixes, func(i, j int) bool {
-		return st.Prefixes[i].Base.Less(st.Prefixes[j].Base)
-	})
-	return st
-}
-
-// Restore replaces the tree with a captured state.
-func (t *Topology) Restore(st TopologyState) {
-	t.roots = make(map[netip.Addr]*prefixNode16)
-	for _, pd := range st.Prefixes {
-		n16 := net16of(pd.Base)
-		root := t.roots[n16]
-		if root == nil {
-			root = &prefixNode16{children: make(map[netip.Addr]*prefixNode24)}
-			t.roots[n16] = root
-		}
-		root.children[pd.Base] = &prefixNode24{hosts: pd.Hosts, services: pd.Services}
-		root.hosts += pd.Hosts
-		root.services += pd.Services
-	}
-	t.excluded = append([]netip.Prefix(nil), st.Excluded...)
-	t.ranked = nil
 }

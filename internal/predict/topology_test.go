@@ -1,9 +1,14 @@
 package predict
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/netip"
+	"reflect"
 	"slices"
 	"testing"
+
+	"censysmap/internal/entity"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -116,34 +121,48 @@ func TestTopologyEvictService(t *testing.T) {
 	}
 }
 
+// TestTopologyStateRoundTrip: the tree is not serialized; Engine.Restore
+// rebuilds it, and the per-/24 port counts, from the host-port map. After
+// observations, evictions and an exclusion, the rebuilt tables equal the ones
+// the live engine counted, and so does the ranking once the restored engine's
+// owner has set the same exclusions.
 func TestTopologyStateRoundTrip(t *testing.T) {
-	topo := NewTopology()
-	for i := 0; i < 3; i++ {
-		topo.ObserveHost(ip("10.2.7.0"))
-		topo.ObserveService(ip("10.2.7.0"))
+	live := New(DefaultConfig())
+	for i := 0; i < 12; i++ {
+		a := ip(fmt.Sprintf("10.%d.%d.%d", 1+i%2, i%3, i+1))
+		live.Observe(a, 80, entity.TCP)
+		live.Observe(a, uint16(8000+i%4), entity.TCP)
 	}
-	topo.ObserveHost(ip("10.1.1.0"))
-	topo.ObserveService(ip("10.1.1.0"))
-	topo.SetExcluded([]netip.Prefix{pfx("10.9.0.0/16")})
+	live.Observe(ip("10.1.0.1"), 80, entity.TCP) // a refresh counts nothing
+	live.RecordEvicted(ip("10.1.0.1"), 80, entity.TCP, t0)
+	live.RecordEvicted(ip("10.1.0.1"), 8000, entity.TCP, t0) // a host with no ports left stays
+	live.RecordEvicted(ip("10.2.1.2"), 8001, entity.TCP, t0)
+	excluded := []netip.Prefix{pfx("10.2.2.0/24")}
+	live.SetExcluded(excluded)
 
-	st := topo.State()
-	restored := NewTopology()
+	blob, err := json.Marshal(live.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(DefaultConfig())
+	restored.SetExcluded(excluded)
 	restored.Restore(st)
 
-	a, b := topo.Ranked(), restored.Ranked()
-	if len(a) != len(b) {
-		t.Fatalf("ranked lengths differ: %v vs %v", a, b)
+	if !reflect.DeepEqual(restored.net24Ports, live.net24Ports) {
+		t.Fatalf("rebuilt /24 port counts %v, live %v", restored.net24Ports, live.net24Ports)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ranked[%d] differs: %v vs %v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(restored.topo.roots, live.topo.roots) {
+		t.Fatal("rebuilt topology densities differ from the live tree's")
 	}
-	if restored.Allowed(ip("10.9.3.4")) {
-		t.Fatal("exclusions lost in round trip")
+	if a, b := live.topo.Ranked(), restored.topo.Ranked(); !slices.Equal(a, b) {
+		t.Fatalf("ranked %v, restored %v", a, b)
 	}
-	if restored.Tracked24s() != topo.Tracked24s() {
-		t.Fatal("leaf count differs after round trip")
+	if restored.topo.Allowed(ip("10.2.2.4")) {
+		t.Fatal("restore dropped the owner's exclusions")
 	}
 }
 
@@ -165,7 +184,6 @@ func TestTopologyRankedFollowsEveryMutation(t *testing.T) {
 	check("ObserveHost")
 	topo.ObserveService(ip("10.1.1.0"))
 	check("ObserveService")
-	older := topo.State()
 	topo.ObserveService(ip("10.1.2.0"))
 	topo.ObserveService(ip("10.1.2.0"))
 	check("second ObserveService")
@@ -177,6 +195,8 @@ func TestTopologyRankedFollowsEveryMutation(t *testing.T) {
 	topo.ObserveHost(ip("10.7.0.0"))
 	topo.ObserveService(ip("10.7.0.0"))
 	check("new /16")
-	topo.Restore(older)
-	check("Restore")
+	topo.clearCounts()
+	topo.add(ip("10.1.2.0"), 2, 0)
+	topo.add(ip("10.1.1.0"), 1, 1)
+	check("rebuild")
 }

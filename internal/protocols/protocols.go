@@ -24,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"censysmap/internal/entity"
@@ -54,6 +54,8 @@ type Result struct {
 	TLS bool
 	// CertSHA256 is the fingerprint of the certificate presented, if any.
 	CertSHA256 string
+	// CertDER is the certificate blob the handshake returned, if any.
+	CertDER []byte
 }
 
 // attr sets an attribute, allocating the map lazily and dropping empties.
@@ -124,7 +126,12 @@ type Protocol struct {
 	Fingerprint func(data []byte) bool
 }
 
-var registry = map[string]*Protocol{}
+// The registry is filled by package init and read-only after it: registry
+// indexes it by name, and all holds it sorted by name.
+var (
+	registry = map[string]*Protocol{}
+	all      []*Protocol
+)
 
 // register adds a protocol at package init; duplicate names panic.
 func register(p *Protocol) {
@@ -132,20 +139,18 @@ func register(p *Protocol) {
 		panic(fmt.Sprintf("protocols: duplicate registration of %q", p.Name))
 	}
 	registry[p.Name] = p
+	i, _ := slices.BinarySearchFunc(all, p.Name, func(q *Protocol, name string) int {
+		return strings.Compare(q.Name, name)
+	})
+	all = slices.Insert(all, i, p)
 }
 
 // Lookup returns the protocol registered under name, or nil.
 func Lookup(name string) *Protocol { return registry[name] }
 
-// All returns every registered protocol sorted by name.
-func All() []*Protocol {
-	out := make([]*Protocol, 0, len(registry))
-	for _, p := range registry {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// All returns every registered protocol sorted by name. The slice is shared;
+// callers must not modify it.
+func All() []*Protocol { return all }
 
 // ICSProtocols returns the registered industrial control system protocols.
 func ICSProtocols() []*Protocol {
@@ -158,7 +163,8 @@ func ICSProtocols() []*Protocol {
 	return out
 }
 
-// ForPort returns protocols that list port as a default, TCP first.
+// ForPort returns the transport's protocols that list port as a default,
+// sorted by name.
 func ForPort(port uint16, transport entity.Transport) []*Protocol {
 	var out []*Protocol
 	for _, p := range All() {

@@ -3,8 +3,12 @@ package protocols
 import (
 	"io"
 	"net"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"censysmap/internal/entity"
 )
 
 // recordingConn captures the first server bytes a scanner reads, to feed the
@@ -111,6 +115,55 @@ func TestForPort(t *testing.T) {
 	}
 	if got := ForPort(59999, "tcp"); len(got) != 0 {
 		t.Fatalf("ForPort(59999) = %v", names(got))
+	}
+}
+
+// TestSortedRegistryMatchesBruteForce: All, ForPort and Identify read the
+// registry as sorted once at registration. They must answer as a fresh sort
+// and filter of the registry map would: for every port × transport, and for
+// every protocol's greeting and first scanned bytes plus bytes nobody speaks.
+func TestSortedRegistryMatchesBruteForce(t *testing.T) {
+	var sorted []*Protocol
+	for _, p := range registry {
+		sorted = append(sorted, p)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	if !slices.Equal(All(), sorted) {
+		t.Fatalf("All = %v, want %v", names(All()), names(sorted))
+	}
+	for _, tr := range []entity.Transport{entity.TCP, entity.UDP} {
+		for port := 0; port <= 65535; port++ {
+			var want []*Protocol
+			for _, p := range sorted {
+				if p.Transport == tr && slices.Contains(p.DefaultPorts, uint16(port)) {
+					want = append(want, p)
+				}
+			}
+			if got := ForPort(uint16(port), tr); !slices.Equal(got, want) {
+				t.Fatalf("ForPort(%d/%s) = %v, want %v", port, tr, names(got), names(want))
+			}
+		}
+	}
+
+	inputs := [][]byte{nil, []byte("nothing speaks this\r\n"), {0xff, 0x00, 0x13}}
+	for _, p := range sorted {
+		sess := p.NewSession(defaultSpec(p.Name))
+		inputs = append(inputs, sess.Greeting())
+		rec := &recordingConn{inner: NewSessionConn(sess)}
+		_, _ = p.Scan(rec)
+		inputs = append(inputs, rec.first)
+	}
+	for _, data := range inputs {
+		want := ""
+		for _, p := range sorted {
+			if len(data) > 0 && p.Fingerprint != nil && p.Fingerprint(data) {
+				want = p.Name
+				break
+			}
+		}
+		if got := Identify(data); got != want {
+			t.Fatalf("Identify(%q) = %q, want %q", clip(data), got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package webprop
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -105,51 +106,63 @@ func NewWithJournal(cfg Config, net *simnet.Internet, scanner simnet.Scanner, j 
 func (p *Pipeline) Journal() *journal.Store { return p.journal }
 
 // NameRecord is one tracked name's scheduling state, exported for
-// checkpointing.
+// checkpointing. LastSeen is its property's last successful scan: the one
+// property field an unchanged rescan moves without journaling.
 type NameRecord struct {
 	Name        string    `json:"name"`
 	Sources     []string  `json:"sources"`
 	NextScan    time.Time `json:"next_scan"`
 	FailedSince time.Time `json:"failed_since,omitempty"`
+	LastSeen    time.Time `json:"last_seen,omitzero"`
 }
 
-// State is the pipeline's serializable state: tracked names, current
-// properties, the CT log cursor, and the scan queue (whose order is state —
-// it decides which names each tick's budget reaches).
+// State is the pipeline's serializable state: the tracked names, in scan
+// queue order (the order is state — it decides which names each tick's budget
+// reaches), and the CT log cursor. Between ticks the queue lists every tracked
+// name exactly once: a name leaves the map only during its own scan, which
+// is when it is off the queue. The current properties are the web journal's
+// latest events and are rebuilt from it on Restore.
 type State struct {
-	Names    []NameRecord      `json:"names,omitempty"`
-	Props    []json.RawMessage `json:"props,omitempty"`
-	CTCursor uint64            `json:"ct_cursor"`
-	Queue    []string          `json:"queue,omitempty"`
+	Names    []NameRecord `json:"names,omitempty"`
+	CTCursor uint64       `json:"ct_cursor"`
 }
 
-// State captures the pipeline for checkpointing.
+// State captures the pipeline for checkpointing. Call it between ticks.
 func (p *Pipeline) State() State {
-	st := State{CTCursor: p.ctCursor, Queue: append([]string(nil), p.queue...)}
-	for _, ns := range p.names {
-		rec := NameRecord{Name: ns.name, NextScan: ns.nextScan, FailedSince: ns.failedSince}
+	st := State{CTCursor: p.ctCursor, Names: make([]NameRecord, 0, len(p.queue))}
+	for _, name := range p.queue {
+		ns := p.names[name]
+		rec := NameRecord{Name: name, NextScan: ns.nextScan, FailedSince: ns.failedSince}
 		for src := range ns.sources {
 			rec.Sources = append(rec.Sources, src)
 		}
 		sort.Strings(rec.Sources)
+		if prop := p.state[name]; prop != nil {
+			rec.LastSeen = prop.LastSeen
+		}
 		st.Names = append(st.Names, rec)
-	}
-	sort.Slice(st.Names, func(i, j int) bool { return st.Names[i].Name < st.Names[j].Name })
-	var names []string
-	for name := range p.state {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st.Props = append(st.Props, encodeProp(p.state[name]))
 	}
 	return st
 }
 
-// Restore replaces the pipeline's tracking state with a captured one.
+// Restore replaces the pipeline's tracking state with a captured one, and
+// rebuilds the current properties from the journal: each entity's last
+// event, unless that event removed it.
 func (p *Pipeline) Restore(st State) error {
+	p.state = make(map[string]*entity.WebProperty)
+	for _, id := range p.journal.Entities() {
+		evs := p.journal.Events(id)
+		if len(evs) == 0 || evs[len(evs)-1].Kind == KindRemoved {
+			continue
+		}
+		prop, err := DecodeProperty(evs[len(evs)-1].Payload)
+		if err != nil {
+			return fmt.Errorf("webprop: restore %s: %w", id, err)
+		}
+		p.state[prop.Name] = prop
+	}
 	p.ctCursor = st.CTCursor
-	p.queue = append([]string(nil), st.Queue...)
+	p.queue = make([]string, 0, len(st.Names))
 	p.names = make(map[string]*nameState, len(st.Names))
 	for _, rec := range st.Names {
 		ns := &nameState{name: rec.Name, sources: map[string]bool{},
@@ -158,14 +171,10 @@ func (p *Pipeline) Restore(st State) error {
 			ns.sources[src] = true
 		}
 		p.names[rec.Name] = ns
-	}
-	p.state = make(map[string]*entity.WebProperty, len(st.Props))
-	for _, raw := range st.Props {
-		prop, err := DecodeProperty(raw)
-		if err != nil {
-			return err
+		p.queue = append(p.queue, rec.Name)
+		if prop := p.state[rec.Name]; prop != nil && !rec.LastSeen.IsZero() {
+			prop.LastSeen = rec.LastSeen
 		}
-		p.state[prop.Name] = prop
 	}
 	return nil
 }
@@ -254,9 +263,6 @@ func (p *Pipeline) Tick(now time.Time) int {
 		name := p.queue[0]
 		p.queue = p.queue[1:]
 		ns := p.names[name]
-		if ns == nil {
-			continue
-		}
 		if now.Before(ns.nextScan) {
 			p.queue = append(p.queue, name) // not due yet; recycle
 			continue

@@ -1,6 +1,7 @@
 package webprop
 
 import (
+	"encoding/json"
 	"net/netip"
 	"testing"
 	"time"
@@ -179,6 +180,59 @@ func TestNeverResolvingNameDropped(t *testing.T) {
 	}
 	if p.KnownNames() != 0 {
 		t.Fatalf("ghost name retained: %d names", p.KnownNames())
+	}
+}
+
+// TestRestoreRebuildsPropertiesFromJournal: the checkpointed state holds
+// names and the CT cursor only. A pipeline restored from it over the same
+// journal has the same properties — an evicted one stays gone, and LastSeen,
+// which unchanged rescans move without journaling, comes from the names — and
+// checkpoints the same bytes.
+func TestRestoreRebuildsPropertiesFromJournal(t *testing.T) {
+	p, net, clk := fixture(t)
+	p.PollCT(net.CT, clk.Now())
+	p.Tick(clk.Now())
+	victim := p.All()[0].Name
+	for _, a := range net.WebSites()[victim].Addrs {
+		net.RemoveHost(a)
+	}
+	for d := 0; d < 45; d++ {
+		clk.Advance(24 * time.Hour)
+		p.Tick(clk.Now())
+	}
+	props := p.All()
+	if p.Property(victim) != nil || len(props) == 0 {
+		t.Fatalf("victim still held or no properties left (%d)", len(props))
+	}
+	moved := 0
+	for _, w := range props {
+		evs := p.Journal().Events(w.ID())
+		if w.LastSeen.After(evs[len(evs)-1].Time) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no unchanged rescan moved LastSeen past the journal; the case is vacuous")
+	}
+
+	blob, err := json.Marshal(p.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	r := NewWithJournal(DefaultConfig(), net, scanner, p.Journal())
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(props)
+	if got, _ := json.Marshal(r.All()); string(got) != string(want) {
+		t.Fatalf("restored properties differ:\n got %s\nwant %s", got, want)
+	}
+	if again, _ := json.Marshal(r.State()); string(again) != string(blob) {
+		t.Fatal("restored pipeline checkpoints differently")
 	}
 }
 
