@@ -68,7 +68,8 @@ fsck:
 # build), the byte-level tokenizer (against the FieldsFunc tokenizer), and the
 # simnet path-table differential (a byte-driven probe schedule against the
 # map-keyed model; each input builds a universe, so minimizing is capped by
-# count, not the default 60 s). Seed corpora also run as part of plain
+# count, not the default 60 s), and the cluster's replication wire records
+# (an accepted event re-encodes to its own bytes). Seed corpora also run as part of plain
 # `make test`.
 fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
+	$(GO) test ./internal/cluster/ -fuzz FuzzWireRecord -fuzztime 30s
 	$(GO) test ./internal/cqrs/ -fuzz FuzzPayloadDecode -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzExportCursor -fuzztime 30s

@@ -60,14 +60,15 @@ type Options struct {
 	// Network overrides the synthetic Internet's full configuration; when
 	// set, Universe/Seed/HostDensity are ignored.
 	Network *simnet.Config
-	// Scenario turns on the adversarial scenario pack: a preset name from
-	// simnet.Scenarios() ("honeyfarm", "tarpit", "detector", "churn",
-	// "full") or a scenario string accepted by simnet.ParseScenario
-	// ("honeypot_farms=2,tarpit_rate=0.1"). The hostile overlay applies on
-	// top of Network/Universe generation, and the pipeline's countermeasures
-	// (interrogation deadline budgets, adaptive scan backoff, honeypot
-	// uniformity detection) default on unless Pipeline sets them explicitly
-	// (core.Config.ArmCountermeasures).
+	// Scenario describes the hostile network in simnet.ParseScenario's
+	// syntax: a preset name ("honeyfarm", "tarpit", "detector", "churn",
+	// "full", "mild", "severe"), key=value pairs
+	// ("honeypot_farms=2,tarpit_rate=0.1,fault_loss=0.05"), or a preset
+	// followed by pairs ("severe,seed=7"). It replaces Network's Adversary.
+	// On a hostile substrate (simnet.AdversaryConfig.Enabled) the
+	// pipeline's countermeasures (interrogation deadline budgets, adaptive
+	// scan backoff, honeypot uniformity detection) default on unless
+	// Pipeline sets them explicitly (core.Config.ArmCountermeasures).
 	Scenario string
 	// DisableTelemetry leaves the pipeline uninstrumented. By default a
 	// System carries a telemetry registry and serves GET /v2/metrics.
@@ -102,12 +103,9 @@ func NewSystem(opts Options) (*System, error) {
 		}
 	}
 	if opts.Scenario != "" {
-		adv, ok := simnet.Scenarios()[opts.Scenario]
-		if !ok {
-			var err error
-			if adv, err = simnet.ParseScenario(opts.Scenario); err != nil {
-				return nil, fmt.Errorf("censysmap: %w", err)
-			}
+		adv, err := simnet.ParseScenario(opts.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("censysmap: %w", err)
 		}
 		ncfg.Adversary = adv
 	}

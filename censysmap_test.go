@@ -13,6 +13,7 @@ import (
 	"censysmap/internal/core"
 	"censysmap/internal/discovery"
 	"censysmap/internal/interro"
+	"censysmap/internal/simnet"
 )
 
 // knobs is every value a NewSystem caller can set, one settable leaf per
@@ -72,6 +73,62 @@ func TestKnobSurface(t *testing.T) {
 	if !slices.Equal(got, knobs) {
 		t.Fatalf("knob surface changed (%d knobs, was %d); update knobs:\n%s",
 			len(got), len(knobs), strings.Join(got, "\n"))
+	}
+}
+
+// scenarioKeys is the hostile-network vocabulary: every key of
+// simnet.ParseScenario, in canonical order. Adding or removing a network
+// knob is a one-line diff here.
+var scenarioKeys = []string{
+	"seed",
+	"honeypot_farms",
+	"farm_density",
+	"tarpit_rate",
+	"tarpit_drip_rate",
+	"detector_rate",
+	"detector_threshold",
+	"detector_base_block",
+	"detector_max_block",
+	"banner_churn_rate",
+	"banner_churn_period",
+	"fault_loss",
+	"fault_burst_rate",
+	"fault_burst_loss",
+	"fault_storm_rate",
+	"fault_block_rate",
+	"fault_timeout_rate",
+}
+
+// TestScenarioVocabulary pins the scenario codec's keys: it sets every
+// AdversaryConfig field, encodes, and reads the keys back in order — so a
+// field the codec cannot name fails here too.
+func TestScenarioVocabulary(t *testing.T) {
+	var adv simnet.AdversaryConfig
+	v := reflect.ValueOf(&adv).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		default:
+			t.Fatalf("field %s: kind %v has no scenario syntax", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var got []string
+	for _, pair := range strings.Split(adv.EncodeScenario(), ",") {
+		key, _, _ := strings.Cut(pair, "=")
+		got = append(got, key)
+	}
+	if len(got) != v.NumField() || !slices.Equal(got, scenarioKeys) {
+		t.Fatalf("scenario vocabulary changed (%d keys for %d fields, was %d); update scenarioKeys:\n%s",
+			len(got), v.NumField(), len(scenarioKeys), strings.Join(got, "\n"))
+	}
+	back, err := simnet.ParseScenario(adv.EncodeScenario())
+	if err != nil || back != adv {
+		t.Fatalf("every key set: round trip %+v, %v; want %+v", back, err, adv)
 	}
 }
 
@@ -228,6 +285,21 @@ func TestSystemScenarioOption(t *testing.T) {
 		Scenario: "honeypot_farms=1,banner_churn_rate=0.2",
 	}); err != nil {
 		t.Fatal(err)
+	}
+
+	// A fault preset drops probes on the path and leaves the substrate benign.
+	faulty, err := NewSystem(Options{
+		Universe: netip.MustParsePrefix("10.0.0.0/22"),
+		Scenario: "severe,seed=3",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := faulty.Internet().PathStats(); st[simnet.CauseFaultLoss] == 0 {
+		t.Fatalf("scenario \"severe\" injected no faults: %v", st)
+	}
+	if st := faulty.Internet().AdversaryStats(); st.Farms != 0 || st.TarpitHosts != 0 || st.ChurnHosts != 0 {
+		t.Fatalf("scenario \"severe\" built a hostile universe: %+v", st)
 	}
 
 	// A bad scenario surfaces the parse error instead of a benign run.

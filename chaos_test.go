@@ -2,6 +2,7 @@ package censysmap
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ import (
 	"censysmap/internal/simnet"
 )
 
-// chaosSystem builds a small System with ambient simnet noise off and a mild
-// chaos injector attached — the facade-level version of the internal/chaos
-// lab setup.
+// chaosSystem builds a small System with ambient simnet noise off under the
+// mild fault scenario — the facade-level version of the internal/chaos lab
+// setup.
 func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	t.Helper()
 	ncfg := simnet.DefaultConfig()
@@ -29,14 +30,11 @@ func chaosSystem(t *testing.T, seed uint64) (*System, core.Config) {
 	pcfg.CloudBlocks = 1
 	pcfg.SnapshotEvery = 4
 
-	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: &pcfg})
+	sys, err := NewSystem(Options{Network: &ncfg, Pipeline: &pcfg,
+		Scenario: fmt.Sprintf("mild,seed=%d", seed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seed scan has already run by now (NewSystem starts the pipeline);
-	// both the baseline and the crashed run attach at the same point, so
-	// the comparison stays aligned.
-	sys.Internet().SetFaultInjector(chaos.Mild(seed))
 	return sys, pcfg
 }
 

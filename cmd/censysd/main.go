@@ -103,8 +103,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	predictBudget := fs.Int("predict-budget", 0,
 		"predictive probes per scheduling tick (0 = pipeline default; requires -predict)")
 	scenario := fs.String("scenario", "",
-		"adversarial scenario: a preset ("+strings.Join(simnet.ScenarioNames(), ", ")+
-			") or key=value pairs like honeypot_farms=2,tarpit_rate=0.1 (empty = benign)")
+		"hostile network: a preset ("+strings.Join(simnet.ScenarioNames(), ", ")+
+			"), key=value pairs like honeypot_farms=2,fault_loss=0.05, or a preset then pairs like severe,seed=7 (empty = benign)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -5,8 +5,6 @@ import (
 	"net/netip"
 	"testing"
 	"time"
-
-	"censysmap/internal/simnet"
 )
 
 // adversarialSpec is the Lab spec over a hostile substrate: a honeypot farm,
@@ -16,21 +14,19 @@ import (
 // uniformity filter). One seed names one exact hostile schedule; the usual
 // differential contract must hold unchanged.
 func adversarialSpec(seed uint64, ticks int) RunSpec {
-	spec := Lab(seed, Mild(seed+3), ticks)
+	scenario := preset("mild", seed+7)
+	scenario.HoneypotFarms = 1
+	scenario.TarpitRate = 0.10
+	scenario.TarpitDripRate = 0.5
+	scenario.DetectorRate = 0.5
+	scenario.DetectorThreshold = 40
+	scenario.DetectorBaseBlock = 6 * time.Hour
+	scenario.BannerChurnRate = 0.2
+	scenario.BannerChurnPeriod = 12 * time.Hour
+	spec := Lab(seed, scenario, ticks)
 	prefix := netip.MustParsePrefix("10.40.0.0/22")
 	spec.Prefix = prefix
 	spec.Net.Prefix = prefix
-	spec.Net.Adversary = simnet.AdversaryConfig{
-		Seed:              seed + 7,
-		HoneypotFarms:     1,
-		TarpitRate:        0.10,
-		TarpitDripRate:    0.5,
-		DetectorRate:      0.5,
-		DetectorThreshold: 40,
-		DetectorBaseBlock: 6 * time.Hour,
-		BannerChurnRate:   0.2,
-		BannerChurnPeriod: 12 * time.Hour,
-	}
 	spec.Pipeline.ArmCountermeasures()
 	return spec
 }

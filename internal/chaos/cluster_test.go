@@ -10,13 +10,14 @@ import (
 	"censysmap/internal/cluster"
 	"censysmap/internal/lookup"
 	"censysmap/internal/shard"
+	"censysmap/internal/simnet"
 	"censysmap/internal/telemetry"
 )
 
 // clusterSpec is the Lab universe used by every cluster test: quiet
 // network, 6 journal partitions, 30 ticks (crossing a daily migration).
 func clusterSpec(seed uint64, ticks int) RunSpec {
-	spec := Lab(seed, Config{}, ticks)
+	spec := Lab(seed, simnet.AdversaryConfig{}, ticks)
 	spec.Pipeline.Shards = 6
 	return spec
 }

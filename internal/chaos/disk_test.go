@@ -10,6 +10,7 @@ import (
 	"censysmap/internal/durable"
 	"censysmap/internal/lookup"
 	"censysmap/internal/shard"
+	"censysmap/internal/simnet"
 	"censysmap/internal/telemetry"
 )
 
@@ -22,7 +23,7 @@ const (
 // partitions that a mixed fault schedule can claim distinct partitions for
 // each class.
 func diskSpec(seed uint64) RunSpec {
-	spec := Lab(seed, Config{}, diskTicks)
+	spec := Lab(seed, simnet.AdversaryConfig{}, diskTicks)
 	spec.Pipeline.Shards = 6
 	spec.Pipeline.SnapshotEvery = 2
 	spec.Pipeline.Telemetry = telemetry.New()

@@ -1,3 +1,15 @@
+// Package chaos is the crash-recovery harness for the scanning pipeline: it
+// drives tick-stepped runs over a simulated Internet — quiet, faulty or
+// hostile, as its scenario says — that can be killed at arbitrary ticks and
+// resumed from the journal plus a checkpoint, and compares what they end in.
+//
+// Every fault draw is a pure function of (scenario seed, scanner ID,
+// address or its /24, and either the per-path packet sequence number or a
+// wall-clock window index); see simnet.AdversaryConfig. None depend on
+// goroutine interleaving, shard count, or worker count, so a scenario and
+// its seed name one exact fault schedule: replaying it reproduces the same
+// drops packet-for-packet under any pipeline layout. That is what makes
+// failures found under chaos reproducible from the seed alone.
 package chaos
 
 import (
@@ -14,10 +26,10 @@ import (
 	"censysmap/internal/simnet"
 )
 
-// RunSpec describes one deterministic pipeline run: a simulated universe, a
-// pipeline layout, a fault mix, and a duration in ticks. Two runs of the
-// same spec produce identical datasets; so do two runs differing only in
-// Pipeline.Shards / Pipeline.InterroWorkers.
+// RunSpec describes one deterministic pipeline run: a simulated universe
+// (its scenario included), a pipeline layout, and a duration in ticks. Two
+// runs of the same spec produce identical datasets; so do two runs differing
+// only in Pipeline.Shards / Pipeline.InterroWorkers.
 type RunSpec struct {
 	// Prefix is the simulated universe's address space.
 	Prefix netip.Prefix
@@ -28,16 +40,14 @@ type RunSpec struct {
 	Net *simnet.Config
 	// Pipeline configures the scanning pipeline. Tick must be set.
 	Pipeline core.Config
-	// Fault is the chaos mix; the zero value injects nothing.
-	Fault Config
 	// Ticks is how many pipeline ticks to run.
 	Ticks int
 }
 
-// Lab returns a RunSpec for a small, quiet /23 universe suited to fast
-// chaos tests: simnet ambient noise off so injected faults are the only
-// disturbance.
-func Lab(universeSeed uint64, fault Config, ticks int) RunSpec {
+// Lab returns a RunSpec for a small, quiet /23 universe under scenario,
+// suited to fast chaos tests: simnet ambient noise off so the scenario's
+// faults are the only disturbance.
+func Lab(universeSeed uint64, scenario simnet.AdversaryConfig, ticks int) RunSpec {
 	ncfg := simnet.DefaultConfig()
 	ncfg.Prefix = netip.MustParsePrefix("10.40.0.0/23")
 	ncfg.Seed = universeSeed
@@ -46,6 +56,7 @@ func Lab(universeSeed uint64, fault Config, ticks int) RunSpec {
 	ncfg.BaseLoss = 0
 	ncfg.OutageRate = 0
 	ncfg.GeoblockRate = 0
+	ncfg.Adversary = scenario
 
 	pcfg := core.DefaultConfig()
 	pcfg.CloudBlocks = 1
@@ -56,13 +67,12 @@ func Lab(universeSeed uint64, fault Config, ticks int) RunSpec {
 		UniverseSeed: universeSeed,
 		Net:          &ncfg,
 		Pipeline:     pcfg,
-		Fault:        fault,
 		Ticks:        ticks,
 	}
 }
 
-// Run is a live pipeline mid-flight: the simulated world (fault injector
-// installed), its clock, and the Map.
+// Run is a live pipeline mid-flight: the simulated world, its clock, and the
+// Map.
 type Run struct {
 	Net   *simnet.Internet
 	Clock *simclock.Sim
@@ -86,7 +96,6 @@ func Start(spec RunSpec) (*Run, error) {
 	ncfg.Seed = spec.UniverseSeed
 	clk := simclock.New()
 	net := simnet.New(ncfg, clk)
-	net.SetFaultInjector(spec.Fault)
 	m, err := core.New(spec.Pipeline, net)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // ledger) all ride the checkpoint, so the usual differential contract —
 // crash anywhere, resume, end bit-identical — must hold unchanged.
 func predictiveSpec(seed uint64, ticks int) RunSpec {
-	spec := Lab(seed, Mild(seed+1), ticks)
+	spec := Lab(seed, preset("mild", seed+1), ticks)
 	spec.Pipeline.PredictBudgetPerTick = 600
 	spec.Pipeline.SeedScanFraction = 0.05
 	spec.Pipeline.Excluded = []netip.Prefix{netip.MustParsePrefix("10.40.1.128/25")}

@@ -3,6 +3,8 @@ package chaos
 import (
 	"fmt"
 	"testing"
+
+	"censysmap/internal/simnet"
 )
 
 // TestCrashRecoveryDifferential is the core crash-recovery contract: kill
@@ -14,15 +16,15 @@ import (
 func TestCrashRecoveryDifferential(t *testing.T) {
 	cases := []struct {
 		seed  uint64
-		fault Config
+		fault simnet.AdversaryConfig
 		ticks int
 		crash int
 	}{
-		{seed: 1, fault: Config{}, ticks: 26, crash: 3},
-		{seed: 2, fault: Mild(21), ticks: 26, crash: 7},
-		{seed: 3, fault: Severe(33), ticks: 26, crash: 13},
-		{seed: 4, fault: Mild(44), ticks: 30, crash: 25}, // past the daily refresh
-		{seed: 5, fault: Severe(55), ticks: 26, crash: 19},
+		{seed: 1, fault: simnet.AdversaryConfig{}, ticks: 26, crash: 3},
+		{seed: 2, fault: preset("mild", 21), ticks: 26, crash: 7},
+		{seed: 3, fault: preset("severe", 33), ticks: 26, crash: 13},
+		{seed: 4, fault: preset("mild", 44), ticks: 30, crash: 25}, // past the daily refresh
+		{seed: 5, fault: preset("severe", 55), ticks: 26, crash: 19},
 	}
 	for _, c := range cases {
 		c := c
@@ -55,7 +57,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // journal routing is by entity hash, so this must still converge to the
 // uninterrupted result.
 func TestCrashRecoveryAcrossLayouts(t *testing.T) {
-	spec := Lab(8, Mild(77), 26)
+	spec := Lab(8, preset("mild", 77), 26)
 
 	base := mustComplete(t, spec)
 
@@ -83,7 +85,7 @@ func TestCrashRecoveryAcrossLayouts(t *testing.T) {
 
 // TestDoubleCrash: two crashes in one run — recovery must compose.
 func TestDoubleCrash(t *testing.T) {
-	spec := Lab(9, Severe(66), 26)
+	spec := Lab(9, preset("severe", 66), 26)
 
 	base := mustComplete(t, spec)
 

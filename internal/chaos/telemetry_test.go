@@ -10,7 +10,7 @@ import (
 // telemetrySpec is the Lab spec with telemetry attached: a registry, full
 // tracing (mod 1), and a mild fault mix so the chaos counters move.
 func telemetrySpec(shards, workers int) RunSpec {
-	spec := Lab(77, Mild(9), 30)
+	spec := Lab(77, preset("mild", 9), 30)
 	spec.Pipeline.Shards = shards
 	spec.Pipeline.InterroWorkers = workers
 	spec.Pipeline.Telemetry = telemetry.New()
@@ -157,8 +157,8 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 // tracing must not perturb the pipeline — the instrumented run's external
 // Observation is identical to the uninstrumented run's.
 func TestDifferentialUnchangedByInstrumentation(t *testing.T) {
-	bare := Lab(21, Mild(4), 25)
-	instr := Lab(21, Mild(4), 25)
+	bare := Lab(21, preset("mild", 4), 25)
+	instr := Lab(21, preset("mild", 4), 25)
 	instr.Pipeline.Telemetry = telemetry.New()
 	instr.Pipeline.TraceSample = 1
 

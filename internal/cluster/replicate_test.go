@@ -151,39 +151,26 @@ func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
 // TestWireRecord: ev and ctl records decode to what was encoded and
 // re-encode to the same bytes; anything the encoder would not emit is
 // ErrBadWireRecord, which applyShipment passes up with the replica untouched.
-func TestWireRecord(t *testing.T) {
-	at := time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC)
-	for _, ev := range []journal.Event{
-		{Entity: "10.1.0.1", Seq: 3, Time: at, Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
+// wireEvents and wireTiers are well-formed wire records' contents, edge
+// values included.
+var (
+	wireEvents = []journal.Event{
+		{Entity: "10.1.0.1", Seq: 3, Time: time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC), Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
 		{Entity: "", Seq: 1<<64 - 1, Time: time.Unix(0, -1<<63).UTC(), Kind: ""},
-	} {
-		rec := appendWireEv(nil, ev)
-		tag, got, tiers, err := decodeWire(rec)
-		if err != nil || tag != wireEv || tiers != nil || !reflect.DeepEqual(got, ev) {
-			t.Fatalf("ev round trip: tag %d, %+v, %v, %v; want %+v", tag, got, tiers, err, ev)
-		}
-		if again := appendWireEv(nil, got); !bytes.Equal(again, rec) {
-			t.Fatalf("ev re-encoded to different bytes")
-		}
 	}
-	for _, want := range []map[string]int{{}, {"b": 2, "a": 0, "cert:aa": 1 << 40}} {
-		rec := appendWireCtl(nil, 7, want)
-		tag, _, tiers, err := decodeWire(rec)
-		if err != nil || tag != wireCtl || !reflect.DeepEqual(tiers, want) {
-			t.Fatalf("ctl round trip: tag %d, %v, %v; want %v", tag, tiers, err, want)
-		}
-		if again := appendWireCtl(nil, 7, tiers); !bytes.Equal(again, rec) {
-			t.Fatalf("ctl re-encoded to different bytes")
-		}
-	}
+	wireTiers = []map[string]int{{}, {"b": 2, "a": 0, "cert:aa": 1 << 40}}
+)
 
+// badWireRecords are malformed wire records, each one defect.
+func badWireRecords() map[string][]byte {
+	at := time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC)
 	ev := appendWireEv(nil, journal.Event{Entity: "e", Seq: 1, Time: at, Kind: "k", Payload: []byte("p")})
 	ctl := appendWireCtl(nil, 1, map[string]int{"a": 1, "b": 2})
 	swapped := append([]byte(nil), ctl...)
 	swapped[4], swapped[7] = 'b', 'a' // tag round n | 1 'a' 1 | 1 'b' 2
 	duplicate := append([]byte(nil), ctl...)
 	duplicate[7] = 'a'
-	bad := map[string][]byte{
+	return map[string][]byte{
 		"empty":           {},
 		"unknown tag":     {9},
 		"json envelope":   []byte(`{"t":"ev","e":"10.1.0.1"}`),
@@ -194,7 +181,31 @@ func TestWireRecord(t *testing.T) {
 		"unsorted tiers":  swapped,
 		"duplicate tiers": duplicate,
 	}
-	for name, rec := range bad {
+}
+
+func TestWireRecord(t *testing.T) {
+	for _, ev := range wireEvents {
+		rec := appendWireEv(nil, ev)
+		tag, got, tiers, err := decodeWire(rec)
+		if err != nil || tag != wireEv || tiers != nil || !reflect.DeepEqual(got, ev) {
+			t.Fatalf("ev round trip: tag %d, %+v, %v, %v; want %+v", tag, got, tiers, err, ev)
+		}
+		if again := appendWireEv(nil, got); !bytes.Equal(again, rec) {
+			t.Fatalf("ev re-encoded to different bytes")
+		}
+	}
+	for _, want := range wireTiers {
+		rec := appendWireCtl(nil, 7, want)
+		tag, _, tiers, err := decodeWire(rec)
+		if err != nil || tag != wireCtl || !reflect.DeepEqual(tiers, want) {
+			t.Fatalf("ctl round trip: tag %d, %v, %v; want %v", tag, tiers, err, want)
+		}
+		if again := appendWireCtl(nil, 7, tiers); !bytes.Equal(again, rec) {
+			t.Fatalf("ctl re-encoded to different bytes")
+		}
+	}
+
+	for name, rec := range badWireRecords() {
 		if _, _, _, err := decodeWire(rec); !errors.Is(err, ErrBadWireRecord) {
 			t.Errorf("%s: err = %v, want ErrBadWireRecord", name, err)
 		}
@@ -204,6 +215,30 @@ func TestWireRecord(t *testing.T) {
 			t.Errorf("%s: applyShipment offset %d, err %v", name, off, err)
 		}
 	}
+}
+
+// FuzzWireRecord: decodeWire never panics on any bytes, and every ev record
+// it accepts re-encodes to the identical bytes — an event has one encoding,
+// so a replica's log is byte-for-byte the leader's.
+func FuzzWireRecord(f *testing.F) {
+	for _, ev := range wireEvents {
+		f.Add(appendWireEv(nil, ev))
+	}
+	for _, tiers := range wireTiers {
+		f.Add(appendWireCtl(nil, 7, tiers))
+	}
+	for _, rec := range badWireRecords() {
+		f.Add(rec)
+	}
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		tag, ev, _, err := decodeWire(rec)
+		if err != nil || tag != wireEv {
+			return
+		}
+		if again := appendWireEv(nil, ev); !bytes.Equal(again, rec) {
+			t.Fatalf("ev %+v re-encoded to %x, decoded from %x", ev, again, rec)
+		}
+	})
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -6,12 +6,11 @@ package durable
 // records as sealed segments (immutable, footer-checksummed — the catch-up
 // chain) plus one unsealed tail (the current round's delta); a follower
 // verifies every frame and the footer before applying a single record, so a
-// corrupted ship is detected exactly like a corrupted disk.
+// corrupted ship is detected exactly like a corrupted disk. A ship is
+// records only: each node's applied offset and each lease's epoch are the
+// cluster's own bookkeeping and never cross the wire.
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // BuildSegment frames records as one segment file of the given kind for a
 // partition. Sealed segments carry the footer and are immutable; unsealed
@@ -40,39 +39,4 @@ func DecodeShippedSegment(data []byte, kind SegmentKind, partition uint32) ([][]
 		return nil, fmt.Errorf("%w: shipped partition %d, want %d", ErrBadHeader, scan.Partition, partition)
 	}
 	return DecodeSegment(data)
-}
-
-// ShipState is the per-partition replication bookkeeping nodes exchange
-// during catch-up negotiation: which placement generation the records belong
-// to, the leader lease epoch that produced them, and how many log records the
-// holder has applied. It rides the wire as a single-record sealed KindReplica
-// segment so its integrity is checked like everything else shipped.
-type ShipState struct {
-	Partition  uint32 `json:"partition"`
-	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch"`
-	Applied    uint64 `json:"applied"`
-}
-
-// Encode frames s as a single-record sealed KindReplica segment.
-func (s ShipState) Encode() []byte {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		// ShipState is plain integers; Marshal cannot fail.
-		panic(err)
-	}
-	return buildSingleRecord(KindReplica, s.Partition, payload)
-}
-
-// DecodeShipState reads a ShipState segment produced by Encode.
-func DecodeShipState(data []byte) (ShipState, error) {
-	payload, err := decodeSingleRecord(data, KindReplica)
-	if err != nil {
-		return ShipState{}, err
-	}
-	var s ShipState
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return ShipState{}, fmt.Errorf("durable: ship state payload: %w", err)
-	}
-	return s, nil
 }

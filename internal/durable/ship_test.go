@@ -55,17 +55,3 @@ func TestDecodeShippedSegmentDetectsCorruption(t *testing.T) {
 		t.Fatal("footer-truncated ship decoded cleanly")
 	}
 }
-
-func TestShipStateRoundTrip(t *testing.T) {
-	want := ShipState{Partition: 4, Generation: 7, Epoch: 3, Applied: 129}
-	got, err := DecodeShipState(want.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("round trip = %+v, want %+v", got, want)
-	}
-	if _, err := DecodeShipState([]byte("garbage")); err == nil {
-		t.Fatal("garbage decoded as ship state")
-	}
-}

@@ -112,15 +112,6 @@ func (r AdversarialEngineRow) Coverage() float64 {
 	return float64(r.Services) / float64(r.Truth)
 }
 
-// ChurnFresh is the fraction of churn-host records whose stored fingerprint
-// is from the current churn generation.
-func (r AdversarialEngineRow) ChurnFresh() float64 {
-	if r.ChurnRecords == 0 {
-		return 0
-	}
-	return float64(r.ChurnCurrent) / float64(r.ChurnRecords)
-}
-
 // AdversarialPipelineStats is the core pipeline's countermeasure ledger.
 type AdversarialPipelineStats struct {
 	// HoneypotsFlagged / FarmsFlagged: hosts removed by the uniformity

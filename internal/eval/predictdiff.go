@@ -22,8 +22,8 @@ import (
 // comparison is services found per probe at (approximately) equal footprint,
 // plus precision/recall against ground truth and the daily coverage curve.
 //
-// A wire-level exclusion recorder rides along as a simnet fault injector: it
-// never drops anything, but it counts every L4 probe and interrogation
+// A wire-level exclusion recorder rides along as the simnet path's observer
+// hook: it never drops anything, but it counts every L4 probe and interrogation
 // connection aimed inside an excluded prefix. The exclusion invariant — an
 // excluded subtree can never emit a target — must hold at the wire, not just
 // in the scheduler, so the assertion lives below the whole pipeline.
@@ -91,7 +91,7 @@ func DefaultPredictProfiles() []PredictProfile {
 	}
 }
 
-// exclusionRecorder is a simnet fault injector that drops nothing and counts
+// exclusionRecorder is a simnet path observer that drops nothing and counts
 // wire operations aimed inside excluded prefixes. Name-addressed web-property
 // connections are out of scope: the opt-out policy governs address scanning.
 type exclusionRecorder struct {

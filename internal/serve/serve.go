@@ -60,7 +60,6 @@ const (
 	// partition, the most expensive request per admission slot and the
 	// first to shed.
 	ClassSearch
-	classCount
 )
 
 func (c Class) String() string {

@@ -9,14 +9,17 @@ import (
 	"censysmap/internal/protocols"
 )
 
-// AdversaryConfig turns on the hostile-substrate scenario pack: parts of the
-// synthetic Internet that actively fight the scanner. The zero value is fully
-// benign and leaves universe generation byte-identical to a config without an
-// adversary. All hostile behavior is a pure function of (Config.Seed, Seed,
-// stable identifiers), so one seed is one hostile schedule under any
-// Shards × InterroWorkers layout.
+// AdversaryConfig describes the hostile network: parts of the synthetic
+// Internet that actively fight the scanner (farms, tarpits, detectors,
+// churn) and the fault mix on the path to it (loss, bursts, storms, blocks,
+// timeouts). The zero value is fully benign and leaves universe generation
+// byte-identical to a config without an adversary. All hostile behavior is a
+// pure function of (Config.Seed, Seed, stable identifiers), so one seed is
+// one hostile schedule under any Shards × InterroWorkers layout.
 type AdversaryConfig struct {
 	// Seed perturbs the adversary draws independently of the universe seed.
+	// The fault draws key on it alone, so a fault schedule does not move
+	// with the universe.
 	Seed uint64
 
 	// HoneypotFarms is the number of /24 blocks converted into honeypot
@@ -59,9 +62,31 @@ type AdversaryConfig struct {
 	BannerChurnRate float64
 	// BannerChurnPeriod is the fingerprint rotation period (default 24h).
 	BannerChurnPeriod time.Duration
+
+	// The fault mix: the path chain's injected-fault layer (path.go). All
+	// are probabilities in [0, 1], and none changes the universe.
+	//
+	// FaultLoss is extra uniform per-packet loss, on top of Config.BaseLoss.
+	FaultLoss float64
+	// FaultBurstRate is the probability that a given (scanner, address,
+	// six-hour window) is inside a correlated loss burst; while inside one,
+	// each packet drops with probability FaultBurstLoss.
+	FaultBurstRate float64
+	FaultBurstLoss float64
+	// FaultStormRate is the probability that a given (/24, hour) suffers a
+	// transient outage storm dropping all traffic to the network.
+	FaultStormRate float64
+	// FaultBlockRate is the probability that a given (scanner, /24, day)
+	// blocks the scanner for the whole day, however little it sends.
+	FaultBlockRate float64
+	// FaultTimeoutRate drops interrogation connections only (discovery
+	// probes pass): handshake timeouts after a successful SYN scan.
+	FaultTimeoutRate float64
 }
 
-// Enabled reports whether any hostile behavior is configured.
+// Enabled reports whether the substrate is hostile: whether any farm,
+// tarpit, detector or churn is configured. The fault mix alone leaves the
+// substrate benign.
 func (a AdversaryConfig) Enabled() bool {
 	return a.HoneypotFarms > 0 || a.TarpitRate > 0 || a.DetectorRate > 0 || a.BannerChurnRate > 0
 }

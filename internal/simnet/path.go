@@ -15,7 +15,8 @@ import (
 // are frozen — one seed names one schedule of drops:
 //
 //	active block → rate block → scan detector → (sequence number assigned)
-//	→ injected fault → reputation blocklist → geoblock → outage → path loss
+//	→ (observer hook) → injected fault → reputation blocklist → geoblock
+//	→ outage → path loss
 
 // Cause says which layer of the path dropped a probe; Delivered (zero) means
 // none did. A block's cause counts the probe that tripped it and every probe
@@ -27,7 +28,7 @@ const (
 	Delivered      Cause = iota
 	CauseRateBlock       // over BlockThreshold probes per source IP to the /24 today
 	CauseDetector        // a scan detector's escalating block
-	// The five kinds a FaultInjector may return (internal/chaos draws them).
+	// The five kinds of the injected-fault layer (AdversaryConfig's fault mix).
 	CauseFaultBlock
 	CauseFaultStorm
 	CauseFaultBurst
@@ -65,21 +66,21 @@ const (
 	OpConnectName
 )
 
-// FaultInjector decides whether an otherwise-deliverable probe is dropped,
-// and why. It is consulted once per probe that gets past the blocking
-// layers, immediately after the per-(scanner, addr) sequence number is
-// assigned — so an injected drop consumes a sequence number exactly like
-// natural path loss, and the natural loss draws for subsequent probes are
-// unchanged.
+// FaultInjector is a hook on the path for observers: it sees every probe
+// that gets past the blocking layers, immediately after the per-(scanner,
+// addr) sequence number is assigned and before the injected-fault layer.
+// A drop it returns consumes a sequence number exactly like natural path
+// loss. The network's own faults are AdversaryConfig's fault mix, not a
+// hook.
 //
-// Implementations must be deterministic functions of their own seed and the
-// arguments (never of call interleaving), and safe for concurrent use:
-// parallel interrogation workers probe concurrently.
+// Implementations must be deterministic functions of the arguments (never
+// of call interleaving), and safe for concurrent use: parallel
+// interrogation workers probe concurrently.
 type FaultInjector interface {
 	Drop(sc Scanner, addr netip.Addr, op Op, seq uint64, now time.Time) Cause
 }
 
-// SetFaultInjector installs (or removes, with nil) a fault injector on the
+// SetFaultInjector installs (or removes, with nil) the observer hook on the
 // network path. It must only be called while no probes are in flight —
 // between runs, not mid-tick.
 func (n *Internet) SetFaultInjector(f FaultInjector) { n.fault = f }
@@ -128,6 +129,9 @@ func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) (now time.Time, ok
 	c, seq, idHash := n.blocking(sc, a, op, el)
 	if c == Delivered && n.fault != nil {
 		c = n.fault.Drop(sc, addr, op, seq, now)
+	}
+	if c == Delivered && n.faulty {
+		c = n.cfg.Adversary.injected(idHash, a, op, seq, now)
 	}
 	if c == Delivered {
 		c = n.ambient(sc, idHash, a, seq, el)
@@ -209,6 +213,66 @@ func (n *Internet) blocking(sc Scanner, a uint32, op Op, el time.Duration) (Caus
 	seq := p.seq[uint8(a)]
 	p.seq[uint8(a)] = seq + 1
 	return Delivered, uint64(seq), sp.idHash
+}
+
+// Draw domain tags of the injected-fault layer: each fault kind hashes in its
+// own constant so the draws are independent streams of the same seed.
+const (
+	tagLoss = iota + 0xC4A0
+	tagBurstGate
+	tagBurstPkt
+	tagStorm
+	tagBlock
+	tagTimeout
+)
+
+// hasFaults reports whether the fault mix can drop anything; pathOK skips
+// the layer when it cannot.
+func (f *AdversaryConfig) hasFaults() bool {
+	return f.FaultLoss > 0 || f.FaultBurstRate > 0 && f.FaultBurstLoss > 0 ||
+		f.FaultStormRate > 0 || f.FaultBlockRate > 0 || f.FaultTimeoutRate > 0
+}
+
+// injected is the chain's injected-fault layer: the fault mix as pure draws
+// on (Seed, scanner, address or its /24, and either the sequence number or a
+// clock window). The draws key on the raw Seed and the absolute clock, so a
+// seed names one fault schedule over any universe and any pipeline layout.
+// Widest-scope faults are consulted first so each drop is attributed to the
+// dominant cause. idHash is draw.StrHash of the scanner ID.
+func (f *AdversaryConfig) injected(idHash uint64, addr uint32, op Op, seq uint64, now time.Time) Cause {
+	a := uint64(addr)
+	n24 := a &^ 0xFF
+	unix := uint64(now.Unix())
+	if f.FaultBlockRate > 0 {
+		day := unix / 86400
+		if draw.Frac(draw.Mix(f.Seed, tagBlock, n24, idHash, day)) < f.FaultBlockRate {
+			return CauseFaultBlock
+		}
+	}
+	if f.FaultStormRate > 0 {
+		hour := unix / 3600
+		if draw.Frac(draw.Mix(f.Seed, tagStorm, n24, hour)) < f.FaultStormRate {
+			return CauseFaultStorm
+		}
+	}
+	if f.FaultBurstRate > 0 && f.FaultBurstLoss > 0 {
+		win := unix / (6 * 3600)
+		if draw.Frac(draw.Mix(f.Seed, tagBurstGate, a, idHash, win)) < f.FaultBurstRate &&
+			draw.Frac(draw.Mix(f.Seed, tagBurstPkt, a, seq)) < f.FaultBurstLoss {
+			return CauseFaultBurst
+		}
+	}
+	if f.FaultTimeoutRate > 0 && op == OpConnect {
+		if draw.Frac(draw.Mix(f.Seed, tagTimeout, a, idHash, seq)) < f.FaultTimeoutRate {
+			return CauseFaultTimeout
+		}
+	}
+	if f.FaultLoss > 0 {
+		if draw.Frac(draw.Mix(f.Seed, tagLoss, a, idHash, seq)) < f.FaultLoss {
+			return CauseFaultLoss
+		}
+	}
+	return Delivered
 }
 
 // ambient is the stateless tail of the chain: what the network does to any

@@ -88,19 +88,6 @@ func TestAddHostOutsideUniversePanics(t *testing.T) {
 	}
 }
 
-// everyNth is a FaultInjector that drops every nth probe with a fixed cause.
-type everyNth struct {
-	cause Cause
-	n     uint64
-}
-
-func (f everyNth) Drop(_ Scanner, _ netip.Addr, _ Op, seq uint64, _ time.Time) Cause {
-	if seq%f.n == 0 {
-		return f.cause
-	}
-	return Delivered
-}
-
 // TestEveryCauseReachableAndCounted: each Cause can be the fate of a probe,
 // it is counted under its own name and no other, and the counts add up —
 // every probe that enters the path is either delivered or in PathStats.
@@ -109,33 +96,40 @@ func TestEveryCauseReachableAndCounted(t *testing.T) {
 	local := Scanner{ID: "s", SourceIPs: 1, Country: "US"}
 	cases := map[Cause]struct {
 		scanner Scanner
+		op      Op
 		setup   func(*Config)
 	}{
-		CauseRateBlock:  {local, func(c *Config) { c.BlockThreshold = 20 }},
-		CauseDetector:   {local, func(c *Config) { c.Adversary = AdversaryConfig{DetectorRate: 1, DetectorThreshold: 20} }},
-		CauseReputation: {Scanner{ID: "s", SourceIPs: 1, Country: "US", BlockedFrac: 1}, func(*Config) {}},
-		CauseGeoblock:   {foreign, func(c *Config) { c.GeoblockRate = 1 }},
-		CauseOutage:     {local, func(c *Config) { c.OutageRate = 1 }},
-		CauseLoss:       {local, func(c *Config) { c.BaseLoss = 0.2 }},
+		CauseRateBlock:    {local, OpProbe, func(c *Config) { c.BlockThreshold = 20 }},
+		CauseDetector:     {local, OpProbe, func(c *Config) { c.Adversary = AdversaryConfig{DetectorRate: 1, DetectorThreshold: 20} }},
+		CauseFaultBlock:   {local, OpProbe, func(c *Config) { c.Adversary = AdversaryConfig{FaultBlockRate: 1} }},
+		CauseFaultStorm:   {local, OpProbe, func(c *Config) { c.Adversary = AdversaryConfig{FaultStormRate: 1} }},
+		CauseFaultBurst:   {local, OpProbe, func(c *Config) { c.Adversary = AdversaryConfig{FaultBurstRate: 1, FaultBurstLoss: 0.3} }},
+		CauseFaultTimeout: {local, OpConnect, func(c *Config) { c.Adversary = AdversaryConfig{FaultTimeoutRate: 0.3} }},
+		CauseFaultLoss:    {local, OpProbe, func(c *Config) { c.Adversary = AdversaryConfig{FaultLoss: 0.3} }},
+		CauseReputation:   {Scanner{ID: "s", SourceIPs: 1, Country: "US", BlockedFrac: 1}, OpProbe, func(*Config) {}},
+		CauseGeoblock:     {foreign, OpProbe, func(c *Config) { c.GeoblockRate = 1 }},
+		CauseOutage:       {local, OpProbe, func(c *Config) { c.OutageRate = 1 }},
+		CauseLoss:         {local, OpProbe, func(c *Config) { c.BaseLoss = 0.2 }},
 	}
 	for c := Delivered + 1; c < NumCauses; c++ {
 		tc, ok := cases[c]
-		cfg := quietConfig()
-		var fault FaultInjector
-		if ok {
-			tc.setup(&cfg)
-		} else if c >= CauseFaultBlock && c <= CauseFaultLoss {
-			tc.scanner, fault = local, everyNth{c, 3}
-		} else {
+		if !ok {
 			t.Fatalf("cause %v has no case: add one", c)
 		}
+		cfg := quietConfig()
+		tc.setup(&cfg)
 		n := New(cfg, simclock.New())
-		n.SetFaultInjector(fault)
 		var entered, delivered uint64
 		for round := 0; round < 4; round++ {
 			for _, a := range n.Addrs() {
 				entered++
-				if n.ProbeTCP(tc.scanner, a, 80) != Dropped {
+				var ok bool
+				if tc.op == OpConnect { // Connect's result also says whether port 80 is open
+					_, ok = n.pathOK(tc.scanner, a, OpConnect)
+				} else {
+					ok = n.ProbeTCP(tc.scanner, a, 80) != Dropped
+				}
+				if ok {
 					delivered++
 				}
 			}

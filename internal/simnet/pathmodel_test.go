@@ -25,7 +25,6 @@ type mapModel struct {
 	n      *Internet
 	hosts  map[netip.Addr]*Host
 	paths  map[scanNetKey]*mapPath
-	fault  FaultInjector
 	drops  PathStats
 	probes uint64
 }
@@ -45,7 +44,7 @@ type mapPath struct {
 }
 
 func newMapModel(n *Internet) *mapModel {
-	m := &mapModel{n: n, hosts: map[netip.Addr]*Host{}, paths: map[scanNetKey]*mapPath{}, fault: n.fault}
+	m := &mapModel{n: n, hosts: map[netip.Addr]*Host{}, paths: map[scanNetKey]*mapPath{}}
 	for _, a := range n.Addrs() {
 		m.hosts[a] = n.HostAt(a)
 	}
@@ -125,8 +124,8 @@ func (m *mapModel) pathOK(sc Scanner, addr netip.Addr, op Op) bool {
 	now := m.n.clock.Now()
 	a := draw.AddrU32(addr)
 	c, seq := m.blocking(sc, a, op, now)
-	if c == Delivered && m.fault != nil {
-		c = m.fault.Drop(sc, addr, op, seq, now)
+	if c == Delivered {
+		c = m.n.cfg.Adversary.injected(draw.StrHash(sc.ID), a, op, seq, now)
 	}
 	if c == Delivered {
 		c = m.ambient(sc, a, seq, now)
@@ -228,29 +227,9 @@ func (m *mapModel) detectorBlockEvents(idPrefix string) int {
 	return total
 }
 
-// seededFaults injects every fault kind at a few percent, drawn on the
-// arguments the way internal/chaos's injector is (simnet cannot import it).
-type seededFaults struct{ seed uint64 }
-
-func (f seededFaults) Drop(sc Scanner, addr netip.Addr, op Op, seq uint64, now time.Time) Cause {
-	r := draw.Frac(draw.Mix(f.seed, draw.StrHash(sc.ID), uint64(draw.AddrU32(addr)), uint64(op), seq, uint64(now.Unix()/3600)))
-	switch {
-	case r < 0.01:
-		return CauseFaultBlock
-	case r < 0.02:
-		return CauseFaultStorm
-	case r < 0.03:
-		return CauseFaultBurst
-	case r < 0.04 && op == OpConnect:
-		return CauseFaultTimeout
-	case r < 0.05:
-		return CauseFaultLoss
-	}
-	return Delivered
-}
-
 // diffConfig is a universe where every path layer fires: a low rate
-// threshold with short blocks, scan detectors, geoblocking, outages, loss.
+// threshold with short blocks, scan detectors, every injected fault,
+// geoblocking, outages, loss.
 func diffConfig(prefix string) Config {
 	cfg := DefaultConfig()
 	cfg.Prefix = netip.MustParsePrefix(prefix)
@@ -263,7 +242,9 @@ func diffConfig(prefix string) Config {
 	cfg.BlockThreshold = 40
 	cfg.BlockDuration = 3 * time.Hour
 	cfg.Adversary = AdversaryConfig{Seed: 3, DetectorRate: 0.5, DetectorThreshold: 15,
-		DetectorBaseBlock: 30 * time.Minute, DetectorMaxBlock: 4 * time.Hour}
+		DetectorBaseBlock: 30 * time.Minute, DetectorMaxBlock: 4 * time.Hour,
+		FaultLoss: 0.01, FaultBurstRate: 0.05, FaultBurstLoss: 0.3, FaultStormRate: 0.02,
+		FaultBlockRate: 0.05, FaultTimeoutRate: 0.02}
 	return cfg
 }
 
@@ -278,7 +259,6 @@ type pathDiff struct {
 func newPathDiff(prefix string) *pathDiff {
 	clk := simclock.New()
 	n := New(diffConfig(prefix), clk)
-	n.SetFaultInjector(seededFaults{seed: 11})
 	return &pathDiff{n: n, clk: clk, m: newMapModel(n)}
 }
 

@@ -21,29 +21,37 @@ func TestParseScenarioCompact(t *testing.T) {
 	}
 }
 
-func TestParseScenarioJSON(t *testing.T) {
-	got, err := ParseScenario(`{"honeypot_farms":1,"tarpit_rate":0.5,"detector_base_block":"90m"}`)
-	if err != nil {
-		t.Fatal(err)
+// TestPresetsByName: a preset name parses to its values, and pairs after it
+// override them.
+func TestPresetsByName(t *testing.T) {
+	severe := AdversaryConfig{FaultLoss: 0.12, FaultBurstRate: 0.15, FaultBurstLoss: 0.7,
+		FaultStormRate: 0.03, FaultBlockRate: 0.02, FaultTimeoutRate: 0.08}
+	if got, err := ParseScenario("severe"); err != nil || got != severe {
+		t.Fatalf("severe: %+v, %v", got, err)
 	}
-	want := AdversaryConfig{HoneypotFarms: 1, TarpitRate: 0.5, DetectorBaseBlock: 90 * time.Minute}
-	if got != want {
-		t.Fatalf("got %+v, want %+v", got, want)
+	severe.Seed, severe.FaultLoss = 42, 0.5
+	if got, err := ParseScenario(" severe , seed=42, fault_loss=0.5"); err != nil || got != severe {
+		t.Fatalf("severe with overrides: %+v, %v", got, err)
+	}
+	if _, err := ParseScenario("seed=42,severe"); !errors.Is(err, ErrScenario) {
+		t.Fatalf("a preset after a pair: err = %v, want ErrScenario", err)
 	}
 }
 
 func TestParseScenarioErrors(t *testing.T) {
 	for _, bad := range []string{
-		"tarpit_rate=1.5",            // out of range
-		"tarpit_rate=abc",            // not a number
-		"honeypot_farms=-1",          // negative
-		"no_such_knob=1",             // unknown key
-		"tarpit_rate",                // not key=value
-		"detector_base_block=-5h",    // negative duration
-		`{"no_such_knob":1}`,         // unknown JSON field
-		`{"tarpit_rate":2}`,          // JSON out of range
-		`{"honeypot_farms":1} extra`, // trailing data
-		`{"honeypot_farms":"two"}`,   // wrong type
+		"tarpit_rate=1.5",         // out of range
+		"tarpit_rate=abc",         // not a number
+		"honeypot_farms=-1",       // negative
+		"no_such_knob=1",          // unknown key
+		"tarpit_rate",             // not key=value
+		"detector_base_block=-5h", // negative duration
+		"fault_burst_loss=-0.1",   // fault rates are rates too
+		// JSON is not a scenario syntax.
+		`{"no_such_knob":1}`,
+		`{"tarpit_rate":2}`,
+		`{"honeypot_farms":1} extra`,
+		`{"honeypot_farms":"two"}`,
 	} {
 		if _, err := ParseScenario(bad); !errors.Is(err, ErrScenario) {
 			t.Errorf("ParseScenario(%q): err = %v, want ErrScenario", bad, err)
@@ -73,7 +81,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 func FuzzScenarioDecode(f *testing.F) {
 	f.Add("honeypot_farms=2,tarpit_rate=0.15")
 	f.Add("seed=18446744073709551615,detector_base_block=6h")
-	f.Add(`{"honeypot_farms":1,"banner_churn_period":"12h"}`)
+	f.Add("severe,seed=42,banner_churn_period=12h")
 	f.Add("tarpit_rate=0.9999999999,detector_threshold=2147483647")
 	f.Add("")
 	f.Add("detector_rate=NaN")

@@ -76,9 +76,9 @@ type Config struct {
 	BlockThreshold int
 	// BlockDuration is how long a triggered block lasts.
 	BlockDuration time.Duration
-	// Adversary configures the hostile-substrate scenario pack (honeypot
-	// farms, tarpits, scan detectors, banner churn). The zero value is
-	// fully benign; see AdversaryConfig.
+	// Adversary configures the hostile network (honeypot farms, tarpits,
+	// scan detectors, banner churn, and the fault mix on the path). The
+	// zero value is fully benign; see AdversaryConfig.
 	Adversary AdversaryConfig
 }
 
@@ -125,13 +125,14 @@ type Internet struct {
 
 	// The path model (path.go): one table of per-/24 records per scanner
 	// identity under pathMu (parallel interrogation workers probe
-	// concurrently), the last table a probe used, the optional fault
-	// injector (written only between runs), and the drop counters by Cause,
+	// concurrently), the last table a probe used, the optional observer
+	// hook (written only between runs), and the drop counters by Cause,
 	// striped by address.
 	pathMu   sync.Mutex
 	scanners map[string]*scannerPaths
 	lastScan *scannerPaths
 	fault    FaultInjector
+	faulty   bool // the scenario's fault mix can drop a probe; fixed at New
 	drops    [NumCauses]telemetry.Counter
 
 	// advSeed seeds the adversary draws (adversary.go); fixed at generation.
@@ -210,6 +211,7 @@ func New(cfg Config, clock simclock.Clock) *Internet {
 		webProps: make(map[string]*WebSite),
 		scanners: make(map[string]*scannerPaths),
 		CT:       x509lite.NewCTLog("sim-argon"),
+		faulty:   cfg.Adversary.hasFaults(),
 	}
 	n.buildPKI()
 	n.generateHosts()
