@@ -53,9 +53,9 @@ func TestRepairableFixtureText(t *testing.T) {
 	// rebuilder cannot prove the flipped one and reports it as quarantined;
 	// the other three faults are the repairable classes.
 	for _, want := range []string{
-		"generation 1: 16 records verified; bytes: checkpoint 118 journal 1421\n",
-		"torn_tail    truncated_restored   stores/journal/p0000/seg-000003.seg record 0 offset 16",
-		"checksum     quarantined          stores/journal/p0000/seg-000000.seg record 3",
+		"generation 1: 14 records verified; bytes: checkpoint 118 journal 1297\n",
+		"torn_tail    truncated_restored   stores/journal/p0000/seg-000002.seg record 3 offset 125",
+		"checksum     quarantined          stores/journal/p0000/seg-000000.seg record 2",
 		"stale_current rescanned_generation checkpoint/CURRENT",
 		"checkpoint   fallback_mirror      checkpoint/cp-000001.a record 0",
 		"QUARANTINED  journal partitions [0]",
@@ -83,7 +83,7 @@ func TestQuarantineFixtureJSON(t *testing.T) {
 	}
 	// The byte split sizes what the manifest references: the deleted segment
 	// counts zero, both checkpoint mirrors count.
-	if want := map[string]int64{"journal": 1261, "checkpoint": 118}; !reflect.DeepEqual(rep.Bytes, want) {
+	if want := map[string]int64{"journal": 1106, "checkpoint": 118}; !reflect.DeepEqual(rep.Bytes, want) {
 		t.Errorf("bytes = %v, want %v", rep.Bytes, want)
 	}
 	f := rep.Findings[0]

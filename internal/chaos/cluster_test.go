@@ -15,7 +15,7 @@ import (
 )
 
 // clusterSpec is the Lab universe used by every cluster test: quiet
-// network, 6 journal partitions, 30 ticks (crossing a daily migration).
+// network, 6 journal partitions, 30 ticks (crossing a day boundary).
 func clusterSpec(seed uint64, ticks int) RunSpec {
 	spec := Lab(seed, simnet.AdversaryConfig{}, ticks)
 	spec.Pipeline.Shards = 6

@@ -488,10 +488,9 @@ func primaryCheckpoint(dir string) (string, error) {
 	return rel, nil
 }
 
-// digestPartition hashes one journal partition's durable state — write
-// counters, rows, and both event tiers — in canonical order. Read counters
-// are deliberately excluded: replay-on-resume and observation both move
-// them, and neither is part of the dataset contract.
+// digestPartition hashes one journal partition's durable state — its rows
+// and their events — in canonical order. That is all a partition holds: tier
+// split, sequence state and write counters are functions of the events.
 func digestPartition(d journal.PartitionDump) string {
 	h := sha256.New()
 	var b [8]byte
@@ -499,22 +498,16 @@ func digestPartition(d journal.PartitionDump) string {
 		binary.BigEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	u64(d.Appends)
-	u64(d.Snaps)
 	for _, r := range d.Rows {
 		h.Write([]byte(r.Entity))
 		h.Write([]byte{0})
-		u64(uint64(r.LastSnap))
-		u64(r.NextSeq)
-		u64(uint64(len(r.HDD)))
-		for _, tier := range [][]journal.Event{r.HDD, r.SSD} {
-			for _, ev := range tier {
-				u64(ev.Seq)
-				u64(uint64(ev.Time.UnixNano()))
-				h.Write([]byte(ev.Kind))
-				h.Write(ev.Payload)
-				h.Write([]byte{0})
-			}
+		u64(uint64(len(r.Events)))
+		for _, ev := range r.Events {
+			u64(ev.Seq)
+			u64(uint64(ev.Time.UnixNano()))
+			h.Write([]byte(ev.Kind))
+			h.Write(ev.Payload)
+			h.Write([]byte{0})
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -226,7 +226,7 @@ func TestDiskFaultDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := observeAt(t, diskSpec(tc.seed), diskCrashTick)
-			mod := r.Map.QuarantineModulus()
+			mod := r.Map.Journal().Partitions()
 			if d := DegradedDiff(base, got, wantQuar, mod); d != nil {
 				t.Fatalf("degraded differential failed: %v", d)
 			}

@@ -210,7 +210,7 @@ func (c *Cluster) applyFaults() {
 func (c *Cluster) replicate() error {
 	for p := 0; p < c.parts; p++ {
 		lg := c.logs[p]
-		lg.extract(c.src.DumpPartition(p), c.round)
+		lg.extract(c.src.DumpPartition(p))
 		sealed := lg.seal(c.cfg.SealEvery, uint32(p))
 		c.segmentsSealed += uint64(sealed)
 		c.tel.segmentsSealed.Add(uint64(sealed))

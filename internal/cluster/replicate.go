@@ -2,19 +2,17 @@ package cluster
 
 // Per-partition replication log. Each round the leader diffs the origin
 // journal's partition dump against its per-entity high-water marks and
-// appends the new events — plus, when the origin migrated SSD history to
-// HDD, a control record carrying the authoritative tier split — to an
-// append-only log of wire records. The log ships to replicas as CRC32C
-// sealed segments (PR 5 framing, KindReplica) for catch-up plus a framed
-// unsealed tail for the current round, so a rejoining node replays exactly
-// the bytes a fresh disk recovery would.
+// appends the new events to an append-only log of wire records. The log
+// ships to replicas as CRC32C sealed segments (durable's framing, KindReplica)
+// for catch-up plus a framed unsealed tail for the current round, so a
+// rejoining node replays exactly the bytes a fresh disk recovery would.
+// Events are all that ships: a row's SSD/HDD tier split is a function of
+// its events, so a replica holding the origin's events holds its split.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"censysmap/internal/binrec"
@@ -23,21 +21,16 @@ import (
 )
 
 // A wire record is one replication-log entry: a journal event replicated
-// verbatim, or a round-control record carrying the origin's tier split — the
-// round it closes and each migrated entity's target HDD length, entities
-// strictly ascending.
+// verbatim.
 //
-//	ev  := 0x01 bytes entity | uvarint seq | i64be unix_ns | bytes kind | bytes payload
-//	ctl := 0x02 uvarint round | uvarint n | (bytes entity | uvarint hdd_len){n}
+//	ev := 0x01 bytes entity | uvarint seq | i64be unix_ns | bytes kind | bytes payload
 //
 // Read and written with internal/binrec, so each record has one encoding.
-const (
-	wireEv  byte = 1
-	wireCtl byte = 2
-)
+// Tag 0x02, the tier-split control record of earlier logs, is unknown.
+const wireEv byte = 1
 
 // ErrBadWireRecord marks a replication-log entry that is not a well-formed
-// ev or ctl record.
+// ev record.
 var ErrBadWireRecord = errors.New("cluster: malformed wire record")
 
 func appendWireEv(dst []byte, ev journal.Event) []byte {
@@ -49,45 +42,20 @@ func appendWireEv(dst []byte, ev journal.Event) []byte {
 	return binrec.AppendBytes(dst, ev.Payload)
 }
 
-func appendWireCtl(dst []byte, round int, tiers map[string]int) []byte {
-	dst = append(dst, wireCtl)
-	dst = binary.AppendUvarint(dst, uint64(round))
-	dst = binary.AppendUvarint(dst, uint64(len(tiers)))
-	for _, e := range slices.Sorted(maps.Keys(tiers)) {
-		dst = binrec.AppendBytes(dst, e)
-		dst = binary.AppendUvarint(dst, uint64(tiers[e]))
-	}
-	return dst
-}
-
-// decodeWire strictly decodes one wire record: an event (tiers nil) or a
-// control record's tier split. Times are restored as UTC instants, the
-// simulation clock's representation.
-func decodeWire(b []byte) (tag byte, ev journal.Event, tiers map[string]int, err error) {
+// decodeWire strictly decodes one wire record. Times are restored as UTC
+// instants, the simulation clock's representation.
+func decodeWire(b []byte) (ev journal.Event, err error) {
 	r := binrec.Reader{B: b, Bad: ErrBadWireRecord}
-	switch tag = r.Byte("tag"); tag {
-	case wireEv:
-		ev.Entity = string(r.Bytes("entity"))
-		ev.Seq = r.Uvarint("seq")
-		ev.Time = time.Unix(0, r.Int64BE("ns")).UTC()
-		ev.Kind = string(r.Bytes("kind"))
-		ev.Payload = r.Bytes("payload")
-	case wireCtl:
-		r.Count("round")
-		n := r.Count("tiers")
-		tiers = make(map[string]int)
-		prev := ""
-		for i := 0; i < n && r.Err == nil; i++ {
-			e := string(r.Bytes("tier entity"))
-			if i > 0 && e <= prev {
-				r.Fail("tier entities not strictly ascending")
-			}
-			tiers[e], prev = r.Count("hdd_len"), e
-		}
-	default:
+	if tag := r.Byte("tag"); tag != wireEv {
 		r.Fail(fmt.Sprintf("unknown tag %d", tag))
+		return ev, r.Err
 	}
-	return tag, ev, tiers, r.End()
+	ev.Entity = string(r.Bytes("entity"))
+	ev.Seq = r.Uvarint("seq")
+	ev.Time = time.Unix(0, r.Int64BE("ns")).UTC()
+	ev.Kind = string(r.Bytes("kind"))
+	ev.Payload = r.Bytes("payload")
+	return ev, r.End()
 }
 
 // plog is one partition's replication log.
@@ -95,56 +63,28 @@ type plog struct {
 	records [][]byte // encoded wire records, append-only
 	segs    [][]byte // sealed segments, sealEvery records each
 	sealedN int      // records covered by segs
-	// hw is the extractor's per-entity high-water mark: the next sequence
-	// number not yet extracted (== the row's NextSeq at last extraction).
-	hw map[string]uint64
-	// hddLen tracks each row's HDD length at last extraction; growth means
-	// the origin migrated and the round needs a control record.
-	hddLen map[string]int
+	// hw is the extractor's per-entity high-water mark: the number of the
+	// row's events already extracted (its next sequence number then).
+	hw map[string]int
 	// lastAdded is the record count appended by the most recent extraction,
 	// used to tell a routine round delta from a rejoin catch-up.
 	lastAdded int
 }
 
 func newPlog() *plog {
-	return &plog{hw: make(map[string]uint64), hddLen: make(map[string]int)}
+	return &plog{hw: make(map[string]int)}
 }
 
-// extract appends the origin partition dump's new events (and tier-split
-// control record, if the origin migrated) to the log. Dump rows are sorted
-// by entity, so extraction order — and the log — is deterministic.
-func (lg *plog) extract(d journal.PartitionDump, round int) (added int) {
-	var tiers map[string]int
-	appendEv := func(ev journal.Event) {
-		lg.records = append(lg.records, appendWireEv(nil, ev))
-		added++
-	}
+// extract appends the origin partition dump's new events to the log. Dump
+// rows are sorted by entity, so extraction order — and the log — is
+// deterministic.
+func (lg *plog) extract(d journal.PartitionDump) (added int) {
 	for _, row := range d.Rows {
-		from := lg.hw[row.Entity]
-		// New events are a suffix of the row; they may already straddle
-		// both tiers if the origin migrated them within the round.
-		for _, ev := range row.HDD {
-			if ev.Seq >= from {
-				appendEv(ev)
-			}
+		for _, ev := range row.Events[lg.hw[row.Entity]:] {
+			lg.records = append(lg.records, appendWireEv(nil, ev))
 		}
-		for _, ev := range row.SSD {
-			if ev.Seq >= from {
-				appendEv(ev)
-			}
-		}
-		lg.hw[row.Entity] = row.NextSeq
-		if len(row.HDD) != lg.hddLen[row.Entity] {
-			if tiers == nil {
-				tiers = make(map[string]int)
-			}
-			tiers[row.Entity] = len(row.HDD)
-			lg.hddLen[row.Entity] = len(row.HDD)
-		}
-	}
-	if tiers != nil {
-		lg.records = append(lg.records, appendWireCtl(nil, round, tiers))
-		added++
+		added += len(row.Events) - lg.hw[row.Entity]
+		lg.hw[row.Entity] = len(row.Events)
 	}
 	lg.lastAdded = added
 	return added
@@ -223,16 +163,11 @@ func applyShipment(store *journal.Store, partition int, from int, sh shipment) (
 			partition, sh.Start, from)
 	}
 	for _, rec := range recs[skip:] {
-		tag, ev, tiers, err := decodeWire(rec)
+		ev, err := decodeWire(rec)
 		if err != nil {
 			return from, fmt.Errorf("partition %d: %w", partition, err)
 		}
-		if tag == wireEv {
-			err = store.ApplyReplicated(ev)
-		} else {
-			_, err = store.SyncTierSplit(partition, tiers)
-		}
-		if err != nil {
+		if err := store.ApplyReplicated(ev); err != nil {
 			return from, err
 		}
 		from++

@@ -12,7 +12,8 @@ import (
 )
 
 // fillOrigin appends rounds of events for a few entities starting at round
-// offset `from`, migrating halfway.
+// offset `from`; every third round is a snapshot, so the origin's HDD tier
+// grows within the rounds a single extraction covers.
 func fillOrigin(t *testing.T, origin *journal.Store, from, rounds int) {
 	t.Helper()
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(from) * time.Hour)
@@ -27,22 +28,31 @@ func fillOrigin(t *testing.T, origin *journal.Store, from, rounds int) {
 				t.Fatal(err)
 			}
 		}
-		if r == rounds/2 {
-			origin.Migrate()
-		}
+	}
+}
+
+// assertReplicaMatches requires replica to hold origin's partition 0
+// exactly: the same dump and the same Stats, tier fields included.
+func assertReplicaMatches(t *testing.T, name string, origin, replica *journal.Store) {
+	t.Helper()
+	if od, rd := origin.DumpPartition(0), replica.DumpPartition(0); !reflect.DeepEqual(od, rd) {
+		t.Fatalf("%s diverged from the origin:\n origin  %+v\n replica %+v", name, od, rd)
+	}
+	if os, rs := origin.Stats(), replica.Stats(); os != rs {
+		t.Fatalf("%s stats diverged: %+v vs %+v", name, os, rs)
 	}
 }
 
 // TestPlogShipApplyRoundTrip: extract → seal → ship → apply reproduces the
-// origin partition on a replica, for both a tail-following replica and one
-// catching up from offset zero through sealed segments.
+// origin partition on a replica — events, tier split and counters — for
+// both a tail-following replica and one catching up from offset zero
+// through sealed segments, across rounds whose snapshots land mid-round.
 func TestPlogShipApplyRoundTrip(t *testing.T) {
 	origin := journal.NewStore()
 	lg := newPlog()
 
-	// Two extraction rounds with a mid-round migrate in the first.
 	fillOrigin(t, origin, 0, 8)
-	lg.extract(origin.DumpPartition(0), 1)
+	lg.extract(origin.DumpPartition(0))
 	lg.seal(4, 0)
 	follower := journal.NewStore()
 	off, err := applyShipment(follower, 0, 0, lg.ship(0, 4))
@@ -52,12 +62,15 @@ func TestPlogShipApplyRoundTrip(t *testing.T) {
 	if off != len(lg.records) {
 		t.Fatalf("follower applied %d of %d", off, len(lg.records))
 	}
+	assertReplicaMatches(t, "follower after round 1", origin, follower)
+	hddBefore := origin.Stats().HDDEvents
 
 	fillOrigin(t, origin, 8, 5)
-	origin.Migrate()
-	added := lg.extract(origin.DumpPartition(0), 2)
-	if added == 0 {
-		t.Fatal("second round extracted nothing")
+	if added := lg.extract(origin.DumpPartition(0)); added != 15 {
+		t.Fatalf("second round extracted %d events, want 15", added)
+	}
+	if origin.Stats().HDDEvents <= hddBefore {
+		t.Fatal("second round's snapshots did not grow the HDD tier")
 	}
 	lg.seal(4, 0)
 
@@ -79,21 +92,8 @@ func TestPlogShipApplyRoundTrip(t *testing.T) {
 	if coldOff != off {
 		t.Fatalf("cold replica at %d, tail follower at %d", coldOff, off)
 	}
-
-	od := origin.DumpPartition(0)
-	for _, replica := range []*journal.Store{follower, cold} {
-		rd := replica.DumpPartition(0)
-		if len(od.Rows) != len(rd.Rows) || od.Appends != rd.Appends || od.Snaps != rd.Snaps {
-			t.Fatalf("replica counters diverged: %+v vs %+v", od, rd)
-		}
-		for i := range od.Rows {
-			o, r := od.Rows[i], rd.Rows[i]
-			if o.Entity != r.Entity || o.LastSnap != r.LastSnap || o.NextSeq != r.NextSeq ||
-				len(o.HDD) != len(r.HDD) || len(o.SSD) != len(r.SSD) {
-				t.Fatalf("row %s diverged: %+v vs %+v", o.Entity, o, r)
-			}
-		}
-	}
+	assertReplicaMatches(t, "follower", origin, follower)
+	assertReplicaMatches(t, "cold replica", origin, cold)
 }
 
 // TestPlogMidSegmentResume: a replica whose offset lands inside a sealed
@@ -102,7 +102,7 @@ func TestPlogMidSegmentResume(t *testing.T) {
 	origin := journal.NewStore()
 	lg := newPlog()
 	fillOrigin(t, origin, 0, 10)
-	lg.extract(origin.DumpPartition(0), 1)
+	lg.extract(origin.DumpPartition(0))
 	lg.seal(4, 0)
 	if lg.sealedN == 0 {
 		t.Fatal("nothing sealed")
@@ -130,7 +130,7 @@ func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
 	origin := journal.NewStore()
 	lg := newPlog()
 	fillOrigin(t, origin, 0, 10)
-	lg.extract(origin.DumpPartition(0), 1)
+	lg.extract(origin.DumpPartition(0))
 	lg.seal(4, 0)
 	sh := lg.ship(0, 4)
 	bad := make([][]byte, len(sh.Segments))
@@ -148,65 +148,77 @@ func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestWireRecord: ev and ctl records decode to what was encoded and
-// re-encode to the same bytes; anything the encoder would not emit is
-// ErrBadWireRecord, which applyShipment passes up with the replica untouched.
-// wireEvents and wireTiers are well-formed wire records' contents, edge
-// values included.
-var (
-	wireEvents = []journal.Event{
-		{Entity: "10.1.0.1", Seq: 3, Time: time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC), Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
-		{Entity: "", Seq: 1<<64 - 1, Time: time.Unix(0, -1<<63).UTC(), Kind: ""},
+// TestApplyShipmentRefusesUncoveredOffset: a shipment that starts past the
+// replica's offset, or ends before it, cannot bring the replica forward and
+// is refused with the replica untouched.
+func TestApplyShipmentRefusesUncoveredOffset(t *testing.T) {
+	origin := journal.NewStore()
+	lg := newPlog()
+	fillOrigin(t, origin, 0, 4)
+	lg.extract(origin.DumpPartition(0))
+	for _, tc := range []struct {
+		name string
+		from int
+		sh   shipment
+	}{
+		{"starts past the offset", 0, shipment{Start: 2, Tail: lg.records[2:]}},
+		{"ends before the offset", len(lg.records) + 1, lg.ship(0, 4)},
+	} {
+		replica := journal.NewStore()
+		off, err := applyShipment(replica, 0, tc.from, tc.sh)
+		if err == nil || !strings.Contains(err.Error(), "does not cover offset") {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		if off != tc.from || len(replica.Entities()) != 0 {
+			t.Fatalf("%s: offset %d, %d rows", tc.name, off, len(replica.Entities()))
+		}
 	}
-	wireTiers = []map[string]int{{}, {"b": 2, "a": 0, "cert:aa": 1 << 40}}
-)
+}
+
+// TestWireRecord: ev records decode to what was encoded and re-encode to
+// the same bytes; anything the encoder would not emit — including the
+// tier-split control records earlier logs carried under tag 0x02 — is
+// ErrBadWireRecord, which applyShipment passes up with the replica
+// untouched. wireEvents are well-formed records' contents, edge values
+// included.
+var wireEvents = []journal.Event{
+	{Entity: "10.1.0.1", Seq: 3, Time: time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC), Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
+	{Entity: "", Seq: 1<<64 - 1, Time: time.Unix(0, -1<<63).UTC(), Kind: ""},
+}
 
 // badWireRecords are malformed wire records, each one defect.
 func badWireRecords() map[string][]byte {
 	at := time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC)
 	ev := appendWireEv(nil, journal.Event{Entity: "e", Seq: 1, Time: at, Kind: "k", Payload: []byte("p")})
-	ctl := appendWireCtl(nil, 1, map[string]int{"a": 1, "b": 2})
-	swapped := append([]byte(nil), ctl...)
-	swapped[4], swapped[7] = 'b', 'a' // tag round n | 1 'a' 1 | 1 'b' 2
-	duplicate := append([]byte(nil), ctl...)
-	duplicate[7] = 'a'
 	return map[string][]byte{
-		"empty":           {},
-		"unknown tag":     {9},
-		"json envelope":   []byte(`{"t":"ev","e":"10.1.0.1"}`),
-		"truncated ev":    ev[:len(ev)-1],
-		"trailing byte":   append(append([]byte(nil), ev...), 0),
-		"padded varint":   {wireCtl, 0x80, 0x00, 0},
-		"tier overcount":  append([]byte{wireCtl, 1, 3}, ctl[3:]...),
-		"unsorted tiers":  swapped,
-		"duplicate tiers": duplicate,
+		"empty":            {},
+		"unknown tag":      {9},
+		"json envelope":    []byte(`{"t":"ev","e":"10.1.0.1"}`),
+		"truncated ev":     ev[:len(ev)-1],
+		"trailing byte":    append(append([]byte(nil), ev...), 0),
+		"padded varint":    append([]byte{wireEv, 0x80, 0x00}, ev[2:]...),
+		"entity past end":  {wireEv, 5, 'a'},
+		"old empty ctl":    {2, 7, 0},                       // round 7, no tiers
+		"old ctl":          {2, 7, 2, 1, 'a', 0, 1, 'b', 2}, // round 7, a→0, b→2
+		"old ctl overflow": {2, 1, 3, 1, 'a', 1, 1, 'b', 2}, // declares 3 tiers, holds 2
+		"old ctl unsorted": {2, 1, 2, 1, 'b', 1, 1, 'a', 2}, // entities out of order
 	}
 }
 
 func TestWireRecord(t *testing.T) {
 	for _, ev := range wireEvents {
 		rec := appendWireEv(nil, ev)
-		tag, got, tiers, err := decodeWire(rec)
-		if err != nil || tag != wireEv || tiers != nil || !reflect.DeepEqual(got, ev) {
-			t.Fatalf("ev round trip: tag %d, %+v, %v, %v; want %+v", tag, got, tiers, err, ev)
+		got, err := decodeWire(rec)
+		if err != nil || !reflect.DeepEqual(got, ev) {
+			t.Fatalf("ev round trip: %+v, %v; want %+v", got, err, ev)
 		}
 		if again := appendWireEv(nil, got); !bytes.Equal(again, rec) {
 			t.Fatalf("ev re-encoded to different bytes")
 		}
 	}
-	for _, want := range wireTiers {
-		rec := appendWireCtl(nil, 7, want)
-		tag, _, tiers, err := decodeWire(rec)
-		if err != nil || tag != wireCtl || !reflect.DeepEqual(tiers, want) {
-			t.Fatalf("ctl round trip: tag %d, %v, %v; want %v", tag, tiers, err, want)
-		}
-		if again := appendWireCtl(nil, 7, tiers); !bytes.Equal(again, rec) {
-			t.Fatalf("ctl re-encoded to different bytes")
-		}
-	}
 
 	for name, rec := range badWireRecords() {
-		if _, _, _, err := decodeWire(rec); !errors.Is(err, ErrBadWireRecord) {
+		if _, err := decodeWire(rec); !errors.Is(err, ErrBadWireRecord) {
 			t.Errorf("%s: err = %v, want ErrBadWireRecord", name, err)
 		}
 		replica := journal.NewStore()
@@ -217,22 +229,19 @@ func TestWireRecord(t *testing.T) {
 	}
 }
 
-// FuzzWireRecord: decodeWire never panics on any bytes, and every ev record
-// it accepts re-encodes to the identical bytes — an event has one encoding,
-// so a replica's log is byte-for-byte the leader's.
+// FuzzWireRecord: decodeWire never panics on any bytes, and every record it
+// accepts re-encodes to the identical bytes — an event has one encoding, so
+// a replica's log is byte-for-byte the leader's.
 func FuzzWireRecord(f *testing.F) {
 	for _, ev := range wireEvents {
 		f.Add(appendWireEv(nil, ev))
-	}
-	for _, tiers := range wireTiers {
-		f.Add(appendWireCtl(nil, 7, tiers))
 	}
 	for _, rec := range badWireRecords() {
 		f.Add(rec)
 	}
 	f.Fuzz(func(t *testing.T, rec []byte) {
-		tag, ev, _, err := decodeWire(rec)
-		if err != nil || tag != wireEv {
+		ev, err := decodeWire(rec)
+		if err != nil {
 			return
 		}
 		if again := appendWireEv(nil, ev); !bytes.Equal(again, rec) {

@@ -231,12 +231,12 @@ func (m *Map) restore(cp *Checkpoint) error {
 // quarantinedAddr reports whether addr belongs to a quarantined journal
 // partition (degraded mode only; always false on a healthy map).
 func (m *Map) quarantinedAddr(addr netip.Addr) bool {
-	return m.quarParts != nil && m.quarParts[shard.Of(addr.String(), m.quarMod)]
+	return m.quarParts != nil && m.quarantinedID(addr.String())
 }
 
 // quarantinedID is quarantinedAddr for raw entity IDs.
 func (m *Map) quarantinedID(id string) bool {
-	return m.quarParts != nil && m.quarParts[shard.Of(id, m.quarMod)]
+	return m.quarParts != nil && m.quarParts[shard.Of(id, m.Journal().Partitions())]
 }
 
 // Degraded reports whether the Map is serving in degraded mode.
@@ -244,7 +244,7 @@ func (m *Map) Degraded() bool { return len(m.quarParts) > 0 }
 
 // QuarantinedPartitions returns the quarantined journal partitions in
 // ascending order (nil on a healthy map). Indices are relative to the
-// journal's partition count, which QuarantineModulus reports.
+// journal's partition count.
 func (m *Map) QuarantinedPartitions() []int {
 	if len(m.quarParts) == 0 {
 		return nil
@@ -256,6 +256,3 @@ func (m *Map) QuarantinedPartitions() []int {
 	sort.Ints(out)
 	return out
 }
-
-// QuarantineModulus reports the partition space Quarantined indices live in.
-func (m *Map) QuarantineModulus() int { return m.quarMod }

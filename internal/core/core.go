@@ -285,11 +285,10 @@ type Map struct {
 	farmSeen map[farmKey]map[netip.Addr]bool
 
 	// Degraded-mode state: quarParts marks journal partitions the storage
-	// engine could not recover (indices modulo quarMod, the journal's
-	// partition count). Writes for their address slice are fenced and their
-	// read models purged; both maps are nil on a healthy Map.
+	// engine could not recover (indices modulo the journal's partition
+	// count). Writes for their address slice are fenced and their read
+	// models purged; the map is nil on a healthy Map.
 	quarParts map[int]bool
-	quarMod   int
 	// storageMetrics are the storage engine's recovery counters
 	// (censys_storage_*), zero-valued on a fresh Map so the metric family
 	// is present — and provably zero — on healthy runs.
@@ -430,11 +429,10 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		if len(d.Quarantined) > 0 {
 			// Quarantine indices live in the on-disk journal's partition
 			// space, which survives layout-changing resumes unchanged.
-			m.quarMod = j.Partitions()
 			m.quarParts = make(map[int]bool, len(d.Quarantined))
 			for _, p := range d.Quarantined {
-				if p < 0 || p >= m.quarMod {
-					return nil, fmt.Errorf("core: resume: quarantined partition %d outside journal's %d partitions", p, m.quarMod)
+				if p < 0 || p >= j.Partitions() {
+					return nil, fmt.Errorf("core: resume: quarantined partition %d outside journal's %d partitions", p, j.Partitions())
 				}
 				m.quarParts[p] = true
 			}
@@ -468,9 +466,9 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		// Purge the carried index of quarantined entities: it stripes by the
 		// same hash over the same partition count as the journal, so the
 		// purge is a whole-partition drop.
-		if m.index.Partitions() != m.quarMod {
+		if m.index.Partitions() != j.Partitions() {
 			return nil, fmt.Errorf("core: resume: index has %d partitions, journal %d; cannot align quarantine",
-				m.index.Partitions(), m.quarMod)
+				m.index.Partitions(), j.Partitions())
 		}
 		for _, p := range m.QuarantinedPartitions() {
 			m.index.DropPartition(p)
@@ -483,7 +481,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	m.lookupSvc = lookup.New(m.reader, m.certIdx, clk)
 	m.lookupSvc.AttachSearch(m.index)
 	if m.quarParts != nil {
-		m.lookupSvc.SetDegraded(m.QuarantinedPartitions(), m.quarMod)
+		m.lookupSvc.SetDegraded(m.QuarantinedPartitions(), j.Partitions())
 	}
 
 	// Prediction & re-injection. The predictor's topology shares the
@@ -707,12 +705,11 @@ func (m *Map) Tick(now time.Time) {
 	// Async event processing (read models, cert index, follow-ups).
 	m.processor.Drain()
 
-	// Daily housekeeping: cert revalidation, journal tier migration, and
-	// the daily analytics snapshot (§5.3's BigQuery export).
+	// Daily housekeeping: cert revalidation and the daily analytics
+	// snapshot (§5.3's BigQuery export).
 	if now.Sub(m.lastDaily) >= dailyEvery {
 		m.lastDaily = now
 		m.certs.RevalidateAll(m.crls(), now)
-		m.processor.Journal().Migrate()
 		m.snapshotDaily(now)
 	}
 }

@@ -14,10 +14,8 @@ import (
 // TestSaveDurableIncrementalRoundTrip saves a live map twice with
 // Incremental set — a quarter day apart — and requires the stitched
 // mixed-generation store to load back with row content identical to the
-// live journals and a checkpoint blob equal to a fresh Checkpoint. Row
-// content (not read counters) is the comparison: reused partitions persist
-// the counters as of their last rewrite, which is outside the bit-identity
-// contract exactly as in the chaos digests.
+// live journals — dumps and Stats, tier split included — and a checkpoint
+// blob equal to a fresh Checkpoint.
 func TestSaveDurableIncrementalRoundTrip(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
@@ -59,11 +57,12 @@ func TestSaveDurableIncrementalRoundTrip(t *testing.T) {
 			t.Fatalf("%s: partition count %d, want %d", ns.Name, got.Partitions(), ns.Store.Partitions())
 		}
 		for pi := 0; pi < ns.Store.Partitions(); pi++ {
-			lr := ns.Store.DumpPartition(pi).Rows
-			gr := got.DumpPartition(pi).Rows
-			if !reflect.DeepEqual(lr, gr) {
+			if !reflect.DeepEqual(ns.Store.DumpPartition(pi), got.DumpPartition(pi)) {
 				t.Fatalf("%s p%d: recovered rows differ from live journal", ns.Name, pi)
 			}
+		}
+		if ls, gs := ns.Store.Stats(), got.Stats(); ls != gs {
+			t.Fatalf("%s: recovered stats %+v, live %+v", ns.Name, gs, ls)
 		}
 	}
 

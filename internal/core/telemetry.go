@@ -268,9 +268,9 @@ func (m *Map) attachTelemetry() {
 
 	// Journal tiering, aggregated (per-partition counters are registered by
 	// the processor's AttachTelemetry).
-	reg.GaugeFunc("censys_journal_ssd_events", "events resident on the SSD tier", nil,
+	reg.GaugeFunc("censys_journal_ssd_events", "events on the SSD tier: each row's newest snapshot onward, or the whole row before its first", nil,
 		func() float64 { return float64(m.processor.Journal().Stats().SSDEvents) })
-	reg.GaugeFunc("censys_journal_hdd_events", "events migrated to the HDD tier", nil,
+	reg.GaugeFunc("censys_journal_hdd_events", "events on the HDD tier: each row's history before its newest snapshot", nil,
 		func() float64 { return float64(m.processor.Journal().Stats().HDDEvents) })
 
 	// Paper-metric gauges (§5): freshness, coverage, dataset size. These walk

@@ -7,28 +7,17 @@ import (
 )
 
 // A journal partition serializes to a flat record stream (record.go has the
-// byte grammar):
-//
-//	record 0:  meta           partition access counters
-//	then, per row in sorted entity order:
-//	           row            row header (entity, counts, bookkeeping)
-//	           ev × N         the row's events, HDD tier then SSD tier
+// byte grammar): per row in sorted entity order, a row record (entity and
+// event count) followed by the row's events, event i carrying seq i. An
+// empty partition is an empty stream.
 
 // encodePartition flattens one partition dump into record payloads.
 func encodePartition(d journal.PartitionDump) [][]byte {
-	out := make([][]byte, 0, 1+2*len(d.Rows))
-	out = append(out, appendMeta(nil, MetaRecord{
-		SSDReads: d.SSDReads, HDDReads: d.HDDReads, Appends: d.Appends, Snaps: d.Snaps,
-	}))
+	out := make([][]byte, 0, 2*len(d.Rows))
 	for _, r := range d.Rows {
-		out = append(out, appendRow(nil, RowRecord{
-			Entity: r.Entity, LastSnap: r.LastSnap, NextSeq: r.NextSeq,
-			HDD: len(r.HDD), Events: len(r.HDD) + len(r.SSD),
-		}))
-		for _, tier := range [][]journal.Event{r.HDD, r.SSD} {
-			for _, ev := range tier {
-				out = append(out, appendEvent(nil, eventRecord(ev)))
-			}
+		out = append(out, appendRow(nil, RowRecord{Entity: r.Entity, Events: len(r.Events)}))
+		for _, ev := range r.Events {
+			out = append(out, appendEvent(nil, eventRecord(ev)))
 		}
 	}
 	return out
@@ -45,14 +34,11 @@ type SnapshotRebuilder func(entity string, prior []journal.Event) ([]byte, error
 // sequence back into a PartitionDump. It tracks enough row context to
 // attempt CRC-proven snapshot repair at any corrupt record position.
 type partitionDecoder struct {
-	dump    journal.PartitionDump
-	sawMeta bool
+	dump journal.PartitionDump
 
-	// Current row being filled, with its declared shape.
+	// Current row being filled, with its declared event count.
 	cur     *journal.RowDump
-	curHDD  int
 	curWant int
-	curGot  int
 }
 
 // next consumes one CRC-verified record payload. Event payloads in the dump
@@ -63,62 +49,46 @@ func (pd *partitionDecoder) next(payload []byte) error {
 		return err
 	}
 	switch rec.Tag {
-	case TagMeta:
-		if pd.sawMeta {
-			return fmt.Errorf("unexpected meta record")
-		}
-		pd.sawMeta = true
-		pd.dump.SSDReads = rec.Meta.SSDReads
-		pd.dump.HDDReads = rec.Meta.HDDReads
-		pd.dump.Appends = rec.Meta.Appends
-		pd.dump.Snaps = rec.Meta.Snaps
 	case TagRow:
-		if !pd.sawMeta {
-			return fmt.Errorf("row record out of place")
+		if err := pd.flushRow(); err != nil {
+			return err
 		}
-		if pd.cur != nil && pd.curGot != pd.curWant {
-			return fmt.Errorf("row %q: %d events, declared %d", pd.cur.Entity, pd.curGot, pd.curWant)
-		}
-		pd.flushRow()
-		pd.cur = &journal.RowDump{
-			Entity: rec.Row.Entity, LastSnap: rec.Row.LastSnap, NextSeq: rec.Row.NextSeq,
-		}
-		pd.curHDD, pd.curWant, pd.curGot = rec.Row.HDD, rec.Row.Events, 0
+		pd.cur = &journal.RowDump{Entity: rec.Row.Entity}
+		pd.curWant = rec.Row.Events
 	case TagEvent:
 		if pd.cur == nil {
 			return fmt.Errorf("event record outside a row")
 		}
-		if pd.curGot >= pd.curWant {
+		got := len(pd.cur.Events)
+		if got >= pd.curWant {
 			return fmt.Errorf("row %q: more events than declared %d", pd.cur.Entity, pd.curWant)
 		}
-		ev := rec.Ev.Event(pd.cur.Entity)
-		if pd.curGot < pd.curHDD {
-			pd.cur.HDD = append(pd.cur.HDD, ev)
-		} else {
-			pd.cur.SSD = append(pd.cur.SSD, ev)
+		if rec.Ev.Seq != uint64(got) {
+			return fmt.Errorf("row %q: event %d has seq %d", pd.cur.Entity, got, rec.Ev.Seq)
 		}
-		pd.curGot++
+		pd.cur.Events = append(pd.cur.Events, rec.Ev.Event(pd.cur.Entity))
 	}
 	return nil
 }
 
-func (pd *partitionDecoder) flushRow() {
-	if pd.cur != nil {
-		pd.dump.Rows = append(pd.dump.Rows, *pd.cur)
-		pd.cur = nil
+// flushRow closes the current row, which must hold every event it declared.
+func (pd *partitionDecoder) flushRow() error {
+	if pd.cur == nil {
+		return nil
 	}
+	if got := len(pd.cur.Events); got != pd.curWant {
+		return fmt.Errorf("row %q: %d events, declared %d", pd.cur.Entity, got, pd.curWant)
+	}
+	pd.dump.Rows = append(pd.dump.Rows, *pd.cur)
+	pd.cur = nil
+	return nil
 }
 
 // finish validates terminal state and returns the dump.
 func (pd *partitionDecoder) finish() (journal.PartitionDump, error) {
-	if !pd.sawMeta {
-		return journal.PartitionDump{}, fmt.Errorf("missing meta record")
+	if err := pd.flushRow(); err != nil {
+		return journal.PartitionDump{}, err
 	}
-	if pd.cur != nil && pd.curGot != pd.curWant {
-		return journal.PartitionDump{}, fmt.Errorf("row %q: %d events, declared %d",
-			pd.cur.Entity, pd.curGot, pd.curWant)
-	}
-	pd.flushRow()
 	return pd.dump, nil
 }
 
@@ -129,19 +99,19 @@ func (pd *partitionDecoder) finish() (journal.PartitionDump, error) {
 // record is returned only if it hashes to storedCRC — byte-exact proof, since
 // the encoder is deterministic.
 func (pd *partitionDecoder) tryRepair(storedCRC uint32, rebuild SnapshotRebuilder) ([]byte, bool) {
-	if rebuild == nil || pd.cur == nil || pd.curGot == 0 || pd.curGot >= pd.curWant {
+	if rebuild == nil || pd.cur == nil {
 		return nil, false
 	}
-	prior := make([]journal.Event, 0, pd.curGot)
-	prior = append(prior, pd.cur.HDD...)
-	prior = append(prior, pd.cur.SSD...)
-	prev := prior[len(prior)-1]
+	prior := pd.cur.Events
+	if len(prior) == 0 || len(prior) >= pd.curWant {
+		return nil, false
+	}
 	payload, err := rebuild(pd.cur.Entity, prior)
 	if err != nil {
 		return nil, false
 	}
 	candidate := appendEvent(nil, eventRecord(journal.Event{
-		Seq: prev.Seq + 1, Time: prev.Time, Kind: journal.SnapshotKind, Payload: payload,
+		Seq: uint64(len(prior)), Time: prior[len(prior)-1].Time, Kind: journal.SnapshotKind, Payload: payload,
 	}))
 	if Checksum(candidate) != storedCRC {
 		return nil, false

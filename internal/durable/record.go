@@ -20,37 +20,28 @@ import (
 // record that was written.
 
 // ErrBadRecord marks a CRC-valid journal record whose bytes are not a
-// well-formed meta, row, or event record.
+// well-formed row or event record.
 var ErrBadRecord = errors.New("durable: malformed record")
 
-// Record tags: the first byte of every journal record.
+// Record tags: the first byte of every journal record. Tag 1 was the
+// partition counter record of format versions up to 3 and is now unknown.
 const (
-	TagMeta  byte = 1
 	TagRow   byte = 2
 	TagEvent byte = 3
 )
 
-// Record is one decoded journal record. Tag says which of the three bodies
+// Record is one decoded journal record. Tag says which of the two bodies
 // is filled.
 type Record struct {
-	Tag  byte
-	Meta MetaRecord
-	Row  RowRecord
-	Ev   EventRecord
+	Tag byte
+	Row RowRecord
+	Ev  EventRecord
 }
 
-// MetaRecord carries a partition's access counters; it is record 0.
-type MetaRecord struct {
-	SSDReads, HDDReads, Appends, Snaps uint64
-}
-
-// RowRecord heads one row's events. HDD is how many of the row's Events
-// belong to the HDD tier (they come first in the stream).
+// RowRecord heads one row: its entity and how many event records follow.
 type RowRecord struct {
-	Entity      string
-	LastSnap    int
-	NextSeq     uint64
-	HDD, Events int
+	Entity string
+	Events int
 }
 
 // EventRecord is one journaled event; NS is its time as UnixNano. After
@@ -74,20 +65,9 @@ func (e EventRecord) Event(entity string) journal.Event {
 	}
 }
 
-func appendMeta(dst []byte, m MetaRecord) []byte {
-	dst = append(dst, TagMeta)
-	dst = binary.AppendUvarint(dst, m.SSDReads)
-	dst = binary.AppendUvarint(dst, m.HDDReads)
-	dst = binary.AppendUvarint(dst, m.Appends)
-	return binary.AppendUvarint(dst, m.Snaps)
-}
-
 func appendRow(dst []byte, r RowRecord) []byte {
 	dst = append(dst, TagRow)
 	dst = binrec.AppendBytes(dst, r.Entity)
-	dst = binary.AppendVarint(dst, int64(r.LastSnap))
-	dst = binary.AppendUvarint(dst, r.NextSeq)
-	dst = binary.AppendUvarint(dst, uint64(r.HDD))
 	return binary.AppendUvarint(dst, uint64(r.Events))
 }
 
@@ -111,24 +91,9 @@ func DecodeRecord(b []byte) (Record, error) {
 	rec := Record{Tag: b[0]}
 	r := binrec.Reader{B: b[1:], Bad: ErrBadRecord}
 	switch rec.Tag {
-	case TagMeta:
-		rec.Meta = MetaRecord{
-			SSDReads: r.Uvarint("ssd_reads"), HDDReads: r.Uvarint("hdd_reads"),
-			Appends: r.Uvarint("appends"), Snaps: r.Uvarint("snaps"),
-		}
 	case TagRow:
 		rec.Row.Entity = string(r.Bytes("entity"))
-		snap := r.Varint("last_snap")
-		if int64(int(snap)) != snap {
-			r.Fail("last_snap: out of range")
-		}
-		rec.Row.LastSnap = int(snap)
-		rec.Row.NextSeq = r.Uvarint("next_seq")
-		rec.Row.HDD = r.Count("hdd")
 		rec.Row.Events = r.Count("events")
-		if rec.Row.HDD > rec.Row.Events {
-			r.Fail("hdd exceeds events")
-		}
 	case TagEvent:
 		rec.Ev.Seq = r.Uvarint("seq")
 		rec.Ev.NS = r.Int64BE("ns")

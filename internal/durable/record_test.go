@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -25,42 +27,27 @@ func decodeRecords(payloads [][]byte) (journal.PartitionDump, error) {
 }
 
 // genDump builds a random partition dump in the canonical shape a decode
-// yields (nil for empty tiers and payloads, UTC instants, events carrying
-// their row's entity).
+// yields (nil for empty rows and payloads, UTC instants, events carrying
+// their row's entity and their index as seq).
 func genDump(rng *rand.Rand) journal.PartitionDump {
 	kinds := []string{"service_found", "service_changed", "service_pending", "service_restored",
 		"service_removed", journal.SnapshotKind, "", "custom_kind", "kind\twith\ttabs", "вид"}
 	entities := []string{"10.0.1.7", "", `web "édition" <prod>`, "主机-7", "\x00\xff", "sha256:ab12"}
-	d := journal.PartitionDump{
-		SSDReads: rng.Uint64() >> uint(rng.Intn(64)), HDDReads: uint64(rng.Intn(5)),
-		Appends: rng.Uint64() >> uint(rng.Intn(64)), Snaps: uint64(rng.Intn(300)),
-	}
+	var d journal.PartitionDump
 	for ri, n := 0, rng.Intn(5); ri < n; ri++ {
-		row := journal.RowDump{
-			Entity:   fmt.Sprintf("%s#%d", entities[rng.Intn(len(entities))], ri),
-			LastSnap: rng.Intn(40) - 8,
-			NextSeq:  rng.Uint64() >> uint(rng.Intn(64)),
-		}
-		seq := uint64(rng.Intn(3))
-		events := func(n int) []journal.Event {
-			var out []journal.Event
-			for i := 0; i < n; i++ {
-				seq += 1 + uint64(rng.Intn(2))
-				var payload []byte
-				if l := rng.Intn(4) * rng.Intn(90); l > 0 {
-					payload = make([]byte, l)
-					rng.Read(payload)
-				}
-				out = append(out, journal.Event{
-					Entity: row.Entity, Seq: seq,
-					Time: time.Unix(0, rng.Int63()-rng.Int63()).UTC(),
-					Kind: kinds[rng.Intn(len(kinds))], Payload: payload,
-				})
+		row := journal.RowDump{Entity: fmt.Sprintf("%s#%d", entities[rng.Intn(len(entities))], ri)}
+		for i, n := 0, rng.Intn(3)*rng.Intn(4); i < n; i++ {
+			var payload []byte
+			if l := rng.Intn(4) * rng.Intn(90); l > 0 {
+				payload = make([]byte, l)
+				rng.Read(payload)
 			}
-			return out
+			row.Events = append(row.Events, journal.Event{
+				Entity: row.Entity, Seq: uint64(i),
+				Time: time.Unix(0, rng.Int63()-rng.Int63()).UTC(),
+				Kind: kinds[rng.Intn(len(kinds))], Payload: payload,
+			})
 		}
-		row.HDD = events(rng.Intn(3) * rng.Intn(3))
-		row.SSD = events(rng.Intn(4))
 		d.Rows = append(d.Rows, row)
 	}
 	return d
@@ -69,8 +56,8 @@ func genDump(rng *rand.Rand) journal.PartitionDump {
 // TestRecordRoundTrip: encodePartition → decode yields the same dump, and
 // re-encoding the decoded dump yields the same bytes — the determinism
 // CRC-proven snapshot repair rests on. Covers empty payloads, unknown and
-// empty kinds, negative last_snap, HDD/SSD splits, non-ASCII and non-UTF-8
-// entities, and 64-bit extremes.
+// empty kinds, eventless rows, an empty partition (no records at all),
+// non-ASCII and non-UTF-8 entities, and 64-bit extremes.
 func TestRecordRoundTrip(t *testing.T) {
 	at := func(m int) time.Time { return time.Date(2026, 4, 1, 0, m, 0, 0, time.UTC) }
 	ev := func(ent string, seq uint64, m int, kind string, payload []byte) journal.Event {
@@ -78,28 +65,23 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	dumps := map[string]journal.PartitionDump{
 		"plain": {
-			SSDReads: 12, HDDReads: 3, Appends: 40, Snaps: 2,
 			Rows: []journal.RowDump{
-				{Entity: "10.0.1.7", LastSnap: 1, NextSeq: 4,
-					HDD: []journal.Event{ev("10.0.1.7", 1, 0, "service_found", []byte(`{"service":{"port":443}}`))},
-					SSD: []journal.Event{
-						ev("10.0.1.7", 2, 1, journal.SnapshotKind, []byte(`{"state":"up"}`)),
-						ev("10.0.1.7", 3, 2, "service_changed", []byte{0x00, 0xff, 0x7f}),
-					}},
-				{Entity: "10.0.1.9", LastSnap: -1, NextSeq: 2,
-					SSD: []journal.Event{ev("10.0.1.9", 1, 3, "custom_kind", nil)}},
+				{Entity: "10.0.1.7", Events: []journal.Event{
+					ev("10.0.1.7", 0, 0, "service_found", []byte(`{"service":{"port":443}}`)),
+					ev("10.0.1.7", 1, 1, journal.SnapshotKind, []byte(`{"state":"up"}`)),
+					ev("10.0.1.7", 2, 2, "service_changed", []byte{0x00, 0xff, 0x7f}),
+				}},
+				{Entity: "10.0.1.9", Events: []journal.Event{ev("10.0.1.9", 0, 3, "custom_kind", nil)}},
 			},
 		},
 		"extremes": {
-			SSDReads: 1<<64 - 1,
 			Rows: []journal.RowDump{
-				{Entity: "big", LastSnap: 2, NextSeq: 1<<64 - 1,
-					SSD: []journal.Event{
-						ev("big", 1<<63, 5, "service_pending", nil),
-						{Entity: "big", Seq: 1<<63 + 1, Time: time.Unix(0, -1<<63).UTC(), Kind: "k"},
-						{Entity: "big", Seq: 1<<63 + 2, Time: time.Unix(0, 1<<63-1).UTC(), Kind: "k"},
-					}},
-				{Entity: "eventless", LastSnap: -1},
+				{Entity: "big", Events: []journal.Event{
+					ev("big", 0, 5, "service_pending", nil),
+					{Entity: "big", Seq: 1, Time: time.Unix(0, -1<<63).UTC(), Kind: "k"},
+					{Entity: "big", Seq: 2, Time: time.Unix(0, 1<<63-1).UTC(), Kind: "k"},
+				}},
+				{Entity: "eventless"},
 			},
 		},
 		"empty": {},
@@ -121,13 +103,68 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("%s: re-encoding the decoded dump changed bytes", name)
 		}
 	}
+	if recs := encodePartition(journal.PartitionDump{}); len(recs) != 0 {
+		t.Fatalf("empty partition encoded to %d records", len(recs))
+	}
+
+	// An empty partition saves as one zero-record active segment with no
+	// doublewrite sidecar, and loads back empty.
+	dir := t.TempDir()
+	s := journal.NewPartitioned(2)
+	if _, err := s.Append("10.0.0.1", at(0), "service_found", nil); err != nil {
+		t.Fatal(err)
+	}
+	empty := 1 - shardOf(t, s, "10.0.0.1")
+	if err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, nil, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	pdir := filepath.Join(dir, "stores", "journal", fmt.Sprintf("p%04d", empty))
+	seg, err := os.ReadFile(filepath.Join(pdir, "seg-000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan, err := InspectSegment(seg); err != nil || scan.Sealed || len(scan.Frames) != 0 {
+		t.Fatalf("empty partition segment: %+v, %v", scan, err)
+	}
+	if _, err := os.Stat(filepath.Join(pdir, "tail.dwb")); !os.IsNotExist(err) {
+		t.Fatalf("empty partition has a doublewrite sidecar: %v", err)
+	}
+	res, err := Load(dir, LoadOptions{})
+	if err != nil || !res.Report.Clean() {
+		t.Fatalf("load: %v, findings %+v", err, res.Report.Findings)
+	}
+	if !reflect.DeepEqual(dumpAll(res.Stores["journal"]), dumpAll(s)) {
+		t.Fatal("store with an empty partition did not round-trip")
+	}
 }
+
+// shardOf reports which of s's partitions holds entity.
+func shardOf(t *testing.T, s *journal.Store, entity string) int {
+	t.Helper()
+	for i := 0; i < s.Partitions(); i++ {
+		for _, r := range s.DumpPartition(i).Rows {
+			if r.Entity == entity {
+				return i
+			}
+		}
+	}
+	t.Fatalf("%s in no partition", entity)
+	return -1
+}
+
+// oldMeta and oldRow are records of format version 3, whose partitions
+// began with a counter record (tag 1) and whose row records carried the tier
+// split and sequence bookkeeping. Today's decoder rejects both.
+var (
+	oldMeta = []byte{1, 12, 3, 40, 2}            // ssd_reads hdd_reads appends snaps
+	oldRow  = []byte{TagRow, 1, 'e', 2, 3, 1, 2} // entity last_snap=1 next_seq=3 hdd=1 events=2
+)
 
 // TestRecordMalformed: the record decoder rejects every deviation from the
 // encoder's output with ErrBadRecord, and the partition decoder rejects
-// well-formed records in an impossible order.
+// well-formed records in an impossible order or with an event whose seq is
+// not its index in the row.
 func TestRecordMalformed(t *testing.T) {
-	meta := appendMeta(nil, MetaRecord{})
 	row := appendRow(nil, RowRecord{Entity: "e", Events: 1})
 	event := func(seq uint64) []byte { return appendEvent(nil, EventRecord{Seq: seq, Kind: "k"}) }
 	overflow := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
@@ -137,13 +174,14 @@ func TestRecordMalformed(t *testing.T) {
 		"empty":             {},
 		"unknown tag":       {9, 0, 0, 0, 0},
 		"json envelope":     []byte(`{"t":"meta","meta":{"ssd_reads":0}}`),
-		"truncated meta":    meta[:len(meta)-1],
-		"trailing byte":     append(append([]byte(nil), meta...), 0),
-		"varint overflow":   append([]byte{TagMeta}, overflow...),
-		"padded varint":     {TagMeta, 0x80, 0x00, 0, 0, 0},
+		"version 3 meta":    oldMeta,
+		"version 3 row":     oldRow,
+		"truncated row":     row[:len(row)-1],
+		"trailing byte":     append(append([]byte(nil), row...), 0),
+		"varint overflow":   append([]byte{TagRow, 0}, overflow...),
+		"padded varint":     {TagRow, 0, 0x80, 0x00},
 		"entity past end":   {TagRow, 5, 'a', 'b'},
-		"hdd exceeds total": appendRow(nil, RowRecord{Entity: "e", HDD: 2, Events: 1}),
-		"count over MaxInt": append(append([]byte{TagRow, 0, 0, 0}, overInt...), overInt...),
+		"count over MaxInt": append([]byte{TagRow, 0}, overInt...),
 		"truncated ns":      {TagEvent, 1, 0, 0, 0},
 		"payload past end":  append(event(1)[:len(event(1))-1], 200),
 		"event cut short":   event(1)[:len(event(1))-1],
@@ -155,14 +193,13 @@ func TestRecordMalformed(t *testing.T) {
 	}
 
 	streams := map[string][][]byte{
-		"missing meta":      {},
-		"row before meta":   {row},
-		"double meta":       {meta, meta},
-		"event outside row": {meta, event(1)},
-		"overdeclared row":  {meta, row, event(1), event(2)},
-		"underfilled row":   {meta, row, row},
-		"underfilled tail":  {meta, row},
-		"bad record":        {meta, row, {TagEvent}},
+		"event outside row": {event(0)},
+		"overdeclared row":  {row, event(0), event(1)},
+		"underfilled row":   {row, row},
+		"underfilled tail":  {row},
+		"bad record":        {row, {TagEvent}},
+		"seq not index":     {row, event(1)},
+		"seq gap":           {appendRow(nil, RowRecord{Entity: "e", Events: 2}), event(0), event(2)},
 	}
 	for name, payloads := range streams {
 		if _, err := decodeRecords(payloads); err == nil {
@@ -173,20 +210,18 @@ func TestRecordMalformed(t *testing.T) {
 
 // appendRecord re-encodes a decoded record.
 func appendRecord(dst []byte, rec Record) []byte {
-	switch rec.Tag {
-	case TagMeta:
-		return appendMeta(dst, rec.Meta)
-	case TagRow:
+	if rec.Tag == TagRow {
 		return appendRow(dst, rec.Row)
-	default:
-		return appendEvent(dst, rec.Ev)
 	}
+	return appendEvent(dst, rec.Ev)
 }
 
 // FuzzRecordDecode: whatever the bytes, DecodeRecord never panics or
 // over-reads, fails only with ErrBadRecord, and accepts only input that
 // re-encodes to itself — so no trailing or padded bytes ever pass. Seeds are
-// a real encoded partition plus a truncation and bit flips of each record.
+// a real encoded partition and format version 3's counter and row records
+// (which must be rejected), each with a truncation, a trailing byte and bit
+// flips.
 func FuzzRecordDecode(f *testing.F) {
 	s := journal.NewPartitioned(1)
 	base := time.Unix(0, 1700000000e9).UTC()
@@ -199,7 +234,7 @@ func FuzzRecordDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, rec := range encodePartition(s.DumpPartition(0)) {
+	for _, rec := range append(encodePartition(s.DumpPartition(0)), oldMeta, oldRow) {
 		f.Add(rec)
 		f.Add(rec[:len(rec)-1])
 		f.Add(append(append([]byte(nil), rec...), 0))
@@ -211,6 +246,11 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 
+	for _, old := range [][]byte{oldMeta, oldRow} {
+		if _, err := DecodeRecord(old); err == nil {
+			f.Fatalf("version 3 record %x decoded", old)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
 		if err != nil {

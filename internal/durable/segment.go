@@ -21,16 +21,15 @@
 // journal segment's payloads are records of one binary grammar (record.go is
 // the only code that reads or writes it):
 //
-//	record := meta | row | ev
-//	meta   := 0x01 uvarint ssd_reads | uvarint hdd_reads | uvarint appends | uvarint snaps
-//	row    := 0x02 bytes entity | varint last_snap | uvarint next_seq
-//	               | uvarint hdd | uvarint events
+//	record := row | ev
+//	row    := 0x02 bytes entity | uvarint events
 //	ev     := 0x03 uvarint seq | i64be unix_ns | bytes kind | bytes payload
 //	bytes  := uvarint length | byte*length
 //
-// A partition is one meta record, then per row (sorted by entity) a row
-// record followed by its `events` ev records, the first `hdd` of them the
-// HDD tier. The event payload is the journal's bytes verbatim — for the host
+// A partition is, per row (sorted by entity), a row record followed by its
+// `events` ev records in order, the i-th with seq i. Nothing else is stored:
+// the row's tier split, its next sequence number and the partition's
+// counters are functions of the events. The event payload is the journal's bytes verbatim — for the host
 // journal the binary delta of cqrs/payload.go, which durable never looks
 // into; a change to either grammar bumps manifestVersion. Varints are
 // minimal and nothing may trail a record, so each record has exactly one

@@ -127,9 +127,9 @@ func TestDecodeTypedErrors(t *testing.T) {
 func FuzzSegmentDecode(f *testing.F) {
 	valid := func(sealed bool) []byte {
 		b := newSegment(KindJournal, 3)
-		b.append(appendMeta(nil, MetaRecord{Appends: 2}))
-		b.append(appendRow(nil, RowRecord{Entity: "10.0.0.1", Events: 1}))
-		b.append(appendEvent(nil, EventRecord{Seq: 1, Kind: "service_observed"}))
+		b.append(appendRow(nil, RowRecord{Entity: "10.0.0.1", Events: 2}))
+		b.append(appendEvent(nil, EventRecord{Seq: 0, Kind: "service_observed"}))
+		b.append(appendEvent(nil, EventRecord{Seq: 1, Kind: "service_changed"}))
 		return b.bytes(sealed)
 	}
 	f.Add(valid(true))

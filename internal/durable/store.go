@@ -129,10 +129,11 @@ func (m *Metrics) Stats() StorageStats {
 }
 
 // manifestVersion names the on-disk format a store directory was saved in.
-// Version 3 is the binary journal record (record.go) around the binary event
-// payload (cqrs/payload.go); versions 1 (JSON envelopes) and 2 (binary records
-// around JSON payloads) have no reader.
-const manifestVersion = 3
+// Version 4 is the binary journal record (record.go) around the binary event
+// payload (cqrs/payload.go), storing events only; versions 1 (JSON
+// envelopes), 2 (binary records around JSON payloads) and 3 (version 4 plus
+// a partition counter record and per-row tier bookkeeping) have no reader.
+const manifestVersion = 4
 
 // manifest is the authoritative description of a saved store directory.
 type manifest struct {
@@ -278,9 +279,10 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 				pm.Segments = append(pm.Segments, segManifest{
 					File: rel, Records: len(chunk), Sealed: sealed, SegCRC: segCRC(b.crcs),
 				})
-				if !sealed {
+				if !sealed && len(chunk) > 0 {
 					// Doublewrite the tail record so a torn final append is
-					// repairable without byte drift.
+					// repairable without byte drift. An empty partition's
+					// active segment has no record to cover.
 					dwbRel := filepath.Join("stores", ns.Name, fmt.Sprintf("p%04d", pi), "tail.dwb")
 					tail := buildSingleRecord(KindDWB, uint32(pi), chunk[len(chunk)-1])
 					if err := writeFileAtomic(filepath.Join(dir, dwbRel), tail); err != nil {

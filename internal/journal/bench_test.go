@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -38,7 +37,7 @@ func BenchmarkReplayCurrentState(b *testing.B) {
 }
 
 func BenchmarkReplayDeepHistory(b *testing.B) {
-	// Historical read through migrated HDD events.
+	// Historical read into the HDD tier.
 	s := NewStore()
 	for i := 0; i < 200; i++ {
 		s.Append("e", ts(i), "ev", []byte("x"))
@@ -46,28 +45,9 @@ func BenchmarkReplayDeepHistory(b *testing.B) {
 			s.AppendSnapshot("e", ts(i), []byte("SNAP"))
 		}
 	}
-	s.Migrate()
 	at := ts(50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Replay("e", at)
 	}
 }
-
-func BenchmarkMigrate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := NewStore()
-		for e := 0; e < 100; e++ {
-			id := fmt.Sprintf("10.0.0.%d", e)
-			for j := 0; j < 20; j++ {
-				s.Append(id, ts(j), "ev", []byte("0123456789"))
-			}
-			s.AppendSnapshot(id, ts(20), []byte("SNAP"))
-		}
-		b.StartTimer()
-		s.Migrate()
-	}
-}
-
-var _ = time.Hour

@@ -1,7 +1,8 @@
 // Package journal implements the backend event journal of the CQRS pipeline
 // (paper §5.2): an append-only log of delta-encoded events per entity, keyed
-// by (EntityID, SequenceNumber), with periodic state snapshots and migration
-// of pre-snapshot history from fast (SSD) to cheap (HDD) storage.
+// by (EntityID, SequenceNumber), with periodic state snapshots. A row's
+// history before its newest snapshot is its HDD tier; the snapshot and every
+// event after it are its SSD tier.
 //
 // The design mirrors the paper's Bigtable layout:
 //
@@ -11,6 +12,11 @@
 //     snapshot cadence bounds worst-case read amplification;
 //   - the current state is always reachable from SSD, while the bulk of
 //     history lives on HDD (500 TB/year at Censys' scale).
+//
+// The tier split is not stored: each row is one time-ordered event slice
+// plus the index of its newest snapshot, and the split is that index —
+// the paper's policy applied at every append rather than by a periodic
+// migration job.
 //
 // The store is partitioned: rows are striped over N independently locked
 // partitions by a stable hash of the entity ID, so concurrent appends for
@@ -50,28 +56,27 @@ const SnapshotKind = "snapshot"
 // entity's newest event.
 var ErrOutOfOrder = errors.New("journal: append out of time order")
 
-// Stats describes storage and access counters, used by the tiering and
-// delta-encoding ablations. For a partitioned store the counters are
-// aggregated across partitions.
+// Stats describes storage counters, used by the tiering and delta-encoding
+// ablations. For a partitioned store the counters are aggregated across
+// partitions.
 type Stats struct {
 	Entities     int
 	SSDEvents    int
 	HDDEvents    int
 	SSDBytes     int64
 	HDDBytes     int64
-	SSDReads     uint64
-	HDDReads     uint64
 	Appends      uint64
 	Snapshots    uint64
 	MaxReplayLen int
 }
 
+// row is one entity's history. events[i].Seq == i: Append assigns sequence
+// numbers that way and ApplyReplicated enforces it.
 type row struct {
-	ssd []Event // events at or after the latest snapshot (plus unsnapshotted prefix)
-	hdd []Event // migrated history, strictly before the latest snapshot
-	// lastSnap is the index in ssd of the newest snapshot, or -1.
+	events []Event // time-ordered
+	// lastSnap is the index of the newest snapshot, or -1. The events
+	// before it are the HDD tier.
 	lastSnap int
-	nextSeq  uint64
 }
 
 // partition is one independently locked stripe of the journal.
@@ -79,15 +84,13 @@ type partition struct {
 	mu   sync.RWMutex
 	rows map[string]*row
 
-	ssdBytes, hddBytes int64
-	ssdReads, hddReads uint64
-	appends, snaps     uint64
+	appends, snaps uint64
 
-	// gen counts content mutations (appends, tier migrations, restores,
-	// replicated applies) — reads do not bump it. Incremental checkpointing
-	// uses it to skip partitions whose dump cannot have changed since the
-	// last save, and the Entities cache uses the cross-partition sum as its
-	// invalidation stamp. Written under mu; read lock-free via the atomic.
+	// gen counts content mutations (appends, restores, replicated applies)
+	// — reads do not bump it. Incremental checkpointing uses it to skip
+	// partitions whose dump cannot have changed since the last save, and
+	// the Entities cache uses the cross-partition sum as its invalidation
+	// stamp. Written under mu; read lock-free via the atomic.
 	gen atomic.Uint64
 }
 
@@ -128,13 +131,30 @@ func (s *Store) part(entity string) *partition {
 	return s.parts[shard.Of(entity, len(s.parts))]
 }
 
-func (p *partition) row(entity string) *row {
-	r, ok := p.rows[entity]
-	if !ok {
+// push appends ev as entity's next event, creating the row if this is its
+// first. The caller holds p.mu and has checked ev.Seq.
+func (p *partition) push(r *row, ev Event) {
+	if r == nil {
 		r = &row{lastSnap: -1}
-		p.rows[entity] = r
+		p.rows[ev.Entity] = r
 	}
-	return r
+	r.events = append(r.events, ev)
+	if ev.Kind == SnapshotKind {
+		r.lastSnap = len(r.events) - 1
+		p.snaps++
+	}
+	p.appends++
+	p.gen.Add(1)
+}
+
+// next reports the sequence number r's next event takes (0 for a missing
+// row) and whether an event at t would travel back in time.
+func (r *row) next(t time.Time) (seq uint64, backwards bool) {
+	if r == nil {
+		return 0, false
+	}
+	n := len(r.events)
+	return uint64(n), n > 0 && t.Before(r.events[n-1].Time)
 }
 
 // Append adds a delta event for entity and returns its sequence number.
@@ -142,24 +162,12 @@ func (s *Store) Append(entity string, t time.Time, kind string, payload []byte) 
 	p := s.part(entity)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r := p.row(entity)
-	if n := len(r.ssd); n > 0 && t.Before(r.ssd[n-1].Time) {
+	r := p.rows[entity]
+	seq, backwards := r.next(t)
+	if backwards {
 		return 0, ErrOutOfOrder
 	}
-	if len(r.ssd) == 0 && len(r.hdd) > 0 && t.Before(r.hdd[len(r.hdd)-1].Time) {
-		return 0, ErrOutOfOrder
-	}
-	seq := r.nextSeq
-	r.nextSeq++
-	ev := Event{Entity: entity, Seq: seq, Time: t, Kind: kind, Payload: payload}
-	r.ssd = append(r.ssd, ev)
-	if kind == SnapshotKind {
-		r.lastSnap = len(r.ssd) - 1
-		p.snaps++
-	}
-	p.ssdBytes += int64(len(payload))
-	p.appends++
-	p.gen.Add(1)
+	p.push(r, Event{Entity: entity, Seq: seq, Time: t, Kind: kind, Payload: payload})
 	return seq, nil
 }
 
@@ -178,70 +186,50 @@ func (s *Store) EventsSinceSnapshot(entity string) int {
 	if !ok {
 		return 0
 	}
-	if r.lastSnap < 0 {
-		return len(r.ssd) + len(r.hdd)
-	}
-	return len(r.ssd) - r.lastSnap - 1
+	return len(r.events) - r.lastSnap - 1
 }
 
 // Replay returns the newest snapshot at or before asOf (zero Event, ok=false
 // if none) and every delta event after that snapshot up to and including
 // asOf, in order. Callers apply the deltas to the snapshot to reconstruct
-// entity state at asOf — the paper's read-side lookup path.
+// entity state at asOf — the paper's read-side lookup path. deltas aliases
+// the row and is capped at its end, so callers must not modify its elements;
+// appending to it copies.
 func (s *Store) Replay(entity string, asOf time.Time) (snapshot Event, deltas []Event, found bool) {
 	p := s.part(entity)
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	r, ok := p.rows[entity]
 	if !ok {
 		return Event{}, nil, false
 	}
-
-	// Search SSD first; fall back to HDD for historical reads.
-	all := r.hdd
-	hddLen := len(all)
-	if len(r.ssd) > 0 {
-		all = append(append([]Event(nil), r.hdd...), r.ssd...)
-	}
-	if len(all) == 0 {
-		return Event{}, nil, false
-	}
+	all := r.events
 	// Find the last event with Time <= asOf.
 	hi := sort.Search(len(all), func(i int) bool { return all[i].Time.After(asOf) })
 	if hi == 0 {
 		return Event{}, nil, false
 	}
-	window := all[:hi]
-	// Find the newest snapshot in the window.
-	snapIdx := -1
-	for i := len(window) - 1; i >= 0; i-- {
-		if window[i].Kind == SnapshotKind {
-			snapIdx = i
-			break
+	// The newest snapshot in the window: the row's newest if it is inside,
+	// else the last one before hi.
+	snap := r.lastSnap
+	if snap >= hi {
+		snap = -1
+		for i := hi - 1; i >= 0; i-- {
+			if all[i].Kind == SnapshotKind {
+				snap = i
+				break
+			}
 		}
-		p.countRead(i < hddLen)
 	}
-	if snapIdx >= 0 {
-		p.countRead(snapIdx < hddLen)
-		snapshot = window[snapIdx]
-		found = true
-		deltas = append(deltas, window[snapIdx+1:]...)
-		return snapshot, deltas, true
+	deltas = all[snap+1 : hi : hi]
+	if snap < 0 {
+		// No snapshot: replay everything from genesis.
+		return Event{}, deltas, true
 	}
-	// No snapshot: replay everything from genesis.
-	deltas = append(deltas, window...)
-	return Event{}, deltas, true
+	return all[snap], deltas, true
 }
 
-func (p *partition) countRead(hdd bool) {
-	if hdd {
-		p.hddReads++
-	} else {
-		p.ssdReads++
-	}
-}
-
-// Events returns every event for entity (HDD then SSD), for diagnostics and
+// Events returns every event for entity in order, for diagnostics and
 // history queries.
 func (s *Store) Events(entity string) []Event {
 	p := s.part(entity)
@@ -251,9 +239,7 @@ func (s *Store) Events(entity string) []Event {
 	if !ok {
 		return nil
 	}
-	out := make([]Event, 0, len(r.hdd)+len(r.ssd))
-	out = append(out, r.hdd...)
-	return append(out, r.ssd...)
+	return append([]Event(nil), r.events...)
 }
 
 // Entities returns all row keys across partitions, sorted. The result is
@@ -288,76 +274,25 @@ func (s *Store) Entities() []string {
 
 // PartitionGen reports partition i's content generation: it moves exactly
 // when the partition's dumpable content may have changed (appends,
-// snapshots, tier migrations, restores, replicated applies) and never on
-// reads. Incremental saves compare it against the generation recorded in
+// snapshots, restores, replicated applies) and never on reads. Incremental saves compare it against the generation recorded in
 // the last manifest.
 func (s *Store) PartitionGen(i int) uint64 {
 	return s.parts[i].gen.Load()
 }
 
-// Migrate moves events strictly older than each entity's latest snapshot
-// from SSD to HDD, keeping current-state reads on fast storage while the
-// bulk of history ages onto cheap disks. It returns the number of events
-// moved.
-func (s *Store) Migrate() int {
-	moved := 0
-	for i := range s.parts {
-		moved += s.MigratePartition(i)
-	}
-	return moved
-}
-
-// MigratePartition migrates one partition's rows (see Migrate). A replica
-// applying a shipped replication round uses it to reproduce the origin's
-// SSD/HDD tier split partition by partition, without touching partitions
-// whose rounds it has not applied yet.
-func (s *Store) MigratePartition(i int) int {
-	p := s.parts[i]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	moved := 0
-	for _, r := range p.rows {
-		if r.lastSnap <= 0 {
-			continue
-		}
-		old := r.ssd[:r.lastSnap]
-		for _, ev := range old {
-			p.ssdBytes -= int64(len(ev.Payload))
-			p.hddBytes += int64(len(ev.Payload))
-		}
-		r.hdd = append(r.hdd, old...)
-		rest := make([]Event, len(r.ssd)-r.lastSnap)
-		copy(rest, r.ssd[r.lastSnap:])
-		r.ssd = rest
-		r.lastSnap = 0
-		moved += len(old)
-	}
-	if moved > 0 {
-		p.gen.Add(1)
-	}
-	return moved
-}
-
-// RowDump is one entity's serialized journal row: its event history split by
-// storage tier plus the replay bookkeeping. Byte counters are not dumped —
-// they are derivable from the payload lengths and recomputed on restore.
+// RowDump is one entity's serialized journal row: its events in order. The
+// tier split and sequence bookkeeping are functions of the events and are
+// recomputed on restore.
 type RowDump struct {
-	Entity   string
-	HDD      []Event
-	SSD      []Event
-	LastSnap int
-	NextSeq  uint64
+	Entity string
+	Events []Event
 }
 
 // PartitionDump is the full serialized state of one partition: every row in
-// sorted entity order plus the partition's access counters. It is the unit
-// the durable storage engine persists and restores.
+// sorted entity order. It is the unit the durable storage engine persists
+// and restores.
 type PartitionDump struct {
-	Rows     []RowDump
-	SSDReads uint64
-	HDDReads uint64
-	Appends  uint64
-	Snaps    uint64
+	Rows []RowDump
 }
 
 // DumpPartition serializes partition i. Rows are sorted by entity ID so two
@@ -366,23 +301,16 @@ func (s *Store) DumpPartition(i int) PartitionDump {
 	p := s.parts[i]
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	d := PartitionDump{
-		SSDReads: p.ssdReads, HDDReads: p.hddReads,
-		Appends: p.appends, Snaps: p.snaps,
-	}
+	var d PartitionDump
 	ids := make([]string, 0, len(p.rows))
 	for id := range p.rows {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		r := p.rows[id]
 		d.Rows = append(d.Rows, RowDump{
-			Entity:   id,
-			HDD:      append([]Event(nil), r.hdd...),
-			SSD:      append([]Event(nil), r.ssd...),
-			LastSnap: r.lastSnap,
-			NextSeq:  r.nextSeq,
+			Entity: id,
+			Events: append([]Event(nil), p.rows[id].events...),
 		})
 	}
 	return d
@@ -394,7 +322,8 @@ func (s *Store) DumpPartition(i int) PartitionDump {
 var ErrWrongPartition = errors.New("journal: restored row routed to a different partition")
 
 // RestorePartition replaces partition i's contents with a dump, recomputing
-// the derived byte counters. Every row must hash to partition i under the
+// each row's newest snapshot and the partition's append and snapshot
+// counters from the events. Every row must hash to partition i under the
 // store's current stripe count.
 func (s *Store) RestorePartition(i int, d PartitionDump) error {
 	p := s.parts[i]
@@ -402,25 +331,19 @@ func (s *Store) RestorePartition(i int, d PartitionDump) error {
 	defer p.mu.Unlock()
 	p.gen.Add(1)
 	p.rows = make(map[string]*row, len(d.Rows))
-	p.ssdBytes, p.hddBytes = 0, 0
-	p.ssdReads, p.hddReads = d.SSDReads, d.HDDReads
-	p.appends, p.snaps = d.Appends, d.Snaps
+	p.appends, p.snaps = 0, 0
 	for _, rd := range d.Rows {
 		if shard.Of(rd.Entity, len(s.parts)) != i {
 			return ErrWrongPartition
 		}
-		r := &row{
-			hdd:      append([]Event(nil), rd.HDD...),
-			ssd:      append([]Event(nil), rd.SSD...),
-			lastSnap: rd.LastSnap,
-			nextSeq:  rd.NextSeq,
+		r := &row{events: append([]Event(nil), rd.Events...), lastSnap: -1}
+		for j, ev := range r.events {
+			if ev.Kind == SnapshotKind {
+				r.lastSnap = j
+				p.snaps++
+			}
 		}
-		for _, ev := range r.hdd {
-			p.hddBytes += int64(len(ev.Payload))
-		}
-		for _, ev := range r.ssd {
-			p.ssdBytes += int64(len(ev.Payload))
-		}
+		p.appends += uint64(len(r.events))
 		p.rows[rd.Entity] = r
 	}
 	return nil
@@ -445,26 +368,27 @@ func (s *Store) PerPartitionStats() []PartitionStats {
 	return out
 }
 
-// Stats returns storage and access counters aggregated over partitions.
+// Stats returns storage counters aggregated over partitions. The tier
+// figures are computed from each row's newest snapshot.
 func (s *Store) Stats() Stats {
 	var st Stats
 	for _, p := range s.parts {
 		p.mu.RLock()
 		st.Entities += len(p.rows)
-		st.SSDBytes += p.ssdBytes
-		st.HDDBytes += p.hddBytes
-		st.SSDReads += p.ssdReads
-		st.HDDReads += p.hddReads
 		st.Appends += p.appends
 		st.Snapshots += p.snaps
 		for _, r := range p.rows {
-			st.SSDEvents += len(r.ssd)
-			st.HDDEvents += len(r.hdd)
-			replay := len(r.ssd) + len(r.hdd)
-			if r.lastSnap >= 0 {
-				replay = len(r.ssd) - r.lastSnap - 1
+			hdd := max(r.lastSnap, 0)
+			st.HDDEvents += hdd
+			st.SSDEvents += len(r.events) - hdd
+			for j, ev := range r.events {
+				if j < hdd {
+					st.HDDBytes += int64(len(ev.Payload))
+				} else {
+					st.SSDBytes += int64(len(ev.Payload))
+				}
 			}
-			if replay > st.MaxReplayLen {
+			if replay := len(r.events) - r.lastSnap - 1; replay > st.MaxReplayLen {
 				st.MaxReplayLen = replay
 			}
 		}

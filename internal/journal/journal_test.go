@@ -125,59 +125,42 @@ func TestEventsSinceSnapshot(t *testing.T) {
 	}
 }
 
+// The HDD tier is the history before the newest snapshot, and it moves with
+// each snapshot as it is appended — there is no migration step to run.
 func TestMigrateMovesPreSnapshotHistory(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 10; i++ {
 		s.Append("e", ts(i), "ev", []byte("0123456789"))
 	}
+	if st := s.Stats(); st.HDDEvents != 0 || st.SSDEvents != 10 {
+		t.Fatalf("before any snapshot: ssd=%d hdd=%d", st.SSDEvents, st.HDDEvents)
+	}
 	s.AppendSnapshot("e", ts(10), []byte("SNAP"))
 	s.Append("e", ts(11), "ev", []byte("x"))
 
 	st := s.Stats()
-	if st.HDDEvents != 0 {
-		t.Fatalf("HDD events before migrate = %d", st.HDDEvents)
-	}
-	moved := s.Migrate()
-	if moved != 10 {
-		t.Fatalf("moved = %d, want 10", moved)
-	}
-	st = s.Stats()
 	if st.HDDEvents != 10 || st.SSDEvents != 2 {
-		t.Fatalf("after migrate: ssd=%d hdd=%d", st.SSDEvents, st.HDDEvents)
+		t.Fatalf("after snapshot: ssd=%d hdd=%d", st.SSDEvents, st.HDDEvents)
 	}
-	if st.HDDBytes != 100 {
-		t.Fatalf("HDDBytes = %d, want 100", st.HDDBytes)
+	if st.HDDBytes != 100 || st.SSDBytes != 5 {
+		t.Fatalf("bytes: ssd=%d hdd=%d, want 5 and 100", st.SSDBytes, st.HDDBytes)
 	}
 
-	// Current-state reads still work from SSD; historical reads hit HDD.
+	// Current-state reads start at the snapshot; historical reads reach
+	// into the HDD tier.
 	snap, deltas, found := s.Replay("e", ts(12))
 	if !found || string(snap.Payload) != "SNAP" || len(deltas) != 1 {
-		t.Fatalf("current read after migrate: %+v %d %v", snap, len(deltas), found)
+		t.Fatalf("current read: %+v %d %v", snap, len(deltas), found)
 	}
 	_, deltas, found = s.Replay("e", ts(5))
 	if !found || len(deltas) != 6 {
-		t.Fatalf("historical read after migrate: %d events found=%v", len(deltas), found)
+		t.Fatalf("historical read: %d events found=%v", len(deltas), found)
 	}
-}
 
-func TestMigrateIdempotent(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 5; i++ {
-		s.Append("e", ts(i), "ev", nil)
-	}
-	s.AppendSnapshot("e", ts(5), nil)
-	if s.Migrate() != 5 {
-		t.Fatal("first migrate")
-	}
-	if s.Migrate() != 0 {
-		t.Fatal("second migrate moved events")
-	}
-	// Appending after migrate keeps working.
-	if _, err := s.Append("e", ts(6), "ev", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Append("e", ts(3), "ev", nil); err != ErrOutOfOrder {
-		t.Fatalf("time order not enforced against HDD head: %v", err)
+	// A second snapshot moves the first one and its delta onto HDD.
+	s.AppendSnapshot("e", ts(12), []byte("SNAP2"))
+	if st := s.Stats(); st.HDDEvents != 12 || st.SSDEvents != 1 {
+		t.Fatalf("after second snapshot: ssd=%d hdd=%d", st.SSDEvents, st.HDDEvents)
 	}
 }
 
@@ -185,7 +168,6 @@ func TestAppendOrderEnforcedAfterFullMigration(t *testing.T) {
 	s := NewStore()
 	s.Append("e", ts(0), "ev", nil)
 	s.AppendSnapshot("e", ts(1), nil)
-	s.Migrate()
 	if _, err := s.Append("e", ts(0), "ev", nil); err != ErrOutOfOrder {
 		t.Fatalf("err = %v, want ErrOutOfOrder", err)
 	}
@@ -213,8 +195,8 @@ func TestStatsCounts(t *testing.T) {
 	if st.Appends != 2 || st.Snapshots != 1 || st.Entities != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.SSDBytes != 6 {
-		t.Fatalf("SSDBytes = %d, want 6", st.SSDBytes)
+	if st.SSDBytes != 2 || st.HDDBytes != 4 {
+		t.Fatalf("SSDBytes = %d, HDDBytes = %d, want 2 and 4", st.SSDBytes, st.HDDBytes)
 	}
 }
 

@@ -9,7 +9,6 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrReplicaGap is returned when a replicated event's sequence number is not
@@ -19,99 +18,21 @@ var ErrReplicaGap = errors.New("journal: replicated event out of sequence")
 
 // ApplyReplicated appends one origin-journal event to the replica, keeping
 // the origin's sequence number. The event must be the row's next in sequence
-// and not travel back in time; counters (appends, snapshots, tier bytes)
-// advance exactly as the origin's did for the same event.
+// and not travel back in time; the row and the partition's counters then
+// change exactly as the origin's did for the same event. A refused event
+// leaves the replica untouched — no row is created for it.
 func (s *Store) ApplyReplicated(ev Event) error {
 	p := s.part(ev.Entity)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r := p.row(ev.Entity)
-	if ev.Seq != r.nextSeq {
-		return fmt.Errorf("%w: entity %s seq %d, want %d", ErrReplicaGap, ev.Entity, ev.Seq, r.nextSeq)
+	r := p.rows[ev.Entity]
+	seq, backwards := r.next(ev.Time)
+	if ev.Seq != seq {
+		return fmt.Errorf("%w: entity %s seq %d, want %d", ErrReplicaGap, ev.Entity, ev.Seq, seq)
 	}
-	if n := len(r.ssd); n > 0 && ev.Time.Before(r.ssd[n-1].Time) {
+	if backwards {
 		return ErrOutOfOrder
 	}
-	if len(r.ssd) == 0 && len(r.hdd) > 0 && ev.Time.Before(r.hdd[len(r.hdd)-1].Time) {
-		return ErrOutOfOrder
-	}
-	r.nextSeq = ev.Seq + 1
-	r.ssd = append(r.ssd, ev)
-	if ev.Kind == SnapshotKind {
-		r.lastSnap = len(r.ssd) - 1
-		p.snaps++
-	}
-	p.ssdBytes += int64(len(ev.Payload))
-	p.appends++
-	p.gen.Add(1)
+	p.push(r, ev)
 	return nil
-}
-
-// ErrTierSync is returned when a replicated tier-split instruction does not
-// match the replica's row state — the replica missed events or the origin's
-// split went backwards.
-var ErrTierSync = errors.New("journal: tier split out of sync with origin")
-
-// SyncTierSplit aligns partition i's SSD/HDD split with an origin journal's:
-// want maps entity to its target HDD length (the origin's len(hdd) after its
-// migrations). This reproduces Migrate's effect exactly even when the origin
-// interleaved migrations with appends since the last replication round —
-// something a replica cannot recover by re-running Migrate itself, because
-// the origin's migration point inside the round is not visible in the event
-// stream. lastSnap is recomputed from the remaining SSD events; the
-// invariant that it always indexes the newest snapshot still on SSD (or is
-// -1) makes the recomputation exact. Returns the number of events moved.
-func (s *Store) SyncTierSplit(i int, want map[string]int) (int, error) {
-	p := s.parts[i]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]string, 0, len(want))
-	for id := range want {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	moved := 0
-	// Bump the content generation even on a partial (error) move: anything
-	// that shifted tiers changed the dumpable content.
-	defer func() {
-		if moved > 0 {
-			p.gen.Add(1)
-		}
-	}()
-	for _, id := range ids {
-		r, ok := p.rows[id]
-		if !ok {
-			return moved, fmt.Errorf("%w: entity %s has no replicated row", ErrTierSync, id)
-		}
-		target := want[id]
-		switch {
-		case target < len(r.hdd):
-			return moved, fmt.Errorf("%w: entity %s HDD would shrink %d -> %d",
-				ErrTierSync, id, len(r.hdd), target)
-		case target > len(r.hdd)+len(r.ssd):
-			return moved, fmt.Errorf("%w: entity %s HDD target %d exceeds %d events",
-				ErrTierSync, id, target, len(r.hdd)+len(r.ssd))
-		case target == len(r.hdd):
-			continue
-		}
-		n := target - len(r.hdd)
-		old := r.ssd[:n]
-		for _, ev := range old {
-			p.ssdBytes -= int64(len(ev.Payload))
-			p.hddBytes += int64(len(ev.Payload))
-		}
-		r.hdd = append(r.hdd, old...)
-		rest := make([]Event, len(r.ssd)-n)
-		copy(rest, r.ssd[n:])
-		r.ssd = rest
-		r.lastSnap = -1
-		for j := len(r.ssd) - 1; j >= 0; j-- {
-			if r.ssd[j].Kind == SnapshotKind {
-				r.lastSnap = j
-				break
-			}
-		}
-		moved += n
-	}
-	return moved, nil
 }

@@ -2,14 +2,15 @@ package journal
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // TestApplyReplicatedMirrorsAppend: replaying an origin journal's events
-// through ApplyReplicated (with MigratePartition at the origin's migration
-// points) reproduces the origin's partition dumps bit for bit — rows, tier
-// split, sequence state, and write counters.
+// through ApplyReplicated reproduces the origin's partition dumps and stats
+// exactly — rows, tier split and write counters — with no tier instruction
+// shipped alongside the events.
 func TestApplyReplicatedMirrorsAppend(t *testing.T) {
 	const parts = 4
 	origin := NewPartitioned(parts)
@@ -17,129 +18,55 @@ func TestApplyReplicatedMirrorsAppend(t *testing.T) {
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	entities := []string{"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.9.3.77", "cert:abc"}
-	step := 0
-	appendAll := func(rounds int, snapshotEvery int) {
-		for r := 0; r < rounds; r++ {
-			for _, e := range entities {
-				kind, payload := "delta", []byte{byte(step)}
-				if snapshotEvery > 0 && step%snapshotEvery == snapshotEvery-1 {
-					kind, payload = SnapshotKind, []byte("snap")
-				}
-				seq, err := origin.Append(e, t0.Add(time.Duration(step)*time.Minute), kind, payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := replica.ApplyReplicated(Event{Entity: e, Seq: seq,
-					Time: t0.Add(time.Duration(step) * time.Minute), Kind: kind, Payload: payload}); err != nil {
-					t.Fatal(err)
-				}
+	for step := 0; step < 12; step++ {
+		for _, e := range entities {
+			kind, payload := "delta", []byte{byte(step)}
+			if step%3 == 2 {
+				kind, payload = SnapshotKind, []byte("snap")
 			}
-			step++
-		}
-	}
-
-	appendAll(7, 3)
-	origin.Migrate()
-	for i := 0; i < parts; i++ {
-		replica.MigratePartition(i)
-	}
-	appendAll(5, 3)
-
-	for i := 0; i < parts; i++ {
-		od, rd := origin.DumpPartition(i), replica.DumpPartition(i)
-		if len(od.Rows) != len(rd.Rows) {
-			t.Fatalf("partition %d: %d rows vs %d", i, len(od.Rows), len(rd.Rows))
-		}
-		if od.Appends != rd.Appends || od.Snaps != rd.Snaps {
-			t.Fatalf("partition %d: counters (%d,%d) vs (%d,%d)",
-				i, od.Appends, od.Snaps, rd.Appends, rd.Snaps)
-		}
-		for ri := range od.Rows {
-			o, r := od.Rows[ri], rd.Rows[ri]
-			if o.Entity != r.Entity || o.LastSnap != r.LastSnap || o.NextSeq != r.NextSeq ||
-				len(o.HDD) != len(r.HDD) || len(o.SSD) != len(r.SSD) {
-				t.Fatalf("partition %d row %s: %+v vs %+v", i, o.Entity, o, r)
+			at := t0.Add(time.Duration(step) * time.Minute)
+			seq, err := origin.Append(e, at, kind, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replica.ApplyReplicated(Event{Entity: e, Seq: seq, Time: at, Kind: kind, Payload: payload}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	os, rs := origin.Stats(), replica.Stats()
-	if os.SSDEvents != rs.SSDEvents || os.HDDEvents != rs.HDDEvents ||
-		os.SSDBytes != rs.SSDBytes || os.HDDBytes != rs.HDDBytes {
-		t.Fatalf("tier stats diverged: %+v vs %+v", os, rs)
+	for i := 0; i < parts; i++ {
+		if od, rd := origin.DumpPartition(i), replica.DumpPartition(i); !reflect.DeepEqual(od, rd) {
+			t.Fatalf("partition %d diverged:\n origin  %+v\n replica %+v", i, od, rd)
+		}
+	}
+	if os, rs := origin.Stats(), replica.Stats(); os != rs || os.HDDEvents == 0 {
+		t.Fatalf("stats diverged or no HDD tier: %+v vs %+v", os, rs)
+	}
+	if !reflect.DeepEqual(origin.PerPartitionStats(), replica.PerPartitionStats()) {
+		t.Fatal("per-partition counters diverged")
 	}
 }
 
-// TestSyncTierSplitMirrorsInterleavedMigrate: when the origin migrates in
-// the middle of a replication round (appends, Migrate, more appends —
-// including post-migrate snapshots), a replica that applies the whole
-// round's events and then syncs the origin's HDD lengths reproduces the
-// origin's split exactly. Re-running Migrate on the replica instead would
-// overshoot: it would also migrate up to the post-migrate snapshots.
-func TestSyncTierSplitMirrorsInterleavedMigrate(t *testing.T) {
-	origin := NewStore()
-	replica := NewStore()
-	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	var round []Event
-	add := func(e, kind string, step int) {
-		seq, err := origin.Append(e, t0.Add(time.Duration(step)*time.Minute), kind, []byte{byte(step)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		round = append(round, Event{Entity: e, Seq: seq,
-			Time: t0.Add(time.Duration(step) * time.Minute), Kind: kind, Payload: []byte{byte(step)}})
-	}
-
-	// One "round" at the origin: deltas, a snapshot, migrate, then a
-	// post-migrate snapshot and more deltas.
-	add("h1", "delta", 0)
-	add("h1", "delta", 1)
-	add("h1", SnapshotKind, 2)
-	add("h1", "delta", 3)
-	origin.Migrate() // moves h1 events 0,1; snapshot stays at ssd[0]
-	add("h1", SnapshotKind, 4)
-	add("h1", "delta", 5)
-
-	for _, ev := range round {
-		if err := replica.ApplyReplicated(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	od := origin.DumpPartition(0)
-	want := map[string]int{"h1": len(od.Rows[0].HDD)}
-	if _, err := replica.SyncTierSplit(0, want); err != nil {
-		t.Fatal(err)
-	}
-	rd := replica.DumpPartition(0)
-	o, r := od.Rows[0], rd.Rows[0]
-	if len(o.HDD) != len(r.HDD) || len(o.SSD) != len(r.SSD) ||
-		o.LastSnap != r.LastSnap || o.NextSeq != r.NextSeq {
-		t.Fatalf("split diverged: origin %+v replica %+v", o, r)
-	}
-	os, rs := origin.Stats(), replica.Stats()
-	if os.SSDBytes != rs.SSDBytes || os.HDDBytes != rs.HDDBytes {
-		t.Fatalf("byte counters diverged: %+v vs %+v", os, rs)
-	}
-}
-
-func TestSyncTierSplitRejectsBadTargets(t *testing.T) {
+// TestApplyReplicatedRefusalCreatesNoRow: an out-of-sequence or backwards
+// first event for an unknown entity is refused without leaving an empty row
+// behind, so the replica's entity list and dump stay the origin's.
+func TestApplyReplicatedRefusalCreatesNoRow(t *testing.T) {
 	s := NewStore()
 	t0 := time.Unix(0, 0).UTC()
-	for i := 0; i < 3; i++ {
-		if err := s.ApplyReplicated(Event{Entity: "e", Seq: uint64(i), Time: t0, Kind: "delta"}); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.ApplyReplicated(Event{Entity: "ghost", Seq: 3, Time: t0, Kind: "delta"}); !errors.Is(err, ErrReplicaGap) {
+		t.Fatalf("gap accepted: %v", err)
 	}
-	if _, err := s.SyncTierSplit(0, map[string]int{"missing": 1}); !errors.Is(err, ErrTierSync) {
-		t.Fatalf("unknown row accepted: %v", err)
+	if got := s.Entities(); len(got) != 0 {
+		t.Fatalf("refused event left rows %v", got)
 	}
-	if _, err := s.SyncTierSplit(0, map[string]int{"e": 4}); !errors.Is(err, ErrTierSync) {
-		t.Fatalf("overshoot accepted: %v", err)
+	if d := s.DumpPartition(0); len(d.Rows) != 0 {
+		t.Fatalf("refused event left a dumped row: %+v", d)
 	}
-	if _, err := s.SyncTierSplit(0, map[string]int{"e": 2}); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st != (Stats{}) {
+		t.Fatalf("refused event moved stats: %+v", st)
 	}
-	if _, err := s.SyncTierSplit(0, map[string]int{"e": 1}); !errors.Is(err, ErrTierSync) {
-		t.Fatalf("shrink accepted: %v", err)
+	if g := s.PartitionGen(0); g != 0 {
+		t.Fatalf("refused event bumped the generation to %d", g)
 	}
 }
 
