@@ -39,19 +39,22 @@ chaos:
 
 # The disk-fault differential suite: crash a run to real segment files,
 # corrupt them deterministically (bit flips, torn tails, truncations, missing
-# files, stale checkpoint hints), and require recovery to come back either
+# files, a corrupt checkpoint mirror), and require recovery to come back either
 # bit-identical or degraded with exactly the condemned partitions quarantined.
 chaos-disk:
 	$(GO) test -race ./internal/chaos/ \
 		-run 'TestDiskCrashResumeCleanRoundTrip|TestDiskFaultDifferential|TestFsckDetectsInjectedCorruption|TestStorageTelemetryDeterministic'
 
-# The cluster differential suite: replicated multi-node runs (several node
-# counts, several chaos seeds, quorum-preserving node kills/rejoins) must be
-# externally bit-identical to the serial pipeline — dataset, journal,
-# per-partition replica state, follower-read answers — plus the degraded
-# HTTP surface and metric determinism, under the race detector.
+# The cluster differential suite: the replication log's own tests (ship
+# round trips, integrity refusals, wire records), then replicated multi-node
+# runs (several node counts, several chaos seeds, quorum-preserving node
+# kills/rejoins) that must be externally bit-identical to the serial
+# pipeline — dataset, journal, per-partition replica state, follower-read
+# answers — plus the degraded HTTP surface and metric determinism, all under
+# the race detector.
 cluster-diff:
-	$(GO) test -race ./internal/cluster/ ./internal/chaos/ \
+	$(GO) test -race ./internal/cluster/
+	$(GO) test -race ./internal/chaos/ \
 		-run 'TestClusterDifferential|TestClusterDegradedSurface|TestClusterTelemetryDeterministic|TestNodeFaultSchedule'
 
 # Offline store verification: the storage engine's unit + golden-fixture

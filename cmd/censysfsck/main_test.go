@@ -51,12 +51,11 @@ func TestRepairableFixtureText(t *testing.T) {
 	}
 	// The fixture's snapshots are not cqrs host snapshots, so the CLI's
 	// rebuilder cannot prove the flipped one and reports it as quarantined;
-	// the other three faults are the repairable classes.
+	// the other two faults are the repairable classes.
 	for _, want := range []string{
 		"generation 1: 14 records verified; bytes: checkpoint 118 journal 1297\n",
 		"torn_tail    truncated_restored   stores/journal/p0000/seg-000002.seg record 3 offset 125",
 		"checksum     quarantined          stores/journal/p0000/seg-000000.seg record 2",
-		"stale_current rescanned_generation checkpoint/CURRENT",
 		"checkpoint   fallback_mirror      checkpoint/cp-000001.a record 0",
 		"QUARANTINED  journal partitions [0]",
 	} {

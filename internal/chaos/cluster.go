@@ -40,15 +40,15 @@ const nodeFaultTag = 0x17D0DE
 // middle of the run, one node down at a time, and the final rejoin leaves
 // lease-expiry-plus-rebalance margin before the run ends so the cluster
 // observes healed.
-func nodeFaultSchedule(nf NodeFaults, nodes, rounds, leaseRounds int) []cluster.NodeFault {
+func nodeFaultSchedule(nf NodeFaults, nodes, rounds int) []cluster.NodeFault {
 	if nf.Kills <= 0 || nodes < 2 {
 		return nil
 	}
 	down := nf.DownRounds
 	if down <= 0 {
-		down = leaseRounds + 1
+		down = cluster.LeaseRounds + 1
 	}
-	margin := leaseRounds + 2
+	margin := cluster.LeaseRounds + 2
 	var out []cluster.NodeFault
 	next := 2
 	for k := 0; k < nf.Kills; k++ {

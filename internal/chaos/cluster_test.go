@@ -53,10 +53,9 @@ func TestClusterDifferential(t *testing.T) {
 
 		for _, nodes := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("seed=%d/nodes=%d", seed, nodes), func(t *testing.T) {
-				ccfg := cluster.Config{Nodes: nodes, LeaseRounds: 2, SealEvery: 4}
 				faults := nodeFaultSchedule(NodeFaults{Seed: seed*3 + 1, Kills: 2, DownRounds: 3},
-					nodes, ticks, ccfg.LeaseRounds)
-				ccfg.Faults = faults
+					nodes, ticks)
+				ccfg := cluster.Config{Nodes: nodes, Faults: faults}
 				cr, err := CompleteCluster(spec(seed), ccfg)
 				if err != nil {
 					t.Fatal(err)
@@ -79,7 +78,7 @@ func TestClusterDifferential(t *testing.T) {
 					t.Fatalf("%d flagged hosts on follower reads, first: %s", len(leaks), leaks[0])
 				}
 				st := co.Stats
-				if st.RecordsShipped == 0 || st.SegmentsSealed == 0 {
+				if st.RecordsShipped == 0 || st.BytesShipped == 0 {
 					t.Fatalf("replication did not move data: %+v", st)
 				}
 				if nodes > 1 {
@@ -132,7 +131,7 @@ func TestClusterDegradedSurface(t *testing.T) {
 	spec := clusterSpec(55, 16)
 	spec.Pipeline.Telemetry = telemetry.New()
 	cr, err := StartCluster(spec, cluster.Config{
-		Nodes: 2, LeaseRounds: 2, SealEvery: 4,
+		Nodes:     2,
 		Telemetry: spec.Pipeline.Telemetry,
 		Faults:    []cluster.NodeFault{{Round: killRound, Node: 1, Down: downRounds}},
 	})
@@ -238,7 +237,7 @@ func TestClusterTelemetryDeterministic(t *testing.T) {
 	run := func() (string, telemetry.Snapshot) {
 		spec := clusterSpec(77, 24)
 		spec.Pipeline.Telemetry = telemetry.New()
-		ccfg := cluster.Config{Nodes: 3, LeaseRounds: 2, SealEvery: 4,
+		ccfg := cluster.Config{Nodes: 3,
 			Telemetry: spec.Pipeline.Telemetry,
 			Faults:    []cluster.NodeFault{{Round: 6, Node: 2, Down: 3}}}
 		cr, err := CompleteCluster(spec, ccfg)
@@ -282,8 +281,8 @@ func TestClusterTelemetryDeterministic(t *testing.T) {
 // TestNodeFaultSchedule: derived schedules are deterministic, in-range,
 // serialized (one node down at a time), and leave healing margin.
 func TestNodeFaultSchedule(t *testing.T) {
-	a := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 3, DownRounds: 3}, 5, 40, 2)
-	b := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 3, DownRounds: 3}, 5, 40, 2)
+	a := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 3, DownRounds: 3}, 5, 40)
+	b := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 3, DownRounds: 3}, 5, 40)
 	if len(a) == 0 || fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("schedule not deterministic: %v vs %v", a, b)
 	}
@@ -295,12 +294,12 @@ func TestNodeFaultSchedule(t *testing.T) {
 		if f.Round <= prevEnd {
 			t.Fatalf("overlapping downtime: %v", a)
 		}
-		if f.Round+f.Down > 40-(2+2) {
+		if f.Round+f.Down > 40-(cluster.LeaseRounds+2) {
 			t.Fatalf("fault %+v leaves no healing margin", f)
 		}
 		prevEnd = f.Round + f.Down
 	}
-	if s := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 2}, 1, 40, 2); s != nil {
+	if s := nodeFaultSchedule(NodeFaults{Seed: 9, Kills: 2}, 1, 40); s != nil {
 		t.Fatal("single-node cluster must get no fault schedule")
 	}
 }

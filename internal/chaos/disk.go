@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 
 	"censysmap/internal/core"
 	"censysmap/internal/cqrs"
@@ -134,9 +133,6 @@ type DiskFaults struct {
 	// MissingFiles deletes that many segment files. Unrepairable: quarantine.
 	MissingFiles int
 
-	// StaleCurrent rewrites the checkpoint CURRENT hint to a stale
-	// generation; recovery must rescan from the manifest's generation.
-	StaleCurrent bool
 	// CheckpointFlip corrupts the primary checkpoint file; recovery must
 	// fall back to the mirror.
 	CheckpointFlip bool
@@ -304,23 +300,6 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 			Record: r.record, Fault: durable.FaultChecksum, Quarantines: false})
 	}
 
-	if f.StaleCurrent {
-		rel := filepath.Join("checkpoint", "CURRENT")
-		raw, err := os.ReadFile(filepath.Join(dir, rel))
-		if err != nil {
-			return out, err
-		}
-		gen, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-		if err != nil {
-			return out, err
-		}
-		stale := strconv.FormatUint(gen-1, 10) + "\n"
-		if err := os.WriteFile(filepath.Join(dir, rel), []byte(stale), 0o644); err != nil {
-			return out, err
-		}
-		out = append(out, DiskCorruption{Path: rel, Partition: -1, Record: -1,
-			Fault: durable.FaultStaleCurrent, Quarantines: false})
-	}
 	if f.CheckpointFlip {
 		rel, err := primaryCheckpoint(dir)
 		if err != nil {
@@ -469,9 +448,7 @@ func flipBit(dir string, r diskRecord, drawn uint64) error {
 }
 
 // primaryCheckpoint returns the relative path of the newest generation's
-// primary checkpoint file. It scans the directory rather than trusting the
-// CURRENT hint so a preceding StaleCurrent injection cannot redirect the
-// checkpoint flip at a file that does not exist.
+// primary checkpoint file.
 func primaryCheckpoint(dir string) (string, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "checkpoint", "cp-*.a"))
 	if err != nil {

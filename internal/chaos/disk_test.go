@@ -113,12 +113,12 @@ var diskFaultCases = []struct {
 	seed   uint64
 	faults DiskFaults
 }{
-	{"torn-tails-and-stale-current", 0xA1, DiskFaults{TornTails: 2, StaleCurrent: true}},
+	{"torn-tails", 0xA1, DiskFaults{TornTails: 2}},
 	{"snapshot-flips-and-checkpoint-mirror", 0xB2, DiskFaults{SnapshotFlips: 2, CheckpointFlip: true}},
 	{"delta-flip-and-missing-file", 0xC3, DiskFaults{DeltaFlips: 1, MissingFiles: 1}},
 	{"truncation-with-torn-tail", 0xD4, DiskFaults{Truncations: 1, TornTails: 1}},
 	{"every-class-at-once", 0xE5, DiskFaults{DeltaFlips: 1, SnapshotFlips: 1, TornTails: 1,
-		Truncations: 1, MissingFiles: 1, StaleCurrent: true, CheckpointFlip: true}},
+		Truncations: 1, MissingFiles: 1, CheckpointFlip: true}},
 }
 
 // expectedQuarantine derives the sorted partition set the schedule condemns.
@@ -340,7 +340,7 @@ func TestFsckDetectsInjectedCorruption(t *testing.T) {
 	}
 
 	corr, err := CorruptDisk(dir, DiskFaults{Seed: 0xF5C, DeltaFlips: 1, SnapshotFlips: 1,
-		TornTails: 1, Truncations: 1, MissingFiles: 1, StaleCurrent: true, CheckpointFlip: true})
+		TornTails: 1, Truncations: 1, MissingFiles: 1, CheckpointFlip: true})
 	if err != nil {
 		t.Fatalf("inject: %v (injected so far: %+v)", err, corr)
 	}

@@ -239,7 +239,7 @@ func TestStorageTelemetryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults := DiskFaults{Seed: 0xE5, DeltaFlips: 1, SnapshotFlips: 1, TornTails: 1,
-			Truncations: 1, MissingFiles: 1, StaleCurrent: true, CheckpointFlip: true}
+			Truncations: 1, MissingFiles: 1, CheckpointFlip: true}
 		if _, err := CorruptDisk(dir, faults); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 // Package cluster promotes the partition to the unit of placement: N
 // simulated nodes replicate the map's journal partitions over a
 // deterministic in-process RPC fabric, with per-partition leases electing a
-// serving replica, sealed-segment shipping for rejoin catch-up, and a
-// placement implementation that routes the lookup API's point reads to
-// follower replicas.
+// serving replica, one sealed segment per ship (a routine round and a rejoin
+// catch-up alike), and a placement implementation that routes the lookup
+// API's point reads to follower replicas.
 //
 // The ingest pipeline stays singular — the paper's architecture has one
 // scan pipeline feeding many serving replicas, and the simulation keeps
@@ -32,20 +32,18 @@ type NodeFault struct {
 	Down  int
 }
 
+// LeaseRounds is a lease's lifetime in replication rounds: a dead leader's
+// partitions go unserved until expiry, then fail over.
+const LeaseRounds = 2
+
+// maxReplicationFactor caps the replica count per partition; a cluster of
+// fewer nodes places a replica on every node.
+const maxReplicationFactor = 3
+
 // Config sizes and parameterizes a cluster.
 type Config struct {
 	// Nodes is the cluster size. 1 is the degenerate single-node placement.
 	Nodes int
-	// ReplicationFactor is the replica count per partition; 0 defaults to
-	// min(3, Nodes).
-	ReplicationFactor int
-	// LeaseRounds is a lease's lifetime in replication rounds; a dead
-	// leader's partitions go unserved until expiry, then fail over. 0
-	// defaults to 2.
-	LeaseRounds int
-	// SealEvery is the replication-log segment size in records; full chunks
-	// seal into CRC32C segments for rejoin catch-up. 0 defaults to 64.
-	SealEvery int
 	// Faults is the node-kill schedule, applied at round starts.
 	Faults []NodeFault
 	// Telemetry optionally registers the censys_cluster_* and
@@ -78,7 +76,6 @@ type Stats struct {
 	Rebalances     uint64
 	RecordsShipped uint64
 	BytesShipped   uint64
-	SegmentsSealed uint64
 	CatchupShips   uint64
 	MaxLagRecords  int
 	RPCCalls       map[string]uint64
@@ -102,7 +99,7 @@ type Cluster struct {
 
 	failovers, rebalances        uint64
 	recordsShipped, bytesShipped uint64
-	segmentsSealed, catchupShips uint64
+	catchupShips                 uint64
 	maxLag                       int
 }
 
@@ -112,22 +109,6 @@ type Cluster struct {
 func New(m *core.Map, cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, errors.New("cluster: need at least one node")
-	}
-	if cfg.ReplicationFactor == 0 {
-		cfg.ReplicationFactor = 3
-		if cfg.Nodes < 3 {
-			cfg.ReplicationFactor = cfg.Nodes
-		}
-	}
-	if cfg.ReplicationFactor < 1 || cfg.ReplicationFactor > cfg.Nodes {
-		return nil, fmt.Errorf("cluster: replication factor %d outside 1..%d",
-			cfg.ReplicationFactor, cfg.Nodes)
-	}
-	if cfg.LeaseRounds == 0 {
-		cfg.LeaseRounds = 2
-	}
-	if cfg.SealEvery == 0 {
-		cfg.SealEvery = 64
 	}
 	for _, f := range cfg.Faults {
 		if f.Node < 0 || f.Node >= cfg.Nodes {
@@ -157,17 +138,21 @@ func New(m *core.Map, cfg Config) (*Cluster, error) {
 	c.leases = make([]lease, c.parts)
 	for p := 0; p < c.parts; p++ {
 		c.logs[p] = newPlog()
-		c.leases[p] = lease{leader: p % cfg.Nodes, epoch: 1, expires: cfg.LeaseRounds}
+		c.leases[p] = lease{leader: p % cfg.Nodes, epoch: 1, expires: LeaseRounds}
 	}
 	m.SetPlacement(c)
 	c.updateGauges()
 	return c, nil
 }
 
+// replicationFactor is the replica count per partition.
+func (c *Cluster) replicationFactor() int { return min(maxReplicationFactor, c.cfg.Nodes) }
+
 // replicas lists partition p's replica nodes in placement-preference order:
-// the home node first, then the next ReplicationFactor-1 nodes round-robin.
+// the home node first, then the next replicationFactor()-1 nodes
+// round-robin.
 func (c *Cluster) replicas(p int) []int {
-	out := make([]int, c.cfg.ReplicationFactor)
+	out := make([]int, c.replicationFactor())
 	for i := range out {
 		out[i] = (p + i) % c.cfg.Nodes
 	}
@@ -211,19 +196,16 @@ func (c *Cluster) replicate() error {
 	for p := 0; p < c.parts; p++ {
 		lg := c.logs[p]
 		lg.extract(c.src.DumpPartition(p))
-		sealed := lg.seal(c.cfg.SealEvery, uint32(p))
-		c.segmentsSealed += uint64(sealed)
-		c.tel.segmentsSealed.Add(uint64(sealed))
 		for _, ni := range c.replicas(p) {
 			n := c.nodes[ni]
 			if !n.alive || n.applied[p] >= len(lg.records) {
 				continue
 			}
-			sh := lg.ship(n.applied[p], c.cfg.SealEvery)
-			size := sh.size()
+			seg, catchup := lg.ship(p, n.applied[p])
+			size := len(seg)
 			c.fab.record(rpcShip, size)
 			c.tel.rpc.With(rpcShip).Inc()
-			newOff, err := applyShipment(n.store, p, n.applied[p], sh)
+			newOff, err := applyShipment(n.store, p, n.applied[p], seg)
 			if err != nil {
 				return fmt.Errorf("cluster: ship to %s: %w", n.name, err)
 			}
@@ -231,7 +213,7 @@ func (c *Cluster) replicate() error {
 			c.bytesShipped += uint64(size)
 			c.tel.recordsShipped.Add(uint64(newOff - n.applied[p]))
 			c.tel.bytesShipped.Add(uint64(size))
-			if sh.Catchup {
+			if catchup {
 				c.catchupShips++
 				c.tel.catchupShips.Inc()
 			}
@@ -246,7 +228,7 @@ func (c *Cluster) maintainLeases() {
 		ls := &c.leases[p]
 		home := p % c.cfg.Nodes
 		if ls.leader >= 0 && c.nodes[ls.leader].alive {
-			ls.expires = c.round + c.cfg.LeaseRounds
+			ls.expires = c.round + LeaseRounds
 			c.fab.record(rpcRenew, 0)
 			c.tel.rpc.With(rpcRenew).Inc()
 			// Rebalance: hand the lease back to a caught-up home node.
@@ -254,7 +236,7 @@ func (c *Cluster) maintainLeases() {
 				c.nodes[home].applied[p] >= len(c.logs[p].records) {
 				ls.leader = home
 				ls.epoch++
-				ls.expires = c.round + c.cfg.LeaseRounds
+				ls.expires = c.round + LeaseRounds
 				c.rebalances++
 				c.tel.rebalances.Inc()
 				c.fab.record(rpcRebalance, 0)
@@ -281,7 +263,7 @@ func (c *Cluster) maintainLeases() {
 		}
 		ls.leader = best
 		ls.epoch++
-		ls.expires = c.round + c.cfg.LeaseRounds
+		ls.expires = c.round + LeaseRounds
 		c.failovers++
 		c.tel.failovers.Inc()
 		c.fab.record(rpcGrant, 0)
@@ -343,7 +325,7 @@ func (c *Cluster) Route(p int) core.Route {
 		}
 	}
 	rt := core.Route{Node: c.nodes[ls.leader].name}
-	if alive < c.cfg.ReplicationFactor/2+1 ||
+	if alive < c.replicationFactor()/2+1 ||
 		c.nodes[ls.leader].applied[p] < len(c.logs[p].records) {
 		rt.Degraded = true
 	}
@@ -390,7 +372,6 @@ func (c *Cluster) Stats() Stats {
 		Rebalances:     c.rebalances,
 		RecordsShipped: c.recordsShipped,
 		BytesShipped:   c.bytesShipped,
-		SegmentsSealed: c.segmentsSealed,
 		CatchupShips:   c.catchupShips,
 		MaxLagRecords:  c.maxLag,
 		RPCCalls:       make(map[string]uint64, len(c.fab.calls)),

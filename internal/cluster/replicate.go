@@ -2,12 +2,13 @@ package cluster
 
 // Per-partition replication log. Each round the leader diffs the origin
 // journal's partition dump against its per-entity high-water marks and
-// appends the new events to an append-only log of wire records. The log
-// ships to replicas as CRC32C sealed segments (durable's framing, KindReplica)
-// for catch-up plus a framed unsealed tail for the current round, so a
-// rejoining node replays exactly the bytes a fresh disk recovery would.
-// Events are all that ships: a row's SSD/HDD tier split is a function of
-// its events, so a replica holding the origin's events holds its split.
+// appends the new events to an append-only log of wire records. A ship is
+// the log from the replica's applied offset on, cut as one CRC32C-sealed
+// segment (durable's framing, KindReplica): a routine round and a rejoin
+// catch-up are the same shape, and the replica verifies every frame and the
+// footer before it applies a record. Events are all that ships: a row's
+// SSD/HDD tier split is a function of its events, so a replica holding the
+// origin's events holds its split.
 
 import (
 	"encoding/binary"
@@ -61,8 +62,6 @@ func decodeWire(b []byte) (ev journal.Event, err error) {
 // plog is one partition's replication log.
 type plog struct {
 	records [][]byte // encoded wire records, append-only
-	segs    [][]byte // sealed segments, sealEvery records each
-	sealedN int      // records covered by segs
 	// hw is the extractor's per-entity high-water mark: the number of the
 	// row's events already extracted (its next sequence number then).
 	hw map[string]int
@@ -90,83 +89,30 @@ func (lg *plog) extract(d journal.PartitionDump) (added int) {
 	return added
 }
 
-// seal packs full sealEvery-record chunks into sealed KindReplica segments.
-// Returns segments sealed this call.
-func (lg *plog) seal(sealEvery int, partition uint32) (sealed int) {
-	for len(lg.records)-lg.sealedN >= sealEvery {
-		chunk := lg.records[lg.sealedN : lg.sealedN+sealEvery]
-		lg.segs = append(lg.segs, durable.BuildSegment(durable.KindReplica, partition, chunk, true))
-		lg.sealedN += sealEvery
-		sealed++
-	}
-	return sealed
+// ship cuts the records a replica of partition p at offset from lacks as one
+// sealed segment. catchup marks a ship that replays more than the latest
+// round — a rejoining or newly placed replica.
+func (lg *plog) ship(p, from int) (seg []byte, catchup bool) {
+	return durable.BuildSegment(durable.KindReplica, uint32(p), lg.records[from:]),
+		len(lg.records)-from > lg.lastAdded
 }
 
-// shipment is one Ship RPC's payload: sealed segments from the aligned
-// start offset, plus the unsealed tail records.
-type shipment struct {
-	// Start is the log offset of the first record in Segments; the replica
-	// skips (its applied offset − Start) records. Segment boundaries are
-	// fixed, so a mid-segment replica re-receives the whole segment.
-	Start    int
-	Segments [][]byte
-	Tail     [][]byte
-	// Catchup marks a ship that replays more than the latest round — a
-	// rejoining or newly placed replica.
-	Catchup bool
-}
-
-// ship builds the payload bringing a replica at offset `from` up to date.
-func (lg *plog) ship(from, sealEvery int) shipment {
-	if from >= lg.sealedN {
-		return shipment{Start: from, Tail: lg.records[from:],
-			Catchup: len(lg.records)-from > lg.lastAdded}
+// applyShipment verifies a ship and applies it to a replica store at offset
+// from, returning the new applied offset. Every frame, the footer and every
+// wire record are checked before the first event is applied, so a corrupted
+// ship is refused whole, leaving the replica at its prior offset.
+func applyShipment(store *journal.Store, p, from int, seg []byte) (int, error) {
+	recs, err := durable.DecodeShippedSegment(seg, durable.KindReplica, uint32(p))
+	if err != nil {
+		return from, fmt.Errorf("partition %d: %w", p, err)
 	}
-	segIdx := from / sealEvery
-	return shipment{
-		Start:    segIdx * sealEvery,
-		Segments: lg.segs[segIdx:],
-		Tail:     lg.records[lg.sealedN:],
-		Catchup:  true,
-	}
-}
-
-// size reports the shipment's payload bytes, for RPC accounting.
-func (sh shipment) size() int {
-	n := 0
-	for _, s := range sh.Segments {
-		n += len(s)
-	}
-	for _, r := range sh.Tail {
-		n += len(r)
-	}
-	return n
-}
-
-// applyShipment verifies and applies a shipment to a replica store,
-// returning the new applied offset. Sealed segments re-verify their CRC32C
-// framing on every apply — a corrupted ship is refused whole, leaving the
-// replica at its prior offset.
-func applyShipment(store *journal.Store, partition int, from int, sh shipment) (int, error) {
-	recs := make([][]byte, 0, len(sh.Tail))
-	for _, blob := range sh.Segments {
-		rs, err := durable.DecodeShippedSegment(blob, durable.KindReplica, uint32(partition))
-		if err != nil {
-			return from, fmt.Errorf("partition %d: %w", partition, err)
+	evs := make([]journal.Event, len(recs))
+	for i, rec := range recs {
+		if evs[i], err = decodeWire(rec); err != nil {
+			return from, fmt.Errorf("partition %d: %w", p, err)
 		}
-		recs = append(recs, rs...)
 	}
-	recs = append(recs, sh.Tail...)
-	skip := from - sh.Start
-	if skip < 0 || skip > len(recs) {
-		return from, fmt.Errorf("partition %d: ship start %d does not cover offset %d",
-			partition, sh.Start, from)
-	}
-	for _, rec := range recs[skip:] {
-		ev, err := decodeWire(rec)
-		if err != nil {
-			return from, fmt.Errorf("partition %d: %w", partition, err)
-		}
+	for _, ev := range evs {
 		if err := store.ApplyReplicated(ev); err != nil {
 			return from, err
 		}

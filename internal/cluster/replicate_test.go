@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"censysmap/internal/durable"
 	"censysmap/internal/journal"
 )
 
@@ -43,19 +44,22 @@ func assertReplicaMatches(t *testing.T, name string, origin, replica *journal.St
 	}
 }
 
-// TestPlogShipApplyRoundTrip: extract → seal → ship → apply reproduces the
-// origin partition on a replica — events, tier split and counters — for
-// both a tail-following replica and one catching up from offset zero
-// through sealed segments, across rounds whose snapshots land mid-round.
+// TestPlogShipApplyRoundTrip: extract → ship → apply reproduces the origin
+// partition on a replica — events, tier split and counters — for both a
+// tail-following replica and one catching up from offset zero, across rounds
+// whose snapshots land mid-round. Only the cold replica's ship is a catch-up.
 func TestPlogShipApplyRoundTrip(t *testing.T) {
 	origin := journal.NewStore()
 	lg := newPlog()
 
 	fillOrigin(t, origin, 0, 8)
 	lg.extract(origin.DumpPartition(0))
-	lg.seal(4, 0)
 	follower := journal.NewStore()
-	off, err := applyShipment(follower, 0, 0, lg.ship(0, 4))
+	seg, catchup := lg.ship(0, 0)
+	if catchup {
+		t.Fatal("the first round's ship to an empty follower is not a catch-up")
+	}
+	off, err := applyShipment(follower, 0, 0, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,58 +76,72 @@ func TestPlogShipApplyRoundTrip(t *testing.T) {
 	if origin.Stats().HDDEvents <= hddBefore {
 		t.Fatal("second round's snapshots did not grow the HDD tier")
 	}
-	lg.seal(4, 0)
 
 	// Tail follower continues from its offset; a cold replica replays the
-	// sealed segments from zero.
-	off, err = applyShipment(follower, 0, off, lg.ship(off, 4))
-	if err != nil {
+	// whole log from zero. Each ship is one sealed segment holding exactly
+	// the records its replica lacks.
+	seg, catchup = lg.ship(0, off)
+	if catchup {
+		t.Fatal("routine round ship flagged as catch-up")
+	}
+	if recs, err := durable.DecodeShippedSegment(seg, durable.KindReplica, 0); err != nil || len(recs) != 15 {
+		t.Fatalf("tail ship holds %d records (%v), want 15", len(recs), err)
+	}
+	if off, err = applyShipment(follower, 0, off, seg); err != nil {
 		t.Fatal(err)
 	}
 	cold := journal.NewStore()
-	sh := lg.ship(0, 4)
-	if !sh.Catchup || len(sh.Segments) == 0 {
-		t.Fatalf("cold ship should replay sealed segments: %+v", sh)
+	seg, catchup = lg.ship(0, 0)
+	if !catchup {
+		t.Fatal("cold replica's ship not flagged as catch-up")
 	}
-	coldOff, err := applyShipment(cold, 0, 0, sh)
+	coldOff, err := applyShipment(cold, 0, 0, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coldOff != off {
-		t.Fatalf("cold replica at %d, tail follower at %d", coldOff, off)
+	if coldOff != off || off != len(lg.records) {
+		t.Fatalf("cold replica at %d, tail follower at %d, log %d", coldOff, off, len(lg.records))
 	}
 	assertReplicaMatches(t, "follower", origin, follower)
 	assertReplicaMatches(t, "cold replica", origin, cold)
 }
 
-// TestPlogMidSegmentResume: a replica whose offset lands inside a sealed
-// segment re-receives that whole segment and skips the prefix.
-func TestPlogMidSegmentResume(t *testing.T) {
+// TestApplyShipmentRefusesFlippedByte: a routine round's ship with any one
+// byte flipped — header, frame, payload or footer — is refused, and the
+// replica keeps its offset and its rows.
+func TestApplyShipmentRefusesFlippedByte(t *testing.T) {
 	origin := journal.NewStore()
 	lg := newPlog()
-	fillOrigin(t, origin, 0, 10)
+	fillOrigin(t, origin, 0, 4)
 	lg.extract(origin.DumpPartition(0))
-	lg.seal(4, 0)
-	if lg.sealedN == 0 {
-		t.Fatal("nothing sealed")
-	}
-
-	mid := lg.sealedN - 2 // inside the last sealed segment
 	replica := journal.NewStore()
-	if _, err := applyShipment(replica, 0, 0, shipment{Start: 0, Tail: lg.records[:mid]}); err != nil {
-		t.Fatal(err)
-	}
-	sh := lg.ship(mid, 4)
-	if sh.Start >= mid || len(sh.Segments) == 0 {
-		t.Fatalf("mid-segment ship = %+v", sh)
-	}
-	off, err := applyShipment(replica, 0, mid, sh)
+	seg, _ := lg.ship(0, 0)
+	off, err := applyShipment(replica, 0, 0, seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off != len(lg.records) {
-		t.Fatalf("resumed replica applied %d of %d", off, len(lg.records))
+	fillOrigin(t, origin, 4, 2)
+	lg.extract(origin.DumpPartition(0))
+	seg, catchup := lg.ship(0, off)
+	if catchup {
+		t.Fatal("want a routine tail ship")
 	}
+	before := replica.DumpPartition(0)
+	for i := range seg {
+		bad := append([]byte(nil), seg...)
+		bad[i] ^= 0xff
+		got, err := applyShipment(replica, 0, off, bad)
+		if err == nil || got != off {
+			t.Fatalf("byte %d of %d flipped: offset %d, err %v", i, len(seg), got, err)
+		}
+		if !reflect.DeepEqual(replica.DumpPartition(0), before) {
+			t.Fatalf("byte %d of %d flipped: refused ship still wrote to the replica", i, len(seg))
+		}
+	}
+	if _, err := applyShipment(replica, 0, off, seg); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicaMatches(t, "replica", origin, replica)
 }
 
 func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
@@ -131,55 +149,35 @@ func TestApplyShipmentRefusesCorruptSegment(t *testing.T) {
 	lg := newPlog()
 	fillOrigin(t, origin, 0, 10)
 	lg.extract(origin.DumpPartition(0))
-	lg.seal(4, 0)
-	sh := lg.ship(0, 4)
-	bad := make([][]byte, len(sh.Segments))
-	for i, s := range sh.Segments {
-		bad[i] = append([]byte(nil), s...)
-	}
-	bad[0][len(bad[0])/2] ^= 1
-	sh.Segments = bad
-	replica := journal.NewStore()
-	if _, err := applyShipment(replica, 0, 0, sh); err == nil {
-		t.Fatal("corrupt segment applied")
-	}
-	if n := len(replica.Entities()); n != 0 {
-		t.Fatalf("refused ship still wrote %d rows", n)
+	seg, _ := lg.ship(0, 0)
+	for name, bad := range map[string][]byte{
+		"flipped bit":     flipped(seg, len(seg)/2),
+		"no footer":       seg[:len(seg)-24],
+		"other partition": durable.BuildSegment(durable.KindReplica, 1, lg.records),
+		"journal kind":    durable.BuildSegment(durable.KindJournal, 0, lg.records),
+	} {
+		replica := journal.NewStore()
+		if _, err := applyShipment(replica, 0, 0, bad); err == nil {
+			t.Fatalf("%s: corrupt segment applied", name)
+		}
+		if n := len(replica.Entities()); n != 0 {
+			t.Fatalf("%s: refused ship still wrote %d rows", name, n)
+		}
 	}
 }
 
-// TestApplyShipmentRefusesUncoveredOffset: a shipment that starts past the
-// replica's offset, or ends before it, cannot bring the replica forward and
-// is refused with the replica untouched.
-func TestApplyShipmentRefusesUncoveredOffset(t *testing.T) {
-	origin := journal.NewStore()
-	lg := newPlog()
-	fillOrigin(t, origin, 0, 4)
-	lg.extract(origin.DumpPartition(0))
-	for _, tc := range []struct {
-		name string
-		from int
-		sh   shipment
-	}{
-		{"starts past the offset", 0, shipment{Start: 2, Tail: lg.records[2:]}},
-		{"ends before the offset", len(lg.records) + 1, lg.ship(0, 4)},
-	} {
-		replica := journal.NewStore()
-		off, err := applyShipment(replica, 0, tc.from, tc.sh)
-		if err == nil || !strings.Contains(err.Error(), "does not cover offset") {
-			t.Fatalf("%s: err = %v", tc.name, err)
-		}
-		if off != tc.from || len(replica.Entities()) != 0 {
-			t.Fatalf("%s: offset %d, %d rows", tc.name, off, len(replica.Entities()))
-		}
-	}
+// flipped returns a copy of b with one bit of byte i flipped.
+func flipped(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 1
+	return out
 }
 
 // TestWireRecord: ev records decode to what was encoded and re-encode to
 // the same bytes; anything the encoder would not emit — including the
 // tier-split control records earlier logs carried under tag 0x02 — is
 // ErrBadWireRecord, which applyShipment passes up with the replica
-// untouched. wireEvents are well-formed records' contents, edge values
+// untouched, however many good records precede it. wireEvents are well-formed records' contents, edge values
 // included.
 var wireEvents = []journal.Event{
 	{Entity: "10.1.0.1", Seq: 3, Time: time.Date(2026, 1, 1, 0, 0, 0, 5, time.UTC), Kind: "service_found", Payload: []byte{0, 0xff, '"', '{'}},
@@ -217,12 +215,15 @@ func TestWireRecord(t *testing.T) {
 		}
 	}
 
+	// Each bad record ships behind a good one, which must not be applied
+	// either: a ship's records are all decoded before any is applied.
+	good := appendWireEv(nil, journal.Event{Entity: "10.1.0.9", Time: wireEvents[0].Time, Kind: "k"})
 	for name, rec := range badWireRecords() {
 		if _, err := decodeWire(rec); !errors.Is(err, ErrBadWireRecord) {
 			t.Errorf("%s: err = %v, want ErrBadWireRecord", name, err)
 		}
 		replica := journal.NewStore()
-		off, err := applyShipment(replica, 0, 0, shipment{Tail: [][]byte{rec}})
+		off, err := applyShipment(replica, 0, 0, durable.BuildSegment(durable.KindReplica, 0, [][]byte{good, rec}))
 		if !errors.Is(err, ErrBadWireRecord) || off != 0 || len(replica.Entities()) != 0 {
 			t.Errorf("%s: applyShipment offset %d, err %v", name, off, err)
 		}
@@ -253,7 +254,6 @@ func FuzzWireRecord(f *testing.F) {
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Nodes: 0},
-		{Nodes: 2, ReplicationFactor: 3},
 		{Nodes: 3, Faults: []NodeFault{{Round: 1, Node: 5, Down: 2}}},
 		{Nodes: 3, Faults: []NodeFault{{Round: 0, Node: 1, Down: 2}}},
 	}

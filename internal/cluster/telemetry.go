@@ -17,7 +17,6 @@ type clusterTel struct {
 	rounds         *telemetry.Counter
 	recordsShipped *telemetry.Counter
 	bytesShipped   *telemetry.Counter
-	segmentsSealed *telemetry.Counter
 	catchupShips   *telemetry.Counter
 	rpc            *telemetry.CounterVec
 }
@@ -53,8 +52,6 @@ func attachTelemetry(reg *telemetry.Registry, nodes, partitions int) *clusterTel
 		"replication log records shipped to replicas")
 	t.bytesShipped = reg.Counter("censys_replication_bytes_shipped_total",
 		"replication payload bytes shipped to replicas")
-	t.segmentsSealed = reg.Counter("censys_replication_segments_sealed_total",
-		"replication log segments sealed with CRC32C framing")
 	t.catchupShips = reg.Counter("censys_replication_catchup_ships_total",
 		"ships that replayed more than the latest round (rejoin catch-up)")
 	t.rpc = reg.CounterVec("censys_cluster_rpc_total",

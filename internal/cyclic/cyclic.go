@@ -147,7 +147,6 @@ type Cycle struct {
 	cur     uint64
 	stride  uint64 // multiplier per step (g, or g^m when sharded)
 	emitted uint64 // values emitted so far
-	total   uint64 // values this cycle will emit before wrapping
 	steps   uint64 // group steps taken (for skip accounting)
 	maxStep uint64 // group steps before the cycle is exhausted
 }
@@ -173,7 +172,7 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	}
 	if n == 1 {
 		// The group mod 2 is trivial; emit the single element directly.
-		c := &Cycle{n: 1, p: 2, g: 1, start: 1, cur: 1, stride: 1, total: 1}
+		c := &Cycle{n: 1, p: 2, g: 1, start: 1, cur: 1, stride: 1}
 		if shard == 0 {
 			c.maxStep = 1
 		}
@@ -209,19 +208,7 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	if uint64(shard) < order%uint64(shards) {
 		maxStep++
 	}
-	c := &Cycle{n: n, p: p, g: g, start: start, cur: start, stride: stride, maxStep: maxStep}
-	c.total = c.countEmitted()
-	return c, nil
-}
-
-// countEmitted computes how many of this shard's group elements map into
-// [0, n) — exact for unsharded cycles, and computed by a full dry pass for
-// sharded ones only when n is small; otherwise it is set lazily.
-func (c *Cycle) countEmitted() uint64 {
-	if c.stride == c.g && c.maxStep == c.p-1 {
-		return c.n // unsharded: group is [1, p-1], exactly n values are <= n
-	}
-	return 0 // unknown for shards; Next reports done via step exhaustion
+	return &Cycle{n: n, p: p, g: g, start: start, cur: start, stride: stride, maxStep: maxStep}, nil
 }
 
 // N returns the size of the target space.

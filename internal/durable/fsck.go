@@ -14,8 +14,8 @@ type FsckOptions struct {
 	// uses.
 	Rebuild map[string]SnapshotRebuilder
 	// Repair applies every provable fix in place: torn tails truncated and
-	// restored from the doublewrite buffer, CRC-proven snapshot rewrites, a
-	// stale CURRENT hint, and a corrupt checkpoint primary re-mirrored.
+	// restored from the doublewrite buffer, CRC-proven snapshot rewrites,
+	// and a corrupt checkpoint primary re-mirrored.
 	// Quarantine-class faults are reported but never "repaired" — there is
 	// nothing to restore them from.
 	Repair bool

@@ -82,10 +82,7 @@ func rebuildFixtures(t *testing.T) {
 				}
 			}
 		}
-		// Stale hint + corrupt primary checkpoint: mirror must serve.
-		if err := os.WriteFile(filepath.Join(dir, "checkpoint", "CURRENT"), []byte("0\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		// Corrupt primary checkpoint: mirror must serve.
 		cp := filepath.Join(dir, "checkpoint", "cp-000001.a")
 		data, err := os.ReadFile(cp)
 		if err != nil {

@@ -79,8 +79,9 @@ const (
 	// active segment's final record, used to repair torn appends.
 	KindDWB SegmentKind = 4
 	// KindReplica segments carry one partition's replication-log records
-	// between cluster nodes: sealed chains for catch-up, unsealed tails for
-	// per-round deltas (see internal/cluster and BuildSegment in ship.go).
+	// between cluster nodes: each ship is one sealed segment holding the
+	// records the receiving replica lacks (see internal/cluster and
+	// BuildSegment in ship.go).
 	KindReplica SegmentKind = 5
 )
 

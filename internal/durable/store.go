@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"censysmap/internal/journal"
@@ -17,25 +16,23 @@ import (
 //	MANIFEST, MANIFEST.bak          single-record manifest segments
 //	stores/<name>/p0000/seg-000000.seg   per-partition segment chain
 //	stores/<name>/p0000/tail.dwb         doublewrite copy of the tail record
-//	checkpoint/CURRENT                   generation hint (text)
 //	checkpoint/cp-000001.a / .b          checkpoint blob, primary + mirror
 //
 // Every file is written to a temp name and renamed into place; the manifest
 // is written last, so a save is atomic at the manifest boundary. The
-// manifest's generation — not CURRENT — is authoritative; CURRENT is a
-// recoverable hint (the stale-generation fault class).
+// manifest's generation names the checkpoint to read; nothing else records
+// it.
 
 // Fault kinds recovery and fsck report.
 const (
-	FaultChecksum     = "checksum"
-	FaultTornTail     = "torn_tail"
-	FaultTruncated    = "truncated"
-	FaultMissing      = "missing"
-	FaultBadHeader    = "bad_header"
-	FaultBadFooter    = "bad_footer"
-	FaultStaleCurrent = "stale_current"
-	FaultCheckpoint   = "checkpoint"
-	FaultDecode       = "decode"
+	FaultChecksum   = "checksum"
+	FaultTornTail   = "torn_tail"
+	FaultTruncated  = "truncated"
+	FaultMissing    = "missing"
+	FaultBadHeader  = "bad_header"
+	FaultBadFooter  = "bad_footer"
+	FaultCheckpoint = "checkpoint"
+	FaultDecode     = "decode"
 )
 
 // Recovery actions taken for a finding.
@@ -44,7 +41,6 @@ const (
 	ActionRestoredTail    = "truncated_restored"
 	ActionQuarantined     = "quarantined"
 	ActionFellBack        = "fallback_mirror"
-	ActionRescannedGen    = "rescanned_generation"
 )
 
 // Finding is one detected fault with the exact location and the recovery
@@ -158,10 +154,11 @@ type partManifest struct {
 	SrcGen uint64 `json:"src_gen,omitempty"`
 }
 
+// segManifest describes one segment of a partition's chain. Every segment
+// but the last is sealed; the last is the active segment.
 type segManifest struct {
 	File    string `json:"file"`
 	Records int    `json:"records"`
-	Sealed  bool   `json:"sealed"`
 	SegCRC  uint32 `json:"seg_crc"`
 }
 
@@ -277,7 +274,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 					return fmt.Errorf("durable: save %s: %w", rel, err)
 				}
 				pm.Segments = append(pm.Segments, segManifest{
-					File: rel, Records: len(chunk), Sealed: sealed, SegCRC: segCRC(b.crcs),
+					File: rel, Records: len(chunk), SegCRC: segCRC(b.crcs),
 				})
 				if !sealed && len(chunk) > 0 {
 					// Doublewrite the tail record so a torn final append is
@@ -306,10 +303,6 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 		if err := writeFileAtomic(p, cpSeg); err != nil {
 			return fmt.Errorf("durable: save checkpoint %s: %w", p, err)
 		}
-	}
-	if err := writeFileAtomic(filepath.Join(cpDir, "CURRENT"),
-		[]byte(strconv.FormatUint(gen, 10)+"\n")); err != nil {
-		return fmt.Errorf("durable: save CURRENT: %w", err)
 	}
 
 	mb, err := json.Marshal(man)
@@ -534,7 +527,7 @@ func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journa
 				})
 			}
 		}
-		if sm.Sealed {
+		if si < len(pm.Segments)-1 {
 			if !scan.Sealed || scan.FooterErr != nil {
 				fault := FaultBadFooter
 				if scan.Torn || len(scan.Frames) < sm.Records {
@@ -585,10 +578,6 @@ func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journa
 					Detail: fmt.Sprintf("%d records on disk, manifest says %d", len(frames), sm.Records)})
 			}
 			appendFrames(frames, 0)
-			if si != len(pm.Segments)-1 {
-				return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-					Fault: FaultBadFooter, Detail: "unsealed segment before the chain tail"})
-			}
 			continue
 		}
 
@@ -705,40 +694,23 @@ func (l *loader) patchFile(rel string, payloadOff int64, payload []byte) {
 	l.repairs = append(l.repairs, repairAction{Path: path, Data: fixed})
 }
 
-// recoverCheckpoint loads the manifest generation's checkpoint, repairing a
-// stale CURRENT hint and falling back to the mirror copy on corruption.
+// recoverCheckpoint loads the manifest generation's checkpoint, falling back
+// to the mirror copy on corruption.
 func (l *loader) recoverCheckpoint() ([]byte, error) {
 	gen := l.man.Gen
-	curRel := filepath.Join("checkpoint", "CURRENT")
-	raw, err := os.ReadFile(filepath.Join(l.dir, curRel))
-	cur, perr := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil || perr != nil || cur != gen {
-		detail := fmt.Sprintf("CURRENT names generation %d; manifest pins %d", cur, gen)
-		if err != nil {
-			detail = "CURRENT unreadable: " + err.Error()
-		}
-		l.finding(Finding{Store: "checkpoint", Partition: -1, File: curRel,
-			Record: -1, Offset: -1,
-			Fault: FaultStaleCurrent, Action: ActionRescannedGen, Detail: detail})
-		l.repairs = append(l.repairs, repairAction{
-			Path: filepath.Join(l.dir, curRel),
-			Data: []byte(strconv.FormatUint(gen, 10) + "\n"),
-		})
-	}
-
 	aRel, bRel := checkpointFile(gen, "a"), checkpointFile(gen, "b")
-	primary, perr2 := readCheckpointFile(filepath.Join(l.dir, aRel))
-	if perr2 == nil {
+	primary, perr := readCheckpointFile(filepath.Join(l.dir, aRel))
+	if perr == nil {
 		return primary, nil
 	}
 	l.metrics.CheckpointFallbacks.Inc()
 	l.finding(Finding{Store: "checkpoint", Partition: -1, File: aRel,
 		Record: 0, Offset: -1,
-		Fault: FaultCheckpoint, Action: ActionFellBack, Detail: perr2.Error()})
+		Fault: FaultCheckpoint, Action: ActionFellBack, Detail: perr.Error()})
 	mirror, merr := readCheckpointFile(filepath.Join(l.dir, bRel))
 	if merr != nil {
 		return nil, fmt.Errorf("durable: checkpoint generation %d unrecoverable: primary %s: %v; mirror %s: %w",
-			gen, aRel, perr2, bRel, merr)
+			gen, aRel, perr, bRel, merr)
 	}
 	if raw, err := os.ReadFile(filepath.Join(l.dir, bRel)); err == nil {
 		l.repairs = append(l.repairs, repairAction{Path: filepath.Join(l.dir, aRel), Data: raw})

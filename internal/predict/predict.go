@@ -94,8 +94,9 @@ func DefaultConfig() Config {
 }
 
 // Engine is the predictive model state. It is fed concurrently by the
-// interrogation workers, so all methods lock; hosts are kept address-sorted
-// so the Recommend order never depends on observation arrival order.
+// interrogation workers, so all methods lock; each /24's hosts are kept
+// address-sorted so the Recommend order never depends on observation arrival
+// order.
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config
@@ -122,9 +123,8 @@ type Engine struct {
 	// portHosts counts hosts currently running each port (the stage-1
 	// prior's numerator and both conditionals' denominator).
 	portHosts map[uint16]int
-	// topo is the density-ranked prefix tree driving candidate order and
-	// holding the exclusion subtrees.
-	topo *Topology
+	// topo holds the exclusion subtrees and ranks /24s by density.
+	topo Topology
 	// suggested is the per-target cooldown clock. Recommend sweeps expired
 	// entries, so residency is bounded by the targets suggested within one
 	// Cooldown window.
@@ -134,9 +134,12 @@ type Engine struct {
 
 	cursor       int // rotation over ranked /24s (conditional refinement)
 	expandCursor int // rotation over ranked /24s (topology expansion)
-	hosts        []netip.Addr
-	// hosts24 lists each populated /24's member hosts, address-sorted.
+	// hosts24 lists each populated /24's member hosts, address-sorted. A /24
+	// stays listed after its last port is evicted.
 	hosts24 map[netip.Addr][]netip.Addr
+	// ranked caches topo.Ranked over hosts24 and net24Ports; every change to
+	// either, or to the exclusions, resets it to nil.
+	ranked []netip.Addr
 
 	// Derived state, never serialized: each count map's best ports (see
 	// top), built lazily by Recommend and dropped by the one mutation that
@@ -171,7 +174,6 @@ func New(cfg Config) *Engine {
 		hostPorts:     make(map[netip.Addr]map[uint16]entity.Transport),
 		portHosts:     make(map[uint16]int),
 		hosts24:       make(map[netip.Addr][]netip.Addr),
-		topo:          NewTopology(),
 		suggested:     make(map[Target]time.Time),
 		evicted:       make(map[Target]evictedEntry),
 		top24:         make(map[netip.Addr][]portCount),
@@ -198,7 +200,6 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 		e.hostPorts[addr] = hp
 		// Sorted insert: the rotation order over hosts must be a function of
 		// which hosts are known, not of the order observations arrived in.
-		insertSortedAddr(&e.hosts, addr)
 		members := e.hosts24[n24]
 		if members == nil {
 			e.hosts24[n24] = []netip.Addr{addr}
@@ -206,7 +207,7 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 			insertSortedAddr(&members, addr)
 			e.hosts24[n24] = members
 		}
-		e.topo.ObserveHost(n24)
+		e.ranked = nil
 	}
 	if _, known := hp[port]; !known {
 		for q := range hp {
@@ -234,7 +235,7 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 		m[port]++
 		delete(e.top24, n24)
 		e.portHosts[port]++
-		e.topo.ObserveService(n24)
+		e.ranked = nil
 	}
 	hp[port] = transport
 }
@@ -300,7 +301,7 @@ func (e *Engine) ObserveFull(addr netip.Addr) {
 func (e *Engine) KnownHosts() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.hosts)
+	return len(e.hostPorts)
 }
 
 // SetExcluded replaces the exclusion subtrees: no recommendation — refined
@@ -310,13 +311,14 @@ func (e *Engine) SetExcluded(prefixes []netip.Prefix) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.topo.SetExcluded(prefixes)
+	e.ranked = nil
 }
 
 // Stats is a point-in-time model summary (telemetry input).
 type Stats struct {
 	// KnownHosts is the model's training-set size.
 	KnownHosts int
-	// TrackedPrefixes counts populated /24 leaves in the topology tree.
+	// TrackedPrefixes counts the /24s holding a known host.
 	TrackedPrefixes int
 	// SuggestedResident is the cooldown book's current size (bounded: one
 	// Cooldown window of suggestions).
@@ -330,8 +332,8 @@ func (e *Engine) ModelStats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Stats{
-		KnownHosts:          len(e.hosts),
-		TrackedPrefixes:     e.topo.Tracked24s(),
+		KnownHosts:          len(e.hostPorts),
+		TrackedPrefixes:     len(e.hosts24),
 		SuggestedResident:   len(e.suggested),
 		PendingReinjections: len(e.evicted),
 	}
@@ -351,10 +353,10 @@ func (e *Engine) Recommend(now time.Time, budget int) []Target {
 			delete(e.suggested, tgt)
 		}
 	}
-	if budget <= 0 || len(e.hosts) == 0 {
+	if budget <= 0 || len(e.hostPorts) == 0 {
 		return nil
 	}
-	ranked := e.topo.Ranked()
+	ranked := e.rank()
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -420,6 +422,15 @@ func (e *Engine) Recommend(now time.Time, budget int) []Target {
 		e.expandCursor = (e.expandCursor + scanned) % len(ranked)
 	}
 	return out
+}
+
+// rank returns the /24s in density order, ranking them again only after a
+// change reset the cache.
+func (e *Engine) rank() []netip.Addr {
+	if e.ranked == nil {
+		e.ranked = e.topo.Ranked(e.hosts24, e.net24Ports)
+	}
+	return e.ranked
 }
 
 // emit appends tgt if it passes the gates every recommendation must clear:
@@ -532,7 +543,7 @@ func (e *Engine) candidatesFor(n24 netip.Addr, known map[uint16]entity.Transport
 		}
 	}
 
-	total := len(e.hosts)
+	total := len(e.hostPorts)
 	out := e.cands[:0]
 	for _, s := range e.cands {
 		if s.score < e.cfg.MinScore {
@@ -591,9 +602,9 @@ func top[K comparable](e *Engine, cache map[K][]portCount, key K, m map[uint16]i
 }
 
 // RecordEvicted queues an evicted service for re-injection and removes it
-// from the live model: the prior, the /24 density, and the topology tree all
-// stop counting it (co-occurrence history stays — it is evidence, not
-// state).
+// from the live model: the prior and the /24 port counts, and so the /24's
+// density, stop counting it (co-occurrence history stays — it is evidence,
+// not state).
 func (e *Engine) RecordEvicted(addr netip.Addr, port uint16, transport entity.Transport, now time.Time) {
 	addr = addr.Unmap()
 	e.mu.Lock()
@@ -625,7 +636,7 @@ func (e *Engine) RecordEvicted(addr netip.Addr, port uint16, transport entity.Tr
 				}
 			}
 		}
-		e.topo.EvictService(n24)
+		e.ranked = nil
 	}
 }
 
@@ -699,9 +710,9 @@ type EvictedState struct {
 // maps (their iteration order never reaches output); the cooldown and
 // re-injection books become canonically sorted slices because their struct
 // keys cannot be JSON map keys. Everything counted per host — the stage-1
-// priors, the per-/24 host lists and port counts, the topology tree's
-// densities — is a view of HostPorts and is rebuilt on Restore; the exclusion
-// subtrees belong to the engine's owner, which sets them with SetExcluded.
+// priors, the per-/24 host lists and port counts the topology ranks by — is
+// a view of HostPorts and is rebuilt on Restore; the exclusion subtrees
+// belong to the engine's owner, which sets them with SetExcluded.
 type State struct {
 	Cooc      map[uint16]map[uint16]int                  `json:"cooc,omitempty"`
 	HostPorts map[netip.Addr]map[uint16]entity.Transport `json:"host_ports,omitempty"`
@@ -765,12 +776,12 @@ func (e *Engine) State() State {
 	return st
 }
 
-// Restore replaces the engine's model with a captured state. The sorted host
-// rotation lists, the stage-1 priors, the per-/24 port counts and the
-// topology densities are rebuilt from the host-port map — hosts never leave
-// it, and an eviction takes back exactly what Observe counted — so the
-// Recommend order matches the engine that produced the state. The exclusion
-// subtrees are left as they are.
+// Restore replaces the engine's model with a captured state. The sorted
+// per-/24 host lists, the stage-1 priors and the per-/24 port counts are
+// rebuilt from the host-port map — hosts never leave it, and an eviction
+// takes back exactly what Observe counted — so the Recommend order matches
+// the engine that produced the state. The exclusion subtrees are left as
+// they are.
 func (e *Engine) Restore(st State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -785,9 +796,8 @@ func (e *Engine) Restore(st State) {
 	e.hostPorts = cloneNested(st.HostPorts)
 	e.portHosts = make(map[uint16]int)
 	e.net24Ports = make(map[netip.Addr]map[uint16]int)
-	e.hosts = e.hosts[:0]
 	e.hosts24 = make(map[netip.Addr][]netip.Addr)
-	e.topo.clearCounts()
+	e.ranked = nil
 	for k, ports := range e.hostPorts {
 		n24 := draw.Net24(k)
 		for p := range ports {
@@ -799,11 +809,8 @@ func (e *Engine) Restore(st State) {
 			}
 			n24Ports[p]++
 		}
-		e.hosts = append(e.hosts, k)
 		e.hosts24[n24] = append(e.hosts24[n24], k)
-		e.topo.add(n24, 1, len(ports))
 	}
-	sort.Slice(e.hosts, func(i, j int) bool { return e.hosts[i].Less(e.hosts[j]) })
 	for _, members := range e.hosts24 {
 		sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
 	}

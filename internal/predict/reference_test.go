@@ -15,9 +15,9 @@ import (
 // The naive oracle: Recommend exactly as it stood before the engine kept
 // derived top-K lists — every list re-selected from its count map by a full
 // sort on every use, candidates aggregated in a fresh map per host, the
-// topology re-ranked per call. It reads the same Engine fields and never
-// touches the caches, so any list the engine fails to drop after a count
-// changed shows up as a differing Target.
+// topology re-ranked per call from the host-port map. It reads the same
+// count maps and never touches the caches, so any list the engine fails to
+// drop after a count changed shows up as a differing Target.
 
 func refTopPorts(m map[uint16]int, k int) []portCount {
 	out := make([]portCount, 0, len(m))
@@ -113,7 +113,7 @@ func (e *Engine) refCandidatesFor(n24 netip.Addr, known map[uint16]entity.Transp
 			}
 		}
 	}
-	total := len(e.hosts)
+	total := len(e.hostPorts)
 	out := make([]scored, 0, len(agg))
 	for _, s := range agg {
 		if s.score < e.cfg.MinScore {
@@ -139,8 +139,10 @@ func (e *Engine) refCandidatesFor(n24 netip.Addr, known map[uint16]entity.Transp
 	return out
 }
 
-// refRanked is Topology.Ranked without the cache.
-func (t *Topology) refRanked() []netip.Addr {
+// refRanked is the engine's ranking recounted from the host-port map: no
+// cache, and none of the per-/24 tables Topology.Ranked reads. A /24 counts
+// its hosts and their ports; a /16 counts its /24s, excluded ones included.
+func (e *Engine) refRanked() []netip.Addr {
 	type node struct {
 		base            netip.Addr
 		hosts, services int
@@ -154,17 +156,35 @@ func (t *Topology) refRanked() []netip.Addr {
 		}
 		return a.base.Less(b.base)
 	}
-	tops := make([]node, 0, len(t.roots))
-	for base, root := range t.roots {
-		tops = append(tops, node{base, root.hosts, root.services})
+	n16s := map[netip.Addr]*node{}
+	n24s := map[netip.Addr]map[netip.Addr]*node{} // /16 -> /24 -> counts
+	for addr, ports := range e.hostPorts {
+		b := addr.As4()
+		n24 := netip.AddrFrom4([4]byte{b[0], b[1], b[2], 0})
+		n16 := netip.AddrFrom4([4]byte{b[0], b[1], 0, 0})
+		if n16s[n16] == nil {
+			n16s[n16] = &node{base: n16}
+			n24s[n16] = map[netip.Addr]*node{}
+		}
+		if n24s[n16][n24] == nil {
+			n24s[n16][n24] = &node{base: n24}
+		}
+		for _, n := range []*node{n16s[n16], n24s[n16][n24]} {
+			n.hosts++
+			n.services += len(ports)
+		}
+	}
+	var tops []node
+	for _, n := range n16s {
+		tops = append(tops, *n)
 	}
 	sort.Slice(tops, func(i, j int) bool { return less(tops[i], tops[j]) })
 	var out []netip.Addr
 	for _, top := range tops {
 		var leaves []node
-		for base, leaf := range t.roots[top.base].children {
-			if !t.excluded24(base) {
-				leaves = append(leaves, node{base, leaf.hosts, leaf.services})
+		for base, leaf := range n24s[top.base] {
+			if !e.topo.excluded24(base) {
+				leaves = append(leaves, *leaf)
 			}
 		}
 		sort.Slice(leaves, func(i, j int) bool { return less(leaves[i], leaves[j]) })
@@ -184,10 +204,10 @@ func (e *Engine) refRecommend(now time.Time, budget int) []Target {
 			delete(e.suggested, tgt)
 		}
 	}
-	if budget <= 0 || len(e.hosts) == 0 {
+	if budget <= 0 || len(e.hostPorts) == 0 {
 		return nil
 	}
-	ranked := e.topo.refRanked()
+	ranked := e.refRanked()
 	if len(ranked) == 0 {
 		return nil
 	}

@@ -7,104 +7,33 @@ import (
 	"sort"
 )
 
-// Topology is the topology-aware prefix selector: a density-ranked prefix
-// tree over the hosts the model has confirmed, in the spirit of Klick et
-// al.'s population-aware scanning. Observed hosts populate /16 nodes that
-// drill down into /24 leaves; Ranked returns the populated /24s ordered by
-// observed service density, which is the order Recommend spends its budget
-// in — probes concentrate where services demonstrably cluster.
+// Topology is the topology-aware prefix selector, in the spirit of Klick et
+// al.'s population-aware scanning. It owns only the hard exclusion subtrees
+// (operator opt-outs and static config); the densities it ranks by are the
+// engine's own tables, read by Ranked: a /24's hosts are its member list in
+// hosts24, its services the sum of its net24Ports counts, and a /16 sums its
+// /24s. Ranked returns the populated /24s ordered by observed service
+// density, which is the order Recommend spends its budget in — probes
+// concentrate where services demonstrably cluster.
 //
-// The tree also carries the hard exclusion subtrees (operator opt-outs and
-// static config): a /24 covered by an excluded prefix never appears in
-// Ranked, and Allowed gates every emitted target individually so exclusions
-// narrower than a /24 hold too. The invariant — no recommendation inside an
-// excluded prefix, ever — is asserted by TestPredictDiff's wire-level
-// recorder and fuzzed by FuzzPrefixExclusion.
+// A /24 covered by an excluded prefix never appears in Ranked, and Allowed
+// gates every emitted target individually so exclusions narrower than a /24
+// hold too. The invariant — no recommendation inside an excluded prefix,
+// ever — is asserted by TestPredictDiff's wire-level recorder and fuzzed by
+// FuzzPrefixExclusion.
 //
-// Topology is not safe for concurrent use; the Engine serializes access
-// under its own lock. All state is commutative counts, so concurrent
-// observation order never changes the tree.
+// The zero Topology excludes nothing. It is not safe for concurrent use; the
+// Engine serializes access under its own lock.
 type Topology struct {
-	roots map[netip.Addr]*prefixNode16
 	// excluded holds masked, sorted opt-out prefixes (the exclusion
 	// subtrees).
 	excluded []netip.Prefix
-	// ranked caches Ranked's answer; every change to a count or to the
-	// exclusion list resets it to nil. Derived, never serialized.
-	ranked []netip.Addr
-}
-
-type prefixNode16 struct {
-	hosts    int
-	services int
-	children map[netip.Addr]*prefixNode24
-}
-
-type prefixNode24 struct {
-	hosts    int
-	services int
-}
-
-// NewTopology creates an empty tree.
-func NewTopology() *Topology {
-	return &Topology{roots: make(map[netip.Addr]*prefixNode16)}
 }
 
 // net16of returns the /16 base for a /24 base address.
 func net16of(n24 netip.Addr) netip.Addr {
 	p, _ := n24.Prefix(16)
 	return p.Addr()
-}
-
-func (t *Topology) node24(n24 netip.Addr) *prefixNode24 {
-	n16 := net16of(n24)
-	root := t.roots[n16]
-	if root == nil {
-		root = &prefixNode16{children: make(map[netip.Addr]*prefixNode24)}
-		t.roots[n16] = root
-	}
-	leaf := root.children[n24]
-	if leaf == nil {
-		leaf = &prefixNode24{}
-		root.children[n24] = leaf
-	}
-	return leaf
-}
-
-// ObserveHost records a newly seen host inside the /24 rooted at n24.
-func (t *Topology) ObserveHost(n24 netip.Addr) { t.add(n24, 1, 0) }
-
-// ObserveService records a newly confirmed service inside the /24.
-func (t *Topology) ObserveService(n24 netip.Addr) { t.add(n24, 0, 1) }
-
-// add counts hosts and services into the /24's leaf and its /16.
-func (t *Topology) add(n24 netip.Addr, hosts, services int) {
-	leaf := t.node24(n24)
-	leaf.hosts += hosts
-	leaf.services += services
-	root := t.roots[net16of(n24)]
-	root.hosts += hosts
-	root.services += services
-	t.ranked = nil
-}
-
-// clearCounts empties the tree and keeps the exclusion subtrees.
-func (t *Topology) clearCounts() {
-	t.roots = make(map[netip.Addr]*prefixNode16)
-	t.ranked = nil
-}
-
-// EvictService removes one confirmed service from the /24's density.
-func (t *Topology) EvictService(n24 netip.Addr) {
-	root := t.roots[net16of(n24)]
-	if root == nil {
-		return
-	}
-	if leaf := root.children[n24]; leaf != nil && leaf.services > 0 {
-		leaf.services--
-		root.services--
-		t.ranked = nil
-	}
 }
 
 // SetExcluded replaces the exclusion subtrees. Prefixes are masked and
@@ -121,7 +50,6 @@ func (t *Topology) SetExcluded(prefixes []netip.Prefix) {
 		return out[i].Bits() < out[j].Bits()
 	})
 	t.excluded = out
-	t.ranked = nil
 }
 
 // Allowed reports whether addr is outside every exclusion subtree.
@@ -146,59 +74,49 @@ func (t *Topology) excluded24(base netip.Addr) bool {
 	return false
 }
 
-// density is one tree node's rank key.
+// density is one prefix's rank key.
 type density struct {
 	base            netip.Addr
 	hosts, services int
 }
 
-// sortByDensity orders nodes by (services, hosts) descending, base address
-// as the tiebreak.
-func sortByDensity(nodes []density) {
-	slices.SortFunc(nodes, func(a, b density) int {
-		return cmp.Or(cmp.Compare(b.services, a.services), cmp.Compare(b.hosts, a.hosts),
-			a.base.Compare(b.base))
+// byDensity orders prefixes by (services, hosts) descending, base address as
+// the tiebreak.
+func byDensity(a, b density) int {
+	return cmp.Or(cmp.Compare(b.services, a.services), cmp.Compare(b.hosts, a.hosts),
+		a.base.Compare(b.base))
+}
+
+// Ranked returns the populated /24 bases of hosts24 in probe-priority order:
+// /16s by (services, hosts) descending, then each /16's /24s the same way,
+// base address as the tiebreak. A /16's counts include its excluded /24s,
+// which themselves never appear. The result is non-nil, even when empty.
+func (t *Topology) Ranked(hosts24 map[netip.Addr][]netip.Addr, net24Ports map[netip.Addr]map[uint16]int) []netip.Addr {
+	type leaf struct{ n16, n24 density }
+	sums := make(map[netip.Addr]density)
+	leaves := make([]leaf, 0, len(hosts24))
+	for base, members := range hosts24 {
+		d := density{base: base, hosts: len(members)}
+		for _, c := range net24Ports[base] {
+			d.services += c
+		}
+		n16 := net16of(base)
+		top := sums[n16]
+		top.base, top.hosts, top.services = n16, top.hosts+d.hosts, top.services+d.services
+		sums[n16] = top
+		if !t.excluded24(base) {
+			leaves = append(leaves, leaf{n24: d})
+		}
+	}
+	for i := range leaves {
+		leaves[i].n16 = sums[net16of(leaves[i].n24.base)]
+	}
+	slices.SortFunc(leaves, func(a, b leaf) int {
+		return cmp.Or(byDensity(a.n16, b.n16), byDensity(a.n24, b.n24))
 	})
-}
-
-// Ranked returns the populated /24 bases in probe-priority order: /16
-// subtrees by (services, hosts) descending, then each subtree's /24s the
-// same way, base address as the tiebreak. Leaves inside exclusion subtrees
-// never appear. The slice is shared by every call until the tree changes;
-// callers must not modify it.
-func (t *Topology) Ranked() []netip.Addr {
-	if t.ranked != nil {
-		return t.ranked
+	out := make([]netip.Addr, len(leaves))
+	for i, l := range leaves {
+		out[i] = l.n24.base
 	}
-	tops := make([]density, 0, len(t.roots))
-	for base, root := range t.roots {
-		tops = append(tops, density{base: base, hosts: root.hosts, services: root.services})
-	}
-	sortByDensity(tops)
-	out := make([]netip.Addr, 0, t.Tracked24s()) // non-nil even when empty
-	var leaves []density
-	for _, top := range tops {
-		leaves = leaves[:0]
-		for base, leaf := range t.roots[top.base].children {
-			if t.excluded24(base) {
-				continue
-			}
-			leaves = append(leaves, density{base: base, hosts: leaf.hosts, services: leaf.services})
-		}
-		sortByDensity(leaves)
-		for _, leaf := range leaves {
-			out = append(out, leaf.base)
-		}
-	}
-	t.ranked = out
 	return out
-}
-
-// Tracked24s reports how many populated /24 leaves the tree holds.
-func (t *Topology) Tracked24s() int {
-	n := 0
-	for _, root := range t.roots {
-		n += len(root.children)
-	}
-	return n
 }
