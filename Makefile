@@ -80,7 +80,6 @@ fuzz:
 	$(GO) test ./internal/search/ -fuzz FuzzSearchDifferential -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzIndexUpserts -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzTokenize -fuzztime 30s
-	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
 	$(GO) test ./internal/cluster/ -fuzz FuzzWireRecord -fuzztime 30s
@@ -124,7 +123,7 @@ bench-search:
 
 # The predictive-scanning suite: the GPS-style scheduler's determinism and
 # crash differentials (model, topology cursors, cooldown book, and budget
-# ledger must survive a kill at any tick bit-identically), the wire-level
+# ledger must survive a kill at any tick bit-identically), the probe-level
 # exclusion invariant, and the equal-budget predictive-vs-exhaustive replay
 # that gates on strictly more services per probe on every profile.
 predict-diff:

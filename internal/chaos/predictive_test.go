@@ -96,7 +96,7 @@ func TestCrashRecoveryPredictiveDifferential(t *testing.T) {
 
 // TestPredictiveExclusionUnderFaults: nothing inside the excluded /25 ever
 // reaches the dataset, even with the predictive scheduler expanding dense
-// /24s right next to it and chaos faults perturbing timing. (The wire-level
+// /24s right next to it and chaos faults perturbing timing. (The probe-level
 // form of this invariant — zero probes into the prefix, counted below every
 // scheduler layer — is asserted by the eval harness's exclusion recorder.)
 func TestPredictiveExclusionUnderFaults(t *testing.T) {

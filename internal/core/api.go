@@ -31,7 +31,7 @@ func (m *Map) Stats() RunStats {
 		Ticks:            m.ticks.Load(),
 		Interrogations:   m.interrogations.Load(),
 		RefreshScans:     m.refreshScans.Load(),
-		PredictiveProbes: m.predictiveProbes.Load(),
+		PredictiveProbes: m.ledger.ClassTotals(discovery.ClassPredict).Spent,
 		Reinjected:       m.reinjected.Load(),
 		PseudoFiltered:   m.pseudoFiltered.Load(),
 		HoneypotsFlagged: m.honeypotsFlagged.Load(),

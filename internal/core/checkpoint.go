@@ -43,7 +43,7 @@ import (
 // Durable bundles the stores that survive a crash: those that own data and
 // the one read model that is dear to re-derive. The search index's documents
 // derive from the write side too (each as of its host's last event drain),
-// but re-tokenizing costs ~74 µs per host (ROADMAP item 4), which would
+// but re-tokenizing costs ~74 µs per host (ROADMAP item 3), which would
 // double recover_ms on scan_refresh. The cert index is one Walk to rebuild
 // and analytics rows are materialized on read, so neither is here.
 type Durable struct {
@@ -198,7 +198,6 @@ func (m *Map) restore(cp *Checkpoint) error {
 	m.ticks.Store(cp.Stats.Ticks)
 	m.interrogations.Store(cp.Stats.Interrogations)
 	m.refreshScans.Store(cp.Stats.RefreshScans)
-	m.predictiveProbes.Store(cp.Stats.PredictiveProbes)
 	m.reinjected.Store(cp.Stats.Reinjected)
 	m.pseudoFiltered.Store(cp.Stats.PseudoFiltered)
 	m.honeypotsFlagged.Store(cp.Stats.HoneypotsFlagged)

@@ -274,7 +274,6 @@ type Map struct {
 	ticks            atomic.Uint64
 	interrogations   atomic.Uint64
 	refreshScans     atomic.Uint64
-	predictiveProbes atomic.Uint64
 	reinjected       atomic.Uint64
 	pseudoFiltered   atomic.Uint64
 	honeypotsFlagged atomic.Uint64
@@ -305,7 +304,7 @@ type RunStats struct {
 	Ticks            uint64
 	Interrogations   uint64
 	RefreshScans     uint64
-	PredictiveProbes uint64
+	PredictiveProbes uint64 // the ledger's predict-class spend
 	Reinjected       uint64
 	PseudoFiltered   uint64
 	HoneypotsFlagged uint64
@@ -1044,7 +1043,6 @@ func (m *Map) runPrediction(now time.Time) {
 			Method: entity.DetectPredicted, PoP: m.pops[0].Name, Time: now}
 		m.enqueue(pendingTask{cand: c, kind: taskCandidate})
 	}
-	m.predictiveProbes.Add(uint64(probed))
 	m.ledger.Account(m.classPredict, probed, open)
 }
 

@@ -108,7 +108,7 @@ func (m *Map) attachTelemetry() {
 	reg.CounterFunc("censys_core_refresh_scans_total", "refresh re-interrogations", nil,
 		func() float64 { return float64(m.refreshScans.Load()) })
 	reg.CounterFunc("censys_core_predictive_probes_total", "predictive-engine probes", nil,
-		func() float64 { return float64(m.predictiveProbes.Load()) })
+		func() float64 { return float64(m.ledger.ClassTotals(discovery.ClassPredict).Spent) })
 	reg.CounterFunc("censys_core_reinjected_total", "evicted slots queued for re-injection", nil,
 		func() float64 { return float64(m.reinjected.Load()) })
 	reg.CounterFunc("censys_core_pseudo_filtered_total", "tasks suppressed by the pseudo-host filter", nil,

@@ -13,9 +13,9 @@ import (
 // RebuildProcessor reconstructs a write-side Processor from a journal alone —
 // the crash-recovery path. Every entity's materialized state is rebuilt from
 // its latest snapshot plus delta replay (the same reducer the query side
-// uses), and the per-entity snapshot cadence counter is recomputed from the
-// journal's own bookkeeping, so a resumed processor journals its next
-// snapshot at exactly the tick the uninterrupted run would have.
+// uses). The snapshot cadence is the journal's own count, so a resumed
+// processor journals its next snapshot at exactly the tick the uninterrupted
+// run would have.
 //
 // What replay cannot reconstruct is the deliberately un-journaled liveness
 // bookkeeping (LastSeen/SourcePoP moved by no-change refreshes); the caller
@@ -31,9 +31,7 @@ func RebuildProcessor(cfg Config, j *journal.Store, asOf time.Time) (*Processor,
 		if err != nil {
 			return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
 		}
-		s := p.shardFor(id)
-		s.state[id] = h
-		s.sinceSnap[id] = j.EventsSinceSnapshot(id)
+		p.shardFor(id).state[id] = h
 	}
 	return p, nil
 }

@@ -72,8 +72,6 @@ type procShard struct {
 	// state is the write-side current state per entity; it is exactly what
 	// snapshot+replay reconstructs, kept materialized for O(1) diffing.
 	state map[string]*entity.Host
-	// sinceSnap counts deltas since each entity's last snapshot.
-	sinceSnap map[string]int
 	// enc amortizes payload encoding: deltas are marshalled into a reused
 	// scratch buffer and interned into arena chunks, since the journal
 	// retains every payload indefinitely. Guarded by mu.
@@ -115,10 +113,7 @@ func NewProcessor(cfg Config, j *journal.Store) *Processor {
 	}
 	p := &Processor{cfg: cfg, journal: j, shards: make([]*procShard, cfg.Shards)}
 	for i := range p.shards {
-		p.shards[i] = &procShard{
-			state:     make(map[string]*entity.Host),
-			sinceSnap: make(map[string]int),
-		}
+		p.shards[i] = &procShard{state: make(map[string]*entity.Host)}
 	}
 	return p
 }
@@ -265,14 +260,14 @@ func (p *Processor) emitKey(s *procShard, h *entity.Host, t time.Time, kind stri
 	return nil
 }
 
-// afterAppend maintains snapshot cadence. The caller holds the shard lock.
+// afterAppend maintains snapshot cadence from the journal's count of deltas
+// since the entity's newest snapshot. The caller holds the shard lock.
 func (p *Processor) afterAppend(s *procShard, h *entity.Host, t time.Time) {
 	id := h.ID()
-	s.sinceSnap[id]++
-	if s.sinceSnap[id] >= p.cfg.SnapshotEvery {
-		if _, err := p.journal.AppendSnapshot(id, t, s.enc.hostSnapshot(h)); err == nil {
-			s.sinceSnap[id] = 0
-		}
+	if p.journal.EventsSinceSnapshot(id) >= p.cfg.SnapshotEvery {
+		// A failed snapshot leaves the count where it was, so the next
+		// append retries it.
+		_, _ = p.journal.AppendSnapshot(id, t, s.enc.hostSnapshot(h))
 	}
 }
 

@@ -206,7 +206,7 @@ func TestLedgerBatchEqualsPerProbe(t *testing.T) {
 }
 
 // TestEngineLedgerCountsEveryTarget drives the engine itself: two classes on
-// TCP-only ports (so one target is one wire probe), one of them registered
+// TCP-only ports (so one target is one probe), one of them registered
 // below its ProbesPerTick so the grant is what stops it, and an excluded /24
 // whose draws use up budget without being probed. Class spend must sum to
 // the engine's own probe count and confirmations to its open responses, and
@@ -238,7 +238,7 @@ func TestEngineLedgerCountsEveryTarget(t *testing.T) {
 	for _, cs := range e.classes {
 		for _, p := range []uint16{80, 443, 22, 8080, 3306} {
 			if _, udp := e.udpProbes[p]; udp {
-				t.Fatalf("port %d carries a UDP probe; the test needs one wire probe per target", p)
+				t.Fatalf("port %d carries a UDP probe; the test needs one probe per target", p)
 			}
 		}
 		if cs.ledger == NoClass {

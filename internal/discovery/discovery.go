@@ -33,16 +33,14 @@ type PoP struct {
 	Name string
 	// Country is the vantage point's location (geoblocking input).
 	Country string
-	// SourceAddr is the address probes originate from on the wire.
-	SourceAddr netip.Addr
 }
 
 // DefaultPoPs mirrors the paper's deployment: Chicago, Frankfurt, Hong Kong.
 func DefaultPoPs() []PoP {
 	return []PoP{
-		{Name: "chi", Country: "US", SourceAddr: netip.MustParseAddr("192.0.2.1")},
-		{Name: "fra", Country: "DE", SourceAddr: netip.MustParseAddr("192.0.2.2")},
-		{Name: "hkg", Country: "HK", SourceAddr: netip.MustParseAddr("192.0.2.3")},
+		{Name: "chi", Country: "US"},
+		{Name: "fra", Country: "DE"},
+		{Name: "hkg", Country: "HK"},
 	}
 }
 
@@ -293,7 +291,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 // probe sends one TCP SYN (plus a protocol-specific UDP probe when the port
 // conventionally carries a UDP protocol) from the next PoP in rotation, and
 // reports whether either drew an L4-responsive answer: the ledger accounts
-// the target once regardless of how many wire probes it takes, and confirms
+// the target once regardless of how many probes it takes, and confirms
 // it at most once.
 func (e *Engine) probe(now time.Time, method entity.DetectionMethod, addr netip.Addr, port uint16, emit func(Candidate)) (confirmed bool) {
 	pop, sc := e.cfg.PoPs[e.popIdx].Name, e.scanners[e.popIdx]

@@ -9,7 +9,6 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
-	"censysmap/internal/wire"
 )
 
 func quietConfig() simnet.Config {
@@ -116,13 +115,12 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	}
 }
 
-// wireSweep is the wire path, kept as the oracle of the engine's fast path.
-// It walks one pass of cls in the order an engine e would, from the same PoP
-// rotation and identity, but sends every probe as a crafted packet through
-// simnet.HandlePacket and reads the reply with wire.Prober.
-func wireSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, now time.Time) map[Candidate]bool {
+// refSweep is the reference the engine's optimized loop is held to. It walks
+// one pass of cls in the order an engine e would, rotating through the PoPs
+// one probe target at a time and looking each port up in the UDP probe
+// table, and asks the network for every probe's fate directly.
+func refSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, now time.Time) map[Candidate]bool {
 	t.Helper()
-	prober := wire.NewProber(e.cfg.Seed, 40000)
 	it, err := cyclic.NewIterator(cls.Space, e.cfg.Seed^strSeed(cls.Name))
 	if err != nil {
 		t.Fatal(err)
@@ -136,22 +134,12 @@ func wireSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, n
 		pop := e.cfg.PoPs[i%len(e.cfg.PoPs)]
 		sc := e.cfg.Scanner
 		sc.Country = pop.Country
-		send := func(pkt []byte, err error) (wire.Response, bool) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp := net.HandlePacket(sc, pkt); resp != nil {
-				return prober.ParseResponse(pop.SourceAddr, resp)
-			}
-			return wire.Response{}, false
-		}
 		c := Candidate{Addr: addr, Port: port, Transport: entity.TCP, Method: cls.Method, PoP: pop.Name, Time: now}
-		if r, ok := send(prober.SYN(pop.SourceAddr, addr, port)); ok && r.Kind == wire.ResponseOpen {
+		if net.ProbeTCP(sc, addr, port) == simnet.Open {
 			found[c] = true
 		}
 		if up, ok := e.udpProbes[port]; ok {
-			r, ok := send(prober.UDPProbe(pop.SourceAddr, addr, port, up.payload))
-			if ok && r.Kind == wire.ResponseUDPReply && len(r.Payload) > 0 {
+			if resp, out := net.ProbeUDP(sc, addr, port, up.payload); out == simnet.Open && len(resp) > 0 {
 				c.Transport, c.UDPProtocol = entity.UDP, up.protocol
 				found[c] = true
 			}
@@ -159,11 +147,11 @@ func wireSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, n
 	}
 }
 
-// TestWirePathMatchesFastPath: one pass of the priority class finds the same
+// TestSweepMatchesReference: one pass of the priority class finds the same
 // candidates, and the network drops the same probes for the same reasons,
-// whether probes take the fast path or travel as packets — in a universe
-// where the rate block and the scan detector both fire.
-func TestWirePathMatchesFastPath(t *testing.T) {
+// whether the engine's loop or the naive reference walk sends them — in a
+// universe where the rate block and the scan detector both fire.
+func TestSweepMatchesReference(t *testing.T) {
 	cfg := quietConfig()
 	cfg.BlockThreshold = 2 // × the scanner's 256 source IPs, per /24 per day
 	cfg.Adversary = simnet.AdversaryConfig{Seed: 1, DetectorRate: 0.5, DetectorThreshold: 300}
@@ -178,22 +166,22 @@ func TestWirePathMatchesFastPath(t *testing.T) {
 
 	clkB := simclock.New()
 	netB := simnet.New(cfg, clkB)
-	wirePath := wireSweep(t, netB, e, cls, clkB.Now())
+	ref := refSweep(t, netB, e, cls, clkB.Now())
 
-	if len(fast) == 0 || len(fast) != len(wirePath) {
-		t.Fatalf("fast path found %d, wire path %d", len(fast), len(wirePath))
+	if len(fast) == 0 || len(fast) != len(ref) {
+		t.Fatalf("engine found %d, reference %d", len(fast), len(ref))
 	}
 	for c := range fast {
-		if !wirePath[c] {
-			t.Fatalf("wire path missed %+v", c)
+		if !ref[c] {
+			t.Fatalf("reference missed %+v", c)
 		}
 	}
 	st := netA.PathStats()
 	if st[simnet.CauseRateBlock] == 0 || st[simnet.CauseDetector] == 0 {
 		t.Fatalf("the rate block or the detector never fired: %v", st)
 	}
-	if wst := netB.PathStats(); wst != st {
-		t.Fatalf("PathStats: fast path %v, wire path %v", st, wst)
+	if rst := netB.PathStats(); rst != st {
+		t.Fatalf("PathStats: engine %v, reference %v", st, rst)
 	}
 }
 

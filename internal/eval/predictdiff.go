@@ -22,7 +22,7 @@ import (
 // comparison is services found per probe at (approximately) equal footprint,
 // plus precision/recall against ground truth and the daily coverage curve.
 //
-// A wire-level exclusion recorder rides along as the simnet path's observer
+// A probe-level exclusion recorder rides along as the simnet path's observer
 // hook: it never drops anything, but it counts every L4 probe and interrogation
 // connection aimed inside an excluded prefix. The exclusion invariant — an
 // excluded subtree can never emit a target — must hold at the wire, not just

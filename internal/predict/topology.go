@@ -19,7 +19,7 @@ import (
 // A /24 covered by an excluded prefix never appears in Ranked, and Allowed
 // gates every emitted target individually so exclusions narrower than a /24
 // hold too. The invariant — no recommendation inside an excluded prefix,
-// ever — is asserted by TestPredictDiff's wire-level recorder and fuzzed by
+// ever — is asserted by TestPredictDiff's probe-level recorder and fuzzed by
 // FuzzPrefixExclusion.
 //
 // The zero Topology excludes nothing. It is not safe for concurrent use; the

@@ -9,7 +9,6 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
-	"censysmap/internal/wire"
 )
 
 // smallConfig keeps generation fast for tests: a /20 universe.
@@ -301,32 +300,6 @@ func TestBlockExpires(t *testing.T) {
 	clk.Advance(25 * time.Hour)
 	if n.BlockedNetworks("x") != 0 {
 		t.Fatal("block did not expire")
-	}
-}
-
-func TestHandlePacketWirePath(t *testing.T) {
-	cfg := smallConfig()
-	cfg.BaseLoss = 0
-	cfg.OutageRate = 0
-	cfg.GeoblockRate = 0
-	n := New(cfg, simclock.New())
-	ref := firstTCPService(n)
-	prober := wire.NewProber(7, 40000)
-	src := netip.MustParseAddr("192.0.2.10")
-	probe, err := prober.SYN(src, ref.Addr, ref.Port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := n.HandlePacket(censysScanner, probe)
-	if resp == nil {
-		t.Fatal("no response packet for live service")
-	}
-	parsed, ok := prober.ParseResponse(src, resp)
-	if !ok || parsed.Kind != wire.ResponseOpen {
-		t.Fatalf("parsed = %+v ok=%v", parsed, ok)
-	}
-	if parsed.Addr != ref.Addr || parsed.Port != ref.Port {
-		t.Fatalf("response from %v:%d, want %v:%d", parsed.Addr, parsed.Port, ref.Addr, ref.Port)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
-	"censysmap/internal/wire"
 )
 
 // Scanner identifies a probing engine to the network. Networks react to
@@ -164,56 +163,6 @@ func (n *Internet) ConnectName(sc Scanner, name string, port uint16) (io.ReadWri
 		return nil, false
 	}
 	return protocols.NewSessionConn(sess), true
-}
-
-// HandlePacket is the wire-faithful path, the oracle discovery's tests hold
-// the fast path to: it accepts a raw IPv4 probe packet (TCP SYN or UDP) and
-// returns the response packet the destination would emit, or nil. It shares
-// all path/liveness logic with ProbeTCP/ProbeUDP.
-func (n *Internet) HandlePacket(sc Scanner, pkt []byte) []byte {
-	var ip wire.IPv4
-	seg, err := ip.DecodeFromBytes(pkt)
-	if err != nil {
-		return nil
-	}
-	switch ip.Protocol {
-	case wire.IPProtocolTCP:
-		var tcp wire.TCP
-		if _, err := tcp.DecodeFromBytes(seg); err != nil || tcp.Flags&wire.FlagSYN == 0 {
-			return nil
-		}
-		switch n.ProbeTCP(sc, ip.Dst, tcp.DstPort) {
-		case Open:
-			resp, err := wire.SynAck(pkt, 64240)
-			if err != nil {
-				return nil
-			}
-			return resp
-		case Closed:
-			resp, err := wire.Rst(pkt)
-			if err != nil {
-				return nil
-			}
-			return resp
-		}
-		return nil
-	case wire.IPProtocolUDP:
-		var udp wire.UDP
-		payload, err := udp.DecodeFromBytes(seg)
-		if err != nil {
-			return nil
-		}
-		data, outcome := n.ProbeUDP(sc, ip.Dst, udp.DstPort, payload)
-		if outcome != Open {
-			return nil
-		}
-		resp, err := wire.UDPReply(pkt, data)
-		if err != nil {
-			return nil
-		}
-		return resp
-	}
-	return nil
 }
 
 // ProbesSeen returns the total probes the network has processed.
