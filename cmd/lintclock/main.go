@@ -4,7 +4,6 @@
 // and reports each time.Now call outside the exempt set:
 //
 //   - internal/simclock/simclock.go  (the Real clock implementation)
-//   - internal/protocols/conn.go     (socket deadlines need wall time)
 //   - the listed cmd/ binaries       (operator binaries run on wall clocks)
 //   - *_test.go                      (tests may time themselves)
 //
@@ -31,7 +30,6 @@ import (
 // exemptFiles are the only non-cmd, non-test files allowed to call time.Now.
 var exemptFiles = map[string]bool{
 	"internal/simclock/simclock.go": true,
-	"internal/protocols/conn.go":    true,
 }
 
 // exemptCmds are the operator binaries allowed to run on the wall clock.

@@ -46,18 +46,11 @@ type parkedStores struct {
 // journals and checkpoint through the durable storage engine, and kills the
 // process, parking the engine-external stores on the Run.
 func (r *Run) CrashToDisk(dir string) error {
-	cp := r.Map.Checkpoint()
+	err := r.Map.SaveDurable(dir, durable.SaveOptions{RecordsPerSegment: crashRecordsPerSegment})
 	d := r.Map.Durable()
 	r.Map.Stop()
 	r.Map = nil
-	blob, err := json.Marshal(cp)
 	if err != nil {
-		return fmt.Errorf("chaos: checkpoint marshal: %w", err)
-	}
-	if err := durable.Save(dir, []durable.NamedStore{
-		{Name: "journal", Store: d.Journal},
-		{Name: "webjournal", Store: d.WebJournal},
-	}, blob, durable.SaveOptions{RecordsPerSegment: crashRecordsPerSegment}); err != nil {
 		return fmt.Errorf("chaos: save durable stores: %w", err)
 	}
 	r.parked = &parkedStores{certs: d.Certs, index: d.Index}
@@ -326,36 +319,30 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	return out, nil
 }
 
-// scanStore walks one saved store's segment files in path order and
+// scanStore walks one saved store's segment files in manifest order and
 // classifies every record, pre-checking which snapshot records the CRC-proven
 // replay repair will provably reconstruct.
 func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
-	pattern := filepath.Join(dir, "stores", store, "p*", "seg-*.seg")
-	paths, err := filepath.Glob(pattern)
+	rels, err := durable.SegmentFiles(dir, store)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("chaos: no segments under %s", pattern)
+	if len(rels) == 0 {
+		return nil, nil, fmt.Errorf("chaos: no segments of store %s in %s", store, dir)
 	}
-	sort.Strings(paths)
 
 	var segs []diskSegment
 	var records []diskRecord
 	rows := map[int]*rowState{}
 
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
+	for _, rel := range rels {
+		data, err := os.ReadFile(filepath.Join(dir, rel))
 		if err != nil {
 			return nil, nil, err
 		}
 		scan, err := durable.InspectSegment(data)
 		if err != nil {
-			return nil, nil, fmt.Errorf("chaos: %s: %w", path, err)
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("chaos: %s: %w", rel, err)
 		}
 		part := int(scan.Partition)
 		segs = append(segs, diskSegment{rel: rel, partition: part,

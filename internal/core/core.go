@@ -497,10 +497,10 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 
 	// Web properties & certificates.
 	if d != nil {
-		m.webProps = webprop.NewWithJournal(webprop.DefaultConfig(), net, m.scanner, d.WebJournal)
+		m.webProps = webprop.NewWithJournal(net, m.scanner, d.WebJournal)
 		m.certs = d.Certs
 	} else {
-		m.webProps = webprop.New(webprop.DefaultConfig(), net, m.scanner)
+		m.webProps = webprop.New(net, m.scanner)
 		m.certs = NewCertStore(net.Roots)
 	}
 

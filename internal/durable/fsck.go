@@ -89,23 +89,10 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 // file (already a finding) counts as zero.
 func (l *loader) diskBytes() map[string]int64 {
 	out := make(map[string]int64, len(l.man.Stores)+1)
-	add := func(owner, rel string) {
+	l.man.files(func(owner, rel string) {
 		if fi, err := os.Stat(filepath.Join(l.dir, rel)); err == nil {
 			out[owner] += fi.Size()
 		}
-	}
-	for _, sm := range l.man.Stores {
-		for _, pm := range sm.Partitions {
-			for _, seg := range pm.Segments {
-				add(sm.Name, seg.File)
-			}
-			if pm.DWB != "" {
-				add(sm.Name, pm.DWB)
-			}
-		}
-	}
-	for _, mirror := range checkpointMirrors {
-		add("checkpoint", checkpointFile(l.man.Gen, mirror))
-	}
+	})
 	return out
 }

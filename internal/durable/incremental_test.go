@@ -2,54 +2,64 @@ package durable
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"censysmap/internal/journal"
 )
 
-// markSegments rewinds every segment/dwb/manifest file's mtime to a sentinel
-// so a later save reveals exactly which files it rewrote.
+// markSegments rewinds every file's mtime to a sentinel so a later save
+// reveals exactly which files it wrote.
 func markSegments(t *testing.T, dir string) time.Time {
 	t.Helper()
 	sentinel := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
-	for _, pat := range []string{"stores/*/p*/*", "MANIFEST*", "checkpoint/*"} {
-		paths, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			t.Fatal(err)
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		for _, p := range paths {
-			if err := os.Chtimes(p, sentinel, sentinel); err != nil {
-				t.Fatal(err)
-			}
-		}
+		return os.Chtimes(p, sentinel, sentinel)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return sentinel
 }
 
-// rewrittenPartitions reports which partitions of a store had any file
-// touched since the sentinel.
+// rewrittenPartitions reports which partitions of a store the current
+// manifest names any file written since the sentinel for.
 func rewrittenPartitions(t *testing.T, dir, store string, sentinel time.Time) map[int]bool {
 	t.Helper()
-	out := map[int]bool{}
-	paths, err := filepath.Glob(filepath.Join(dir, "stores", store, "p*", "*"))
+	man, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range paths {
-		fi, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
+	out := map[int]bool{}
+	for _, sm := range man.Stores {
+		if sm.Name != store {
+			continue
 		}
-		if fi.ModTime().After(sentinel) {
-			var pi int
-			if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(p)), "p%04d", &pi); err != nil {
-				t.Fatal(err)
+		for pi, pm := range sm.Partitions {
+			files := []string{pm.DWB}
+			for _, seg := range pm.Segments {
+				files = append(files, seg.File)
 			}
-			out[pi] = true
+			for _, rel := range files {
+				if rel == "" {
+					continue
+				}
+				fi, err := os.Stat(filepath.Join(dir, rel))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.ModTime().After(sentinel) {
+					out[pi] = true
+				}
+			}
 		}
 	}
 	return out
@@ -186,5 +196,90 @@ func TestIncrementalSaveSurvivesMissingReusableSegment(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dumpAll(s), dumpAll(res.Stores["journal"])) {
 		t.Fatal("reloaded store differs after rewriting vanished partition")
+	}
+}
+
+// TestFailedSaveKeepsLastGeneration: a save that fails before its MANIFEST
+// lands leaves the previous generation loadable, whole and clean, for full
+// and incremental saves alike; the next save that lands leaves exactly the
+// files its manifest names.
+func TestFailedSaveKeepsLastGeneration(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			dir := t.TempDir()
+			s := fixtureStore(t)
+			save := func(cp string) error {
+				return Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(cp),
+					SaveOptions{RecordsPerSegment: 4, Incremental: incremental})
+			}
+			load := func(wantCP string, want []journal.PartitionDump) {
+				t.Helper()
+				res, err := Load(dir, LoadOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Report.Clean() {
+					t.Fatalf("findings: %+v", res.Report.Findings)
+				}
+				if string(res.Checkpoint) != wantCP {
+					t.Fatalf("checkpoint = %s, want %s", res.Checkpoint, wantCP)
+				}
+				if !reflect.DeepEqual(dumpAll(res.Stores["journal"]), want) {
+					t.Fatal("loaded store differs from the saved one")
+				}
+			}
+			if err := save(`{"t":1}`); err != nil {
+				t.Fatal(err)
+			}
+			first := dumpAll(s)
+			base := time.Date(2024, 8, 21, 0, 0, 0, 0, time.UTC)
+			for pi := 0; pi < s.Partitions(); pi++ {
+				if _, err := s.Append(entityInPartition(s, pi), base, "service_found", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// A directory in the way of the temp manifest fails the save
+			// after every segment and checkpoint file is written.
+			block := filepath.Join(dir, "MANIFEST.bak.tmp")
+			if err := os.Mkdir(block, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := save(`{"t":2}`); err == nil {
+				t.Fatal("save succeeded with its manifest blocked")
+			}
+			load(`{"t":1}`, first)
+
+			if err := os.Remove(block); err != nil {
+				t.Fatal(err)
+			}
+			if err := save(`{"t":3}`); err != nil {
+				t.Fatal(err)
+			}
+			load(`{"t":3}`, dumpAll(s))
+			man, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"MANIFEST", "MANIFEST.bak"}
+			man.files(func(_, rel string) { want = append(want, rel) })
+			var got []string
+			err = filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				rel, err := filepath.Rel(dir, p)
+				got = append(got, rel)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("files after the save that landed:\n%v\nwant the manifest's:\n%v", got, want)
+			}
+		})
 	}
 }

@@ -2,10 +2,11 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"censysmap/internal/journal"
 	"censysmap/internal/telemetry"
@@ -18,8 +19,11 @@ import (
 //	stores/<name>/p0000/tail.dwb         doublewrite copy of the tail record
 //	checkpoint/cp-000001.a / .b          checkpoint blob, primary + mirror
 //
-// Every file is written to a temp name and renamed into place; the manifest
-// is written last, so a save is atomic at the manifest boundary. The
+// A partition lives in p0000 or q0000: a save rewrites it into whichever of
+// the two the live manifest does not name, so no file the live generation
+// needs is touched. Every file is written to a temp name and renamed into
+// place; the manifest is written last, so a save is atomic at the manifest
+// boundary, and only then are the files it no longer names removed. The
 // manifest's generation names the checkpoint to read; nothing else records
 // it.
 
@@ -214,6 +218,10 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 		gen = old.Gen + 1
 	}
 	man := manifest{Version: manifestVersion, Gen: gen}
+	live := map[string]bool{} // directories the live manifest names
+	if old != nil {
+		old.files(func(_, rel string) { live[filepath.Dir(rel)] = true })
+	}
 
 	for _, ns := range stores {
 		// An incremental save may reuse the previous generation's partition
@@ -227,12 +235,6 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 			}
 		}
 		sm := storeManifest{Name: ns.Name}
-		storeDir := filepath.Join(dir, "stores", ns.Name)
-		if oldParts == nil {
-			if err := os.RemoveAll(storeDir); err != nil {
-				return fmt.Errorf("durable: save %s: %w", ns.Name, err)
-			}
-		}
 		for pi := 0; pi < ns.Store.Partitions(); pi++ {
 			// Capture the generation before dumping: an append landing in
 			// between makes the dump newer than the recorded generation, so
@@ -246,14 +248,12 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 				}
 			}
 			recs := encodePartition(ns.Store.DumpPartition(pi))
-			partDir := filepath.Join(storeDir, fmt.Sprintf("p%04d", pi))
-			if oldParts != nil {
-				if err := os.RemoveAll(partDir); err != nil {
-					return fmt.Errorf("durable: save %s/p%04d: %w", ns.Name, pi, err)
-				}
+			partRel := filepath.Join("stores", ns.Name, fmt.Sprintf("p%04d", pi))
+			if live[partRel] {
+				partRel = filepath.Join("stores", ns.Name, fmt.Sprintf("q%04d", pi))
 			}
-			if err := os.MkdirAll(partDir, 0o755); err != nil {
-				return fmt.Errorf("durable: save %s/p%04d: %w", ns.Name, pi, err)
+			if err := os.MkdirAll(filepath.Join(dir, partRel), 0o755); err != nil {
+				return fmt.Errorf("durable: save %s: %w", partRel, err)
 			}
 			pm := partManifest{SrcGen: srcGen}
 			for si := 0; len(recs) > 0 || si == 0; si++ {
@@ -268,8 +268,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 				for _, r := range chunk {
 					b.append(r)
 				}
-				rel := filepath.Join("stores", ns.Name, fmt.Sprintf("p%04d", pi),
-					fmt.Sprintf("seg-%06d.seg", si))
+				rel := filepath.Join(partRel, fmt.Sprintf("seg-%06d.seg", si))
 				if err := writeFileAtomic(filepath.Join(dir, rel), b.bytes(sealed)); err != nil {
 					return fmt.Errorf("durable: save %s: %w", rel, err)
 				}
@@ -280,7 +279,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 					// Doublewrite the tail record so a torn final append is
 					// repairable without byte drift. An empty partition's
 					// active segment has no record to cover.
-					dwbRel := filepath.Join("stores", ns.Name, fmt.Sprintf("p%04d", pi), "tail.dwb")
+					dwbRel := filepath.Join(partRel, "tail.dwb")
 					tail := buildSingleRecord(KindDWB, uint32(pi), chunk[len(chunk)-1])
 					if err := writeFileAtomic(filepath.Join(dir, dwbRel), tail); err != nil {
 						return fmt.Errorf("durable: save %s: %w", dwbRel, err)
@@ -293,8 +292,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 		man.Stores = append(man.Stores, sm)
 	}
 
-	cpDir := filepath.Join(dir, "checkpoint")
-	if err := os.MkdirAll(cpDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoint"), 0o755); err != nil {
 		return fmt.Errorf("durable: save checkpoint dir: %w", err)
 	}
 	cpSeg := buildSingleRecord(KindCheckpoint, 0, checkpoint)
@@ -316,18 +314,74 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 	if err := writeFileAtomic(filepath.Join(dir, "MANIFEST"), mseg); err != nil {
 		return fmt.Errorf("durable: save MANIFEST: %w", err)
 	}
-	// Only now is the previous generation's checkpoint unreachable: until the
-	// rename above, a crash recovers through the old MANIFEST, which pins it.
-	current := filepath.Base(checkpointFile(gen, ""))
-	all, _ := filepath.Glob(filepath.Join(cpDir, "cp-*"))
-	for _, p := range all {
-		if !strings.HasPrefix(filepath.Base(p), current) {
-			if err := os.Remove(p); err != nil {
-				return fmt.Errorf("durable: remove superseded checkpoint: %w", err)
+	return sweep(dir, &man)
+}
+
+// sweep removes everything under stores/ and checkpoint/ that man does not
+// name: superseded partitions and checkpoints, and whatever a failed save
+// left behind. Only after the MANIFEST rename above are they unreachable;
+// until then a crash recovers through the old MANIFEST, which names them.
+func sweep(dir string, man *manifest) error {
+	keep := map[string]bool{}
+	man.files(func(_, rel string) {
+		for p := rel; p != "."; p = filepath.Dir(p) {
+			keep[p] = true
+		}
+	})
+	for _, top := range []string{"stores", "checkpoint"} {
+		err := filepath.WalkDir(filepath.Join(dir, top), func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
 			}
+			rel, err := filepath.Rel(dir, p)
+			if err != nil || keep[rel] {
+				return err
+			}
+			if err := os.RemoveAll(p); err != nil || !d.IsDir() {
+				return err
+			}
+			return filepath.SkipDir
+		})
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("durable: remove superseded files: %w", err)
 		}
 	}
 	return nil
+}
+
+// files calls fn with every file man names and its owner: each store's
+// segments and doublewrite sidecars, then both checkpoint mirrors under
+// "checkpoint".
+func (man *manifest) files(fn func(owner, rel string)) {
+	for _, sm := range man.Stores {
+		for _, pm := range sm.Partitions {
+			for _, seg := range pm.Segments {
+				fn(sm.Name, seg.File)
+			}
+			if pm.DWB != "" {
+				fn(sm.Name, pm.DWB)
+			}
+		}
+	}
+	for _, mirror := range checkpointMirrors {
+		fn("checkpoint", checkpointFile(man.Gen, mirror))
+	}
+}
+
+// SegmentFiles lists one store's segment files in the generation saved
+// under dir, relative to dir, partition by partition in chain order.
+func SegmentFiles(dir, store string) ([]string, error) {
+	man, err := readManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	man.files(func(owner, rel string) {
+		if owner == store && filepath.Ext(rel) == ".seg" {
+			out = append(out, rel)
+		}
+	})
+	return out, nil
 }
 
 // checkpointMirrors are the two copies a generation's checkpoint is kept

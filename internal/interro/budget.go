@@ -27,9 +27,9 @@ import (
 // handshake comes near, but which bounds any endpoint that drips forever.
 const DefaultMaxReadsPerConn = 4096
 
-// readTimeout is the virtual cost of a read that returns ErrTimeout (matches
-// the scanner-side socket deadline in protocols.NewNetConn). Data reads
-// charge the endpoint's ReadDelay, if any.
+// readTimeout is the virtual cost of a read that returns ErrTimeout (a
+// scanner's per-read socket deadline). Data reads charge the endpoint's
+// ReadDelay, if any.
 const readTimeout = 2 * time.Second
 
 // Budget bounds the virtual wall-clock one candidate's interrogation may

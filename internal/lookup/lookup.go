@@ -220,15 +220,25 @@ func (s *Service) fanoutUnavailable() []int {
 	return parts
 }
 
-// failFanout writes the 503 for a fan-out query blocked by unavailable
-// partitions.
-func failFanout(w http.ResponseWriter, what string, parts []int) {
+// GuardFanout admits a fan-out query: it sets DegradedHeader as ServeHTTP
+// does, and when a partition cannot contribute it writes the 503 and
+// reports false. Fan-out handlers outside this service's mux (export) call
+// it too, so every fan-out refuses alike.
+func (s *Service) GuardFanout(w http.ResponseWriter, what string) bool {
+	if v := s.degradedValue(); v != "" {
+		w.Header().Set(DegradedHeader, v)
+	}
+	parts := s.fanoutUnavailable()
+	if len(parts) == 0 {
+		return true
+	}
 	list := make([]string, len(parts))
 	for i, p := range parts {
 		list[i] = strconv.Itoa(p)
 	}
 	writeJSON(w, http.StatusServiceUnavailable, errorBody{
 		what + " fans out over all partitions; unavailable: " + strings.Join(list, ",")})
+	return false
 }
 
 type errorBody struct {
@@ -338,8 +348,7 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	if parts := s.fanoutUnavailable(); len(parts) > 0 {
-		failFanout(w, "search", parts)
+	if !s.GuardFanout(w, "search") {
 		return
 	}
 	// IDs first, hosts second: a limited search fetches only the hosts it
@@ -387,8 +396,7 @@ func (s *Service) handleCertHosts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"missing fingerprint"})
 		return
 	}
-	if parts := s.fanoutUnavailable(); len(parts) > 0 {
-		failFanout(w, "certificate-to-hosts", parts)
+	if !s.GuardFanout(w, "certificate-to-hosts") {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -1,11 +1,6 @@
 package protocols
 
-import (
-	"io"
-	"net"
-	"sync"
-	"time"
-)
+import "io"
 
 // SessionConn is a synchronous, in-memory connection to a server Session.
 // It implements io.ReadWriter for the scanner side: Write feeds the session's
@@ -67,126 +62,3 @@ func (c *SessionConn) Write(p []byte) (int, error) {
 
 // Closed reports whether the server side has closed the connection.
 func (c *SessionConn) Closed() bool { return c.closed }
-
-// deadlineConn adapts a real net.Conn to the scanner contract: reads and
-// writes use a short deadline and surface a stalled peer as ErrTimeout. The
-// write deadline matters against tarpits — a peer that accepts the
-// connection and then never drains its receive window stalls writers just as
-// effectively as silent readers.
-type deadlineConn struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-// NewNetConn wraps a real network connection for use with Scan functions.
-// Reads that see no data — and writes that cannot make progress — within
-// timeout return ErrTimeout.
-func NewNetConn(conn net.Conn, timeout time.Duration) io.ReadWriter {
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	return &deadlineConn{conn: conn, timeout: timeout}
-}
-
-func (d *deadlineConn) Read(p []byte) (int, error) {
-	if err := d.conn.SetReadDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
-	}
-	n, err := d.conn.Read(p)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, ErrTimeout
-		}
-	}
-	return n, err
-}
-
-func (d *deadlineConn) Write(p []byte) (int, error) {
-	if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
-	}
-	n, err := d.conn.Write(p)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return n, ErrTimeout
-		}
-	}
-	return n, err
-}
-
-// ServeConn runs a server Session over a real network connection until the
-// session closes it or the client disconnects. It lets the simulated
-// protocol servers listen on real sockets for integration tests and demos.
-func ServeConn(conn net.Conn, sess Session) error {
-	defer conn.Close()
-	if g := sess.Greeting(); len(g) > 0 {
-		if _, err := conn.Write(g); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		if n > 0 {
-			resp, closed := sess.Respond(buf[:n])
-			if len(resp) > 0 {
-				if _, werr := conn.Write(resp); werr != nil {
-					return werr
-				}
-			}
-			if closed {
-				return nil
-			}
-		}
-		if err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// Listener serves a protocol Session factory on a real TCP listener; each
-// accepted connection gets a fresh session. Close the listener to stop.
-type Listener struct {
-	ln      net.Listener
-	wg      sync.WaitGroup
-	factory func() Session
-}
-
-// NewListener starts serving sessions produced by factory on ln.
-func NewListener(ln net.Listener, factory func() Session) *Listener {
-	l := &Listener{ln: ln, factory: factory}
-	l.wg.Add(1)
-	go l.loop()
-	return l
-}
-
-func (l *Listener) loop() {
-	defer l.wg.Done()
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			return
-		}
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			_ = ServeConn(conn, l.factory())
-		}()
-	}
-}
-
-// Addr returns the listener's address.
-func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
-
-// Close stops accepting and waits for in-flight connections.
-func (l *Listener) Close() error {
-	err := l.ln.Close()
-	l.wg.Wait()
-	return err
-}

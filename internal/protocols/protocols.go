@@ -6,11 +6,11 @@
 //
 //   - Scan: the client side — drives the protocol handshake against any
 //     io.ReadWriter and extracts a structured, configuration-stable Result.
-//     Scanners run identically against a real net.Conn and against the
-//     synthetic Internet's in-memory connections.
+//     Every connection is a SessionConn, the synthetic Internet's in-memory
+//     link to a server Session.
 //   - Session: the server side — a deterministic state machine that speaks
 //     the protocol for a configured service Spec. Sessions back the
-//     synthetic Internet and the real-TCP integration tests.
+//     synthetic Internet.
 //   - Fingerprint: a matcher that recognises the protocol from unsolicited
 //     server output or from the response to a generic trigger, which is the
 //     basis of LZR-style protocol detection on unexpected ports.

@@ -2,7 +2,6 @@ package protocols
 
 import (
 	"io"
-	"net"
 	"slices"
 	"sort"
 	"strings"
@@ -472,35 +471,5 @@ func TestSessionConnTimeoutOnSilence(t *testing.T) {
 	buf := make([]byte, 16)
 	if _, err := conn.Read(buf); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-}
-
-func TestRealTCPIntegration(t *testing.T) {
-	// Protocol sessions served over real sockets must scan identically to
-	// in-memory sessions.
-	for _, name := range []string{"HTTP", "SSH", "MODBUS", "FTP"} {
-		t.Run(name, func(t *testing.T) {
-			p := Lookup(name)
-			spec := Spec{Protocol: name, Product: "IntegrationTest", Version: "1.0"}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := NewListener(ln, func() Session { return NewSession(spec) })
-			defer srv.Close()
-
-			conn, err := net.Dial("tcp", srv.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			res, err := p.Scan(NewNetConn(conn, 0))
-			if err != nil {
-				t.Fatalf("Scan over TCP: %v", err)
-			}
-			if !res.Complete {
-				t.Fatalf("incomplete over TCP: %+v", res)
-			}
-		})
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"censysmap/internal/lookup"
 )
 
 // exportPage is the paginated endpoint's response envelope, decoded.
@@ -304,4 +306,58 @@ func resumeToEnd(t *testing.T, f *fixture, cursor string, perPage int) []byte {
 		cursor = p.NextCursor
 	}
 	return buf.Bytes()
+}
+
+// TestExportRefusesWhenPartitionsMissing: export fans out over every
+// partition like search, so with a partition quarantined it answers the same
+// 503 and degraded header instead of a partial snapshot — for a new export,
+// a cursor opened while healthy, and the stream alike.
+func TestExportRefusesWhenPartitionsMissing(t *testing.T) {
+	f := newFixture(t, Config{PageSize: 3})
+	const query = "services.protocol: HTTP"
+	first := f.get("/v2/export/hosts?q="+url.QueryEscape(query), "k-int")
+	if first.Code != 200 {
+		t.Fatalf("healthy export: status = %d body=%s", first.Code, first.Body)
+	}
+	var page struct {
+		Next string `json:"next_cursor"`
+	}
+	if err := json.Unmarshal(first.Body.Bytes(), &page); err != nil || page.Next == "" {
+		t.Fatalf("healthy first page has no cursor: %v %s", err, first.Body)
+	}
+	pins := f.srv.exp.pinCount()
+
+	f.srv.svc.SetDegraded([]int{1}, 4)
+	const wantDeg = "quarantined-partitions=1/4"
+	search := f.get("/v2/hosts/search?q="+url.QueryEscape(query), "k-int")
+	if search.Code != 503 || search.Header().Get(lookup.DegradedHeader) != wantDeg {
+		t.Fatalf("degraded search: status = %d %s = %q", search.Code,
+			lookup.DegradedHeader, search.Header().Get(lookup.DegradedHeader))
+	}
+	for _, u := range []string{
+		"/v2/export/hosts?q=" + url.QueryEscape(query),
+		"/v2/export/hosts?cursor=" + page.Next,
+		"/v2/export/hosts/stream?q=" + url.QueryEscape(query),
+	} {
+		rec := f.get(u, "k-int")
+		if rec.Code != 503 {
+			t.Errorf("%s: status = %d body=%s, want 503", u, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get(lookup.DegradedHeader); got != wantDeg {
+			t.Errorf("%s: %s = %q, want %q", u, lookup.DegradedHeader, got, wantDeg)
+		}
+		if rec.Header().Get(ExportGenerationHeader) != "" {
+			t.Errorf("%s: refused export still names a generation", u)
+		}
+	}
+	if got := f.srv.exp.pinCount(); got != pins {
+		t.Fatalf("refused exports changed the resident pins %d -> %d", pins, got)
+	}
+
+	f.srv.svc.SetDegraded(nil, 0)
+	rec := f.get("/v2/export/hosts?cursor="+page.Next, "k-int")
+	if rec.Code != 200 || rec.Header().Get(lookup.DegradedHeader) != "" {
+		t.Fatalf("recovered export: status = %d %s = %q", rec.Code,
+			lookup.DegradedHeader, rec.Header().Get(lookup.DegradedHeader))
+	}
 }

@@ -234,8 +234,10 @@ type errorBody struct {
 }
 
 // ServeHTTP authenticates, rate-limits, and admits the request, then
-// dispatches: export endpoints are served here, host point reads go through
-// the conditional-GET wrapper, everything else forwards to the lookup mux.
+// dispatches: export endpoints are served here behind the lookup service's
+// fan-out guard (a missing partition is a 503, as for search), host point
+// reads go through the conditional-GET wrapper, everything else forwards to
+// the lookup mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/v2/metrics" {
 		// Ops plane: never gated, or an overloaded tier could not be observed.
@@ -274,9 +276,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case r.URL.Path == "/v2/export/hosts":
-		s.handleExportPage(w, r)
+		if s.svc.GuardFanout(w, "export") {
+			s.handleExportPage(w, r)
+		}
 	case r.URL.Path == "/v2/export/hosts/stream":
-		s.handleExportStream(w, r)
+		if s.svc.GuardFanout(w, "export") {
+			s.handleExportStream(w, r)
+		}
 	case class == ClassLookup && r.Method == http.MethodGet && isHostPointRead(r.URL.Path):
 		s.conditionalHost(w, r)
 	default:

@@ -139,7 +139,7 @@ func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) (now time.Time, ok
 	if c == Delivered {
 		return now, true
 	}
-	n.drops[c].AddAt(int(a), 1)
+	n.drops[c].Inc()
 	return now, false
 }
 

@@ -8,7 +8,7 @@
 //   - Determinism. Metric *values* must be a pure function of the simulated
 //     run, never of goroutine interleaving, so the chaos/differential suites
 //     stay bit-identical with instrumentation on. Counters are additive
-//     (stripe choice never changes the total), histograms observe
+//     (the order of adds never changes the total), histograms observe
 //     deterministic quantities (simulated-time deltas, batch sizes), and all
 //     timestamps come from the caller's clock — this package never reads
 //     wall time.
@@ -17,7 +17,7 @@
 //     pointers; there is no "no-op implementation" indirection to allocate
 //     or dispatch through.
 //   - Allocation-light enabled overhead. Hot-path updates are single atomic
-//     adds on cache-line-padded stripes; all map lookups (families, label
+//     adds; all map lookups (families, label
 //     children) happen at registration time, with callers holding typed
 //     child pointers.
 //
@@ -36,22 +36,10 @@ import (
 	"time"
 )
 
-// stripes is the fixed stripe count of a sharded Counter. Eight covers the
-// default pipeline shard width; wider shard counts fold onto stripes by
-// modulo, which only ever costs contention, never correctness.
-const stripes = 8
-
-// cell is one padded counter stripe: 64 bytes so two stripes never share a
-// cache line.
-type cell struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter. The zero value is
-// ready to use; a nil Counter is a no-op.
+// Counter is a monotonically increasing counter. The zero value is ready to
+// use; a nil Counter is a no-op.
 type Counter struct {
-	cells [stripes]cell
+	v atomic.Uint64
 }
 
 // NewCounter returns an unregistered Counter (used where the instrumented
@@ -59,38 +47,23 @@ type Counter struct {
 // the chaos injector).
 func NewCounter() *Counter { return &Counter{} }
 
-// Add increments the counter by n on stripe 0.
+// Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.cells[0].v.Add(n)
+	c.v.Add(n)
 }
 
-// Inc increments the counter by one on stripe 0.
+// Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
-
-// AddAt increments the counter on the given stripe (callers on sharded hot
-// paths pass their shard index so concurrent updates never collide on one
-// cache line). The total is the sum over stripes, so stripe choice never
-// affects the value.
-func (c *Counter) AddAt(stripe int, n uint64) {
-	if c == nil {
-		return
-	}
-	c.cells[stripe&(stripes-1)].v.Add(n)
-}
 
 // Value returns the counter total.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var t uint64
-	for i := range c.cells {
-		t += c.cells[i].v.Load()
-	}
-	return t
+	return c.v.Load()
 }
 
 // Gauge is a settable instantaneous value. A nil Gauge is a no-op.

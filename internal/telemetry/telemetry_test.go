@@ -11,28 +11,23 @@ import (
 	"censysmap/internal/simclock"
 )
 
-func TestCounterStripesSum(t *testing.T) {
+func TestCounterConcurrentAdds(t *testing.T) {
 	c := NewCounter()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.AddAt(w, 1)
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	c.Add(5)
 	c.Inc()
 	if got := c.Value(); got != 8006 {
 		t.Fatalf("counter total = %d, want 8006", got)
-	}
-	// Stripe index folds by modulo, any int is safe.
-	c.AddAt(1234567, 1)
-	if got := c.Value(); got != 8007 {
-		t.Fatalf("counter total after wide stripe = %d, want 8007", got)
 	}
 }
 
@@ -48,7 +43,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 	// None of these may panic.
 	c.Inc()
-	c.AddAt(3, 2)
+	c.Add(2)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)

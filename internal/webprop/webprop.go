@@ -38,25 +38,16 @@ const (
 	KindRemoved = "webprop_removed"
 )
 
-// Config tunes the pipeline.
-type Config struct {
+// The pipeline's cadences, the paper's.
+const (
 	// RefreshEvery is the per-name rescan cadence (paper: at least
 	// monthly).
-	RefreshEvery time.Duration
+	RefreshEvery = 30 * 24 * time.Hour
 	// EvictAfter removes a property this long after scans start failing.
-	EvictAfter time.Duration
+	EvictAfter = 14 * 24 * time.Hour
 	// ScansPerTick bounds work per tick.
-	ScansPerTick int
-}
-
-// DefaultConfig matches the paper's cadences.
-func DefaultConfig() Config {
-	return Config{
-		RefreshEvery: 30 * 24 * time.Hour,
-		EvictAfter:   14 * 24 * time.Hour,
-		ScansPerTick: 500,
-	}
-}
+	ScansPerTick = 500
+)
 
 type nameState struct {
 	name        string
@@ -67,7 +58,6 @@ type nameState struct {
 
 // Pipeline maintains the web property map.
 type Pipeline struct {
-	cfg     Config
 	net     *simnet.Internet
 	scanner simnet.Scanner
 	journal *journal.Store
@@ -79,12 +69,8 @@ type Pipeline struct {
 }
 
 // New creates a pipeline writing to its own journal.
-func New(cfg Config, net *simnet.Internet, scanner simnet.Scanner) *Pipeline {
-	if cfg.ScansPerTick <= 0 {
-		cfg.ScansPerTick = 500
-	}
+func New(net *simnet.Internet, scanner simnet.Scanner) *Pipeline {
 	return &Pipeline{
-		cfg:     cfg,
 		net:     net,
 		scanner: scanner,
 		journal: journal.NewStore(),
@@ -96,8 +82,8 @@ func New(cfg Config, net *simnet.Internet, scanner simnet.Scanner) *Pipeline {
 // NewWithJournal creates a pipeline that appends to an existing journal —
 // the crash-recovery path, where the journal survives the process and the
 // resumed pipeline must continue its event sequence.
-func NewWithJournal(cfg Config, net *simnet.Internet, scanner simnet.Scanner, j *journal.Store) *Pipeline {
-	p := New(cfg, net, scanner)
+func NewWithJournal(net *simnet.Internet, scanner simnet.Scanner, j *journal.Store) *Pipeline {
+	p := New(net, scanner)
 	p.journal = j
 	return p
 }
@@ -259,7 +245,7 @@ func hostFromURL(u string) string {
 func (p *Pipeline) Tick(now time.Time) int {
 	scanned := 0
 	n := len(p.queue)
-	for i := 0; i < n && scanned < p.cfg.ScansPerTick; i++ {
+	for i := 0; i < n && scanned < ScansPerTick; i++ {
 		name := p.queue[0]
 		p.queue = p.queue[1:]
 		ns := p.names[name]
@@ -278,7 +264,7 @@ func (p *Pipeline) Tick(now time.Time) int {
 
 // scanName performs one name-based HTTPS scan and journals deltas.
 func (p *Pipeline) scanName(ns *nameState, now time.Time) {
-	ns.nextScan = now.Add(p.cfg.RefreshEvery)
+	ns.nextScan = now.Add(RefreshEvery)
 	prop := p.scan(ns, now)
 	existing := p.state[ns.name]
 
@@ -305,7 +291,7 @@ func (p *Pipeline) scanName(ns *nameState, now time.Time) {
 			return
 		}
 		ns.nextScan = now.Add(24 * time.Hour)
-		if now.Sub(ns.failedSince) >= p.cfg.EvictAfter {
+		if now.Sub(ns.failedSince) >= EvictAfter {
 			p.record(KindRemoved, existing, now)
 			delete(p.state, ns.name)
 			delete(p.names, ns.name)
@@ -315,7 +301,7 @@ func (p *Pipeline) scanName(ns *nameState, now time.Time) {
 		// grace period to bound the queue.
 		if ns.failedSince.IsZero() {
 			ns.failedSince = now
-		} else if now.Sub(ns.failedSince) >= p.cfg.EvictAfter {
+		} else if now.Sub(ns.failedSince) >= EvictAfter {
 			delete(p.names, ns.name)
 		}
 	}

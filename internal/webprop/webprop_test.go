@@ -27,7 +27,7 @@ func fixture(t *testing.T) (*Pipeline, *simnet.Internet, *simclock.Sim) {
 	t.Helper()
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
-	p := New(DefaultConfig(), net, scanner)
+	p := New(net, scanner)
 	return p, net, clk
 }
 
@@ -223,7 +223,7 @@ func TestRestoreRebuildsPropertiesFromJournal(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	r := NewWithJournal(DefaultConfig(), net, scanner, p.Journal())
+	r := NewWithJournal(net, scanner, p.Journal())
 	if err := r.Restore(st); err != nil {
 		t.Fatal(err)
 	}
