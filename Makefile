@@ -71,9 +71,11 @@ fsck:
 # build), the byte-level tokenizer (against the FieldsFunc tokenizer), and the
 # simnet path-table differential (a byte-driven probe schedule against the
 # map-keyed model; each input builds a universe, so minimizing is capped by
-# count, not the default 60 s), and the cluster's replication wire records
-# (an accepted event re-encodes to its own bytes). Seed corpora also run as part of plain
-# `make test`.
+# count, not the default 60 s), the cluster's replication wire records
+# (an accepted event re-encodes to its own bytes), and FuzzScanResponse (every
+# protocol scanner, plain and inside TLS-lite, against arbitrary server bytes
+# split over reads: no panic, no banner over the cap). Seed corpora also run
+# as part of plain `make test`.
 fuzz:
 	$(GO) test ./internal/fingerdsl/ -fuzz FuzzParse -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzParseQuery -fuzztime 30s
@@ -89,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzScenarioDecode -fuzztime 30s
 	$(GO) test ./internal/simnet/ -fuzz FuzzPathTable -fuzztime 30s -fuzzminimizetime 100x
+	$(GO) test ./internal/protocols/ -fuzz FuzzScanResponse -fuzztime 30s
 
 # The serving-tier suite: HTTP conformance goldens over every /v2 route,
 # the export byte-stability differential (writes interleaved between pages),
@@ -136,7 +139,8 @@ predict-diff:
 # (TestPathTableMatchesMapModel: dense host and path tables against the
 # map-keyed model through rate blocks, detectors and injected faults),
 # interrogation deadline budgets against tarpits (including pool liveness
-# at 100% tarpit density), honeypot-farm uniformity flagging, adaptive
+# at 100% tarpit density), the scanners against short and hostile replies
+# (FuzzScanResponse's seed corpus), honeypot-farm uniformity flagging, adaptive
 # backoff + scanner rotation, the chaos differentials over a hostile seed
 # (same-seed, layout invariance, kill/resume), and the per-engine
 # mislabel/blocking/freshness replay.

@@ -216,7 +216,9 @@ type stateShard struct {
 	foundPerHost map[netip.Addr]int
 
 	// pending is the shard's FIFO task queue for the current batch, filled
-	// serially between batches.
+	// serially between batches. Its backing array outlives the batch: only
+	// enqueue (serial) and the owning worker (drainShard) touch it, and
+	// runBatch's wg.Wait separates the two.
 	pending []pendingTask
 	// redirects buffers http.location values seen by this shard's worker;
 	// they are flushed to the web-property pipeline serially after the
@@ -259,6 +261,10 @@ type Map struct {
 	shards []*stateShard
 	// phases are the fill-then-drain stanzas Tick runs, in order.
 	phases []tickPhase
+
+	// due is refreshDue's scratch list, kept across ticks and empty between
+	// them.
+	due []discovery.Candidate
 
 	// exclusions are active operator opt-outs (Appendix D).
 	exclusions []Exclusion
@@ -789,10 +795,13 @@ func (m *Map) runBatch(now time.Time, phase string) {
 // drainShard processes one shard's queued tasks in FIFO order.
 func (m *Map) drainShard(s *stateShard, now time.Time) {
 	tasks := s.pending
-	s.pending = nil
 	for _, t := range tasks {
 		m.processTask(s, t, now)
 	}
+	// Keep the backing array for the next batch; clear drops the tasks'
+	// references.
+	clear(tasks)
+	s.pending = tasks[:0]
 }
 
 // processTask applies one task's gating checks and interrogation. Checks run
@@ -968,7 +977,7 @@ func (m *Map) retireHost(addr netip.Addr, now time.Time) error {
 // side's map iteration order must not leak into the probe sequence.
 func (m *Map) refreshDue(now time.Time) {
 	m.pruneExclusions(now)
-	var due []discovery.Candidate
+	due := m.due
 	m.processor.Walk(func(_ string, h *entity.Host) {
 		for _, svc := range h.Services {
 			if now.Sub(svc.LastSeen) < refreshEvery {
@@ -989,6 +998,8 @@ func (m *Map) refreshDue(now time.Time) {
 			m.enqueue(pendingTask{kind: taskRefresh, cand: c})
 		}
 	}
+	clear(due)
+	m.due = due[:0]
 }
 
 // refreshSlot retries across PoPs: the slot only registers as failed if no

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Transport is the L4 protocol a service is reached over.
@@ -52,19 +53,32 @@ type Software struct {
 	Part string `json:"part,omitempty"`
 }
 
-// CPE renders the label in CPE 2.3 style.
+// CPE renders the label in CPE 2.3 style: each field lower-cased with its
+// spaces as underscores, "*" when empty.
 func (s Software) CPE() string {
 	part := s.Part
 	if part == "" {
 		part = "a"
 	}
-	field := func(v string) string {
+	var b strings.Builder
+	b.Grow(len("cpe:2.3:") + len(part) + len(s.Vendor) + len(s.Product) + len(s.Version) + 6)
+	b.WriteString("cpe:2.3:")
+	b.WriteString(part)
+	for _, v := range [...]string{s.Vendor, s.Product, s.Version} {
+		b.WriteByte(':')
 		if v == "" {
-			return "*"
+			b.WriteByte('*')
 		}
-		return strings.ToLower(strings.ReplaceAll(v, " ", "_"))
+		// As strings.ToLower would: an invalid byte ranges as
+		// utf8.RuneError and is written as U+FFFD.
+		for _, r := range v {
+			if r == ' ' {
+				r = '_'
+			}
+			b.WriteRune(unicode.ToLower(r))
+		}
 	}
-	return fmt.Sprintf("cpe:2.3:%s:%s:%s:%s", part, field(s.Vendor), field(s.Product), field(s.Version))
+	return b.String()
 }
 
 // Service is one L7 service on one port of one host. It is the unit of

@@ -290,14 +290,10 @@ func applyTLS(res *protocols.Result, info *protocols.TLSInfo) {
 	res.Attributes["tls.ja4s"] = info.JA4S
 }
 
-// readBanner waits for unsolicited server output.
+// readBanner waits for unsolicited server output, at most 2 KB of it.
 func readBanner(conn io.Reader) []byte {
-	buf := make([]byte, 2048)
-	n, err := conn.Read(buf)
-	if err != nil || n == 0 {
-		return nil
-	}
-	return buf[:n]
+	banner, _ := protocols.ReadUpTo(conn, 2048)
+	return banner
 }
 
 // unknownResult records a service that sent data no scanner could verify:

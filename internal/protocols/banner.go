@@ -329,7 +329,7 @@ func ScanVNC(rw io.ReadWriter) (*Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if len(sec) < 2 {
+	if len(sec) < 2 || len(sec) < 1+int(sec[0]) {
 		return res, ErrUnexpected
 	}
 	var types []string

@@ -93,17 +93,32 @@ func ParseHTTPResponse(raw string) (status int, headers map[string]string, body 
 
 // htmlTitle extracts the <title> element text, if any.
 func htmlTitle(body string) string {
-	lower := strings.ToLower(body)
-	start := strings.Index(lower, "<title>")
+	start := indexFold(body, "<title>")
 	if start < 0 {
 		return ""
 	}
 	rest := body[start+len("<title>"):]
-	end := strings.Index(strings.ToLower(rest), "</title>")
+	end := indexFold(rest, "</title>")
 	if end < 0 {
 		return ""
 	}
 	return strings.TrimSpace(rest[:end])
+}
+
+// indexFold is strings.Index matching tag, which starts with '<',
+// case-insensitively at s's own byte offsets. Searching strings.ToLower(s)
+// moves them wherever ToLower changes a byte count (an invalid byte becomes
+// the 3-byte U+FFFD).
+func indexFold(s, tag string) int {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(s[i:], '<')
+		if j < 0 || i+j+len(tag) > len(s) {
+			return -1
+		}
+		if i += j; strings.EqualFold(s[i:i+len(tag)], tag) {
+			return i
+		}
+	}
 }
 
 // httpSession simulates an HTTP server whose identity comes from the Spec.

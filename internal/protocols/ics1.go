@@ -221,7 +221,7 @@ func ScanS7(rw io.ReadWriter) (*Result, error) {
 		return nil, err
 	}
 	idx := indexOf(data, 0x32)
-	if idx < 0 {
+	if idx < 0 || len(data) < idx+6 {
 		return &Result{Protocol: "S7"}, ErrUnexpected
 	}
 	// Our SZL answer carries "module;firmware" as a trailing string.

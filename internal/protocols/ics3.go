@@ -97,7 +97,7 @@ func ScanGESRTP(rw io.ReadWriter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(data, []byte("SRTP")) {
+	if len(data) < 6 || !bytes.HasPrefix(data, []byte("SRTP")) {
 		return &Result{Protocol: "GE_SRTP"}, ErrUnexpected
 	}
 	plc := strings.TrimSpace(string(data[6:]))
@@ -184,7 +184,7 @@ func ScanPCWorx(rw io.ReadWriter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.HasPrefix(data, []byte("PCWX")) {
+	if len(data) < 6 || !bytes.HasPrefix(data, []byte("PCWX")) {
 		return &Result{Protocol: "PCWORX"}, ErrUnexpected
 	}
 	fields := strings.Split(string(data[6:]), "|")

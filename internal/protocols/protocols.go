@@ -26,6 +26,8 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"censysmap/internal/entity"
 )
@@ -199,12 +201,17 @@ func Identify(data []byte) string {
 // what matter, not full payloads (ephemeral data is explicitly not stored).
 const maxBanner = 256
 
-// truncate clips s to the banner cap at a rune-safe boundary.
+// truncate clips s to the banner cap at a rune-safe boundary: a rune that
+// straddles the cap is dropped whole.
 func truncate(s string) string {
 	if len(s) <= maxBanner {
 		return s
 	}
-	return s[:maxBanner]
+	i := maxBanner
+	for i > maxBanner-utf8.UTFMax+1 && !utf8.RuneStart(s[i]) {
+		i--
+	}
+	return s[:i]
 }
 
 // firstLine returns the first CRLF- or LF-terminated line of s, trimmed.
@@ -215,16 +222,31 @@ func firstLine(s string) string {
 	return strings.TrimSpace(s)
 }
 
-// readSome reads one message's worth of bytes from rw. A nil error with an
-// empty slice never occurs: silence yields ErrTimeout.
-func readSome(rw io.Reader) ([]byte, error) {
-	buf := make([]byte, 4096)
-	n, err := rw.Read(buf)
+// maxRead is the most one read hands a scanner.
+const maxRead = 4096
+
+// readScratch pools the arrays reads land in. A read copies what arrived out
+// of its array before putting it back, so no caller ever holds pooled bytes.
+var readScratch = sync.Pool{New: func() any { return new([maxRead]byte) }}
+
+// ReadUpTo reads once from r, at most limit (≤ maxRead) bytes, and returns
+// exactly the bytes that arrived in a fresh slice (cap == len) the caller
+// owns. Silence allocates nothing and yields ErrTimeout; a nil error with an
+// empty slice never occurs.
+func ReadUpTo(r io.Reader, limit int) ([]byte, error) {
+	scratch := readScratch.Get().(*[maxRead]byte)
+	defer readScratch.Put(scratch)
+	n, err := r.Read(scratch[:limit])
 	if n > 0 {
-		return buf[:n], nil
+		out := make([]byte, n)
+		copy(out, scratch[:n])
+		return out, nil
 	}
 	if err == nil {
 		err = ErrTimeout
 	}
 	return nil, err
 }
+
+// readSome reads one message's worth of bytes from rw (see ReadUpTo).
+func readSome(rw io.Reader) ([]byte, error) { return ReadUpTo(rw, maxRead) }

@@ -10,19 +10,27 @@ import (
 	"censysmap/internal/entity"
 )
 
-// recordingConn captures the first server bytes a scanner reads, to feed the
-// Identify matrix.
+// recordingConn records every chunk of server bytes a scanner reads: the
+// first feeds the Identify matrix, and all of them seed FuzzScanResponse.
 type recordingConn struct {
 	inner io.ReadWriter
-	first []byte
+	reads [][]byte
 }
 
 func (r *recordingConn) Read(p []byte) (int, error) {
 	n, err := r.inner.Read(p)
-	if n > 0 && r.first == nil {
-		r.first = append([]byte(nil), p[:n]...)
+	if n > 0 {
+		r.reads = append(r.reads, append([]byte(nil), p[:n]...))
 	}
 	return n, err
+}
+
+// first returns the first chunk read, or nil.
+func (r *recordingConn) first() []byte {
+	if len(r.reads) == 0 {
+		return nil
+	}
+	return r.reads[0]
 }
 
 func (r *recordingConn) Write(p []byte) (int, error) { return r.inner.Write(p) }
@@ -59,11 +67,11 @@ func TestIdentifyMatrix(t *testing.T) {
 			if _, err := p.Scan(rec); err != nil {
 				t.Fatalf("Scan: %v", err)
 			}
-			if rec.first == nil {
+			if rec.first() == nil {
 				t.Fatal("scanner never read server bytes")
 			}
-			if got := Identify(rec.first); got != p.Name {
-				t.Fatalf("Identify(%q...) = %q, want %q", clip(rec.first), got, p.Name)
+			if got := Identify(rec.first()); got != p.Name {
+				t.Fatalf("Identify(%q...) = %q, want %q", clip(rec.first()), got, p.Name)
 			}
 		})
 	}
@@ -150,7 +158,7 @@ func TestSortedRegistryMatchesBruteForce(t *testing.T) {
 		inputs = append(inputs, sess.Greeting())
 		rec := &recordingConn{inner: NewSessionConn(sess)}
 		_, _ = p.Scan(rec)
-		inputs = append(inputs, rec.first)
+		inputs = append(inputs, rec.first())
 	}
 	for _, data := range inputs {
 		want := ""
@@ -283,6 +291,10 @@ func TestHTMLTitle(t *testing.T) {
 		{"<title>a</title><title>b</title>", "a"},
 		{"no title here", ""},
 		{"<title>unterminated", ""},
+		// Invalid bytes around the tags must not move the offsets.
+		{"\xfa<title>", ""},
+		{"\xfa<TiTlE>caf\xc3\xa9</tItLe>", "café"},
+		{"\xff\xfe<title>x\xfa</title>", "x\xfa"},
 	}
 	for _, c := range cases {
 		if got := htmlTitle(c.in); got != c.want {
