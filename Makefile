@@ -98,14 +98,16 @@ fuzz:
 # the rendered-bytes differential (search, export pages and streams against
 # the encoding/json oracle, concurrent first renders), deterministic
 # rate-limit/quota/shed accounting, the bounded-allocation guards for
-# limited search and pinned export pages, and the search index's own
-# differentials (queries against a naive evaluator with the cache on and off
-# across interleaved upserts, the diffing upsert against a fresh build,
+# limited search and pinned export pages, the certificate→hosts pivot read
+# from the index's services.cert_sha256 postings (lookup's CertHosts tests,
+# search's CertLocations test), and the search index's own differentials
+# (queries against a naive evaluator with the cache on and off across
+# interleaved upserts, the diffing upsert against a fresh build,
 # Index.Verify) — all under the race detector.
 serve-test:
 	$(GO) test -race ./internal/serve/
-	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement'
-	$(GO) test -race ./internal/search/ -run 'Differential|Incremental|Verify'
+	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement|CertHosts'
+	$(GO) test -race ./internal/search/ -run 'Differential|Incremental|Verify|CertLocations'
 
 # The end-to-end benchmark (BENCHMARK.json), the one measurement system:
 # `make bench WORKLOAD=scan_sweep` (or scan_refresh, serve_live, recover)

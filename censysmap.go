@@ -171,8 +171,9 @@ func (s *System) HostAt(addr netip.Addr, at time.Time) (*Host, bool) { return s.
 // History returns the journaled change events for an address.
 func (s *System) History(addr netip.Addr) []journal.Event { return s.m.History(addr) }
 
-// CertHosts returns "ip port/transport" locators currently presenting the
-// certificate with the given SHA-256 fingerprint — the threat-hunting pivot.
+// CertHosts returns "ip port/transport" locators of the active services
+// presenting the certificate with the given SHA-256 fingerprint — the
+// threat-hunting pivot. A service pending removal is not located.
 func (s *System) CertHosts(fingerprint string) []string { return s.m.CertHosts(fingerprint) }
 
 // WebProperties returns all current name-addressed web properties.

@@ -110,9 +110,10 @@ func (m *Map) Analytics() *snapshot.Store { return m.analytics }
 // Certs exposes the certificate store.
 func (m *Map) Certs() *CertStore { return m.certs }
 
-// CertHosts returns service locators currently presenting a certificate.
+// CertHosts returns the "ip port/transport" locators of the active services
+// presenting a certificate, read from the search index's postings.
 func (m *Map) CertHosts(fingerprint string) []string {
-	return m.certIdx.Locations(fingerprint)
+	return m.index.CertLocations(fingerprint)
 }
 
 // WebProperties exposes the web property pipeline.

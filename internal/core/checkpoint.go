@@ -44,8 +44,8 @@ import (
 // the one read model that is dear to re-derive. The search index's documents
 // derive from the write side too (each as of its host's last event drain),
 // but re-tokenizing costs ~74 µs per host (ROADMAP item 3), which would
-// double recover_ms on scan_refresh. The cert index is one Walk to rebuild
-// and analytics rows are materialized on read, so neither is here.
+// double recover_ms on scan_refresh. The cert→host pivot reads the index's
+// postings and analytics rows are materialized on read, so neither is here.
 type Durable struct {
 	// Journal is the host-event journal (the source of truth).
 	Journal *journal.Store

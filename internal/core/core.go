@@ -245,7 +245,6 @@ type Map struct {
 	pops      []discovery.PoP
 	processor *cqrs.Processor
 	reader    *cqrs.Reader
-	certIdx   *cqrs.CertIndex
 	enricher  *enrich.Enricher
 	index     *search.Index
 	lookupSvc *lookup.Service
@@ -479,11 +478,8 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 			m.index.DropPartition(p)
 		}
 	}
-	// The cert index is a function of the write-side state, rebuilt or new.
-	m.certIdx = cqrs.NewCertIndex()
-	m.certIdx.Follow(m.processor)
 	m.processor.Subscribe(m.consumeEvent)
-	m.lookupSvc = lookup.New(m.reader, m.certIdx, clk)
+	m.lookupSvc = lookup.New(m.reader, clk)
 	m.lookupSvc.AttachSearch(m.index)
 	if m.quarParts != nil {
 		m.lookupSvc.SetDegraded(m.QuarantinedPartitions(), j.Partitions())
@@ -707,7 +703,7 @@ func (m *Map) Tick(now time.Time) {
 	m.webProps.PollCT(m.net.CT, now)
 	m.webProps.Tick(now)
 
-	// Async event processing (read models, cert index, follow-ups).
+	// Async event processing (search index, follow-ups).
 	m.processor.Drain()
 
 	// Daily housekeeping: cert revalidation and the daily analytics
@@ -1026,6 +1022,7 @@ func (m *Map) refreshSlot(s *stateShard, t pendingTask, now time.Time) {
 	// consumes a path sequence number, so dropping it moves every dataset
 	// digest (ROADMAP item 2b).
 	cand.PoP = m.pops[0].Name
+	m.interrogations.Add(1)
 	obs := m.inter[cand.PoP].Interrogate(cand, now)
 	m.apply(s, t.id, obs, cand, now)
 }

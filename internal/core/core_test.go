@@ -47,6 +47,21 @@ func testMap(t *testing.T, net *simnet.Internet) *Map {
 	return m
 }
 
+// TestInterrogationCountMatchesAttempts: RunStats.Interrogations counts every
+// interrogation the pipeline launches — including the last-resort one from
+// the first PoP after every PoP failed a refresh — so on a map that was
+// never resumed it equals the interrogators' own attempt count.
+func TestInterrogationCountMatchesAttempts(t *testing.T) {
+	net, _ := testUniverse(t)
+	m := testMap(t, net)
+	m.Run(5 * 24 * time.Hour)
+	m.Stop()
+	got, want := m.Stats().Interrogations, m.InterroStats().Attempts
+	if want == 0 || got != want {
+		t.Fatalf("Stats().Interrogations = %d, interrogators attempted %d", got, want)
+	}
+}
+
 func TestMapFindsPriorityServicesInADay(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)

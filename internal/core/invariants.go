@@ -16,8 +16,8 @@ import (
 // filter flagged, one inside cfg.Excluded or an active exclusion, one homed on
 // a quarantined partition — has a materialized service, the search index
 // holds a document for exactly the hosts that have one and posts exactly what
-// those documents hold (search.Index.Verify), and the cert index locates only
-// those hosts. It returns every violation found, nil when consistent.
+// those documents hold (search.Index.Verify). It returns every violation
+// found, nil when consistent.
 func (m *Map) CheckInvariants() error {
 	var hosts []netip.Addr
 	m.processor.Walk(func(_ string, h *entity.Host) {
@@ -28,10 +28,8 @@ func (m *Map) CheckInvariants() error {
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Less(hosts[j]) })
 
 	var errs []error
-	inDataset := make(map[string]bool, len(hosts))
 	for _, addr := range hosts {
 		id := addr.String()
-		inDataset[id] = true
 		if why := m.barred(addr); why != "" {
 			errs = append(errs, fmt.Errorf("%s host %v has materialized services", why, addr))
 		}
@@ -44,11 +42,6 @@ func (m *Map) CheckInvariants() error {
 	}
 	if err := m.index.Verify(); err != nil {
 		errs = append(errs, err)
-	}
-	for _, id := range m.certIdx.Entities() {
-		if !inDataset[id] {
-			errs = append(errs, fmt.Errorf("cert index locates %s, which has no materialized service", id))
-		}
 	}
 	return errors.Join(errs...)
 }

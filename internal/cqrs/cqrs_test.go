@@ -275,49 +275,6 @@ func TestDrainDispatchesSubscribers(t *testing.T) {
 	}
 }
 
-func TestCertIndexFollowsEvents(t *testing.T) {
-	p, _ := newPipeline()
-	ci := NewCertIndex()
-	ci.Follow(p)
-
-	svc := &entity.Service{Port: 443, Transport: entity.TCP, Protocol: "HTTP",
-		TLS: true, CertSHA256: "fp-one", Verified: true}
-	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP,
-		Time: at(0), Success: true, Service: svc})
-	p.Drain()
-	locs := ci.Locations("fp-one")
-	if len(locs) != 1 || locs[0] != "10.0.0.1 443/tcp" {
-		t.Fatalf("Locations = %v", locs)
-	}
-
-	// Cert rotation moves the locator.
-	svc2 := svc.Clone()
-	svc2.CertSHA256 = "fp-two"
-	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP,
-		Time: at(1), Success: true, Service: svc2})
-	p.Drain()
-	if len(ci.Locations("fp-one")) != 0 {
-		t.Fatal("stale fingerprint locator kept after rotation")
-	}
-	if len(ci.Locations("fp-two")) != 1 {
-		t.Fatal("new fingerprint not indexed")
-	}
-	// An index that starts following now is built from the processor's state.
-	late := NewCertIndex()
-	late.Follow(p)
-	if got := late.Locations("fp-two"); late.Fingerprints() != 1 || len(got) != 1 || got[0] != "10.0.0.1 443/tcp" {
-		t.Fatalf("index built from state: %d fingerprints, fp-two at %v", late.Fingerprints(), got)
-	}
-
-	// Eviction clears the index.
-	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP, Time: at(2)})
-	p.Apply(Observation{Addr: addr, Port: 443, Transport: entity.TCP, Time: at(2 + 80)})
-	p.Drain()
-	if ci.Fingerprints() != 0 || late.Fingerprints() != 0 {
-		t.Fatalf("fingerprints after eviction = %d, %d", ci.Fingerprints(), late.Fingerprints())
-	}
-}
-
 func TestReadSideMatchesWriteSideAfterChurn(t *testing.T) {
 	// Fuzz-ish consistency: a random-ish sequence of observations must
 	// leave read-side reconstruction equal to write-side state.

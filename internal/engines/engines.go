@@ -77,9 +77,6 @@ type Policy struct {
 	KeepDuplicates bool
 	// RetainFor drops records older than this; zero retains forever.
 	RetainFor time.Duration
-	// VerifyHandshakes labels services only via completed handshakes; when
-	// false the engine labels by port number and banner keywords.
-	VerifyHandshakes bool
 	// BlockedFrac is the fraction of networks that blocklist this engine
 	// (operator reputation).
 	BlockedFrac float64
@@ -185,18 +182,8 @@ func (b *Baseline) Tick(now time.Time) {
 // probe scans one target and records per policy.
 func (b *Baseline) probe(addr netip.Addr, port uint16, now time.Time) {
 	if b.net.ProbeTCP(b.scanner, addr, port) == simnet.Open {
-		rec := Record{Addr: addr, Port: port, Transport: entity.TCP, LastScanned: now}
-		if b.policy.VerifyHandshakes {
-			proto, verified := b.verify(addr, port)
-			if proto == "" {
-				return
-			}
-			rec.Protocol = proto
-			rec.Verified = verified
-		} else {
-			rec.Protocol = b.labelByPortAndKeyword(addr, port)
-		}
-		b.store(rec)
+		b.store(Record{Addr: addr, Port: port, Transport: entity.TCP,
+			Protocol: b.labelByPortAndKeyword(addr, port), LastScanned: now})
 	}
 	// UDP protocols on their conventional ports.
 	for _, p := range protocols.ForPort(port, entity.UDP) {
@@ -207,16 +194,8 @@ func (b *Baseline) probe(addr netip.Addr, port uint16, now time.Time) {
 		if _, out := b.net.ProbeUDP(b.scanner, addr, port, payload); out != simnet.Open {
 			continue
 		}
-		rec := Record{Addr: addr, Port: port, Transport: entity.UDP,
-			Protocol: p.Name, LastScanned: now}
-		if b.policy.VerifyHandshakes {
-			if conn, ok := b.net.Connect(b.scanner, addr, port, entity.UDP); ok {
-				if res, err := p.Scan(conn); err == nil && res != nil && res.Complete {
-					rec.Verified = true
-				}
-			}
-		}
-		b.store(rec)
+		b.store(Record{Addr: addr, Port: port, Transport: entity.UDP,
+			Protocol: p.Name, LastScanned: now})
 	}
 }
 
@@ -227,41 +206,6 @@ func (b *Baseline) store(rec Record) {
 	}
 	key := recordKey{rec.Addr, rec.Port, rec.Transport}
 	b.byKey[key] = &rec
-}
-
-// verify runs full LZR-style detection (handshake-verified labeling).
-func (b *Baseline) verify(addr netip.Addr, port uint16) (string, bool) {
-	conn, ok := b.net.Connect(b.scanner, addr, port, entity.TCP)
-	if !ok {
-		return "", false
-	}
-	// Banner-first.
-	buf := make([]byte, 1024)
-	if n, err := conn.Read(buf); err == nil && n > 0 {
-		if name := protocols.Identify(buf[:n]); name != "" {
-			return name, true
-		}
-		return "UNKNOWN", false
-	}
-	// Port-assigned protocol, then the client-first battery.
-	for _, p := range protocols.ForPort(port, entity.TCP) {
-		if c2, ok := b.net.Connect(b.scanner, addr, port, entity.TCP); ok {
-			if res, err := p.Scan(c2); err == nil && res != nil && res.Complete {
-				return p.Name, true
-			}
-		}
-	}
-	for _, p := range protocols.All() {
-		if p.Transport != entity.TCP {
-			continue
-		}
-		if c2, ok := b.net.Connect(b.scanner, addr, port, entity.TCP); ok {
-			if res, err := p.Scan(c2); err == nil && res != nil && res.Complete {
-				return p.Name, true
-			}
-		}
-	}
-	return "UNKNOWN", false
 }
 
 // icsPortLabels is the port->protocol table keyword-labeling engines use.

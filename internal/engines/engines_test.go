@@ -47,7 +47,7 @@ func TestBaselineSweepFindsServices(t *testing.T) {
 func TestKeywordEngineOverReportsICS(t *testing.T) {
 	net, clk := smallUniverse(t)
 	// Plant an HTTP service on the CODESYS port: keyword engines must
-	// mislabel it, handshake-verified engines must not.
+	// mislabel it, the handshake-verifying pipeline must not.
 	addr := netip.MustParseAddr("10.0.1.200")
 	net.AddHost(&simnet.Host{Addr: addr, Country: "US", Slots: []*simnet.Slot{{
 		Port: 2455, Transport: entity.TCP,
@@ -59,25 +59,25 @@ func TestKeywordEngineOverReportsICS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer keyword.Stop()
-	verifiedPolicy := ShodanProfile()
-	verifiedPolicy.Name = "verified"
-	verifiedPolicy.VerifyHandshakes = true
-	verified, err := NewBaseline(verifiedPolicy, net, time.Hour)
+	cfg := core.DefaultConfig()
+	cfg.CloudBlocks = 1
+	m, err := core.New(cfg, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer verified.Stop()
+	verified := NewCoreAdapter("censysmap", m)
 
-	clk.Advance(7 * 24 * time.Hour)
+	m.Run(7 * 24 * time.Hour) // advances the shared clock: both engines scan
+	m.Stop()
 
 	if !containsRecord(keyword.QueryProtocol("CODESYS"), addr, 2455) {
 		t.Fatal("keyword engine did not mislabel the HTTP service as CODESYS")
 	}
 	if containsRecord(verified.QueryProtocol("CODESYS"), addr, 2455) {
-		t.Fatal("handshake-verified engine mislabeled HTTP as CODESYS")
+		t.Fatal("handshake-verified pipeline mislabeled HTTP as CODESYS")
 	}
 	if !containsRecord(verified.QueryProtocol("HTTP"), addr, 2455) {
-		t.Fatal("verified engine missed the HTTP service entirely")
+		t.Fatal("handshake-verified pipeline missed the HTTP service entirely")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package lookup implements the Fast Lookup API of paper §5.3: a REST
 // surface over the read-side storage for high-throughput lookups by entity
 // ID and timestamp ("what did IP A look like at time B?", "what IPs has
-// certificate X been seen on?"). It is backed directly by the journal, so
-// requests are cheap point reads.
+// certificate X been seen on?"). Point lookups are backed directly by the
+// journal, so they are cheap point reads; search and the certificate pivot
+// read the search index (AttachSearch).
 package lookup
 
 import (
@@ -65,7 +66,6 @@ type Placement interface {
 // Service answers lookups; it is both a Go API and an http.Handler.
 type Service struct {
 	reader *cqrs.Reader
-	certs  *cqrs.CertIndex
 	clock  simclock.Clock
 	mux    *http.ServeMux
 	index  *search.Index
@@ -84,24 +84,25 @@ type Service struct {
 	placement Placement
 }
 
-// New creates a lookup service. certs may be nil.
-func New(reader *cqrs.Reader, certs *cqrs.CertIndex, clock simclock.Clock) *Service {
-	s := &Service{reader: reader, certs: certs, clock: clock}
+// New creates a lookup service.
+func New(reader *cqrs.Reader, clock simclock.Clock) *Service {
+	s := &Service{reader: reader, clock: clock}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v2/hosts/{ip}", s.handleHost)
 	mux.HandleFunc("GET /v2/hosts/{ip}/history", s.handleHistory)
-	mux.HandleFunc("GET /v2/certificates/{fp}/hosts", s.handleCertHosts)
 	s.mux = mux
 	return s
 }
 
-// AttachSearch registers the interactive-search endpoint
-// (GET /v2/hosts/search?q=<query>[&limit=n]) backed by the query engine.
-// Result hosts are the index documents' rendered JSON (search.HostsJSON),
-// written verbatim into the envelope: nothing is cloned or re-encoded.
+// AttachSearch registers the two fan-out reads backed by the search index:
+// interactive search (GET /v2/hosts/search?q=<query>[&limit=n]) and the
+// certificate→hosts pivot (GET /v2/certificates/{fp}/hosts). Search result
+// hosts are the index documents' rendered JSON (search.HostsJSON), written
+// verbatim into the envelope: nothing is cloned or re-encoded.
 func (s *Service) AttachSearch(ix *search.Index) {
 	s.index = ix
 	s.mux.HandleFunc("GET /v2/hosts/search", s.handleSearch)
+	s.mux.HandleFunc("GET /v2/certificates/{fp}/hosts", s.handleCertHosts)
 }
 
 // Host returns the host record as of the given time (zero time = now).
@@ -112,13 +113,14 @@ func (s *Service) Host(ip netip.Addr, at time.Time) (*entity.Host, bool) {
 	return s.reader.HostAt(ip.String(), at)
 }
 
-// CertHosts returns "ip port/transport" locators currently presenting the
-// certificate fingerprint.
+// CertHosts returns "ip port/transport" locators of the active services
+// presenting the certificate fingerprint (search.Index.CertLocations), or nil
+// before AttachSearch.
 func (s *Service) CertHosts(fingerprint string) []string {
-	if s.certs == nil {
+	if s.index == nil {
 		return nil
 	}
-	return s.certs.Locations(fingerprint)
+	return s.index.CertLocations(fingerprint)
 }
 
 // SetDegraded switches the service into degraded mode: every response

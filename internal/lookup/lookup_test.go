@@ -20,8 +20,6 @@ func fixture(t *testing.T) (*Service, *simclock.Sim) {
 	clk := simclock.New()
 	j := journal.NewStore()
 	p := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
-	ci := cqrs.NewCertIndex()
-	ci.Follow(p)
 
 	addr := netip.MustParseAddr("10.0.0.1")
 	svc1 := &entity.Service{Port: 443, Transport: entity.TCP, Protocol: "HTTP",
@@ -38,7 +36,7 @@ func fixture(t *testing.T) (*Service, *simclock.Sim) {
 		t.Fatal(err)
 	}
 	p.Drain()
-	return New(cqrs.NewReader(j, nil), ci, clk), clk
+	return New(cqrs.NewReader(j, nil), clk), clk
 }
 
 func TestHostLookupCurrent(t *testing.T) {
@@ -140,26 +138,32 @@ func TestHistoryEndpoint(t *testing.T) {
 	}
 }
 
+// TestCertHostsEndpoint: the pivot answers from the search index, and the
+// route lowercases the fingerprint it is given.
 func TestCertHostsEndpoint(t *testing.T) {
-	s, _ := fixture(t)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v2/certificates/fp1/hosts", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var body struct {
-		Fingerprint string   `json:"fingerprint"`
-		Hosts       []string `json:"hosts"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Hosts) != 1 || body.Hosts[0] != "10.0.0.1 443/tcp" {
-		t.Fatalf("hosts = %v", body.Hosts)
+	s := searchFixture(t)
+	for _, fp := range []string{"fp1", "FP1"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/v2/certificates/"+fp+"/hosts", nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status = %d", fp, rec.Code)
+		}
+		var body struct {
+			Fingerprint string   `json:"fingerprint"`
+			Hosts       []string `json:"hosts"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Fingerprint != "fp1" || len(body.Hosts) != 2 ||
+			body.Hosts[0] != "10.0.0.1 443/tcp" || body.Hosts[1] != "10.0.0.3 443/tcp" {
+			t.Fatalf("%s: body = %+v", fp, body)
+		}
 	}
 }
 
-// searchFixture attaches a partitioned search index holding three hosts.
+// searchFixture attaches a partitioned search index holding three hosts;
+// the first and the third present certificate fp1.
 func searchFixture(t *testing.T) *Service {
 	t.Helper()
 	s, _ := fixture(t)
@@ -167,8 +171,11 @@ func searchFixture(t *testing.T) *Service {
 	for i, country := range []string{"US", "DE", "US"} {
 		h := entity.NewHost(netip.MustParseAddr("10.0.0." + string(rune('1'+i))))
 		h.Location = &entity.Location{Country: country}
-		h.SetService(&entity.Service{Port: 443, Transport: entity.TCP,
-			Protocol: "HTTP", Verified: true})
+		svc := &entity.Service{Port: 443, Transport: entity.TCP, Protocol: "HTTP", Verified: true}
+		if country == "US" {
+			svc.TLS, svc.CertSHA256 = true, "fp1"
+		}
+		h.SetService(svc)
 		ix.Upsert(h)
 	}
 	s.AttachSearch(ix)
@@ -245,10 +252,16 @@ func TestSearchEndpointAbsentWithoutAttach(t *testing.T) {
 	}
 }
 
+// TestCertHostsNilIndex: before AttachSearch there is no index to pivot
+// over — CertHosts answers nil and the route is not registered.
 func TestCertHostsNilIndex(t *testing.T) {
-	clk := simclock.New()
-	s := New(cqrs.NewReader(journal.NewStore(), nil), nil, clk)
-	if got := s.CertHosts("x"); got != nil {
+	s, _ := fixture(t)
+	if got := s.CertHosts("fp1"); got != nil {
 		t.Fatalf("got %v", got)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v2/certificates/fp1/hosts", nil))
+	if rec.Code != 404 {
+		t.Fatalf("status = %d, want 404 (route not registered)", rec.Code)
 	}
 }

@@ -18,25 +18,24 @@ func (c *captureConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// firstProbeCache memoizes FirstProbe results; scanners are deterministic.
-var firstProbeCache = map[string][]byte{}
+// captureFirst runs a scanner against a captureConn and returns its first
+// write; register calls it once per protocol at package init.
+func captureFirst(p *Protocol) []byte {
+	cw := &captureConn{}
+	_, _ = p.Scan(cw) // the scanner errors out on the starved read; we only need the write
+	return cw.first
+}
 
-// FirstProbe returns the first message the named protocol's scanner sends,
-// or nil for server-first protocols. Discovery uses it as the payload of
-// protocol-specific UDP probes (paper §4.1: "protocol-specific UDP
-// packets").
+// FirstProbe returns a copy of the first message the named protocol's
+// scanner sends, or nil for server-first protocols. Discovery uses it as the
+// payload of protocol-specific UDP probes (paper §4.1: "protocol-specific
+// UDP packets").
 func FirstProbe(name string) []byte {
-	if probe, ok := firstProbeCache[name]; ok {
-		return append([]byte(nil), probe...)
-	}
 	p := Lookup(name)
 	if p == nil {
 		return nil
 	}
-	cw := &captureConn{}
-	_, _ = p.Scan(cw) // the scanner errors out on the starved read; we only need the write
-	firstProbeCache[name] = cw.first
-	return append([]byte(nil), cw.first...)
+	return append([]byte(nil), p.firstProbe...)
 }
 
 var _ io.ReadWriter = (*captureConn)(nil)

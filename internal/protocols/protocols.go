@@ -126,6 +126,10 @@ type Protocol struct {
 	NewSession func(Spec) Session
 	// Fingerprint recognises this protocol from raw server bytes.
 	Fingerprint func(data []byte) bool
+
+	// firstProbe is Scan's first write (nil for server-first protocols),
+	// captured once by register; FirstProbe hands out copies.
+	firstProbe []byte
 }
 
 // The registry is filled by package init and read-only after it: registry
@@ -140,6 +144,7 @@ func register(p *Protocol) {
 	if _, dup := registry[p.Name]; dup {
 		panic(fmt.Sprintf("protocols: duplicate registration of %q", p.Name))
 	}
+	p.firstProbe = captureFirst(p)
 	registry[p.Name] = p
 	i, _ := slices.BinarySearchFunc(all, p.Name, func(q *Protocol, name string) int {
 		return strings.Compare(q.Name, name)

@@ -3,16 +3,9 @@ package search
 import (
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"censysmap/internal/entity"
 )
-
-// MaxQueryWorkers bounds the per-query fan-out over partitions. Partition
-// evaluations are independent and the merge is order-deterministic, so the
-// result is identical for any worker count.
-var MaxQueryWorkers = 8
 
 // Search parses and executes a query, returning matching entity IDs sorted.
 func (ix *Index) Search(query string) ([]string, error) {
@@ -67,11 +60,14 @@ func (ix *Index) SearchHosts(query string) ([]*entity.Host, error) {
 
 // Execute runs a compiled query. Partitions hold disjoint document sets and
 // every query operator is a per-document predicate, so the query is
-// evaluated independently against each partition (in parallel, on a bounded
-// worker pool) and the pre-sorted per-partition results are k-way merged —
-// the merged query path over the sharded index.
+// evaluated against each partition in turn and the pre-sorted per-partition
+// results are k-way merged — the merged query path over the sharded index.
 func (ix *Index) Execute(q *Query) []string {
-	return mergeSortedStrings(ix.partResults(q))
+	lists := make([][]string, len(ix.parts))
+	for i, p := range ix.parts {
+		lists[i] = ix.partQuery(p, q)
+	}
+	return mergeSortedStrings(lists)
 }
 
 // Count returns the number of matches.
@@ -83,36 +79,28 @@ func (ix *Index) Count(query string) (int, error) {
 	return len(ids), nil
 }
 
-// partResults evaluates a query against every partition, fanning out over a
-// bounded worker pool, returning each partition's sorted ID list.
-func (ix *Index) partResults(q *Query) [][]string {
-	out := make([][]string, len(ix.parts))
-	workers := MaxQueryWorkers
-	if workers > len(ix.parts) {
-		workers = len(ix.parts)
-	}
-	if workers <= 1 {
-		for i, p := range ix.parts {
-			out[i] = ix.partQuery(p, q)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ix.parts) {
-					return
+// CertLocations returns the "entity port/transport" locators of every active
+// service presenting the certificate fingerprint, sorted — the threat-hunting
+// pivot of paper §5.2 ("what IPs has certificate X been seen on?"). It reads
+// the services.cert_sha256 postings and keeps the services whose fingerprint
+// is fp exactly. A service pending removal has no fragment, so it is not
+// located: "current" means the same for the pivot as for search and export.
+func (ix *Index) CertLocations(fp string) []string {
+	tok := strings.ToLower(fp)
+	var out []string
+	for _, p := range ix.parts {
+		p.mu.RLock()
+		for _, lid := range p.inverted["services.cert_sha256"][tok] {
+			d := p.byLocal[lid]
+			for _, f := range d.frags[1:] {
+				if d.host.Service(f.key).CertSHA256 == fp {
+					out = append(out, d.id+" "+f.key.String())
 				}
-				out[i] = ix.partQuery(ix.parts[i], q)
 			}
-		}()
+		}
+		p.mu.RUnlock()
 	}
-	wg.Wait()
+	sort.Strings(out)
 	return out
 }
 

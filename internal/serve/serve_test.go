@@ -20,15 +20,15 @@ import (
 )
 
 // fixture is a fully wired serving tier over a small seeded dataset: journal
-// + processor + cert index feeding the lookup service, a 4-partition search
-// index, and a telemetry registry exposed at /v2/metrics.
+// + processor feeding the lookup service, a 4-partition search index (which
+// also answers the certificate pivot), and a telemetry registry exposed at
+// /v2/metrics.
 type fixture struct {
-	srv   *Server
-	clk   *simclock.Sim
-	ix    *search.Index
-	proc  *cqrs.Processor
-	reg   *telemetry.Registry
-	certs *cqrs.CertIndex
+	srv  *Server
+	clk  *simclock.Sim
+	ix   *search.Index
+	proc *cqrs.Processor
+	reg  *telemetry.Registry
 }
 
 // defaultTenants cover the admission paths the suites need: an unlimited
@@ -48,16 +48,14 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	clk := simclock.New()
 	j := journal.NewStore()
 	p := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
-	ci := cqrs.NewCertIndex()
-	ci.Follow(p)
 	ix := search.NewPartitioned(4)
 
-	f := &fixture{clk: clk, ix: ix, proc: p, certs: ci, reg: telemetry.New()}
+	f := &fixture{clk: clk, ix: ix, proc: p, reg: telemetry.New()}
 	for i := 1; i <= 8; i++ {
 		f.seedHost(t, fmt.Sprintf("10.0.0.%d", i), "banner-v1")
 	}
 
-	svc := lookup.New(cqrs.NewReader(j, nil), ci, clk)
+	svc := lookup.New(cqrs.NewReader(j, nil), clk)
 	svc.AttachSearch(ix)
 	svc.AttachMetrics(f.reg, nil)
 
@@ -396,7 +394,7 @@ func TestServeTelemetryDeterministic(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	clk := simclock.New()
-	svc := lookup.New(cqrs.NewReader(journal.NewStore(), nil), nil, clk)
+	svc := lookup.New(cqrs.NewReader(journal.NewStore(), nil), clk)
 	ix := search.NewIndex()
 	cases := []Config{
 		{Tenants: []Tenant{{Key: "k", Name: "a", Tier: "no-such-tier"}}},

@@ -5,7 +5,7 @@
 //
 // It substitutes for real X.509/PKIX (see DESIGN.md): the pipeline's
 // certificate code paths — parse, validate, lint, revocation refresh, CT
-// polling, cert→host indexing — are exercised end to end, while ASN.1 and
+// polling, the cert→host pivot — are exercised end to end, while ASN.1 and
 // RSA/ECDSA mechanics, which the experiments never measure, are replaced by
 // key identities and a keyed-hash "signature".
 package x509lite
