@@ -9,8 +9,7 @@ vet:
 
 # vet plus the repo's clock-discipline check: pipeline code reads time
 # through simclock.Clock only (time.Now is allowed in simclock's Real
-# implementation, socket deadlines, cmd/, and tests) so instrumented runs
-# stay deterministic. And gofmt: any file it would rewrite fails the target.
+# implementation, cmd/, and tests) so instrumented runs stay deterministic. And gofmt: any file it would rewrite fails the target.
 lint: vet
 	$(GO) run ./cmd/lintclock .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -159,8 +158,11 @@ bench-test:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
 
-# Non-test Go lines outside bench/: the number every PR reports its delta of.
+# Non-test Go lines outside bench/ in the working tree (tracked or not yet
+# staged, minus ignored and deleted files): the number every PR reports its
+# delta of.
 loc:
-	@git ls-files '*.go' ':!bench' | grep -v _test.go | xargs cat | wc -l
+	@git ls-files -co --exclude-standard '*.go' ':!bench' | grep -v _test.go | \
+		while read -r f; do [ -f "$$f" ] && cat "$$f"; done | wc -l
 
 check: lint build race chaos chaos-disk cluster-diff fsck serve-test predict-diff adversarial bench-test

@@ -17,7 +17,6 @@ import (
 	"censysmap/internal/draw"
 	"censysmap/internal/durable"
 	"censysmap/internal/journal"
-	"censysmap/internal/search"
 	"censysmap/internal/shard"
 )
 
@@ -34,17 +33,10 @@ import (
 // segments plus an active tail, so every fault class has a target.
 const crashRecordsPerSegment = 8
 
-// parkedStores are the crash-surviving stores not owned by the disk engine:
-// they model the separate durable services (cert Bigtable, ES cluster) whose
-// on-disk formats are outside the storage layer.
-type parkedStores struct {
-	certs *core.CertStore
-	index *search.Index
-}
-
 // CrashToDisk checkpoints at the current tick boundary, persists the
 // journals and checkpoint through the durable storage engine, and kills the
-// process, parking the engine-external stores on the Run.
+// process, parking the search index on the Run: it models a separate durable
+// service (an ES cluster) whose on-disk format is outside the storage layer.
 func (r *Run) CrashToDisk(dir string) error {
 	err := r.Map.SaveDurable(dir, durable.SaveOptions{RecordsPerSegment: crashRecordsPerSegment})
 	d := r.Map.Durable()
@@ -53,7 +45,7 @@ func (r *Run) CrashToDisk(dir string) error {
 	if err != nil {
 		return fmt.Errorf("chaos: save durable stores: %w", err)
 	}
-	r.parked = &parkedStores{certs: d.Certs, index: d.Index}
+	r.parkedIndex = d.Index
 	return nil
 }
 
@@ -63,7 +55,7 @@ func (r *Run) CrashToDisk(dir string) error {
 // web-property partition is fatal (that pipeline has no degraded tier). The
 // recovery report is returned for the caller's assertions.
 func (r *Run) ResumeFromDisk(dir string) (*durable.RecoveryReport, error) {
-	if r.parked == nil {
+	if r.parkedIndex == nil {
 		return nil, fmt.Errorf("chaos: ResumeFromDisk without CrashToDisk")
 	}
 	res, err := durable.Load(dir, durable.LoadOptions{
@@ -84,8 +76,7 @@ func (r *Run) ResumeFromDisk(dir string) (*durable.RecoveryReport, error) {
 	d := core.Durable{
 		Journal:     res.Stores["journal"],
 		WebJournal:  res.Stores["webjournal"],
-		Certs:       r.parked.certs,
-		Index:       r.parked.index,
+		Index:       r.parkedIndex,
 		Quarantined: res.Report.Quarantined["journal"],
 		Storage:     res.Metrics,
 	}

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"censysmap/internal/core"
+	"censysmap/internal/search"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
 )
@@ -80,9 +81,9 @@ type Run struct {
 
 	spec RunSpec
 	tick int
-	// parked holds the engine-external durable stores across a CrashToDisk /
+	// parkedIndex holds the search index across a CrashToDisk /
 	// ResumeFromDisk cycle (see disk.go).
-	parked *parkedStores
+	parkedIndex *search.Index
 }
 
 // Start builds the universe and pipeline for spec and performs the seed

@@ -107,9 +107,6 @@ func (m *Map) History(addr netip.Addr) []journal.Event {
 // export). Each read replays the journal as of the snapshot's date (rowsAt).
 func (m *Map) Analytics() *snapshot.Store { return m.analytics }
 
-// Certs exposes the certificate store.
-func (m *Map) Certs() *CertStore { return m.certs }
-
 // CertHosts returns the "ip port/transport" locators of the active services
 // presenting a certificate, read from the search index's postings.
 func (m *Map) CertHosts(fingerprint string) []string {

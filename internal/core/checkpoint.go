@@ -22,12 +22,11 @@ import (
 // production system:
 //
 //   - Durable is what survives a process crash because it lives in external
-//     stores: the event journals (the CQRS source of truth), the certificate
-//     store, and the search index (the one read model carried; see Durable).
+//     stores: the event journals (the CQRS source of truth) and the search
+//     index (the one read model carried; see Durable).
 //   - The processor's materialized write-side state is NOT durable: it is
 //     rebuilt from the journal (snapshot + delta replay) on Resume — the
-//     whole point of event sourcing. The cert->host index is a function of
-//     that state and is rebuilt with it; an analytics snapshot is a date
+//     whole point of event sourcing. An analytics snapshot is a date
 //     (first_daily..last_daily) whose rows the journal replays on read.
 //   - Checkpoint carries only what replay cannot reach: the small,
 //     fast-changing pipeline bookkeeping (un-journaled liveness, scan
@@ -51,8 +50,6 @@ type Durable struct {
 	Journal *journal.Store
 	// WebJournal is the web-property pipeline's journal.
 	WebJournal *journal.Store
-	// Certs is the certificate store.
-	Certs *CertStore
 	// Index is the interactive search index.
 	Index *search.Index
 
@@ -72,7 +69,6 @@ func (m *Map) Durable() Durable {
 	return Durable{
 		Journal:     m.processor.Journal(),
 		WebJournal:  m.webProps.Journal(),
-		Certs:       m.certs,
 		Index:       m.index,
 		Quarantined: m.QuarantinedPartitions(),
 		Storage:     m.storageMetrics,

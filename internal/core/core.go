@@ -10,7 +10,7 @@
 //	refresh & eviction  <---- current state ----> read side + enrichment
 //	                                                       |
 //	web properties (CT/redirect/pDNS)            search index, lookup API,
-//	certificate store (validate/lint/CRL)        cert->host index
+//	                                             cert->host pivot
 //
 // Run drives everything off a simulated clock at a fixed tick, so months of
 // continuous operation execute in seconds and experiments are reproducible.
@@ -250,7 +250,6 @@ type Map struct {
 	lookupSvc *lookup.Service
 	predictor *predict.Engine
 	webProps  *webprop.Pipeline
-	certs     *CertStore
 	analytics *snapshot.Store
 
 	// Ledger handles of the two classes core itself spends.
@@ -497,13 +496,11 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		{"reinject", true, m.runReinjection},
 	}
 
-	// Web properties & certificates.
+	// Web properties.
 	if d != nil {
 		m.webProps = webprop.NewWithJournal(net, m.scanner, d.WebJournal)
-		m.certs = d.Certs
 	} else {
 		m.webProps = webprop.New(net, m.scanner)
-		m.certs = NewCertStore(net.Roots)
 	}
 
 	m.lastDaily = clk.Now()
@@ -706,11 +703,10 @@ func (m *Map) Tick(now time.Time) {
 	// Async event processing (search index, follow-ups).
 	m.processor.Drain()
 
-	// Daily housekeeping: cert revalidation and the daily analytics
-	// snapshot (§5.3's BigQuery export).
+	// Daily housekeeping: the daily analytics snapshot (§5.3's BigQuery
+	// export).
 	if now.Sub(m.lastDaily) >= dailyEvery {
 		m.lastDaily = now
-		m.certs.RevalidateAll(m.crls(), now)
 		m.snapshotDaily(now)
 	}
 }
@@ -870,14 +866,6 @@ func (m *Map) rowsAt(date time.Time) []snapshot.Row {
 	return snapshot.RowsFromHosts(date, hosts)
 }
 
-// crls fetches current CRLs from the universe's CAs.
-func (m *Map) crls() []*CRLSource {
-	return []*CRLSource{
-		{CRL: m.net.TrustedCA(0).CRL()},
-		{CRL: m.net.TrustedCA(1).CRL()},
-	}
-}
-
 // apply feeds an observation into the write side and the learning loops.
 // It runs on the worker that owns the candidate's shard; everything it
 // touches is either shard-local, internally synchronized, or buffered for a
@@ -900,11 +888,6 @@ func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.
 			return
 		}
 
-		// Certificates observed in TLS handshakes enter the cert pipeline; a
-		// blob that does not parse is no certificate to store.
-		if len(obs.CertDER) > 0 {
-			_ = m.certs.ObserveDER(obs.CertDER, obs.Service.CertSHA256, "scan", now)
-		}
 		// Redirects feed web property names; buffered for the serial
 		// post-batch fan-in (the webprop pipeline is order-sensitive).
 		if obs.Service != nil {

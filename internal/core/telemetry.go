@@ -333,9 +333,6 @@ func (m *Map) MetricsSnapshot() telemetry.Snapshot {
 	return m.cfg.Telemetry.Snapshot(m.clock.Now())
 }
 
-// Tracer returns the Map's span sampler (nil when tracing is disabled).
-func (m *Map) Tracer() *telemetry.Tracer { return m.tracer }
-
 // Traces returns the sampled per-address pipeline spans collected so far.
 func (m *Map) Traces() []telemetry.Span { return m.tracer.Spans() }
 

@@ -24,9 +24,6 @@ type Observation struct {
 	// the structured record when Success is true.
 	Success bool
 	Service *entity.Service
-	// CertDER is the certificate the TLS handshake returned, for the
-	// certificate store; the journal keeps only Service.CertSHA256.
-	CertDER []byte
 }
 
 // Key returns the service slot the observation addresses.

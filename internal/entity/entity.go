@@ -1,5 +1,6 @@
 // Package entity defines the data model for Internet entities — Hosts,
-// Services, Web Properties, and Certificates — that the map maintains.
+// Services, and Web Properties — that the map maintains. A certificate is
+// kept as the fingerprint a service presents (Service.CertSHA256).
 //
 // Records are designed to be *stable* and *non-ephemeral* (paper §5.1): a
 // record must not change if the configuration of the underlying Internet

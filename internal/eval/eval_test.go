@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -320,6 +321,17 @@ func TestFigure5ConvergesByFifty(t *testing.T) {
 		if m < res.TrueValue-0.15 || m > res.TrueValue+0.15 {
 			t.Errorf("n=%d estimate %.3f far from truth %.3f", res.SampleSizes[i], m, res.TrueValue)
 		}
+	}
+}
+
+// TestFigure5Deterministic: Figure 5's seeded sampler draws from a list in a
+// fixed order, so two calls on one lab agree exactly.
+func TestFigure5Deterministic(t *testing.T) {
+	l := lab(t)
+	a := Figure5(l, l.Engines()[1], 50)
+	b := Figure5(l, l.Engines()[1], 50)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two calls differ:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -591,20 +592,9 @@ func Figure5(l *Lab, engine engines.Engine, trials int) SampleSizeResult {
 		}
 		variance /= float64(len(estimates))
 		res.Mean = append(res.Mean, mean)
-		res.StdDev = append(res.StdDev, sqrt(variance))
+		res.StdDev = append(res.StdDev, math.Sqrt(variance))
 	}
 	return res
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // Render formats the convergence series.

@@ -7,7 +7,9 @@
 package eval
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"time"
 
 	"censysmap/internal/core"
@@ -161,7 +163,9 @@ type recKey struct {
 
 func keyOf(r engines.Record) recKey { return recKey{r.Addr, r.Port, r.Transport} }
 
-// uniqueRecords dedupes an engine's dataset by location, keeping the newest.
+// uniqueRecords dedupes an engine's dataset by location, keeping the newest,
+// and returns the records sorted by location so seeded samplers over the
+// list are reproducible.
 func uniqueRecords(recs []engines.Record) []engines.Record {
 	newest := make(map[recKey]engines.Record, len(recs))
 	for _, r := range recs {
@@ -173,5 +177,14 @@ func uniqueRecords(recs []engines.Record) []engines.Record {
 	for _, r := range newest {
 		out = append(out, r)
 	}
+	slices.SortFunc(out, func(a, b engines.Record) int {
+		if c := a.Addr.Compare(b.Addr); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Port, b.Port); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Transport, b.Transport)
+	})
 	return out
 }

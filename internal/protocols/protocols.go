@@ -56,8 +56,6 @@ type Result struct {
 	TLS bool
 	// CertSHA256 is the fingerprint of the certificate presented, if any.
 	CertSHA256 string
-	// CertDER is the certificate blob the handshake returned, if any.
-	CertDER []byte
 }
 
 // attr sets an attribute, allocating the map lazily and dropping empties.

@@ -12,10 +12,10 @@ import (
 // TLS-lite is the simulation substitute for TLS (see DESIGN.md): a
 // two-message handshake in which the server presents its encoded certificate,
 // after which the stream continues in the clear. It preserves exactly what
-// the pipeline consumes from real TLS — the certificate, a JA4S-style server
-// fingerprint, and the ability to run inner-protocol detection inside the
-// session — without reimplementing cryptography the experiments never
-// exercise. The leading 0x16 byte mirrors the real TLS handshake
+// the pipeline consumes from real TLS — the certificate's fingerprint, a
+// JA4S-style server fingerprint, and the ability to run inner-protocol
+// detection inside the session — without reimplementing cryptography the
+// experiments never exercise. The leading 0x16 byte mirrors the real TLS handshake
 // content-type so traffic classifiers see a TLS-shaped flow.
 
 // tlsClientHello is the client's opening message.
@@ -27,9 +27,8 @@ var tlsServerHelloPrefix = []byte("\x16STLS/1.0 SERVERHELLO\n")
 
 // TLSInfo describes an established TLS-lite session.
 type TLSInfo struct {
-	// CertDER is the certificate blob the server presented.
-	CertDER []byte
-	// CertSHA256 is its hex fingerprint.
+	// CertSHA256 is the hex fingerprint of the certificate the server
+	// presented.
 	CertSHA256 string
 	// JA4S is a JA4S-style stable server fingerprint derived from the
 	// handshake parameters.
@@ -74,11 +73,10 @@ func StartTLS(rw io.ReadWriter) (info *TLSInfo, inner io.ReadWriter, raw []byte,
 		}
 		rest = append(rest, more...)
 	}
-	cert := append([]byte(nil), rest[:certLen]...)
+	cert := rest[:certLen]
 	leftover := append([]byte(nil), rest[certLen:]...)
 	sum := sha256.Sum256(cert)
 	info = &TLSInfo{
-		CertDER:    cert,
 		CertSHA256: hex.EncodeToString(sum[:]),
 		JA4S:       JA4S(cert),
 	}

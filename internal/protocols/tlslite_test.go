@@ -1,9 +1,17 @@
 package protocols
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
+
+// fingerprint is the hex SHA-256 a handshake must report for cert.
+func fingerprint(cert []byte) string {
+	sum := sha256.Sum256(cert)
+	return hex.EncodeToString(sum[:])
+}
 
 func tlsSpec(inner string) Spec {
 	return Spec{
@@ -23,11 +31,8 @@ func TestStartTLSHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(info.CertDER) != "CERT-BLOB-FOR-secure.example.com" {
-		t.Fatalf("cert = %q", info.CertDER)
-	}
-	if len(info.CertSHA256) != 64 {
-		t.Fatalf("fingerprint = %q", info.CertSHA256)
+	if want := fingerprint([]byte("CERT-BLOB-FOR-secure.example.com")); info.CertSHA256 != want {
+		t.Fatalf("fingerprint = %q, want %q", info.CertSHA256, want)
 	}
 	if !strings.HasPrefix(info.JA4S, "t13d_") {
 		t.Fatalf("JA4S = %q", info.JA4S)
@@ -125,12 +130,7 @@ func TestLargeCertSpansReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.CertDER) != len(big) {
-		t.Fatalf("cert length = %d, want %d", len(info.CertDER), len(big))
-	}
-	for i := range big {
-		if info.CertDER[i] != big[i] {
-			t.Fatalf("cert corrupted at byte %d", i)
-		}
+	if want := fingerprint(big); info.CertSHA256 != want {
+		t.Fatalf("fingerprint = %q, want %q", info.CertSHA256, want)
 	}
 }

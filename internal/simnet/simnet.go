@@ -117,8 +117,6 @@ type Internet struct {
 
 	// Certificate ecosystem.
 	trustedCAs []*x509lite.CA
-	rogueCA    *x509lite.CA
-	Roots      *x509lite.RootStore
 	CT         *x509lite.CTLog
 
 	webProps map[string]*WebSite // keyed by name
@@ -210,7 +208,7 @@ func New(cfg Config, clock simclock.Clock) *Internet {
 		hosts:    make([]*Host, 1<<(32-cfg.Prefix.Bits())),
 		webProps: make(map[string]*WebSite),
 		scanners: make(map[string]*scannerPaths),
-		CT:       x509lite.NewCTLog("sim-argon"),
+		CT:       &x509lite.CTLog{},
 		faulty:   cfg.Adversary.hasFaults(),
 	}
 	n.buildPKI()
@@ -236,13 +234,10 @@ func (n *Internet) buildPKI() {
 		x509lite.NewCA("Sim Trust Services CA", draw.Mix(n.cfg.Seed, 0xCA, 1), start, life),
 		x509lite.NewCA("Let's Simulate Authority X1", draw.Mix(n.cfg.Seed, 0xCA, 2), start, life),
 	}
-	n.rogueCA = x509lite.NewCA("Unknown Issuing CA", draw.Mix(n.cfg.Seed, 0xCA, 3), start, life)
-	n.Roots = x509lite.NewRootStore(n.trustedCAs[0].Cert, n.trustedCAs[1].Cert)
 }
 
-// TrustedCA returns one of the browser-trusted CAs (for tests and the cert
-// pipeline).
-func (n *Internet) TrustedCA(i int) *x509lite.CA {
+// trustedCA returns one of the browser-trusted CAs, chosen by i.
+func (n *Internet) trustedCA(i int) *x509lite.CA {
 	idx := i % len(n.trustedCAs)
 	if idx < 0 {
 		idx += len(n.trustedCAs)
@@ -423,11 +418,11 @@ func (n *Internet) addTLS(spec *protocols.Spec, name string, rnd uint64) {
 		}
 		cert.Sign(rnd)
 	case draw.Frac(draw.Mix(rnd, 2)) < 0.05: // expired
-		ca := n.TrustedCA(int(rnd))
+		ca := n.trustedCA(int(rnd))
 		cert = ca.Issue(x509lite.Name{CommonName: name}, []string{name}, rnd,
 			n.epoch.Add(-200*24*time.Hour), 90*24*time.Hour)
 	default:
-		ca := n.TrustedCA(int(rnd))
+		ca := n.trustedCA(int(rnd))
 		cert = ca.Issue(x509lite.Name{CommonName: name, Organization: "Sim Org"},
 			[]string{name}, rnd, n.epoch.Add(-30*24*time.Hour), 90*24*time.Hour)
 		// Publicly trusted certs are CT-logged; backdate submissions.
@@ -455,7 +450,7 @@ func (n *Internet) generateWebProperties() {
 		spec := pickCatalog("HTTP", r)
 		spec.Protocol = "HTTP"
 		spec.Title = fmt.Sprintf("%s — %s", siteTitle(r), name)
-		ca := n.TrustedCA(int(r))
+		ca := n.trustedCA(int(r))
 		cert := ca.Issue(x509lite.Name{CommonName: name, Organization: "Sim Web Org"},
 			[]string{name}, r, site.Birth, 90*24*time.Hour)
 		// CT submission is what makes the name discoverable.
