@@ -94,18 +94,21 @@ fuzz:
 
 # The serving-tier suite: HTTP conformance goldens over every /v2 route,
 # the export byte-stability differential (writes interleaved between pages),
-# the rendered-bytes differential (search, export pages and streams against
-# the encoding/json oracle, concurrent first renders), deterministic
-# rate-limit/quota/shed accounting, the bounded-allocation guards for
-# limited search and pinned export pages, the certificate→hosts pivot read
-# from the index's services.cert_sha256 postings (lookup's CertHosts tests,
-# search's CertLocations test), and the search index's own differentials
-# (queries against a naive evaluator with the cache on and off across
-# interleaved upserts, the diffing upsert against a fresh build,
-# Index.Verify) — all under the race detector.
+# the rendered-bytes differential (search, export pages and streams, and host
+# point reads with their ETags and 304s, against the encoding/json oracle;
+# concurrent first renders, reads racing appends, a partition restore under
+# rendered hosts), deterministic rate-limit/quota/shed accounting, the
+# bounded-allocation guards for limited search, pinned export pages and
+# unchanged host reads, the certificate→hosts pivot read from the index's
+# services.cert_sha256 postings (lookup's CertHosts tests, search's
+# CertLocations test), the search index's own differentials (queries against
+# a naive evaluator with the cache on and off across interleaved upserts, the
+# diffing upsert against a fresh build, Index.Verify), and the telemetry
+# registry the serving path counts through (allocation-free label lookups) —
+# all under the race detector.
 serve-test:
-	$(GO) test -race ./internal/serve/
-	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestPlacement|CertHosts'
+	$(GO) test -race ./internal/serve/ ./internal/telemetry/
+	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestHostLookupBoundedAllocation|TestPlacement|CertHosts'
 	$(GO) test -race ./internal/search/ -run 'Differential|Incremental|Verify|CertLocations'
 
 # The end-to-end benchmark (BENCHMARK.json), the one measurement system:

@@ -1,6 +1,7 @@
 package cqrs
 
 import (
+	"bytes"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -345,5 +346,42 @@ func TestRetireRemovesNowAndReplays(t *testing.T) {
 	}
 	if _, ok := p.LastSeen(addr.String(), key); !ok {
 		t.Fatal("rediscovered service not materialized")
+	}
+}
+
+// TestHostJSONRendersOncePerVersion: a point read renders a row version once
+// and later reads of it return the stored bytes; an append makes the next
+// read render the new version; a historical read renders uncached and leaves
+// the newest rendering in place.
+func TestHostJSONRendersOncePerVersion(t *testing.T) {
+	p, r := newPipeline()
+	p.Apply(obsHTTP(at(0), "v1"))
+	p.Apply(obsHTTP(at(2), "v2"))
+	id := addr.String()
+	if _, _, ok := r.HostJSON(id, at(1)); !ok || r.rendered[id] != nil {
+		t.Fatalf("a historical read before any current one: ok=%v, stored %v", ok, r.rendered[id])
+	}
+	first, etag, ok := r.HostJSON(id, at(3))
+	if !ok || etag == "" {
+		t.Fatalf("HostJSON: ok=%v etag=%q", ok, etag)
+	}
+	same := func(a, b []byte) bool { return &a[0] == &b[0] }
+	if again, _, _ := r.HostJSON(id, at(3)); !same(first, again) {
+		t.Fatal("a read of an unchanged row rendered again")
+	}
+	past, pastTag, _ := r.HostJSON(id, at(1))
+	if same(past, first) || pastTag == etag || !bytes.Contains(past, []byte(`"v1"`)) {
+		t.Fatalf("historical read served %s (ETag %s)", past, pastTag)
+	}
+	if again, _, _ := r.HostJSON(id, at(3)); !same(first, again) {
+		t.Fatal("a historical read displaced the newest rendering")
+	}
+	p.Apply(obsHTTP(at(4), "v3"))
+	next, nextTag, _ := r.HostJSON(id, at(5))
+	if same(next, first) || nextTag == etag || !bytes.Contains(next, []byte(`"v3"`)) {
+		t.Fatalf("read after an append served %s (ETag %s)", next, nextTag)
+	}
+	if again, _, _ := r.HostJSON(id, at(5)); !same(next, again) {
+		t.Fatal("the new version was not kept")
 	}
 }

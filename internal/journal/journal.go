@@ -106,6 +106,9 @@ type Store struct {
 	entGen   uint64
 	entValid bool
 	entCache []string
+
+	// restores counts RestorePartition calls (see RestoreEpoch).
+	restores atomic.Uint64
 }
 
 // NewStore creates an empty single-partition journal.
@@ -187,6 +190,18 @@ func (s *Store) EventsSinceSnapshot(entity string) int {
 		return 0
 	}
 	return len(r.events) - r.lastSnap - 1
+}
+
+// Len reports the number of events in entity's row — the sequence number
+// its next event takes; 0 when it has none.
+func (s *Store) Len(entity string) int {
+	p := s.part(entity)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if r, ok := p.rows[entity]; ok {
+		return len(r.events)
+	}
+	return 0
 }
 
 // Replay returns the newest snapshot at or before asOf (zero Event, ok=false
@@ -316,6 +331,13 @@ func (s *Store) DumpPartition(i int) PartitionDump {
 	return d
 }
 
+// RestoreEpoch counts RestorePartition calls. Between restores a row only
+// grows, so its first n events never change; a restore may replace a row
+// with different events, so a reader that keeps state derived from a row's
+// first n events also keeps the epoch it derived it in, and drops it when the
+// epoch moves.
+func (s *Store) RestoreEpoch() uint64 { return s.restores.Load() }
+
 // ErrWrongPartition is returned by RestorePartition when a dumped row does
 // not hash to the partition being restored — the corruption-detection
 // backstop for rows that moved across partition files.
@@ -330,6 +352,7 @@ func (s *Store) RestorePartition(i int, d PartitionDump) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gen.Add(1)
+	s.restores.Add(1)
 	p.rows = make(map[string]*row, len(d.Rows))
 	p.appends, p.snaps = 0, 0
 	for _, rd := range d.Rows {

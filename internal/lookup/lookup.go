@@ -2,8 +2,9 @@
 // surface over the read-side storage for high-throughput lookups by entity
 // ID and timestamp ("what did IP A look like at time B?", "what IPs has
 // certificate X been seen on?"). Point lookups are backed directly by the
-// journal, so they are cheap point reads; search and the certificate pivot
-// read the search index (AttachSearch).
+// journal, so they are cheap point reads: a host read serves the reader's
+// body for the row's current version (cqrs.Reader.HostJSON) with its ETag;
+// search and the certificate pivot read the search index (AttachSearch).
 package lookup
 
 import (
@@ -277,12 +278,13 @@ func (s *Service) handleHost(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"invalid at timestamp (RFC3339)"})
 		return
 	}
-	if s.quarantined(ip.String()) {
+	id := ip.String()
+	if s.quarantined(id) {
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorBody{"host partition quarantined; serving degraded"})
 		return
 	}
-	rt, reader, routed := s.routeFor(ip.String())
+	rt, reader, routed := s.routeFor(id)
 	if routed {
 		w.Header().Set(ServingNodeHeader, rt.Node)
 		if rt.Unserved {
@@ -291,12 +293,15 @@ func (s *Service) handleHost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	h, found := reader.HostAt(ip.String(), at)
+	body, etag, found := reader.HostJSON(id, at)
 	if !found {
 		writeJSON(w, http.StatusNotFound, errorBody{"host not found"})
 		return
 	}
-	writeJSON(w, http.StatusOK, h)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("ETag", etag)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the client has gone if this fails
 }
 
 func (s *Service) handleHistory(w http.ResponseWriter, r *http.Request) {

@@ -1,74 +1,59 @@
 package serve
 
 import (
-	"bytes"
-	"hash/fnv"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
-// Conditional GET on /v2/hosts/{ip}: the downstream response is buffered,
-// hashed into a strong ETag, and compared against If-None-Match — a match
+// Conditional GET on /v2/hosts/{ip}: the lookup service sets the host's
+// strong ETag — the quoted FNV-64a hex of the body, rendered and hashed once
+// per journal version by cqrs.Reader.HostJSON — and the serving tier
+// compares it with If-None-Match as the response is committed. A match
 // answers 304 with no body, so polling clients (the dominant point-read
 // pattern) pay headers only while the host is unchanged. The ETag is a pure
 // function of the response bytes, so it is stable across replicas and
 // deterministic under the simulated clock.
 
-// recorder buffers a downstream response so it can be hashed before being
-// committed to the client.
-type recorder struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
+// conditionalWriter wraps the response of a host point read: a 200 whose
+// ETag the request's If-None-Match matches goes out as a 304 without
+// Content-Type or body, keeping every other header the handler set (serving
+// node, degraded mode). Any other status passes through untouched.
+type conditionalWriter struct {
+	http.ResponseWriter
+	metrics     *serveMetrics
+	ifNoneMatch string
+	wrote       bool
+	notModified bool
 }
 
-func newRecorder() *recorder { return &recorder{header: make(http.Header)} }
-
-func (rec *recorder) Header() http.Header { return rec.header }
-
-func (rec *recorder) WriteHeader(code int) {
-	if rec.code == 0 {
-		rec.code = code
+func (cw *conditionalWriter) WriteHeader(code int) {
+	if !cw.wrote && code == http.StatusOK {
+		hit := etagMatch(cw.ifNoneMatch, cw.Header().Get("ETag"))
+		cw.metrics.conditionalInc(hit)
+		if hit {
+			cw.notModified = true
+			cw.Header().Del("Content-Type")
+			code = http.StatusNotModified
+		}
 	}
+	cw.wrote = true
+	cw.ResponseWriter.WriteHeader(code)
 }
 
-func (rec *recorder) Write(b []byte) (int, error) {
-	if rec.code == 0 {
-		rec.code = http.StatusOK
+func (cw *conditionalWriter) Write(b []byte) (int, error) {
+	if !cw.wrote {
+		cw.WriteHeader(http.StatusOK)
 	}
-	return rec.body.Write(b)
+	if cw.notModified {
+		return len(b), nil
+	}
+	return cw.ResponseWriter.Write(b)
 }
 
-// conditionalHost forwards a host point read through the buffer, attaching
-// ETag/If-None-Match semantics to 200 responses.
+// conditionalHost forwards a host point read through the conditional writer.
 func (s *Server) conditionalHost(w http.ResponseWriter, r *http.Request) {
-	rec := newRecorder()
-	s.svc.ServeHTTP(rec, r)
-	if rec.code == 0 {
-		rec.code = http.StatusOK
-	}
-	for k, vs := range rec.header {
-		w.Header()[k] = vs
-	}
-	if rec.code != http.StatusOK {
-		w.WriteHeader(rec.code)
-		_, _ = w.Write(rec.body.Bytes())
-		return
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(rec.body.Bytes())
-	etag := `"` + strconv.FormatUint(h.Sum64(), 16) + `"`
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		s.metrics.conditionalInc(true)
-		w.Header().Del("Content-Type")
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	s.metrics.conditionalInc(false)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(rec.body.Bytes())
+	s.svc.ServeHTTP(&conditionalWriter{ResponseWriter: w, metrics: s.metrics,
+		ifNoneMatch: r.Header.Get("If-None-Match")}, r)
 }
 
 // etagMatch implements If-None-Match: a comma-separated list of entity tags

@@ -4,19 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
 
+	"censysmap/internal/cqrs"
+	"censysmap/internal/enrich"
 	"censysmap/internal/entity"
+	"censysmap/internal/journal"
+	"censysmap/internal/lookup"
 	"censysmap/internal/search"
+	"censysmap/internal/simclock"
+	"censysmap/internal/telemetry"
 )
 
 // The parent's rendering, kept as the oracle for the bodies search and export
@@ -337,5 +345,280 @@ func TestPinnedPageBoundedAllocation(t *testing.T) {
 			t.Errorf("export page (fresh pin: %v) allocates %.0f allocs/op at per_page=100, %.0f at per_page=4; "+
 				"want ≤ %.0f and no more than per_page=4", c.fresh, large, small, c.budget)
 		}
+	}
+}
+
+// The per-request point read, kept as the oracle for the body and ETag the
+// read side renders once per journal version: json.NewEncoder over
+// Reader.HostAt's host, hashed with FNV-64a into a quoted hex ETag.
+func refHostBody(t *testing.T, oracle *cqrs.Reader, a netip.Addr, asOf time.Time) (body []byte, etag string, ok bool) {
+	t.Helper()
+	h, ok := oracle.HostAt(a.String(), asOf)
+	if !ok {
+		return nil, "", false
+	}
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	sum := fnv.New64a()
+	sum.Write(b.Bytes())
+	return b.Bytes(), `"` + strconv.FormatUint(sum.Sum64(), 16) + `"`, true
+}
+
+// hostTier is a serving tier whose point reads go through a reader of j with
+// the real enrichment (geolocation, AS, fingerprints), so rendered bodies
+// carry every derived field.
+func hostTier(t testing.TB, clk *simclock.Sim, j *journal.Store) (*Server, cqrs.Enricher) {
+	t.Helper()
+	geo, asn := enrich.NewGeoDB(), enrich.NewASNDB()
+	geo.Add(netip.MustParsePrefix("10.0.4.0/24"), "DE", "Berlin <&>")
+	asn.Add(netip.MustParsePrefix("10.0.0.0/8"), 64500, "AS & Co", "<org>")
+	enricher := enrich.New(geo, asn)
+	srv, err := New(Config{Tenants: defaultTenants()},
+		lookup.New(cqrs.NewReader(j, enricher), clk), search.NewIndex(), clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.AttachMetrics(telemetry.New())
+	return srv, enricher
+}
+
+// getHost issues GET u with the internal key and, when set, If-None-Match.
+func getHost(srv *Server, u, ifNoneMatch string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, u, nil)
+	req.Header.Set("Authorization", "Bearer k-int")
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	return rec
+}
+
+// randomObservation draws a write for a: a service found or changed (awkward
+// banners, fingerprinted server headers), or a failed refresh that starts or
+// completes an eviction.
+func randomObservation(rng *rand.Rand, a netip.Addr, now time.Time) cqrs.Observation {
+	port := []uint16{22, 80, 443, 8443}[rng.Intn(4)]
+	obs := cqrs.Observation{Addr: a, Port: port, Transport: entity.TCP, Time: now, PoP: "chi"}
+	if rng.Intn(3) == 0 {
+		return obs
+	}
+	pick := func(s []string) string { return s[rng.Intn(len(s))] }
+	obs.Success = true
+	obs.Service = &entity.Service{Port: port, Transport: entity.TCP, Protocol: pick(renderProtocols),
+		TLS: port == 443, Banner: pick(renderBanners), Verified: rng.Intn(2) == 0,
+		Attributes: map[string]string{
+			"http.server": pick([]string{"nginx/1.25", "Apache httpd/2.4.49", "<b>&</b>"}),
+			"ssh.version": pick([]string{"SSH-2.0-OpenSSH_7.4", "SSH-2.0-dropbear", "\xff"}),
+		}}
+	return obs
+}
+
+// TestHostBodiesMatchReference: every /v2/hosts/{ip} 200 is byte for byte
+// the oracle's body with the oracle's ETag, across random found, changed,
+// pending and removed events and the snapshots they trigger, interleaved
+// with current reads, ?at= reads of earlier instants, and If-None-Match
+// replays of current and stale validators. A matching validator answers 304
+// with no body and no Content-Type; a stale one answers the new body.
+func TestHostBodiesMatchReference(t *testing.T) {
+	clk := simclock.New()
+	j := journal.NewPartitioned(4)
+	proc := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	srv, enricher := hostTier(t, clk, j)
+	oracle := cqrs.NewReader(j, enricher)
+	rng := rand.New(rand.NewSource(40))
+	addrs := make([]netip.Addr, 12) // the last is never written: 404
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 4, byte(i + 1)})
+	}
+	seen := map[netip.Addr]string{} // the last validator a client was handed
+	instants := []time.Time{clk.Now()}
+	var hits, fresh, historical int
+	for step := 0; step < 2000; step++ {
+		clk.Advance(time.Duration(1+rng.Intn(180)) * time.Minute)
+		instants = append(instants, clk.Now())
+		a := addrs[rng.Intn(len(addrs)-1)]
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			if err := proc.Apply(randomObservation(rng, a, clk.Now())); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			key := entity.ServiceKey{Port: []uint16{22, 80, 443, 8443}[rng.Intn(4)], Transport: entity.TCP}
+			if err := proc.Retire(a, key, clk.Now()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proc.Drain()
+
+		a = addrs[rng.Intn(len(addrs))]
+		u, asOf, inm := "/v2/hosts/"+a.String(), clk.Now(), ""
+		switch rng.Intn(4) {
+		case 0:
+			asOf = instants[rng.Intn(len(instants))]
+			u += "?at=" + asOf.Format(time.RFC3339)
+			historical++
+		case 1, 2:
+			inm = seen[a]
+		}
+		want, etag, ok := refHostBody(t, oracle, a, asOf)
+		rec := getHost(srv, u, inm)
+		switch {
+		case !ok:
+			if rec.Code != http.StatusNotFound || rec.Header().Get("ETag") != "" {
+				t.Fatalf("step %d: %s: status %d ETag %q, want 404 without ETag", step, u, rec.Code, rec.Header().Get("ETag"))
+			}
+		case rec.Header().Get("ETag") != etag:
+			t.Fatalf("step %d: %s: ETag %q, want %q", step, u, rec.Header().Get("ETag"), etag)
+		case inm == etag:
+			if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("Content-Type") != "" {
+				t.Fatalf("step %d: %s If-None-Match %s: status %d, %d body bytes, Content-Type %q; want a bare 304",
+					step, u, inm, rec.Code, rec.Body.Len(), rec.Header().Get("Content-Type"))
+			}
+			hits++
+		default:
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) ||
+				rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("step %d: %s If-None-Match %q: status %d\n--- got\n%s\n--- want\n%s",
+					step, u, inm, rec.Code, rec.Body, want)
+			}
+			if inm != "" {
+				fresh++
+			}
+			seen[a] = etag
+		}
+	}
+	if st := j.Stats(); st.Snapshots == 0 || hits == 0 || fresh == 0 || historical == 0 {
+		t.Fatalf("schedule too tame: %d snapshots, %d 304s, %d stale validators, %d ?at= reads",
+			st.Snapshots, hits, fresh, historical)
+	}
+}
+
+// TestConcurrentHostReads: two goroutines read the hosts a writer keeps
+// appending to (run under -race). Every 200 is the oracle's body at one of
+// the instants the writer reached, with that body's ETag, and once the
+// writer stops every host serves its final version.
+func TestConcurrentHostReads(t *testing.T) {
+	clk := simclock.New()
+	j := journal.NewPartitioned(2)
+	proc := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	srv, enricher := hostTier(t, clk, j)
+	oracle := cqrs.NewReader(j, enricher)
+	addrs := make([]netip.Addr, 4)
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 4, byte(i + 1)})
+	}
+	type read struct {
+		a          netip.Addr
+		body, etag string
+	}
+	var (
+		wg    sync.WaitGroup
+		done  = make(chan struct{})
+		reads [2][]read
+	)
+	for g := range reads {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				a := addrs[rng.Intn(len(addrs))]
+				if rec := getHost(srv, "/v2/hosts/"+a.String(), ""); rec.Code == http.StatusOK {
+					reads[g] = append(reads[g], read{a, rec.Body.String(), rec.Header().Get("ETag")})
+				}
+			}
+		}(g)
+	}
+	rng := rand.New(rand.NewSource(41))
+	instants := []time.Time{}
+	for step := 0; step < 300; step++ {
+		clk.Advance(time.Hour)
+		instants = append(instants, clk.Now())
+		if err := proc.Apply(randomObservation(rng, addrs[rng.Intn(len(addrs))], clk.Now())); err != nil {
+			t.Fatal(err)
+		}
+		proc.Drain()
+		runtime.Gosched()
+	}
+	close(done)
+	wg.Wait()
+
+	valid := map[string]string{} // body → ETag, over every version the writer made
+	for _, a := range addrs {
+		for _, at := range instants {
+			if body, etag, ok := refHostBody(t, oracle, a, at); ok {
+				valid[string(body)] = etag
+			}
+		}
+		want, etag, _ := refHostBody(t, oracle, a, clk.Now())
+		if rec := getHost(srv, "/v2/hosts/"+a.String(), ""); !bytes.Equal(rec.Body.Bytes(), want) ||
+			rec.Header().Get("ETag") != etag {
+			t.Fatalf("%s after the writer stopped:\n--- got\n%s\n--- want\n%s", a, rec.Body, want)
+		}
+	}
+	for g := range reads {
+		for _, r := range reads[g] {
+			if etag, ok := valid[r.body]; !ok || etag != r.etag {
+				t.Fatalf("reader %d: %s served a body no version of the host has, or the wrong ETag %s:\n%s",
+					g, r.a, r.etag, r.body)
+			}
+		}
+	}
+	t.Logf("%d and %d concurrent reads checked", len(reads[0]), len(reads[1]))
+}
+
+// TestRestoredPartitionServesRestoredRows: a RestorePartition over a store
+// whose hosts have been read serves the restored rows — even where a row
+// comes back with different events of the same length, and where a read host
+// is not in the dump at all.
+func TestRestoredPartitionServesRestoredRows(t *testing.T) {
+	clk := simclock.New()
+	j, other := journal.NewStore(), journal.NewStore()
+	srv, enricher := hostTier(t, clk, j)
+	oracle := cqrs.NewReader(j, enricher)
+	a, gone := netip.MustParseAddr("10.0.4.1"), netip.MustParseAddr("10.0.4.2")
+	for _, w := range []struct {
+		j      *journal.Store
+		banner string
+		addrs  []netip.Addr
+	}{{j, "v1", []netip.Addr{a, gone}}, {other, "v2", []netip.Addr{a}}} {
+		proc := cqrs.NewProcessor(cqrs.DefaultConfig(), w.j)
+		for _, addr := range w.addrs {
+			svc := &entity.Service{Port: 80, Transport: entity.TCP, Protocol: "HTTP", Banner: w.banner}
+			if err := proc.Apply(cqrs.Observation{Addr: addr, Port: 80, Transport: entity.TCP,
+				Time: clk.Now(), Success: true, Service: svc}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proc.Drain()
+	}
+	before := getHost(srv, "/v2/hosts/"+a.String(), "")
+	if rec := getHost(srv, "/v2/hosts/"+gone.String(), ""); rec.Code != http.StatusOK {
+		t.Fatalf("%s before the restore: status %d", gone, rec.Code)
+	}
+	if j.Len(a.String()) != other.Len(a.String()) {
+		t.Fatalf("rows differ in length (%d, %d); the check needs equal lengths",
+			j.Len(a.String()), other.Len(a.String()))
+	}
+
+	if err := j.RestorePartition(0, other.DumpPartition(0)); err != nil {
+		t.Fatal(err)
+	}
+	want, etag, _ := refHostBody(t, oracle, a, clk.Now())
+	rec := getHost(srv, "/v2/hosts/"+a.String(), before.Header().Get("ETag"))
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("ETag") != etag ||
+		bytes.Equal(want, before.Body.Bytes()) {
+		t.Fatalf("%s after the restore: status %d\n--- got\n%s\n--- want\n%s", a, rec.Code, rec.Body, want)
+	}
+	if rec := getHost(srv, "/v2/hosts/"+gone.String(), ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("%s after a restore without its row: status %d, want 404", gone, rec.Code)
 	}
 }

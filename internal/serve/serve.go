@@ -10,7 +10,11 @@
 //     lookups — with Retry-After on every 429/503,
 //   - snapshot-pinned bulk export (cursor-paginated JSON and streaming
 //     NDJSON) whose pagination is byte-stable under concurrent writes, and
-//   - ETag/If-None-Match conditional GETs on host point reads.
+//   - ETag/If-None-Match conditional GETs on host point reads: the lookup
+//     service writes the host's body and ETag as the read side rendered
+//     them, once per journal version, and the tier turns a 200 whose ETag
+//     the client already holds into a 304 as it is written — nothing is
+//     buffered or hashed per request.
 //
 // The ops plane (GET /v2/metrics) bypasses authentication and admission so a
 // saturated or misconfigured tier can still be observed.

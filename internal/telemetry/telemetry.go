@@ -17,9 +17,8 @@
 //     pointers; there is no "no-op implementation" indirection to allocate
 //     or dispatch through.
 //   - Allocation-light enabled overhead. Hot-path updates are single atomic
-//     adds; all map lookups (families, label
-//     children) happen at registration time, with callers holding typed
-//     child pointers.
+//     adds; family lookups happen at registration time, and a vec's With
+//     finds an existing label child in a lock-free map without allocating.
 //
 // Collection is pull-based: Snapshot(now) runs registered collect hooks
 // (which derive expensive gauges, e.g. the paper-metric freshness and
@@ -29,6 +28,7 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -359,17 +359,44 @@ func (r *Registry) GaugeHistogram(name, help string, bounds []float64) *GaugeHis
 	}).ghist
 }
 
+// children caches a vec's registered children by label value. A lookup
+// reads an immutable map through one atomic load — no lock, no allocation;
+// a value's first use registers it under the registry lock, as any
+// registration does, and publishes a copy of the map with the new child.
+type children[T any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[string]*T]
+}
+
+func (c *children[T]) get(value string, register func() *T) *T {
+	if m := c.m.Load(); m != nil {
+		if x := (*m)[value]; x != nil {
+			return x
+		}
+	}
+	x := register() // registering a value again returns its existing child
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := map[string]*T{value: x}
+	if m := c.m.Load(); m != nil {
+		maps.Copy(next, *m)
+	}
+	c.m.Store(&next)
+	return x
+}
+
 // CounterVec is a counter family keyed by one label.
 type CounterVec struct {
 	r     *Registry
 	name  string
 	help  string
 	label string
+	kids  children[Counter]
 }
 
 // CounterVec registers a labeled counter family. Children are created by
-// With; callers cache child pointers at init so the hot path never touches
-// the registry.
+// With on first use; later calls for the same value return the child
+// without touching the registry.
 func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 	if r == nil {
 		return nil
@@ -385,8 +412,10 @@ func (v *CounterVec) With(value string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return v.r.add(v.name, v.help, kindCounter, nil, map[string]string{v.label: value},
-		func() *child { return &child{counter: NewCounter()} }).counter
+	return v.kids.get(value, func() *Counter {
+		return v.r.add(v.name, v.help, kindCounter, nil, map[string]string{v.label: value},
+			func() *child { return &child{counter: NewCounter()} }).counter
+	})
 }
 
 // HistogramVec is a histogram family keyed by one label.
@@ -396,6 +425,7 @@ type HistogramVec struct {
 	help   string
 	label  string
 	bounds []float64
+	kids   children[Histogram]
 }
 
 // HistogramVec registers a labeled histogram family.
@@ -414,10 +444,12 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if v == nil {
 		return nil
 	}
-	return v.r.add(v.name, v.help, kindHistogram, v.bounds, map[string]string{v.label: value},
-		func() *child {
-			return &child{hist: &Histogram{bounds: v.bounds, counts: make([]atomic.Uint64, len(v.bounds)+1)}}
-		}).hist
+	return v.kids.get(value, func() *Histogram {
+		return v.r.add(v.name, v.help, kindHistogram, v.bounds, map[string]string{v.label: value},
+			func() *child {
+				return &child{hist: &Histogram{bounds: v.bounds, counts: make([]atomic.Uint64, len(v.bounds)+1)}}
+			}).hist
+	})
 }
 
 // --- snapshot ---

@@ -131,6 +131,31 @@ func TestVecChildrenAndFuncs(t *testing.T) {
 	}
 }
 
+// TestVecWithAllocatesNothing: once a label value is registered, With
+// returns its child without the registry lock and without allocating, so a
+// request that counts and times itself per route costs no garbage.
+func TestVecWithAllocatesNothing(t *testing.T) {
+	r := New()
+	cv := r.CounterVec("censys_test_vec", "h", "route")
+	hv := r.HistogramVec("censys_test_hvec", "h", "route", []float64{1, 2, 4})
+	route := string([]byte("GET /v2/hosts/{ip}")) // not a constant: a fresh string
+	cv.With(route).Inc()
+	hv.With(route).Observe(1)
+	if n := testing.AllocsPerRun(100, func() {
+		cv.With(route).Inc()
+		hv.With(route).Observe(3)
+	}); n != 0 {
+		t.Fatalf("With(v).Inc() and With(v).Observe() allocate %v per call pair, want 0", n)
+	}
+	snap := r.Snapshot(simclock.Epoch)
+	if val, _ := snap.Get("censys_test_vec", map[string]string{"route": route}); val.Value != 102 {
+		t.Fatalf("counter = %v, want 102", val.Value)
+	}
+	if val, _ := snap.Get("censys_test_hvec", map[string]string{"route": route}); val.Count != 102 {
+		t.Fatalf("histogram count = %v, want 102", val.Count)
+	}
+}
+
 func TestCollectHooksRun(t *testing.T) {
 	r := New()
 	g := r.Gauge("censys_test_hook_gauge", "")
