@@ -36,10 +36,11 @@ chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/core/ ./internal/cqrs/
 	$(GO) test -race . -run TestSystemCrashRecoveryUnderChaos
 
-# The disk-fault differential suite: crash a run to real segment files,
-# corrupt them deterministically (bit flips, torn tails, truncations, missing
-# files, a corrupt checkpoint mirror), and require recovery to come back either
-# bit-identical or degraded with exactly the condemned partitions quarantined.
+# The disk-fault differential suite: crash a run to real partition files,
+# corrupt them deterministically (bit flips, torn tails, truncations that cut
+# two or more records off a partition file, missing files, a corrupt
+# checkpoint mirror), and require recovery to come back either bit-identical
+# or degraded with exactly the condemned partitions quarantined.
 chaos-disk:
 	$(GO) test -race ./internal/chaos/ \
 		-run 'TestDiskCrashResumeCleanRoundTrip|TestDiskFaultDifferential|TestFsckDetectsInjectedCorruption|TestStorageTelemetryDeterministic'
@@ -58,11 +59,15 @@ cluster-diff:
 
 # Offline store verification: the storage engine's unit + golden-fixture
 # tests, then censysfsck over the committed corrupted stores — it must flag
-# both (exit 1), proving the operator tool sees what recovery sees.
+# both (exit 1), proving the operator tool sees what recovery sees — and over
+# a store saved in the previous format (version 4), which it must refuse,
+# naming both versions.
 fsck:
-	$(GO) test ./internal/durable/
+	$(GO) test ./internal/durable/ ./cmd/censysfsck/
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_repairable
 	! $(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_quarantine -json
+	out=$$($(GO) run ./cmd/censysfsck -dir internal/durable/testdata/store_v4 2>&1); status=$$?; \
+		echo "$$out"; [ $$status -ne 0 ] && echo "$$out" | grep -q 'store format version 4, want 5'
 
 # Short coverage-guided fuzzing: the parsers that face untrusted bytes, plus the search differential (random queries against a naive
 # reference evaluator, serial and partitioned engines must agree), the

@@ -53,9 +53,9 @@ func TestRepairableFixtureText(t *testing.T) {
 	// rebuilder cannot prove the flipped one and reports it as quarantined;
 	// the other two faults are the repairable classes.
 	for _, want := range []string{
-		"generation 1: 14 records verified; bytes: checkpoint 118 journal 1297\n",
-		"torn_tail    truncated_restored   stores/journal/p0000/seg-000002.seg record 3 offset 125",
-		"checksum     quarantined          stores/journal/p0000/seg-000000.seg record 2",
+		"generation 1: 14 records verified; bytes: checkpoint 118 journal 1137\n",
+		"torn_tail    truncated_restored   stores/journal/p0000/records.seg record 11 offset 437",
+		"checksum     quarantined          stores/journal/p0000/records.seg record 2",
 		"checkpoint   fallback_mirror      checkpoint/cp-000001.a record 0",
 		"QUARANTINED  journal partitions [0]",
 	} {
@@ -82,16 +82,26 @@ func TestQuarantineFixtureJSON(t *testing.T) {
 	}
 	// The byte split sizes what the manifest references: the deleted segment
 	// counts zero, both checkpoint mirrors count.
-	if want := map[string]int64{"journal": 1106, "checkpoint": 118}; !reflect.DeepEqual(rep.Bytes, want) {
+	if want := map[string]int64{"journal": 658, "checkpoint": 118}; !reflect.DeepEqual(rep.Bytes, want) {
 		t.Errorf("bytes = %v, want %v", rep.Bytes, want)
 	}
 	f := rep.Findings[0]
 	if f.Fault != durable.FaultMissing || f.Action != durable.ActionQuarantined ||
-		f.File != "stores/journal/p0001/seg-000000.seg" {
+		f.File != "stores/journal/p0001/records.seg" {
 		t.Errorf("finding = %+v", f)
 	}
 	if want := map[string][]int{"journal": {1}}; !reflect.DeepEqual(rep.Quarantined, want) {
 		t.Errorf("quarantined = %v, want %v", rep.Quarantined, want)
+	}
+}
+
+// TestVersion4StoreRefused: a store saved by the version 4 writer (a chain of
+// segment files per partition) is refused as unreadable, naming both the
+// version found and the version this build reads.
+func TestVersion4StoreRefused(t *testing.T) {
+	code, out, errOut := fsck(t, "-dir", filepath.Join(fixtures, "store_v4"))
+	if code != 2 || out != "" || !strings.Contains(errOut, "store format version 4, want 5") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 2 and the version refusal", code, out, errOut)
 	}
 }
 
@@ -120,7 +130,7 @@ func TestQuarantinedStoresSorted(t *testing.T) {
 	names := []string{"zeta", "alpha", "mid", "beta"}
 	dir := saveStores(t, names...)
 	for _, name := range names {
-		if err := os.Remove(filepath.Join(dir, "stores", name, "p0000", "seg-000000.seg")); err != nil {
+		if err := os.Remove(filepath.Join(dir, "stores", name, "p0000", "records.seg")); err != nil {
 			t.Fatal(err)
 		}
 	}

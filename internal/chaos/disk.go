@@ -29,16 +29,12 @@ import (
 // bit-identically (every fault repaired) or per healthy partition (faults
 // quarantined, degraded mode).
 
-// crashRecordsPerSegment keeps lab-sized partitions spanning several sealed
-// segments plus an active tail, so every fault class has a target.
-const crashRecordsPerSegment = 8
-
 // CrashToDisk checkpoints at the current tick boundary, persists the
 // journals and checkpoint through the durable storage engine, and kills the
 // process, parking the search index on the Run: it models a separate durable
 // service (an ES cluster) whose on-disk format is outside the storage layer.
 func (r *Run) CrashToDisk(dir string) error {
-	err := r.Map.SaveDurable(dir, durable.SaveOptions{RecordsPerSegment: crashRecordsPerSegment})
+	err := r.Map.SaveDurable(dir, durable.SaveOptions{})
 	d := r.Map.Durable()
 	r.Map.Stop()
 	r.Map = nil
@@ -107,14 +103,16 @@ type DiskFaults struct {
 	// reconstruction is provably byte-exact (the injector pre-checks the CRC
 	// proof). Recovery must repair each and stay bit-identical.
 	SnapshotFlips int
-	// TornTails cuts that many partitions' active segments mid-record — the
-	// torn-write crash signature. Recovery must restore the tail from the
-	// doublewrite sidecar.
+	// TornTails cuts that many partition files mid-way through their last
+	// record — the torn-write crash signature. Recovery must restore the
+	// tail from the doublewrite sidecar.
 	TornTails int
-	// Truncations cuts that many sealed segments short, destroying the
-	// footer and at least one record. Unrepairable: quarantine.
+	// Truncations cuts that many partition files short by two or more
+	// records, more than the doublewrite sidecar covers. Unrepairable:
+	// quarantine.
 	Truncations int
-	// MissingFiles deletes that many segment files. Unrepairable: quarantine.
+	// MissingFiles deletes that many partition files. Unrepairable:
+	// quarantine.
 	MissingFiles int
 
 	// CheckpointFlip corrupts the primary checkpoint file; recovery must
@@ -146,19 +144,18 @@ type diskRecord struct {
 	payloadOff int64 // absolute file offset of the payload bytes
 	payloadLen int
 	repairable bool // CRC-proven snapshot reconstruction pre-checked
-	lastActive bool // final record of the partition's active segment
+	last       bool // final record of the partition's file
 }
 
-// diskSegment is one scanned segment file.
+// diskSegment is one scanned partition file.
 type diskSegment struct {
 	rel       string
 	partition int
-	sealed    bool
 	frames    []durable.Frame
 }
 
-// rowState is the per-partition row-decoding context the scanner threads
-// across a partition's segment chain (one logical record stream).
+// rowState is the row-decoding context the scanner threads through one
+// partition file.
 type rowState struct {
 	entity string
 	events []journal.Event
@@ -201,7 +198,7 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	for i := 0; i < f.MissingFiles; i++ {
 		cands := filterSegs(segs, func(s diskSegment) bool { return !claimed[s.partition] })
 		if len(cands) == 0 {
-			return out, fmt.Errorf("chaos: no segment left to delete")
+			return out, fmt.Errorf("chaos: no partition file left to delete")
 		}
 		s := cands[draw.Mix(f.Seed, tagMissing, uint64(i))%uint64(len(cands))]
 		if err := os.Remove(filepath.Join(dir, s.rel)); err != nil {
@@ -213,15 +210,15 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	}
 	for i := 0; i < f.Truncations; i++ {
 		cands := filterSegs(segs, func(s diskSegment) bool {
-			return s.sealed && !claimed[s.partition] && len(s.frames) > 0
+			return !claimed[s.partition] && len(s.frames) >= 2
 		})
 		if len(cands) == 0 {
-			return out, fmt.Errorf("chaos: no sealed segment left to truncate")
+			return out, fmt.Errorf("chaos: no partition file left to truncate")
 		}
 		s := cands[draw.Mix(f.Seed, tagTruncate, uint64(i))%uint64(len(cands))]
-		// Cut mid-frame-header at a drawn record: the footer and at least one
-		// record are gone, beyond what any sidecar covers.
-		fi := int(draw.Mix(f.Seed, tagTruncate, uint64(i), 1) % uint64(len(s.frames)))
+		// Cut mid-frame-header at a drawn record before the last: at least
+		// two records are gone, beyond the one the sidecar covers.
+		fi := int(draw.Mix(f.Seed, tagTruncate, uint64(i), 1) % uint64(len(s.frames)-1))
 		cut := s.frames[fi].Offset + 3
 		if err := os.Truncate(filepath.Join(dir, s.rel), cut); err != nil {
 			return out, err
@@ -232,7 +229,7 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	}
 	for i := 0; i < f.DeltaFlips; i++ {
 		cands := filterRecords(records, func(r diskRecord) bool {
-			return !r.repairable && !r.lastActive && !claimed[r.partition] && r.payloadLen > 0
+			return !r.repairable && !r.last && !claimed[r.partition] && r.payloadLen > 0
 		})
 		if len(cands) == 0 {
 			return out, fmt.Errorf("chaos: no unrepairable record left to flip")
@@ -250,10 +247,10 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	tornDone := map[int]bool{}
 	for i := 0; i < f.TornTails; i++ {
 		cands := filterSegs(segs, func(s diskSegment) bool {
-			return !s.sealed && !claimed[s.partition] && !tornDone[s.partition] && len(s.frames) > 0
+			return !claimed[s.partition] && !tornDone[s.partition] && len(s.frames) > 0
 		})
 		if len(cands) == 0 {
-			return out, fmt.Errorf("chaos: no active segment left to tear")
+			return out, fmt.Errorf("chaos: no partition file left to tear")
 		}
 		s := cands[draw.Mix(f.Seed, tagTornTail, uint64(i))%uint64(len(cands))]
 		last := s.frames[len(s.frames)-1]
@@ -269,7 +266,7 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	snapDone := map[string]bool{}
 	for i := 0; i < f.SnapshotFlips; i++ {
 		cands := filterRecords(records, func(r diskRecord) bool {
-			return r.repairable && !r.lastActive && !claimed[r.partition] &&
+			return r.repairable && !r.last && !claimed[r.partition] &&
 				!snapDone[r.rel+"#"+strconv.Itoa(r.record)]
 		})
 		if len(cands) == 0 {
@@ -310,7 +307,7 @@ func CorruptDisk(dir string, f DiskFaults) ([]DiskCorruption, error) {
 	return out, nil
 }
 
-// scanStore walks one saved store's segment files in manifest order and
+// scanStore walks one saved store's partition files in manifest order and
 // classifies every record, pre-checking which snapshot records the CRC-proven
 // replay repair will provably reconstruct.
 func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
@@ -319,12 +316,11 @@ func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
 		return nil, nil, err
 	}
 	if len(rels) == 0 {
-		return nil, nil, fmt.Errorf("chaos: no segments of store %s in %s", store, dir)
+		return nil, nil, fmt.Errorf("chaos: no partition files of store %s in %s", store, dir)
 	}
 
 	var segs []diskSegment
 	var records []diskRecord
-	rows := map[int]*rowState{}
 
 	for _, rel := range rels {
 		data, err := os.ReadFile(filepath.Join(dir, rel))
@@ -336,16 +332,14 @@ func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
 			return nil, nil, fmt.Errorf("chaos: %s: %w", rel, err)
 		}
 		part := int(scan.Partition)
-		segs = append(segs, diskSegment{rel: rel, partition: part,
-			sealed: scan.Sealed, frames: scan.Frames})
-		rs := rows[part]
-		if rs == nil {
-			rs = &rowState{}
-			rows[part] = rs
-		}
+		segs = append(segs, diskSegment{rel: rel, partition: part, frames: scan.Frames})
+		var rs rowState
 		for fi, fr := range scan.Frames {
+			// The final record is left out of the flip schedules: corrupting
+			// it exercises the doublewrite path, not the class they test.
 			rec := diskRecord{rel: rel, partition: part, record: fi,
-				payloadOff: fr.PayloadOff, payloadLen: len(fr.Payload)}
+				payloadOff: fr.PayloadOff, payloadLen: len(fr.Payload),
+				last: fi == len(scan.Frames)-1}
 			dr, err := durable.DecodeRecord(fr.Payload)
 			if err != nil {
 				return nil, nil, fmt.Errorf("chaos: %s record %d: %w", rel, fi, err)
@@ -354,21 +348,11 @@ func scanStore(dir, store string) ([]diskSegment, []diskRecord, error) {
 			case durable.TagRow:
 				rs.entity, rs.want, rs.events = dr.Row.Entity, dr.Row.Events, rs.events[:0]
 			case durable.TagEvent:
-				rec.repairable = provablyRepairable(rs, dr.Ev)
+				rec.repairable = provablyRepairable(&rs, dr.Ev)
 				rs.events = append(rs.events, dr.Ev.Event(rs.entity))
 			}
 			records = append(records, rec)
 		}
-	}
-	// Mark each partition's final record — it lives in the active (unsealed)
-	// tail segment, where corrupting it exercises the doublewrite path, not
-	// the class the flip schedules mean to test.
-	lastIdx := map[int]int{}
-	for i, r := range records {
-		lastIdx[r.partition] = i
-	}
-	for _, i := range lastIdx {
-		records[i].lastActive = true
 	}
 	return segs, records, nil
 }

@@ -166,7 +166,7 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	if err := m.SaveDurable(dir, durable.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "stores", "journal", "p0003", "seg-000000.seg")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "stores", "journal", "p0003", "records.seg")); err != nil {
 		t.Fatal(err)
 	}
 	res, err := durable.Load(dir, durable.LoadOptions{

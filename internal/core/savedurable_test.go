@@ -22,7 +22,7 @@ func TestSaveDurableIncrementalRoundTrip(t *testing.T) {
 	m.Run(24 * time.Hour)
 
 	dir := t.TempDir()
-	opts := durable.SaveOptions{RecordsPerSegment: 8, Incremental: true}
+	opts := durable.SaveOptions{Incremental: true}
 	if err := m.SaveDurable(dir, opts); err != nil {
 		t.Fatal(err)
 	}

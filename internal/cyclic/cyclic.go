@@ -22,6 +22,20 @@ import (
 // ErrEmptySpace is returned when a cycle over zero elements is requested.
 var ErrEmptySpace = errors.New("cyclic: empty target space")
 
+// NameSeed seeds a sweep order from its scan class's name. It is FNV-1a with
+// a non-standard offset basis: the constant is draw.StrHash's with its last
+// digit dropped. That is not a draw and must not be "fixed" or folded into
+// draw.StrHash — the value it yields decides the order every address is
+// probed in, so changing it changes every dataset and journal.
+func NameSeed(name string) uint64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // mulmod returns (a*b) mod m without overflow for any 64-bit operands.
 func mulmod(a, b, m uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)

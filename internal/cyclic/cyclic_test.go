@@ -235,3 +235,11 @@ func TestFactorize(t *testing.T) {
 		}
 	}
 }
+
+// TestNameSeedPinned: the sweep seed of a class name is frozen — it decides
+// every probe order, so a changed value changes every dataset.
+func TestNameSeedPinned(t *testing.T) {
+	if got, want := NameSeed("priority"), uint64(0x4d37eaf520bc7ccb); got != want {
+		t.Fatalf("NameSeed(\"priority\") = %#x, want %#x", got, want)
+	}
+}

@@ -22,11 +22,13 @@ func detectorConfig() simnet.Config {
 
 func adaptiveEngine(t *testing.T, net *simnet.Internet, policy BackoffPolicy) *Engine {
 	t.Helper()
+	classes := []ClassConfig{priorityClass(t, detectorConfig().Prefix, 4000)}
 	e, err := New(Config{
 		Scanner: censysLike(),
 		PoPs:    DefaultPoPs(),
-		Classes: []ClassConfig{priorityClass(t, detectorConfig().Prefix, 4000)},
+		Classes: classes,
 		Seed:    7,
+		Ledger:  testLedger(classes),
 		Backoff: policy,
 	}, net)
 	if err != nil {

@@ -224,12 +224,12 @@ func TestEngineLedgerCountsEveryTarget(t *testing.T) {
 		return ClassConfig{Name: name, Method: entity.DetectPriorityScan, Space: space,
 			ProbesPerTick: perTick, Restart: true}
 	}
-	l := NewLedger()
-	l.Register("web", 700)
-	l.Register("tail", 150)
+	classes := []ClassConfig{class("web", []uint16{80, 443, 22}, 700), class("tail", []uint16{8080, 3306}, 400)}
+	l := testLedger(classes)
+	l.Register("tail", 150) // below its ProbesPerTick: the grant stops it
 	e, err := New(Config{
 		Scanner: censysLike(), PoPs: DefaultPoPs(), Seed: 7, Ledger: l,
-		Classes:  []ClassConfig{class("web", []uint16{80, 443, 22}, 700), class("tail", []uint16{8080, 3306}, 400)},
+		Classes:  classes,
 		Excluded: []netip.Prefix{netip.MustParsePrefix("10.0.1.0/24")},
 	}, net)
 	if err != nil {

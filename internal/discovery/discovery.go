@@ -87,12 +87,11 @@ type Config struct {
 	Excluded []netip.Prefix
 	// Seed drives iteration order.
 	Seed uint64
-	// Ledger, when set, accounts every probe target spent and every
-	// L4-responsive answer per scan class, and caps each class's per-tick
-	// spend at its registered grant. Register the classes before New: it
+	// Ledger accounts every probe target spent and every L4-responsive
+	// answer per scan class, and caps each class's per-tick spend at its
+	// registered grant. It is required. Register the classes before New: it
 	// resolves each class's ledger handle once, and a class the ledger does
-	// not know is granted nothing. Nil leaves budgets implicit in
-	// ProbesPerTick exactly as before.
+	// not know is granted nothing.
 	Ledger *Ledger
 	// Backoff configures adaptive backoff and scanner rotation against
 	// networks that block scanners (see adaptive.go). Zero value disables.
@@ -155,6 +154,9 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 	if len(cfg.PoPs) == 0 {
 		return nil, fmt.Errorf("discovery: at least one PoP required")
 	}
+	if cfg.Ledger == nil {
+		return nil, fmt.Errorf("discovery: a probe ledger is required")
+	}
 	e := &Engine{
 		cfg:       cfg,
 		net:       net,
@@ -165,14 +167,11 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 		if cc.Space == nil || cc.ProbesPerTick <= 0 {
 			return nil, fmt.Errorf("discovery: class %q misconfigured", cc.Name)
 		}
-		it, err := cyclic.NewIterator(cc.Space, cfg.Seed^strSeed(cc.Name))
+		it, err := cyclic.NewIterator(cc.Space, cfg.Seed^cyclic.NameSeed(cc.Name))
 		if err != nil {
 			return nil, fmt.Errorf("discovery: class %q: %w", cc.Name, err)
 		}
-		cs := &classState{cfg: cc, iter: it, ledger: NoClass}
-		if cfg.Ledger != nil {
-			cs.ledger = cfg.Ledger.Class(cc.Name)
-		}
+		cs := &classState{cfg: cc, iter: it, ledger: cfg.Ledger.Class(cc.Name)}
 		e.classes = append(e.classes, cs)
 	}
 	// Precompute UDP probes for ports whose conventional protocol is
@@ -191,20 +190,6 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// strSeed seeds every sweep order from its scan class's name. It is FNV-1a with
-// a non-standard offset basis: the constant is draw.StrHash's with its last
-// digit dropped. That is not a draw and must not be "fixed" or folded into
-// draw.StrHash — the value it yields decides the order every address is
-// probed in, so changing it changes every dataset and journal.
-func strSeed(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // SetExcluded replaces the engine's opt-out list (dynamic exclusions).
@@ -229,16 +214,9 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 	if e.cfg.Backoff.Enabled() {
 		e.tickNo++
 	}
-	if e.cfg.Ledger != nil {
-		e.cfg.Ledger.BeginTick()
-	}
+	e.cfg.Ledger.BeginTick()
 	for _, cs := range e.classes {
-		budget := cs.cfg.ProbesPerTick
-		if e.cfg.Ledger != nil {
-			if g := e.cfg.Ledger.Grant(cs.ledger); g < budget {
-				budget = g
-			}
-		}
+		budget := min(cs.cfg.ProbesPerTick, e.cfg.Ledger.Grant(cs.ledger))
 		// Deferred draws (backed-off /24s) do not consume the budget: the
 		// slot is re-spent on the next target in the cycle, so backing off
 		// from hostile networks degrades coverage only there instead of
@@ -256,7 +234,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 					break
 				}
 				cs.gen++
-				it, err := cyclic.NewIterator(cs.cfg.Space, e.cfg.Seed^strSeed(cs.cfg.Name)^cs.gen)
+				it, err := cyclic.NewIterator(cs.cfg.Space, e.cfg.Seed^cyclic.NameSeed(cs.cfg.Name)^cs.gen)
 				if err != nil {
 					break
 				}
@@ -282,9 +260,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 			spent++
 		}
 		// One flush per class, before the next class takes its Grant.
-		if e.cfg.Ledger != nil {
-			e.cfg.Ledger.Account(cs.ledger, probed, confirmed)
-		}
+		e.cfg.Ledger.Account(cs.ledger, probed, confirmed)
 	}
 }
 
@@ -359,15 +335,12 @@ type State struct {
 
 // State captures the engine's position for checkpointing.
 func (e *Engine) State() State {
-	st := State{PopIdx: e.popIdx, Stats: e.stats,
+	st := State{PopIdx: e.popIdx, Stats: e.stats, Ledger: e.cfg.Ledger.State(),
 		TickNo: e.tickNo, Offenses: e.offensesTotal, Rotations: e.rotations,
 		Backoff: e.backoffState(), Answered: e.answeredState()}
 	for _, cs := range e.classes {
 		st.Classes = append(st.Classes, ClassPosition{
 			Name: cs.cfg.Name, Gen: cs.gen, Cycle: cs.iter.State()})
-	}
-	if e.cfg.Ledger != nil {
-		st.Ledger = e.cfg.Ledger.State()
 	}
 	return st
 }
@@ -391,7 +364,7 @@ func (e *Engine) Restore(st State) error {
 			if cp.Gen != cs.gen {
 				// The class restarted its coverage cycle with a reseeded
 				// order; rebuild the same generation's iterator.
-				it, err := cyclic.NewIterator(cs.cfg.Space, e.cfg.Seed^strSeed(cs.cfg.Name)^cp.Gen)
+				it, err := cyclic.NewIterator(cs.cfg.Space, e.cfg.Seed^cyclic.NameSeed(cs.cfg.Name)^cp.Gen)
 				if err != nil {
 					return fmt.Errorf("discovery: restore class %q: %w", cp.Name, err)
 				}
@@ -401,9 +374,7 @@ func (e *Engine) Restore(st State) error {
 			cs.iter.Restore(cp.Cycle)
 		}
 	}
-	if e.cfg.Ledger != nil {
-		e.cfg.Ledger.Restore(st.Ledger)
-	}
+	e.cfg.Ledger.Restore(st.Ledger)
 	return nil
 }
 

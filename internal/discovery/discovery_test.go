@@ -26,6 +26,16 @@ func censysLike() simnet.Scanner {
 	return simnet.Scanner{ID: "censys", SourceIPs: 256, Country: "US"}
 }
 
+// testLedger registers each class at its ProbesPerTick, so the ledger's
+// grants never bind tighter than the classes' own budgets.
+func testLedger(classes []ClassConfig) *Ledger {
+	l := NewLedger()
+	for _, c := range classes {
+		l.Register(c.Name, c.ProbesPerTick)
+	}
+	return l
+}
+
 func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig) *Engine {
 	t.Helper()
 	e, err := New(Config{
@@ -33,6 +43,7 @@ func newEngine(t *testing.T, net *simnet.Internet, classes []ClassConfig) *Engin
 		PoPs:    DefaultPoPs(),
 		Classes: classes,
 		Seed:    7,
+		Ledger:  testLedger(classes),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +132,7 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 // table, and asks the network for every probe's fate directly.
 func refSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, now time.Time) map[Candidate]bool {
 	t.Helper()
-	it, err := cyclic.NewIterator(cls.Space, e.cfg.Seed^strSeed(cls.Name))
+	it, err := cyclic.NewIterator(cls.Space, e.cfg.Seed^cyclic.NameSeed(cls.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +219,14 @@ func TestExclusionListHonored(t *testing.T) {
 	cfg := quietConfig()
 	net := simnet.New(cfg, clk)
 	excluded := netip.MustParsePrefix("10.0.1.0/24")
+	classes := []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)}
 	e, err := New(Config{
 		Scanner:  censysLike(),
 		PoPs:     DefaultPoPs(),
-		Classes:  []ClassConfig{priorityClass(t, cfg.Prefix, 1<<20)},
+		Classes:  classes,
 		Excluded: []netip.Prefix{excluded},
 		Seed:     7,
+		Ledger:   testLedger(classes),
 	}, net)
 	if err != nil {
 		t.Fatal(err)
@@ -303,11 +316,15 @@ func TestStandardClassesErrors(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	clk := simclock.New()
 	net := simnet.New(quietConfig(), clk)
-	if _, err := New(Config{Scanner: censysLike()}, net); err == nil {
+	if _, err := New(Config{Scanner: censysLike(), Ledger: NewLedger()}, net); err == nil {
 		t.Fatal("engine without PoPs accepted")
 	}
+	if _, err := New(Config{Scanner: censysLike(), PoPs: DefaultPoPs()}, net); err == nil {
+		t.Fatal("engine without a ledger accepted")
+	}
+	bad := []ClassConfig{{Name: "bad"}}
 	if _, err := New(Config{Scanner: censysLike(), PoPs: DefaultPoPs(),
-		Classes: []ClassConfig{{Name: "bad"}}}, net); err == nil {
+		Classes: bad, Ledger: testLedger(bad)}, net); err == nil {
 		t.Fatal("misconfigured class accepted")
 	}
 }

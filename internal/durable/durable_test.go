@@ -1,11 +1,15 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +17,8 @@ import (
 	"censysmap/internal/journal"
 )
 
-// fixtureStore builds a 2-partition journal with enough events per row that
-// Save spills sealed segments (RecordsPerSegment below) plus an active tail.
+// fixtureStore builds a 2-partition journal: six rows of a delta, a
+// snapshot and another delta each.
 func fixtureStore(t *testing.T) *journal.Store {
 	t.Helper()
 	s := journal.NewPartitioned(2)
@@ -35,15 +39,24 @@ func fixtureStore(t *testing.T) *journal.Store {
 	return s
 }
 
-// saveFixture persists the fixture store with small segments so sealed files,
-// the active tail, and the dwb sidecar all exist.
+// saveFixture persists the fixture store with a fixed checkpoint blob.
 func saveFixture(t *testing.T, dir string, s *journal.Store) {
 	t.Helper()
-	err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{"tick":42}`),
-		SaveOptions{RecordsPerSegment: 4})
+	err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{"tick":42}`), SaveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// partitionFile is the path of partition pi's segment file in the
+// generation saved under dir.
+func partitionFile(t *testing.T, dir string, pi int) string {
+	t.Helper()
+	rels, err := SegmentFiles(dir, "journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, rels[pi])
 }
 
 func dumpAll(s *journal.Store) []journal.PartitionDump {
@@ -109,9 +122,19 @@ func isEventOfKind(payload []byte, kind string) bool {
 
 // TestOldManifestVersionsRejected: a store saved in an earlier format —
 // version 1, JSON envelope records; version 2, binary records around JSON
-// payloads — must fail Load and Fsck at the manifest instead of feeding its
-// records to today's decoders.
+// payloads; version 4, a chain of segment files per partition — must fail
+// Load and Fsck at the manifest instead of feeding its records to today's
+// decoders. testdata/store_v4 is a store the version 4 writer saved.
 func TestOldManifestVersionsRejected(t *testing.T) {
+	for _, err := range []error{
+		func() error { _, err := Load(filepath.Join("testdata", "store_v4"), LoadOptions{}); return err }(),
+		func() error { _, err := Fsck(filepath.Join("testdata", "store_v4"), FsckOptions{}); return err }(),
+	} {
+		if !errors.Is(err, ErrBadHeader) || !strings.Contains(err.Error(), "store format version 4, want 5") {
+			t.Fatalf("store_v4: err = %v, want ErrBadHeader naming versions 4 and 5", err)
+		}
+	}
+
 	for version := 1; version < manifestVersion; version++ {
 		dir := t.TempDir()
 		saveFixture(t, dir, fixtureStore(t))
@@ -146,15 +169,16 @@ func TestOldManifestVersionsRejected(t *testing.T) {
 }
 
 // corruptMatching flips one payload byte of the first event record of the
-// given kind, in any segment under dir/stores/journal, and returns the file
-// it hit.
+// given kind, in any partition file of the journal store, and returns the
+// file it hit.
 func corruptMatching(t *testing.T, dir, kind string) string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "stores", "journal", "p*", "seg-*.seg"))
+	rels, err := SegmentFiles(dir, "journal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range paths {
+	for _, rel := range rels {
+		p := filepath.Join(dir, rel)
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
@@ -226,18 +250,8 @@ func TestLoadRestoresTornTailFromDoublewrite(t *testing.T) {
 	s := fixtureStore(t)
 	saveFixture(t, dir, s)
 
-	// Tear the active segment of partition 0: cut mid-way into its final record.
-	var active string
-	paths, _ := filepath.Glob(filepath.Join(dir, "stores", "journal", "p0000", "seg-*.seg"))
-	for _, p := range paths {
-		data, _ := os.ReadFile(p)
-		if scan, err := InspectSegment(data); err == nil && !scan.Sealed {
-			active = p
-		}
-	}
-	if active == "" {
-		t.Fatal("no active segment found")
-	}
+	// Tear partition 0's file: cut mid-way into its final record.
+	active := partitionFile(t, dir, 0)
 	data, err := os.ReadFile(active)
 	if err != nil {
 		t.Fatal(err)
@@ -271,11 +285,7 @@ func TestLoadQuarantinesMissingSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := fixtureStore(t)
 	saveFixture(t, dir, s)
-	paths, _ := filepath.Glob(filepath.Join(dir, "stores", "journal", "p0001", "seg-000000.seg"))
-	if len(paths) != 1 {
-		t.Fatalf("fixture layout changed: %v", paths)
-	}
-	if err := os.Remove(paths[0]); err != nil {
+	if err := os.Remove(partitionFile(t, dir, 1)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Load(dir, LoadOptions{})
@@ -409,5 +419,187 @@ func TestFsckRepairMakesStoreClean(t *testing.T) {
 	}
 	if !rep.Clean {
 		t.Fatalf("store still dirty after repair: %+v", rep.Findings)
+	}
+}
+
+// TestSaveWritesOneSegmentPerPartition: a full save writes exactly one
+// segment file per partition however long the partition is, and Load needs
+// nothing under stores/ but those files.
+func TestSaveWritesOneSegmentPerPartition(t *testing.T) {
+	dir := t.TempDir()
+	s := journal.NewPartitioned(4)
+	base := time.Unix(0, 1700000000e9).UTC()
+	for i := 0; i < 100; i++ {
+		entity := fmt.Sprintf("10.0.0.%d", i)
+		for e := 0; e < 3; e++ {
+			if _, err := s.Append(entity, base.Add(time.Duration(e)*time.Minute), "service_observed", []byte(`{"port":443}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{}`), SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var segs, others []string
+	err := filepath.WalkDir(filepath.Join(dir, "stores"), func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if filepath.Ext(p) == ".seg" {
+			segs = append(segs, rel)
+		} else {
+			others = append(others, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := SegmentFiles(dir, "journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != s.Partitions() || !slices.Equal(segs, named) {
+		t.Fatalf("segment files %v, want the manifest's one per partition %v", segs, named)
+	}
+
+	for _, p := range append(others, filepath.Join(dir, "MANIFEST.bak")) {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Load(dir, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Report.Clean() || !reflect.DeepEqual(dumpAll(s), dumpAll(res.Stores["journal"])) {
+		t.Fatalf("load from the segment files alone: findings %+v", res.Report.Findings)
+	}
+	if v := res.Metrics.RecordsVerified.Value(); v != 400 {
+		t.Fatalf("records verified = %d, want 400 (100 rows of 3 events)", v)
+	}
+}
+
+// TestPartitionTailCuts: a partition file cut exactly at its last frame is
+// restored from tail.dwb bit-identically, in memory and by fsck -repair on
+// disk; cut two frames short it has lost more than the sidecar covers and
+// quarantines as truncated.
+func TestPartitionTailCuts(t *testing.T) {
+	for _, lost := range []int{1, 2} {
+		t.Run(fmt.Sprintf("lost=%d", lost), func(t *testing.T) {
+			dir := t.TempDir()
+			s := fixtureStore(t)
+			saveFixture(t, dir, s)
+			p := partitionFile(t, dir, 0)
+			saved, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := InspectSegment(saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := scan.Frames[len(scan.Frames)-lost].Offset
+			if err := os.WriteFile(p, saved[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Load(dir, LoadOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := res.Report.Findings
+			if lost > 1 {
+				if len(f) != 1 || f[0].Fault != FaultTruncated || f[0].Action != ActionQuarantined ||
+					!reflect.DeepEqual(res.Report.Quarantined["journal"], []int{0}) {
+					t.Fatalf("findings %+v, quarantined %v; want partition 0 quarantined as truncated",
+						f, res.Report.Quarantined)
+				}
+				return
+			}
+			if len(f) != 1 || f[0].Fault != FaultTornTail || f[0].Action != ActionRestoredTail {
+				t.Fatalf("findings %+v, want the one restored tail", f)
+			}
+			if !reflect.DeepEqual(dumpAll(s), dumpAll(res.Stores["journal"])) {
+				t.Fatal("tail-restored store differs from original")
+			}
+			if _, err := Fsck(dir, FsckOptions{Repair: true}); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, saved) {
+				t.Fatalf("repaired file differs from the saved one (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestFsckRepairRestoresRepairableFixture: the repairable fixture holds a
+// torn tail and a flipped snapshot in the same partition file; fsck -repair
+// applies both fixes to that file and every file it repairs comes back
+// byte-identical to a pristine save.
+func TestFsckRepairRestoresRepairableFixture(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "store_repairable"))); err != nil {
+		t.Fatal(err)
+	}
+	opts := FsckOptions{Rebuild: map[string]SnapshotRebuilder{"journal": fixtureRebuilder}, Repair: true}
+	rep, err := Fsck(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Repaired) != 2 {
+		t.Fatalf("repaired %v, want the partition file and the checkpoint primary", rep.Repaired)
+	}
+	opts.Repair = false
+	if after, err := Fsck(dir, opts); err != nil || !after.Clean {
+		t.Fatalf("after repair: %+v, %v", after, err)
+	}
+	pristine := t.TempDir()
+	saveFixture(t, pristine, fixtureStore(t))
+	for _, p := range rep.Repaired {
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(pristine, rel))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("repaired %s differs from the pristine save (err %v)", rel, err)
+		}
+	}
+}
+
+// TestManifestSealCatchesRewrittenFrame: a record rewritten together with
+// its frame CRC passes every frame check; the manifest's segment checksum
+// still catches it, and the partition quarantines.
+func TestManifestSealCatchesRewrittenFrame(t *testing.T) {
+	dir := t.TempDir()
+	saveFixture(t, dir, fixtureStore(t))
+	p := partitionFile(t, dir, 0)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := InspectSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := scan.Frames[1]
+	data[fr.PayloadOff+int64(len(fr.Payload))-1] ^= 0x01
+	binary.BigEndian.PutUint32(data[fr.Offset+4:], Checksum(data[fr.PayloadOff:fr.PayloadOff+int64(len(fr.Payload))]))
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Load(dir, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Report.Findings; len(f) != 1 || f[0].Fault != FaultChecksum || f[0].Action != ActionQuarantined ||
+		!reflect.DeepEqual(res.Report.Quarantined["journal"], []int{0}) {
+		t.Fatalf("findings %+v, quarantined %v; want partition 0 quarantined on its segment checksum",
+			f, res.Report.Quarantined)
 	}
 }

@@ -72,19 +72,18 @@ func rebuildFixtures(t *testing.T) {
 	// state and fsck -repair must leave the store clean.
 	build("store_repairable", func(dir string) {
 		corruptMatching(t, dir, journal.SnapshotKind)
-		// Tear the active tail of partition 0.
-		paths, _ := filepath.Glob(filepath.Join(dir, "stores", "journal", "p0000", "seg-*.seg"))
-		for _, p := range paths {
-			data, _ := os.ReadFile(p)
-			if scan, err := InspectSegment(data); err == nil && !scan.Sealed {
-				if err := os.WriteFile(p, data[:len(data)-5], 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+		// Tear the tail of partition 0, the file the flip above hit.
+		p := partitionFile(t, dir, 0)
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data[:len(data)-5], 0o644); err != nil {
+			t.Fatal(err)
 		}
 		// Corrupt primary checkpoint: mirror must serve.
 		cp := filepath.Join(dir, "checkpoint", "cp-000001.a")
-		data, err := os.ReadFile(cp)
+		data, err = os.ReadFile(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,10 +92,10 @@ func rebuildFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// An unrepairable store: partition 1's first sealed segment is gone, so
-	// that partition is quarantined; partition 0 must survive untouched.
+	// An unrepairable store: partition 1's file is gone, so that partition
+	// is quarantined; partition 0 must survive untouched.
 	build("store_quarantine", func(dir string) {
-		if err := os.Remove(filepath.Join(dir, "stores", "journal", "p0001", "seg-000000.seg")); err != nil {
+		if err := os.Remove(partitionFile(t, dir, 1)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -44,11 +44,7 @@ func rewrittenPartitions(t *testing.T, dir, store string, sentinel time.Time) ma
 			continue
 		}
 		for pi, pm := range sm.Partitions {
-			files := []string{pm.DWB}
-			for _, seg := range pm.Segments {
-				files = append(files, seg.File)
-			}
-			for _, rel := range files {
+			for _, rel := range []string{pm.File, pm.DWB} {
 				if rel == "" {
 					continue
 				}
@@ -99,7 +95,7 @@ func TestIncrementalSaveSkipsCleanPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := SaveOptions{RecordsPerSegment: 4, Incremental: true}
+	opts := SaveOptions{Incremental: true}
 	if err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{"t":1}`), opts); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +152,7 @@ func TestIncrementalSaveSkipsCleanPartitions(t *testing.T) {
 
 	fullDir := t.TempDir()
 	if err := Save(fullDir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{"t":3}`),
-		SaveOptions{RecordsPerSegment: 4}); err != nil {
+		SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	full, err := Load(fullDir, LoadOptions{})
@@ -169,19 +165,15 @@ func TestIncrementalSaveSkipsCleanPartitions(t *testing.T) {
 }
 
 // TestIncrementalSaveSurvivesMissingReusableSegment: a reusable partition
-// whose files vanished must be rewritten, not reused blind.
+// whose file vanished must be rewritten, not reused blind.
 func TestIncrementalSaveSurvivesMissingReusableSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := fixtureStore(t)
-	opts := SaveOptions{RecordsPerSegment: 4, Incremental: true}
+	opts := SaveOptions{Incremental: true}
 	if err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{}`), opts); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "stores", "journal", "p0000", "seg-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments found: %v", err)
-	}
-	if err := os.Remove(segs[0]); err != nil {
+	if err := os.Remove(partitionFile(t, dir, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(`{}`), opts); err != nil {
@@ -210,7 +202,7 @@ func TestFailedSaveKeepsLastGeneration(t *testing.T) {
 			s := fixtureStore(t)
 			save := func(cp string) error {
 				return Save(dir, []NamedStore{{Name: "journal", Store: s}}, []byte(cp),
-					SaveOptions{RecordsPerSegment: 4, Incremental: incremental})
+					SaveOptions{Incremental: incremental})
 			}
 			load := func(wantCP string, want []journal.PartitionDump) {
 				t.Helper()

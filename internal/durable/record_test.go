@@ -107,7 +107,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("empty partition encoded to %d records", len(recs))
 	}
 
-	// An empty partition saves as one zero-record active segment with no
+	// An empty partition saves as one zero-record segment file with no
 	// doublewrite sidecar, and loads back empty.
 	dir := t.TempDir()
 	s := journal.NewPartitioned(2)
@@ -119,7 +119,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdir := filepath.Join(dir, "stores", "journal", fmt.Sprintf("p%04d", empty))
-	seg, err := os.ReadFile(filepath.Join(pdir, "seg-000000.seg"))
+	seg, err := os.ReadFile(filepath.Join(pdir, "records.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}

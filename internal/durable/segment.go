@@ -13,9 +13,12 @@
 //	footer   := magic "CFTR1\x00" | version u8 | pad u8 | count u64be
 //	          | crc32c(record crcs) u32be | crc32c(footer[0:20]) u32be
 //
-// A sealed segment carries the footer and is immutable; the active (last)
-// segment of a partition has no footer and is the only file a torn write can
-// hit.
+// A journal partition is one segment file per generation, rewritten whole by
+// every save that touches it. It has no footer: its manifest entry (record
+// count and the CRC32C of its record CRCs) seals it, and only its last
+// record is covered against a torn write, by the doublewrite sidecar. The
+// single-record files (manifest, checkpoint, sidecar) and replication ships
+// carry the footer.
 //
 // Manifest, checkpoint and replica payloads are opaque to the frame layer. A
 // journal segment's payloads are records of one binary grammar (record.go is
@@ -75,8 +78,8 @@ const (
 	KindCheckpoint SegmentKind = 2
 	// KindManifest segments hold the store manifest as a single record.
 	KindManifest SegmentKind = 3
-	// KindDWB segments are the doublewrite tail sidecar: a copy of the
-	// active segment's final record, used to repair torn appends.
+	// KindDWB segments are the doublewrite tail sidecar: a copy of a
+	// partition file's final record, used to repair a torn write.
 	KindDWB SegmentKind = 4
 	// KindReplica segments carry one partition's replication-log records
 	// between cluster nodes: each ship is one sealed segment holding the
@@ -128,9 +131,6 @@ func (b *segmentBuilder) append(payload []byte) {
 	b.buf = append(b.buf, payload...)
 	b.crcs = append(b.crcs, crc)
 }
-
-// records reports how many records have been appended.
-func (b *segmentBuilder) records() int { return len(b.crcs) }
 
 // segCRC folds the per-record CRCs into the footer's segment checksum.
 func segCRC(crcs []uint32) uint32 {

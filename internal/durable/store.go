@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,14 +15,16 @@ import (
 
 // On-disk layout of a store directory:
 //
-//	MANIFEST, MANIFEST.bak          single-record manifest segments
-//	stores/<name>/p0000/seg-000000.seg   per-partition segment chain
-//	stores/<name>/p0000/tail.dwb         doublewrite copy of the tail record
-//	checkpoint/cp-000001.a / .b          checkpoint blob, primary + mirror
+//	MANIFEST, MANIFEST.bak            single-record manifest segments
+//	stores/<name>/p0000/records.seg   the partition's records, one file
+//	stores/<name>/p0000/tail.dwb      doublewrite copy of the tail record
+//	checkpoint/cp-000001.a / .b       checkpoint blob, primary + mirror
 //
-// A partition lives in p0000 or q0000: a save rewrites it into whichever of
-// the two the live manifest does not name, so no file the live generation
-// needs is touched. Every file is written to a temp name and renamed into
+// A partition is one segment file, always rewritten whole, so it has no
+// footer: the manifest's record count and segment checksum seal it. It
+// lives in p0000 or q0000: a save rewrites it into whichever of the two the
+// live manifest does not name, so no file the live generation needs is
+// touched. Every file is written to a temp name and renamed into
 // place; the manifest is written last, so a save is atomic at the manifest
 // boundary, and only then are the files it no longer names removed. The
 // manifest's generation names the checkpoint to read; nothing else records
@@ -34,7 +37,6 @@ const (
 	FaultTruncated  = "truncated"
 	FaultMissing    = "missing"
 	FaultBadHeader  = "bad_header"
-	FaultBadFooter  = "bad_footer"
 	FaultCheckpoint = "checkpoint"
 	FaultDecode     = "decode"
 )
@@ -129,11 +131,13 @@ func (m *Metrics) Stats() StorageStats {
 }
 
 // manifestVersion names the on-disk format a store directory was saved in.
-// Version 4 is the binary journal record (record.go) around the binary event
-// payload (cqrs/payload.go), storing events only; versions 1 (JSON
-// envelopes), 2 (binary records around JSON payloads) and 3 (version 4 plus
-// a partition counter record and per-row tier bookkeeping) have no reader.
-const manifestVersion = 4
+// Version 5 keeps each partition in one footerless segment file sealed by
+// its manifest entry, holding the binary journal record (record.go) around
+// the binary event payload (cqrs/payload.go), events only. Versions 1 (JSON
+// envelopes), 2 (binary records around JSON payloads), 3 (a partition
+// counter record and per-row tier bookkeeping) and 4 (version 5's records
+// split over a chain of 64-record segment files) have no reader.
+const manifestVersion = 5
 
 // manifest is the authoritative description of a saved store directory.
 type manifest struct {
@@ -147,23 +151,20 @@ type storeManifest struct {
 	Partitions []partManifest `json:"partitions"`
 }
 
+// partManifest describes one partition's segment file. Records and SegCRC
+// are its seal: recovery requires exactly Records frames whose stored
+// CRC32Cs fold to SegCRC, so a lost, added or rewritten frame is caught
+// wherever it sits.
 type partManifest struct {
-	Segments []segManifest `json:"segments"`
-	DWB      string        `json:"dwb"`
-	// SrcGen is the journal partition's content generation
-	// (journal.Store.PartitionGen) captured when these segments were
-	// written. An incremental save reuses the segment files verbatim while
-	// the live partition still reports the same generation; 0 (absent in
-	// manifests from before this field) always forces a rewrite.
-	SrcGen uint64 `json:"src_gen,omitempty"`
-}
-
-// segManifest describes one segment of a partition's chain. Every segment
-// but the last is sealed; the last is the active segment.
-type segManifest struct {
 	File    string `json:"file"`
 	Records int    `json:"records"`
 	SegCRC  uint32 `json:"seg_crc"`
+	DWB     string `json:"dwb"`
+	// SrcGen is the journal partition's content generation
+	// (journal.Store.PartitionGen) captured when these files were written.
+	// An incremental save reuses them verbatim while the live partition
+	// still reports the same generation; 0 always forces a rewrite.
+	SrcGen uint64 `json:"src_gen,omitempty"`
 }
 
 // NamedStore pairs a journal store with its directory name.
@@ -174,10 +175,10 @@ type NamedStore struct {
 
 // SaveOptions tune persistence.
 type SaveOptions struct {
-	// RecordsPerSegment is the seal threshold (default 64). The final chunk
-	// of each partition stays unsealed — it is the active segment.
+	// Deprecated: ignored. A partition is always one segment file; the
+	// field remains only for callers that still name it.
 	RecordsPerSegment int
-	// Incremental reuses the previous generation's segment files for every
+	// Incremental reuses the previous generation's partition files for every
 	// partition whose content generation has not moved since they were
 	// written, rewriting only dirtied partitions. The new manifest stitches
 	// reused and rewritten partitions together; recovery needs no special
@@ -186,13 +187,11 @@ type SaveOptions struct {
 	Incremental bool
 }
 
-// segmentsIntact reports whether every file a reusable partition manifest
+// partitionIntact reports whether every file a reusable partition manifest
 // references still exists on disk.
-func segmentsIntact(dir string, pm partManifest) bool {
-	for _, sm := range pm.Segments {
-		if _, err := os.Stat(filepath.Join(dir, sm.File)); err != nil {
-			return false
-		}
+func partitionIntact(dir string, pm partManifest) bool {
+	if _, err := os.Stat(filepath.Join(dir, pm.File)); err != nil {
+		return false
 	}
 	if pm.DWB != "" {
 		if _, err := os.Stat(filepath.Join(dir, pm.DWB)); err != nil {
@@ -205,10 +204,6 @@ func segmentsIntact(dir string, pm partManifest) bool {
 // Save persists the stores and checkpoint blob under dir as a new
 // generation. Everything is written via temp-file + rename, manifest last.
 func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) error {
-	per := opts.RecordsPerSegment
-	if per <= 0 {
-		per = 64
-	}
 	var old *manifest
 	if m, err := readManifest(dir); err == nil {
 		old = m
@@ -242,7 +237,7 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 			srcGen := ns.Store.PartitionGen(pi)
 			if oldParts != nil {
 				if opm := oldParts[pi]; opm.SrcGen != 0 && opm.SrcGen == srcGen &&
-					segmentsIntact(dir, opm) {
+					partitionIntact(dir, opm) {
 					sm.Partitions = append(sm.Partitions, opm)
 					continue
 				}
@@ -255,36 +250,23 @@ func Save(dir string, stores []NamedStore, checkpoint []byte, opts SaveOptions) 
 			if err := os.MkdirAll(filepath.Join(dir, partRel), 0o755); err != nil {
 				return fmt.Errorf("durable: save %s: %w", partRel, err)
 			}
-			pm := partManifest{SrcGen: srcGen}
-			for si := 0; len(recs) > 0 || si == 0; si++ {
-				n := per
-				if n > len(recs) {
-					n = len(recs)
-				}
-				chunk := recs[:n]
-				recs = recs[n:]
-				sealed := len(recs) > 0
-				b := newSegment(KindJournal, uint32(pi))
-				for _, r := range chunk {
-					b.append(r)
-				}
-				rel := filepath.Join(partRel, fmt.Sprintf("seg-%06d.seg", si))
-				if err := writeFileAtomic(filepath.Join(dir, rel), b.bytes(sealed)); err != nil {
-					return fmt.Errorf("durable: save %s: %w", rel, err)
-				}
-				pm.Segments = append(pm.Segments, segManifest{
-					File: rel, Records: len(chunk), SegCRC: segCRC(b.crcs),
-				})
-				if !sealed && len(chunk) > 0 {
-					// Doublewrite the tail record so a torn final append is
-					// repairable without byte drift. An empty partition's
-					// active segment has no record to cover.
-					dwbRel := filepath.Join(partRel, "tail.dwb")
-					tail := buildSingleRecord(KindDWB, uint32(pi), chunk[len(chunk)-1])
-					if err := writeFileAtomic(filepath.Join(dir, dwbRel), tail); err != nil {
-						return fmt.Errorf("durable: save %s: %w", dwbRel, err)
-					}
-					pm.DWB = dwbRel
+			b := newSegment(KindJournal, uint32(pi))
+			for _, r := range recs {
+				b.append(r)
+			}
+			pm := partManifest{File: filepath.Join(partRel, "records.seg"),
+				Records: len(recs), SegCRC: segCRC(b.crcs), SrcGen: srcGen}
+			if err := writeFileAtomic(filepath.Join(dir, pm.File), b.bytes(false)); err != nil {
+				return fmt.Errorf("durable: save %s: %w", pm.File, err)
+			}
+			if len(recs) > 0 {
+				// Doublewrite the tail record so a torn final append is
+				// repairable without byte drift. An empty partition has no
+				// record to cover.
+				pm.DWB = filepath.Join(partRel, "tail.dwb")
+				tail := buildSingleRecord(KindDWB, uint32(pi), recs[len(recs)-1])
+				if err := writeFileAtomic(filepath.Join(dir, pm.DWB), tail); err != nil {
+					return fmt.Errorf("durable: save %s: %w", pm.DWB, err)
 				}
 			}
 			sm.Partitions = append(sm.Partitions, pm)
@@ -350,14 +332,12 @@ func sweep(dir string, man *manifest) error {
 }
 
 // files calls fn with every file man names and its owner: each store's
-// segments and doublewrite sidecars, then both checkpoint mirrors under
-// "checkpoint".
+// partition files and doublewrite sidecars, then both checkpoint mirrors
+// under "checkpoint".
 func (man *manifest) files(fn func(owner, rel string)) {
 	for _, sm := range man.Stores {
 		for _, pm := range sm.Partitions {
-			for _, seg := range pm.Segments {
-				fn(sm.Name, seg.File)
-			}
+			fn(sm.Name, pm.File)
 			if pm.DWB != "" {
 				fn(sm.Name, pm.DWB)
 			}
@@ -369,7 +349,7 @@ func (man *manifest) files(fn func(owner, rel string)) {
 }
 
 // SegmentFiles lists one store's segment files in the generation saved
-// under dir, relative to dir, partition by partition in chain order.
+// under dir, relative to dir: one per partition, in partition order.
 func SegmentFiles(dir, store string) ([]string, error) {
 	man, err := readManifest(dir)
 	if err != nil {
@@ -532,177 +512,137 @@ func newLoader(dir string, opts LoadOptions) (*loader, error) {
 
 func (l *loader) finding(f Finding) { l.report.Findings = append(l.report.Findings, f) }
 
-// frameRec is one record slot in a partition's concatenated stream.
-type frameRec struct {
-	payload    []byte
-	crc        uint32
-	ok         bool
-	file       string
-	record     int
-	offset     int64
-	payloadOff int64
-}
-
 // recoverPartition reads, verifies, and decodes one partition's segment
-// chain. ok=false means the partition is quarantined; every fault is logged
-// as a Finding either way.
+// file. ok=false means the partition is quarantined; every fault is logged
+// as a Finding either way. Fixes fsck -repair may apply are queued only for
+// a partition that recovers.
 func (l *loader) recoverPartition(store string, pi int, pm partManifest) (journal.PartitionDump, bool) {
 	quarantine := func(f Finding) (journal.PartitionDump, bool) {
-		f.Store, f.Partition, f.Action = store, pi, ActionQuarantined
+		f.Store, f.Partition, f.File, f.Action = store, pi, pm.File, ActionQuarantined
 		l.finding(f)
 		l.metrics.PartitionsQuarantined.Inc()
 		return journal.PartitionDump{}, false
 	}
 
-	var stream []frameRec
-	// One shared read for the whole chain; frames decoded below alias into
-	// the batch buffer (see batchread.go).
-	datas, readErrs := l.readSegments(pm.Segments)
-	for si, sm := range pm.Segments {
-		data, err := datas[si], readErrs[si]
-		if err != nil {
-			return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-				Fault: FaultMissing, Detail: err.Error()})
-		}
-		scan, err := scanSegment(data)
-		if err != nil {
-			return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-				Fault: FaultBadHeader, Detail: err.Error()})
-		}
-		if scan.Kind != KindJournal || scan.Partition != uint32(pi) {
-			return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-				Fault: FaultBadHeader, Detail: "segment labeled for a different store slot"})
-		}
-		appendFrames := func(frames []Frame, base int) {
-			for fi, fr := range frames {
-				stream = append(stream, frameRec{
-					payload: fr.Payload, crc: fr.StoredCRC, ok: fr.CRCOK,
-					file: sm.File, record: base + fi, offset: fr.Offset, payloadOff: fr.PayloadOff,
-				})
-			}
-		}
-		if si < len(pm.Segments)-1 {
-			if !scan.Sealed || scan.FooterErr != nil {
-				fault := FaultBadFooter
-				if scan.Torn || len(scan.Frames) < sm.Records {
-					fault = FaultTruncated
-				}
-				return quarantine(Finding{File: sm.File, Record: len(scan.Frames), Offset: scan.TornOffset,
-					Fault: fault, Detail: "sealed segment lost its footer"})
-			}
-			if scan.FooterCount != uint64(sm.Records) || len(scan.Frames) != sm.Records {
-				return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-					Fault: FaultBadFooter,
-					Detail: fmt.Sprintf("footer says %d records, manifest %d, scanned %d",
-						scan.FooterCount, sm.Records, len(scan.Frames))})
-			}
-			crcs := make([]uint32, len(scan.Frames))
-			for i, fr := range scan.Frames {
-				crcs[i] = fr.StoredCRC
-			}
-			if c := segCRC(crcs); c != scan.FooterSegCRC || c != sm.SegCRC {
-				return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-					Fault: FaultBadFooter, Detail: "segment checksum disagrees with footer/manifest"})
-			}
-			appendFrames(scan.Frames, 0)
-			continue
-		}
+	// Frames decoded below alias data, and the restored journal keeps it.
+	data, err := os.ReadFile(filepath.Join(l.dir, pm.File))
+	if err != nil {
+		return quarantine(Finding{Record: -1, Offset: -1, Fault: FaultMissing, Detail: err.Error()})
+	}
+	scan, err := scanSegment(data)
+	if err != nil {
+		return quarantine(Finding{Record: -1, Offset: -1, Fault: FaultBadHeader, Detail: err.Error()})
+	}
+	if scan.Kind != KindJournal || scan.Partition != uint32(pi) {
+		return quarantine(Finding{Record: -1, Offset: -1,
+			Fault: FaultBadHeader, Detail: "segment labeled for a different store slot"})
+	}
 
-		// Active segment: the only legal home for a torn tail.
-		if scan.Sealed {
-			return quarantine(Finding{File: sm.File, Record: -1, Offset: -1,
-				Fault: FaultBadFooter, Detail: "unexpected footer on active segment"})
-		}
-		frames := scan.Frames
-		tailBroken := scan.Torn
-		if !tailBroken && len(frames) == sm.Records && sm.Records > 0 && !frames[len(frames)-1].CRCOK {
-			// The tail record was overwritten in place rather than cut short.
-			tailBroken = true
-			frames = frames[:len(frames)-1]
-		}
-		if !tailBroken && len(frames) == sm.Records-1 {
-			// The tail record was lost to a cut exactly on the frame boundary —
-			// no torn bytes remain, but the doublewrite sidecar still covers it.
-			tailBroken = true
-		}
-		if !tailBroken {
-			if len(frames) != sm.Records {
-				return quarantine(Finding{File: sm.File, Record: len(frames), Offset: -1,
-					Fault:  FaultTruncated,
-					Detail: fmt.Sprintf("%d records on disk, manifest says %d", len(frames), sm.Records)})
-			}
-			appendFrames(frames, 0)
-			continue
-		}
-
-		missing := sm.Records - len(frames)
-		if missing != 1 {
-			return quarantine(Finding{File: sm.File, Record: len(frames), Offset: scan.TornOffset,
+	// The tail record is the only one a torn write can hit.
+	frames := scan.Frames
+	tailBroken := scan.Torn
+	if !tailBroken && len(frames) == pm.Records && pm.Records > 0 && !frames[len(frames)-1].CRCOK {
+		// The tail record was overwritten in place rather than cut short.
+		tailBroken = true
+		frames = frames[:len(frames)-1]
+	}
+	if !tailBroken && len(frames) == pm.Records-1 {
+		// The tail record was lost to a cut exactly on the frame boundary —
+		// no torn bytes remain, but the doublewrite sidecar still covers it.
+		tailBroken = true
+	}
+	var fixed []byte // the repaired file, once a fix is needed
+	switch {
+	case tailBroken:
+		if missing := pm.Records - len(frames); missing != 1 {
+			return quarantine(Finding{Record: len(frames), Offset: scan.TornOffset,
 				Fault:  FaultTruncated,
 				Detail: fmt.Sprintf("torn write lost %d records; doublewrite covers 1", missing)})
 		}
-		restored, rerr := l.restoreTail(pm, sm, frames, data)
+		restored, rerr := l.restoreTail(pm, frames)
 		if rerr != nil {
-			return quarantine(Finding{File: sm.File, Record: len(frames), Offset: scan.TornOffset,
+			return quarantine(Finding{Record: len(frames), Offset: scan.TornOffset,
 				Fault: FaultTornTail, Detail: rerr.Error()})
 		}
 		l.metrics.TailsTruncated.Inc()
-		l.finding(Finding{Store: store, Partition: pi, File: sm.File,
+		l.finding(Finding{Store: store, Partition: pi, File: pm.File,
 			Record: len(frames), Offset: scan.TornOffset,
 			Fault: FaultTornTail, Action: ActionRestoredTail,
 			Detail: "truncated to last valid record; tail restored from doublewrite buffer"})
-		appendFrames(frames, 0)
-		stream = append(stream, frameRec{
-			payload: restored, crc: Checksum(restored), ok: true,
-			file: sm.File, record: len(frames), offset: -1,
-		})
+		// Corrected file: the intact prefix plus the re-framed tail record.
+		end := int64(headerSize)
+		if n := len(frames); n > 0 {
+			end = frames[n-1].PayloadOff + int64(len(frames[n-1].Payload))
+		}
+		var frame segmentBuilder
+		frame.append(restored)
+		fixed = append(data[:end:end], frame.buf...)
+		frames = append(frames[:len(frames):len(frames)], Frame{Offset: -1, PayloadOff: -1,
+			Payload: restored, StoredCRC: frame.crcs[0], CRCOK: true})
+	case len(frames) != pm.Records:
+		return quarantine(Finding{Record: len(frames), Offset: -1,
+			Fault:  FaultTruncated,
+			Detail: fmt.Sprintf("%d records on disk, manifest says %d", len(frames), pm.Records)})
+	case segCRC(storedCRCs(frames)) != pm.SegCRC:
+		return quarantine(Finding{Record: -1, Offset: -1,
+			Fault: FaultChecksum, Detail: "frame checksums disagree with the manifest's segment checksum"})
 	}
 
 	// Decode the record stream, attempting CRC-proven snapshot repair at
 	// each corrupt record.
 	pd := &partitionDecoder{}
 	rebuild := l.rebuild[store]
-	for _, fr := range stream {
-		if !fr.ok {
+	for i, fr := range frames {
+		payload := fr.Payload
+		if !fr.CRCOK {
 			l.metrics.ChecksumFailures.Inc()
-			cand, repaired := pd.tryRepair(fr.crc, rebuild)
+			cand, repaired := pd.tryRepair(fr.StoredCRC, rebuild)
 			if !repaired {
-				return quarantine(Finding{File: fr.file, Record: fr.record, Offset: fr.offset,
+				return quarantine(Finding{Record: i, Offset: fr.Offset,
 					Fault: FaultChecksum, Detail: "record failed CRC32C and could not be reconstructed"})
 			}
 			l.metrics.SnapshotsRebuilt.Inc()
-			l.finding(Finding{Store: store, Partition: pi, File: fr.file,
-				Record: fr.record, Offset: fr.offset,
+			l.finding(Finding{Store: store, Partition: pi, File: pm.File,
+				Record: i, Offset: fr.Offset,
 				Fault: FaultChecksum, Action: ActionRebuiltSnapshot,
 				Detail: "snapshot record reconstructed by replay; CRC32C proves byte-exact"})
-			if len(cand) == len(fr.payload) && fr.payloadOff >= 0 {
-				l.patchFile(fr.file, fr.payloadOff, cand)
+			if len(cand) == len(payload) {
+				if fixed == nil {
+					fixed = bytes.Clone(data)
+				}
+				copy(fixed[fr.PayloadOff:], cand)
 			}
-			fr.payload = cand
+			payload = cand
 		} else {
 			l.metrics.RecordsVerified.Inc()
 		}
-		if err := pd.next(fr.payload); err != nil {
-			return quarantine(Finding{File: fr.file, Record: fr.record, Offset: fr.offset,
+		if err := pd.next(payload); err != nil {
+			return quarantine(Finding{Record: i, Offset: fr.Offset,
 				Fault: FaultDecode, Detail: err.Error()})
 		}
 	}
 	dump, err := pd.finish()
 	if err != nil {
-		file := ""
-		if n := len(pm.Segments); n > 0 {
-			file = pm.Segments[n-1].File
-		}
-		return quarantine(Finding{File: file, Record: -1, Offset: -1,
-			Fault: FaultDecode, Detail: err.Error()})
+		return quarantine(Finding{Record: -1, Offset: -1, Fault: FaultDecode, Detail: err.Error()})
+	}
+	if fixed != nil {
+		l.repairs = append(l.repairs, repairAction{Path: filepath.Join(l.dir, pm.File), Data: fixed})
 	}
 	return dump, true
 }
 
-// restoreTail validates the doublewrite sidecar against the manifest's
-// segment checksum and, on proof, queues the corrected segment file. It
-// returns the restored tail record payload.
-func (l *loader) restoreTail(pm partManifest, sm segManifest, valid []Frame, data []byte) ([]byte, error) {
+// storedCRCs lists the CRC32C each frame claims, the input to segCRC.
+func storedCRCs(frames []Frame) []uint32 {
+	crcs := make([]uint32, len(frames))
+	for i, fr := range frames {
+		crcs[i] = fr.StoredCRC
+	}
+	return crcs
+}
+
+// restoreTail reads the doublewrite sidecar and returns its record once the
+// valid frames plus that record fold to the manifest's segment checksum.
+func (l *loader) restoreTail(pm partManifest, valid []Frame) ([]byte, error) {
 	if pm.DWB == "" {
 		return nil, fmt.Errorf("no doublewrite sidecar")
 	}
@@ -714,38 +654,10 @@ func (l *loader) restoreTail(pm partManifest, sm segManifest, valid []Frame, dat
 	if err != nil {
 		return nil, fmt.Errorf("doublewrite sidecar: %w", err)
 	}
-	crcs := make([]uint32, 0, len(valid)+1)
-	for _, fr := range valid {
-		crcs = append(crcs, fr.StoredCRC)
-	}
-	crcs = append(crcs, Checksum(payload))
-	if segCRC(crcs) != sm.SegCRC {
+	if segCRC(append(storedCRCs(valid), Checksum(payload))) != pm.SegCRC {
 		return nil, fmt.Errorf("doublewrite record does not complete the segment checksum")
 	}
-	// Corrected file: the intact prefix plus the re-framed tail record.
-	end := int64(headerSize)
-	if n := len(valid); n > 0 {
-		end = valid[n-1].PayloadOff + int64(len(valid[n-1].Payload))
-	}
-	fixed := make([]byte, 0, int(end)+frameHeader+len(payload))
-	fixed = append(fixed, data[:end]...)
-	var frame segmentBuilder
-	frame.append(payload)
-	fixed = append(fixed, frame.buf...)
-	l.repairs = append(l.repairs, repairAction{Path: filepath.Join(l.dir, sm.File), Data: fixed})
 	return payload, nil
-}
-
-// patchFile queues an in-place payload rewrite for fsck -repair.
-func (l *loader) patchFile(rel string, payloadOff int64, payload []byte) {
-	path := filepath.Join(l.dir, rel)
-	data, err := os.ReadFile(path)
-	if err != nil || payloadOff+int64(len(payload)) > int64(len(data)) {
-		return
-	}
-	fixed := append([]byte(nil), data...)
-	copy(fixed[payloadOff:], payload)
-	l.repairs = append(l.repairs, repairAction{Path: path, Data: fixed})
 }
 
 // recoverCheckpoint loads the manifest generation's checkpoint, falling back

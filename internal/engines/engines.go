@@ -112,7 +112,7 @@ func NewBaseline(policy Policy, net *simnet.Internet, tick time.Duration) (*Base
 	if err != nil {
 		return nil, err
 	}
-	iter, err := cyclic.NewIterator(space, strSeed(policy.Name))
+	iter, err := cyclic.NewIterator(space, cyclic.NameSeed(policy.Name))
 	if err != nil {
 		return nil, err
 	}
@@ -138,15 +138,6 @@ func NewBaseline(policy Policy, net *simnet.Internet, tick time.Duration) (*Base
 	return b, nil
 }
 
-func strSeed(s string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Stop cancels scheduled scanning.
 func (b *Baseline) Stop() {
 	if b.stopTick != nil {
@@ -164,7 +155,7 @@ func (b *Baseline) Tick(now time.Time) {
 		addr, port, ok := b.iter.Next()
 		if !ok {
 			b.gen++
-			iter, err := cyclic.NewShardedIterator(b.space, strSeed(b.policy.Name)^b.gen, 0, 1)
+			iter, err := cyclic.NewShardedIterator(b.space, cyclic.NameSeed(b.policy.Name)^b.gen, 0, 1)
 			if err != nil {
 				return
 			}
