@@ -9,9 +9,16 @@ vet:
 
 # vet plus the repo's clock-discipline check: pipeline code reads time
 # through simclock.Clock only (time.Now is allowed in simclock's Real
-# implementation, cmd/, and tests) so instrumented runs stay deterministic. And gofmt: any file it would rewrite fails the target.
+# implementation, cmd/, and tests) so instrumented runs stay deterministic.
+# Then the reachability check: every non-test func outside bench/ is linked
+# by a binary under cmd/ or examples/ (built with inlining off), reached from
+# the root package's exported API, or named in lintreach.allow with a reason;
+# it lists bench-only functions without failing on them. It builds every
+# binary (~20 s cold on 2 vCPUs, a few seconds warm). And gofmt: any file it
+# would rewrite fails the target.
 lint: vet
 	$(GO) run ./cmd/lintclock .
+	$(GO) run ./cmd/lintreach .
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 

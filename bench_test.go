@@ -33,14 +33,15 @@ func ablationUniverse(seed uint64) (*simnet.Internet, *simclock.Sim) {
 // payload for every observation.
 func BenchmarkAblation_DeltaJournaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		net, _ := ablationUniverse(1)
+		net, clk := ablationUniverse(1)
 		cfg := core.DefaultConfig()
 		cfg.CloudBlocks = 1
 		m, err := core.New(cfg, net)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.Run(5 * 24 * time.Hour)
+		m.Start()
+		clk.Advance(5 * 24 * time.Hour)
 		stats := m.JournalStats()
 		obs, noChange := m.WriteStats()
 		b.ReportMetric(float64(stats.SSDBytes+stats.HDDBytes)/float64(obs), "journal_B/obs")
@@ -55,7 +56,7 @@ func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 	for _, k := range []int{4, 16, 64} {
 		b.Run(strconv.Itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net, _ := ablationUniverse(1)
+				net, clk := ablationUniverse(1)
 				cfg := core.DefaultConfig()
 				cfg.CloudBlocks = 1
 				cfg.SnapshotEvery = k
@@ -63,7 +64,8 @@ func BenchmarkAblation_SnapshotInterval(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m.Run(5 * 24 * time.Hour)
+				m.Start()
+				clk.Advance(5 * 24 * time.Hour)
 				st := m.JournalStats()
 				b.ReportMetric(float64(st.MaxReplayLen), "max_replay")
 				b.ReportMetric(float64(st.SSDBytes+st.HDDBytes), "journal_B")
@@ -88,7 +90,8 @@ func BenchmarkAblation_EvictionWindow(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m.Run(8 * 24 * time.Hour)
+				m.Start()
+				clk.Advance(8 * 24 * time.Hour)
 				// The §4.6 trade-off: a short window evicts fast, maximising
 				// accuracy of the pending-inclusive dataset but generating
 				// churny remove/re-add cycles (ticket noise); a long window
@@ -138,7 +141,8 @@ func BenchmarkAblation_Prediction(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m.Run(8 * 24 * time.Hour)
+				m.Start()
+				clk.Advance(8 * 24 * time.Hour)
 				truth := net.LiveServices(clk.Now(), false)
 				known := map[[2]any]bool{}
 				for _, r := range m.CurrentServices(false) {

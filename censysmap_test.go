@@ -2,6 +2,7 @@ package censysmap
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
@@ -77,7 +78,7 @@ func TestKnobSurface(t *testing.T) {
 }
 
 // scenarioKeys is the hostile-network vocabulary: every key of
-// simnet.ParseScenario, in canonical order. Adding or removing a network
+// simnet.ParseScenario. Adding or removing a network
 // knob is a one-line diff here.
 var scenarioKeys = []string{
 	"seed",
@@ -99,36 +100,41 @@ var scenarioKeys = []string{
 	"fault_timeout_rate",
 }
 
-// TestScenarioVocabulary pins the scenario codec's keys: it sets every
-// AdversaryConfig field, encodes, and reads the keys back in order — so a
-// field the codec cannot name fails here too.
+// TestScenarioVocabulary pins the scenario codec's keys: each listed key
+// parses and sets exactly one AdversaryConfig field, no two keys set the same
+// field, and every field has a key — so a field the codec cannot name fails
+// here too.
 func TestScenarioVocabulary(t *testing.T) {
-	var adv simnet.AdversaryConfig
-	v := reflect.ValueOf(&adv).Elem()
-	for i := range v.NumField() {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Float64:
-			f.SetFloat(0.5)
-		case reflect.Int, reflect.Int64:
-			f.SetInt(1)
-		case reflect.Uint64:
-			f.SetUint(1)
-		default:
-			t.Fatalf("field %s: kind %v has no scenario syntax", v.Type().Field(i).Name, f.Kind())
+	fields := reflect.TypeFor[simnet.AdversaryConfig]().NumField()
+	keyOf := make(map[int]string)
+	for _, key := range scenarioKeys {
+		adv, err := simnet.ParseScenario(key + "=1")
+		if err != nil {
+			adv, err = simnet.ParseScenario(key + "=1h") // a duration
 		}
+		if err != nil {
+			t.Fatalf("key %q no longer parses: %v", key, err)
+		}
+		v := reflect.ValueOf(adv)
+		var set []int
+		for i := range fields {
+			if !v.Field(i).IsZero() {
+				set = append(set, i)
+			}
+		}
+		if len(set) != 1 {
+			t.Fatalf("key %q sets fields %v, want exactly one", key, set)
+		}
+		if other, dup := keyOf[set[0]]; dup {
+			t.Fatalf("keys %q and %q set the same field", other, key)
+		}
+		keyOf[set[0]] = key
 	}
-	var got []string
-	for _, pair := range strings.Split(adv.EncodeScenario(), ",") {
-		key, _, _ := strings.Cut(pair, "=")
-		got = append(got, key)
+	if len(keyOf) != fields {
+		t.Fatalf("scenario vocabulary changed: %d keys for %d fields; update scenarioKeys", len(keyOf), fields)
 	}
-	if len(got) != v.NumField() || !slices.Equal(got, scenarioKeys) {
-		t.Fatalf("scenario vocabulary changed (%d keys for %d fields, was %d); update scenarioKeys:\n%s",
-			len(got), v.NumField(), len(scenarioKeys), strings.Join(got, "\n"))
-	}
-	back, err := simnet.ParseScenario(adv.EncodeScenario())
-	if err != nil || back != adv {
-		t.Fatalf("every key set: round trip %+v, %v; want %+v", back, err, adv)
+	if _, err := simnet.ParseScenario("no_such_key=1"); !errors.Is(err, simnet.ErrScenario) {
+		t.Fatalf("unknown key accepted: %v", err)
 	}
 }
 
@@ -295,8 +301,10 @@ func TestSystemScenarioOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := faulty.Internet().PathStats(); st[simnet.CauseFaultLoss] == 0 {
-		t.Fatalf("scenario \"severe\" injected no faults: %v", st)
+	lost, _ := metric(faulty.MetricsSnapshot(), "censys_simnet_drops_total",
+		map[string]string{"cause": simnet.CauseFaultLoss.String()})
+	if lost.Value == 0 {
+		t.Fatal("scenario \"severe\" injected no faults")
 	}
 	if st := faulty.Internet().AdversaryStats(); st.Farms != 0 || st.TarpitHosts != 0 || st.ChurnHosts != 0 {
 		t.Fatalf("scenario \"severe\" built a hostile universe: %+v", st)

@@ -108,6 +108,39 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	prefix, err := netip.ParsePrefix(*universe)
+	if err != nil {
+		fmt.Fprintln(stderr, "bad -universe:", err)
+		return 2
+	}
+	tenants, err := parseTenants(*apiKeys)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	usage := ""
+	switch {
+	case *days < 0:
+		usage = "bad -days: negative"
+	case *rate < 0:
+		usage = "bad -rate: negative"
+	case *clusterNodes < 0:
+		usage = "bad -cluster-nodes: negative"
+	case set["node-id"] && *clusterNodes == 0:
+		usage = "bad -node-id: requires -cluster-nodes"
+	case *clusterNodes > 0 && (*nodeID < 0 || *nodeID >= *clusterNodes):
+		usage = fmt.Sprintf("bad -node-id: %d outside 0..%d", *nodeID, *clusterNodes-1)
+	case *predictBudget < 0:
+		usage = "bad -predict-budget: negative"
+	case set["predict-budget"] && !*predict:
+		usage = "bad -predict-budget: requires -predict"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
 
 	// The profiler gets its own listener and mux so /debug/pprof/ never
 	// shares a port with the public API surface (it bypasses the serving
@@ -127,15 +160,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	prefix, err := netip.ParsePrefix(*universe)
-	if err != nil {
-		fmt.Fprintln(stderr, "bad -universe:", err)
-		return 2
-	}
-	if *predictBudget < 0 {
-		fmt.Fprintln(stderr, "bad -predict-budget: negative")
-		return 2
-	}
 	// The default pipeline's CloudBlocks is the default universe's.
 	pipeline := core.DefaultConfig()
 	pipeline.DisablePrediction = !*predict
@@ -157,10 +181,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var cl *cluster.Cluster
 	if *clusterNodes > 0 {
-		if *nodeID < 0 || *nodeID >= *clusterNodes {
-			fmt.Fprintf(stderr, "bad -node-id: %d outside 0..%d\n", *nodeID, *clusterNodes-1)
-			return 2
-		}
 		cl, err = cluster.New(sys.Map(), cluster.Config{
 			Nodes:     *clusterNodes,
 			Telemetry: sys.Metrics(),
@@ -196,11 +216,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			cl.Nodes(), cl.NodeName(*nodeID), cl.Partitions(), st.RecordsShipped)
 	}
 
-	tenants, err := parseTenants(*apiKeys)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	front, err := sys.Frontend(serve.Config{
 		Tenants:       tenants,
 		AnonymousTier: *anonTier,
@@ -213,18 +228,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v2/", front)
-	mux.HandleFunc("GET /v1/search", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
-		hosts, err := sys.Search(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fmt.Fprintf(w, "%d hosts\n", len(hosts))
-		for _, h := range hosts {
-			fmt.Fprintf(w, "%s\n", h.IP)
-		}
-	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

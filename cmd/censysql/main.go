@@ -45,6 +45,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bad -universe:", err)
 		return 2
 	}
+	if *days < 0 {
+		fmt.Fprintln(stderr, "bad -days: negative")
+		return 2
+	}
 	queries := fs.Args()
 	if len(queries) == 1 && queries[0] == "-" {
 		queries = nil

@@ -47,10 +47,11 @@ func TestNoQueryIsUsage(t *testing.T) {
 		stdin string
 		args  []string
 	}{
-		"no arguments": {"", nil},
-		"empty stdin":  {"\n  \n", []string{"-"}},
-		"bad flag":     {"", []string{"-no-such-flag", "q"}},
-		"bad universe": {"", []string{"-universe", "banana", "q"}},
+		"no arguments":  {"", nil},
+		"empty stdin":   {"\n  \n", []string{"-"}},
+		"bad flag":      {"", []string{"-no-such-flag", "q"}},
+		"bad universe":  {"", []string{"-universe", "banana", "q"}},
+		"negative days": {"", []string{"-days", "-1", "q"}},
 	} {
 		if code, out, errb := censysql(t, c.stdin, c.args...); code != 2 || out != "" || errb == "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2, nothing, a message", name, code, out, errb)

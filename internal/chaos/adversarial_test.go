@@ -66,7 +66,7 @@ func TestAdversarialSameSeedReproducible(t *testing.T) {
 	if st := m.DiscoveryStats(); st.Backoffs == 0 || st.Deferred == 0 {
 		t.Errorf("adaptive backoff never engaged: %+v", st)
 	}
-	if m.Net().DetectorBlockEvents("censysmap") == 0 {
+	if runs[0].Net.DetectorBlockEvents("censysmap") == 0 {
 		t.Error("scan detectors never fired a block against the scanner")
 	}
 }

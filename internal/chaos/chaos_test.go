@@ -2,19 +2,39 @@ package chaos
 
 import (
 	"encoding/json"
+	"maps"
 	"testing"
 	"time"
 
 	"censysmap/internal/core"
 	"censysmap/internal/simnet"
+	"censysmap/internal/telemetry"
 )
 
 // faultCauses are the drop causes of the path's injected-fault layer.
 var faultCauses = []simnet.Cause{simnet.CauseFaultBlock, simnet.CauseFaultStorm,
 	simnet.CauseFaultBurst, simnet.CauseFaultTimeout, simnet.CauseFaultLoss}
 
+// pathStats is the number of probes each layer of the path has dropped,
+// indexed by simnet.Cause (the Delivered slot stays zero).
+type pathStats [simnet.NumCauses]uint64
+
+// drops reads n's censys_simnet_drops_total family, the counters /v2/metrics
+// serves, through a registry of its own.
+func drops(n *simnet.Internet) pathStats {
+	reg := telemetry.New()
+	n.AttachTelemetry(reg)
+	snap := reg.Snapshot(time.Time{})
+	var s pathStats
+	for c := simnet.Delivered + 1; c < simnet.NumCauses; c++ {
+		v, _ := metric(snap, "censys_simnet_drops_total", map[string]string{"cause": c.String()})
+		s[c] = uint64(v.Value)
+	}
+	return s
+}
+
 // injected is how many of the path's drops the scenario's fault mix caused.
-func injected(s simnet.PathStats) uint64 {
+func injected(s pathStats) uint64 {
 	var n uint64
 	for _, c := range faultCauses {
 		n += s[c]
@@ -22,9 +42,42 @@ func injected(s simnet.PathStats) uint64 {
 	return n
 }
 
+// metric returns the value of the named family whose labels are exactly
+// labels (nil for the unlabeled value).
+func metric(s telemetry.Snapshot, name string, labels map[string]string) (telemetry.Value, bool) {
+	for _, f := range s.Families {
+		if f.Name != name {
+			continue
+		}
+		for _, v := range f.Values {
+			if maps.Equal(v.Labels, labels) {
+				return v, true
+			}
+		}
+	}
+	return telemetry.Value{}, false
+}
+
+// familyTotal sums every value of the named family (the layout-independent
+// view of a per-shard labeled counter family).
+func familyTotal(s telemetry.Snapshot, name string) float64 {
+	t := 0.0
+	for _, f := range s.Families {
+		if f.Name == name {
+			for _, v := range f.Values {
+				t += v.Value
+			}
+		}
+	}
+	return t
+}
+
 // preset is the named simnet scenario preset under seed.
 func preset(name string, seed uint64) simnet.AdversaryConfig {
-	a := simnet.Scenarios()[name]
+	a, err := simnet.ParseScenario(name)
+	if err != nil {
+		panic(err)
+	}
 	a.Seed = seed
 	return a
 }
@@ -55,7 +108,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	r1 := mustComplete(t, spec)
 	r2 := mustComplete(t, spec)
 
-	s1, s2 := r1.Net.PathStats(), r2.Net.PathStats()
+	s1, s2 := drops(r1.Net), drops(r2.Net)
 	if s1 != s2 {
 		t.Fatalf("fault schedules diverged: %+v vs %+v", s1, s2)
 	}
@@ -79,21 +132,21 @@ func TestFaultScheduleUnchanged(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		spec RunSpec
-		want simnet.PathStats
+		want pathStats
 	}{
-		{"severe 42", Lab(7, preset("severe", 42), 24), simnet.PathStats{
+		{"severe 42", Lab(7, preset("severe", 42), 24), pathStats{
 			simnet.CauseFaultStorm: 109, simnet.CauseFaultBurst: 46425,
 			simnet.CauseFaultTimeout: 3, simnet.CauseFaultLoss: 3107}},
-		{"severe 99", Lab(11, preset("severe", 99), 24), simnet.PathStats{
+		{"severe 99", Lab(11, preset("severe", 99), 24), pathStats{
 			simnet.CauseFaultBurst: 46646, simnet.CauseFaultTimeout: 7, simnet.CauseFaultLoss: 3358}},
-		{"mild 99", Lab(11, preset("mild", 99), 24), simnet.PathStats{
+		{"mild 99", Lab(11, preset("mild", 99), 24), pathStats{
 			simnet.CauseFaultBurst: 279, simnet.CauseFaultTimeout: 7, simnet.CauseFaultLoss: 2202}},
-		{"mild 99, rate blocks", blocking, simnet.PathStats{
+		{"mild 99, rate blocks", blocking, pathStats{
 			simnet.CauseRateBlock: 74457, simnet.CauseFaultLoss: 2}},
 	} {
 		r := mustComplete(t, c.spec)
 		r.Map.Stop()
-		if got := r.Net.PathStats(); got != c.want {
+		if got := drops(r.Net); got != c.want {
 			t.Errorf("%s: drops %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -106,7 +159,7 @@ func TestFaultKindsAllFire(t *testing.T) {
 	spec := Lab(7, simnet.AdversaryConfig{Seed: 42, FaultLoss: 0.05, FaultBurstRate: 0.2,
 		FaultBurstLoss: 0.6, FaultStormRate: 0.1, FaultBlockRate: 0.4, FaultTimeoutRate: 0.1}, 24)
 	r := mustComplete(t, spec)
-	s := r.Net.PathStats()
+	s := drops(r.Net)
 	for _, c := range faultCauses {
 		if s[c] == 0 {
 			t.Errorf("fault kind %v never fired: %+v", c, s)
@@ -128,7 +181,7 @@ func TestLayoutInvarianceUnderFaults(t *testing.T) {
 
 	for name, base := range map[string]RunSpec{"faults": faults, "rate blocks": blocking} {
 		var ref Observation
-		var refDrops simnet.PathStats
+		var refDrops pathStats
 		for i, l := range [][2]int{{1, 1}, {8, 4}, {3, 2}} {
 			spec := base
 			spec.Pipeline.Shards = l[0]
@@ -136,10 +189,10 @@ func TestLayoutInvarianceUnderFaults(t *testing.T) {
 			r := mustComplete(t, spec)
 			o := mustObserve(t, r.Map)
 			if i == 0 {
-				ref, refDrops = o, r.Net.PathStats()
+				ref, refDrops = o, drops(r.Net)
 				continue
 			}
-			if got := r.Net.PathStats(); got != refDrops {
+			if got := drops(r.Net); got != refDrops {
 				t.Fatalf("%s: layout %v changed the drop schedule: %+v vs %+v", name, l, got, refDrops)
 			}
 			if d := Diff(ref, o); len(d) > 0 {
@@ -186,7 +239,7 @@ func TestCheckpointLayoutInvariant(t *testing.T) {
 func TestZeroFaultConfigMatchesBaseline(t *testing.T) {
 	spec := Lab(13, simnet.AdversaryConfig{Seed: 13}, 12)
 	withInjector := mustComplete(t, spec)
-	if n := injected(withInjector.Net.PathStats()); n != 0 {
+	if n := injected(drops(withInjector.Net)); n != 0 {
 		t.Fatalf("zero config injected %d drops", n)
 	}
 

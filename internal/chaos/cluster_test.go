@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -247,7 +248,7 @@ func TestClusterTelemetryDeterministic(t *testing.T) {
 		defer cr.Map.Stop()
 		snap := cr.Map.MetricsSnapshot()
 		text := snap.PrometheusText()
-		j, err := snap.JSON()
+		j, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,22 +259,22 @@ func TestClusterTelemetryDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatal("same spec, same cluster: metric snapshots differ")
 	}
-	if v := snap.Total("censys_replication_records_shipped_total"); v == 0 {
+	if v := familyTotal(snap, "censys_replication_records_shipped_total"); v == 0 {
 		t.Error("no replication records counted")
 	}
-	if v := snap.Total("censys_cluster_failovers_total"); v == 0 {
+	if v := familyTotal(snap, "censys_cluster_failovers_total"); v == 0 {
 		t.Error("no failovers counted despite a scheduled kill")
 	}
-	if g, ok := snap.Get("censys_cluster_nodes", nil); !ok || g.Value != 3 {
+	if g, ok := metric(snap, "censys_cluster_nodes", nil); !ok || g.Value != 3 {
 		t.Errorf("censys_cluster_nodes = %v (present %v), want 3", g.Value, ok)
 	}
-	if g, ok := snap.Get("censys_cluster_nodes_alive", nil); !ok || g.Value != 3 {
+	if g, ok := metric(snap, "censys_cluster_nodes_alive", nil); !ok || g.Value != 3 {
 		t.Errorf("censys_cluster_nodes_alive = %v (present %v), want 3 at end", g.Value, ok)
 	}
-	if g, ok := snap.Get("censys_replication_max_lag_records", nil); !ok || g.Value != 0 {
+	if g, ok := metric(snap, "censys_replication_max_lag_records", nil); !ok || g.Value != 0 {
 		t.Errorf("end-state replication lag = %v (present %v), want 0", g.Value, ok)
 	}
-	if v := snap.Total("censys_cluster_rpc_total"); v == 0 {
+	if v := familyTotal(snap, "censys_cluster_rpc_total"); v == 0 {
 		t.Error("no cluster RPCs counted")
 	}
 }

@@ -86,7 +86,7 @@ func TestDiskCrashResumeCleanRoundTrip(t *testing.T) {
 	}
 
 	snap := r.Map.MetricsSnapshot()
-	if v := snap.Total("censys_storage_records_verified_total"); v <= 0 {
+	if v := familyTotal(snap, "censys_storage_records_verified_total"); v <= 0 {
 		t.Errorf("records verified = %v, want > 0", v)
 	}
 	for _, fam := range []string{
@@ -96,11 +96,11 @@ func TestDiskCrashResumeCleanRoundTrip(t *testing.T) {
 		"censys_storage_partitions_quarantined_total",
 		"censys_storage_checkpoint_fallbacks_total",
 	} {
-		if v := snap.Total(fam); v != 0 {
+		if v := familyTotal(snap, fam); v != 0 {
 			t.Errorf("%s = %v on a clean store, want 0", fam, v)
 		}
 	}
-	if g, ok := snap.Get("censys_degraded", nil); !ok || g.Value != 0 {
+	if g, ok := metric(snap, "censys_degraded", nil); !ok || g.Value != 0 {
 		t.Errorf("censys_degraded = %v (present %v), want 0", g.Value, ok)
 	}
 }
@@ -298,16 +298,16 @@ func assertDegradedSurface(t *testing.T, r *Run, base Observation, quar []int, m
 	}
 
 	snap := r.Map.MetricsSnapshot()
-	if g, ok := snap.Get("censys_degraded", nil); !ok || g.Value != 1 {
+	if g, ok := metric(snap, "censys_degraded", nil); !ok || g.Value != 1 {
 		t.Errorf("censys_degraded = %v (present %v), want 1", g.Value, ok)
 	}
-	if g, ok := snap.Get("censys_storage_quarantined_partitions", nil); !ok || g.Value != float64(len(quar)) {
+	if g, ok := metric(snap, "censys_storage_quarantined_partitions", nil); !ok || g.Value != float64(len(quar)) {
 		t.Errorf("quarantined partitions gauge = %v (present %v), want %d", g.Value, ok, len(quar))
 	}
-	if v := snap.Total("censys_storage_partitions_quarantined_total"); v != float64(len(quar)) {
+	if v := familyTotal(snap, "censys_storage_partitions_quarantined_total"); v != float64(len(quar)) {
 		t.Errorf("partitions quarantined counter = %v, want %d", v, len(quar))
 	}
-	if v := snap.Total("censys_storage_checksum_failures_total"); v < 0 {
+	if v := familyTotal(snap, "censys_storage_checksum_failures_total"); v < 0 {
 		t.Errorf("checksum failures counter negative: %v", v)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"testing"
 
 	"censysmap/internal/simnet"
@@ -30,7 +31,7 @@ func TestTelemetryDeterministicSameLayout(t *testing.T) {
 		}
 		snap := r.Map.MetricsSnapshot()
 		text := snap.PrometheusText()
-		j, err := snap.JSON()
+		j, err := json.Marshal(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 	type result struct {
 		snap  telemetry.Snapshot
 		spans []telemetry.Span
-		drops simnet.PathStats
+		drops pathStats
 	}
 	var results []result
 	for _, l := range layouts {
@@ -66,7 +67,7 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 		results = append(results, result{
 			snap:  r.Map.MetricsSnapshot(),
 			spans: r.Map.Traces(),
-			drops: r.Net.PathStats(),
+			drops: drops(r.Net),
 		})
 		r.Map.Stop()
 	}
@@ -99,7 +100,7 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 	}
 	for i, res := range results[1:] {
 		for _, fam := range totalFamilies {
-			if got, want := res.snap.Total(fam), base.snap.Total(fam); got != want {
+			if got, want := familyTotal(res.snap, fam), familyTotal(base.snap, fam); got != want {
 				t.Errorf("layout %v: %s total = %v, want %v",
 					layouts[i+1], fam, got, want)
 			}
@@ -116,14 +117,14 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 			"censys_predict_tracked_prefixes",
 			"censys_predict_suggested_resident",
 		} {
-			gv, _ := res.snap.Get(g, nil)
-			bv, _ := base.snap.Get(g, nil)
+			gv, _ := metric(res.snap, g, nil)
+			bv, _ := metric(base.snap, g, nil)
 			if gv.Value != bv.Value {
 				t.Errorf("layout %v: %s = %v, want %v", layouts[i+1], g, gv.Value, bv.Value)
 			}
 		}
-		ttd, _ := res.snap.Get("censys_paper_time_to_discovery_hours", nil)
-		bttd, _ := base.snap.Get("censys_paper_time_to_discovery_hours", nil)
+		ttd, _ := metric(res.snap, "censys_paper_time_to_discovery_hours", nil)
+		bttd, _ := metric(base.snap, "censys_paper_time_to_discovery_hours", nil)
 		if ttd.Count != bttd.Count || ttd.Sum != bttd.Sum {
 			t.Errorf("layout %v: TTD count/sum = %d/%v, want %d/%v",
 				layouts[i+1], ttd.Count, ttd.Sum, bttd.Count, bttd.Sum)
@@ -185,10 +186,10 @@ func TestDifferentialUnchangedByInstrumentation(t *testing.T) {
 	ri.Map.Stop()
 }
 
-// TestChaosCountersSingleSource: Internet.PathStats and the registered
-// censys_simnet_drops_total family read the same counters — by construction
-// they cannot disagree — and injected faults are counted there like any
-// other cause.
+// TestChaosCountersSingleSource: the map's censys_simnet_drops_total family
+// reads the network's own drop counters — a second registry attached to the
+// same network reads the same values, cause by cause — and injected faults
+// are counted there like any other cause.
 func TestChaosCountersSingleSource(t *testing.T) {
 	spec := telemetrySpec(4, 2)
 	r, err := Complete(spec)
@@ -196,22 +197,24 @@ func TestChaosCountersSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Map.Stop()
-	st := r.Net.PathStats()
+	st := drops(r.Net)
 	if injected(st) == 0 {
 		t.Fatal("mild fault mix injected nothing; test universe too quiet")
 	}
 	snap := r.Map.MetricsSnapshot()
+	var sum uint64
 	for c := simnet.Delivered + 1; c < simnet.NumCauses; c++ {
-		v, ok := snap.Get("censys_simnet_drops_total", map[string]string{"cause": c.String()})
+		v, ok := metric(snap, "censys_simnet_drops_total", map[string]string{"cause": c.String()})
 		if !ok {
 			t.Fatalf("censys_simnet_drops_total{cause=%q} missing", c)
 		}
 		if uint64(v.Value) != st[c] {
-			t.Errorf("cause %v: metric %v != PathStats %d", c, v.Value, st[c])
+			t.Errorf("cause %v: map metric %v != network counter %d", c, v.Value, st[c])
 		}
+		sum += st[c]
 	}
-	if got := snap.Total("censys_simnet_drops_total"); uint64(got) != st.Total() {
-		t.Errorf("family total %v != PathStats total %d", got, st.Total())
+	if got := familyTotal(snap, "censys_simnet_drops_total"); uint64(got) != sum {
+		t.Errorf("family total %v != summed causes %d", got, sum)
 	}
 }
 
@@ -250,10 +253,10 @@ func TestStorageTelemetryDeterministic(t *testing.T) {
 		snap := r.Map.MetricsSnapshot()
 		totals := map[string]float64{}
 		for _, fam := range storageFamilies {
-			totals[fam] = snap.Total(fam)
+			totals[fam] = familyTotal(snap, fam)
 		}
-		deg, _ := snap.Get("censys_degraded", nil)
-		quar, _ := snap.Get("censys_storage_quarantined_partitions", nil)
+		deg, _ := metric(snap, "censys_degraded", nil)
+		quar, _ := metric(snap, "censys_storage_quarantined_partitions", nil)
 		return totals, deg.Value, quar.Value
 	}
 	t1, d1, q1 := run()
@@ -310,7 +313,7 @@ func TestTelemetrySurvivesCrashRecovery(t *testing.T) {
 	// The resumed Map's bridges must read the live pipeline: its tick count
 	// is the post-resume count, not the pre-crash one.
 	snap := crashed.Map.MetricsSnapshot()
-	ticks, ok := snap.Get("censys_core_ticks_total", nil)
+	ticks, ok := metric(snap, "censys_core_ticks_total", nil)
 	if !ok {
 		t.Fatal("censys_core_ticks_total missing after resume")
 	}

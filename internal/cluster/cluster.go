@@ -342,9 +342,6 @@ func (c *Cluster) ReaderFor(p int) *cqrs.Reader {
 	return c.nodes[ls.leader].reader
 }
 
-// Round reports the rounds driven so far.
-func (c *Cluster) Round() int { return c.round }
-
 // Nodes reports the cluster size.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 

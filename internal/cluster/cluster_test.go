@@ -13,7 +13,7 @@ import (
 // testMap builds a small quiet /24 pipeline with two journal partitions and
 // performs its seed scan. Partition 0's home node is node 0 and partition
 // 1's is node 1, so a kill of node 0 moves exactly one lease.
-func testMap(t *testing.T) *core.Map {
+func testMap(t *testing.T) (*core.Map, *simclock.Sim) {
 	t.Helper()
 	ncfg := simnet.DefaultConfig()
 	ncfg.Prefix = netip.MustParsePrefix("10.40.0.0/24")
@@ -25,24 +25,25 @@ func testMap(t *testing.T) *core.Map {
 	pcfg := core.DefaultConfig()
 	pcfg.CloudBlocks = 1
 	pcfg.Shards = 2
-	m, err := core.New(pcfg, simnet.New(ncfg, simclock.New()))
+	clk := simclock.New()
+	m, err := core.New(pcfg, simnet.New(ncfg, clk))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Start()
-	return m
+	return m, clk
 }
 
 // step drives one replication round of one pipeline tick.
-func step(t *testing.T, c *Cluster, m *core.Map) {
+func step(t *testing.T, c *Cluster, clk *simclock.Sim) {
 	t.Helper()
-	if err := c.Step(func() { m.Clock().Advance(core.DefaultConfig().Tick) }); err != nil {
+	if err := c.Step(func() { clk.Advance(core.DefaultConfig().Tick) }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplicaPlacement(t *testing.T) {
-	m := testMap(t)
+	m, _ := testMap(t)
 	for _, nodes := range []int{1, 2, 3, 5} {
 		c, err := New(m, Config{Nodes: nodes})
 		if err != nil {
@@ -69,7 +70,7 @@ func TestReplicaPlacement(t *testing.T) {
 // caught-up live replica in placement order, and moves back home once the
 // node rejoins and catches up.
 func TestLeaseFailoverAndRebalance(t *testing.T) {
-	m := testMap(t)
+	m, clk := testMap(t)
 	c, err := New(m, Config{Nodes: 3, Faults: []NodeFault{{Round: 3, Node: 0, Down: 3}}})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestLeaseFailoverAndRebalance(t *testing.T) {
 		6: {serving: 0, epoch: 3, failovers: 1, rebalances: 1}, // rejoin, catch up, rebalance
 	}
 	for r := 1; r < len(rounds); r++ {
-		step(t, c, m)
+		step(t, c, clk)
 		w := rounds[r]
 		n, ok := c.Serving(0)
 		if !ok {
@@ -120,7 +121,7 @@ func TestLeaseFailoverAndRebalance(t *testing.T) {
 // TestRouteDegradedBelowMajority: a partition whose leader lives but whose
 // replica majority does not is served and degraded.
 func TestRouteDegradedBelowMajority(t *testing.T) {
-	m := testMap(t)
+	m, clk := testMap(t)
 	c, err := New(m, Config{Nodes: 3, Faults: []NodeFault{
 		{Round: 2, Node: 1, Down: 2},
 		{Round: 2, Node: 2, Down: 2},
@@ -128,17 +129,17 @@ func TestRouteDegradedBelowMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step(t, c, m)
+	step(t, c, clk)
 	if rt := c.Route(0); rt.Degraded || rt.Unserved {
 		t.Fatalf("round 1: %+v, want healthy", rt)
 	}
 	for r := 2; r <= 3; r++ {
-		step(t, c, m)
+		step(t, c, clk)
 		if rt := c.Route(0); !rt.Degraded || rt.Unserved || rt.Node != c.NodeName(0) {
 			t.Fatalf("round %d: %+v, want node 0 serving degraded with 1 of 3 replicas alive", r, rt)
 		}
 	}
-	step(t, c, m)
+	step(t, c, clk)
 	if rt := c.Route(0); rt.Degraded || rt.Unserved {
 		t.Fatalf("round 4: %+v, want healthy after both replicas rejoined", rt)
 	}

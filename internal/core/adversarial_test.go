@@ -62,7 +62,7 @@ func TestTarpitLivenessAllStall(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m.Run(8 * time.Hour)
+		runFor(m, 8*time.Hour)
 		m.Stop()
 	}()
 	select {
@@ -117,7 +117,7 @@ func TestDripTarpitsGetPseudoFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(12 * time.Hour)
+	runFor(m, 12*time.Hour)
 	m.Stop()
 
 	if m.PseudoHosts() == 0 {
@@ -156,7 +156,7 @@ func TestHoneypotFarmsGetFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	m.Stop()
 
 	flagged := m.HoneypotHosts()
@@ -219,7 +219,7 @@ func TestFlaggedHostOnNoReadSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(48 * time.Hour)
+	runFor(m, 48*time.Hour)
 
 	// flaggedAt is when a host's journal ends in a removal, or the zero time.
 	flaggedAt := func(addr netip.Addr) time.Time {
@@ -267,7 +267,7 @@ func TestFlaggedHostOnNoReadSurface(t *testing.T) {
 		t.Fatal("no TLS host to opt out")
 	}
 	// Another day: nothing re-adds the hosts, and a daily snapshot is taken.
-	m.Run(25 * time.Hour)
+	runFor(m, 25*time.Hour)
 	m.Stop()
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -278,8 +278,8 @@ func TestFlaggedHostOnNoReadSurface(t *testing.T) {
 	if err != nil || len(all) == 0 {
 		t.Fatalf("search for every host: %d hosts, err %v", len(all), err)
 	}
-	if rows, err := m.ExportQuery(`ip: ` + all[0].IP.String()); err != nil || len(rows) == 0 {
-		t.Fatalf("ExportQuery by ip finds a live host: %d rows, err %v", len(rows), err)
+	if hosts, err := m.index.SearchHosts(`ip: ` + all[0].IP.String()); err != nil || len(hosts) == 0 {
+		t.Fatalf("a host fetch by ip finds a live host: %d hosts, err %v", len(hosts), err)
 	}
 
 	for _, tc := range cases {
@@ -320,9 +320,9 @@ func TestFlaggedHostOnNoReadSurface(t *testing.T) {
 					t.Error("Search returns the host")
 				}
 			}
-			rows, err := m.ExportQuery(`ip: ` + id)
-			if err != nil || len(rows) != 0 {
-				t.Errorf("ExportQuery: %d rows, err %v", len(rows), err)
+			hosts, err := m.index.SearchHosts(`ip: ` + id)
+			if err != nil || len(hosts) != 0 {
+				t.Errorf("the index's host fetch: %d hosts, err %v", len(hosts), err)
 			}
 			for _, r := range m.CurrentServices(true) {
 				if r.Addr == tc.addr {

@@ -80,13 +80,13 @@ func analyticsRun(t *testing.T, shards, workers, killDay int) (*Map, map[time.Ti
 	fingerprints := make(map[string]bool)
 	pendingCerts := 0
 	for day := 1; day <= analyticsDays; day++ {
-		m.Run(12 * time.Hour)
+		runFor(m, 12*time.Hour)
 		if day == analyticsOptOut {
 			if _, err := m.AddExclusion(analyticsOptOutPrefix, "ops@example.net"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		m.Run(12 * time.Hour)
+		runFor(m, 12*time.Hour)
 		rows := copiedRows(m)
 		copies[m.clock.Now()] = rows
 		for _, r := range rows {
@@ -211,7 +211,7 @@ func TestAnalyticsDerivedEqualsCopied(t *testing.T) {
 func TestOptOutReachesTheLastSnapshot(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(24 * time.Hour)
+	runFor(m, 24*time.Hour)
 	m.Stop()
 	today, ok := m.Analytics().At(m.clock.Now())
 	if !ok || !today.Date.Equal(m.clock.Now()) || len(today.Rows) == 0 {

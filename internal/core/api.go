@@ -11,19 +11,11 @@ import (
 	"censysmap/internal/journal"
 	"censysmap/internal/lookup"
 	"censysmap/internal/search"
-	"censysmap/internal/simclock"
-	"censysmap/internal/simnet"
 	"censysmap/internal/snapshot"
 	"censysmap/internal/webprop"
 )
 
 // This file is the Map's query surface: the read-side APIs of paper §5.3.
-
-// Clock returns the simulated clock the Map runs on.
-func (m *Map) Clock() *simclock.Sim { return m.clock }
-
-// Net returns the underlying synthetic Internet.
-func (m *Map) Net() *simnet.Internet { return m.net }
 
 // Stats returns a snapshot of the pipeline counters.
 func (m *Map) Stats() RunStats {
@@ -65,18 +57,6 @@ func (m *Map) Index() *search.Index { return m.index }
 // Map.MetricsSnapshot (telemetry.go) over ad-hoc stats plumbing. Retained
 // for the benchmark harness, which reads the struct directly.
 func (m *Map) SearchCacheStats() search.CacheStats { return m.index.Stats() }
-
-// ExportQuery materializes the matching hosts as analytics export rows — the
-// ad-hoc "query to BigQuery rows" path of §5.3, stamped with the current
-// simulated time. Hosts come off the search index's batched per-partition
-// fetch, already enriched by the event feed.
-func (m *Map) ExportQuery(query string) ([]snapshot.Row, error) {
-	hosts, err := m.index.SearchHosts(query)
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.RowsFromHosts(m.clock.Now(), hosts), nil
-}
 
 // Lookup exposes the fast lookup API (also usable as an http.Handler).
 func (m *Map) Lookup() *lookup.Service { return m.lookupSvc }
@@ -174,9 +154,6 @@ func (m *Map) WriteStats() (observations, noChange uint64) { return m.processor.
 // DiscoveryStats exposes the discovery engine's counters, including the
 // adaptive-backoff accounting (deferred probes, backoffs, rotations).
 func (m *Map) DiscoveryStats() discovery.Stats { return m.disc.Stats() }
-
-// ActiveBackoffs reports how many /24s discovery is currently backing off.
-func (m *Map) ActiveBackoffs() int { return m.disc.ActiveBackoffs() }
 
 // InterroDeadlineStats sums the deadline-budget exhaustion counters across
 // every PoP's interrogator.

@@ -63,12 +63,12 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(2 * 24 * time.Hour)
+	runFor(m, 2*24*time.Hour)
 	optOut := netip.MustParsePrefix("10.0.2.0/26")
 	if _, err := m.AddExclusion(optOut, "ops@example.net"); err != nil {
 		t.Fatal(err)
 	}
-	m.Run(5 * 24 * time.Hour)
+	runFor(m, 5*24*time.Hour)
 	m.Stop()
 
 	live := refreshSet(m)
@@ -203,7 +203,7 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 func TestParentCheckpointWithRetriesResumes(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	m.Stop()
 	blob, err := json.Marshal(m.Checkpoint())
 	if err != nil {
@@ -357,15 +357,15 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Run(24 * time.Hour)
+		runFor(m, 24*time.Hour)
 		if _, err := m.AddExclusion(optOut, "ops@example.net"); err != nil {
 			t.Fatal(err)
 		}
-		m.Run(before - 24*time.Hour)
+		runFor(m, before-24*time.Hour)
 		return m, cfg
 	}
 	base, _ := start()
-	base.Run(after)
+	runFor(base, after)
 	base.Stop()
 
 	m, cfg := start()
@@ -374,9 +374,9 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.predictor.PendingReinjections() == 0 || len(m.WebProperties().All()) == 0 {
+	if m.predictor.ModelStats().PendingReinjections == 0 || len(m.WebProperties().All()) == 0 {
 		t.Fatalf("vacuous: %d evictions queued, %d web properties",
-			m.predictor.PendingReinjections(), len(m.WebProperties().All()))
+			m.predictor.ModelStats().PendingReinjections, len(m.WebProperties().All()))
 	}
 	old := withDerivedSections(t, m, blob)
 	var sections map[string]json.RawMessage
@@ -408,7 +408,7 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	if again, err := json.Marshal(r.Checkpoint()); err != nil || string(again) != string(blob) {
 		t.Fatalf("a resume from the old-shaped blob checkpoints differently (%v)", err)
 	}
-	r.Run(after)
+	runFor(r, after)
 	r.Stop()
 	if got, want := servicesDigest(r), servicesDigest(base); got != want {
 		t.Fatalf("resumed dataset digest %.12s, uninterrupted %.12s", got, want)
@@ -436,7 +436,7 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 func TestReinjectionIntoFlaggedHostIsGated(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	m.Stop()
 
 	recs := m.CurrentServices(false)

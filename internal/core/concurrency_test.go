@@ -57,8 +57,8 @@ func TestPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	m1 := concMap(t, net1, 1, 1) // the pre-sharding serial pipeline
 	m8 := concMap(t, net8, 8, 8)
 
-	m1.Run(3 * 24 * time.Hour)
-	m8.Run(3 * 24 * time.Hour)
+	runFor(m1, 3*24*time.Hour)
+	runFor(m8, 3*24*time.Hour)
 
 	r1 := m1.CurrentServices(true)
 	r8 := m8.CurrentServices(true)
@@ -122,8 +122,8 @@ func TestPseudoHostsFlaggedIdenticallyAcrossWorkerCounts(t *testing.T) {
 	m1 := concMap(t, net1, 1, 1)
 	m8 := concMap(t, net8, 8, 8)
 
-	m1.Run(2 * 24 * time.Hour)
-	m8.Run(2 * 24 * time.Hour)
+	runFor(m1, 2*24*time.Hour)
+	runFor(m8, 2*24*time.Hour)
 
 	p1 := pseudoFlagged(m1)
 	p8 := pseudoFlagged(m8)
@@ -171,7 +171,7 @@ func TestExcludedPrefixNeverInterrogatedConcurrently(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Run(2 * 24 * time.Hour)
+			runFor(m, 2*24*time.Hour)
 
 			// The prefix must actually contain live services, or the test
 			// proves nothing.
@@ -222,7 +222,7 @@ func TestExcludedPrefixNeverInterrogatedConcurrently(t *testing.T) {
 func TestAddExclusionRetiresDataUnderConcurrency(t *testing.T) {
 	net, _ := concUniverse(t, 5)
 	m := concMap(t, net, 8, 8)
-	m.Run(2 * 24 * time.Hour)
+	runFor(m, 2*24*time.Hour)
 
 	prefix := netip.MustParsePrefix("10.0.1.0/26")
 	had := 0
@@ -247,6 +247,6 @@ func TestAddExclusionRetiresDataUnderConcurrency(t *testing.T) {
 	}
 	check("immediately after AddExclusion")
 
-	m.Run(2 * 24 * time.Hour)
+	runFor(m, 2*24*time.Hour)
 	check("after two more days of scanning")
 }

@@ -669,12 +669,6 @@ func (m *Map) Stop() {
 	}
 }
 
-// Run starts the Map and advances simulated time by d.
-func (m *Map) Run(d time.Duration) {
-	m.Start()
-	m.clock.Advance(d)
-}
-
 // tickPhase is one fill-then-drain stanza of a tick: fill enqueues the
 // phase's tasks into the per-shard FIFO queues, then the batch runs through
 // the worker pool under the phase's name.
@@ -1003,7 +997,8 @@ func (m *Map) refreshSlot(s *stateShard, t pendingTask, now time.Time) {
 	// All PoPs failed: record the failure (starts/advances eviction). The
 	// observation comes from one more interrogation from the first PoP; it
 	// consumes a path sequence number, so dropping it moves every dataset
-	// digest (ROADMAP item 2b).
+	// digest (ROADMAP, "A long tail that decays the way App. B says", the
+	// digest-moving debts).
 	cand.PoP = m.pops[0].Name
 	m.interrogations.Add(1)
 	obs := m.inter[cand.PoP].Interrogate(cand, now)

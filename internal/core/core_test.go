@@ -32,6 +32,12 @@ func testUniverse(t *testing.T) (*simnet.Internet, *simclock.Sim) {
 	return simnet.New(cfg, clk), clk
 }
 
+// runFor starts m and advances its clock by d.
+func runFor(m *Map, d time.Duration) {
+	m.Start()
+	m.clock.Advance(d)
+}
+
 func testMap(t *testing.T, net *simnet.Internet) *Map {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -51,7 +57,7 @@ func testMap(t *testing.T, net *simnet.Internet) *Map {
 func TestInterrogationCountMatchesAttempts(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(5 * 24 * time.Hour)
+	runFor(m, 5*24*time.Hour)
 	m.Stop()
 	got, want := m.Stats().Interrogations, m.InterroStats().Attempts
 	if want == 0 || got != want {
@@ -62,7 +68,7 @@ func TestInterrogationCountMatchesAttempts(t *testing.T) {
 func TestMapFindsPriorityServicesInADay(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 
 	got := map[[2]any]bool{}
 	for _, r := range m.CurrentServices(false) {
@@ -100,7 +106,7 @@ func priorityPortSet() []uint16 {
 func TestServicesAreVerifiedAndEnriched(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 
 	records := m.CurrentServices(false)
 	if len(records) == 0 {
@@ -138,7 +144,7 @@ func TestServicesAreVerifiedAndEnriched(t *testing.T) {
 func TestReadPathWiring(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 
 	const q = `services.protocol: HTTP`
 	n, err := m.Count(q)
@@ -163,15 +169,6 @@ func TestReadPathWiring(t *testing.T) {
 		t.Fatalf("endpoint total = %d, Count = %d", body.Total, n)
 	}
 
-	// Export rows come straight off the index's batched host fetch.
-	rows, err := m.ExportQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("export produced no rows")
-	}
-
 	// The repeated query above must have hit the generation-stamped cache.
 	if st := m.SearchCacheStats(); st.Hits == 0 {
 		t.Fatalf("no query-cache hits recorded: %+v", st)
@@ -181,7 +178,7 @@ func TestReadPathWiring(t *testing.T) {
 func TestLookupReflectsPipeline(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	recs := m.CurrentServices(false)
 	if len(recs) == 0 {
 		t.Fatal("no services")
@@ -207,20 +204,20 @@ func TestEvictionOfDeadService(t *testing.T) {
 		Spec:  protocols.Spec{Protocol: "HTTP", Product: "nginx", Version: "1.24.0"},
 		Birth: clk.Now().Add(-time.Hour)}}})
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 
 	if !hasService(m, addr, 80) {
 		t.Fatal("injected service not found")
 	}
 	net.RemoveHost(addr)
-	m.Run(24 * time.Hour) // first failed refresh: pending
+	runFor(m, 24*time.Hour) // first failed refresh: pending
 	if recsContain(m.CurrentServices(false), addr, 80) {
 		t.Fatal("pending service still exported as active")
 	}
 	if !recsContain(m.CurrentServices(true), addr, 80) {
 		t.Fatal("pending service vanished before the eviction window")
 	}
-	m.Run(4 * 24 * time.Hour) // well past the 72h window
+	runFor(m, 4*24*time.Hour) // well past the 72h window
 	if recsContain(m.CurrentServices(true), addr, 80) {
 		t.Fatal("dead service never evicted")
 	}
@@ -259,12 +256,12 @@ func TestReinjectionRecoversReturningService(t *testing.T) {
 
 	// Take it offline long enough to be evicted, then bring it back.
 	net.RemoveHost(addr)
-	m.Run(6 * 24 * time.Hour)
+	runFor(m, 6*24*time.Hour)
 	if recsContain(m.CurrentServices(true), addr, 9955) {
 		t.Fatal("service not evicted while offline")
 	}
 	net.AddHost(host)
-	m.Run(3 * 24 * time.Hour)
+	runFor(m, 3*24*time.Hour)
 	if !hasService(m, addr, 9955) {
 		t.Fatal("re-injection did not recover the returned service")
 	}
@@ -289,7 +286,7 @@ func TestPseudoHostFiltered(t *testing.T) {
 	net.AddHost(&simnet.Host{Addr: addr, Country: "US", Pseudo: true})
 	_ = clk
 	m := testMap(t, net)
-	m.Run(30 * time.Hour)
+	runFor(m, 30*time.Hour)
 	if m.PseudoHosts() == 0 {
 		t.Fatal("pseudo host not flagged")
 	}
@@ -303,7 +300,7 @@ func TestPseudoHostFiltered(t *testing.T) {
 func TestCertPipelinePopulated(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	// Cert->host pivoting works for some observed TLS service.
 	for _, r := range m.CurrentServices(false) {
 		if !r.TLS {
@@ -326,7 +323,7 @@ func TestCertPipelinePopulated(t *testing.T) {
 func TestWebPropertiesBuilt(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	if len(m.WebProperties().All()) == 0 {
 		t.Fatal("no web properties built")
 	}
@@ -353,10 +350,10 @@ func TestDeltaEncodingWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(26 * time.Hour) // discovery + first refreshes
+	runFor(m, 26*time.Hour) // discovery + first refreshes
 	appendsAfterDiscovery := m.JournalStats().Appends
 	obs0, _ := m.WriteStats()
-	m.Run(3 * 24 * time.Hour) // three more days of daily refresh
+	runFor(m, 3*24*time.Hour) // three more days of daily refresh
 	obs1, noChange := m.WriteStats()
 	newAppends := m.JournalStats().Appends - appendsAfterDiscovery
 	refreshes := obs1 - obs0
@@ -377,7 +374,7 @@ func TestDeltaEncodingWins(t *testing.T) {
 func TestHistoryAccumulates(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	recs := m.CurrentServices(false)
 	if len(recs) == 0 {
 		t.Fatal("no services")
@@ -420,7 +417,7 @@ func TestEnrichFeedsFollowTheUniverse(t *testing.T) {
 
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(2 * time.Hour)
+	runFor(m, 2*time.Hour)
 	m.Stop()
 	geo, asn := enrichFeedsFor(net)
 	if _, err := Resume(m.cfg, net, m.Durable(), m.Checkpoint()); err != nil {

@@ -17,7 +17,7 @@ import (
 func TestLedgerConservationAcrossPipeline(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(30 * time.Hour)
+	runFor(m, 30*time.Hour)
 
 	const want = `{"classes":[{"class":"background65k","spent":244020,"confirmed":1},` +
 		`{"class":"cloud","spent":22740,"confirmed":14},{"class":"predict","spent":986,"confirmed":1},` +

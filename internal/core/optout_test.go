@@ -12,7 +12,7 @@ import (
 func TestExclusionStopsScanningAndPurgesData(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 
 	// Pick a /24 with mapped services.
 	var victim netip.Prefix
@@ -43,7 +43,7 @@ func TestExclusionStopsScanningAndPurgesData(t *testing.T) {
 		t.Fatalf("%d services remain after exclusion", got)
 	}
 	// And stays purged while time passes (no rediscovery).
-	m.Run(3 * 24 * time.Hour)
+	runFor(m, 3*24*time.Hour)
 	if got := countIn(m, victim); got != 0 {
 		t.Fatalf("%d services rediscovered despite exclusion", got)
 	}
@@ -60,7 +60,7 @@ func TestExclusionStopsScanningAndPurgesData(t *testing.T) {
 func TestExclusionRescindResumesScanning(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(26 * time.Hour)
+	runFor(m, 26*time.Hour)
 	var victim netip.Prefix
 	for _, r := range m.CurrentServices(false) {
 		b := r.Addr.As4()
@@ -77,7 +77,7 @@ func TestExclusionRescindResumesScanning(t *testing.T) {
 	if _, err := m.AddExclusion(victim, "noc@example.net"); err != nil {
 		t.Fatal(err)
 	}
-	optedOut := m.Clock().Now()
+	optedOut := m.clock.Now()
 	for id := range retired {
 		evs := m.Journal().Events(id)
 		if last := evs[len(evs)-1]; last.Kind != cqrs.KindServiceRemoved || !last.Time.Equal(optedOut) {
@@ -93,7 +93,7 @@ func TestExclusionRescindResumesScanning(t *testing.T) {
 	if m.RemoveExclusion(victim) {
 		t.Fatal("double rescind succeeded")
 	}
-	m.Run(2 * 24 * time.Hour) // inside the 72 h eviction window
+	runFor(m, 2*24*time.Hour) // inside the 72 h eviction window
 	if countIn(m, victim) == 0 {
 		t.Fatal("scanning did not resume after rescind")
 	}
@@ -122,7 +122,7 @@ func TestExclusionExpiresAfterAYear(t *testing.T) {
 	if len(m.Exclusions()) != 1 {
 		t.Fatal("exclusion not active")
 	}
-	m.Clock().Advance(366 * 24 * time.Hour) // no pipeline running; just time
+	m.clock.Advance(366 * 24 * time.Hour) // no pipeline running; just time
 	if len(m.Exclusions()) != 0 {
 		t.Fatal("exclusion did not expire after a year")
 	}
@@ -149,7 +149,7 @@ func countIn(m *Map, prefix netip.Prefix) int {
 func TestAnalyticsSnapshotsAccumulate(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(4 * 24 * time.Hour)
+	runFor(m, 4*24*time.Hour)
 	store := m.Analytics()
 	if store.Len() < 3 {
 		t.Fatalf("daily snapshots = %d, want >= 3", store.Len())
@@ -163,7 +163,7 @@ func TestAnalyticsSnapshotsAccumulate(t *testing.T) {
 		t.Fatal("empty snapshots")
 	}
 	// Point-in-time analytics query over the snapshot schema.
-	rows := store.Query(m.Clock().Now(), func(r snapshot.Row) bool {
+	rows := store.Query(m.clock.Now(), func(r snapshot.Row) bool {
 		return r.ServiceName == "HTTP" && r.PendingRemovalSince.IsZero()
 	})
 	if len(rows) == 0 {

@@ -19,14 +19,14 @@ import (
 func TestSaveDurableIncrementalRoundTrip(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
-	m.Run(24 * time.Hour)
+	runFor(m, 24*time.Hour)
 
 	dir := t.TempDir()
 	opts := durable.SaveOptions{Incremental: true}
 	if err := m.SaveDurable(dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	m.Run(6 * time.Hour)
+	runFor(m, 6*time.Hour)
 	if err := m.SaveDurable(dir, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,12 @@ func TestDecodeZeroAlloc(t *testing.T) {
 	evSvc := journal.Event{
 		Kind:    KindServiceChanged,
 		Time:    time.Date(2024, 8, 21, 2, 0, 0, 0, time.UTC),
-		Payload: EncodeServiceEvent(svc),
+		Payload: AppendServiceEvent(nil, svc),
 	}
 	evPend := journal.Event{
 		Kind: KindServicePending,
 		Time: time.Date(2024, 8, 22, 3, 0, 0, 0, time.UTC),
-		Payload: EncodeKeyEvent(entity.ServiceKey{Port: 443, Transport: entity.TCP},
+		Payload: AppendKeyEvent(nil, entity.ServiceKey{Port: 443, Transport: entity.TCP},
 			time.Date(2024, 8, 22, 3, 0, 0, 0, time.UTC)),
 	}
 	h := &entity.Host{}

@@ -128,14 +128,14 @@ func TestCodecDifferentialEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference marshal: %v", err)
 		}
-		if got := render(KindServiceChanged, EncodeServiceEvent(svc)); !bytes.Equal(got, want) {
+		if got := render(KindServiceChanged, AppendServiceEvent(nil, svc)); !bytes.Equal(got, want) {
 			t.Fatalf("service event %d:\n got %s\nwant %s", i, got, want)
 		}
 
 		key := entity.ServiceKey{Port: svc.Port, Transport: svc.Transport}
 		since := randTime(rng)
 		want, _ = json.Marshal(keyPayload{Port: key.Port, Transport: key.Transport, Since: since})
-		if got := render(KindServicePending, EncodeKeyEvent(key, since)); !bytes.Equal(got, want) {
+		if got := render(KindServicePending, AppendKeyEvent(nil, key, since)); !bytes.Equal(got, want) {
 			t.Fatalf("key event %d:\n got %s\nwant %s", i, got, want)
 		}
 
@@ -154,11 +154,11 @@ func TestCodecDifferentialEncode(t *testing.T) {
 		t.Fatalf("zero host: got %s want %s", got, want)
 	}
 	want, _ = json.Marshal(keyPayload{})
-	if got := render(KindServiceRemoved, EncodeKeyEvent(entity.ServiceKey{}, time.Time{})); !bytes.Equal(got, want) {
+	if got := render(KindServiceRemoved, AppendKeyEvent(nil, entity.ServiceKey{}, time.Time{})); !bytes.Equal(got, want) {
 		t.Fatalf("zero key event: got %s want %s", got, want)
 	}
 	want, _ = json.Marshal(servicePayload{Service: &entity.Service{}})
-	if got := render(KindServiceFound, EncodeServiceEvent(&entity.Service{})); !bytes.Equal(got, want) {
+	if got := render(KindServiceFound, AppendServiceEvent(nil, &entity.Service{})); !bytes.Equal(got, want) {
 		t.Fatalf("zero service: got %s want %s", got, want)
 	}
 }
@@ -177,7 +177,7 @@ func TestAppendEventJSON(t *testing.T) {
 	svc := randService(rng)
 	body, _ := json.Marshal(servicePayload{Service: svc})
 	ev := journal.Event{Entity: "10.0.0.1", Seq: 7, Time: randTime(rng), Kind: KindServiceFound,
-		Payload: EncodeServiceEvent(svc)}
+		Payload: AppendServiceEvent(nil, svc)}
 	for _, c := range []struct {
 		ev   journal.Event
 		want entry

@@ -20,7 +20,7 @@ func at(h int) time.Time { return epoch.Add(time.Duration(h) * time.Hour) }
 
 func newPipeline() (*Processor, *Reader) {
 	j := journal.NewStore()
-	p := NewProcessor(DefaultConfig(), j)
+	p := NewProcessor(Config{}, j)
 	return p, NewReader(j, nil)
 }
 
@@ -235,11 +235,16 @@ func TestMultipleServicesPerHost(t *testing.T) {
 	}
 }
 
+// enricherFunc adapts a function to the Enricher interface.
+type enricherFunc func(h *entity.Host)
+
+func (f enricherFunc) Enrich(h *entity.Host) { f(h) }
+
 func TestEnricherRunsAtReadTime(t *testing.T) {
 	j := journal.NewStore()
-	p := NewProcessor(DefaultConfig(), j)
+	p := NewProcessor(Config{}, j)
 	p.Apply(obsHTTP(at(0), "x"))
-	r := NewReader(j, EnricherFunc(func(h *entity.Host) {
+	r := NewReader(j, enricherFunc(func(h *entity.Host) {
 		h.Location = &entity.Location{Country: "DE"}
 	}))
 	h, _ := r.HostAt(addr.String(), at(1))
@@ -310,7 +315,7 @@ func TestReadSideMatchesWriteSideAfterChurn(t *testing.T) {
 func TestHostAtBadEntityID(t *testing.T) {
 	j := journal.NewStore()
 	j.Append("not-an-ip", at(0), KindServiceFound,
-		EncodeServiceEvent(&entity.Service{Port: 1, Transport: entity.TCP, Protocol: "X"}))
+		AppendServiceEvent(nil, &entity.Service{Port: 1, Transport: entity.TCP, Protocol: "X"}))
 	r := NewReader(j, nil)
 	if _, ok := r.HostAt("not-an-ip", at(1)); ok {
 		t.Fatal("bad entity id reconstructed")

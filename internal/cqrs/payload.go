@@ -151,15 +151,8 @@ func AppendHostSnapshot(dst []byte, h *entity.Host) []byte {
 	return dst
 }
 
-// EncodeServiceEvent, EncodeKeyEvent and EncodeHostSnapshot are the
-// allocating forms of the appenders; the write path's per-shard eventEncoder
-// reuses buffers instead.
-func EncodeServiceEvent(svc *entity.Service) []byte { return AppendServiceEvent(nil, svc) }
-
-func EncodeKeyEvent(key entity.ServiceKey, since time.Time) []byte {
-	return AppendKeyEvent(nil, key, since)
-}
-
+// EncodeHostSnapshot is the allocating form of AppendHostSnapshot; the write
+// path's per-shard eventEncoder reuses buffers instead.
 func EncodeHostSnapshot(h *entity.Host) []byte { return AppendHostSnapshot(nil, h) }
 
 // serviceView is one parsed service record. Byte fields alias the payload;

@@ -43,7 +43,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		hosts = append(hosts, randHost(rng))
 	}
 	for i, svc := range services {
-		payload := EncodeServiceEvent(svc)
+		payload := AppendServiceEvent(nil, svc)
 		got, err := decodeService(payload)
 		if err != nil {
 			t.Fatalf("service %d: %v", i, err)
@@ -51,7 +51,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, svc) {
 			t.Fatalf("service %d drifted:\n got  %+v\n want %+v", i, got, svc)
 		}
-		if again := EncodeServiceEvent(got); !bytes.Equal(again, payload) {
+		if again := AppendServiceEvent(nil, got); !bytes.Equal(again, payload) {
 			t.Fatalf("service %d: re-encoding changed bytes", i)
 		}
 
@@ -68,7 +68,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 
 		key, since := svc.Key(), randTime(rng)
-		r := binrec.Reader{B: EncodeKeyEvent(key, since), Bad: ErrBadPayload}
+		r := binrec.Reader{B: AppendKeyEvent(nil, key, since), Bad: ErrBadPayload}
 		port, transport, at := readKey(&r)
 		if err := r.End(); err != nil || port != key.Port || string(transport) != string(key.Transport) || !at.Equal(since) {
 			t.Fatalf("key %d: got %d/%s %v (%v), want %v %v", i, port, transport, at, err, key, since)
@@ -174,7 +174,7 @@ func TestPayloadMalformed(t *testing.T) {
 		}
 	}
 
-	key := EncodeKeyEvent(entity.ServiceKey{Port: 80, Transport: entity.TCP}, time.Unix(7, 3))
+	key := AppendKeyEvent(nil, entity.ServiceKey{Port: 80, Transport: entity.TCP}, time.Unix(7, 3))
 	keys := map[string][]byte{
 		"empty":             {},
 		"truncated":         key[:len(key)-1],
@@ -244,7 +244,7 @@ func TestPayloadMalformed(t *testing.T) {
 // fail with the typed error wrapped in their own context.
 func TestMalformedPayloadSurfaces(t *testing.T) {
 	id := addr.String()
-	good := EncodeServiceEvent(&entity.Service{Port: 80, Transport: entity.TCP, Protocol: "HTTP"})
+	good := AppendServiceEvent(nil, &entity.Service{Port: 80, Transport: entity.TCP, Protocol: "HTTP"})
 	for name, events := range map[string][]journal.Event{
 		"bad delta":    {{Kind: KindServiceFound, Payload: good[:len(good)-1]}},
 		"bad snapshot": {{Kind: journal.SnapshotKind, Payload: []byte{3}}, {Kind: KindServiceFound, Payload: good}},
@@ -264,7 +264,7 @@ func TestMalformedPayloadSurfaces(t *testing.T) {
 		if _, ok := NewReader(j, nil).HostAt(id, at(10)); ok {
 			t.Errorf("%s: HostAt reconstructed a host", name)
 		}
-		if _, err := RebuildProcessor(DefaultConfig(), j, at(10)); !errors.Is(err, ErrBadPayload) {
+		if _, err := RebuildProcessor(Config{}, j, at(10)); !errors.Is(err, ErrBadPayload) {
 			t.Errorf("%s: RebuildProcessor err = %v, want ErrBadPayload", name, err)
 		}
 		if _, err := RebuildSnapshotPayload(id, j.Events(id)); !errors.Is(err, ErrBadPayload) {
@@ -285,8 +285,8 @@ func FuzzPayloadDecode(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		svc := randService(rng)
 		for grammar, payload := range [][]byte{
-			EncodeServiceEvent(svc),
-			EncodeKeyEvent(svc.Key(), randTime(rng)),
+			AppendServiceEvent(nil, svc),
+			AppendKeyEvent(nil, svc.Key(), randTime(rng)),
 			EncodeHostSnapshot(randHost(rng)),
 		} {
 			g := uint8(grammar)
@@ -311,14 +311,14 @@ func FuzzPayloadDecode(f *testing.F) {
 			kind = KindServiceFound
 			var svc *entity.Service
 			if svc, err = decodeService(data); err == nil {
-				again = EncodeServiceEvent(svc)
+				again = AppendServiceEvent(nil, svc)
 			}
 		case 1:
 			kind = KindServicePending
 			r := binrec.Reader{B: data, Bad: ErrBadPayload}
 			port, transport, since := readKey(&r)
 			if err = r.End(); err == nil {
-				again = EncodeKeyEvent(entity.ServiceKey{Port: port, Transport: entity.Transport(transport)}, since)
+				again = AppendKeyEvent(nil, entity.ServiceKey{Port: port, Transport: entity.Transport(transport)}, since)
 			}
 		default:
 			kind = journal.SnapshotKind

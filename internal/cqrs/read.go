@@ -19,12 +19,6 @@ type Enricher interface {
 	Enrich(h *entity.Host)
 }
 
-// EnricherFunc adapts a function to the Enricher interface.
-type EnricherFunc func(h *entity.Host)
-
-// Enrich implements Enricher.
-func (f EnricherFunc) Enrich(h *entity.Host) { f(h) }
-
 // Reader is the query side: it reconstructs entity state at a timestamp from
 // the journal and applies enrichment. It keeps every point-read host's
 // newest rendering (see HostJSON).

@@ -31,11 +31,11 @@ func entityIDs(p *Processor) []string {
 // journal as a single-shard one; sharding only changes lock granularity and
 // queue layout.
 func TestShardedProcessorMatchesSerial(t *testing.T) {
-	serial := NewProcessor(DefaultConfig(), journal.NewStore())
-	cfg := DefaultConfig()
+	serial := NewProcessor(Config{}, journal.NewStore())
+	cfg := Config{}
 	cfg.Shards = 8
 	sharded := NewProcessor(cfg, journal.NewPartitioned(8))
-	if got := sharded.Shards(); got != 8 {
+	if got := len(sharded.shards); got != 8 {
 		t.Fatalf("Shards() = %d, want 8", got)
 	}
 
@@ -106,7 +106,7 @@ func TestShardedProcessorMatchesSerial(t *testing.T) {
 // shard index first, then per-shard enqueue order.
 func TestDrainOrderIsDeterministic(t *testing.T) {
 	mkProc := func() *Processor {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		cfg.Shards = 8
 		return NewProcessor(cfg, journal.NewPartitioned(8))
 	}

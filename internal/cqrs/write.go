@@ -42,7 +42,8 @@ type OutEvent struct {
 	Key     entity.ServiceKey
 }
 
-// Config tunes the write side.
+// Config tunes the write side. NewProcessor gives a zero field the paper's
+// production choice.
 type Config struct {
 	// EvictAfter is how long a service stays pending-removal before it is
 	// evicted (the paper's 72-hour compromise, §4.6).
@@ -54,11 +55,6 @@ type Config struct {
 	// are routed by a stable hash of their ID, so one entity's state, queue
 	// position, and journal rows always live on one shard. <= 0 means 1.
 	Shards int
-}
-
-// DefaultConfig matches the paper's production choices.
-func DefaultConfig() Config {
-	return Config{EvictAfter: 72 * time.Hour, SnapshotEvery: 16}
 }
 
 // procShard is one independently locked slice of the write side. All state
@@ -117,9 +113,6 @@ func NewProcessor(cfg Config, j *journal.Store) *Processor {
 
 // Journal returns the underlying event journal.
 func (p *Processor) Journal() *journal.Store { return p.journal }
-
-// Shards reports the shard count.
-func (p *Processor) Shards() int { return len(p.shards) }
 
 func (p *Processor) shardFor(id string) *procShard {
 	return p.shards[shard.Of(id, len(p.shards))]

@@ -156,7 +156,6 @@ func isGenerator(g, p uint64, factors []uint64) bool {
 type Cycle struct {
 	n       uint64 // space size; emitted values are in [0, n)
 	p       uint64 // prime > n
-	g       uint64 // generator of (Z/pZ)*
 	start   uint64 // first group element
 	cur     uint64
 	stride  uint64 // multiplier per step (g, or g^m when sharded)
@@ -186,7 +185,7 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	}
 	if n == 1 {
 		// The group mod 2 is trivial; emit the single element directly.
-		c := &Cycle{n: 1, p: 2, g: 1, start: 1, cur: 1, stride: 1}
+		c := &Cycle{n: 1, p: 2, start: 1, cur: 1, stride: 1}
 		if shard == 0 {
 			c.maxStep = 1
 		}
@@ -222,17 +221,8 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	if uint64(shard) < order%uint64(shards) {
 		maxStep++
 	}
-	return &Cycle{n: n, p: p, g: g, start: start, cur: start, stride: stride, maxStep: maxStep}, nil
+	return &Cycle{n: n, p: p, start: start, cur: start, stride: stride, maxStep: maxStep}, nil
 }
-
-// N returns the size of the target space.
-func (c *Cycle) N() uint64 { return c.n }
-
-// Prime returns the group modulus (useful for tests and diagnostics).
-func (c *Cycle) Prime() uint64 { return c.p }
-
-// Generator returns the group generator in use.
-func (c *Cycle) Generator() uint64 { return c.g }
 
 // Next returns the next element of [0, n) in the cycle's pseudorandom order.
 // ok is false once the cycle (or this shard of it) has been exhausted.
@@ -248,12 +238,6 @@ func (c *Cycle) Next() (v uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// Emitted returns how many values this cycle has produced.
-func (c *Cycle) Emitted() uint64 { return c.emitted }
-
-// Done reports whether the cycle is exhausted.
-func (c *Cycle) Done() bool { return c.steps >= c.maxStep }
 
 // Reset rewinds the cycle to its starting point.
 func (c *Cycle) Reset() {

@@ -131,7 +131,7 @@ func TestShardedIteratorCoversSpace(t *testing.T) {
 				if !ok {
 					break
 				}
-				idx, ok := space.Index(addr, port)
+				idx, ok := space.index(addr, port)
 				if !ok {
 					t.Fatalf("iterator emitted target outside space: %s:%d", addr, port)
 				}

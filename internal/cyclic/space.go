@@ -50,36 +50,12 @@ func NewPrefixSpace(prefix netip.Prefix, ports []uint16) (*Space, error) {
 // Size returns the total number of (address, port) targets.
 func (s *Space) Size() uint64 { return s.hosts * uint64(len(s.ports)) }
 
-// Hosts returns the number of addresses covered.
-func (s *Space) Hosts() uint64 { return s.hosts }
-
-// Ports returns the port list (shared; do not mutate).
-func (s *Space) Ports() []uint16 { return s.ports }
-
 // Target maps index i in [0, Size()) to its (address, port) pair.
 func (s *Space) Target(i uint64) (netip.Addr, uint16) {
 	host := i % s.hosts
 	port := s.ports[i/s.hosts]
 	// base + host, wrapping at 2^32.
 	return draw.U32Addr(draw.AddrU32(s.base) + uint32(host)), port
-}
-
-// Index is the inverse of Target. ok is false if the pair is outside the space.
-func (s *Space) Index(addr netip.Addr, port uint16) (uint64, bool) {
-	if !addr.Is4() {
-		return 0, false
-	}
-	a, base := draw.AddrU32(addr), draw.AddrU32(s.base)
-	off := uint64(a - base)
-	if a < base || off >= s.hosts {
-		return 0, false
-	}
-	for pi, p := range s.ports {
-		if p == port {
-			return uint64(pi)*s.hosts + off, true
-		}
-	}
-	return 0, false
 }
 
 // Iterator couples a Space with a Cycle to yield probe targets in
@@ -118,14 +94,8 @@ func (it *Iterator) Next() (addr netip.Addr, port uint16, ok bool) {
 	return a, p, true
 }
 
-// Done reports whether the iterator has covered its whole shard.
-func (it *Iterator) Done() bool { return it.cycle.Done() }
-
 // Reset rewinds the iterator to the start of its coverage cycle.
 func (it *Iterator) Reset() { it.cycle.Reset() }
-
-// Emitted returns the number of targets produced so far.
-func (it *Iterator) Emitted() uint64 { return it.cycle.Emitted() }
 
 // State captures the iterator's position for checkpointing.
 func (it *Iterator) State() CycleState { return it.cycle.State() }
@@ -134,6 +104,3 @@ func (it *Iterator) State() CycleState { return it.cycle.State() }
 // iterator must have been constructed over the same space with the same seed
 // and sharding as the one that produced the state.
 func (it *Iterator) Restore(st CycleState) { it.cycle.Restore(st) }
-
-// Space returns the underlying probe space.
-func (it *Iterator) Space() *Space { return it.space }

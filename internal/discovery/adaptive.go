@@ -149,9 +149,6 @@ func (e *Engine) ActiveBackoffs() int {
 	return n
 }
 
-// Rotations returns how many identity rotations have happened.
-func (e *Engine) Rotations() int { return e.rotations }
-
 // NetBackoffState is one /24's serialized adaptive state.
 type NetBackoffState struct {
 	Net      netip.Addr `json:"net"`

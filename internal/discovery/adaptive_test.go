@@ -55,7 +55,7 @@ func TestBackoffEngagesUnderDetectors(t *testing.T) {
 	if st.Deferred == 0 {
 		t.Fatal("backoffs triggered but no probe was ever deferred")
 	}
-	if st.Rotations == 0 || e.Rotations() == 0 {
+	if st.Rotations == 0 || e.rotations == 0 {
 		t.Fatal("enough offenses accumulated but the scanner never rotated identity")
 	}
 	if e.ActiveBackoffs() == 0 {

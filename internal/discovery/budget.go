@@ -147,14 +147,6 @@ type ClassTotals struct {
 	Confirmed uint64 `json:"confirmed"`
 }
 
-// Wasted is the class's probes that bought nothing.
-func (ct ClassTotals) Wasted() uint64 {
-	if ct.Confirmed > ct.Spent {
-		return 0
-	}
-	return ct.Spent - ct.Confirmed
-}
-
 // Efficiency is confirmed/spent (0 when nothing was spent).
 func (ct ClassTotals) Efficiency() float64 {
 	if ct.Spent == 0 {

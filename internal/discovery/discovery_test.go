@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"maps"
 	"net/netip"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"censysmap/internal/entity"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
+	"censysmap/internal/telemetry"
 )
 
 func quietConfig() simnet.Config {
@@ -187,13 +189,26 @@ func TestSweepMatchesReference(t *testing.T) {
 			t.Fatalf("reference missed %+v", c)
 		}
 	}
-	st := netA.PathStats()
-	if st[simnet.CauseRateBlock] == 0 || st[simnet.CauseDetector] == 0 {
+	st := drops(netA)
+	if st[simnet.CauseRateBlock.String()] == 0 || st[simnet.CauseDetector.String()] == 0 {
 		t.Fatalf("the rate block or the detector never fired: %v", st)
 	}
-	if rst := netB.PathStats(); rst != st {
-		t.Fatalf("PathStats: engine %v, reference %v", st, rst)
+	if rst := drops(netB); !maps.Equal(rst, st) {
+		t.Fatalf("drops: engine %v, reference %v", st, rst)
 	}
+}
+
+// drops reads the network's censys_simnet_drops_total family, by cause.
+func drops(n *simnet.Internet) map[string]float64 {
+	reg := telemetry.New()
+	n.AttachTelemetry(reg)
+	out := make(map[string]float64)
+	for _, f := range reg.Snapshot(time.Time{}).Families {
+		for _, v := range f.Values {
+			out[v.Labels["cause"]] = v.Value
+		}
+	}
+	return out
 }
 
 // TestRotatedTickAllocations: a rotated engine's steady-state tick allocates
@@ -302,8 +317,8 @@ func TestStandardClassesBudgets(t *testing.T) {
 		t.Fatalf("background space = %d", bg.Space.Size())
 	}
 	cloud := byName["cloud"]
-	if cloud.Space.Hosts() != 512 {
-		t.Fatalf("cloud hosts = %d, want 512", cloud.Space.Hosts())
+	if want := uint64(512 * len(CloudPorts())); cloud.Space.Size() != want {
+		t.Fatalf("cloud space = %d, want 512 hosts × %d ports", cloud.Space.Size(), len(CloudPorts()))
 	}
 }
 

@@ -105,31 +105,6 @@ func (m *Metrics) Register(reg *telemetry.Registry) {
 		"checkpoint reads that fell back to the mirror copy", nil, m.CheckpointFallbacks)
 }
 
-// StorageStats is a plain snapshot of the counters, for assertions.
-type StorageStats struct {
-	RecordsVerified       uint64
-	ChecksumFailures      uint64
-	TailsTruncated        uint64
-	SnapshotsRebuilt      uint64
-	PartitionsQuarantined uint64
-	CheckpointFallbacks   uint64
-}
-
-// Stats reads the current counter values.
-func (m *Metrics) Stats() StorageStats {
-	if m == nil {
-		return StorageStats{}
-	}
-	return StorageStats{
-		RecordsVerified:       m.RecordsVerified.Value(),
-		ChecksumFailures:      m.ChecksumFailures.Value(),
-		TailsTruncated:        m.TailsTruncated.Value(),
-		SnapshotsRebuilt:      m.SnapshotsRebuilt.Value(),
-		PartitionsQuarantined: m.PartitionsQuarantined.Value(),
-		CheckpointFallbacks:   m.CheckpointFallbacks.Value(),
-	}
-}
-
 // manifestVersion names the on-disk format a store directory was saved in.
 // Version 5 keeps each partition in one footerless segment file sealed by
 // its manifest entry, holding the binary journal record (record.go) around

@@ -332,9 +332,6 @@ func NewCoreAdapter(name string, m *core.Map) *CoreAdapter {
 // Name implements Engine.
 func (c *CoreAdapter) Name() string { return c.name }
 
-// Map returns the wrapped pipeline.
-func (c *CoreAdapter) Map() *core.Map { return c.m }
-
 // Records implements Engine: the current dataset, excluding pending-removal
 // services (the paper's own export filter).
 func (c *CoreAdapter) Records() []Record {

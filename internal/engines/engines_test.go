@@ -67,7 +67,8 @@ func TestKeywordEngineOverReportsICS(t *testing.T) {
 	}
 	verified := NewCoreAdapter("censysmap", m)
 
-	m.Run(7 * 24 * time.Hour) // advances the shared clock: both engines scan
+	m.Start()
+	clk.Advance(7 * 24 * time.Hour) // the shared clock: both engines scan
 	m.Stop()
 
 	if !containsRecord(keyword.QueryProtocol("CODESYS"), addr, 2455) {
@@ -132,14 +133,15 @@ func TestStaleDataAccumulatesWithoutEviction(t *testing.T) {
 }
 
 func TestCoreAdapter(t *testing.T) {
-	net, _ := smallUniverse(t)
+	net, clk := smallUniverse(t)
 	cfg := core.DefaultConfig()
 	cfg.CloudBlocks = 1
 	m, err := core.New(cfg, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run(26 * time.Hour)
+	m.Start()
+	clk.Advance(26 * time.Hour)
 	eng := NewCoreAdapter("censysmap", m)
 	recs := eng.Records()
 	if len(recs) == 0 {

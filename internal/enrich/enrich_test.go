@@ -176,10 +176,18 @@ func TestCVERuleMatching(t *testing.T) {
 	}
 }
 
+// fieldMap is a fingerdsl.Context over a plain map.
+type fieldMap map[string]string
+
+func (m fieldMap) Field(name string) (string, bool) {
+	v, ok := m[name]
+	return v, ok
+}
+
 // mapContext is a service's DSL fields written out as a map: the oracle of
 // serviceContext.
-func mapContext(svc *entity.Service) fingerdsl.MapContext {
-	ctx := fingerdsl.MapContext{
+func mapContext(svc *entity.Service) fieldMap {
+	ctx := fieldMap{
 		"port":     strconv.Itoa(int(svc.Port)),
 		"protocol": svc.Protocol,
 		"banner":   svc.Banner,

@@ -123,9 +123,6 @@ func (l *Lab) Engines() []engines.Engine {
 	return out
 }
 
-// Map returns the core pipeline.
-func (l *Lab) Map() *core.Map { return l.Censys.Map() }
-
 // Now returns the current simulated time.
 func (l *Lab) Now() time.Time { return l.Clk.Now() }
 

@@ -28,15 +28,6 @@ type Context interface {
 	Field(name string) (string, bool)
 }
 
-// MapContext is a Context over a plain map.
-type MapContext map[string]string
-
-// Field implements Context.
-func (m MapContext) Field(name string) (string, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
 // Value is a DSL runtime value: string, int64, or bool.
 type Value any
 

@@ -2,7 +2,15 @@ package fingerdsl
 
 import "testing"
 
-var ctx = MapContext{
+// mapContext is a Context over a plain map.
+type mapContext map[string]string
+
+func (m mapContext) Field(name string) (string, bool) {
+	v, ok := m[name]
+	return v, ok
+}
+
+var ctx = mapContext{
 	"http.title":  "RouterOS router configuration page",
 	"http.server": "nginx/1.24.0",
 	"port":        "8080",
@@ -124,7 +132,7 @@ func TestRealWorldFingerprintShape(t *testing.T) {
 	if zyxel.Match(ctx) {
 		t.Fatal("should not match")
 	}
-	if !zyxel.Match(MapContext{"http.title": "WAC6552D-S"}) {
+	if !zyxel.Match(mapContext{"http.title": "WAC6552D-S"}) {
 		t.Fatal("should match")
 	}
 }

@@ -32,7 +32,7 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	ctx := MapContext{
+	ctx := mapContext{
 		"http.title":  "RouterOS router configuration page",
 		"http.server": "nginx/1.24.0",
 		"port":        "8080",

@@ -72,9 +72,9 @@ func goldenService() *entity.Service {
 }
 
 func TestGoldenEventPayloads(t *testing.T) {
-	checkGolden(t, "service_event.golden", hexLine(cqrs.EncodeServiceEvent(goldenService())))
+	checkGolden(t, "service_event.golden", hexLine(cqrs.AppendServiceEvent(nil, goldenService())))
 	checkGolden(t, "key_event.golden",
-		hexLine(cqrs.EncodeKeyEvent(entity.ServiceKey{Port: 443, Transport: entity.TCP}, gat(30))))
+		hexLine(cqrs.AppendKeyEvent(nil, entity.ServiceKey{Port: 443, Transport: entity.TCP}, gat(30))))
 
 	h := entity.NewHost(netip.MustParseAddr("10.1.2.3"))
 	h.SetService(goldenService())

@@ -27,7 +27,7 @@ import (
 func TestHostLookupBoundedAllocation(t *testing.T) {
 	clk := simclock.New()
 	j := journal.NewStore()
-	p := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	p := cqrs.NewProcessor(cqrs.Config{}, j)
 	addr := netip.MustParseAddr("10.0.0.1")
 	for _, port := range []uint16{22, 80, 443, 8443} {
 		svc := &entity.Service{Port: port, Transport: entity.TCP, Protocol: "HTTP", TLS: port > 400,
@@ -42,7 +42,7 @@ func TestHostLookupBoundedAllocation(t *testing.T) {
 	svc := lookup.New(cqrs.NewReader(j, nil), clk)
 	svc.AttachMetrics(reg, nil)
 	srv, err := serve.New(serve.Config{Tenants: []serve.Tenant{{Key: "k", Name: "bench", Tier: "internal"}}},
-		svc, search.NewIndex(), clk)
+		svc, search.NewPartitioned(1), clk)
 	if err != nil {
 		t.Fatal(err)
 	}

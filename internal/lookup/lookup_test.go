@@ -19,7 +19,7 @@ func fixture(t *testing.T) (*Service, *simclock.Sim) {
 	t.Helper()
 	clk := simclock.New()
 	j := journal.NewStore()
-	p := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	p := cqrs.NewProcessor(cqrs.Config{}, j)
 
 	addr := netip.MustParseAddr("10.0.0.1")
 	svc1 := &entity.Service{Port: 443, Transport: entity.TCP, Protocol: "HTTP",

@@ -58,7 +58,7 @@ func TestPlacementFollowerRead(t *testing.T) {
 	s, clk := fixture(t)
 	// Build a "replica" journal whose copy of the host is distinguishable.
 	rj := journal.NewStore()
-	rp := cqrs.NewProcessor(cqrs.DefaultConfig(), rj)
+	rp := cqrs.NewProcessor(cqrs.Config{}, rj)
 	addr := netip.MustParseAddr("10.0.0.1")
 	if err := rp.Apply(cqrs.Observation{Addr: addr, Port: 443, Transport: entity.TCP,
 		Time: clk.Now(), Success: true,

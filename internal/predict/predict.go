@@ -297,13 +297,6 @@ func (e *Engine) ObserveFull(addr netip.Addr) {
 	}
 }
 
-// KnownHosts reports how many hosts the model has seen.
-func (e *Engine) KnownHosts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.hostPorts)
-}
-
 // SetExcluded replaces the exclusion subtrees: no recommendation — refined
 // or expanded — is ever emitted inside an excluded prefix, and covered /24s
 // drop out of the topology ranking entirely.
@@ -677,20 +670,6 @@ func (e *Engine) Resolve(addr netip.Addr, port uint16, transport entity.Transpor
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.evicted, Target{Addr: addr.Unmap(), Port: port, Transport: transport, Reason: "reinject"})
-}
-
-// PendingReinjections reports the queue size.
-func (e *Engine) PendingReinjections() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.evicted)
-}
-
-// SuggestedResident reports the cooldown book's size (bound assertion hook).
-func (e *Engine) SuggestedResident() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.suggested)
 }
 
 // SuggestedEntry is one cooldown-clock entry, exported for checkpointing.

@@ -21,14 +21,14 @@ func TestIPv6ObservationsIgnoredNotPanicking(t *testing.T) {
 	e.Observe(v6, 443, entity.TCP)
 	e.Observe(zoned, 22, entity.TCP)
 	e.RecordEvicted(v6, 443, entity.TCP, t0)
-	if got := e.KnownHosts(); got != 0 {
+	if got := e.ModelStats().KnownHosts; got != 0 {
 		t.Fatalf("IPv6 observations entered the model: %d hosts", got)
 	}
 
 	// 4-mapped addresses are real IPv4 observations and must unmap.
 	mapped := netip.AddrFrom16(netip.MustParseAddr("10.0.0.1").As16())
 	e.Observe(mapped, 80, entity.TCP)
-	if got := e.KnownHosts(); got != 1 {
+	if got := e.ModelStats().KnownHosts; got != 1 {
 		t.Fatalf("4-mapped observation not unmapped: %d hosts", got)
 	}
 	// And the whole cycle still recommends without panicking.
@@ -57,18 +57,18 @@ func TestSuggestedBookBounded(t *testing.T) {
 	var peak int
 	for day := 0; day < 30; day++ {
 		e.Recommend(t0.Add(time.Duration(day)*25*time.Hour), 1000)
-		if n := e.SuggestedResident(); n > peak {
+		if n := e.ModelStats().SuggestedResident; n > peak {
 			peak = n
 		}
 	}
 	// After one more expired window, the book holds at most the final
 	// window's suggestions — nothing from the 30 days before it.
 	e.Recommend(t0.Add(100*24*time.Hour), 0)
-	if n := e.SuggestedResident(); n != 0 {
+	if n := e.ModelStats().SuggestedResident; n != 0 {
 		t.Fatalf("suggested book holds %d entries after every cooldown expired", n)
 	}
 	final := e.Recommend(t0.Add(101*24*time.Hour), 1000)
-	if n := e.SuggestedResident(); n != len(final) {
+	if n := e.ModelStats().SuggestedResident; n != len(final) {
 		t.Fatalf("suggested book = %d, want exactly the last window's %d", n, len(final))
 	}
 	if peak == 0 {

@@ -113,7 +113,7 @@ func TestReinjectionLifecycle(t *testing.T) {
 	e := New(cfg)
 	a := ip("10.0.0.9")
 	e.RecordEvicted(a, 8080, entity.TCP, t0)
-	if e.PendingReinjections() != 1 {
+	if e.ModelStats().PendingReinjections != 1 {
 		t.Fatal("eviction not queued")
 	}
 
@@ -133,7 +133,7 @@ func TestReinjectionLifecycle(t *testing.T) {
 	if got := e.Reinjections(t0.Add(61 * 24 * time.Hour)); len(got) != 0 {
 		t.Fatalf("aged-out target retried: %v", got)
 	}
-	if e.PendingReinjections() != 0 {
+	if e.ModelStats().PendingReinjections != 0 {
 		t.Fatal("aged-out target not removed")
 	}
 }

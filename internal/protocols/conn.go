@@ -59,6 +59,3 @@ func (c *SessionConn) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
-
-// Closed reports whether the server side has closed the connection.
-func (c *SessionConn) Closed() bool { return c.closed }

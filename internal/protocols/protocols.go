@@ -157,17 +157,6 @@ func Lookup(name string) *Protocol { return registry[name] }
 // callers must not modify it.
 func All() []*Protocol { return all }
 
-// ICSProtocols returns the registered industrial control system protocols.
-func ICSProtocols() []*Protocol {
-	var out []*Protocol
-	for _, p := range All() {
-		if p.ICS {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // ForPort returns the transport's protocols that list port as a default,
 // sorted by name.
 func ForPort(port uint16, transport entity.Transport) []*Protocol {

@@ -95,7 +95,7 @@ func TestTLSSessionRejectsPlaintextClient(t *testing.T) {
 	if buf[0] != 0x15 { // TLS alert record type
 		t.Fatalf("expected alert, got %v", buf[:n])
 	}
-	if !conn.Closed() {
+	if !conn.closed {
 		t.Fatal("connection not closed after alert")
 	}
 }

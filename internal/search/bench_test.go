@@ -92,7 +92,7 @@ func eightServiceHost(v int) *entity.Host {
 }
 
 func BenchmarkIndexUpsert(b *testing.B) {
-	ix := NewIndex()
+	ix := NewPartitioned(1)
 	h := entity.NewHost(netip.MustParseAddr("10.0.0.1"))
 	h.SetService(&entity.Service{Port: 80, Transport: entity.TCP, Protocol: "HTTP",
 		Banner: "HTTP/1.1 200 OK", Attributes: map[string]string{"http.title": "Welcome"}})
@@ -195,7 +195,7 @@ func TestIndexConcurrentAccess(t *testing.T) {
 // differ in one service: the per-event cost of a refresh that changed
 // something.
 func BenchmarkIndexUpsertChanged(b *testing.B) {
-	ix := NewIndex()
+	ix := NewPartitioned(1)
 	versions := []*entity.Host{eightServiceHost(1), eightServiceHost(2)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

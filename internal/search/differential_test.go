@@ -70,7 +70,11 @@ func Flatten(h *entity.Host) map[string][]string {
 	return out
 }
 
-// refTokenize is the reference tokenizer, the oracle of Tokenize:
+// tokenize lowercases and splits a value into index tokens the way the index
+// does; the full lowercased value is always the first token.
+func tokenize(v string) []string { return appendTokens(nil, strings.ToLower(v)) }
+
+// refTokenize is the reference tokenizer, the oracle of tokenize:
 // lowercase, split with strings.FieldsFunc, dedupe through a map.
 func refTokenize(v string) []string {
 	lower := strings.ToLower(v)
@@ -446,7 +450,7 @@ func fuzzIndexes() (*Index, *Index, []*refDoc) {
 	c := &fuzzCorpus
 	c.once.Do(func() {
 		rng := rand.New(rand.NewSource(7))
-		c.ix1, c.ix4 = NewIndex(), NewPartitioned(4)
+		c.ix1, c.ix4 = NewPartitioned(1), NewPartitioned(4)
 		for i := 0; i < 48; i++ {
 			h := genHost(rng, i)
 			c.ix1.Upsert(h)

@@ -208,7 +208,7 @@ func dumpIndex(t testing.TB, ix *Index) indexDump {
 // checkMatchesRebuild compares ix with an index built fresh from hosts.
 func checkMatchesRebuild(t testing.TB, ix *Index, hosts map[netip.Addr]*entity.Host) {
 	t.Helper()
-	fresh := NewIndex()
+	fresh := NewPartitioned(1)
 	for _, h := range hosts {
 		fresh.Upsert(h.Clone())
 	}
@@ -361,8 +361,8 @@ func FuzzTokenize(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, v string) {
-		if got, want := Tokenize(v), refTokenize(v); !slices.Equal(got, want) {
-			t.Fatalf("Tokenize(%q) = %q, reference %q", v, got, want)
+		if got, want := tokenize(v), refTokenize(v); !slices.Equal(got, want) {
+			t.Fatalf("tokenize(%q) = %q, reference %q", v, got, want)
 		}
 		n, ok := parseNumber(v)
 		want, err := strconv.ParseInt(v, 10, 64)

@@ -137,9 +137,6 @@ func (d *document) render() ([]byte, error) {
 	return b, nil
 }
 
-// NewIndex creates an empty single-partition index.
-func NewIndex() *Index { return NewPartitioned(1) }
-
 // NewPartitioned creates an empty index striped over n partitions
 // (n <= 1 gives one partition).
 func NewPartitioned(n int) *Index {
@@ -172,10 +169,6 @@ var textFieldList = []string{
 	"as.org", "labels", "services.banner", "services.http.server",
 	"services.http.title", "services.protocol", "software.product",
 }
-
-// Tokenize lowercases and splits a value into index tokens; the full
-// lowercased value is always the first token, for exact matches.
-func Tokenize(v string) []string { return appendTokens(nil, strings.ToLower(v)) }
 
 // appendTokens appends the distinct tokens of an already lowercased value to
 // dst: the value itself, then each maximal run of [a-z0-9._/-] in order of

@@ -26,7 +26,7 @@ func svc(port uint16, proto string, attrs map[string]string) *entity.Service {
 
 func buildIndex(t *testing.T) *Index {
 	t.Helper()
-	ix := NewIndex()
+	ix := NewPartitioned(1)
 	ix.Upsert(makeHost("10.0.0.1", "US",
 		svc(80, "HTTP", map[string]string{"http.title": "Welcome to nginx!", "http.server": "nginx/1.24.0"}),
 		svc(22, "SSH", nil)))
@@ -150,7 +150,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestPendingServicesInvisible(t *testing.T) {
-	ix := NewIndex()
+	ix := NewPartitioned(1)
 	h := makeHost("10.0.0.9", "US", svc(80, "HTTP", nil))
 	now := h.LastUpdated
 	h.Services["80/tcp"].PendingRemovalSince = &now
@@ -230,7 +230,7 @@ func TestComplexInvestigationQuery(t *testing.T) {
 }
 
 func TestTokenize(t *testing.T) {
-	toks := Tokenize("Welcome to nginx!")
+	toks := tokenize("Welcome to nginx!")
 	want := map[string]bool{"welcome to nginx!": true, "welcome": true, "to": true, "nginx": true}
 	if len(toks) != len(want) {
 		t.Fatalf("tokens = %v", toks)

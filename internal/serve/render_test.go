@@ -376,7 +376,7 @@ func hostTier(t testing.TB, clk *simclock.Sim, j *journal.Store) (*Server, cqrs.
 	asn.Add(netip.MustParsePrefix("10.0.0.0/8"), 64500, "AS & Co", "<org>")
 	enricher := enrich.New(geo, asn)
 	srv, err := New(Config{Tenants: defaultTenants()},
-		lookup.New(cqrs.NewReader(j, enricher), clk), search.NewIndex(), clk)
+		lookup.New(cqrs.NewReader(j, enricher), clk), search.NewPartitioned(1), clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func randomObservation(rng *rand.Rand, a netip.Addr, now time.Time) cqrs.Observa
 func TestHostBodiesMatchReference(t *testing.T) {
 	clk := simclock.New()
 	j := journal.NewPartitioned(4)
-	proc := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	proc := cqrs.NewProcessor(cqrs.Config{}, j)
 	srv, enricher := hostTier(t, clk, j)
 	oracle := cqrs.NewReader(j, enricher)
 	rng := rand.New(rand.NewSource(40))
@@ -503,7 +503,7 @@ func TestHostBodiesMatchReference(t *testing.T) {
 func TestConcurrentHostReads(t *testing.T) {
 	clk := simclock.New()
 	j := journal.NewPartitioned(2)
-	proc := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	proc := cqrs.NewProcessor(cqrs.Config{}, j)
 	srv, enricher := hostTier(t, clk, j)
 	oracle := cqrs.NewReader(j, enricher)
 	addrs := make([]netip.Addr, 4)
@@ -590,7 +590,7 @@ func TestRestoredPartitionServesRestoredRows(t *testing.T) {
 		banner string
 		addrs  []netip.Addr
 	}{{j, "v1", []netip.Addr{a, gone}}, {other, "v2", []netip.Addr{a}}} {
-		proc := cqrs.NewProcessor(cqrs.DefaultConfig(), w.j)
+		proc := cqrs.NewProcessor(cqrs.Config{}, w.j)
 		for _, addr := range w.addrs {
 			svc := &entity.Service{Port: 80, Transport: entity.TCP, Protocol: "HTTP", Banner: w.banner}
 			if err := proc.Apply(cqrs.Observation{Addr: addr, Port: 80, Transport: entity.TCP,

@@ -47,7 +47,7 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	clk := simclock.New()
 	j := journal.NewStore()
-	p := cqrs.NewProcessor(cqrs.DefaultConfig(), j)
+	p := cqrs.NewProcessor(cqrs.Config{}, j)
 	ix := search.NewPartitioned(4)
 
 	f := &fixture{clk: clk, ix: ix, proc: p, reg: telemetry.New()}
@@ -395,7 +395,7 @@ func TestServeTelemetryDeterministic(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	clk := simclock.New()
 	svc := lookup.New(cqrs.NewReader(journal.NewStore(), nil), clk)
-	ix := search.NewIndex()
+	ix := search.NewPartitioned(1)
 	cases := []Config{
 		{Tenants: []Tenant{{Key: "k", Name: "a", Tier: "no-such-tier"}}},
 		{Tenants: []Tenant{{Key: "k", Name: "a", Tier: "free"}, {Key: "k", Name: "b", Tier: "free"}}},

@@ -67,11 +67,10 @@ func (q *eventQueue) Pop() any {
 // Sim is a simulated Clock with an event scheduler. The zero value is not
 // usable; construct with New.
 type Sim struct {
-	mu   sync.Mutex
-	now  time.Time
-	seq  uint64
-	q    eventQueue
-	runs uint64
+	mu  sync.Mutex
+	now time.Time
+	seq uint64
+	q   eventQueue
 }
 
 // New returns a simulated clock starting at Epoch.
@@ -94,23 +93,8 @@ func (s *Sim) Now() time.Time {
 func (s *Sim) Schedule(d time.Duration, fn func(now time.Time)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scheduleLocked(s.now.Add(d), fn)
-}
-
-// ScheduleAt arranges for fn to run when the simulation reaches at. If at is
-// in the simulated past, fn runs at the current instant.
-func (s *Sim) ScheduleAt(at time.Time, fn func(now time.Time)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if at.Before(s.now) {
-		at = s.now
-	}
-	s.scheduleLocked(at, fn)
-}
-
-func (s *Sim) scheduleLocked(at time.Time, fn func(now time.Time)) {
 	s.seq++
-	heap.Push(&s.q, &event{at: at, seq: s.seq, fn: fn})
+	heap.Push(&s.q, &event{at: s.now.Add(d), seq: s.seq, fn: fn})
 }
 
 // Every schedules fn to run every interval, starting one interval from now,
@@ -167,22 +151,7 @@ func (s *Sim) RunUntil(deadline time.Time) {
 		if e.at.After(s.now) {
 			s.now = e.at
 		}
-		s.runs++
 		s.mu.Unlock()
 		e.fn(e.at)
 	}
-}
-
-// Pending reports the number of scheduled events not yet run.
-func (s *Sim) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.q)
-}
-
-// Fired reports the total number of events that have run.
-func (s *Sim) Fired() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs
 }

@@ -309,32 +309,10 @@ func (n *Internet) ambient(sc Scanner, idHash uint64, a uint32, seq uint64, el t
 	return Delivered
 }
 
-// PathStats is the number of probes each layer of the path has dropped,
-// indexed by Cause (the Delivered slot stays zero). It is the one count of
-// what the network ate: natural and injected drops alike.
-type PathStats [NumCauses]uint64
-
-// Total is the number of probes the path dropped.
-func (s PathStats) Total() uint64 {
-	var t uint64
-	for _, v := range s {
-		t += v
-	}
-	return t
-}
-
-// PathStats returns the cumulative drop counts by cause.
-func (n *Internet) PathStats() PathStats {
-	var s PathStats
-	for c := range s {
-		s[c] = n.drops[c].Value()
-	}
-	return s
-}
-
 // AttachTelemetry exposes the drop counters on reg as
-// censys_simnet_drops_total{cause=...}. The family reads the same striped
-// counters PathStats sums, so assertions and /v2/metrics cannot drift apart.
+// censys_simnet_drops_total{cause=...}: the number of probes each layer of
+// the path has dropped, natural and injected drops alike. It is the one
+// count of what the network ate, and /v2/metrics reads it.
 func (n *Internet) AttachTelemetry(reg *telemetry.Registry) {
 	for c := Delivered + 1; c < NumCauses; c++ {
 		reg.RegisterCounter("censys_simnet_drops_total",
@@ -361,8 +339,8 @@ func (n *Internet) BlockedNetworks(idPrefix string) int {
 // DetectorBlockEvents returns the cumulative number of detector-triggered
 // blocks against scanners whose ID starts with idPrefix (rotation-aware,
 // like BlockedNetworks): the sum of their paths' offense counts.
-// PathStats()[CauseDetector] is the probes those blocks ate, all scanners
-// together.
+// censys_simnet_drops_total{cause="detector"} is the probes those blocks
+// ate, all scanners together.
 func (n *Internet) DetectorBlockEvents(idPrefix string) int {
 	total := 0
 	n.eachPath(idPrefix, func(p *netPath) { total += p.offenses })

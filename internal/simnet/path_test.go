@@ -12,6 +12,26 @@ import (
 	"censysmap/internal/simclock"
 )
 
+// pathStats is the number of probes each layer of the path has dropped,
+// indexed by Cause (the Delivered slot stays zero).
+type pathStats [NumCauses]uint64
+
+func statsOf(n *Internet) pathStats {
+	var s pathStats
+	for c := range s {
+		s[c] = n.drops[c].Value()
+	}
+	return s
+}
+
+func (s pathStats) total() uint64 {
+	var t uint64
+	for _, v := range s {
+		t += v
+	}
+	return t
+}
+
 // quietConfig is smallConfig with every path layer switched off, so a test
 // turns on exactly the one it is about.
 func quietConfig() Config {
@@ -90,7 +110,7 @@ func TestAddHostOutsideUniversePanics(t *testing.T) {
 
 // TestEveryCauseReachableAndCounted: each Cause can be the fate of a probe,
 // it is counted under its own name and no other, and the counts add up —
-// every probe that enters the path is either delivered or in PathStats.
+// every probe that enters the path is either delivered or counted in n.drops.
 func TestEveryCauseReachableAndCounted(t *testing.T) {
 	foreign := Scanner{ID: "s", SourceIPs: 1, Country: "ZZ"}
 	local := Scanner{ID: "s", SourceIPs: 1, Country: "US"}
@@ -134,15 +154,15 @@ func TestEveryCauseReachableAndCounted(t *testing.T) {
 				}
 			}
 		}
-		st := n.PathStats()
+		st := statsOf(n)
 		if st[c] == 0 {
 			t.Errorf("%v: never fired: %v", c, st)
 		}
-		if st.Total() != st[c] {
+		if st.total() != st[c] {
 			t.Errorf("%v: other causes counted too: %v", c, st)
 		}
-		if st.Total()+delivered != entered {
-			t.Errorf("%v: %d dropped + %d delivered != %d entered", c, st.Total(), delivered, entered)
+		if st.total()+delivered != entered {
+			t.Errorf("%v: %d dropped + %d delivered != %d entered", c, st.total(), delivered, entered)
 		}
 	}
 }
@@ -159,7 +179,7 @@ func TestConnectsNeverTripBlocks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		n.Connect(sc, target, 80, entity.TCP)
 	}
-	if n.BlockedNetworks("x") != 0 || n.PathStats().Total() != 0 {
-		t.Fatalf("connect traffic tripped a block: %v", n.PathStats())
+	if n.BlockedNetworks("x") != 0 || statsOf(n).total() != 0 {
+		t.Fatalf("connect traffic tripped a block: %v", statsOf(n))
 	}
 }

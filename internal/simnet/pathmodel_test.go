@@ -25,7 +25,7 @@ type mapModel struct {
 	n      *Internet
 	hosts  map[netip.Addr]*Host
 	paths  map[scanNetKey]*mapPath
-	drops  PathStats
+	drops  pathStats
 	probes uint64
 }
 
@@ -357,8 +357,8 @@ func (d *pathDiff) step(t testing.TB, b []byte) {
 func (d *pathDiff) check(t testing.TB) {
 	t.Helper()
 	n, m := d.n, d.m
-	if got, want := n.PathStats(), m.drops; got != want {
-		t.Fatalf("after %d ops: PathStats %v, map model %v", d.ops, got, want)
+	if got, want := statsOf(n), m.drops; got != want {
+		t.Fatalf("after %d ops: drops %v, map model %v", d.ops, got, want)
 	}
 	if got, want := n.ProbesSeen(), m.probes; got != want {
 		t.Fatalf("after %d ops: ProbesSeen %d, map model %d", d.ops, got, want)
@@ -396,7 +396,7 @@ func TestPathTableMatchesMapModel(t *testing.T) {
 			if prefix != "10.0.0.0/22" {
 				return
 			}
-			st := d.n.PathStats()
+			st := statsOf(d.n)
 			for c := Delivered + 1; c < NumCauses; c++ {
 				if st[c] == 0 {
 					t.Errorf("cause %v never fired: the schedule does not exercise it", c)

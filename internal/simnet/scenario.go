@@ -14,7 +14,7 @@ import (
 var ErrScenario = errors.New("simnet: bad scenario")
 
 // scenarioKeys is the scenario codec: one key per AdversaryConfig field, in
-// canonical order. Parse, encode and range checks all read it. A field's
+// canonical order. Parsing and range checks read it. A field's
 // type sets its syntax and range: a seed is any unsigned integer, a count a
 // non-negative integer, a rate a number in [0,1], a duration a non-negative
 // Go duration ("6h", "30m").
@@ -96,38 +96,6 @@ func (a *AdversaryConfig) set(key, val string) error {
 	return errors.New("unknown key")
 }
 
-// EncodeScenario renders the config in the canonical form: its non-zero
-// fields as key=value pairs in table order.
-// ParseScenario(EncodeScenario(a)) == a for any valid config.
-func (a AdversaryConfig) EncodeScenario() string {
-	var parts []string
-	for _, k := range scenarioKeys {
-		var v string
-		switch p := k.field(&a).(type) {
-		case *uint64:
-			if *p != 0 {
-				v = strconv.FormatUint(*p, 10)
-			}
-		case *int:
-			if *p != 0 {
-				v = strconv.Itoa(*p)
-			}
-		case *float64:
-			if *p != 0 {
-				v = strconv.FormatFloat(*p, 'g', -1, 64)
-			}
-		case *time.Duration:
-			if *p != 0 {
-				v = p.String()
-			}
-		}
-		if v != "" {
-			parts = append(parts, k.name+"="+v)
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
 // scenarios are the named presets: each hostile dimension in isolation, the
 // full mixed substrate, and two fault mixes (mild, ~5% effective loss;
 // severe, ~20% plus storms and blocking). Combined with a seed each names a
@@ -146,9 +114,6 @@ var scenarios = map[string]AdversaryConfig{
 	"severe": {FaultLoss: 0.12, FaultBurstRate: 0.15, FaultBurstLoss: 0.7,
 		FaultStormRate: 0.03, FaultBlockRate: 0.02, FaultTimeoutRate: 0.08},
 }
-
-// Scenarios returns the named presets.
-func Scenarios() map[string]AdversaryConfig { return maps.Clone(scenarios) }
 
 // ScenarioNames lists the presets in sorted order.
 func ScenarioNames() []string { return slices.Sorted(maps.Keys(scenarios)) }

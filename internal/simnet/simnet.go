@@ -505,9 +505,6 @@ func (n *Internet) Hosts() int { return len(n.addrs) }
 // Addrs returns all host addresses (shared slice; do not mutate).
 func (n *Internet) Addrs() []netip.Addr { return n.addrs }
 
-// WebSites returns all web properties keyed by name (shared; do not mutate).
-func (n *Internet) WebSites() map[string]*WebSite { return n.webProps }
-
 // PassiveDNS returns the subset of web property names visible in third-party
 // passive DNS feeds (roughly half, deterministically chosen).
 func (n *Internet) PassiveDNS() []string {

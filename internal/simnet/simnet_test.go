@@ -305,15 +305,15 @@ func TestBlockExpires(t *testing.T) {
 
 func TestWebPropertiesDiscoverableViaCT(t *testing.T) {
 	n, _ := newSmall(t)
-	if len(n.WebSites()) != 40 {
-		t.Fatalf("web properties = %d, want 40", len(n.WebSites()))
+	if len(n.webProps) != 40 {
+		t.Fatalf("web properties = %d, want 40", len(n.webProps))
 	}
 	// Every site's cert must appear in the CT log.
 	fps := map[string]bool{}
 	for _, e := range n.CT.Entries(0, 0) {
 		fps[e.Cert.FingerprintSHA256()] = true
 	}
-	for name, site := range n.WebSites() {
+	for name, site := range n.webProps {
 		if !fps[site.Cert.FingerprintSHA256()] {
 			t.Fatalf("site %s cert not in CT log", name)
 		}
@@ -327,7 +327,7 @@ func TestConnectNameServesSite(t *testing.T) {
 	cfg.GeoblockRate = 0
 	n := New(cfg, simclock.New())
 	var name string
-	for nm, site := range n.WebSites() {
+	for nm, site := range n.webProps {
 		if !site.Birth.After(n.Epoch()) {
 			name = nm
 			break
@@ -344,7 +344,7 @@ func TestConnectNameServesSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.CertSHA256 != n.WebSites()[name].Cert.FingerprintSHA256() {
+	if info.CertSHA256 != n.webProps[name].Cert.FingerprintSHA256() {
 		t.Fatal("served cert mismatch")
 	}
 	res, err := protocols.ScanHTTPHost(inner, name)
@@ -431,12 +431,12 @@ func mean(ds []time.Duration) time.Duration {
 func TestPassiveDNSSubset(t *testing.T) {
 	n, _ := newSmall(t)
 	pdns := n.PassiveDNS()
-	if len(pdns) == 0 || len(pdns) >= len(n.WebSites()) {
+	if len(pdns) == 0 || len(pdns) >= len(n.webProps) {
 		t.Fatalf("passive DNS returned %d of %d names; want a strict subset",
-			len(pdns), len(n.WebSites()))
+			len(pdns), len(n.webProps))
 	}
 	for _, name := range pdns {
-		if n.WebSites()[name] == nil {
+		if n.webProps[name] == nil {
 			t.Fatalf("passive DNS invented name %q", name)
 		}
 	}

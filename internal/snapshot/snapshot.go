@@ -214,28 +214,3 @@ func (s *Store) Export(date time.Time, w io.Writer) error {
 	}
 	return gz.Close()
 }
-
-// Import reads an exported snapshot back.
-func Import(r io.Reader) (Daily, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return Daily{}, err
-	}
-	defer gz.Close()
-	dec := json.NewDecoder(gz)
-	var d Daily
-	for {
-		var row Row
-		if err := dec.Decode(&row); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return Daily{}, err
-		}
-		d.Rows = append(d.Rows, row)
-	}
-	if len(d.Rows) > 0 {
-		d.Date = d.Rows[0].SnapshotDate
-	}
-	return d, nil
-}

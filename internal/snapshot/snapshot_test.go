@@ -2,6 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"io"
 	"net/netip"
 	"testing"
 	"time"
@@ -10,6 +13,32 @@ import (
 )
 
 var day0 = time.Date(2024, 8, 20, 0, 0, 0, 0, time.UTC)
+
+// importDaily reads an exported snapshot back: the decoder the export's
+// format is checked against.
+func importDaily(r io.Reader) (Daily, error) {
+	gz, err := gzip.NewReader(r)
+	if err != nil {
+		return Daily{}, err
+	}
+	defer gz.Close()
+	dec := json.NewDecoder(gz)
+	var d Daily
+	for {
+		var row Row
+		if err := dec.Decode(&row); err != nil {
+			if err == io.EOF {
+				break
+			}
+			return Daily{}, err
+		}
+		d.Rows = append(d.Rows, row)
+	}
+	if len(d.Rows) > 0 {
+		d.Date = d.Rows[0].SnapshotDate
+	}
+	return d, nil
+}
 
 func day(n int) time.Time { return day0.Add(time.Duration(n) * 24 * time.Hour) }
 
@@ -157,7 +186,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := s.Export(day(0), &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(&buf)
+	got, err := importDaily(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +203,5 @@ func TestExportMissingDate(t *testing.T) {
 	var buf bytes.Buffer
 	if err := s.Export(day(0), &buf); err == nil {
 		t.Fatal("export of empty store succeeded")
-	}
-}
-
-func TestImportGarbage(t *testing.T) {
-	if _, err := Import(bytes.NewReader([]byte("not gzip"))); err == nil {
-		t.Fatal("garbage import succeeded")
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,53 +106,4 @@ func (s Snapshot) PrometheusText() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as an indented JSON document.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// Get returns the first value of the named family with the given label
-// restriction (nil matches the unlabeled value), plus whether it exists.
-// This is the test/assertion accessor, not a hot-path API.
-func (s Snapshot) Get(name string, labels map[string]string) (Value, bool) {
-	for _, f := range s.Families {
-		if f.Name != name {
-			continue
-		}
-		for _, v := range f.Values {
-			if matchLabels(v.Labels, labels) {
-				return v, true
-			}
-		}
-	}
-	return Value{}, false
-}
-
-// Total sums every value of a family (the layout-independent view of a
-// per-shard labeled counter family).
-func (s Snapshot) Total(name string) float64 {
-	t := 0.0
-	for _, f := range s.Families {
-		if f.Name != name {
-			continue
-		}
-		for _, v := range f.Values {
-			t += v.Value
-		}
-	}
-	return t
-}
-
-func matchLabels(have, want map[string]string) bool {
-	if len(want) != len(have) {
-		return false
-	}
-	for k, v := range want {
-		if have[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -410,9 +410,6 @@ func DecodeProperty(payload []byte) (*entity.WebProperty, error) {
 	return &w, nil
 }
 
-// Property returns the current record for a name, or nil.
-func (p *Pipeline) Property(name string) *entity.WebProperty { return p.state[name] }
-
 // All returns every current property sorted by name.
 func (p *Pipeline) All() []*entity.WebProperty {
 	out := make([]*entity.WebProperty, 0, len(p.state))
@@ -422,6 +419,3 @@ func (p *Pipeline) All() []*entity.WebProperty {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// KnownNames reports how many names are tracked.
-func (p *Pipeline) KnownNames() int { return len(p.names) }

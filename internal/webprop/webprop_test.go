@@ -41,7 +41,7 @@ func TestCTPollingDiscoversSites(t *testing.T) {
 	if p.PollCT(net.CT, clk.Now()) != 0 {
 		t.Fatal("CT cursor not advanced")
 	}
-	if p.KnownNames() == 0 {
+	if len(p.names) == 0 {
 		t.Fatal("no names learned from CT")
 	}
 }
@@ -57,12 +57,19 @@ func TestScanBuildsProperties(t *testing.T) {
 	if len(props) == 0 {
 		t.Fatal("no properties built")
 	}
+	// Each site's certificate names it and is in the CT log.
+	certOf := make(map[string]string)
+	for _, e := range net.CT.Entries(0, 0) {
+		for _, name := range e.Cert.DNSNames {
+			certOf[name] = e.Cert.FingerprintSHA256()
+		}
+	}
 	for _, w := range props {
-		site := net.WebSites()[w.Name]
-		if site == nil {
+		fp, ok := certOf[w.Name]
+		if !ok {
 			t.Fatalf("property %q not a real site", w.Name)
 		}
-		if w.CertSHA256 != site.Cert.FingerprintSHA256() {
+		if w.CertSHA256 != fp {
 			t.Fatalf("property %q cert mismatch", w.Name)
 		}
 		if len(w.Endpoints) == 0 || w.Endpoints[0].Path != "/" {
@@ -110,17 +117,17 @@ func TestRefreshCadenceMonthly(t *testing.T) {
 func TestPassiveDNSAndRedirectSources(t *testing.T) {
 	p, net, clk := fixture(t)
 	p.ImportPassiveDNS(net.PassiveDNS(), clk.Now())
-	if p.KnownNames() == 0 {
+	if len(p.names) == 0 {
 		t.Fatal("passive DNS names not imported")
 	}
-	n := p.KnownNames()
+	n := len(p.names)
 	p.ObserveRedirect("https://extra.site.example/login", clk.Now())
-	if p.KnownNames() != n+1 {
+	if len(p.names) != n+1 {
 		t.Fatal("redirect name not added")
 	}
 	p.ObserveRedirect("/relative/path", clk.Now())
 	p.ObserveRedirect("https://10.0.0.1/x", clk.Now())
-	if p.KnownNames() != n+1 {
+	if len(p.names) != n+1 {
 		t.Fatal("bogus redirect targets accepted")
 	}
 }
@@ -152,8 +159,8 @@ func TestEvictionAfterSiteDisappears(t *testing.T) {
 		t.Fatal("no properties")
 	}
 	victim := props[0].Name
-	// Kill every host serving the site.
-	for _, a := range net.WebSites()[victim].Addrs {
+	// Kill every host, so every site dies.
+	for _, a := range append([]netip.Addr(nil), net.Addrs()...) {
 		net.RemoveHost(a)
 	}
 	// March a month+ forward, ticking; the property must be evicted after
@@ -162,7 +169,7 @@ func TestEvictionAfterSiteDisappears(t *testing.T) {
 		clk.Advance(24 * time.Hour)
 		p.Tick(clk.Now())
 	}
-	if p.Property(victim) != nil {
+	if p.state[victim] != nil {
 		t.Fatal("dead property not evicted")
 	}
 	evs := p.Journal().Events(victim)
@@ -178,8 +185,8 @@ func TestNeverResolvingNameDropped(t *testing.T) {
 		clk.Advance(24 * time.Hour)
 		p.Tick(clk.Now())
 	}
-	if p.KnownNames() != 0 {
-		t.Fatalf("ghost name retained: %d names", p.KnownNames())
+	if len(p.names) != 0 {
+		t.Fatalf("ghost name retained: %d names", len(p.names))
 	}
 }
 
@@ -192,17 +199,20 @@ func TestRestoreRebuildsPropertiesFromJournal(t *testing.T) {
 	p, net, clk := fixture(t)
 	p.PollCT(net.CT, clk.Now())
 	p.Tick(clk.Now())
-	victim := p.All()[0].Name
-	for _, a := range net.WebSites()[victim].Addrs {
-		net.RemoveHost(a)
+	before := len(p.All())
+	// Kill every other host: the sites served only by those die.
+	for i, a := range append([]netip.Addr(nil), net.Addrs()...) {
+		if i%2 == 0 {
+			net.RemoveHost(a)
+		}
 	}
 	for d := 0; d < 45; d++ {
 		clk.Advance(24 * time.Hour)
 		p.Tick(clk.Now())
 	}
 	props := p.All()
-	if p.Property(victim) != nil || len(props) == 0 {
-		t.Fatalf("victim still held or no properties left (%d)", len(props))
+	if len(props) == before || len(props) == 0 {
+		t.Fatalf("%d of %d properties left; want some evicted and some held", len(props), before)
 	}
 	moved := 0
 	for _, w := range props {

@@ -3,6 +3,7 @@ package censysmap
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
@@ -12,6 +13,22 @@ import (
 	"censysmap/internal/core"
 	"censysmap/internal/telemetry"
 )
+
+// metric returns the value of the named family whose labels are exactly
+// labels (nil for the unlabeled value).
+func metric(s telemetry.Snapshot, name string, labels map[string]string) (telemetry.Value, bool) {
+	for _, f := range s.Families {
+		if f.Name != name {
+			continue
+		}
+		for _, v := range f.Values {
+			if maps.Equal(v.Labels, labels) {
+				return v, true
+			}
+		}
+	}
+	return telemetry.Value{}, false
+}
 
 // TestMetricsEndpointPrometheus checks the default text exposition of
 // GET /v2/metrics: content type, HELP/TYPE headers, and the presence of the
@@ -104,15 +121,15 @@ func TestMetricsEndpointJSON(t *testing.T) {
 	if !doc.Metrics.At.Equal(sys.Now()) {
 		t.Errorf("snapshot stamped %v, sim clock is %v", doc.Metrics.At, sys.Now())
 	}
-	ticks, ok := doc.Metrics.Get("censys_core_ticks_total", nil)
+	ticks, ok := metric(doc.Metrics, "censys_core_ticks_total", nil)
 	if !ok || ticks.Value == 0 {
 		t.Fatalf("censys_core_ticks_total = %+v, ok=%v", ticks, ok)
 	}
-	cov, ok := doc.Metrics.Get("censys_paper_coverage_ratio", nil)
+	cov, ok := metric(doc.Metrics, "censys_paper_coverage_ratio", nil)
 	if !ok || cov.Value <= 0 || cov.Value > 1.0 {
 		t.Fatalf("censys_paper_coverage_ratio = %+v, ok=%v", cov, ok)
 	}
-	fresh, ok := doc.Metrics.Get("censys_paper_freshness_hours", nil)
+	fresh, ok := metric(doc.Metrics, "censys_paper_freshness_hours", nil)
 	if !ok || fresh.Count == 0 || len(fresh.Buckets) == 0 {
 		t.Fatalf("censys_paper_freshness_hours = %+v, ok=%v", fresh, ok)
 	}
