@@ -126,6 +126,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		usage = "bad -days: negative"
 	case *rate < 0:
 		usage = "bad -rate: negative"
+	case *capacity <= 0:
+		usage = "bad -capacity: not positive"
 	case *clusterNodes < 0:
 		usage = "bad -cluster-nodes: negative"
 	case set["node-id"] && *clusterNodes == 0:

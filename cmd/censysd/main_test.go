@@ -110,6 +110,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-universe", "10.9.0.0/24", "-days", "0", "-predict-budget", "-1"},
 		{"-days", "-1"},
 		{"-rate", "-1s"},
+		{"-capacity", "0"},
+		{"-capacity", "-5"},
 		{"-cluster-nodes", "-1"},
 		{"-node-id", "1"},
 		{"-node-id", "0"},

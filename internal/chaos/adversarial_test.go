@@ -95,6 +95,11 @@ func TestAdversarialLayoutInvariance(t *testing.T) {
 			if ref.Stats.HoneypotsFlagged == 0 {
 				t.Fatal("reference run flagged no honeypots; spec too quiet")
 			}
+			// The pseudo-host check connects from the workers; a flag means
+			// its connects are inside the bit-identity below.
+			if r.Map.PseudoHosts() == 0 {
+				t.Fatal("reference run flagged no pseudo host; spec too quiet")
+			}
 			continue
 		}
 		if d := Diff(ref, o); len(d) > 0 {

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,5 +356,146 @@ func TestFlaggedHostOnNoReadSurface(t *testing.T) {
 					removed, tc.at, flaggedAt(tc.addr), len(before.Services))
 			}
 		})
+	}
+}
+
+// coveragePct is the share of the universe's live services the dataset
+// holds, in percent.
+func coveragePct(m *Map) float64 {
+	held := map[slotKey]bool{}
+	for _, r := range m.CurrentServices(false) {
+		held[slotKey{r.Addr, r.Port, r.Transport}] = true
+	}
+	truth := m.net.LiveServices(m.clock.Now(), false)
+	hit := 0
+	for _, s := range truth {
+		if held[slotKey{s.Addr, s.Port, s.Transport}] {
+			hit++
+		}
+	}
+	return 100 * float64(hit) / float64(len(truth))
+}
+
+// TestPseudoFilterKeepsCoverageFlat runs the shipped filter over a
+// service-rich, churning /22 that holds pseudo-hosts for 15 days — the
+// scan_refresh benchmark's universe shape and pipeline (prediction off), with
+// pseudo-hosts left in. The filter flags the pseudo-hosts and nothing else,
+// so coverage holds: a filter that counts observations instead flags every
+// ordinary host once it has been refreshed often enough, and coverage falls
+// by half over these days.
+func TestPseudoFilterKeepsCoverageFlat(t *testing.T) {
+	ncfg := simnet.DefaultConfig()
+	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	ncfg.Seed = 1
+	ncfg.HostDensity = 0.9
+	ncfg.MeanServices = 6
+	ncfg.CloudBlocks = 1
+	ncfg.ChurnFraction = 0.35
+	ncfg.WebProperties = 0
+	ncfg.PseudoHostRate = 0.002
+	net := simnet.New(ncfg, simclock.New())
+
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = ncfg.CloudBlocks
+	cfg.DisablePrediction = true
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFor(m, 5*24*time.Hour)
+	day5 := coveragePct(m)
+	runFor(m, 10*24*time.Hour)
+	m.Stop()
+	day15 := coveragePct(m)
+	t.Logf("coverage %.1f%% on day 5, %.1f%% on day 15; %d pseudo-flagged", day5, day15, m.PseudoHosts())
+
+	if day15 < day5-1 {
+		t.Errorf("coverage fell from %.1f%% on day 5 to %.1f%% on day 15", day5, day15)
+	}
+	if m.PseudoHosts() == 0 {
+		t.Error("no pseudo-host was flagged")
+	}
+	for _, a := range m.flaggedHosts(flagPseudo) {
+		if h := net.HostAt(a); h == nil || !h.Pseudo && !h.Tarpit {
+			t.Errorf("flagged %v, which answers only on its own ports", a)
+		}
+	}
+}
+
+// excludedRecorder is a simnet path observer that counts every probe and
+// connection addressed into its prefixes. It drops nothing. The prefix list
+// is only extended between ticks, while no probe is in flight.
+type excludedRecorder struct {
+	prefixes []netip.Prefix
+	hits     atomic.Uint64
+}
+
+func (r *excludedRecorder) Drop(_ simnet.Scanner, addr netip.Addr, op simnet.Op, _ uint64, _ time.Time) simnet.Cause {
+	if op == simnet.OpConnectName {
+		return simnet.Delivered // web properties are addressed by name
+	}
+	for _, p := range r.prefixes {
+		if p.Contains(addr) {
+			r.hits.Add(1)
+			break
+		}
+	}
+	return simnet.Delivered
+}
+
+// TestPseudoChecksNeverAddressExcluded: no operation the pipeline sends —
+// the seed scan, discovery, refreshes, predictions, re-injections and the
+// pseudo-host check's connects — addresses an excluded address, whether the
+// prefix is excluded by configuration or opted out mid-run. Both prefixes
+// hold a pseudo-host, so a check into either would show.
+func TestPseudoChecksNeverAddressExcluded(t *testing.T) {
+	ncfg := simnet.DefaultConfig()
+	ncfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	ncfg.CloudBlocks = 1
+	ncfg.WebProperties = 10
+	ncfg.PseudoHostRate = 0.05
+	net := simnet.New(ncfg, simclock.New())
+
+	// The /26s of the first and the last pseudo-host.
+	var pseudo []netip.Addr
+	for _, a := range net.Addrs() {
+		if net.HostAt(a).Pseudo {
+			pseudo = append(pseudo, a)
+		}
+	}
+	static := netip.PrefixFrom(pseudo[0], 26).Masked()
+	optOut := netip.PrefixFrom(pseudo[len(pseudo)-1], 26).Masked()
+	if static == optOut {
+		t.Fatal("both pseudo-hosts in one /26")
+	}
+
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = 1
+	cfg.Excluded = []netip.Prefix{static}
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &excludedRecorder{prefixes: []netip.Prefix{static}}
+	before := &excludedRecorder{prefixes: []netip.Prefix{optOut}}
+	net.SetFaultInjector(before)
+	runFor(m, 24*time.Hour)
+	if before.hits.Load() == 0 {
+		t.Fatal("nothing addressed the prefix before its opt-out; the case is vacuous")
+	}
+	net.SetFaultInjector(rec)
+	runFor(m, 6*time.Hour)
+	if _, err := m.AddExclusion(optOut, "noc@example.net"); err != nil {
+		t.Fatal(err)
+	}
+	rec.prefixes = append(rec.prefixes, optOut)
+	runFor(m, 2*24*time.Hour)
+	m.Stop()
+
+	if n := rec.hits.Load(); n != 0 {
+		t.Errorf("%d operations addressed an excluded address", n)
+	}
+	if m.PseudoHosts() == 0 {
+		t.Error("no pseudo-host was flagged; the check never ran")
 	}
 }

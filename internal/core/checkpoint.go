@@ -96,18 +96,12 @@ func (m *Map) SaveDurable(dir string, opts durable.SaveOptions) error {
 	}, blob, opts)
 }
 
-// HostCount is a per-host counter entry (pseudo-detection bookkeeping).
-type HostCount struct {
-	Addr  netip.Addr `json:"addr"`
-	Count int        `json:"count"`
-}
-
 // Checkpoint is the serializable non-durable, non-replayable state of a Map,
 // captured at a tick boundary. All slices are in canonical order, so two
 // checkpoints of identical pipelines encode to identical bytes regardless of
 // the Shards/InterroWorkers layout that produced them. Decoding skips
-// sections older versions wrote and this one does not (such as `retries`),
-// so their checkpoints still resume.
+// sections older versions wrote and this one does not (such as `retries`
+// and `found_per_host`), so their checkpoints still resume.
 type Checkpoint struct {
 	TakenAt time.Time `json:"taken_at"`
 	Seeded  bool      `json:"seeded"`
@@ -122,10 +116,9 @@ type Checkpoint struct {
 
 	// Flagged is every host a host-level filter took out of the dataset,
 	// with the filter (encoding/json writes map keys sorted).
-	Flagged      map[netip.Addr]flagReason `json:"flagged,omitempty"`
-	FoundPerHost []HostCount               `json:"found_per_host,omitempty"`
-	FarmSeen     []FarmSeenEntry           `json:"farm_seen,omitempty"`
-	Exclusions   []Exclusion               `json:"exclusions,omitempty"`
+	Flagged    map[netip.Addr]flagReason `json:"flagged,omitempty"`
+	FarmSeen   []FarmSeenEntry           `json:"farm_seen,omitempty"`
+	Exclusions []Exclusion               `json:"exclusions,omitempty"`
 
 	Discovery discovery.State `json:"discovery"`
 	Predictor predict.State   `json:"predictor"`
@@ -157,13 +150,9 @@ func (m *Map) Checkpoint() Checkpoint {
 		for a, why := range s.flagged {
 			cp.Flagged[a] = why
 		}
-		for a, c := range s.foundPerHost {
-			cp.FoundPerHost = append(cp.FoundPerHost, HostCount{Addr: a, Count: c})
-		}
 		s.mu.Unlock()
 	}
 	cp.FarmSeen = m.farmSeenState()
-	sort.Slice(cp.FoundPerHost, func(i, j int) bool { return cp.FoundPerHost[i].Addr.Less(cp.FoundPerHost[j].Addr) })
 	return cp
 }
 
@@ -203,12 +192,6 @@ func (m *Map) restore(cp *Checkpoint) error {
 			continue
 		}
 		m.shardFor(a).flagged[a] = why
-	}
-	for _, hc := range cp.FoundPerHost {
-		if m.quarantinedAddr(hc.Addr) {
-			continue
-		}
-		m.shardFor(hc.Addr).foundPerHost[hc.Addr] = hc.Count
 	}
 	m.restoreFarmSeen(cp.FarmSeen)
 	m.exclusions = append([]Exclusion(nil), cp.Exclusions...)

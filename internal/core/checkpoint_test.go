@@ -21,9 +21,10 @@ import (
 )
 
 // checkpointBytesPerServiceCeiling is ~20 % above what the universe below
-// measures (239 B of bookkeeping per live service; with a per-slot table
-// restated beside processor.slots it read 338).
-const checkpointBytesPerServiceCeiling = 287
+// measures (115 B of bookkeeping per live service; with the pseudo filter's
+// per-host observation counts it read 239, and with a per-slot table
+// restated beside processor.slots as well, 338).
+const checkpointBytesPerServiceCeiling = 138
 
 // refreshSet is what the refresh loop works from — every slot the write side
 // materializes, with its refresh clock and, for UDP, the protocol a refresh
@@ -99,7 +100,7 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	if err := json.Unmarshal(blob, &sections); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"discovery", "exclusions", "farm_seen", "first_daily", "flagged", "found_per_host",
+	want := []string{"discovery", "exclusions", "farm_seen", "first_daily", "flagged",
 		"last_daily", "predictor", "processor", "seeded", "stats", "taken_at", "web_props"}
 	if got := sectionNames(t, blob); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint sections = %v, want %v", got, want)
@@ -270,8 +271,9 @@ func sectionNames(t *testing.T, raw []byte) []string {
 
 // withDerivedSections returns m's checkpoint blob in the older shape: the
 // predictor section also carries net24_ports and the topology tree (its /24
-// densities and its copy of the exclusion list), and web_props the current
-// properties and the scan queue.
+// densities and its copy of the exclusion list), web_props the current
+// properties and the scan queue, and found_per_host the pseudo filter's old
+// per-host count of successful observations (here, each host's services).
 func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 	t.Helper()
 	var cp Checkpoint
@@ -312,6 +314,15 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 	for _, rec := range cp.WebProps.Names {
 		queue = append(queue, rec.Name)
 	}
+	type hostCount struct { // the section's entries, as they were written
+		Addr  netip.Addr `json:"addr"`
+		Count int        `json:"count"`
+	}
+	var found []hostCount
+	for addr, ports := range cp.Predictor.HostPorts {
+		found = append(found, hostCount{addr, len(ports)})
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].Addr.Less(found[j].Addr) })
 
 	var sections, predictor, webProps map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &sections); err != nil {
@@ -336,6 +347,7 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 	set(webProps, "queue", queue)
 	set(sections, "predictor", predictor)
 	set(sections, "web_props", webProps)
+	set(sections, "found_per_host", found)
 	old, err := json.Marshal(sections)
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +358,9 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 // TestParentCheckpointWithDerivedSectionsResumes: checkpoints of the older
 // shape also carry the predictor's /24 tables and topology tree and the web
 // properties and scan queue, all derivable from what the checkpoint and the
-// web journal keep. A map resumed from one ignores them and runs on exactly
-// as the uninterrupted map does.
+// web journal keep, and the pseudo filter's per-host observation counts,
+// which the filter no longer reads. A map resumed from one ignores them and
+// runs on exactly as the uninterrupted map does.
 func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	const before, after = 5 * 24 * time.Hour, 2 * 24 * time.Hour
 	optOut := netip.MustParsePrefix("10.0.2.0/26")
@@ -382,6 +395,9 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	var sections map[string]json.RawMessage
 	if err := json.Unmarshal(old, &sections); err != nil {
 		t.Fatal(err)
+	}
+	if len(sections["found_per_host"]) < 10 {
+		t.Fatal("old-shaped blob's found_per_host is empty")
 	}
 	for _, key := range [][2]string{{"predictor", "net24_ports"}, {"predictor", "topology"},
 		{"web_props", "props"}, {"web_props", "queue"}} {

@@ -71,8 +71,9 @@ type Config struct {
 	SeedScanFraction float64
 	// CloudBlocks passes the universe's cloud region to the cloud class.
 	CloudBlocks int
-	// PseudoServiceThreshold flags hosts with more found services than
-	// this as pseudo-hosts and stops interrogating them.
+	// PseudoServiceThreshold is the number of services at which a host is
+	// checked for answering on every port (answersEverywhere); one that does
+	// is flagged and never interrogated again. <= 0 disables the check.
 	PseudoServiceThreshold int
 	// Excluded prefixes are never scanned (opt-out list).
 	Excluded []netip.Prefix
@@ -126,7 +127,7 @@ func DefaultConfig() Config {
 		PredictBudgetPerTick:       400,
 		SeedScanFraction:           0.02,
 		CloudBlocks:                24,
-		PseudoServiceThreshold:     48,
+		PseudoServiceThreshold:     6,
 		EvictAfter:                 72 * time.Hour,
 		SnapshotEvery:              16,
 		Shards:                     8,
@@ -176,7 +177,7 @@ func lessSlot(a, b slotKey) bool {
 type flagReason string
 
 const (
-	flagPseudo   flagReason = "pseudo"   // more found services than PseudoServiceThreshold
+	flagPseudo   flagReason = "pseudo"   // accepts connections on ports nothing listens on
 	flagHoneypot flagReason = "honeypot" // member of a uniform honeypot farm
 )
 
@@ -212,8 +213,6 @@ type stateShard struct {
 	// flagging retires the host's services through the journal, so no read
 	// path consults it.
 	flagged map[netip.Addr]flagReason
-	// foundPerHost counts found services, for pseudo detection.
-	foundPerHost map[netip.Addr]int
 
 	// pending is the shard's FIFO task queue for the current batch, filled
 	// serially between batches. Its backing array outlives the batch: only
@@ -344,10 +343,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 		shards: make([]*stateShard, cfg.Shards),
 	}
 	for i := range m.shards {
-		m.shards[i] = &stateShard{
-			flagged:      make(map[netip.Addr]flagReason),
-			foundPerHost: make(map[netip.Addr]int),
-		}
+		m.shards[i] = &stateShard{flagged: make(map[netip.Addr]flagReason)}
 	}
 	if cfg.HoneypotUniformityThreshold > 0 {
 		m.farmSeen = make(map[farmKey]map[netip.Addr]bool)
@@ -806,13 +802,13 @@ func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 	key := entity.ServiceKey{Port: t.cand.Port, Transport: t.cand.Transport}
 	switch t.kind {
 	case taskCandidate:
-		if seen, ok := m.processor.LastSeen(t.id, key); ok && now.Sub(seen) < refreshEvery-2*time.Hour {
+		if seen, ok, _ := m.processor.LastSeen(t.id, key); ok && now.Sub(seen) < refreshEvery-2*time.Hour {
 			return // fresh enough; the refresh loop owns this slot
 		}
 		m.attemptInterrogate(s, t, now)
 
 	case taskRefresh:
-		if _, ok := m.processor.LastSeen(t.id, key); !ok {
+		if _, ok, _ := m.processor.LastSeen(t.id, key); !ok {
 			return // evicted or retired earlier in this batch
 		}
 		m.refreshScans.Add(1)
@@ -866,19 +862,11 @@ func (m *Map) rowsAt(date time.Time) []snapshot.Row {
 // serial fan-in after the batch. id is c.Addr's entity ID.
 func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
 	if obs.Success {
-		// Pseudo-host detection: an implausible number of services on one
-		// host gets the host flagged and dropped (Censys' pseudo-service
-		// filtering).
-		s.mu.Lock()
-		s.foundPerHost[c.Addr]++
-		over := m.cfg.PseudoServiceThreshold > 0 && s.foundPerHost[c.Addr] > m.cfg.PseudoServiceThreshold
-		s.mu.Unlock()
 		m.predictor.Observe(c.Addr, c.Port, c.Transport)
 		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
-		if over {
-			if m.suppress(c.Addr, flagPseudo, now) {
-				m.pseudoFiltered.Add(1)
-			}
+		if m.answersEverywhere(id, obs.Key(), c.Addr) {
+			m.suppress(c.Addr, flagPseudo, now) // processTask lets no flagged host by
+			m.pseudoFiltered.Add(1)
 			return
 		}
 
@@ -898,15 +886,41 @@ func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.
 
 	// Eviction bookkeeping: when this failure makes the write side remove
 	// the slot, queue it for re-injection.
-	_, was := m.processor.LastSeen(id, obs.Key())
+	_, was, _ := m.processor.LastSeen(id, obs.Key())
 	_ = m.processor.Apply(obs)
 	if !was {
 		return
 	}
-	if _, still := m.processor.LastSeen(id, obs.Key()); !still {
+	if _, still, _ := m.processor.LastSeen(id, obs.Key()); !still {
 		m.predictor.RecordEvicted(c.Addr, c.Port, c.Transport, now)
 		m.reinjected.Add(1) // queued for re-injection
 	}
+}
+
+// The pseudo-host check connects to pseudoCheckConnects ports drawn from
+// 1024–65535 (draw domain tagPseudoCheck); pseudoCheckQuorum accepts flag.
+const pseudoCheckConnects, pseudoCheckQuorum, tagPseudoCheck = 8, 4, 0x95E0
+
+// answersEverywhere is the pseudo-host filter (paper §6.1, LZR): a host
+// that answers on every port accepts connections on ports nothing should
+// listen on. An observation that finds a slot the write side does not hold,
+// bringing the host to exactly PseudoServiceThreshold services, runs the
+// check. Connect advances only the per-(scanner, addr) sequence number,
+// which addr's shard owns, so every layout sees the same accepts.
+func (m *Map) answersEverywhere(id string, key entity.ServiceKey, addr netip.Addr) bool {
+	_, held, services := m.processor.LastSeen(id, key)
+	if held || services+1 != m.cfg.PseudoServiceThreshold {
+		return false
+	}
+	seed, a := m.net.Config().Seed, uint64(draw.AddrU32(addr))
+	accepted := 0
+	for i := range uint64(pseudoCheckConnects) {
+		port := 1024 + uint16(draw.Mix(seed, tagPseudoCheck, a, i)%(65536-1024))
+		if _, ok := m.net.Connect(m.scanner, addr, port, entity.TCP); ok {
+			accepted++
+		}
+	}
+	return accepted >= pseudoCheckQuorum
 }
 
 // suppress flags addr and takes it out of the dataset: every service the

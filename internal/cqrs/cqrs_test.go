@@ -93,16 +93,21 @@ func TestEvictedSlotLeavesEphemeral(t *testing.T) {
 	}
 	p.Apply(failObs(at(24 + 72)))
 	key := entity.ServiceKey{Port: 80, Transport: entity.TCP}
-	if _, ok := p.LastSeen(addr.String(), key); ok {
+	if _, ok, _ := p.LastSeen(addr.String(), key); ok {
 		t.Fatal("slot not evicted")
 	}
 	slots := p.Ephemeral().Slots
 	if len(slots) != 1 || slots[0].Key != "8080/tcp" {
 		t.Fatalf("Ephemeral().Slots after eviction = %+v, want only 8080/tcp", slots)
 	}
-	seen, ok := p.LastSeen(addr.String(), entity.ServiceKey{Port: 8080, Transport: entity.TCP})
-	if _, stranger := p.LastSeen("10.9.9.9", key); !ok || !seen.Equal(at(0)) || stranger {
-		t.Fatalf("LastSeen disagrees with materialized state: %v %v, unknown host %v", seen, ok, stranger)
+	seen, ok, n := p.LastSeen(addr.String(), entity.ServiceKey{Port: 8080, Transport: entity.TCP})
+	_, stranger, none := p.LastSeen("10.9.9.9", key)
+	if !ok || !seen.Equal(at(0)) || n != 1 || stranger || none != 0 {
+		t.Fatalf("LastSeen disagrees with materialized state: %v %v %d services, unknown host %v %d",
+			seen, ok, n, stranger, none)
+	}
+	if _, held, n := p.LastSeen(addr.String(), key); held || n != 1 {
+		t.Fatalf("LastSeen of the evicted slot: held %v, %d services; want false, 1", held, n)
 	}
 }
 
@@ -340,7 +345,7 @@ func TestRetireRemovesNowAndReplays(t *testing.T) {
 	if last := evs[len(evs)-1]; len(evs) != 3 || last.Kind != KindServiceRemoved || !last.Time.Equal(at(2)) {
 		t.Fatalf("journal = %d events ending %s at %v; want found, pending, removed at %v", len(evs), last.Kind, last.Time, at(2))
 	}
-	if _, ok := p.LastSeen(addr.String(), key); ok {
+	if _, ok, _ := p.LastSeen(addr.String(), key); ok {
 		t.Fatal("retired service still materialized")
 	}
 	if h, ok := r.HostAt(addr.String(), at(2)); ok && h.Service(key) != nil {
@@ -349,7 +354,7 @@ func TestRetireRemovesNowAndReplays(t *testing.T) {
 	if err := p.Apply(obsHTTP(at(3), "x")); err != nil {
 		t.Fatalf("rediscovery after retirement: %v", err)
 	}
-	if _, ok := p.LastSeen(addr.String(), key); !ok {
+	if _, ok, _ := p.LastSeen(addr.String(), key); !ok {
 		t.Fatal("rediscovered service not materialized")
 	}
 }

@@ -307,17 +307,19 @@ func (p *Processor) CurrentState(id string) *entity.Host {
 }
 
 // LastSeen reports when the entity's materialized state last confirmed the
-// slot, and whether it holds the slot at all, without cloning the host.
-func (p *Processor) LastSeen(id string, key entity.ServiceKey) (time.Time, bool) {
+// slot, whether it holds the slot at all, and how many services it holds in
+// all, without cloning the host.
+func (p *Processor) LastSeen(id string, key entity.ServiceKey) (seen time.Time, held bool, services int) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.state[id]; h != nil {
 		if svc := h.Service(key); svc != nil {
-			return svc.LastSeen, true
+			return svc.LastSeen, true, len(h.Services)
 		}
+		return time.Time{}, false, len(h.Services)
 	}
-	return time.Time{}, false
+	return time.Time{}, false, 0
 }
 
 // Walk calls fn once per entity with materialized state, in no particular

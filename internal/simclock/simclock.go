@@ -89,12 +89,12 @@ func (s *Sim) Now() time.Time {
 }
 
 // Schedule arranges for fn to run when the simulation reaches now+d.
-// Scheduling with d <= 0 runs fn at the current instant on the next Run/Advance.
+// With d <= 0, fn runs at the instant it was scheduled, on the next advance.
 func (s *Sim) Schedule(d time.Duration, fn func(now time.Time)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	heap.Push(&s.q, &event{at: s.now.Add(d), seq: s.seq, fn: fn})
+	heap.Push(&s.q, &event{at: s.now.Add(max(d, 0)), seq: s.seq, fn: fn})
 }
 
 // Every schedules fn to run every interval, starting one interval from now,
@@ -147,10 +147,9 @@ func (s *Sim) RunUntil(deadline time.Time) {
 			s.mu.Unlock()
 			return
 		}
+		// Schedule never queues an event before now, so this never rewinds.
 		e := heap.Pop(&s.q).(*event)
-		if e.at.After(s.now) {
-			s.now = e.at
-		}
+		s.now = e.at
 		s.mu.Unlock()
 		e.fn(e.at)
 	}

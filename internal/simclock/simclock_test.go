@@ -137,6 +137,20 @@ func TestEventSeesEventTime(t *testing.T) {
 	}
 }
 
+// An event scheduled into the past runs at the instant it was scheduled, and
+// is handed that instant, not its would-be stamp.
+func TestSchedulePastRunsNow(t *testing.T) {
+	s := New()
+	s.Advance(time.Hour)
+	var got, seen time.Time
+	s.Schedule(-30*time.Minute, func(now time.Time) { got, seen = now, s.Now() })
+	s.Advance(0)
+	want := Epoch.Add(time.Hour)
+	if !got.Equal(want) || !seen.Equal(want) {
+		t.Fatalf("event handed %v with Now() %v, want both %v", got, seen, want)
+	}
+}
+
 func TestFiredCountsEvents(t *testing.T) {
 	s := New()
 	fired := 0
