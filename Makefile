@@ -120,7 +120,7 @@ fuzz:
 # all under the race detector.
 serve-test:
 	$(GO) test -race ./internal/serve/ ./internal/telemetry/
-	$(GO) test -race ./internal/lookup/ -run 'TestSearchBoundedAllocation|TestHostLookupBoundedAllocation|TestPlacement|CertHosts'
+	$(GO) test -race ./internal/lookup/ -run 'TestSearchBounded|TestHostLookupBoundedAllocation|TestPlacement|CertHosts'
 	$(GO) test -race ./internal/search/ -run 'Differential|Incremental|Verify|CertLocations'
 
 # The end-to-end benchmark (BENCHMARK.json), the one measurement system:

@@ -88,6 +88,7 @@ func TestTelemetryDeterministicAcrossLayouts(t *testing.T) {
 		"censys_discovery_probes_total",
 		"censys_core_interrogations_total",
 		"censys_core_pseudo_filtered_total",
+		"censys_core_honeypot_gated_total",
 		"censys_predict_budget_probes_total",
 		"censys_cqrs_observations_total",
 		"censys_cqrs_nochange_total",

@@ -26,6 +26,7 @@ func (m *Map) Stats() RunStats {
 		PredictiveProbes: m.ledger.ClassTotals(discovery.ClassPredict).Spent,
 		Reinjected:       m.reinjected.Load(),
 		PseudoFiltered:   m.pseudoFiltered.Load(),
+		HoneypotGated:    m.honeypotGated.Load(),
 		HoneypotsFlagged: m.honeypotsFlagged.Load(),
 	}
 }

@@ -185,6 +185,7 @@ func (m *Map) restore(cp *Checkpoint) error {
 	m.refreshScans.Store(cp.Stats.RefreshScans)
 	m.reinjected.Store(cp.Stats.Reinjected)
 	m.pseudoFiltered.Store(cp.Stats.PseudoFiltered)
+	m.honeypotGated.Store(cp.Stats.HoneypotGated)
 	m.honeypotsFlagged.Store(cp.Stats.HoneypotsFlagged)
 
 	for a, why := range cp.Flagged {

@@ -449,6 +449,7 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 
 // A re-injection is interrogated without a dataset check, so without the
 // write gate it would probe — and re-add — a host flagged since the eviction.
+// Each gated task is counted once, against the filter that flagged the host.
 func TestReinjectionIntoFlaggedHostIsGated(t *testing.T) {
 	net, _ := testUniverse(t)
 	m := testMap(t, net)
@@ -456,28 +457,44 @@ func TestReinjectionIntoFlaggedHostIsGated(t *testing.T) {
 	m.Stop()
 
 	recs := m.CurrentServices(false)
-	host := recs[0].Addr
-	now := m.clock.Now()
-	if !m.suppress(host, flagHoneypot, now) {
-		t.Fatal("host already flagged")
-	}
-	before := m.Stats()
-	tasks := 0
+	hosts := []netip.Addr{recs[0].Addr}
 	for _, r := range recs {
-		if r.Addr == host && r.Transport == entity.TCP {
-			tasks++
-			m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: host, Port: r.Port,
-				Transport: r.Transport, Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now}})
+		if r.Addr != hosts[0] {
+			hosts = append(hosts, r.Addr)
+			break
 		}
 	}
-	m.runBatch(now, "reinject")
-	m.processor.Drain()
-	after := m.Stats()
-	if tasks == 0 || after.PseudoFiltered-before.PseudoFiltered != uint64(tasks) || after.Interrogations != before.Interrogations {
-		t.Fatalf("%d re-injections into a flagged host: %d gated, %d interrogated", tasks,
-			after.PseudoFiltered-before.PseudoFiltered, after.Interrogations-before.Interrogations)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for i, c := range []struct {
+		why   flagReason
+		gated func(RunStats) uint64
+	}{
+		{flagHoneypot, func(s RunStats) uint64 { return s.HoneypotGated }},
+		{flagPseudo, func(s RunStats) uint64 { return s.PseudoFiltered }},
+	} {
+		host, now := hosts[i], m.clock.Now()
+		if !m.suppress(host, c.why, now) {
+			t.Fatalf("%s: host already flagged", c.why)
+		}
+		before := m.Stats()
+		tasks := 0
+		for _, r := range recs {
+			if r.Addr == host && r.Transport == entity.TCP {
+				tasks++
+				m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: host, Port: r.Port,
+					Transport: r.Transport, Method: entity.DetectReinjected, PoP: m.pops[0].Name, Time: now}})
+			}
+		}
+		m.runBatch(now, "reinject")
+		m.processor.Drain()
+		after := m.Stats()
+		gated := c.gated(after) - c.gated(before)
+		other := after.PseudoFiltered + after.HoneypotGated - before.PseudoFiltered - before.HoneypotGated - gated
+		if tasks == 0 || gated != uint64(tasks) || other != 0 || after.Interrogations != before.Interrogations {
+			t.Fatalf("%s: %d re-injections into a flagged host: %d gated as %s, %d under the other filter, %d interrogated",
+				c.why, tasks, gated, c.why, other, after.Interrogations-before.Interrogations)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -279,6 +279,7 @@ type Map struct {
 	refreshScans     atomic.Uint64
 	reinjected       atomic.Uint64
 	pseudoFiltered   atomic.Uint64
+	honeypotGated    atomic.Uint64
 	honeypotsFlagged atomic.Uint64
 
 	// farmSeen accumulates the honeypot uniformity evidence: distinct hosts
@@ -309,7 +310,8 @@ type RunStats struct {
 	RefreshScans     uint64
 	PredictiveProbes uint64 // the ledger's predict-class spend
 	Reinjected       uint64
-	PseudoFiltered   uint64
+	PseudoFiltered   uint64 // tasks dropped by the pseudo-host filter or for a host it flagged
+	HoneypotGated    uint64 // tasks dropped for a host flagged as a honeypot
 	HoneypotsFlagged uint64
 }
 
@@ -793,10 +795,14 @@ func (m *Map) drainShard(s *stateShard, now time.Time) {
 // once the host's services are retired: nothing is written for it again.
 func (m *Map) processTask(s *stateShard, t pendingTask, now time.Time) {
 	s.mu.Lock()
-	_, flagged := s.flagged[t.cand.Addr]
+	why, flagged := s.flagged[t.cand.Addr]
 	s.mu.Unlock()
 	if flagged {
-		m.pseudoFiltered.Add(1)
+		if why == flagHoneypot {
+			m.honeypotGated.Add(1)
+		} else {
+			m.pseudoFiltered.Add(1)
+		}
 		return
 	}
 	key := entity.ServiceKey{Port: t.cand.Port, Transport: t.cand.Transport}

@@ -113,6 +113,8 @@ func (m *Map) attachTelemetry() {
 		func() float64 { return float64(m.reinjected.Load()) })
 	reg.CounterFunc("censys_core_pseudo_filtered_total", "tasks suppressed by the pseudo-host filter", nil,
 		func() float64 { return float64(m.pseudoFiltered.Load()) })
+	reg.CounterFunc("censys_core_honeypot_gated_total", "tasks gated for hosts flagged as honeypots", nil,
+		func() float64 { return float64(m.honeypotGated.Load()) })
 	reg.GaugeFunc("censys_core_pseudo_hosts", "hosts currently flagged pseudo", nil,
 		func() float64 { return float64(m.PseudoHosts()) })
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"censysmap/internal/entity"
@@ -19,17 +20,8 @@ import (
 // the hosts cost 103 and 475 allocations at those limits; cloning the full
 // result set costs thousands.
 func TestSearchBoundedAllocation(t *testing.T) {
-	s, _ := fixture(t)
-	ix := search.NewPartitioned(4)
 	const hosts = 2048
-	for i := 0; i < hosts; i++ {
-		h := entity.NewHost(netip.MustParseAddr(fmt.Sprintf("10.0.%d.%d", i/256, i%256)))
-		h.Location = &entity.Location{Country: "US"}
-		h.SetService(&entity.Service{Port: 443, Transport: entity.TCP,
-			Protocol: "HTTP", TLS: true, Banner: "server-banner", Verified: true})
-		ix.Upsert(h)
-	}
-	s.AttachSearch(ix)
+	s := httpHostsFixture(t, hosts)
 
 	measure := func(limit int) float64 {
 		req := httptest.NewRequest("GET",
@@ -65,5 +57,57 @@ func TestSearchBoundedAllocation(t *testing.T) {
 	}
 	if body.Total != hosts || len(body.Hosts) != 4 {
 		t.Fatalf("total=%d hosts=%d, want total=%d hosts=4", body.Total, len(body.Hosts), hosts)
+	}
+}
+
+// httpHostsFixture is the lookup fixture with a 4-partition search index of n
+// HTTP hosts attached, 10.0.0.0 upwards.
+func httpHostsFixture(t *testing.T, n int) *Service {
+	t.Helper()
+	s, _ := fixture(t)
+	ix := search.NewPartitioned(4)
+	for i := 0; i < n; i++ {
+		h := entity.NewHost(netip.MustParseAddr(fmt.Sprintf("10.0.%d.%d", i/256, i%256)))
+		h.Location = &entity.Location{Country: "US"}
+		h.SetService(&entity.Service{Port: 443, Transport: entity.TCP,
+			Protocol: "HTTP", TLS: true, Banner: "server-banner", Verified: true})
+		ix.Upsert(h)
+	}
+	s.AttachSearch(ix)
+	return s
+}
+
+// TestSearchBoundedBytes is the byte-side guard the allocation count above
+// cannot be: a warm limit=25 search allocates the same bytes whether 256 or
+// 4,096 hosts match. Merging every matching ID before keeping 25 is one
+// allocation at any match count, but 16 bytes per match (~61 KB more per
+// request at 4,096 matches); the page itself is the same 25 hosts, 10.0.0.x
+// sorting first in both indexes.
+func TestSearchBoundedBytes(t *testing.T) {
+	measure := func(hosts int) uint64 {
+		s := httpHostsFixture(t, hosts)
+		req := httptest.NewRequest("GET", "/v2/hosts/search?q=services.protocol%3A+HTTP&limit=25", nil)
+		s.ServeHTTP(httptest.NewRecorder(), req) // warm the caches and renders
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != 200 {
+				t.Fatalf("status = %d body=%s", rec.Code, rec.Body)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	// Slack for the body buffers sync.Pool drops at random under -race (a
+	// quarter of them, ~8 KB each); the merged ID list was 61 KB.
+	const slack = 8 << 10
+	small, large := measure(256), measure(4096)
+	t.Logf("%d B/op at 256 matches, %d B/op at 4096", small, large)
+	if large > small+slack {
+		t.Fatalf("a limit=25 search allocates %d B/op at 4096 matches and %d B/op at 256; "+
+			"want no more than %d B more", large, small, slack)
 	}
 }

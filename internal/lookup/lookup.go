@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"censysmap/internal/cqrs"
@@ -358,17 +359,12 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.GuardFanout(w, "search") {
 		return
 	}
-	// IDs first, hosts second: a limited search fetches only the hosts it
-	// will return — the total still reports the complete match count from
-	// the (cheap) ID lists.
-	ids, err := s.index.Search(q)
+	// IDs first, hosts second: a limited search merges and fetches only the
+	// hosts it will return — the total is the summed per-partition count.
+	ids, total, err := s.index.SearchPage(q, limit)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
-	}
-	total := len(ids)
-	if limit > 0 && total > limit {
-		ids = ids[:limit]
 	}
 	hosts, err := s.index.HostsJSON(ids)
 	if err != nil {
@@ -377,13 +373,20 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The bytes encoding/json makes of {"query", "total", "hosts"} as a map:
 	// keys sorted, each host as rendered, the query through json.Marshal for
-	// the same HTML and invalid-UTF-8 escaping, a trailing newline.
+	// the same HTML and invalid-UTF-8 escaping, a trailing newline. They are
+	// assembled in a pooled buffer and written at once, so a page allocates
+	// no body of its own.
 	query, _ := json.Marshal(q) // a string always marshals
 	size := 64 + len(query)     // the envelope fits in 64 bytes
 	for _, h := range hosts {
 		size += len(h) + 1
 	}
-	body := append(make([]byte, 0, size), `{"hosts":[`...)
+	bp := bodyPool.Get().(*[]byte)
+	body := (*bp)[:0]
+	if cap(body) < size {
+		body = make([]byte, 0, size)
+	}
+	body = append(body, `{"hosts":[`...)
 	for i, h := range hosts {
 		if i > 0 {
 			body = append(body, ',')
@@ -395,7 +398,18 @@ func (s *Service) handleSearch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(append(body, '}', '\n')) // the client has gone if this fails
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
 }
+
+// bodyPool keeps search bodies' buffers between requests. A buffer over
+// maxPooledBody (an unlimited search's) is left to the collector rather than
+// held: a limit=25 page is ~8 KB.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
 
 func (s *Service) handleCertHosts(w http.ResponseWriter, r *http.Request) {
 	fp := strings.ToLower(r.PathValue("fp"))

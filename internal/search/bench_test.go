@@ -163,6 +163,24 @@ func BenchmarkSearchParallel8Part(b *testing.B) {
 	runQueryBench(b, ix8, `services.protocol: MODBUS and location.country: US and not services.tls: true`)
 }
 
+// BenchmarkSearchLimited is the interactive page: a warm query over 8
+// partitions with 2,500 matches, of which the first 25 are returned. Only
+// the page is merged, so its cost does not grow with the match count.
+func BenchmarkSearchLimited(b *testing.B) {
+	_, ix8 := bench50kIndexes()
+	const query = `location.country: US and services.protocol: HTTP`
+	if _, total, err := ix8.SearchPage(query, 25); err != nil || total != 2500 {
+		b.Fatalf("total = %d, %v; want 2500 matches", total, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ix8.SearchPage(query, 25); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestIndexConcurrentAccess(t *testing.T) {
 	ix := populateIndex(500)
 	var wg sync.WaitGroup

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -281,12 +282,37 @@ func checkQuery(t *testing.T, ix *Index, docs []*refDoc, query string) {
 		t.Fatalf("ParseQuery(%q): %v", query, err)
 	}
 	want := refSearch(docs, q)
-	got := ix.Execute(q)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("query %q:\n engine %v\n oracle %v\n (plan %s)", query, got, want, q.key)
+	got, total := ix.execute(q, math.MaxInt)
+	if !reflect.DeepEqual(got, want) || total != len(want) {
+		t.Fatalf("query %q:\n engine %v (total %d)\n oracle %v\n (plan %s)", query, got, total, want, q.key)
 	}
-	if again := ix.Execute(q); !reflect.DeepEqual(again, want) {
+	if again, _ := ix.execute(q, math.MaxInt); !reflect.DeepEqual(again, want) {
 		t.Fatalf("query %q: cached re-run diverged: %v vs %v", query, again, want)
+	}
+	checkPages(t, "engine", ix, query, want)
+}
+
+// checkPages holds the limited search and the count to the oracle's sorted
+// IDs: at limit 0 (everything), 1, half the matches and more than all of
+// them, the page is want's prefix and the total is len(want).
+func checkPages(t *testing.T, what string, ix *Index, query string, want []string) {
+	t.Helper()
+	for _, limit := range []int{0, 1, len(want) / 2, len(want) + 1} {
+		ids, total, err := ix.SearchPage(query, limit)
+		if err != nil {
+			t.Fatalf("%s: SearchPage(%q, %d): %v", what, query, limit, err)
+		}
+		n := len(want)
+		if limit > 0 {
+			n = min(n, limit)
+		}
+		if total != len(want) || !reflect.DeepEqual(ids, want[:n]) {
+			t.Fatalf("%s: SearchPage(%q, %d) = %v, total %d\n oracle %v, total %d",
+				what, query, limit, ids, total, want[:n], len(want))
+		}
+	}
+	if n, err := ix.Count(query); err != nil || n != len(want) {
+		t.Fatalf("%s: Count(%q) = %d, %v; oracle %d", what, query, n, err, len(want))
 	}
 }
 
@@ -492,11 +518,13 @@ func FuzzSearchDifferential(f *testing.F) {
 		}
 		ix1, ix4, docs := fuzzIndexes()
 		want := refSearch(docs, q)
-		if got := ix1.Execute(q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("serial engine diverged on %q (plan %s):\n engine %v\n oracle %v", src, q.key, got, want)
+		if got, total := ix1.execute(q, math.MaxInt); !reflect.DeepEqual(got, want) || total != len(want) {
+			t.Fatalf("serial engine diverged on %q (plan %s):\n engine %v (total %d)\n oracle %v", src, q.key, got, total, want)
 		}
-		if got := ix4.Execute(q); !reflect.DeepEqual(got, want) {
-			t.Fatalf("partitioned engine diverged on %q (plan %s):\n engine %v\n oracle %v", src, q.key, got, want)
+		if got, total := ix4.execute(q, math.MaxInt); !reflect.DeepEqual(got, want) || total != len(want) {
+			t.Fatalf("partitioned engine diverged on %q (plan %s):\n engine %v (total %d)\n oracle %v", src, q.key, got, total, want)
 		}
+		checkPages(t, "serial engine", ix1, src, want)
+		checkPages(t, "partitioned engine", ix4, src, want)
 	})
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -9,11 +10,22 @@ import (
 
 // Search parses and executes a query, returning matching entity IDs sorted.
 func (ix *Index) Search(query string) ([]string, error) {
+	ids, _, err := ix.SearchPage(query, 0)
+	return ids, err
+}
+
+// SearchPage parses and executes a query, returning the first limit matching
+// entity IDs sorted (all of them when limit <= 0) and the total match count.
+func (ix *Index) SearchPage(query string, limit int) (ids []string, total int, err error) {
 	q, err := ix.parseCached(query)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return ix.Execute(q), nil
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	ids, total = ix.execute(q, limit)
+	return ids, total, nil
 }
 
 // parseCached compiles a query through the prepared-statement cache: a
@@ -58,25 +70,43 @@ func (ix *Index) SearchHosts(query string) ([]*entity.Host, error) {
 	return hosts, nil
 }
 
-// Execute runs a compiled query. Partitions hold disjoint document sets and
+// execute runs a compiled query. Partitions hold disjoint document sets and
 // every query operator is a per-document predicate, so the query is
 // evaluated against each partition in turn and the pre-sorted per-partition
 // results are k-way merged — the merged query path over the sharded index.
-func (ix *Index) Execute(q *Query) []string {
+// Only the first n IDs are merged: total is the summed result length, so a
+// page or a count never pays for the matches it does not return. k is the
+// partition count (small), so a linear min-head scan beats a heap, and the
+// disjoint sets need no dedupe.
+func (ix *Index) execute(q *Query, n int) (ids []string, total int) {
 	lists := make([][]string, len(ix.parts))
 	for i, p := range ix.parts {
 		lists[i] = ix.partQuery(p, q)
+		total += len(lists[i])
 	}
-	return mergeSortedStrings(lists)
+	n = min(n, total)
+	ids = make([]string, 0, n)
+	for len(ids) < n {
+		m := -1
+		for i, l := range lists {
+			if len(l) > 0 && (m < 0 || l[0] < lists[m][0]) {
+				m = i
+			}
+		}
+		ids = append(ids, lists[m][0])
+		lists[m] = lists[m][1:]
+	}
+	return ids, total
 }
 
-// Count returns the number of matches.
+// Count returns the number of matches, merging none of them.
 func (ix *Index) Count(query string) (int, error) {
-	ids, err := ix.Search(query)
+	q, err := ix.parseCached(query)
 	if err != nil {
 		return 0, err
 	}
-	return len(ids), nil
+	_, total := ix.execute(q, 0)
+	return total, nil
 }
 
 // CertLocations returns the "entity port/transport" locators of every active

@@ -150,42 +150,3 @@ func (c numCol) rangeDocs(lo, hi int64) []uint32 {
 	}
 	return out[:w]
 }
-
-// mergeSortedStrings k-way merges pre-sorted string slices into one sorted
-// slice. The inputs are per-partition results over disjoint document sets,
-// so no dedupe is needed; k is the partition count (small), so a linear
-// min-head scan beats a heap.
-func mergeSortedStrings(lists [][]string) []string {
-	total := 0
-	nonEmpty := 0
-	last := -1
-	for i, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if total == 0 {
-		return []string{}
-	}
-	if nonEmpty == 1 {
-		return append([]string(nil), lists[last]...)
-	}
-	out := make([]string, 0, total)
-	heads := make([]int, len(lists))
-	for len(out) < total {
-		min := -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if min < 0 || l[heads[i]] < lists[min][heads[min]] {
-				min = i
-			}
-		}
-		out = append(out, lists[min][heads[min]])
-		heads[min]++
-	}
-	return out
-}
