@@ -83,7 +83,9 @@ fsck:
 # simnet path-table differential (a byte-driven probe schedule against the
 # map-keyed model; each input builds a universe, so minimizing is capped by
 # count, not the default 60 s), the cluster's replication wire records
-# (an accepted event re-encodes to its own bytes), and FuzzScanResponse (every
+# (an accepted event re-encodes to its own bytes), the checkpoint's binary
+# sections (likewise; seeded from a real checkpoint, whose sections are large
+# enough that minimizing is capped by count too), and FuzzScanResponse (every
 # protocol scanner, plain and inside TLS-lite, against arbitrary server bytes
 # split over reads: no panic, no banner over the cap). Seed corpora also run
 # as part of plain `make test`.
@@ -97,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/durable/ -fuzz FuzzRecordDecode -fuzztime 30s
 	$(GO) test ./internal/cluster/ -fuzz FuzzWireRecord -fuzztime 30s
 	$(GO) test ./internal/cqrs/ -fuzz FuzzPayloadDecode -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzCheckpointDecode -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve/ -fuzz FuzzDecodeCursor -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzExportCursor -fuzztime 30s
 	$(GO) test ./internal/predict/ -fuzz FuzzPrefixExclusion -fuzztime 30s
@@ -108,6 +111,7 @@ fuzz:
 # the export byte-stability differential (writes interleaved between pages),
 # the rendered-bytes differential (search, export pages and streams, and host
 # point reads with their ETags and 304s, against the encoding/json oracle;
+# history reads, rendered once per row version, against a fresh render;
 # concurrent first renders, reads racing appends, a partition restore under
 # rendered hosts), deterministic rate-limit/quota/shed accounting, the
 # bounded-allocation guards for limited search, pinned export pages and

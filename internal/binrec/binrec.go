@@ -1,22 +1,53 @@
 // Package binrec holds the strict, bounds-checked primitives the repo's binary
 // formats are read and written with: the durable journal record, the cqrs
-// journal payload and the cluster replication record. Each format owns its
-// grammar and its typed error; what they share is that a reader accepts
-// exactly what the appenders emit — minimal varints only, no length past the
-// end, no trailing bytes — so for every format decode∘encode is the identity
-// in both directions.
+// journal payload, the cluster replication record and the checkpoint's bulk
+// sections. Each format owns its grammar and its typed error; what they share
+// is that a reader accepts exactly what the appenders emit — minimal varints
+// only, no length past the end, no trailing bytes — so for every format
+// decode∘encode is the identity in both directions.
 package binrec
 
 import (
+	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"time"
 )
 
 // AppendBytes appends b length-prefixed: uvarint len, then the bytes.
 func AppendBytes[T ~string | ~[]byte](dst []byte, b T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+// AppendTime appends t as its Unix seconds less base (a zigzag varint) and its
+// nanoseconds (uvarint). Base 0 writes the absolute time; a run of times
+// passes the previous time's seconds, so each costs the varint of a delta.
+// Seconds rather than UnixNano, so that time.Time{} and every other time
+// survive.
+func AppendTime(dst []byte, t time.Time, base int64) []byte {
+	dst = binary.AppendVarint(dst, t.Unix()-base)
+	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
+}
+
+// AppendNext appends v, the successor of prev in a strictly ascending run, as
+// the gap v-prev-1 (uvarint). A run starts from prev = -1, so its first value
+// is written as itself and no gap is ever negative.
+func AppendNext(dst []byte, prev, v int64) []byte {
+	return binary.AppendUvarint(dst, uint64(v-prev-1))
+}
+
+// AppendFront appends s front-coded against prev: the length of their longest
+// common prefix (uvarint), then the rest of s length-prefixed.
+func AppendFront(dst []byte, prev, s string) []byte {
+	n := 0
+	for n < len(prev) && n < len(s) && prev[n] == s[n] {
+		n++
+	}
+	dst = binary.AppendUvarint(dst, uint64(n))
+	return AppendBytes(dst, s[n:])
 }
 
 // Reader is a cursor over one record. The first failure sticks — Err wraps
@@ -67,6 +98,59 @@ func (r *Reader) Count(what string) int {
 		return 0
 	}
 	return int(v)
+}
+
+// Items reads the length of a list whose every item takes at least one byte:
+// a length past the bytes left fails, so a reader can size the list up front.
+func (r *Reader) Items(what string) int {
+	n := r.Count(what)
+	if n > len(r.B) {
+		r.Fail(what + ": more items than bytes")
+		return 0
+	}
+	return n
+}
+
+// Next reads what AppendNext wrote after prev; a value above max fails.
+func (r *Reader) Next(what string, prev, max int64) int64 {
+	gap := r.Uvarint(what)
+	if r.Err == nil && (prev >= max || gap > uint64(max-prev-1)) {
+		r.Fail(what + ": out of range")
+	}
+	if r.Err != nil {
+		return 0
+	}
+	return prev + 1 + int64(gap)
+}
+
+// Time reads a time AppendTime wrote against base, as a UTC instant.
+func (r *Reader) Time(what string, base int64) time.Time {
+	sec, nsec := base+r.Varint(what), r.Uvarint(what)
+	if nsec >= 1e9 {
+		r.Fail(what + ": nanoseconds out of range")
+	}
+	if r.Err != nil {
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
+}
+
+// Front reads a string AppendFront wrote against prev. The prefix must be the
+// longest common one, so each string has one encoding; a string that is all
+// prefix shares prev's bytes.
+func (r *Reader) Front(what, prev string) string {
+	n := r.Count(what)
+	rest := r.Bytes(what)
+	if r.Err == nil && (n > len(prev) || len(rest) > 0 && n < len(prev) && rest[0] == prev[n]) {
+		r.Fail(what + ": prefix is not the longest common one")
+	}
+	if r.Err != nil {
+		return ""
+	}
+	if len(rest) == 0 {
+		return prev[:n]
+	}
+	return prev[:n] + string(rest)
 }
 
 // Byte reads one byte.
@@ -120,4 +204,49 @@ func (r *Reader) End() error {
 		r.Fail(fmt.Sprintf("%d trailing bytes", len(r.B)))
 	}
 	return r.Err
+}
+
+// ErrSection marks a checkpoint section value that is not a well-formed
+// binary section.
+var ErrSection = errors.New("malformed checkpoint section")
+
+// A binary section travels inside the JSON checkpoint as one JSON string: the
+// standard, padded base64 of its body, which has nothing JSON escapes.
+var section = base64.StdEncoding.Strict()
+
+// AppendSection appends body as the JSON string a binary checkpoint section's
+// value is.
+func AppendSection(dst, body []byte) []byte {
+	dst = append(dst, '"')
+	dst = section.AppendEncode(dst, body)
+	return append(dst, '"')
+}
+
+// DecodeSection parses a section value AppendSection wrote and hands read a
+// Reader over its body, which read must consume exactly. Any other JSON value
+// — the array or object a checkpoint from before binary sections holds, null,
+// an escaped or non-canonical string — fails, and every failure names the
+// section.
+func DecodeSection(name string, data []byte, read func(r *Reader)) error {
+	bad := fmt.Errorf("%w %q", ErrSection, name)
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		shape := "not a string"
+		if len(data) > 0 && data[0] == '[' {
+			shape = "an array"
+		} else if len(data) > 0 && data[0] == '{' {
+			shape = "an object"
+		}
+		return fmt.Errorf("%w: %s where a base64 string belongs (an older checkpoint's shape is refused)", bad, shape)
+	}
+	// Decode skips newlines; the length check refuses them with every other
+	// byte the encoder would not have written.
+	src := data[1 : len(data)-1]
+	body := make([]byte, section.DecodedLen(len(src)))
+	n, err := section.Decode(body, src)
+	if err != nil || section.EncodedLen(n) != len(src) {
+		return fmt.Errorf("%w: not canonical base64", bad)
+	}
+	r := Reader{B: body[:n], Bad: bad}
+	read(&r)
+	return r.End()
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 )
 
 var errBad = errors.New("test: bad record")
@@ -47,6 +49,43 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunRoundTrip: the run primitives — delta times, ascending gaps,
+// front-coded strings, item counts — read back what they wrote.
+func TestRunRoundTrip(t *testing.T) {
+	at := time.Date(2024, 8, 20, 5, 0, 0, 7, time.UTC)
+	b := AppendTime(nil, time.Time{}, 0)
+	b = AppendTime(b, at, at.Unix()-3600)
+	b = AppendNext(b, -1, 0)
+	b = AppendNext(b, 0, math.MaxUint16)
+	b = AppendFront(b, "", "10.0.0.1")
+	b = AppendFront(b, "10.0.0.1", "10.0.0.12")
+	b = AppendFront(b, "10.0.0.12", "10.0.0.1")
+	b = binary.AppendUvarint(b, 1)
+	b = append(b, 0)
+	r := Reader{B: b, Bad: errBad}
+	if v := r.Time("zero", 0); !v.IsZero() {
+		t.Errorf("zero Time = %v", v)
+	}
+	if v := r.Time("at", at.Unix()-3600); v != at {
+		t.Errorf("Time = %v, want %v", v, at)
+	}
+	if a, b := r.Next("first", -1, math.MaxUint16), r.Next("last", 0, math.MaxUint16); a != 0 || b != math.MaxUint16 {
+		t.Errorf("Next = %d, %d", a, b)
+	}
+	prev := ""
+	for _, want := range []string{"10.0.0.1", "10.0.0.12", "10.0.0.1"} {
+		if prev = r.Front("s", prev); prev != want {
+			t.Errorf("Front = %q, want %q", prev, want)
+		}
+	}
+	if n := r.Items("items"); n != 1 || r.Byte("item") != 0 {
+		t.Errorf("Items = %d", n)
+	}
+	if err := r.End(); err != nil {
+		t.Errorf("End = %v", err)
+	}
+}
+
 // TestReaderRejects: every non-canonical or short input fails with an error
 // wrapping Bad; the first failure sticks and later reads return zero.
 func TestReaderRejects(t *testing.T) {
@@ -66,6 +105,12 @@ func TestReaderRejects(t *testing.T) {
 		"bytes past end":    {[]byte{3, 'a', 'b'}, func(r *Reader) { r.Bytes("x") }},
 		"trailing bytes":    {[]byte{1, 2}, func(r *Reader) { r.Byte("x") }},
 		"owner's rule":      {[]byte{1}, func(r *Reader) { r.Byte("x"); r.Fail("rule") }},
+		"nanoseconds ≥ 1e9": {binary.AppendUvarint([]byte{0}, 1e9), func(r *Reader) { r.Time("x", 0) }},
+		"next past max":     {[]byte{11}, func(r *Reader) { r.Next("x", -1, 10) }},
+		"next after max":    {[]byte{0}, func(r *Reader) { r.Next("x", 10, 10) }},
+		"prefix past prev":  {[]byte{4, 0}, func(r *Reader) { r.Front("x", "abc") }},
+		"prefix too short":  {[]byte{1, 2, 'b', 'd'}, func(r *Reader) { r.Front("x", "abc") }},
+		"items past bytes":  {[]byte{2, 0}, func(r *Reader) { r.Items("x") }},
 	} {
 		r := Reader{B: c.in, Bad: errBad}
 		c.read(&r)
@@ -81,6 +126,28 @@ func TestReaderRejects(t *testing.T) {
 		r.Fail("later")
 		if r.End() != err {
 			t.Errorf("%s: first failure did not stick: %v", name, r.End())
+		}
+	}
+}
+
+// TestSection: a section value is the base64 JSON string of its body and
+// nothing else — an older checkpoint's array or object, null, and a string
+// that is not the encoder's own base64 fail, naming the section.
+func TestSection(t *testing.T) {
+	body := []byte{3, 1, 2, 3}
+	v := AppendSection(nil, body)
+	if string(v) != `"AwECAw=="` {
+		t.Fatalf("AppendSection = %s", v)
+	}
+	var got []byte
+	if err := DecodeSection("s", v, func(r *Reader) { got = r.Bytes("b") }); err != nil || !bytes.Equal(got, body[1:]) {
+		t.Fatalf("DecodeSection = %v, %v", got, err)
+	}
+	for _, bad := range []string{`[{"a":1}]`, `{"a":1}`, `null`, `""x`, `"AwECAw="`, `"AwECAx=="`,
+		`"AwEC\nAw=="`, "\"AwEC\nAw==\"", `"AwEC\u0041w=="`, `"AwECAw=="x`, `"AwECAwA="`, ``} {
+		err := DecodeSection("sect", []byte(bad), func(r *Reader) { r.Bytes("b") })
+		if !errors.Is(err, ErrSection) || !strings.Contains(err.Error(), `"sect"`) {
+			t.Errorf("%s: err = %v, want ErrSection naming the section", bad, err)
 		}
 	}
 }

@@ -33,6 +33,14 @@ import (
 //     positions, model state, counters) serialized at a tick boundary. It is
 //     plain data and JSON round-trips. It holds no per-slot table but
 //     processor.slots: the refresh set is the rebuilt write-side state.
+//   - The checkpoint's envelope is JSON, because bench/, the chaos harness and
+//     its disk suite decode it with plain encoding/json. Its three bulk
+//     sections — the predictor's model, processor.slots and web_props.names
+//     — are each a JSON string holding a strict binary body their owning
+//     package writes and reads (binrec.DecodeSection): decoding the model by
+//     reflection was most of a recovery's checkpoint decode. A value in the
+//     older array or object shape is refused, naming the section; durable
+//     already CRC-frames the whole record.
 //
 // Checkpoints are only consistent at tick boundaries: mid-tick, probes have
 // consumed path-sequence numbers that no replay can reissue. Map.Checkpoint

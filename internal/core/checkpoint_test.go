@@ -21,10 +21,11 @@ import (
 )
 
 // checkpointBytesPerServiceCeiling is ~20 % above what the universe below
-// measures (115 B of bookkeeping per live service; with the pseudo filter's
-// per-host observation counts it read 239, and with a per-slot table
-// restated beside processor.slots as well, 338).
-const checkpointBytesPerServiceCeiling = 138
+// measures (57 B of bookkeeping per live service with processor.slots a
+// binary section; as a JSON array it read 115, with the pseudo filter's
+// per-host observation counts as well 239, and with a per-slot table restated
+// beside processor.slots 338).
+const checkpointBytesPerServiceCeiling = 68
 
 // refreshSet is what the refresh loop works from — every slot the write side
 // materializes, with its refresh clock and, for UDP, the protocol a refresh

@@ -73,7 +73,7 @@ func TestUnchangedRefreshJournalsNothing(t *testing.T) {
 	if svc := p.CurrentState(addr.String()).Service(key); svc == nil || !svc.LastSeen.Equal(at(5)) {
 		t.Fatalf("materialized service = %+v, want LastSeen %v", svc, at(5))
 	}
-	want := []SlotLiveness{{Entity: addr.String(), Key: key.String(), At: at(5), PoP: "chi"}}
+	want := Liveness{{Entity: addr.String(), Key: key.String(), At: at(5), PoP: "chi"}}
 	if got := p.Ephemeral().Slots; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Ephemeral().Slots = %+v, want %+v", got, want)
 	}

@@ -58,20 +58,6 @@ const (
 	flagsKnown = flagTLS | flagVerified | flagPending
 )
 
-func appendTime(dst []byte, t time.Time) []byte {
-	dst = binary.AppendVarint(dst, t.Unix())
-	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
-}
-
-func readTime(r *binrec.Reader, what string) time.Time {
-	sec, nsec := r.Varint(what), r.Uvarint(what)
-	if nsec >= 1e9 {
-		r.Fail(what + ": nanoseconds out of range")
-		return time.Time{}
-	}
-	return time.Unix(sec, int64(nsec)).UTC()
-}
-
 func readPort(r *binrec.Reader) uint16 {
 	port := r.Uvarint("port")
 	if port > 65535 {
@@ -109,10 +95,10 @@ func appendService(dst []byte, s *entity.Service) []byte {
 	dst = binrec.AppendBytes(dst, s.Banner)
 	dst = binrec.AppendBytes(dst, s.Method)
 	dst = binrec.AppendBytes(dst, s.SourcePoP)
-	dst = appendTime(dst, s.FirstSeen)
-	dst = appendTime(dst, s.LastSeen)
+	dst = binrec.AppendTime(dst, s.FirstSeen, 0)
+	dst = binrec.AppendTime(dst, s.LastSeen, 0)
 	if s.PendingRemovalSince != nil {
-		dst = appendTime(dst, *s.PendingRemovalSince)
+		dst = binrec.AppendTime(dst, *s.PendingRemovalSince, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(s.Attributes)))
 	var buf [16]string
@@ -132,7 +118,7 @@ func AppendServiceEvent(dst []byte, svc *entity.Service) []byte {
 func AppendKeyEvent(dst []byte, key entity.ServiceKey, since time.Time) []byte {
 	dst = binary.AppendUvarint(dst, uint64(key.Port))
 	dst = binrec.AppendBytes(dst, key.Transport)
-	return appendTime(dst, since)
+	return binrec.AppendTime(dst, since, 0)
 }
 
 // AppendHostSnapshot appends a full-state snapshot payload to dst. Services
@@ -142,7 +128,7 @@ func AppendHostSnapshot(dst []byte, h *entity.Host) []byte {
 	var ip [16 + 16]byte
 	addr, _ := h.IP.AppendBinary(ip[:0]) // cannot fail
 	dst = binrec.AppendBytes(dst, addr)
-	dst = appendTime(dst, h.LastUpdated)
+	dst = binrec.AppendTime(dst, h.LastUpdated, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(h.Services)))
 	var buf [16]string
 	for _, k := range sortedKeys(h.Services, buf[:]) {
@@ -178,10 +164,10 @@ func readService(r *binrec.Reader) (v serviceView) {
 	v.banner = r.Bytes("banner")
 	v.method = r.Bytes("method")
 	v.pop = r.Bytes("source_pop")
-	v.first = readTime(r, "first_seen")
-	v.last = readTime(r, "last_seen")
+	v.first = r.Time("first_seen", 0)
+	v.last = r.Time("last_seen", 0)
 	if v.flags&flagPending != 0 {
-		v.pending = readTime(r, "pending_removal_since")
+		v.pending = r.Time("pending_removal_since", 0)
 	}
 	v.nattr = r.Count("attributes")
 	region := r.B
@@ -200,7 +186,7 @@ func readService(r *binrec.Reader) (v serviceView) {
 
 // readKey reads a pending/removed delta.
 func readKey(r *binrec.Reader) (port uint16, transport []byte, since time.Time) {
-	return readPort(r), r.Bytes("transport"), readTime(r, "since")
+	return readPort(r), r.Bytes("transport"), r.Time("since", 0)
 }
 
 // attr reads the next pair of a validated attribute region.
@@ -329,7 +315,7 @@ func openSnapshot(payload []byte) (s snapshotReader) {
 	if s.ip.UnmarshalBinary(s.r.Bytes("ip")) != nil {
 		s.r.Fail("ip: bad length")
 	}
-	s.updated = readTime(&s.r, "last_updated")
+	s.updated = s.r.Time("last_updated", 0)
 	// Every service takes more than a byte, so a count past the end is
 	// refused, and zeroed, before anything is sized by it.
 	if s.n = s.r.Count("services"); s.n > len(s.r.B) {

@@ -1,11 +1,16 @@
 package cqrs
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
+	"censysmap/internal/binrec"
 	"censysmap/internal/entity"
 	"censysmap/internal/journal"
 )
@@ -92,10 +97,88 @@ func replayHost(id string, snap journal.Event, deltas []journal.Event) (*entity.
 // (it changes every scan and would defeat delta encoding), so the
 // journal-rebuilt record can trail the live one by exactly these two fields.
 type SlotLiveness struct {
-	Entity string    `json:"entity"`
-	Key    string    `json:"key"`
-	At     time.Time `json:"at"`
-	PoP    string    `json:"pop,omitempty"`
+	Entity string
+	Key    string
+	At     time.Time
+	PoP    string
+}
+
+// Liveness is every materialized slot's liveness, ascending by (Entity, Key).
+// In a checkpoint it is one binary section (binrec.DecodeSection):
+//
+//	slots := p:uvarint pop{p} n:uvarint (entity key at:time pop:uvarint){n}
+//
+// The PoP table ascends strictly and names only PoPs some slot holds; a slot
+// gives its PoP's index. entity and key are binrec.AppendFront-coded against
+// the previous slot's and at is binrec.AppendTime against the previous slot's
+// (the first's against 0), so one list has one encoding.
+type Liveness []SlotLiveness
+
+func (l Liveness) MarshalJSON() ([]byte, error) {
+	pops := make(map[string]int)
+	for _, sl := range l {
+		pops[sl.PoP] = 0
+	}
+	names := slices.Sorted(maps.Keys(pops))
+	dst := binary.AppendUvarint(nil, uint64(len(names)))
+	for i, name := range names {
+		pops[name] = i
+		dst = binrec.AppendBytes(dst, name)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(l)))
+	var prev SlotLiveness
+	var at int64
+	for i, sl := range l {
+		if i > 0 && cmp.Or(cmp.Compare(sl.Entity, prev.Entity), cmp.Compare(sl.Key, prev.Key)) <= 0 {
+			return nil, fmt.Errorf("cqrs: liveness out of order at %s %s", sl.Entity, sl.Key)
+		}
+		dst = binrec.AppendFront(dst, prev.Entity, sl.Entity)
+		dst = binrec.AppendFront(dst, prev.Key, sl.Key)
+		dst = binrec.AppendTime(dst, sl.At, at)
+		dst = binary.AppendUvarint(dst, uint64(pops[sl.PoP]))
+		prev, at = sl, sl.At.Unix()
+	}
+	return binrec.AppendSection(nil, dst), nil
+}
+
+func (l *Liveness) UnmarshalJSON(data []byte) error {
+	return binrec.DecodeSection("slots", data, func(r *binrec.Reader) {
+		names := make([]string, r.Items("pops"))
+		for i := range names {
+			names[i] = string(r.Bytes("pop"))
+			if i > 0 && names[i] <= names[i-1] {
+				r.Fail("pops out of order")
+			}
+		}
+		used := make([]bool, len(names))
+		out := make(Liveness, r.Items("slots"))
+		var prev SlotLiveness
+		var at int64
+		for i := range out {
+			sl := &out[i]
+			sl.Entity = r.Front("entity", prev.Entity)
+			sl.Key = r.Front("key", prev.Key)
+			sl.At = r.Time("at", at)
+			pop := r.Count("pop")
+			if r.Err != nil {
+				return
+			}
+			if pop >= len(names) {
+				r.Fail("pop: out of range")
+				return
+			}
+			if i > 0 && cmp.Or(cmp.Compare(sl.Entity, prev.Entity), cmp.Compare(sl.Key, prev.Key)) <= 0 {
+				r.Fail("slots out of order")
+				return
+			}
+			sl.PoP, used[pop] = names[pop], true
+			prev, at = *sl, sl.At.Unix()
+		}
+		if slices.Contains(used, false) {
+			r.Fail("a pop no slot holds")
+		}
+		*l = out
+	})
 }
 
 // Ephemeral is the write-side state that lives outside the journal: the
@@ -103,9 +186,9 @@ type SlotLiveness struct {
 // counters. Together with RebuildProcessor it makes a processor restart
 // bit-exact.
 type Ephemeral struct {
-	Observations uint64         `json:"observations"`
-	NoChange     uint64         `json:"no_change"`
-	Slots        []SlotLiveness `json:"slots,omitempty"`
+	Observations uint64   `json:"observations"`
+	NoChange     uint64   `json:"no_change"`
+	Slots        Liveness `json:"slots,omitempty"`
 }
 
 // Ephemeral captures the un-journaled write-side state in canonical order.

@@ -674,35 +674,34 @@ func (e *Engine) Resolve(addr netip.Addr, port uint16, transport entity.Transpor
 
 // SuggestedEntry is one cooldown-clock entry, exported for checkpointing.
 type SuggestedEntry struct {
-	Target Target    `json:"target"`
-	At     time.Time `json:"at"`
+	Target Target
+	At     time.Time
 }
 
 // EvictedState is one re-injection-queue entry, exported for checkpointing.
 type EvictedState struct {
-	Target    Target    `json:"target"`
-	At        time.Time `json:"at"`
-	LastRetry time.Time `json:"last_retry,omitempty"`
+	Target    Target
+	At        time.Time
+	LastRetry time.Time
 }
 
-// State is the engine's serializable model state. Map-shaped signals stay
-// maps (their iteration order never reaches output); the cooldown and
-// re-injection books become canonically sorted slices because their struct
-// keys cannot be JSON map keys. Everything counted per host — the stage-1
+// State is the engine's serializable model state. The cooldown and
+// re-injection books are canonically sorted slices, and every bulk field
+// encodes as one binary checkpoint section (state.go). Everything counted per host — the stage-1
 // priors, the per-/24 host lists and port counts the topology ranks by — is
 // a view of HostPorts and is rebuilt on Restore; the exclusion subtrees
 // belong to the engine's owner, which sets them with SetExcluded.
 type State struct {
-	Cooc      map[uint16]map[uint16]int                  `json:"cooc,omitempty"`
-	HostPorts map[netip.Addr]map[uint16]entity.Transport `json:"host_ports,omitempty"`
-	// FullHosts is the fully scanned sample (sorted); FullCooc/FullPortHosts
-	// are the sample-conditioned co-occurrence counts.
-	FullHosts     []netip.Addr              `json:"full_hosts,omitempty"`
-	FullCooc      map[uint16]map[uint16]int `json:"full_cooc,omitempty"`
-	FullPortHosts map[uint16]int            `json:"full_port_hosts,omitempty"`
-	Suggested     []SuggestedEntry          `json:"suggested,omitempty"`
-	Evicted       []EvictedState            `json:"evicted,omitempty"`
-	Cursor        int                       `json:"cursor"`
+	Cooc      PortPairs `json:"cooc,omitempty"`
+	HostPorts HostPorts `json:"host_ports,omitempty"`
+	// FullHosts is the fully scanned sample; FullCooc/FullPortHosts are the
+	// sample-conditioned co-occurrence counts.
+	FullHosts     Hosts           `json:"full_hosts,omitempty"`
+	FullCooc      SamplePortPairs `json:"full_cooc,omitempty"`
+	FullPortHosts PortCounts      `json:"full_port_hosts,omitempty"`
+	Suggested     Suggestions     `json:"suggested,omitempty"`
+	Evicted       Evictions       `json:"evicted,omitempty"`
+	Cursor        int             `json:"cursor"`
 	// ExpandCursor is the expansion phase's rotation position.
 	ExpandCursor int `json:"expand_cursor"`
 }

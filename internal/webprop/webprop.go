@@ -11,12 +11,15 @@
 package webprop
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"censysmap/internal/binrec"
 	"censysmap/internal/entity"
 	"censysmap/internal/journal"
 	"censysmap/internal/protocols"
@@ -95,11 +98,100 @@ func (p *Pipeline) Journal() *journal.Store { return p.journal }
 // checkpointing. LastSeen is its property's last successful scan: the one
 // property field an unchanged rescan moves without journaling.
 type NameRecord struct {
-	Name        string    `json:"name"`
-	Sources     []string  `json:"sources"`
-	NextScan    time.Time `json:"next_scan"`
-	FailedSince time.Time `json:"failed_since,omitempty"`
-	LastSeen    time.Time `json:"last_seen,omitzero"`
+	Name        string
+	Sources     []string
+	NextScan    time.Time
+	FailedSince time.Time // zero when healthy
+	LastSeen    time.Time // zero when no scan succeeded
+}
+
+// NameRecords is the tracked names in scan-queue order. In a checkpoint it
+// is one binary section (binrec.DecodeSection):
+//
+//	names  := n:uvarint (name flags:u8 next_scan:time [failed_since:time] [last_seen:time]){n}
+//	flags  := 1 ct | 2 pdns | 4 redirect | 8 failed_since | 16 last_seen
+//
+// name is binrec.AppendFront-coded against the previous record's, next_scan
+// is binrec.AppendTime against the previous record's (the first's against
+// 0), and the two optional times, present exactly when not zero, are against
+// their own record's next_scan. Sources are a set of the three known ones,
+// listed in string order.
+type NameRecords []NameRecord
+
+// sourceSets lists, for each flags&7, the sources its bits name in string
+// order. Decoded records share these slices; nothing writes to them.
+var sourceSets = func() (sets [8][]string) {
+	for mask := 1; mask < 8; mask++ {
+		for i, src := range [...]string{SourceCT, SourcePDNS, SourceRedirect} {
+			if mask&(1<<i) != 0 {
+				sets[mask] = append(sets[mask], src)
+			}
+		}
+		sets[mask] = slices.Clip(sets[mask])
+	}
+	return sets
+}()
+
+const (
+	hasFailedSince = 8
+	hasLastSeen    = 16
+)
+
+func (rs NameRecords) MarshalJSON() ([]byte, error) {
+	dst := binary.AppendUvarint(nil, uint64(len(rs)))
+	prev, at := "", int64(0)
+	for _, rec := range rs {
+		mask := slices.IndexFunc(sourceSets[:], func(set []string) bool { return slices.Equal(set, rec.Sources) })
+		if mask < 0 {
+			return nil, fmt.Errorf("webprop: %s: sources %q are not a set of the known ones", rec.Name, rec.Sources)
+		}
+		flags := byte(mask)
+		if !rec.FailedSince.IsZero() {
+			flags |= hasFailedSince
+		}
+		if !rec.LastSeen.IsZero() {
+			flags |= hasLastSeen
+		}
+		dst = append(binrec.AppendFront(dst, prev, rec.Name), flags)
+		dst = binrec.AppendTime(dst, rec.NextScan, at)
+		if flags&hasFailedSince != 0 {
+			dst = binrec.AppendTime(dst, rec.FailedSince, rec.NextScan.Unix())
+		}
+		if flags&hasLastSeen != 0 {
+			dst = binrec.AppendTime(dst, rec.LastSeen, rec.NextScan.Unix())
+		}
+		prev, at = rec.Name, rec.NextScan.Unix()
+	}
+	return binrec.AppendSection(nil, dst), nil
+}
+
+func (rs *NameRecords) UnmarshalJSON(data []byte) error {
+	return binrec.DecodeSection("names", data, func(r *binrec.Reader) {
+		out := make(NameRecords, r.Items("names"))
+		prev, at := "", int64(0)
+		for i := range out {
+			rec := &out[i]
+			rec.Name = r.Front("name", prev)
+			flags := r.Byte("flags")
+			if flags >= hasLastSeen<<1 {
+				r.Fail("flags: unknown bits")
+			}
+			rec.Sources = sourceSets[flags&7]
+			rec.NextScan = r.Time("next_scan", at)
+			if flags&hasFailedSince != 0 {
+				if rec.FailedSince = r.Time("failed_since", rec.NextScan.Unix()); rec.FailedSince.IsZero() {
+					r.Fail("failed_since: present but zero")
+				}
+			}
+			if flags&hasLastSeen != 0 {
+				if rec.LastSeen = r.Time("last_seen", rec.NextScan.Unix()); rec.LastSeen.IsZero() {
+					r.Fail("last_seen: present but zero")
+				}
+			}
+			prev, at = rec.Name, rec.NextScan.Unix()
+		}
+		*rs = out
+	})
 }
 
 // State is the pipeline's serializable state: the tracked names, in scan
@@ -109,13 +201,13 @@ type NameRecord struct {
 // is when it is off the queue. The current properties are the web journal's
 // latest events and are rebuilt from it on Restore.
 type State struct {
-	Names    []NameRecord `json:"names,omitempty"`
-	CTCursor uint64       `json:"ct_cursor"`
+	Names    NameRecords `json:"names,omitempty"`
+	CTCursor uint64      `json:"ct_cursor"`
 }
 
 // State captures the pipeline for checkpointing. Call it between ticks.
 func (p *Pipeline) State() State {
-	st := State{CTCursor: p.ctCursor, Names: make([]NameRecord, 0, len(p.queue))}
+	st := State{CTCursor: p.ctCursor, Names: make(NameRecords, 0, len(p.queue))}
 	for _, name := range p.queue {
 		ns := p.names[name]
 		rec := NameRecord{Name: name, NextScan: ns.nextScan, FailedSince: ns.failedSince}
