@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-test paper-tables serve-test predict-diff adversarial loc check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-discovery bench-test paper-tables serve-test predict-diff adversarial loc check
 
 all: check
 
@@ -143,6 +143,13 @@ paper-tables:
 bench-search:
 	$(GO) test -run '^$$' -bench 'BenchmarkSearch|BenchmarkIndexUpsert' \
 		-benchmem -benchtime 20x ./internal/search/
+
+# The discovery probe loop: one hourly tick of the three scan classes over
+# scan_sweep's universe per op, as ns/probe and allocs/op, and the cyclic
+# iterator's step under it.
+bench-discovery:
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineTick' -benchmem -benchtime 200x ./internal/discovery/
+	$(GO) test -run '^$$' -bench 'BenchmarkCycleNext|BenchmarkIteratorNext' -benchmem ./internal/cyclic/
 
 # The predictive-scanning suite: the GPS-style scheduler's determinism and
 # crash differentials (model, topology cursors, cooldown book, and budget

@@ -139,18 +139,47 @@ func (r *Reader) Time(what string, base int64) time.Time {
 // longest common one, so each string has one encoding; a string that is all
 // prefix shares prev's bytes.
 func (r *Reader) Front(what, prev string) string {
-	n := r.Count(what)
-	rest := r.Bytes(what)
-	if r.Err == nil && (n > len(prev) || len(rest) > 0 && n < len(prev) && rest[0] == prev[n]) {
-		r.Fail(what + ": prefix is not the longest common one")
-	}
-	if r.Err != nil {
+	n, rest, ok := r.front(what, prev)
+	if !ok {
 		return ""
 	}
 	if len(rest) == 0 {
 		return prev[:n]
 	}
 	return prev[:n] + string(rest)
+}
+
+// FrontInterned is Front for a field drawn from a small vocabulary: it
+// returns seen's copy of the string, adding one the first time it reads it,
+// so a decode allocates each distinct value once rather than once per
+// occurrence.
+func (r *Reader) FrontInterned(what, prev string, seen map[string]string) string {
+	n, rest, ok := r.front(what, prev)
+	if !ok {
+		return ""
+	}
+	if len(rest) == 0 {
+		return prev[:n]
+	}
+	var scratch [64]byte
+	b := append(append(scratch[:0], prev[:n]...), rest...)
+	if s, ok := seen[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	seen[s] = s
+	return s
+}
+
+// front reads AppendFront's prefix length and rest, checking the prefix
+// against prev; ok is false once the reader has failed.
+func (r *Reader) front(what, prev string) (n int, rest []byte, ok bool) {
+	n = r.Count(what)
+	rest = r.Bytes(what)
+	if r.Err == nil && (n > len(prev) || len(rest) > 0 && n < len(prev) && rest[0] == prev[n]) {
+		r.Fail(what + ": prefix is not the longest common one")
+	}
+	return n, rest, r.Err == nil
 }
 
 // Byte reads one byte.

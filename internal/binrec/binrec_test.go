@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var errBad = errors.New("test: bad record")
@@ -86,6 +87,48 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontInterned: FrontInterned reads what Front reads, and hands out one
+// string per distinct value — the first read of a value allocates it, every
+// later one returns that string.
+func TestFrontInterned(t *testing.T) {
+	vals := []string{"443/tcp", "80/tcp", "443/tcp", "8443/tcp", "80/tcp", "80/tcp", "161/udp", "443/tcp"}
+	var b []byte
+	prev := ""
+	for _, v := range vals {
+		b, prev = AppendFront(b, prev, v), v
+	}
+	seen := map[string]string{}
+	first := map[string]string{}
+	r := Reader{B: b, Bad: errBad}
+	prev = ""
+	for i, want := range vals {
+		got := r.FrontInterned("k", prev, seen)
+		if got != want {
+			t.Fatalf("value %d = %q, want %q", i, got, want)
+		}
+		if f, ok := first[got]; ok && unsafe.StringData(f) != unsafe.StringData(got) {
+			t.Errorf("value %d (%q) is a fresh copy, not the interned string", i, got)
+		}
+		first[got], prev = got, got
+	}
+	if err := r.End(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 4 {
+		t.Errorf("interned %d strings, want 4", len(seen))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		r := Reader{B: b, Bad: errBad}
+		prev := ""
+		for range vals {
+			prev = r.FrontInterned("k", prev, seen)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("re-reading interned values: %v allocs, want 0", allocs)
+	}
+}
+
 // TestReaderRejects: every non-canonical or short input fails with an error
 // wrapping Bad; the first failure sticks and later reads return zero.
 func TestReaderRejects(t *testing.T) {
@@ -94,23 +137,25 @@ func TestReaderRejects(t *testing.T) {
 		in   []byte
 		read func(r *Reader)
 	}{
-		"empty uvarint":     {nil, func(r *Reader) { r.Uvarint("x") }},
-		"truncated uvarint": {[]byte{0x80}, func(r *Reader) { r.Uvarint("x") }},
-		"padded uvarint":    {[]byte{0x80, 0x00}, func(r *Reader) { r.Uvarint("x") }},
-		"padded varint":     {[]byte{0x81, 0x00}, func(r *Reader) { r.Varint("x") }},
-		"uvarint overflow":  {append(bytes.Repeat([]byte{0xff}, 10), 1), func(r *Reader) { r.Uvarint("x") }},
-		"count over MaxInt": {overInt, func(r *Reader) { r.Count("x") }},
-		"no byte":           {nil, func(r *Reader) { r.Byte("x") }},
-		"short int64":       {make([]byte, 7), func(r *Reader) { r.Int64BE("x") }},
-		"bytes past end":    {[]byte{3, 'a', 'b'}, func(r *Reader) { r.Bytes("x") }},
-		"trailing bytes":    {[]byte{1, 2}, func(r *Reader) { r.Byte("x") }},
-		"owner's rule":      {[]byte{1}, func(r *Reader) { r.Byte("x"); r.Fail("rule") }},
-		"nanoseconds ≥ 1e9": {binary.AppendUvarint([]byte{0}, 1e9), func(r *Reader) { r.Time("x", 0) }},
-		"next past max":     {[]byte{11}, func(r *Reader) { r.Next("x", -1, 10) }},
-		"next after max":    {[]byte{0}, func(r *Reader) { r.Next("x", 10, 10) }},
-		"prefix past prev":  {[]byte{4, 0}, func(r *Reader) { r.Front("x", "abc") }},
-		"prefix too short":  {[]byte{1, 2, 'b', 'd'}, func(r *Reader) { r.Front("x", "abc") }},
-		"items past bytes":  {[]byte{2, 0}, func(r *Reader) { r.Items("x") }},
+		"empty uvarint":      {nil, func(r *Reader) { r.Uvarint("x") }},
+		"truncated uvarint":  {[]byte{0x80}, func(r *Reader) { r.Uvarint("x") }},
+		"padded uvarint":     {[]byte{0x80, 0x00}, func(r *Reader) { r.Uvarint("x") }},
+		"padded varint":      {[]byte{0x81, 0x00}, func(r *Reader) { r.Varint("x") }},
+		"uvarint overflow":   {append(bytes.Repeat([]byte{0xff}, 10), 1), func(r *Reader) { r.Uvarint("x") }},
+		"count over MaxInt":  {overInt, func(r *Reader) { r.Count("x") }},
+		"no byte":            {nil, func(r *Reader) { r.Byte("x") }},
+		"short int64":        {make([]byte, 7), func(r *Reader) { r.Int64BE("x") }},
+		"bytes past end":     {[]byte{3, 'a', 'b'}, func(r *Reader) { r.Bytes("x") }},
+		"trailing bytes":     {[]byte{1, 2}, func(r *Reader) { r.Byte("x") }},
+		"owner's rule":       {[]byte{1}, func(r *Reader) { r.Byte("x"); r.Fail("rule") }},
+		"nanoseconds ≥ 1e9":  {binary.AppendUvarint([]byte{0}, 1e9), func(r *Reader) { r.Time("x", 0) }},
+		"next past max":      {[]byte{11}, func(r *Reader) { r.Next("x", -1, 10) }},
+		"next after max":     {[]byte{0}, func(r *Reader) { r.Next("x", 10, 10) }},
+		"prefix past prev":   {[]byte{4, 0}, func(r *Reader) { r.Front("x", "abc") }},
+		"prefix too short":   {[]byte{1, 2, 'b', 'd'}, func(r *Reader) { r.Front("x", "abc") }},
+		"interned past prev": {[]byte{4, 0}, func(r *Reader) { r.FrontInterned("x", "abc", map[string]string{}) }},
+		"interned too short": {[]byte{1, 2, 'b', 'd'}, func(r *Reader) { r.FrontInterned("x", "abc", map[string]string{}) }},
+		"items past bytes":   {[]byte{2, 0}, func(r *Reader) { r.Items("x") }},
 	} {
 		r := Reader{B: c.in, Bad: errBad}
 		c.read(&r)

@@ -620,6 +620,7 @@ func (m *Map) seedScan() {
 	prefix := m.net.Config().Prefix.Masked()
 	count := uint64(1) << (32 - prefix.Bits())
 	baseVal := uint64(draw.AddrU32(prefix.Addr()))
+	b := m.net.Batch(now)
 	for off := uint64(0); off < count; off++ {
 		// Deterministic sampling keyed on the address. The multiply alone
 		// leaves an arithmetic lattice mod 2^16 that aliases against the
@@ -632,7 +633,8 @@ func (m *Map) seedScan() {
 		if draw.Frac(h) >= m.cfg.SeedScanFraction {
 			continue
 		}
-		addr := draw.U32Addr(uint32(baseVal + off))
+		a := uint32(baseVal + off)
+		addr := draw.U32Addr(a)
 		if m.excludedAddr(addr) {
 			continue
 		}
@@ -641,7 +643,7 @@ func (m *Map) seedScan() {
 		m.predictor.ObserveFull(addr)
 		open := 0
 		for port := 1; port <= 65535; port++ {
-			if m.net.ProbeTCP(m.scanner, addr, uint16(port)) != simnet.Open {
+			if b.TCP(&m.scanner, a, uint16(port)) != simnet.Open {
 				continue
 			}
 			open++
@@ -650,6 +652,7 @@ func (m *Map) seedScan() {
 				PoP: m.pops[0].Name, Time: now}
 			m.enqueue(pendingTask{cand: c, kind: taskCandidate})
 		}
+		b.Flush()
 		m.ledger.Account(m.classSeed, 65535, open)
 		// Batch per address: pseudo-host detection must engage before the
 		// next address's candidates are processed, exactly as inline
@@ -1036,12 +1039,14 @@ func (m *Map) runPrediction(now time.Time) {
 	}
 	targets := m.predictor.Recommend(now, budget)
 	probed, open := 0, 0
+	b := m.net.Batch(now)
+	defer b.Flush()
 	for _, t := range targets {
 		if m.excludedAddr(t.Addr) {
 			continue
 		}
 		probed++
-		if m.net.ProbeTCP(m.scanner, t.Addr, t.Port) != simnet.Open {
+		if b.TCP(&m.scanner, draw.AddrU32(t.Addr), t.Port) != simnet.Open {
 			continue
 		}
 		open++

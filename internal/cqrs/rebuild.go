@@ -152,12 +152,13 @@ func (l *Liveness) UnmarshalJSON(data []byte) error {
 		}
 		used := make([]bool, len(names))
 		out := make(Liveness, r.Items("slots"))
+		keys := make(map[string]string) // a key is one of ~100 port/transport strings
 		var prev SlotLiveness
 		var at int64
 		for i := range out {
 			sl := &out[i]
 			sl.Entity = r.Front("entity", prev.Entity)
-			sl.Key = r.Front("key", prev.Key)
+			sl.Key = r.FrontInterned("key", prev.Key, keys)
 			sl.At = r.Time("at", at)
 			pop := r.Count("pop")
 			if r.Err != nil {

@@ -1,11 +1,14 @@
 package cqrs
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"censysmap/internal/entity"
 	"censysmap/internal/journal"
@@ -205,5 +208,45 @@ func TestReplayIsLossless(t *testing.T) {
 		if got := rebuilt.CurrentState(addr.String()); !reflect.DeepEqual(got, want) {
 			t.Errorf("snapshot every %d: RebuildProcessor replayed\n got  %s\n want %s", every, hostJSON(t, got), hostJSON(t, want))
 		}
+	}
+}
+
+// TestLivenessDecodeInternsKeys: a decoded Liveness round-trips, and every
+// slot with the same key shares one string — a checkpoint's slot list
+// decodes one key string per distinct port/transport, not one per slot.
+func TestLivenessDecodeInternsKeys(t *testing.T) {
+	keys := []string{"22/tcp", "443/tcp", "53/udp", "80/tcp", "8080/tcp"}
+	at := time.Date(2024, 8, 20, 0, 0, 0, 0, time.UTC)
+	var l Liveness
+	for h := 0; h < 200; h++ {
+		entity := netip.AddrFrom4([4]byte{10, 0, byte(h >> 8), byte(h)}).String()
+		for k := h % 3; k < len(keys); k += 2 {
+			l = append(l, SlotLiveness{Entity: entity, Key: keys[k], At: at.Add(time.Duration(h) * time.Minute), PoP: "chi"})
+		}
+	}
+	slices.SortFunc(l, func(a, b SlotLiveness) int {
+		return cmp.Or(cmp.Compare(a.Entity, b.Entity), cmp.Compare(a.Key, b.Key))
+	})
+	blob, err := l.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Liveness
+	if err := got.UnmarshalJSON(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, l) {
+		t.Fatal("liveness did not round-trip")
+	}
+	data := map[string]*byte{}
+	for _, sl := range got {
+		p := unsafe.StringData(sl.Key)
+		if q, ok := data[sl.Key]; ok && q != p {
+			t.Fatalf("key %q decoded as more than one string", sl.Key)
+		}
+		data[sl.Key] = p
+	}
+	if len(data) != len(keys) {
+		t.Fatalf("decoded %d distinct keys, want %d", len(data), len(keys))
 	}
 }

@@ -35,6 +35,25 @@ func BenchmarkIteratorNext(b *testing.B) {
 	}
 }
 
+// BenchmarkIteratorNextU32 is the step discovery's probe loop takes: a
+// power-of-two host count, so no division anywhere.
+func BenchmarkIteratorNextU32(b *testing.B) {
+	space, err := NewPrefixSpace(netip.MustParsePrefix("10.0.0.0/16"), allBenchPorts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	it, err := NewIterator(space, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok := it.NextU32(); !ok {
+			it.Reset()
+		}
+	}
+}
+
 func BenchmarkNewCycleSetup(b *testing.B) {
 	// Prime search + generator derivation for a 65K-port /16 space.
 	for i := 0; i < b.N; i++ {

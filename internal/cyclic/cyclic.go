@@ -36,7 +36,8 @@ func NameSeed(name string) uint64 {
 	return h
 }
 
-// mulmod returns (a*b) mod m without overflow for any 64-bit operands.
+// mulmod returns (a*b) mod m without overflow for any 64-bit operands. It
+// divides, so only construction uses it; Next steps with shoupMul.
 func mulmod(a, b, m uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	_, rem := bits.Div64(hi%m, lo, m)
@@ -152,6 +153,26 @@ func isGenerator(g, p uint64, factors []uint64) bool {
 	return true
 }
 
+// shoup returns Shoup's precomputed quotient ⌊w·2⁶⁴/p⌋ for multiplying by a
+// fixed w < p modulo p.
+func shoup(w, p uint64) uint64 {
+	q, _ := bits.Div64(w, 0, p)
+	return q
+}
+
+// shoupMul returns (x*w) mod p for x < p < 2⁶³, given wq = shoup(w, p): the
+// high word of x·wq underestimates ⌊x·w/p⌋ by at most one, so the remainder
+// it leaves, computed mod 2⁶⁴, is below 2p and one conditional subtract
+// finishes it. One multiply-high and two low multiplies; no division.
+func shoupMul(x, w, wq, p uint64) uint64 {
+	q, _ := bits.Mul64(x, wq)
+	r := x*w - q*p
+	if r >= p {
+		r -= p
+	}
+	return r
+}
+
 // Cycle iterates a target space of size N in pseudorandom order.
 type Cycle struct {
 	n       uint64 // space size; emitted values are in [0, n)
@@ -159,6 +180,7 @@ type Cycle struct {
 	start   uint64 // first group element
 	cur     uint64
 	stride  uint64 // multiplier per step (g, or g^m when sharded)
+	strideQ uint64 // shoup(stride, p), so Next never divides
 	emitted uint64 // values emitted so far
 	steps   uint64 // group steps taken (for skip accounting)
 	maxStep uint64 // group steps before the cycle is exhausted
@@ -185,7 +207,7 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	}
 	if n == 1 {
 		// The group mod 2 is trivial; emit the single element directly.
-		c := &Cycle{n: 1, p: 2, start: 1, cur: 1, stride: 1}
+		c := &Cycle{n: 1, p: 2, start: 1, cur: 1, stride: 1, strideQ: shoup(1, 2)}
 		if shard == 0 {
 			c.maxStep = 1
 		}
@@ -221,7 +243,8 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 	if uint64(shard) < order%uint64(shards) {
 		maxStep++
 	}
-	return &Cycle{n: n, p: p, start: start, cur: start, stride: stride, maxStep: maxStep}, nil
+	return &Cycle{n: n, p: p, start: start, cur: start, stride: stride,
+		strideQ: shoup(stride, p), maxStep: maxStep}, nil
 }
 
 // Next returns the next element of [0, n) in the cycle's pseudorandom order.
@@ -229,7 +252,7 @@ func NewShard(n uint64, seed uint64, shard, shards int) (*Cycle, error) {
 func (c *Cycle) Next() (v uint64, ok bool) {
 	for c.steps < c.maxStep {
 		x := c.cur
-		c.cur = mulmod(c.cur, c.stride, c.p)
+		c.cur = shoupMul(c.cur, c.stride, c.strideQ, c.p)
 		c.steps++
 		if x <= c.n {
 			c.emitted++

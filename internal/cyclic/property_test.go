@@ -149,3 +149,131 @@ func TestShardedIteratorCoversSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestShoupStepMatchesMulmod: the division-free step Next takes equals
+// mulmod for random operands below moduli up to and past 2⁶² (a cycle's
+// prime is the first one above its space size, which is below 2⁶²), and at
+// the edges of each modulus.
+func TestShoupStepMatchesMulmod(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5407))
+	check := func(x, w, p uint64) {
+		if got, want := shoupMul(x, w, shoup(w, p), p), mulmod(x, w, p); got != want {
+			t.Fatalf("shoupMul(%d, %d) mod %d = %d, mulmod %d", x, w, p, got, want)
+		}
+	}
+	mods := []uint64{2, 3, 65537, 1<<32 + 15, 1<<62 - 57, 1<<62 + 135, 1<<63 - 25}
+	for i := 0; i < 200; i++ {
+		mods = append(mods, 2+rng.Uint64()%(1<<62-2), 2+rng.Uint64()%(1<<32))
+	}
+	for _, p := range mods {
+		edges := []uint64{0, 1, 2 % p, p - 2, p - 1}
+		for _, x := range edges {
+			for _, w := range edges {
+				check(x%p, w%p, p)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			check(rng.Uint64()%p, rng.Uint64()%p, p)
+		}
+	}
+}
+
+// TestShardedCyclesStepLikeMulmod: for every shard count m = 1…8, the
+// shards of one cycle walk exactly the sequence mulmod by g^m gives from
+// their start, emit a disjoint and complete cover of [0, n), and resume from
+// a State captured anywhere to the same remainder.
+func TestShardedCyclesStepLikeMulmod(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5408))
+	for _, n := range []uint64{1, 2, 97, 256, 1000, 4096, 6143} {
+		for m := 1; m <= 8; m++ {
+			seed := rng.Uint64()
+			seen := make([]uint8, n)
+			for s := 0; s < m; s++ {
+				c, err := NewShard(n, seed, s, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var vals []uint64
+				cur := c.start
+				for {
+					v, ok := c.Next()
+					if !ok {
+						break
+					}
+					for cur > n { // the reference walk skips what Next skips
+						cur = mulmod(cur, c.stride, c.p)
+					}
+					if v != cur-1 {
+						t.Fatalf("n=%d shard %d/%d: emitted %d, reference walk %d", n, s, m, v, cur-1)
+					}
+					cur = mulmod(cur, c.stride, c.p)
+					seen[v]++
+					vals = append(vals, v)
+				}
+				cut := rng.Intn(len(vals) + 1)
+				c2, _ := NewShard(n, seed, s, m)
+				for range cut {
+					c2.Next()
+				}
+				st := c2.State()
+				c3, _ := NewShard(n, seed, s, m)
+				c3.Restore(st)
+				for i := cut; i < len(vals); i++ {
+					if v, ok := c3.Next(); !ok || v != vals[i] {
+						t.Fatalf("n=%d shard %d/%d cut %d: restored position %d gave (%d, %v), want %d", n, s, m, cut, i, v, ok, vals[i])
+					}
+				}
+				if _, ok := c3.Next(); ok {
+					t.Fatalf("n=%d shard %d/%d: restored cycle over-emits", n, s, m)
+				}
+			}
+			for v, ct := range seen {
+				if ct != 1 {
+					t.Fatalf("n=%d m=%d: value %d emitted %d times", n, m, v, ct)
+				}
+			}
+		}
+	}
+}
+
+// TestSpaceShiftMatchesDivision: a space whose host count is a power of two
+// splits an index with a shift and a mask; it must map every index as the
+// division does. Prefix spaces from /32 to /8, and the cloud class's space
+// (cloudBlocks × 256 hosts, a power of two only sometimes).
+func TestSpaceShiftMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5409))
+	ports := []uint16{22, 80, 443, 8080, 65535}
+	var spaces []*Space
+	for bits := 8; bits <= 32; bits++ {
+		s, err := NewPrefixSpace(netip.PrefixFrom(netip.MustParseAddr("10.0.0.0"), bits).Masked(), ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.shift != 32-bits {
+			t.Fatalf("/%d: shift %d, want %d", bits, s.shift, 32-bits)
+		}
+		spaces = append(spaces, s)
+	}
+	for _, blocks := range []uint64{1, 2, 3, 4, 6, 8, 12, 64} {
+		s, err := NewSpace(netip.MustParseAddr("10.0.0.0"), blocks*256, ports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pow2 := blocks&(blocks-1) == 0; pow2 != (s.shift >= 0) {
+			t.Fatalf("%d cloud blocks: shift %d", blocks, s.shift)
+		}
+		spaces = append(spaces, s)
+	}
+	for _, s := range spaces {
+		idx := []uint64{0, s.hosts - 1, s.hosts, s.Size() - 1}
+		for i := 0; i < 1000; i++ {
+			idx = append(idx, rng.Uint64()%s.Size())
+		}
+		for _, i := range idx {
+			a, port := s.target(i)
+			if wa, wp := s.base+uint32(i%s.hosts), s.ports[i/s.hosts]; a != wa || port != wp {
+				t.Fatalf("hosts=%d index %d: (%d, %d), division gives (%d, %d)", s.hosts, i, a, port, wa, wp)
+			}
+		}
+	}
+}

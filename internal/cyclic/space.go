@@ -2,6 +2,7 @@ package cyclic
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 
 	"censysmap/internal/draw"
@@ -16,9 +17,12 @@ import (
 // with the cycle's pseudorandom order this detail is invisible to consumers,
 // but it keeps the mapping trivially invertible.
 type Space struct {
-	base  netip.Addr // first address, must be IPv4
-	hosts uint64     // number of addresses
-	ports []uint16   // ports to probe on every address
+	base  uint32   // first address
+	hosts uint64   // number of addresses
+	ports []uint16 // ports to probe on every address
+	// shift is log2(hosts) when hosts is a power of two, so target splits an
+	// index with a shift and a mask; -1 otherwise, and target divides.
+	shift int
 }
 
 // NewSpace builds a probe space over `hosts` consecutive IPv4 addresses
@@ -35,7 +39,11 @@ func NewSpace(base netip.Addr, hosts uint64, ports []uint16) (*Space, error) {
 	}
 	ps := make([]uint16, len(ports))
 	copy(ps, ports)
-	return &Space{base: base, hosts: hosts, ports: ps}, nil
+	shift := -1
+	if hosts&(hosts-1) == 0 {
+		shift = bits.TrailingZeros64(hosts)
+	}
+	return &Space{base: draw.AddrU32(base), hosts: hosts, ports: ps, shift: shift}, nil
 }
 
 // NewPrefixSpace builds a probe space over every address in an IPv4 prefix.
@@ -50,12 +58,17 @@ func NewPrefixSpace(prefix netip.Prefix, ports []uint16) (*Space, error) {
 // Size returns the total number of (address, port) targets.
 func (s *Space) Size() uint64 { return s.hosts * uint64(len(s.ports)) }
 
-// Target maps index i in [0, Size()) to its (address, port) pair.
-func (s *Space) Target(i uint64) (netip.Addr, uint16) {
-	host := i % s.hosts
-	port := s.ports[i/s.hosts]
+// target maps index i in [0, Size()) to its (address, port) pair, the
+// address as a uint32.
+func (s *Space) target(i uint64) (uint32, uint16) {
+	var host, port uint64
+	if s.shift >= 0 {
+		host, port = i&(s.hosts-1), i>>s.shift
+	} else {
+		host, port = i%s.hosts, i/s.hosts
+	}
 	// base + host, wrapping at 2^32.
-	return draw.U32Addr(draw.AddrU32(s.base) + uint32(host)), port
+	return s.base + uint32(host), s.ports[port]
 }
 
 // Iterator couples a Space with a Cycle to yield probe targets in
@@ -86,12 +99,22 @@ func NewShardedIterator(space *Space, seed uint64, shard, shards int) (*Iterator
 
 // Next returns the next probe target. ok is false when coverage is complete.
 func (it *Iterator) Next() (addr netip.Addr, port uint16, ok bool) {
-	i, ok := it.cycle.Next()
+	a, port, ok := it.NextU32()
 	if !ok {
 		return netip.Addr{}, 0, false
 	}
-	a, p := it.space.Target(i)
-	return a, p, true
+	return draw.U32Addr(a), port, true
+}
+
+// NextU32 is Next with the address as a uint32 (draw.AddrU32's form), for a
+// probe loop that builds a netip.Addr only for the targets that answer.
+func (it *Iterator) NextU32() (addr uint32, port uint16, ok bool) {
+	i, ok := it.cycle.Next()
+	if !ok {
+		return 0, 0, false
+	}
+	addr, port = it.space.target(i)
+	return addr, port, true
 }
 
 // Reset rewinds the iterator to the start of its coverage cycle.

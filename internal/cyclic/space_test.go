@@ -17,13 +17,19 @@ func mustSpace(t *testing.T, base string, hosts uint64, ports []uint16) *Space {
 	return s
 }
 
-// index is the inverse of Target, the oracle these tests check it against.
+// targetAddr is target with the address as a netip.Addr.
+func (s *Space) targetAddr(i uint64) (netip.Addr, uint16) {
+	a, port := s.target(i)
+	return draw.U32Addr(a), port
+}
+
+// index is the inverse of target, the oracle these tests check it against.
 // ok is false if the pair is outside the space.
 func (s *Space) index(addr netip.Addr, port uint16) (uint64, bool) {
 	if !addr.Is4() {
 		return 0, false
 	}
-	a, base := draw.AddrU32(addr), draw.AddrU32(s.base)
+	a, base := draw.AddrU32(addr), s.base
 	off := uint64(a - base)
 	if a < base || off >= s.hosts {
 		return 0, false
@@ -39,7 +45,7 @@ func (s *Space) index(addr netip.Addr, port uint16) (uint64, bool) {
 func TestSpaceTargetRoundTrip(t *testing.T) {
 	s := mustSpace(t, "10.0.0.0", 256, []uint16{80, 443, 22})
 	for i := uint64(0); i < s.Size(); i++ {
-		addr, port := s.Target(i)
+		addr, port := s.targetAddr(i)
 		j, ok := s.index(addr, port)
 		if !ok || j != i {
 			t.Fatalf("round trip %d -> (%v,%d) -> %d ok=%v", i, addr, port, j, ok)
@@ -61,7 +67,7 @@ func TestSpaceTargetAddresses(t *testing.T) {
 	s := mustSpace(t, "192.168.1.0", 4, []uint16{80})
 	want := []string{"192.168.1.0", "192.168.1.1", "192.168.1.2", "192.168.1.3"}
 	for i, w := range want {
-		addr, port := s.Target(uint64(i))
+		addr, port := s.targetAddr(uint64(i))
 		if addr.String() != w || port != 80 {
 			t.Fatalf("Target(%d) = (%v,%d), want (%s,80)", i, addr, port, w)
 		}
@@ -76,7 +82,7 @@ func TestNewPrefixSpace(t *testing.T) {
 	if s.hosts != 256 {
 		t.Fatalf("hosts = %d, want 256", s.hosts)
 	}
-	addr, _ := s.Target(0)
+	addr, _ := s.targetAddr(0)
 	if addr.String() != "10.1.0.0" {
 		t.Fatalf("Target(0) addr = %v, want 10.1.0.0", addr)
 	}
@@ -87,7 +93,7 @@ func TestNewPrefixSpaceMasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := s.Target(0)
+	addr, _ := s.targetAddr(0)
 	if addr.String() != "10.1.0.0" {
 		t.Fatalf("prefix not masked: Target(0) = %v", addr)
 	}
@@ -178,7 +184,7 @@ func TestIteratorReset(t *testing.T) {
 func TestAddrArithmeticQuick(t *testing.T) {
 	s := mustSpace(t, "10.0.0.0", 1<<24, []uint16{80})
 	f := func(off uint32) bool {
-		a, _ := s.Target(uint64(off % 1 << 24))
+		a, _ := s.targetAddr(uint64(off % 1 << 24))
 		d, ok := s.index(a, 80)
 		return ok && d == uint64(off%1<<24)
 	}
@@ -189,7 +195,7 @@ func TestAddrArithmeticQuick(t *testing.T) {
 
 func TestAddAddrWraps(t *testing.T) {
 	s := mustSpace(t, "255.255.255.255", 2, []uint16{80})
-	if a, _ := s.Target(1); a.String() != "0.0.0.0" {
+	if a, _ := s.targetAddr(1); a.String() != "0.0.0.0" {
 		t.Fatalf("wrap = %v, want 0.0.0.0", a)
 	}
 }

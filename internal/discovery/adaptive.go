@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"censysmap/internal/draw"
+	"censysmap/internal/simnet"
 )
 
 // BackoffPolicy configures adaptive backoff and scanner rotation. The zero
@@ -54,13 +55,16 @@ type netBackoff struct {
 
 // buildScanners sets the identity each PoP probes as: the configured
 // scanner, from the PoP's country, under the configured ID plus a rotation
-// suffix once identities have been rotated.
+// suffix once identities have been rotated. It builds a fresh table, never
+// rewriting the old one in place: a probe that rotates the identity holds a
+// pointer into the old table and finishes (its UDP probe) as the identity it
+// started under.
 func (e *Engine) buildScanners() {
 	id := e.cfg.Scanner.ID
 	if e.rotations > 0 {
 		id += "+r" + strconv.Itoa(e.rotations)
 	}
-	e.scanners = e.scanners[:0]
+	e.scanners = make([]simnet.Scanner, 0, len(e.cfg.PoPs))
 	for _, pop := range e.cfg.PoPs {
 		sc := e.cfg.Scanner
 		sc.ID, sc.Country = id, pop.Country
@@ -69,8 +73,9 @@ func (e *Engine) buildScanners() {
 }
 
 // deferred reports whether probes into addr's /24 are currently backed off.
+// Only called with backoff enabled.
 func (e *Engine) deferred(addr netip.Addr) bool {
-	if !e.cfg.Backoff.Enabled() || len(e.backoff) == 0 {
+	if len(e.backoff) == 0 {
 		return false
 	}
 	nb := e.backoff[draw.Net24(addr)]
@@ -83,11 +88,9 @@ func (e *Engine) deferred(addr netip.Addr) bool {
 // looks from outside, while silence from never-responsive space is just the
 // mostly-empty Internet — counting it would back discovery off of every
 // sparse /24. Any answer from the /24 proves the path works and resets the
-// streak. (UDP silence is ambiguous and never counted.)
+// streak. (UDP silence is ambiguous and never counted.) Only called with
+// backoff enabled.
 func (e *Engine) noteOutcome(addr netip.Addr, dropped bool) {
-	if !e.cfg.Backoff.Enabled() {
-		return
-	}
 	key := draw.Net24(addr)
 	nb := e.backoff[key]
 	if !dropped {

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"censysmap/internal/cyclic"
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simnet"
@@ -209,12 +210,16 @@ func (e *Engine) excluded(addr netip.Addr) bool {
 
 // Tick runs one scheduling quantum: each class spends its probe budget, and
 // responsive targets are passed to emit. Probes rotate over PoPs so traffic
-// is spread across vantage points.
+// is spread across vantage points. Every probe of the tick is sent at now,
+// through one simnet.Batch that is flushed before Tick returns.
 func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
-	if e.cfg.Backoff.Enabled() {
+	backoff := e.cfg.Backoff.Enabled()
+	if backoff {
 		e.tickNo++
 	}
 	e.cfg.Ledger.BeginTick()
+	b := e.net.Batch(now)
+	defer b.Flush()
 	for _, cs := range e.classes {
 		budget := min(cs.cfg.ProbesPerTick, e.cfg.Ledger.Grant(cs.ledger))
 		// Deferred draws (backed-off /24s) do not consume the budget: the
@@ -227,7 +232,7 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 		maxDraws := budget * 4
 		probed, confirmed := 0, 0 // the ledger's batch for this class
 		for spent, draws := 0, 0; spent < budget && draws < maxDraws; draws++ {
-			addr, port, ok := cs.iter.Next()
+			a, port, ok := cs.iter.NextU32()
 			if !ok {
 				e.stats.CyclesComplete++
 				if !cs.cfg.Restart {
@@ -239,22 +244,22 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 					break
 				}
 				cs.iter = it
-				addr, port, ok = cs.iter.Next()
+				a, port, ok = cs.iter.NextU32()
 				if !ok {
 					break
 				}
 			}
-			if e.excluded(addr) {
+			if len(e.cfg.Excluded) > 0 && e.excluded(draw.U32Addr(a)) {
 				e.stats.Excluded++
 				spent++
 				continue
 			}
-			if e.deferred(addr) {
+			if backoff && e.deferred(draw.U32Addr(a)) {
 				e.stats.Deferred++
 				continue
 			}
 			probed++
-			if e.probe(now, cs.cfg.Method, addr, port, emit) {
+			if e.probe(&b, now, cs.cfg.Method, a, port, backoff, emit) {
 				confirmed++
 			}
 			spent++
@@ -265,41 +270,45 @@ func (e *Engine) Tick(now time.Time, emit func(Candidate)) {
 }
 
 // probe sends one TCP SYN (plus a protocol-specific UDP probe when the port
-// conventionally carries a UDP protocol) from the next PoP in rotation, and
-// reports whether either drew an L4-responsive answer: the ledger accounts
-// the target once regardless of how many probes it takes, and confirms
-// it at most once.
-func (e *Engine) probe(now time.Time, method entity.DetectionMethod, addr netip.Addr, port uint16, emit func(Candidate)) (confirmed bool) {
-	pop, sc := e.cfg.PoPs[e.popIdx].Name, e.scanners[e.popIdx]
+// conventionally carries a UDP protocol) to address a from the next PoP in
+// rotation, and reports whether either drew an L4-responsive answer: the
+// ledger accounts the target once regardless of how many probes it takes,
+// and confirms it at most once. With backoff on, the TCP outcome feeds the
+// per-/24 streak tracker.
+func (e *Engine) probe(b *simnet.Batch, now time.Time, method entity.DetectionMethod, a uint32, port uint16, backoff bool, emit func(Candidate)) (confirmed bool) {
+	pi := e.popIdx
 	if e.popIdx++; e.popIdx == len(e.scanners) {
 		e.popIdx = 0
 	}
+	sc := &e.scanners[pi]
 
 	e.stats.ProbesSent++
-	outcome := e.net.ProbeTCP(sc, addr, port)
+	outcome := b.TCP(sc, a, port)
 	switch outcome {
 	case simnet.Open:
 		e.stats.OpenResponses++
 		confirmed = true
-		emit(Candidate{Addr: addr, Port: port, Transport: entity.TCP,
-			Method: method, PoP: pop, Time: now})
+		emit(Candidate{Addr: draw.U32Addr(a), Port: port, Transport: entity.TCP,
+			Method: method, PoP: e.cfg.PoPs[pi].Name, Time: now})
 	case simnet.Closed:
 		e.stats.ClosedResponse++
 	default:
 		e.stats.Dropped++
 	}
-	e.noteOutcome(addr, outcome == simnet.Dropped)
+	if backoff {
+		e.noteOutcome(draw.U32Addr(a), outcome == simnet.Dropped)
+	}
 
 	if e.udpPorts[port>>6]&(1<<(port&63)) == 0 {
 		return confirmed
 	}
 	up := e.udpProbes[port]
 	e.stats.ProbesSent++
-	if resp, uout := e.net.ProbeUDP(sc, addr, port, up.payload); uout == simnet.Open && len(resp) > 0 {
+	if resp, uout := b.UDP(sc, a, port, up.payload); uout == simnet.Open && len(resp) > 0 {
 		e.stats.OpenResponses++
 		confirmed = true
-		emit(Candidate{Addr: addr, Port: port, Transport: entity.UDP,
-			Method: method, PoP: pop, Time: now, UDPProtocol: up.protocol})
+		emit(Candidate{Addr: draw.U32Addr(a), Port: port, Transport: entity.UDP,
+			Method: method, PoP: e.cfg.PoPs[pi].Name, Time: now, UDPProtocol: up.protocol})
 	} else {
 		e.stats.Dropped++
 	}

@@ -355,3 +355,67 @@ func TestPriorityPortsIncludeICS(t *testing.T) {
 		}
 	}
 }
+
+// TestTickCountsEveryProbeOnce: a tick adds exactly its Stats().ProbesSent
+// to the network's ProbesSeen, UDP probes and exclusions included, with
+// backoff off and on (the priority class's UDP ports — 53, 123, 161, … —
+// draw a second probe per target) — and adds it once, after the last probe: mid-tick the
+// counter still reads what it read before the tick. The count is behaviour,
+// not bookkeeping: ConnectName picks a web property's serving address by it.
+func TestTickCountsEveryProbeOnce(t *testing.T) {
+	for _, policy := range []BackoffPolicy{{}, testPolicy} {
+		clk := simclock.New()
+		cfg := detectorConfig()
+		net := simnet.New(cfg, clk)
+		classes := []ClassConfig{priorityClass(t, cfg.Prefix, 3000)}
+		e, err := New(Config{
+			Scanner:  censysLike(),
+			PoPs:     DefaultPoPs(),
+			Classes:  classes,
+			Excluded: []netip.Prefix{netip.MustParsePrefix("10.0.2.0/24")},
+			Seed:     7,
+			Ledger:   testLedger(classes),
+			Backoff:  policy,
+		}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			seen, sent := net.ProbesSeen(), e.Stats().ProbesSent
+			e.Tick(clk.Now(), func(Candidate) {
+				if net.ProbesSeen() != seen {
+					t.Fatalf("backoff %v tick %d: ProbesSeen moved mid-tick", policy.Enabled(), i)
+				}
+			})
+			if got, want := net.ProbesSeen()-seen, e.Stats().ProbesSent-sent; got != want {
+				t.Fatalf("backoff %v tick %d: ProbesSeen grew %d, the engine sent %d", policy.Enabled(), i, got, want)
+			}
+			clk.Advance(time.Hour)
+		}
+		st := e.Stats()
+		if st.OpenResponses == 0 || st.Excluded == 0 || policy.Enabled() && st.Deferred == 0 {
+			t.Fatalf("backoff %v: the ticks never found, excluded or deferred: %+v", policy.Enabled(), st)
+		}
+	}
+}
+
+// TestDeadSpaceTickAllocatesNothing: a tick over addresses that hold no host
+// costs no allocation at all.
+func TestDeadSpaceTickAllocatesNothing(t *testing.T) {
+	clk := simclock.New()
+	cfg := quietConfig()
+	cfg.HostDensity = 0
+	net := simnet.New(cfg, clk)
+	if net.Hosts() != 0 {
+		t.Fatalf("universe has %d hosts, want none", net.Hosts())
+	}
+	e := newEngine(t, net, []ClassConfig{priorityClass(t, cfg.Prefix, 1024)})
+	tick := func() { e.Tick(clk.Now(), func(Candidate) {}) }
+	seen := net.ProbesSeen()
+	if a := testing.AllocsPerRun(20, tick); a != 0 {
+		t.Fatalf("%v allocs per 1024-probe tick over dead space, want 0", a)
+	}
+	if got, want := net.ProbesSeen()-seen, e.Stats().ProbesSent; got != want || want < 21*1024 {
+		t.Fatalf("ProbesSeen grew %d over %d probes sent", got, want)
+	}
+}

@@ -26,6 +26,7 @@ import (
 
 	"censysmap/internal/core"
 	"censysmap/internal/cyclic"
+	"censysmap/internal/draw"
 	"censysmap/internal/entity"
 	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
@@ -149,8 +150,11 @@ func (b *Baseline) Stop() {
 // Name implements Engine.
 func (b *Baseline) Name() string { return b.policy.Name }
 
-// Tick advances the engine's sweep by one quantum.
+// Tick advances the engine's sweep by one quantum. Its probes go out as one
+// simnet.Batch at now.
 func (b *Baseline) Tick(now time.Time) {
+	pb := b.net.Batch(now)
+	defer pb.Flush()
 	for i := 0; i < b.perTick; i++ {
 		addr, port, ok := b.iter.Next()
 		if !ok {
@@ -165,14 +169,15 @@ func (b *Baseline) Tick(now time.Time) {
 				return
 			}
 		}
-		b.probe(addr, port, now)
+		b.probe(&pb, addr, port, now)
 	}
 	b.expire(now)
 }
 
 // probe scans one target and records per policy.
-func (b *Baseline) probe(addr netip.Addr, port uint16, now time.Time) {
-	if b.net.ProbeTCP(b.scanner, addr, port) == simnet.Open {
+func (b *Baseline) probe(pb *simnet.Batch, addr netip.Addr, port uint16, now time.Time) {
+	a := draw.AddrU32(addr)
+	if pb.TCP(&b.scanner, a, port) == simnet.Open {
 		b.store(Record{Addr: addr, Port: port, Transport: entity.TCP,
 			Protocol: b.labelByPortAndKeyword(addr, port), LastScanned: now})
 	}
@@ -182,7 +187,7 @@ func (b *Baseline) probe(addr netip.Addr, port uint16, now time.Time) {
 		if payload == nil {
 			continue
 		}
-		if _, out := b.net.ProbeUDP(b.scanner, addr, port, payload); out != simnet.Open {
+		if _, out := pb.UDP(&b.scanner, a, port, payload); out != simnet.Open {
 			continue
 		}
 		b.store(Record{Addr: addr, Port: port, Transport: entity.UDP,

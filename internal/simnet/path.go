@@ -118,17 +118,14 @@ type netPath struct {
 	seq [256]uint32
 }
 
-// pathOK reports whether a probe from sc reaches addr, running the chain and
-// counting the cause when it does not, and returns the clock reading the
-// chain used. addr is in the universe: only a probe to a host gets this far.
-func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) (now time.Time, ok bool) {
-	n.probesSeen.Add(1)
-	now = n.clock.Now()
-	el := now.Sub(n.epoch)
-	a := draw.AddrU32(addr)
+// pathOK reports whether a probe from sc reaches address a at now, running
+// the chain and counting the cause when it does not. a is in the universe:
+// only a probe to a host gets this far. el is now's time since the epoch.
+// The caller counts the probe in probesSeen.
+func (n *Internet) pathOK(sc Scanner, a uint32, op Op, now time.Time, el time.Duration) bool {
 	c, seq, idHash := n.blocking(sc, a, op, el)
 	if c == Delivered && n.fault != nil {
-		c = n.fault.Drop(sc, addr, op, seq, now)
+		c = n.fault.Drop(sc, draw.U32Addr(a), op, seq, now)
 	}
 	if c == Delivered && n.faulty {
 		c = n.cfg.Adversary.injected(idHash, a, op, seq, now)
@@ -137,10 +134,10 @@ func (n *Internet) pathOK(sc Scanner, addr netip.Addr, op Op) (now time.Time, ok
 		c = n.ambient(sc, idHash, a, seq, el)
 	}
 	if c == Delivered {
-		return now, true
+		return true
 	}
 	n.drops[c].Inc()
-	return now, false
+	return false
 }
 
 // pathsOf returns the table of scanner identity id, creating it on the

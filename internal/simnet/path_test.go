@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -145,7 +146,8 @@ func TestEveryCauseReachableAndCounted(t *testing.T) {
 				entered++
 				var ok bool
 				if tc.op == OpConnect { // Connect's result also says whether port 80 is open
-					_, ok = n.pathOK(tc.scanner, a, OpConnect)
+					now := n.clock.Now()
+					ok = n.pathOK(tc.scanner, draw.AddrU32(a), OpConnect, now, now.Sub(n.epoch))
 				} else {
 					ok = n.ProbeTCP(tc.scanner, a, 80) != Dropped
 				}
@@ -181,5 +183,68 @@ func TestConnectsNeverTripBlocks(t *testing.T) {
 	}
 	if n.BlockedNetworks("x") != 0 || statsOf(n).total() != 0 {
 		t.Fatalf("connect traffic tripped a block: %v", statsOf(n))
+	}
+}
+
+// TestBatchMatchesSingleProbes: a run of probes sent through one Batch meets
+// the network exactly as the same probes sent one ProbeTCP/ProbeUDP at a
+// time — same outcomes, same replies, same drops by cause — in a universe
+// where every path layer fires; the batch adds its probes to ProbesSeen only
+// when it is flushed, and then all of them.
+func TestBatchMatchesSingleProbes(t *testing.T) {
+	cfg := smallConfig()
+	cfg.BlockThreshold = 200
+	cfg.Adversary = AdversaryConfig{Seed: 3, DetectorRate: 0.5, DetectorThreshold: 40, FaultLoss: 0.05}
+	clkA, clkB := simclock.New(), simclock.New()
+	single, batched := New(cfg, clkA), New(cfg, clkB)
+	scanners := []Scanner{
+		{ID: "a", SourceIPs: 2, Country: "US", BlockedFrac: 0.1},
+		{ID: "a", SourceIPs: 2, Country: "DE", BlockedFrac: 0.1},
+		{ID: "b", SourceIPs: 1, Country: "HK"},
+	}
+	payload := []byte("probe")
+	rng := rand.New(rand.NewSource(9))
+	for day := 0; day < 3; day++ {
+		b := batched.Batch(clkB.Now())
+		var sent uint64
+		for i := 0; i < 20000; i++ {
+			sc := scanners[rng.Intn(len(scanners))]
+			a := single.base + uint32(rng.Intn(len(single.hosts)+64)) // some past the universe
+			if i%4 == 0 {
+				a = draw.AddrU32(single.addrs[rng.Intn(len(single.addrs))])
+			}
+			port := uint16(rng.Intn(1024))
+			sent++
+			if i%7 == 0 {
+				r1, o1 := single.ProbeUDP(sc, draw.U32Addr(a), port, payload)
+				r2, o2 := b.UDP(&sc, a, port, payload)
+				if o1 != o2 || string(r1) != string(r2) {
+					t.Fatalf("day %d probe %d: UDP %v %q single, %v %q batched", day, i, o1, r1, o2, r2)
+				}
+				continue
+			}
+			if o1, o2 := single.ProbeTCP(sc, draw.U32Addr(a), port), b.TCP(&sc, a, port); o1 != o2 {
+				t.Fatalf("day %d probe %d: TCP %v single, %v batched", day, i, o1, o2)
+			}
+		}
+		before := batched.ProbesSeen()
+		if before != uint64(day)*sent {
+			t.Fatalf("day %d: ProbesSeen %d before the flush, want %d", day, before, uint64(day)*sent)
+		}
+		b.Flush()
+		if got, want := batched.ProbesSeen(), single.ProbesSeen(); got != want || got != before+sent {
+			t.Fatalf("day %d: ProbesSeen %d batched, %d single, want %d", day, got, want, before+sent)
+		}
+		clkA.Advance(24 * time.Hour)
+		clkB.Advance(24 * time.Hour)
+	}
+	st := statsOf(single)
+	if st != statsOf(batched) {
+		t.Fatalf("drops: single %v, batched %v", st, statsOf(batched))
+	}
+	for _, c := range []Cause{CauseRateBlock, CauseDetector, CauseFaultLoss, CauseReputation} {
+		if st[c] == 0 {
+			t.Errorf("%v never fired: %v", c, st)
+		}
 	}
 }

@@ -37,47 +37,92 @@ const (
 	Closed                 // RST
 )
 
-// ProbeTCP performs one stateless TCP SYN probe and reports the outcome.
-func (n *Internet) ProbeTCP(sc Scanner, addr netip.Addr, port uint16) Outcome {
-	h := n.HostAt(addr)
+// Batch sends a run of discovery probes at one clock reading — the probes
+// of one scheduling tick, which the simulated clock never moves across. It
+// counts its probes itself and adds them to ProbesSeen once, in Flush: a
+// loop of a million probes into dead space costs a million table loads and
+// nothing shared. Everything else a probe meets is the one path chain
+// (path.go), exactly as a single probe meets it. A Batch belongs to one
+// serial probe loop; flush it before anything can read ProbesSeen
+// (ConnectName does).
+type Batch struct {
+	n   *Internet
+	now time.Time
+	el  time.Duration // now's time since the epoch
+	// clocked is false until the batch has read the clock: a batch of one
+	// (ProbeTCP, ProbeUDP) reads it only if its probe reaches a host.
+	clocked bool
+	sent    uint64 // probes not yet added to probesSeen
+}
+
+// Batch starts a run of probes sent at now.
+func (n *Internet) Batch(now time.Time) Batch {
+	return Batch{n: n, now: now, el: now.Sub(n.epoch), clocked: true}
+}
+
+// Flush adds the batch's probes to ProbesSeen.
+func (b *Batch) Flush() {
+	b.n.probesSeen.Add(b.sent)
+	b.sent = 0
+}
+
+// host counts one probe to address a and returns the host there, or nil
+// for dead space and addresses outside the universe.
+func (b *Batch) host(a uint32) *Host {
+	b.sent++
+	if i := a - b.n.base; i < uint32(len(b.n.hosts)) {
+		return b.n.hosts[i]
+	}
+	return nil
+}
+
+// path runs the path chain for a discovery probe from sc to host address a.
+func (b *Batch) path(sc *Scanner, a uint32) bool {
+	if !b.clocked {
+		b.now, b.clocked = b.n.clock.Now(), true
+		b.el = b.now.Sub(b.n.epoch)
+	}
+	return b.n.pathOK(*sc, a, OpProbe, b.now, b.el)
+}
+
+// TCP performs one stateless TCP SYN probe from sc to address a
+// (draw.AddrU32's form) and reports the outcome.
+func (b *Batch) TCP(sc *Scanner, a uint32, port uint16) Outcome {
+	h := b.host(a)
 	if h == nil {
 		// Dead address space never answers; skip the path model entirely.
 		// (Dead-space probes also don't feed the blocking counters — a
 		// deliberate simplification that keeps 65K background sweeps of a
 		// mostly-empty universe cheap: one table load, never pathMu.)
-		n.probesSeen.Add(1)
 		return Dropped
 	}
-	now, ok := n.pathOK(sc, addr, OpProbe)
-	if !ok {
+	if !b.path(sc, a) {
 		return Dropped
 	}
 	if h.Pseudo || h.Tarpit {
 		return Open // pseudo-hosts and tarpits accept on every port
 	}
 	for _, s := range h.Slots {
-		if s.Port == port && s.Transport == entity.TCP && s.AliveAt(n.epoch, now) {
+		if s.Port == port && s.Transport == entity.TCP && s.AliveAt(b.n.epoch, b.now) {
 			return Open
 		}
 	}
 	return Closed
 }
 
-// ProbeUDP sends a protocol-specific UDP probe payload and returns the
-// service's reply, if any. UDP has no "closed" signal: silence is the only
-// failure mode, exactly the ambiguity real UDP scanning faces.
-func (n *Internet) ProbeUDP(sc Scanner, addr netip.Addr, port uint16, payload []byte) ([]byte, Outcome) {
-	h := n.HostAt(addr)
+// UDP sends a protocol-specific UDP probe payload to address a and returns
+// the service's reply, if any. UDP has no "closed" signal: silence is the
+// only failure mode, exactly the ambiguity real UDP scanning faces.
+func (b *Batch) UDP(sc *Scanner, a uint32, port uint16, payload []byte) ([]byte, Outcome) {
+	h := b.host(a)
 	if h == nil || h.Pseudo || h.Tarpit {
-		n.probesSeen.Add(1)
 		return nil, Dropped // dead space / pseudo-hosts / tarpits (TCP phenomena)
 	}
-	now, ok := n.pathOK(sc, addr, OpProbe)
-	if !ok {
+	if !b.path(sc, a) {
 		return nil, Dropped
 	}
 	for _, s := range h.Slots {
-		if s.Port == port && s.Transport == entity.UDP && s.AliveAt(n.epoch, now) {
+		if s.Port == port && s.Transport == entity.UDP && s.AliveAt(b.n.epoch, b.now) {
 			sess := protocols.NewSession(s.Spec)
 			if sess == nil {
 				return nil, Dropped
@@ -92,17 +137,42 @@ func (n *Internet) ProbeUDP(sc Scanner, addr netip.Addr, port uint16, payload []
 	return nil, Dropped
 }
 
+// ProbeTCP performs one stateless TCP SYN probe and reports the outcome: a
+// Batch of one, which reads the clock only if the probe reaches a host.
+func (n *Internet) ProbeTCP(sc Scanner, addr netip.Addr, port uint16) Outcome {
+	if !addr.Is4() {
+		n.probesSeen.Add(1) // no universe holds it
+		return Dropped
+	}
+	b := Batch{n: n}
+	out := b.TCP(&sc, draw.AddrU32(addr), port)
+	b.Flush()
+	return out
+}
+
+// ProbeUDP sends one UDP probe (Batch.UDP) as a Batch of one.
+func (n *Internet) ProbeUDP(sc Scanner, addr netip.Addr, port uint16, payload []byte) ([]byte, Outcome) {
+	if !addr.Is4() {
+		n.probesSeen.Add(1) // no universe holds it
+		return nil, Dropped
+	}
+	b := Batch{n: n}
+	resp, out := b.UDP(&sc, draw.AddrU32(addr), port, payload)
+	b.Flush()
+	return resp, out
+}
+
 // Connect opens an application-layer connection to the service at
 // (addr, port), as interrogation does after discovery. ok is false when the
 // path fails or no live service listens there.
 func (n *Internet) Connect(sc Scanner, addr netip.Addr, port uint16, transport entity.Transport) (io.ReadWriter, bool) {
+	n.probesSeen.Add(1)
 	h := n.HostAt(addr)
 	if h == nil {
-		n.probesSeen.Add(1)
 		return nil, false
 	}
-	now, ok := n.pathOK(sc, addr, OpConnect)
-	if !ok {
+	now := n.clock.Now()
+	if !n.pathOK(sc, draw.AddrU32(addr), OpConnect, now, now.Sub(n.epoch)) {
 		return nil, false
 	}
 	if h.Pseudo {
@@ -145,14 +215,15 @@ func (n *Internet) Connect(sc Scanner, addr netip.Addr, port uint16, transport e
 // or the site is not yet online.
 func (n *Internet) ConnectName(sc Scanner, name string, port uint16) (io.ReadWriter, bool) {
 	site := n.webProps[name]
-	if site == nil || n.clock.Now().Before(site.Birth) || len(site.Addrs) == 0 {
+	now := n.clock.Now()
+	if site == nil || now.Before(site.Birth) || len(site.Addrs) == 0 {
 		return nil, false
 	}
 	if port != 0 && port != 443 {
 		return nil, false
 	}
-	addr := site.Addrs[int(n.probesSeen.Load())%len(site.Addrs)]
-	if _, ok := n.pathOK(sc, addr, OpConnectName); !ok {
+	addr := site.Addrs[int(n.probesSeen.Add(1)-1)%len(site.Addrs)]
+	if !n.pathOK(sc, draw.AddrU32(addr), OpConnectName, now, now.Sub(n.epoch)) {
 		return nil, false
 	}
 	if n.HostAt(addr) == nil {
