@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-discovery bench-test paper-tables serve-test predict-diff adversarial loc check
+.PHONY: all vet lint build test race chaos chaos-disk cluster-diff fsck fuzz bench bench-search bench-discovery bench-tick bench-test paper-tables serve-test predict-diff adversarial loc check
 
 all: check
 
@@ -150,6 +150,13 @@ bench-search:
 bench-discovery:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineTick' -benchmem -benchtime 200x ./internal/discovery/
 	$(GO) test -run '^$$' -bench 'BenchmarkCycleNext|BenchmarkIteratorNext' -benchmem ./internal/cyclic/
+
+# The two tick phases that once cost what the map knows: the read side's
+# cost of one drained event on a host of 1 and of 8 services (flat in the
+# service count), and the refresh fill over 1x and 4x the services with the
+# same 64 due (flat in the services: it tracks the due slots).
+bench-tick:
+	$(GO) test -run '^$$' -bench 'BenchmarkDrainEvent|BenchmarkRefreshFill' -benchmem ./internal/core/
 
 # The predictive-scanning suite: the GPS-style scheduler's determinism and
 # crash differentials (model, topology cursors, cooldown book, and budget

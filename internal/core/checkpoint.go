@@ -168,7 +168,10 @@ func (m *Map) Checkpoint() Checkpoint {
 // crash. The processor's materialized state comes from journal replay; the
 // checkpoint supplies everything replay cannot reach. Call Start on the
 // result to continue scanning — a resumed run is bit-identical to one that
-// never crashed (see internal/chaos's differential suite).
+// never crashed (see internal/chaos's differential suite). The Map takes cp
+// over: the predictor adopts cp.Predictor's model maps (predict.Engine.Restore),
+// so resuming a second Map from the same decoded checkpoint needs its own
+// copy of it.
 func Resume(cfg Config, net *simnet.Internet, d Durable, cp Checkpoint) (*Map, error) {
 	return build(cfg, net, &d, &cp)
 }

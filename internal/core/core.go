@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,20 +158,6 @@ type slotKey struct {
 	transport entity.Transport
 }
 
-// slotOf names the slot a candidate addresses.
-func slotOf(c discovery.Candidate) slotKey { return slotKey{c.Addr, c.Port, c.Transport} }
-
-// lessSlot is the canonical (addr, port, transport) slot order.
-func lessSlot(a, b slotKey) bool {
-	if a.addr != b.addr {
-		return a.addr.Less(b.addr)
-	}
-	if a.port != b.port {
-		return a.port < b.port
-	}
-	return a.transport < b.transport
-}
-
 // flagReason says which host-level filter flagged a host.
 type flagReason string
 
@@ -199,7 +184,8 @@ type pendingTask struct {
 	cand discovery.Candidate
 	kind taskKind
 	// id is cand.Addr's entity ID. enqueue renders it once, to pick the
-	// shard, and every write-side lookup the task makes reuses it.
+	// shard, unless the refresh calendar named it; every write-side lookup
+	// and write the task makes reuses it.
 	id string
 }
 
@@ -258,10 +244,6 @@ type Map struct {
 	shards []*stateShard
 	// phases are the fill-then-drain stanzas Tick runs, in order.
 	phases []tickPhase
-
-	// due is refreshDue's scratch list, kept across ticks and empty between
-	// them.
-	due []discovery.Candidate
 
 	// exclusions are active operator opt-outs (Appendix D).
 	exclusions []Exclusion
@@ -719,12 +701,15 @@ func (m *Map) discover(now time.Time) {
 	})
 }
 
-// enqueue appends a task to its shard's FIFO queue. Called serially between
-// batches, so per-shard order is exactly enqueue order. In degraded mode,
-// tasks for quarantined partitions are fenced: their journal history is
-// gone, so writing new events would silently fork those entities' state.
+// enqueue appends a task to its shard's FIFO queue, rendering its entity ID
+// unless the task came with it. Called serially between batches, so
+// per-shard order is exactly enqueue order. In degraded mode, tasks for
+// quarantined partitions are fenced: their journal history is gone, so
+// writing new events would silently fork those entities' state.
 func (m *Map) enqueue(t pendingTask) {
-	t.id = t.cand.Addr.String()
+	if t.id == "" {
+		t.id = t.cand.Addr.String()
+	}
 	if m.quarantinedID(t.id) {
 		return
 	}
@@ -870,6 +855,7 @@ func (m *Map) rowsAt(date time.Time) []snapshot.Row {
 // touches is either shard-local, internally synchronized, or buffered for a
 // serial fan-in after the batch. id is c.Addr's entity ID.
 func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
+	obs.Entity = id
 	if obs.Success {
 		m.predictor.Observe(c.Addr, c.Port, c.Transport)
 		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
@@ -968,34 +954,25 @@ func (m *Map) retireHost(addr netip.Addr, now time.Time) error {
 	return first
 }
 
-// refreshDue collects dataset services whose refresh cadence has elapsed and
-// enqueues them in canonical (addr, port, transport) order — the write
-// side's map iteration order must not leak into the probe sequence.
+// refreshDue enqueues the dataset services whose refresh cadence has
+// elapsed, in canonical (addr, port, transport) order — the write side's
+// map iteration order must not leak into the probe sequence. The write
+// side's refresh calendar names them (cqrs.Processor.Due), so the fill
+// costs what is due, not what is known.
 func (m *Map) refreshDue(now time.Time) {
 	m.pruneExclusions(now)
-	due := m.due
-	m.processor.Walk(func(_ string, h *entity.Host) {
-		for _, svc := range h.Services {
-			if now.Sub(svc.LastSeen) < refreshEvery {
-				continue
-			}
-			c := discovery.Candidate{Addr: h.IP, Port: svc.Port, Transport: svc.Transport,
-				Method: entity.DetectRefresh, Time: now}
-			if svc.Transport == entity.UDP {
-				// The protocol whose probe elicited the reply.
-				c.UDPProtocol = svc.Protocol
-			}
-			due = append(due, c)
+	m.processor.Due(now.Add(-refreshEvery), func(d cqrs.DueSlot) {
+		if m.excludedAddr(d.Addr) {
+			return
 		}
+		c := discovery.Candidate{Addr: d.Addr, Port: d.Key.Port, Transport: d.Key.Transport,
+			Method: entity.DetectRefresh, Time: now}
+		if d.Key.Transport == entity.UDP {
+			// The protocol whose probe elicited the reply.
+			c.UDPProtocol = d.Protocol
+		}
+		m.enqueue(pendingTask{kind: taskRefresh, cand: c, id: d.ID})
 	})
-	sort.Slice(due, func(i, j int) bool { return lessSlot(slotOf(due[i]), slotOf(due[j])) })
-	for _, c := range due {
-		if !m.excludedAddr(c.Addr) {
-			m.enqueue(pendingTask{kind: taskRefresh, cand: c})
-		}
-	}
-	clear(due)
-	m.due = due[:0]
 }
 
 // refreshSlot retries across PoPs: the slot only registers as failed if no
@@ -1071,7 +1048,9 @@ func (m *Map) runReinjection(now time.Time) {
 
 // consumeEvent maintains the search index from write-side events. It runs
 // serially on the draining goroutine, in the deterministic merged shard
-// order Drain guarantees.
+// order Drain guarantees. The event's host is projected, not rebuilt: the
+// index re-fragments and re-derives only the service the event names and
+// keeps the rest from the host's current document (search.Index.Project).
 func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 	addr, err := netip.ParseAddr(ev.Entity)
 	if err != nil {
@@ -1084,18 +1063,16 @@ func (m *Map) consumeEvent(ev cqrs.OutEvent) {
 	if ev.Kind == cqrs.KindServiceFound {
 		m.observeFound(addr, slotKey{addr, ev.Key.Port, ev.Key.Transport}, ev.Time)
 	}
-	// CurrentState hands over a private clone: enriched, it becomes the
-	// index document's host, so nothing here may touch it after Upsert.
-	h := m.processor.CurrentState(ev.Entity)
-	if h == nil || len(h.Services) == 0 {
+	// The copies Services hands over become the index document's records.
+	svcs, updated := m.processor.Services(ev.Entity)
+	if svcs == nil {
 		m.index.Remove(ev.Entity)
 		if traced {
 			m.traceEvent(addr, "index", "remove", ev.Time)
 		}
 		return
 	}
-	m.enricher.Enrich(h)
-	m.index.Upsert(h)
+	m.index.Project(ev.Entity, addr, updated, svcs, ev.Key, m.enricher)
 	if traced {
 		m.traceEvent(addr, "index", "upsert", ev.Time)
 	}

@@ -107,3 +107,34 @@ func TestDecodeZeroAlloc(t *testing.T) {
 		t.Fatalf("AppendEventJSON: %v allocs/op, want 0", avg)
 	}
 }
+
+// TestDailyNoChangeRefreshAllocatesNothing: a record refreshed once a day
+// with no change, its refresh calendar read each day, allocates nothing —
+// the record is not copied, and the calendar reuses the hour lists it
+// reads.
+func TestDailyNoChangeRefreshAllocatesNothing(t *testing.T) {
+	p := NewProcessor(Config{Shards: 4}, journal.NewPartitioned(4))
+	at := time.Date(2024, 8, 21, 1, 0, 0, 0, time.UTC)
+	svc := allocProbeService()
+	svc.PendingRemovalSince = nil
+	obs := Observation{Addr: addr, Entity: addr.String(), Port: svc.Port,
+		Transport: svc.Transport, Time: at, PoP: "chi", Success: true, Service: svc}
+	if err := p.Apply(obs); err != nil {
+		t.Fatal(err)
+	}
+	due := 0
+	got := testing.AllocsPerRun(50, func() {
+		obs.Time = obs.Time.Add(24 * time.Hour)
+		_ = p.Apply(obs)
+		p.Due(obs.Time.Add(-time.Hour), func(DueSlot) { due++ })
+	})
+	if got != 0 {
+		t.Fatalf("a daily no-change refresh allocates %.1f times", got)
+	}
+	if due != 0 {
+		t.Fatalf("%d slots due right after their refresh", due)
+	}
+	if _, noChange := p.Stats(); noChange != 51 {
+		t.Fatalf("%d no-change refreshes counted, want 51", noChange)
+	}
+}

@@ -36,7 +36,11 @@ func RebuildProcessor(cfg Config, j *journal.Store, asOf time.Time) (*Processor,
 		if err != nil {
 			return nil, fmt.Errorf("cqrs: rebuild %s: %w", id, err)
 		}
-		p.shardFor(id).state[id] = h
+		s := p.shardFor(id)
+		s.state[id] = h
+		for _, svc := range h.Services {
+			s.cal.file(id, h, svc)
+		}
 	}
 	return p, nil
 }
@@ -223,8 +227,12 @@ func (p *Processor) RestoreEphemeral(e Ephemeral) {
 		s.mu.Lock()
 		if h := s.state[sl.Entity]; h != nil {
 			if svc := h.Services[sl.Key]; svc != nil {
+				moved := !svc.LastSeen.Equal(sl.At)
 				svc.LastSeen = sl.At
 				svc.SourcePoP = sl.PoP
+				if moved {
+					s.cal.file(sl.Entity, h, svc)
+				}
 			}
 		}
 		s.mu.Unlock()

@@ -1,7 +1,9 @@
 package cqrs
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +16,10 @@ import (
 // Observation is the write-side command: the outcome of one service
 // interrogation (or refresh attempt).
 type Observation struct {
-	Addr      netip.Addr
+	Addr netip.Addr
+	// Entity is Addr's entity ID, Addr.String(), when the caller has it
+	// already; Apply renders it when empty.
+	Entity    string
 	Port      uint16
 	Transport entity.Transport
 	Time      time.Time
@@ -69,6 +74,10 @@ type procShard struct {
 	// scratch buffer and interned into arena chunks, since the journal
 	// retains every payload indefinitely. Guarded by mu.
 	enc eventEncoder
+	// cal files the shard's records by LastSeen for refresh scheduling.
+	cal calendar
+	// bySlot is Services' scratch list, empty between calls.
+	bySlot []*entity.Service
 
 	queue []OutEvent
 }
@@ -91,6 +100,11 @@ type Processor struct {
 	// tel is the optional telemetry hookup (see AttachTelemetry); nil means
 	// disabled and every instrument call is a nil-receiver no-op.
 	tel *cqrsTel
+
+	// due holds the entries the last Due call found due, in canonical
+	// order, until their records move on; merged and fresh are Due's
+	// scratch lists, empty between calls.
+	due, merged, fresh []calEntry
 }
 
 // NewProcessor creates a write-side processor over the given journal.
@@ -106,7 +120,7 @@ func NewProcessor(cfg Config, j *journal.Store) *Processor {
 	}
 	p := &Processor{cfg: cfg, journal: j, shards: make([]*procShard, cfg.Shards)}
 	for i := range p.shards {
-		p.shards[i] = &procShard{state: make(map[string]*entity.Host)}
+		p.shards[i] = &procShard{state: make(map[string]*entity.Host), cal: newCalendar()}
 	}
 	return p
 }
@@ -134,7 +148,10 @@ func (p *Processor) Subscribe(fn func(OutEvent)) {
 func (p *Processor) Apply(obs Observation) error {
 	p.observations.Add(1)
 
-	id := obs.Addr.String()
+	id := obs.Entity
+	if id == "" {
+		id = obs.Addr.String()
+	}
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,42 +166,47 @@ func (p *Processor) Apply(obs Observation) error {
 
 	switch {
 	case obs.Success && obs.Service != nil:
+		same := existing != nil && existing.ConfigEqual(obs.Service)
+		if same && existing.PendingRemovalSince == nil {
+			// Stable record: refresh confirmed the same configuration.
+			// Nothing is journaled and nothing is copied; only liveness
+			// bookkeeping moves.
+			moved := !existing.LastSeen.Equal(obs.Time)
+			existing.LastSeen = obs.Time
+			existing.SourcePoP = obs.PoP
+			if moved {
+				s.cal.file(id, h, existing)
+			}
+			p.noChange.Add(1)
+			return nil
+		}
 		svc := obs.Service.Clone()
 		svc.LastSeen = obs.Time
 		svc.SourcePoP = obs.PoP
 		if existing == nil {
 			svc.FirstSeen = obs.Time
 			svc.Method = obs.Method
-			return p.emit(s, h, obs.Time, KindServiceFound, svc)
+			return p.emit(s, id, h, obs.Time, KindServiceFound, svc)
 		}
 		svc.FirstSeen = existing.FirstSeen
 		svc.Method = existing.Method
-		wasPending := existing.PendingRemovalSince != nil
-		if existing.ConfigEqual(svc) && !wasPending {
-			// Stable record: refresh confirmed the same configuration.
-			// Nothing is journaled; only liveness bookkeeping moves.
-			existing.LastSeen = obs.Time
-			existing.SourcePoP = obs.PoP
-			p.noChange.Add(1)
-			return nil
-		}
 		svc.PendingRemovalSince = nil
 		kind := KindServiceChanged
-		if wasPending && existing.ConfigEqual(svc) {
+		if same { // a pending record answering unchanged
 			kind = KindServiceRestored
 		}
-		return p.emit(s, h, obs.Time, kind, svc)
+		return p.emit(s, id, h, obs.Time, kind, svc)
 
 	case !obs.Success && existing != nil:
 		if existing.PendingRemovalSince == nil {
 			// First failed refresh: start the eviction timer.
 			since := obs.Time
 			existing.PendingRemovalSince = &since
-			return p.emitKey(s, h, obs.Time, KindServicePending, key, since)
+			return p.emitKey(s, id, h, obs.Time, KindServicePending, key, since)
 		}
 		if obs.Time.Sub(*existing.PendingRemovalSince) >= p.cfg.EvictAfter {
 			h.RemoveService(key)
-			return p.emitKey(s, h, obs.Time, KindServiceRemoved, key, *existing.PendingRemovalSince)
+			return p.emitKey(s, id, h, obs.Time, KindServiceRemoved, key, *existing.PendingRemovalSince)
 		}
 		return nil // still inside the grace window
 
@@ -216,44 +238,44 @@ func (p *Processor) Retire(addr netip.Addr, key entity.ServiceKey, t time.Time) 
 		since = *existing.PendingRemovalSince
 	}
 	h.RemoveService(key)
-	return p.emitKey(s, h, t, KindServiceRemoved, key, since)
+	return p.emitKey(s, id, h, t, KindServiceRemoved, key, since)
 }
 
-// emit journals a service-carrying delta and updates write-side state. The
-// caller holds the shard lock.
-func (p *Processor) emit(s *procShard, h *entity.Host, t time.Time, kind string, svc *entity.Service) error {
-	if _, err := p.journal.Append(h.ID(), t, kind, s.enc.serviceEvent(svc)); err != nil {
+// emit journals a service-carrying delta and updates write-side state. id is
+// h's entity ID. The caller holds the shard lock.
+func (p *Processor) emit(s *procShard, id string, h *entity.Host, t time.Time, kind string, svc *entity.Service) error {
+	if _, err := p.journal.Append(id, t, kind, s.enc.serviceEvent(svc)); err != nil {
 		return err
 	}
 	h.SetService(svc)
+	s.cal.file(id, h, svc)
 	if t.After(h.LastUpdated) {
 		h.LastUpdated = t
 	}
-	p.afterAppend(s, h, t)
+	p.afterAppend(s, id, h, t)
 	p.tel.event(kind)
-	s.queue = append(s.queue, OutEvent{Entity: h.ID(), Kind: kind, Time: t, Service: svc, Key: svc.Key()})
+	s.queue = append(s.queue, OutEvent{Entity: id, Kind: kind, Time: t, Service: svc, Key: svc.Key()})
 	return nil
 }
 
-// emitKey journals a key-only delta (pending/removed). The caller holds the
-// shard lock.
-func (p *Processor) emitKey(s *procShard, h *entity.Host, t time.Time, kind string, key entity.ServiceKey, since time.Time) error {
-	if _, err := p.journal.Append(h.ID(), t, kind, s.enc.keyEvent(key, since)); err != nil {
+// emitKey journals a key-only delta (pending/removed). id is h's entity ID.
+// The caller holds the shard lock.
+func (p *Processor) emitKey(s *procShard, id string, h *entity.Host, t time.Time, kind string, key entity.ServiceKey, since time.Time) error {
+	if _, err := p.journal.Append(id, t, kind, s.enc.keyEvent(key, since)); err != nil {
 		return err
 	}
 	if t.After(h.LastUpdated) {
 		h.LastUpdated = t
 	}
-	p.afterAppend(s, h, t)
+	p.afterAppend(s, id, h, t)
 	p.tel.event(kind)
-	s.queue = append(s.queue, OutEvent{Entity: h.ID(), Kind: kind, Time: t, Key: key})
+	s.queue = append(s.queue, OutEvent{Entity: id, Kind: kind, Time: t, Key: key})
 	return nil
 }
 
 // afterAppend maintains snapshot cadence from the journal's count of deltas
 // since the entity's newest snapshot. The caller holds the shard lock.
-func (p *Processor) afterAppend(s *procShard, h *entity.Host, t time.Time) {
-	id := h.ID()
+func (p *Processor) afterAppend(s *procShard, id string, h *entity.Host, t time.Time) {
 	if p.journal.EventsSinceSnapshot(id) >= p.cfg.SnapshotEvery {
 		// A failed snapshot leaves the count where it was, so the next
 		// append retries it.
@@ -295,6 +317,36 @@ func (p *Processor) QueueLen() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// Services returns a copy of every service record the entity holds, in slot
+// order (port, then transport), and the entity's LastUpdated; nil when it
+// holds none. The copies share each record's Attributes map and
+// PendingRemovalSince with the write side, which replaces both on a change
+// and never edits them in place, so a copy keeps describing the record it was
+// taken from. Callers must not modify either.
+func (p *Processor) Services(id string) ([]entity.Service, time.Time) {
+	s := p.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.state[id]
+	if h == nil || len(h.Services) == 0 {
+		return nil, time.Time{}
+	}
+	bySlot := s.bySlot
+	for _, svc := range h.Services {
+		bySlot = append(bySlot, svc)
+	}
+	slices.SortFunc(bySlot, func(a, b *entity.Service) int {
+		return cmp.Or(cmp.Compare(a.Port, b.Port), cmp.Compare(a.Transport, b.Transport))
+	})
+	out := make([]entity.Service, len(bySlot))
+	for i, svc := range bySlot {
+		out[i] = *svc
+	}
+	clear(bySlot)
+	s.bySlot = bySlot[:0]
+	return out, h.LastUpdated
 }
 
 // CurrentState returns the write side's materialized state for an entity

@@ -237,7 +237,7 @@ func TestEngineLedgerCountsEveryTarget(t *testing.T) {
 	}
 	for _, cs := range e.classes {
 		for _, p := range []uint16{80, 443, 22, 8080, 3306} {
-			if _, udp := e.udpProbes[p]; udp {
+			if e.udpProbe(p) != nil {
 				t.Fatalf("port %d carries a UDP probe; the test needs one probe per target", p)
 			}
 		}

@@ -18,6 +18,7 @@ package discovery
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"time"
 
@@ -123,11 +124,14 @@ type Engine struct {
 	popIdx   int
 	scanners []simnet.Scanner
 	stats    Stats
-	// udpProbes caches protocol-specific UDP payloads by port; udpPorts is
-	// its key set as a bitmap, so the ports that carry no UDP protocol
-	// (almost every probed one) never hash into the map.
-	udpProbes map[uint16]udpProbe
+	// udpProbes holds the protocol-specific UDP payloads in port order;
+	// udpPorts is their ports as a bitmap, and udpRank[w] counts the ports
+	// in the bitmap's words before w. A port that carries no UDP protocol
+	// (almost every probed one) stops at its bit; one that does finds its
+	// probe at its rank among the set bits, without hashing.
+	udpProbes []udpProbe
 	udpPorts  [1024]uint64
+	udpRank   [1024]uint16
 
 	// Adaptive-backoff state (see adaptive.go); empty unless cfg.Backoff
 	// is enabled.
@@ -158,11 +162,7 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 	if cfg.Ledger == nil {
 		return nil, fmt.Errorf("discovery: a probe ledger is required")
 	}
-	e := &Engine{
-		cfg:       cfg,
-		net:       net,
-		udpProbes: make(map[uint16]udpProbe),
-	}
+	e := &Engine{cfg: cfg, net: net}
 	e.buildScanners()
 	for _, cc := range cfg.Classes {
 		if cc.Space == nil || cc.ProbesPerTick <= 0 {
@@ -176,7 +176,8 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 		e.classes = append(e.classes, cs)
 	}
 	// Precompute UDP probes for ports whose conventional protocol is
-	// UDP-based.
+	// UDP-based; a later protocol claiming a port replaces an earlier one.
+	byPort := make(map[uint16]udpProbe)
 	for _, p := range protocols.All() {
 		if p.Transport != entity.UDP {
 			continue
@@ -186,11 +187,26 @@ func New(cfg Config, net *simnet.Internet) (*Engine, error) {
 			continue
 		}
 		for _, port := range p.DefaultPorts {
-			e.udpProbes[port] = udpProbe{protocol: p.Name, payload: payload}
+			byPort[port] = udpProbe{protocol: p.Name, payload: payload}
 			e.udpPorts[port>>6] |= 1 << (port & 63)
 		}
 	}
+	for w := range e.udpPorts {
+		e.udpRank[w] = uint16(len(e.udpProbes))
+		for set := e.udpPorts[w]; set != 0; set &= set - 1 {
+			e.udpProbes = append(e.udpProbes, byPort[uint16(w<<6+bits.TrailingZeros64(set))])
+		}
+	}
 	return e, nil
+}
+
+// udpProbe returns the UDP probe for port, nil when none is defined.
+func (e *Engine) udpProbe(port uint16) *udpProbe {
+	w, bit := port>>6, uint64(1)<<(port&63)
+	if e.udpPorts[w]&bit == 0 {
+		return nil
+	}
+	return &e.udpProbes[int(e.udpRank[w])+bits.OnesCount64(e.udpPorts[w]&(bit-1))]
 }
 
 // SetExcluded replaces the engine's opt-out list (dynamic exclusions).
@@ -299,10 +315,10 @@ func (e *Engine) probe(b *simnet.Batch, now time.Time, method entity.DetectionMe
 		e.noteOutcome(draw.U32Addr(a), outcome == simnet.Dropped)
 	}
 
-	if e.udpPorts[port>>6]&(1<<(port&63)) == 0 {
+	up := e.udpProbe(port)
+	if up == nil {
 		return confirmed
 	}
-	up := e.udpProbes[port]
 	e.stats.ProbesSent++
 	if resp, uout := b.UDP(sc, a, port, up.payload); uout == simnet.Open && len(resp) > 0 {
 		e.stats.OpenResponses++

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"maps"
 	"net/netip"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"censysmap/internal/cyclic"
 	"censysmap/internal/entity"
+	"censysmap/internal/protocols"
 	"censysmap/internal/simclock"
 	"censysmap/internal/simnet"
 	"censysmap/internal/telemetry"
@@ -128,12 +130,52 @@ func TestDiscoveryEmitsUDPCandidates(t *testing.T) {
 	}
 }
 
+// refUDPProbes is the UDP probe table as a map by port, built the way the
+// engine once kept it: each UDP protocol's first probe on each of its
+// default ports, a later protocol replacing an earlier one.
+func refUDPProbes() map[uint16]udpProbe {
+	table := make(map[uint16]udpProbe)
+	for _, p := range protocols.All() {
+		if p.Transport != entity.UDP {
+			continue
+		}
+		if payload := protocols.FirstProbe(p.Name); payload != nil {
+			for _, port := range p.DefaultPorts {
+				table[port] = udpProbe{protocol: p.Name, payload: payload}
+			}
+		}
+	}
+	return table
+}
+
+// TestUDPProbeTableMatchesMap: for every port, the engine's bitmap-ranked
+// probe table answers what the map does.
+func TestUDPProbeTableMatchesMap(t *testing.T) {
+	net := simnet.New(simnet.DefaultConfig(), simclock.New())
+	e, err := New(Config{Scanner: censysLike(), PoPs: DefaultPoPs(), Ledger: NewLedger()}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := refUDPProbes()
+	for port := range 1 << 16 {
+		got := e.udpProbe(uint16(port))
+		want, ok := table[uint16(port)]
+		if (got != nil) != ok || ok && (got.protocol != want.protocol || !bytes.Equal(got.payload, want.payload)) {
+			t.Fatalf("port %d: probe %v, the map's %q %v", port, got, want.protocol, ok)
+		}
+	}
+	if len(table) == 0 || len(e.udpProbes) != len(table) {
+		t.Fatalf("%d probes ranked, %d in the map", len(e.udpProbes), len(table))
+	}
+}
+
 // refSweep is the reference the engine's optimized loop is held to. It walks
 // one pass of cls in the order an engine e would, rotating through the PoPs
 // one probe target at a time and looking each port up in the UDP probe
 // table, and asks the network for every probe's fate directly.
 func refSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, now time.Time) map[Candidate]bool {
 	t.Helper()
+	udpProbes := refUDPProbes()
 	it, err := cyclic.NewIterator(cls.Space, e.cfg.Seed^cyclic.NameSeed(cls.Name))
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +193,7 @@ func refSweep(t *testing.T, net *simnet.Internet, e *Engine, cls ClassConfig, no
 		if net.ProbeTCP(sc, addr, port) == simnet.Open {
 			found[c] = true
 		}
-		if up, ok := e.udpProbes[port]; ok {
+		if up, ok := udpProbes[port]; ok {
 			if resp, out := net.ProbeUDP(sc, addr, port, up.payload); out == simnet.Open && len(resp) > 0 {
 				c.Transport, c.UDPProtocol = entity.UDP, up.protocol
 				found[c] = true

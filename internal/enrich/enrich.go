@@ -8,6 +8,7 @@ package enrich
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -197,6 +198,24 @@ func (c serviceContext) Field(name string) (string, bool) {
 // Enrich implements cqrs.Enricher: geolocation, routing, fingerprint-derived
 // software and labels, and CVE exposure.
 func (e *Enricher) Enrich(h *entity.Host) {
+	e.Locate(h)
+	active := h.ActiveServices()
+	// Every service derives into the same buffers; each keeps a window.
+	n := len(active)
+	all := Derived{Software: make([]entity.Software, 0, n), cpes: make([]string, 0, n),
+		Labels: make([]string, 0, 2*n)}
+	derived := make([]Derived, n)
+	for i, svc := range active {
+		sw, labels := len(all.Software), len(all.Labels)
+		e.derive(svc, &all)
+		derived[i] = Derived{Software: slices.Clip(all.Software[sw:]), cpes: slices.Clip(all.cpes[sw:]),
+			Labels: slices.Clip(all.Labels[labels:])}
+	}
+	e.Combine(h, len(derived), func(i int) *Derived { return &derived[i] }, nil)
+}
+
+// Locate attaches the host's geolocation and routing context.
+func (e *Enricher) Locate(h *entity.Host) {
 	if e.Geo != nil {
 		if loc, ok := e.Geo.Lookup(h.IP); ok {
 			h.Location = loc
@@ -207,54 +226,152 @@ func (e *Enricher) Enrich(h *entity.Host) {
 			h.AS = as
 		}
 	}
+}
 
-	seenSW := map[string]bool{}
-	seenLabel := map[string]bool{}
-	h.Software = nil
-	h.Labels = nil
-	h.Vulns = nil
-	for _, svc := range h.ActiveServices() {
-		ctx := serviceContext{svc}
-		for i := range e.Fingerprints {
-			fp := &e.Fingerprints[i]
-			if !fp.matches(ctx) {
-				continue
+// Derived is what one service record contributes to its host's derived
+// context: the software its fingerprints name, in table order, and its
+// device-type labels. It depends on the record's configuration alone, so a
+// record is derived once and its Derived shared, never modified, by every
+// later version of the host that holds an equal record.
+type Derived struct {
+	Software []entity.Software
+	cpes     []string // cpes[i] is Software[i].CPE()
+	Labels   []string
+}
+
+// underived is the Derived of a record no fingerprint matches (most of them).
+var underived = &Derived{}
+
+// Derive runs every fingerprint over one service record.
+func (e *Enricher) Derive(svc *entity.Service) *Derived {
+	var d Derived
+	e.derive(svc, &d)
+	if d.Software == nil && d.Labels == nil {
+		return underived
+	}
+	return &d
+}
+
+// derive appends what svc contributes to d.
+func (e *Enricher) derive(svc *entity.Service, d *Derived) {
+	ctx := serviceContext{svc}
+	for i := range e.Fingerprints {
+		fp := &e.Fingerprints[i]
+		if !fp.matches(ctx) {
+			continue
+		}
+		if fp.Software != nil {
+			d.Software = append(d.Software, *fp.Software)
+			d.cpes = append(d.cpes, fp.Software.CPE())
+		}
+		d.Labels = append(d.Labels, fp.Labels...)
+	}
+	// Protocol-intrinsic labels.
+	if icsProtocols[svc.Protocol] && svc.Verified {
+		d.Labels = append(d.Labels, "ics")
+	}
+}
+
+// Combine sets h's Software, Labels and Vulns from the Derived of its n
+// active services, at(0) to at(n-1) in slot order: the software in order of
+// first appearance, one per CPE; the labels and the CVEs the software is
+// exposed to, sorted. Each field that comes out equal to prev's (h's previous
+// version, or nil) takes prev's slice, so an unchanged host allocates
+// nothing; Combine reports whether any field differs from prev's.
+func (e *Enricher) Combine(h *entity.Host, n int, at func(i int) *Derived, prev *entity.Host) (changed bool) {
+	// firstCPE reports whether entry j of at(i) is the first with its CPE.
+	firstCPE := func(i, j int) bool {
+		cpe := at(i).cpes[j]
+		for k := 0; k <= i; k++ {
+			cpes := at(k).cpes
+			if k == i {
+				cpes = cpes[:j]
 			}
-			if fp.Software != nil {
-				key := fp.Software.CPE()
-				if !seenSW[key] {
-					seenSW[key] = true
-					h.Software = append(h.Software, *fp.Software)
+			if slices.Contains(cpes, cpe) {
+				return false
+			}
+		}
+		return true
+	}
+	// firstLabel reports whether label j of at(i) is the first of its name.
+	firstLabel := func(i, j int) bool {
+		l := at(i).Labels[j]
+		for k := 0; k <= i; k++ {
+			labels := at(k).Labels
+			if k == i {
+				labels = labels[:j]
+			}
+			if slices.Contains(labels, l) {
+				return false
+			}
+		}
+		return true
+	}
+
+	sameSW, sameLabels := prev != nil, prev != nil
+	var prevLabels []string
+	if prev != nil {
+		prevLabels = prev.Labels
+	}
+	nsw, nlabels := 0, 0
+	for i := 0; i < n; i++ {
+		d := at(i)
+		for j, sw := range d.Software {
+			if firstCPE(i, j) {
+				sameSW = sameSW && nsw < len(prev.Software) && prev.Software[nsw] == sw
+				nsw++
+			}
+		}
+		for j, l := range d.Labels {
+			if firstLabel(i, j) {
+				_, held := slices.BinarySearch(prevLabels, l)
+				sameLabels = sameLabels && held
+				nlabels++
+			}
+		}
+	}
+	sameSW = sameSW && nsw == len(prev.Software)
+	sameLabels = sameLabels && nlabels == len(prev.Labels)
+
+	if sameSW {
+		h.Software, h.Vulns = prev.Software, prev.Vulns
+	} else {
+		h.Software, h.Vulns = nil, nil
+		if nsw > 0 {
+			h.Software = make([]entity.Software, 0, nsw)
+		}
+		for i := 0; i < n; i++ {
+			for j, sw := range at(i).Software {
+				if firstCPE(i, j) {
+					h.Software = append(h.Software, sw)
 				}
 			}
-			for _, l := range fp.Labels {
-				if !seenLabel[l] {
-					seenLabel[l] = true
+		}
+		for i := range e.CVEs {
+			r := &e.CVEs[i]
+			if !slices.Contains(h.Vulns, r.ID) && slices.ContainsFunc(h.Software, r.Matches) {
+				h.Vulns = append(h.Vulns, r.ID)
+			}
+		}
+		sort.Strings(h.Vulns)
+	}
+	if sameLabels {
+		h.Labels = prev.Labels
+	} else {
+		h.Labels = nil
+		if nlabels > 0 {
+			h.Labels = make([]string, 0, nlabels)
+		}
+		for i := 0; i < n; i++ {
+			for j, l := range at(i).Labels {
+				if firstLabel(i, j) {
 					h.Labels = append(h.Labels, l)
 				}
 			}
 		}
-		// Protocol-intrinsic labels.
-		if p := icsProtocols[svc.Protocol]; p && svc.Verified {
-			if !seenLabel["ics"] {
-				seenLabel["ics"] = true
-				h.Labels = append(h.Labels, "ics")
-			}
-		}
+		sort.Strings(h.Labels)
 	}
-	sort.Strings(h.Labels)
-
-	seenCVE := map[string]bool{}
-	for _, sw := range h.Software {
-		for i := range e.CVEs {
-			r := &e.CVEs[i]
-			if r.Matches(sw) && !seenCVE[r.ID] {
-				seenCVE[r.ID] = true
-				h.Vulns = append(h.Vulns, r.ID)
-			}
-		}
-	}
-	sort.Strings(h.Vulns)
+	return !sameSW || !sameLabels
 }
 
 // icsProtocols mirrors the protocol registry's ICS set; kept as a literal to

@@ -129,7 +129,10 @@ type ServiceKey struct {
 }
 
 // String renders the key as "80/tcp".
-func (k ServiceKey) String() string { return string(k.appendTo(nil)) }
+func (k ServiceKey) String() string {
+	var b [24]byte
+	return string(k.appendTo(b[:0]))
+}
 
 // appendTo appends the String form to b.
 func (k ServiceKey) appendTo(b []byte) []byte {

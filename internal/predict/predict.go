@@ -715,6 +715,14 @@ func cloneNested[K, P comparable, V any](m map[K]map[P]V) map[K]map[P]V {
 	return out
 }
 
+// adopt returns m, or an empty map when m is nil.
+func adopt[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return make(M)
+	}
+	return m
+}
+
 func lessTarget(a, b Target) bool {
 	if a.Addr != b.Addr {
 		return a.Addr.Less(b.Addr)
@@ -754,24 +762,26 @@ func (e *Engine) State() State {
 	return st
 }
 
-// Restore replaces the engine's model with a captured state. The sorted
-// per-/24 host lists, the stage-1 priors and the per-/24 port counts are
-// rebuilt from the host-port map — hosts never leave it, and an eviction
-// takes back exactly what Observe counted — so the Recommend order matches
-// the engine that produced the state. The exclusion subtrees are left as
-// they are.
+// Restore replaces the engine's model with a captured state. The engine
+// adopts st's maps as its own model, without copying them: st is handed
+// over, and the caller must neither use it afterwards nor restore it into a
+// second engine (give each engine its own copy, such as its own decode of
+// the checkpoint). The sorted per-/24 host lists, the stage-1 priors and the
+// per-/24 port counts are rebuilt from the host-port map — hosts never leave
+// it, and an eviction takes back exactly what Observe counted — so the
+// Recommend order matches the engine that produced the state. The exclusion
+// subtrees are left as they are.
 func (e *Engine) Restore(st State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cooc = cloneNested(st.Cooc)
+	e.cooc = adopt(st.Cooc)
 	e.fullHosts = make(map[netip.Addr]bool, len(st.FullHosts))
 	for _, a := range st.FullHosts {
 		e.fullHosts[a] = true
 	}
-	e.fullCooc = cloneNested(st.FullCooc)
-	e.fullPortHosts = make(map[uint16]int, len(st.FullPortHosts))
-	maps.Copy(e.fullPortHosts, st.FullPortHosts)
-	e.hostPorts = cloneNested(st.HostPorts)
+	e.fullCooc = adopt(st.FullCooc)
+	e.fullPortHosts = adopt(st.FullPortHosts)
+	e.hostPorts = adopt(st.HostPorts)
 	e.portHosts = make(map[uint16]int)
 	e.net24Ports = make(map[netip.Addr]map[uint16]int)
 	e.hosts24 = make(map[netip.Addr][]netip.Addr)

@@ -334,12 +334,16 @@ func TestRecommendMatchesNaiveReference(t *testing.T) {
 				checkpointLive = append([]Target(nil), live...)
 			case ticks / 2:
 				// Crash recovery mid-stream, onto a checkpoint older than
-				// the model: every list cached since then is stale.
-				var st State
-				if err := json.Unmarshal(checkpoint, &st); err != nil {
-					t.Fatal(err)
-				}
-				p.each(func(e *Engine) { e.Restore(st) })
+				// the model: every list cached since then is stale. Restore
+				// adopts the State it is handed, so each engine decodes its
+				// own.
+				p.each(func(e *Engine) {
+					var st State
+					if err := json.Unmarshal(checkpoint, &st); err != nil {
+						t.Fatal(err)
+					}
+					e.Restore(st)
+				})
 				live = checkpointLive
 			}
 			budget := 10 + rng.Intn(60)

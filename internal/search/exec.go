@@ -122,8 +122,8 @@ func (ix *Index) CertLocations(fp string) []string {
 		p.mu.RLock()
 		for _, lid := range p.inverted["services.cert_sha256"][tok] {
 			d := p.byLocal[lid]
-			for _, f := range d.frags[1:] {
-				if d.host.Service(f.key).CertSHA256 == fp {
+			for _, f := range d.frags[firstServiceFrag:] {
+				if d.service(f.key).CertSHA256 == fp {
 					out = append(out, d.id+" "+f.key.String())
 				}
 			}

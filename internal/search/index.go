@@ -7,22 +7,26 @@
 // partition keeps a dense docID dictionary (entity ID → uint32) and stores
 // every posting list as a sorted []uint32, so boolean operators are linear
 // merges; numeric fields are sorted (value, doc) columns, so range queries
-// are two binary searches. A document is a host fragment plus one immutable
-// fragment per active service, each holding its lowercased values and token
-// lists, so phrase matching never re-lowercases and a reindex touches only
-// the fragments that changed. A query planner (planner.go) and a
-// generation-stamped query cache (cache.go) sit on top. See DESIGN.md, "Read
-// path".
+// are two binary searches. A document is two host fragments (identity and
+// derived context) plus one immutable fragment per active service, each
+// holding its lowercased values and token lists, so phrase matching never
+// re-lowercases and a reindex touches only the fragments that changed. A
+// query planner (planner.go) and a generation-stamped query cache (cache.go)
+// sit on top. See DESIGN.md, "Read path".
 package search
 
 import (
+	"cmp"
 	"encoding/json"
+	"net/netip"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"censysmap/internal/enrich"
 	"censysmap/internal/entity"
 	"censysmap/internal/shard"
 )
@@ -86,16 +90,26 @@ type indexPart struct {
 }
 
 // document is one indexed entity: its host and the fragments its postings
-// come from. It is immutable once posted: Upsert replaces a document, never
-// edits it, which is what lets it carry its host's wire bytes without their
-// going stale and lets the next version share its unchanged fragments.
+// come from. It is immutable once posted: Upsert and Project replace a
+// document, never edit it, which is what lets it carry its host's wire bytes
+// without their going stale and lets the next version share its unchanged
+// fragments.
 type document struct {
 	id    string
 	local uint32
-	// host is the record the caller handed to Upsert; the index owns it.
-	host *entity.Host
-	// frags[0] indexes the host-level fields; frags[1:] one active service
-	// each, in no particular order (postings are sets).
+	// host is the record the document renders. Upsert hands it in (the
+	// index owns it); a projected document builds it from base and svcs on
+	// first read (see record), since most versions are never read.
+	host atomic.Pointer[entity.Host]
+	// base is a projected document's host-level fields (Services nil) and
+	// svcs its service records in slot order; an upserted document leaves
+	// both zero.
+	base entity.Host
+	svcs []entity.Service
+	// frags[identityFrag] indexes the host's ip, location and AS,
+	// frags[derivedFrag] its labels, vulns and software, and
+	// frags[firstServiceFrag:] one active service each: in slot order when
+	// projected, in no particular order when upserted (postings are sets).
 	frags []*fragment
 	// rendered is json.Marshal(host), set by the first read that emits it
 	// (see render) — not at Upsert, because most documents are replaced
@@ -103,12 +117,22 @@ type document struct {
 	rendered atomic.Pointer[[]byte]
 }
 
-// fragment is the indexed form of one active service, or of a host's
-// host-level fields. It is built once and shared, unchanged, by every later
-// version of the document whose service (or host-level fields) is equal.
+// The host-level fragments' places in document.frags.
+const (
+	identityFrag = iota
+	derivedFrag
+	firstServiceFrag
+)
+
+// fragment is the indexed form of one active service, or of one of a host's
+// two host-level field groups. It is built once and shared, unchanged, by
+// every later version of the document whose service (or fields) is equal.
 type fragment struct {
-	key     entity.ServiceKey // the service's slot; zero for the host fragment
+	key     entity.ServiceKey // the service's slot; zero for host fragments
 	entries []entry
+	// derived is what the service contributes to its host's derived context.
+	// Project sets it; on a fragment Upsert built it is nil.
+	derived *enrich.Derived
 }
 
 // entry is one indexed (field, value) pair of a fragment.
@@ -129,12 +153,50 @@ func (d *document) render() ([]byte, error) {
 	if b := d.rendered.Load(); b != nil {
 		return *b, nil
 	}
-	b, err := json.Marshal(d.host)
+	b, err := json.Marshal(d.record())
 	if err != nil {
 		return nil, err
 	}
 	d.rendered.Store(&b)
 	return b, nil
+}
+
+// record returns the document's host, building a projected document's on
+// first use. Racing first readers build equal hosts; the first stored wins.
+func (d *document) record() *entity.Host {
+	if h := d.host.Load(); h != nil {
+		return h
+	}
+	h := d.base
+	h.Services = make(map[string]*entity.Service, len(d.svcs))
+	for i := range d.svcs {
+		s := &d.svcs[i]
+		h.Services[s.Key().String()] = s
+	}
+	d.host.CompareAndSwap(nil, &h)
+	return d.host.Load()
+}
+
+// fields returns the document's host-level fields; its Services may be nil.
+func (d *document) fields() *entity.Host {
+	if d.svcs != nil {
+		return &d.base
+	}
+	return d.host.Load()
+}
+
+// service returns the document's record in key's slot, or nil.
+func (d *document) service(key entity.ServiceKey) *entity.Service {
+	if d.svcs == nil {
+		return d.host.Load().Service(key)
+	}
+	i, ok := slices.BinarySearchFunc(d.svcs, key, func(s entity.Service, key entity.ServiceKey) int {
+		return cmpKey(s.Key(), key)
+	})
+	if ok {
+		return &d.svcs[i]
+	}
+	return nil
 }
 
 // NewPartitioned creates an empty index striped over n partitions
@@ -208,8 +270,13 @@ func parseNumber(v string) (int64, bool) {
 	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
 		digits = digits[1:]
 	}
-	if digits == "" || strings.Trim(digits, "0123456789") != "" {
+	if digits == "" {
 		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
 	}
 	n, err := strconv.ParseInt(v, 10, 64)
 	return n, err == nil
@@ -243,10 +310,11 @@ func (b *fragBuilder) add(field, v string) {
 	b.f.entries = append(b.f.entries, e)
 }
 
-// hostFragment indexes a host's host-level fields — the document schema of
-// the search tier, together with serviceFragment.
-func hostFragment(id string, h *entity.Host) *fragment {
-	b := newFragBuilder(entity.ServiceKey{}, 6+len(h.Labels)+len(h.Vulns)+4*len(h.Software))
+// identityFragment indexes a host's identity fields: its address, location
+// and AS, which no write-side event moves. With derivedFragment and
+// serviceFragment it is the document schema of the search tier.
+func identityFragment(id string, h *entity.Host) *fragment {
+	b := newFragBuilder(entity.ServiceKey{}, 6)
 	b.add("ip", id)
 	if h.Location != nil {
 		b.add("location.country", h.Location.Country)
@@ -257,19 +325,100 @@ func hostFragment(id string, h *entity.Host) *fragment {
 		b.add("as.name", h.AS.Name)
 		b.add("as.org", h.AS.Org)
 	}
+	return b.f
+}
+
+// derivedFragment indexes a host's derived context: labels, vulnerabilities
+// and software. Their values come from the enrichment tables, so the
+// entries are taken from derivedEntries rather than tokenized anew.
+func derivedFragment(h *entity.Host) *fragment {
+	f := &fragment{entries: make([]entry, 0, len(h.Labels)+len(h.Vulns)+4*len(h.Software))}
 	for _, l := range h.Labels {
-		b.add("labels", l)
+		f.entries = vocab.appendValue(f.entries, "labels", l)
 	}
 	for _, v := range h.Vulns {
-		b.add("vulns", v)
+		f.entries = vocab.appendValue(f.entries, "vulns", v)
 	}
 	for _, sw := range h.Software {
+		f.entries = vocab.appendSoftware(f.entries, sw)
+	}
+	return f
+}
+
+// vocabulary keeps what fragments index again and again, built once: the
+// entries of derived-context values (an entry is immutable once built,
+// tokens included) and the field names of service attributes. Each table
+// holds at most vocabularyCap items, so a stream of arbitrary values cannot
+// grow it without bound; past that, the rest are built per fragment.
+type vocabulary struct {
+	mu       sync.RWMutex
+	values   map[[2]string]entry         // by field and value
+	software map[entity.Software][]entry // a software label's four fields
+	fields   map[string]string           // attribute name -> "services."+name
+}
+
+const vocabularyCap = 4096
+
+var vocab = vocabulary{values: make(map[[2]string]entry),
+	software: make(map[entity.Software][]entry), fields: make(map[string]string)}
+
+// appendValue appends the entry indexing v under field, if v is not empty.
+func (c *vocabulary) appendValue(dst []entry, field, v string) []entry {
+	if v == "" {
+		return dst
+	}
+	key := [2]string{field, v}
+	c.mu.RLock()
+	e, ok := c.values[key]
+	c.mu.RUnlock()
+	if !ok {
+		b := newFragBuilder(entity.ServiceKey{}, 1)
+		b.add(field, v)
+		e = b.f.entries[0]
+		c.mu.Lock()
+		if len(c.values) < vocabularyCap {
+			c.values[key] = e
+		}
+		c.mu.Unlock()
+	}
+	return append(dst, e)
+}
+
+// appendSoftware appends the entries indexing a software label.
+func (c *vocabulary) appendSoftware(dst []entry, sw entity.Software) []entry {
+	c.mu.RLock()
+	es, ok := c.software[sw]
+	c.mu.RUnlock()
+	if !ok {
+		b := newFragBuilder(entity.ServiceKey{}, 4)
 		b.add("software.product", sw.Product)
 		b.add("software.vendor", sw.Vendor)
 		b.add("software.version", sw.Version)
 		b.add("software.cpe", sw.CPE())
+		es = b.f.entries
+		c.mu.Lock()
+		if len(c.software) < vocabularyCap {
+			c.software[sw] = es
+		}
+		c.mu.Unlock()
 	}
-	return b.f
+	return append(dst, es...)
+}
+
+// field returns the field name of the service attribute k.
+func (c *vocabulary) field(k string) string {
+	c.mu.RLock()
+	f, ok := c.fields[k]
+	c.mu.RUnlock()
+	if !ok {
+		f = "services." + k
+		c.mu.Lock()
+		if len(c.fields) < vocabularyCap {
+			c.fields[k] = f
+		}
+		c.mu.Unlock()
+	}
+	return f
 }
 
 // serviceFragment indexes one active service.
@@ -285,29 +434,40 @@ func serviceFragment(svc *entity.Service) *fragment {
 	}
 	b.add("services.cert_sha256", svc.CertSHA256)
 	for k, v := range svc.Attributes {
-		b.add("services."+k, v)
+		b.add(vocab.field(k), v)
 	}
 	return b.f
 }
 
-// sameHostFields reports whether two versions of a host agree on every field
-// the host fragment indexes.
-func sameHostFields(a, b *entity.Host) bool {
+// sameIdentity reports whether two versions of a host agree on every field
+// the identity fragment indexes.
+func sameIdentity(a, b *entity.Host) bool {
 	return (a.Location == nil) == (b.Location == nil) && (a.Location == nil || *a.Location == *b.Location) &&
-		(a.AS == nil) == (b.AS == nil) && (a.AS == nil || *a.AS == *b.AS) &&
-		slices.Equal(a.Labels, b.Labels) && slices.Equal(a.Vulns, b.Vulns) && slices.Equal(a.Software, b.Software)
+		(a.AS == nil) == (b.AS == nil) && (a.AS == nil || *a.AS == *b.AS)
+}
+
+// sameDerived reports whether two versions of a host agree on every field
+// the derived fragment indexes.
+func sameDerived(a, b *entity.Host) bool {
+	return slices.Equal(a.Labels, b.Labels) && slices.Equal(a.Vulns, b.Vulns) && slices.Equal(a.Software, b.Software)
 }
 
 // newDocument builds the document for h, taking from prev (the entity's
-// current document, or nil) every fragment whose source is unchanged: the
-// host fragment when the host-level fields are equal, and a service's
-// fragment when ConfigEqual, which covers every indexed service field.
+// current document, or nil) every fragment whose source is unchanged: a
+// host fragment when its fields are equal, and a service's fragment when
+// ConfigEqual, which covers every indexed service field.
 func newDocument(id string, h *entity.Host, prev *document) *document {
-	d := &document{id: id, host: h, frags: make([]*fragment, 1, 1+len(h.Services))}
-	if prev != nil && sameHostFields(prev.host, h) {
-		d.frags[0] = prev.frags[0]
+	d := &document{id: id, frags: make([]*fragment, firstServiceFrag, firstServiceFrag+len(h.Services))}
+	d.host.Store(h)
+	if prev != nil && sameIdentity(prev.fields(), h) {
+		d.frags[identityFrag] = prev.frags[identityFrag]
 	} else {
-		d.frags[0] = hostFragment(id, h)
+		d.frags[identityFrag] = identityFragment(id, h)
+	}
+	if prev != nil && sameDerived(prev.fields(), h) {
+		d.frags[derivedFrag] = prev.frags[derivedFrag]
+	} else {
+		d.frags[derivedFrag] = derivedFragment(h)
 	}
 	for _, s := range h.Services {
 		if s.PendingRemovalSince == nil {
@@ -322,9 +482,9 @@ func newDocument(id string, h *entity.Host, prev *document) *document {
 func (d *document) fragmentFor(s *entity.Service) *fragment {
 	if d != nil {
 		key := s.Key()
-		for _, f := range d.frags[1:] {
+		for _, f := range d.frags[firstServiceFrag:] {
 			if f.key == key {
-				if s.ConfigEqual(d.host.Service(key)) {
+				if s.ConfigEqual(d.service(key)) {
 					return f
 				}
 				break
@@ -334,23 +494,88 @@ func (d *document) fragmentFor(s *entity.Service) *fragment {
 	return serviceFragment(s)
 }
 
+// projectDocument builds the successor of prev (the entity's current
+// document, or nil) from the write side's records of all the host's
+// services, svcs, in slot order, after an event on the service in slot
+// changed. Every other active record takes prev's fragment for its slot,
+// and with it the fragment's derivation; only the changed record, and one
+// prev has no fragment for, is fragmented and derived anew. The host's
+// identity comes from prev and is looked up only for a new document; its
+// derived context is the union of the services' derivations (Combine), and
+// the derived fragment is rebuilt only when that union moved.
+//
+// A record whose configuration changed has an event of its own, so once a
+// drain's events are all projected every fragment is current: the document
+// is what newDocument builds from the enriched host.
+func projectDocument(id string, ip netip.Addr, updated time.Time, svcs []entity.Service,
+	changed entity.ServiceKey, e *enrich.Enricher, prev *document) *document {
+	d := &document{id: id, svcs: svcs, frags: make([]*fragment, firstServiceFrag, firstServiceFrag+len(svcs))}
+	d.base.IP, d.base.LastUpdated = ip, updated
+	var prevFields *entity.Host
+	if prev != nil && prev.svcs != nil {
+		prevFields = &prev.base
+		d.base.Location, d.base.AS = prevFields.Location, prevFields.AS
+		d.frags[identityFrag] = prev.frags[identityFrag]
+	} else {
+		e.Locate(&d.base)
+		d.frags[identityFrag] = identityFragment(id, &d.base)
+	}
+	var old []*fragment // prev's service fragments after the last one taken
+	if prevFields != nil {
+		old = prev.frags[firstServiceFrag:]
+	}
+	for i := range svcs {
+		s := &svcs[i]
+		if s.PendingRemovalSince != nil {
+			continue
+		}
+		key := s.Key()
+		for len(old) > 0 && cmpKey(old[0].key, key) < 0 {
+			old = old[1:]
+		}
+		if key != changed && len(old) > 0 && old[0].key == key {
+			d.frags = append(d.frags, old[0])
+			continue
+		}
+		f := serviceFragment(s)
+		f.derived = e.Derive(s)
+		d.frags = append(d.frags, f)
+	}
+	services := d.frags[firstServiceFrag:]
+	if e.Combine(&d.base, len(services), func(i int) *enrich.Derived { return services[i].derived }, prevFields) {
+		d.frags[derivedFrag] = derivedFragment(&d.base)
+	} else {
+		d.frags[derivedFrag] = prev.frags[derivedFrag]
+	}
+	return d
+}
+
+// cmpKey orders slots by port, then transport.
+func cmpKey(a, b entity.ServiceKey) int {
+	return cmp.Or(cmp.Compare(a.Port, b.Port), cmp.Compare(a.Transport, b.Transport))
+}
+
 // hasFragment reports whether d is built on f itself (not on an equal copy).
 func (d *document) hasFragment(f *fragment) bool {
 	return d != nil && slices.Contains(d.frags, f)
 }
 
-// holdsToken reports whether any fragment of d posts tok under field.
-func (d *document) holdsToken(field, tok string) bool {
-	return d != nil && d.anyEntry(func(e *entry) bool { return e.field == field && slices.Contains(e.toks, tok) })
+// holdsToken reports whether any of frags posts tok under field.
+func holdsToken(frags []*fragment, field, tok string) bool {
+	return anyEntry(frags, func(e *entry) bool { return e.field == field && slices.Contains(e.toks, tok) })
 }
 
-// holdsNumber reports whether any fragment of d enters n in field's column.
-func (d *document) holdsNumber(field string, n int64) bool {
-	return d != nil && d.anyEntry(func(e *entry) bool { return e.isNum && e.num == n && e.field == field })
+// holdsNumber reports whether any of frags enters n in field's column.
+func holdsNumber(frags []*fragment, field string, n int64) bool {
+	return anyEntry(frags, func(e *entry) bool { return e.isNum && e.num == n && e.field == field })
 }
 
 func (d *document) anyEntry(match func(e *entry) bool) bool {
-	for _, f := range d.frags {
+	return anyEntry(d.frags, match)
+}
+
+func anyEntry(frags []*fragment, match func(e *entry) bool) bool {
+	for _, f := range frags {
 		for i := range f.entries {
 			if match(&f.entries[i]) {
 				return true
@@ -386,6 +611,31 @@ func (ix *Index) Upsert(h *entity.Host) {
 	prev := p.docs[id]
 	p.mu.RUnlock()
 	doc := newDocument(id, h, prev)
+	p.replace(id, doc)
+}
+
+// Project indexes a host's new version after a write-side event on the
+// service in slot changed: svcs are copies of every service record the
+// write side holds for the host, in slot order (the index keeps the slice
+// and the records, and the Attributes maps and PendingRemovalSince they
+// share with the write side must never be modified), and updated is its
+// LastUpdated. e derives the context of the records the event touched; the
+// rest comes from the current document (see projectDocument). The host is
+// rendered only when a read asks for it. A projection over an upserted
+// document (whose host came enriched from its caller) looks the identity up
+// and derives every record afresh.
+func (ix *Index) Project(id string, ip netip.Addr, updated time.Time, svcs []entity.Service,
+	changed entity.ServiceKey, e *enrich.Enricher) {
+	p := ix.part(id)
+	p.mu.RLock()
+	prev := p.docs[id]
+	p.mu.RUnlock()
+	p.replace(id, projectDocument(id, ip, updated, svcs, changed, e, prev))
+}
+
+// replace posts doc as id's document, diffing the postings against whatever
+// document is current by now.
+func (p *indexPart) replace(id string, doc *document) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gen.Add(1)
@@ -403,28 +653,79 @@ func (ix *Index) Upsert(h *entity.Host) {
 
 // repost moves local document lid's postings from cur's fragments to next's
 // (either may be nil). A fragment both share is left alone. A fragment only
-// cur has is unposted, except for the entries next still holds elsewhere;
-// a fragment only next has is posted (posting is idempotent). Caller holds
-// the write lock.
+// cur has is unposted, except for the entries next still holds; a fragment
+// only next has is posted (posting is idempotent). An entry that the
+// fragment's counterpart in the other version (the same host-level group,
+// or the same slot) holds unchanged is neither unposted nor posted again,
+// so replacing a fragment moves only the postings of what changed in it.
+// Caller holds the write lock.
 func (p *indexPart) repost(lid uint32, cur, next *document) {
 	if cur != nil {
-		for _, f := range cur.frags {
-			if !next.hasFragment(f) {
-				for i := range f.entries {
-					p.unpost(lid, &f.entries[i], next)
+		for j, f := range cur.frags {
+			if next.hasFragment(f) {
+				continue
+			}
+			g := next.counterpart(j, f)
+			// Host fields and service fields never share a name, so only
+			// fragments of f's own kind can still hold its entries.
+			var others []*fragment
+			if next != nil && j < firstServiceFrag {
+				others = next.frags[:firstServiceFrag]
+			} else if next != nil {
+				others = next.frags[firstServiceFrag:]
+			}
+			for i := range f.entries {
+				if !g.holds(&f.entries[i]) {
+					p.unpost(lid, &f.entries[i], others)
 				}
 			}
 		}
 	}
 	if next != nil {
-		for _, f := range next.frags {
-			if !cur.hasFragment(f) {
-				for i := range f.entries {
-					p.post(lid, &f.entries[i])
+		for j, g := range next.frags {
+			if cur.hasFragment(g) {
+				continue
+			}
+			f := cur.counterpart(j, g)
+			for i := range g.entries {
+				if !f.holds(&g.entries[i]) {
+					p.post(lid, &g.entries[i])
 				}
 			}
 		}
 	}
+}
+
+// counterpart returns d's fragment in the place f holds in another version
+// of the document, frags[j]: the same host-level group, or the same slot;
+// nil when d has none.
+func (d *document) counterpart(j int, f *fragment) *fragment {
+	if d == nil {
+		return nil
+	}
+	if j < firstServiceFrag {
+		return d.frags[j]
+	}
+	for _, g := range d.frags[firstServiceFrag:] {
+		if g.key == f.key {
+			return g
+		}
+	}
+	return nil
+}
+
+// holds reports whether f has an entry indexing what e indexes.
+func (f *fragment) holds(e *entry) bool {
+	if f == nil {
+		return false
+	}
+	for i := range f.entries {
+		o := &f.entries[i]
+		if o.field == e.field && o.isNum == e.isNum && o.num == e.num && slices.Equal(o.toks, e.toks) {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *indexPart) post(lid uint32, e *entry) {
@@ -441,12 +742,12 @@ func (p *indexPart) post(lid uint32, e *entry) {
 	}
 }
 
-// unpost withdraws one entry's postings for lid, keeping any that next
-// still holds.
-func (p *indexPart) unpost(lid uint32, e *entry, next *document) {
+// unpost withdraws one entry's postings for lid, keeping any that the next
+// version's fragments others still hold.
+func (p *indexPart) unpost(lid uint32, e *entry, others []*fragment) {
 	if byTok := p.inverted[e.field]; byTok != nil {
 		for _, tok := range e.toks {
-			if next.holdsToken(e.field, tok) {
+			if holdsToken(others, e.field, tok) {
 				continue
 			}
 			if list := removeU32(byTok[tok], lid); len(list) == 0 {
@@ -459,7 +760,7 @@ func (p *indexPart) unpost(lid uint32, e *entry, next *document) {
 			delete(p.inverted, e.field)
 		}
 	}
-	if e.isNum && !next.holdsNumber(e.field, e.num) {
+	if e.isNum && !holdsNumber(others, e.field, e.num) {
 		if col := p.numeric[e.field].remove(numEntry{val: e.num, doc: lid}); len(col) == 0 {
 			delete(p.numeric, e.field)
 		} else {
@@ -533,7 +834,7 @@ func (ix *Index) Host(id string) *entity.Host {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if d := p.docs[id]; d != nil {
-		return d.host.Clone()
+		return d.record().Clone()
 	}
 	return nil
 }

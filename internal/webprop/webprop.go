@@ -68,7 +68,41 @@ type Pipeline struct {
 	names    map[string]*nameState
 	state    map[string]*entity.WebProperty
 	ctCursor uint64
-	queue    []string // scan order queue
+	queue    nameRing // scan order queue
+}
+
+// nameRing is the scan order queue: a ring over one slice, so moving a name
+// from the front to the back moves nothing else and allocates nothing.
+type nameRing struct {
+	buf     []string
+	head, n int
+}
+
+func (r *nameRing) len() int { return r.n }
+
+// at returns the i-th name from the front.
+func (r *nameRing) at(i int) string { return r.buf[(r.head+i)%len(r.buf)] }
+
+// push appends name at the back, growing the ring when it is full.
+func (r *nameRing) push(name string) {
+	if r.n == len(r.buf) {
+		buf := make([]string, max(2*r.n, 16))
+		for i := range r.n {
+			buf[i] = r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = name
+	r.n++
+}
+
+// pop removes and returns the front name.
+func (r *nameRing) pop() string {
+	name := r.buf[r.head]
+	r.buf[r.head] = ""
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return name
 }
 
 // New creates a pipeline writing to its own journal.
@@ -207,8 +241,9 @@ type State struct {
 
 // State captures the pipeline for checkpointing. Call it between ticks.
 func (p *Pipeline) State() State {
-	st := State{CTCursor: p.ctCursor, Names: make(NameRecords, 0, len(p.queue))}
-	for _, name := range p.queue {
+	st := State{CTCursor: p.ctCursor, Names: make(NameRecords, 0, p.queue.len())}
+	for i := range p.queue.len() {
+		name := p.queue.at(i)
 		ns := p.names[name]
 		rec := NameRecord{Name: name, NextScan: ns.nextScan, FailedSince: ns.failedSince}
 		for src := range ns.sources {
@@ -240,7 +275,7 @@ func (p *Pipeline) Restore(st State) error {
 		p.state[prop.Name] = prop
 	}
 	p.ctCursor = st.CTCursor
-	p.queue = make([]string, 0, len(st.Names))
+	p.queue = nameRing{buf: make([]string, len(st.Names))}
 	p.names = make(map[string]*nameState, len(st.Names))
 	for _, rec := range st.Names {
 		ns := &nameState{name: rec.Name, sources: map[string]bool{},
@@ -249,7 +284,7 @@ func (p *Pipeline) Restore(st State) error {
 			ns.sources[src] = true
 		}
 		p.names[rec.Name] = ns
-		p.queue = append(p.queue, rec.Name)
+		p.queue.push(rec.Name)
 		if prop := p.state[rec.Name]; prop != nil && !rec.LastSeen.IsZero() {
 			prop.LastSeen = rec.LastSeen
 		}
@@ -264,7 +299,7 @@ func (p *Pipeline) AddName(name, source string, now time.Time) {
 	if ns == nil {
 		ns = &nameState{name: name, sources: map[string]bool{}, nextScan: now}
 		p.names[name] = ns
-		p.queue = append(p.queue, name)
+		p.queue.push(name)
 	}
 	ns.sources[source] = true
 }
@@ -336,19 +371,18 @@ func hostFromURL(u string) string {
 // Tick scans names whose refresh is due, up to the per-tick budget.
 func (p *Pipeline) Tick(now time.Time) int {
 	scanned := 0
-	n := len(p.queue)
+	n := p.queue.len()
 	for i := 0; i < n && scanned < ScansPerTick; i++ {
-		name := p.queue[0]
-		p.queue = p.queue[1:]
+		name := p.queue.pop()
 		ns := p.names[name]
 		if now.Before(ns.nextScan) {
-			p.queue = append(p.queue, name) // not due yet; recycle
+			p.queue.push(name) // not due yet; recycle
 			continue
 		}
 		p.scanName(ns, now)
 		scanned++
 		if _, still := p.names[name]; still {
-			p.queue = append(p.queue, name)
+			p.queue.push(name)
 		}
 	}
 	return scanned

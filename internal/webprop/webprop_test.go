@@ -3,6 +3,8 @@ package webprop
 import (
 	"encoding/json"
 	"net/netip"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -262,4 +264,71 @@ func TestJournalRoundTrip(t *testing.T) {
 		return
 	}
 	t.Fatal("no journaled properties")
+}
+
+// referenceTick is Tick as it rotated its queue before the queue was a
+// ring: a slice, each visited name popped off its front and the kept ones
+// appended to its back. It runs on p's queue taken out as a slice.
+func referenceTick(p *Pipeline, now time.Time) int {
+	queue := queueOf(p)
+	p.queue = nameRing{}
+	scanned := 0
+	n := len(queue)
+	for i := 0; i < n && scanned < ScansPerTick; i++ {
+		name := queue[0]
+		queue = queue[1:]
+		ns := p.names[name]
+		if now.Before(ns.nextScan) {
+			queue = append(queue, name)
+			continue
+		}
+		p.scanName(ns, now)
+		scanned++
+		if _, still := p.names[name]; still {
+			queue = append(queue, name)
+		}
+	}
+	for _, name := range queue {
+		p.queue.push(name)
+	}
+	return scanned
+}
+
+// queueOf lists p's scan queue from the front.
+func queueOf(p *Pipeline) []string {
+	out := make([]string, p.queue.len())
+	for i := range out {
+		out[i] = p.queue.at(i)
+	}
+	return out
+}
+
+// TestTickRotatesLikeReference: over ticks that hit the scan budget, scan
+// names that resolve and names that never do, and evict, Tick leaves the
+// queue — checkpointed state — in the order the slice rotation does.
+func TestTickRotatesLikeReference(t *testing.T) {
+	p, net, clk := fixture(t)
+	ref, refNet, _ := fixture(t)
+	feed := func(p *Pipeline, net *simnet.Internet, now time.Time) {
+		p.PollCT(net.CT, now)
+		for i := range 40 {
+			p.AddName("nx-"+strconv.Itoa(int(now.Unix()/3600)%50)+"-"+strconv.Itoa(i)+".example", SourcePDNS, now)
+		}
+	}
+	longest := 0
+	for tick := range 24 * 40 {
+		now := clk.Now()
+		feed(p, net, now)
+		feed(ref, refNet, now)
+		got, want := p.Tick(now), referenceTick(ref, now)
+		if got != want || !slices.Equal(queueOf(p), queueOf(ref)) {
+			t.Fatalf("tick %d: scanned %d, reference %d; queues of %d and %d names differ",
+				tick, got, want, p.queue.len(), ref.queue.len())
+		}
+		longest = max(longest, p.queue.len())
+		clk.Advance(time.Hour)
+	}
+	if longest <= ScansPerTick {
+		t.Fatalf("the queue never outgrew the scan budget (%d names)", longest)
+	}
 }
