@@ -174,13 +174,15 @@ predict-diff:
 # map-keyed model through rate blocks, detectors and injected faults),
 # interrogation deadline budgets against tarpits (including pool liveness
 # at 100% tarpit density), the scanners against short and hostile replies
-# (FuzzScanResponse's seed corpus), honeypot-farm uniformity flagging, adaptive
+# (FuzzScanResponse's seed corpus), honeypot-farm uniformity flagging, the
+# predictive model's bounds against hosts no filter caught, adaptive
 # backoff + scanner rotation, the chaos differentials over a hostile seed
 # (same-seed, layout invariance, kill/resume), and the per-engine
 # mislabel/blocking/freshness replay.
 adversarial:
 	$(GO) test -race ./internal/simnet/ ./internal/interro/ ./internal/protocols/ ./internal/discovery/
-	$(GO) test -race ./internal/core/ -run 'Tarpit|Honeypot|Pseudo|Flagged'
+	$(GO) test -race ./internal/core/ -run 'Tarpit|Honeypot|Pseudo|Flagged|LearnsNothing'
+	$(GO) test -race ./internal/predict/ -run 'PairsBounded'
 	$(GO) test -race ./internal/chaos/ -run 'Adversarial'
 	$(GO) test ./internal/eval/ -run 'Adversarial'
 

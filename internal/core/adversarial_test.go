@@ -6,12 +6,14 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"censysmap/internal/cqrs"
+	"censysmap/internal/discovery"
 	"censysmap/internal/entity"
 	"censysmap/internal/journal"
 	"censysmap/internal/simclock"
@@ -188,6 +190,165 @@ func TestHoneypotFarmsGetFlagged(t *testing.T) {
 		if _, ok := m.HostCurrent(a); ok {
 			t.Fatalf("HostCurrent still serves flagged honeypot %v", a)
 		}
+	}
+}
+
+// TestHoneypotChurnIsNotAFarm: the farm detector counts what the write side
+// holds, not what it ever saw. Twenty hosts of one farm come up one after
+// another, each for 18 hours, so at most four of them are in the write side
+// at once (three up, one pending eviction): no group reaches the threshold,
+// however many members were ever seen. Then eight come up together and are
+// flagged, and a ninth found later is flagged on sight.
+func TestHoneypotChurnIsNotAFarm(t *testing.T) {
+	cfg := simnet.DefaultConfig()
+	cfg.Prefix = netip.MustParsePrefix("10.0.0.0/22")
+	cfg.CloudBlocks = 1
+	cfg.WebProperties = 0
+	cfg.BaseLoss = 0
+	cfg.OutageRate = 0
+	cfg.GeoblockRate = 0
+	cfg.Adversary = simnet.AdversaryConfig{Seed: 9, HoneypotFarms: 1}
+	clk := simclock.New()
+	net := simnet.New(cfg, clk)
+	// Take the farm off the network; its hosts come up on the schedule below.
+	var farm []*simnet.Host
+	for _, a := range slices.Clone(net.Addrs()) {
+		if h := net.HostAt(a); h.Honeypot {
+			farm = append(farm, h)
+			net.RemoveHost(a)
+		}
+	}
+	const churned, threshold = 20, 8
+	if len(farm) < churned+threshold+1 {
+		t.Fatalf("farm of %d hosts", len(farm))
+	}
+
+	mcfg := DefaultConfig()
+	mcfg.CloudBlocks = 1
+	mcfg.DisablePrediction = true
+	mcfg.HoneypotUniformityThreshold = threshold
+	mcfg.EvictAfter = 2 * time.Hour
+	m, err := New(mcfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step interrogates hosts directly, up or not, and advances an hour.
+	step := func(hosts []*simnet.Host) {
+		now := clk.Now()
+		for _, h := range hosts {
+			port := h.Slots[0].Port
+			m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: h.Addr, Port: port,
+				Transport: entity.TCP, Method: entity.DetectUserRequest, PoP: m.pops[0].Name, Time: now}})
+		}
+		m.runBatch(now, "churn")
+		m.processor.Drain()
+		clk.Advance(time.Hour)
+	}
+
+	// Host i is up during hours [6i, 6i+18).
+	for hour := 0; hour < 6*churned+24; hour++ {
+		for i, h := range farm[:churned] {
+			switch hour {
+			case 6 * i:
+				net.AddHost(h)
+			case 6*i + 18:
+				net.RemoveHost(h.Addr)
+			}
+		}
+		step(farm[:min(hour/6+1, churned)])
+	}
+	for _, h := range farm[:churned] {
+		if len(m.History(h.Addr)) == 0 {
+			t.Fatalf("churned host %v never entered the dataset; the case is vacuous", h.Addr)
+		}
+	}
+	if got := m.HoneypotHosts(); len(got) != 0 {
+		t.Fatalf("%d churned hosts flagged, never more than 4 held at once: %v", len(got), got)
+	}
+
+	together := farm[churned : churned+threshold]
+	for _, h := range together {
+		net.AddHost(h)
+	}
+	step(together)
+	var want []netip.Addr
+	for _, h := range together {
+		want = append(want, h.Addr)
+	}
+	if got := m.HoneypotHosts(); !slices.Equal(got, want) {
+		t.Fatalf("eight held at once: flagged %v, want %v", got, want)
+	}
+	late := farm[churned+threshold]
+	net.AddHost(late)
+	step([]*simnet.Host{late})
+	if got := m.HoneypotHosts(); len(got) != threshold+1 || !slices.Contains(got, late.Addr) {
+		t.Fatalf("a member found after its farm was flagged: flagged %v, want it too", got)
+	}
+}
+
+// lossyConnects drops every interrogation connection to addr while on.
+type lossyConnects struct {
+	addr    netip.Addr
+	on      atomic.Bool
+	dropped atomic.Uint64
+}
+
+func (l *lossyConnects) Drop(_ simnet.Scanner, addr netip.Addr, op simnet.Op, _ uint64, _ time.Time) simnet.Cause {
+	if l.on.Load() && op == simnet.OpConnect && addr == l.addr {
+		l.dropped.Add(1)
+		return simnet.CauseFaultLoss
+	}
+	return simnet.Delivered
+}
+
+// TestPseudoRecheckAfterLostConnects: a pseudo-host whose check at the
+// threshold loses every connect to injected loss is not exempt for good: the
+// check runs again at twice the threshold, and flags it.
+func TestPseudoRecheckAfterLostConnects(t *testing.T) {
+	net, clk := testUniverse(t)
+	addr := netip.MustParseAddr("10.0.1.252")
+	net.AddHost(&simnet.Host{Addr: addr, Country: "US", Pseudo: true})
+	loss := &lossyConnects{addr: addr}
+	net.SetFaultInjector(loss)
+	m := testMap(t, net)
+	threshold := m.cfg.PseudoServiceThreshold
+
+	// found applies a successful interrogation of port, a slot the host did
+	// not hold, the way a worker does.
+	found := func(port uint16) {
+		now := clk.Now()
+		obs := cqrs.Observation{Addr: addr, Port: port, Transport: entity.TCP, Time: now,
+			PoP: m.pops[0].Name, Method: entity.DetectUserRequest, Success: true,
+			Service: &entity.Service{Port: port, Transport: entity.TCP, Protocol: "HTTP", Verified: true}}
+		c := discovery.Candidate{Addr: addr, Port: port, Transport: entity.TCP, PoP: m.pops[0].Name, Time: now}
+		m.apply(m.shardFor(addr), addr.String(), obs, c, now)
+	}
+	held := func() int {
+		_, _, n := m.processor.LastSeen(addr.String(), entity.ServiceKey{})
+		return n
+	}
+	for port := uint16(1); port < uint16(threshold); port++ {
+		found(port)
+	}
+	loss.on.Store(true)
+	found(uint16(threshold))
+	loss.on.Store(false)
+	if got := loss.dropped.Load(); got != pseudoCheckConnects {
+		t.Fatalf("the check at %d services lost %d connects, want all %d", threshold, got, pseudoCheckConnects)
+	}
+	if m.PseudoHosts() != 0 || held() != threshold {
+		t.Fatalf("after a check that lost its connects: %d flagged, %d services held", m.PseudoHosts(), held())
+	}
+	for port := uint16(threshold + 1); port < uint16(2*threshold); port++ {
+		found(port)
+	}
+	if m.PseudoHosts() != 0 {
+		t.Fatalf("flagged at %d services, between checks", held())
+	}
+	found(uint16(2 * threshold))
+	if m.PseudoHosts() != 1 || held() != 0 {
+		t.Fatalf("at twice the threshold: %d flagged, %d services held; want the host flagged and retired",
+			m.PseudoHosts(), held())
 	}
 }
 

@@ -108,8 +108,8 @@ func (m *Map) SaveDurable(dir string, opts durable.SaveOptions) error {
 // captured at a tick boundary. All slices are in canonical order, so two
 // checkpoints of identical pipelines encode to identical bytes regardless of
 // the Shards/InterroWorkers layout that produced them. Decoding skips
-// sections older versions wrote and this one does not (such as `retries`
-// and `found_per_host`), so their checkpoints still resume.
+// sections older versions wrote and this one does not (such as `retries`,
+// `found_per_host` and `farm_seen`), so their checkpoints still resume.
 type Checkpoint struct {
 	TakenAt time.Time `json:"taken_at"`
 	Seeded  bool      `json:"seeded"`
@@ -124,9 +124,10 @@ type Checkpoint struct {
 
 	// Flagged is every host a host-level filter took out of the dataset,
 	// with the filter (encoding/json writes map keys sorted).
-	Flagged    map[netip.Addr]flagReason `json:"flagged,omitempty"`
-	FarmSeen   []FarmSeenEntry           `json:"farm_seen,omitempty"`
-	Exclusions []Exclusion               `json:"exclusions,omitempty"`
+	Flagged map[netip.Addr]flagReason `json:"flagged,omitempty"`
+	// FarmGroups are the honeypot-farm groups flagged so far (flagFarms).
+	FarmGroups []FarmGroup `json:"farm_groups,omitempty"`
+	Exclusions []Exclusion `json:"exclusions,omitempty"`
 
 	Discovery discovery.State `json:"discovery"`
 	Predictor predict.State   `json:"predictor"`
@@ -160,7 +161,7 @@ func (m *Map) Checkpoint() Checkpoint {
 		}
 		s.mu.Unlock()
 	}
-	cp.FarmSeen = m.farmSeenState()
+	cp.FarmGroups = m.farmGroupList()
 	return cp
 }
 
@@ -205,7 +206,9 @@ func (m *Map) restore(cp *Checkpoint) error {
 		}
 		m.shardFor(a).flagged[a] = why
 	}
-	m.restoreFarmSeen(cp.FarmSeen)
+	for _, g := range cp.FarmGroups {
+		m.farmGroups[g] = true
+	}
 	m.exclusions = append([]Exclusion(nil), cp.Exclusions...)
 	m.syncExclusions()
 	if err := m.disc.Restore(cp.Discovery); err != nil {

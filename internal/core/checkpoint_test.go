@@ -101,7 +101,7 @@ func TestCheckpointHoldsNoDerivedState(t *testing.T) {
 	if err := json.Unmarshal(blob, &sections); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"discovery", "exclusions", "farm_seen", "first_daily", "flagged",
+	want := []string{"discovery", "exclusions", "farm_groups", "first_daily", "flagged",
 		"last_daily", "predictor", "processor", "seeded", "stats", "taken_at", "web_props"}
 	if got := sectionNames(t, blob); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpoint sections = %v, want %v", got, want)
@@ -273,8 +273,10 @@ func sectionNames(t *testing.T, raw []byte) []string {
 // withDerivedSections returns m's checkpoint blob in the older shape: the
 // predictor section also carries net24_ports and the topology tree (its /24
 // densities and its copy of the exclusion list), web_props the current
-// properties and the scan queue, and found_per_host the pseudo filter's old
-// per-host count of successful observations (here, each host's services).
+// properties and the scan queue, found_per_host the pseudo filter's old
+// per-host count of successful observations (here, each host's services),
+// and farm_seen the honeypot detector's old evidence accumulator (here, the
+// hosts of each group the write side holds).
 func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 	t.Helper()
 	var cp Checkpoint
@@ -324,6 +326,25 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 		found = append(found, hostCount{addr, len(ports)})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].Addr.Less(found[j].Addr) })
+	type farmSeen struct { // the section's entries, as they were written
+		Net   netip.Addr   `json:"net"`
+		Port  uint16       `json:"port"`
+		FP    uint64       `json:"fp"`
+		Addrs []netip.Addr `json:"addrs"`
+	}
+	groups := map[FarmGroup]*farmSeen{}
+	var seen []*farmSeen
+	m.processor.Walk(func(_ string, h *entity.Host) {
+		for _, svc := range h.Services {
+			if g, ok := icsGroup(h.IP, svc); ok {
+				if groups[g] == nil {
+					groups[g] = &farmSeen{Net: g.Net, Port: g.Port, FP: g.FP}
+					seen = append(seen, groups[g])
+				}
+				groups[g].Addrs = append(groups[g].Addrs, h.IP)
+			}
+		}
+	})
 
 	var sections, predictor, webProps map[string]json.RawMessage
 	if err := json.Unmarshal(blob, &sections); err != nil {
@@ -349,6 +370,7 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 	set(sections, "predictor", predictor)
 	set(sections, "web_props", webProps)
 	set(sections, "found_per_host", found)
+	set(sections, "farm_seen", seen)
 	old, err := json.Marshal(sections)
 	if err != nil {
 		t.Fatal(err)
@@ -359,9 +381,10 @@ func withDerivedSections(t *testing.T, m *Map, blob []byte) []byte {
 // TestParentCheckpointWithDerivedSectionsResumes: checkpoints of the older
 // shape also carry the predictor's /24 tables and topology tree and the web
 // properties and scan queue, all derivable from what the checkpoint and the
-// web journal keep, and the pseudo filter's per-host observation counts,
-// which the filter no longer reads. A map resumed from one ignores them and
-// runs on exactly as the uninterrupted map does.
+// web journal keep, the pseudo filter's per-host observation counts, which
+// the filter no longer reads, and the honeypot detector's accumulated
+// evidence, which it no longer keeps. A map resumed from one ignores them
+// and runs on exactly as the uninterrupted map does.
 func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	const before, after = 5 * 24 * time.Hour, 2 * 24 * time.Hour
 	optOut := netip.MustParsePrefix("10.0.2.0/26")
@@ -397,8 +420,10 @@ func TestParentCheckpointWithDerivedSectionsResumes(t *testing.T) {
 	if err := json.Unmarshal(old, &sections); err != nil {
 		t.Fatal(err)
 	}
-	if len(sections["found_per_host"]) < 10 {
-		t.Fatal("old-shaped blob's found_per_host is empty")
+	for _, key := range []string{"found_per_host", "farm_seen"} {
+		if len(sections[key]) < 10 {
+			t.Fatalf("old-shaped blob's %s is empty", key)
+		}
 	}
 	for _, key := range [][2]string{{"predictor", "net24_ports"}, {"predictor", "topology"},
 		{"web_props", "props"}, {"web_props", "queue"}} {

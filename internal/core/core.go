@@ -71,8 +71,9 @@ type Config struct {
 	// CloudBlocks passes the universe's cloud region to the cloud class.
 	CloudBlocks int
 	// PseudoServiceThreshold is the number of services at which a host is
-	// checked for answering on every port (answersEverywhere); one that does
-	// is flagged and never interrogated again. <= 0 disables the check.
+	// checked for answering on every port (answersEverywhere), and again at
+	// each multiple of it; one that does is flagged and never interrogated
+	// again. <= 0 disables the check.
 	PseudoServiceThreshold int
 	// Excluded prefixes are never scanned (opt-out list).
 	Excluded []netip.Prefix
@@ -97,10 +98,10 @@ type Config struct {
 	// ScanBackoff configures discovery's adaptive per-/24 backoff and scanner
 	// rotation against networks running scan detection. Zero value disables.
 	ScanBackoff discovery.BackoffPolicy
-	// HoneypotUniformityThreshold flags honeypot farms: when this many
-	// distinct hosts in one /24 present a verified ICS service with an
-	// identical fingerprint on the same port, the whole group is flagged and
-	// suppressed from the dataset. <= 0 disables detection.
+	// HoneypotUniformityThreshold flags honeypot farms: when the write side
+	// holds this many hosts in one /24 presenting a verified ICS service with
+	// an identical fingerprint in the same slot, the whole group is flagged
+	// and suppressed from the dataset. <= 0 disables detection.
 	HoneypotUniformityThreshold int
 	// Telemetry, when non-nil, receives every pipeline metric family and
 	// enables trace-span sampling. Nil disables instrumentation entirely;
@@ -209,9 +210,9 @@ type stateShard struct {
 	// they are flushed to the web-property pipeline serially after the
 	// batch, in shard order, so its scan queue stays deterministic.
 	redirects []string
-	// fpObs buffers verified-ICS fingerprint observations for the honeypot
-	// uniformity detector; merged serially after the batch, in shard order
-	// (see mergeFarmObservations), so flagging is layout-invariant.
+	// fpObs buffers the uniformity groups this shard's verified ICS records
+	// touched; the honeypot-farm detector counts them in the write side
+	// serially after the batch (see flagFarms).
 	fpObs []fpObservation
 }
 
@@ -264,10 +265,10 @@ type Map struct {
 	honeypotGated    atomic.Uint64
 	honeypotsFlagged atomic.Uint64
 
-	// farmSeen accumulates the honeypot uniformity evidence: distinct hosts
-	// per (net24, port, fingerprint). Touched only serially (post-batch
+	// farmGroups are the honeypot-farm groups flagged so far; a member
+	// observed later is flagged on sight. Touched only serially (post-batch
 	// fan-in and checkpoint/restore).
-	farmSeen map[farmKey]map[netip.Addr]bool
+	farmGroups map[FarmGroup]bool
 
 	// Degraded-mode state: quarParts marks journal partitions the storage
 	// engine could not recover (indices modulo the journal's partition
@@ -329,9 +330,7 @@ func build(cfg Config, net *simnet.Internet, d *Durable, cp *Checkpoint) (*Map, 
 	for i := range m.shards {
 		m.shards[i] = &stateShard{flagged: make(map[netip.Addr]flagReason)}
 	}
-	if cfg.HoneypotUniformityThreshold > 0 {
-		m.farmSeen = make(map[farmKey]map[netip.Addr]bool)
-	}
+	m.farmGroups = make(map[FarmGroup]bool)
 
 	// A small fraction of networks blocklist even polite scanners (the
 	// paper's opt-out list covers 0.03% of address space; broader
@@ -761,7 +760,7 @@ func (m *Map) runBatch(now time.Time, phase string) {
 		s.redirects = s.redirects[:0]
 	}
 	// Honeypot uniformity fan-in, same serial shard order.
-	m.mergeFarmObservations(now)
+	m.flagFarms(now)
 }
 
 // drainShard processes one shard's queued tasks in FIFO order.
@@ -857,12 +856,16 @@ func (m *Map) rowsAt(date time.Time) []snapshot.Row {
 func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.Candidate, now time.Time) {
 	obs.Entity = id
 	if obs.Success {
-		m.predictor.Observe(c.Addr, c.Port, c.Transport)
 		m.predictor.Resolve(c.Addr, c.Port, c.Transport)
 		if m.answersEverywhere(id, obs.Key(), c.Addr) {
 			m.suppress(c.Addr, flagPseudo, now) // processTask lets no flagged host by
 			m.pseudoFiltered.Add(1)
 			return
+		}
+		// Only a host the check passed feeds the model, and only when
+		// prediction reads it (re-injection reads the evicted book alone).
+		if !m.cfg.DisablePrediction {
+			m.predictor.Observe(c.Addr, c.Port, c.Transport)
 		}
 
 		// Redirects feed web property names; buffered for the serial
@@ -872,9 +875,14 @@ func (m *Map) apply(s *stateShard, id string, obs cqrs.Observation, c discovery.
 				s.redirects = append(s.redirects, loc)
 			}
 		}
-		// Verified ICS fingerprints feed the honeypot uniformity detector;
-		// buffered shard-locally, merged serially after the batch.
-		m.observeFingerprint(s, c.Addr, c.Port, obs.Service)
+		// Verified ICS records touch a honeypot uniformity group; buffered
+		// shard-locally (only this worker appends), counted serially after
+		// the batch.
+		if m.cfg.HoneypotUniformityThreshold > 0 {
+			if g, ok := icsGroup(c.Addr, obs.Service); ok {
+				s.fpObs = append(s.fpObs, fpObservation{addr: c.Addr, group: g})
+			}
+		}
 		_ = m.processor.Apply(obs)
 		return
 	}
@@ -899,12 +907,13 @@ const pseudoCheckConnects, pseudoCheckQuorum, tagPseudoCheck = 8, 4, 0x95E0
 // answersEverywhere is the pseudo-host filter (paper §6.1, LZR): a host
 // that answers on every port accepts connections on ports nothing should
 // listen on. An observation that finds a slot the write side does not hold,
-// bringing the host to exactly PseudoServiceThreshold services, runs the
-// check. Connect advances only the per-(scanner, addr) sequence number,
-// which addr's shard owns, so every layout sees the same accepts.
+// bringing the host to a multiple of PseudoServiceThreshold services, runs
+// the check, so a check that lost its connects to the network is not the
+// host's last. Connect advances only the per-(scanner, addr) sequence
+// number, which addr's shard owns, so every layout sees the same accepts.
 func (m *Map) answersEverywhere(id string, key entity.ServiceKey, addr netip.Addr) bool {
 	_, held, services := m.processor.LastSeen(id, key)
-	if held || services+1 != m.cfg.PseudoServiceThreshold {
+	if t := m.cfg.PseudoServiceThreshold; held || t <= 0 || (services+1)%t != 0 {
 		return false
 	}
 	seed, a := m.net.Config().Seed, uint64(draw.AddrU32(addr))

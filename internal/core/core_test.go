@@ -271,6 +271,50 @@ func TestReinjectionRecoversReturningService(t *testing.T) {
 	}
 }
 
+// TestPredictionOffLearnsNothing: with prediction off nothing reads the
+// model, so nothing feeds it, and re-injection still works: it reads only
+// the evicted book. The run evicts a service and re-injects it when its host
+// returns, and ends with no host, port or port pair in the model.
+func TestPredictionOffLearnsNothing(t *testing.T) {
+	net, clk := testUniverse(t)
+	addr := netip.MustParseAddr("10.0.1.251")
+	host := &simnet.Host{Addr: addr, Country: "US", Slots: []*simnet.Slot{{
+		Port: 9955, Transport: entity.TCP,
+		Spec:  protocols.Spec{Protocol: "HTTP", Product: "nginx"},
+		Birth: clk.Now().Add(-time.Hour)}}}
+	net.AddHost(host)
+	cfg := DefaultConfig()
+	cfg.CloudBlocks = 1
+	cfg.BackgroundPortsPerIPPerDay = 400
+	cfg.DisablePrediction = true
+	m, err := New(cfg, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.enqueue(pendingTask{kind: taskDirect, cand: discovery.Candidate{Addr: addr, Port: 9955,
+		Transport: entity.TCP, Method: entity.DetectUserRequest, PoP: "chi"}})
+	m.runBatch(clk.Now(), "user")
+	net.RemoveHost(addr)
+	runFor(m, 6*24*time.Hour)
+	if recsContain(m.CurrentServices(true), addr, 9955) {
+		t.Fatal("service not evicted while offline")
+	}
+	net.AddHost(host)
+	runFor(m, 3*24*time.Hour)
+	m.Stop()
+	if rec := findRec(m.CurrentServices(false), addr, 9955); rec.Method != entity.DetectReinjected {
+		t.Fatalf("returned service: method %q, want reinjected", rec.Method)
+	}
+	if len(m.CurrentServices(false)) < 10 {
+		t.Fatal("the map found almost nothing; the case is vacuous")
+	}
+	st := m.predictor.State()
+	if len(st.HostPorts) != 0 || len(st.Cooc) != 0 || len(st.FullHosts) != 0 || len(st.FullCooc) != 0 {
+		t.Fatalf("prediction off, yet the model learned %d hosts, %d co-occurrence rows, %d sample hosts",
+			len(st.HostPorts), len(st.Cooc), len(st.FullHosts))
+	}
+}
+
 func findRec(recs []ServiceRecord, addr netip.Addr, port uint16) ServiceRecord {
 	for _, r := range recs {
 		if r.Addr == addr && r.Port == port {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"hash/fnv"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"censysmap/internal/draw"
@@ -16,89 +18,96 @@ import (
 // Honeypot farms deploy whole /24s of hosts presenting the same ICS banner —
 // convincing individually, but with a telltale uniformity no real deployment
 // has: dozens of "devices" in one network answering the same port with a
-// byte-identical fingerprint. The detector exploits exactly that. Every
-// verified ICS record contributes a (net24, port, fingerprint) observation;
-// when one key accumulates HoneypotUniformityThreshold distinct hosts, the
-// whole group is flagged and retired from the dataset, like pseudo-hosts.
+// byte-identical fingerprint. The detector asks the write side for exactly
+// that. Every verified ICS observation a batch applies touches its group
+// (its /24, slot and fingerprint); after the batch, each touched group is
+// counted in the write side's current state — the hosts of the /24 whose
+// record in the slot is verified and carries the fingerprint. A group of
+// HoneypotUniformityThreshold hosts is flagged whole and retired from the
+// dataset, like pseudo-hosts, and its key is remembered, so a member found
+// later is flagged on sight. A host whose record left the write side no
+// longer counts: churn within a /24 cannot add up to a farm.
 //
-// Determinism: workers only append observations to their shard-local buffer;
-// the merge — and any flagging it triggers — runs serially after each batch
-// in shard-index order, so the set of flagged hosts is a function of which
-// observations the batch produced, never of worker interleaving. The
-// accumulator and the flag set are checkpointed in canonical order and
-// restored on resume, so detection progress survives a crash bit-identically.
+// Determinism: workers only append the groups they touch to their
+// shard-local buffer; the query runs serially after each batch, counts every
+// touched group before flagging any, and flags in address order, so the flag
+// set is a function of the batch's observations and the write side, never of
+// worker interleaving or layout. The flagged groups are checkpointed in
+// canonical order and restored on resume.
 
-// farmKey identifies one uniformity group: a /24, a port, and a fingerprint.
-type farmKey struct {
-	net  netip.Addr
-	port uint16
-	fp   uint64
+// FarmGroup identifies one uniformity group: a /24, a service slot and a
+// fingerprint.
+type FarmGroup struct {
+	Net       netip.Addr       `json:"net"`
+	Port      uint16           `json:"port"`
+	Transport entity.Transport `json:"transport"`
+	FP        uint64           `json:"fp"`
 }
 
-// fpObservation is one shard-buffered verified-ICS sighting.
+// fpObservation is one shard-buffered verified-ICS record.
 type fpObservation struct {
-	addr netip.Addr
-	port uint16
-	fp   uint64
+	addr  netip.Addr
+	group FarmGroup
 }
 
-// fpHash fingerprints a service presentation: protocol identity plus the
-// exact banner bytes. FNV-64a, stable across runs and platforms.
-func fpHash(protocol, banner string) uint64 {
+// icsGroup reports the uniformity group a record joins: only verified ICS
+// records join one. The fingerprint is protocol identity plus the exact
+// banner bytes, FNV-64a, stable across runs and platforms.
+func icsGroup(addr netip.Addr, svc *entity.Service) (FarmGroup, bool) {
+	if svc == nil || !svc.Verified {
+		return FarmGroup{}, false
+	}
+	if p := protocols.Lookup(svc.Protocol); p == nil || !p.ICS {
+		return FarmGroup{}, false
+	}
 	h := fnv.New64a()
-	h.Write([]byte(protocol))
-	h.Write([]byte{0})
-	h.Write([]byte(banner))
-	return h.Sum64()
+	h.Write([]byte(svc.Protocol + "\x00" + svc.Banner))
+	return FarmGroup{Net: draw.Net24(addr), Port: svc.Port, Transport: svc.Transport, FP: h.Sum64()}, true
 }
 
-// observeFingerprint buffers a uniformity observation for a verified ICS
-// service. Appending to the shard buffer is safe without the lock: only the
-// owning worker touches it during a batch.
-func (m *Map) observeFingerprint(s *stateShard, addr netip.Addr, port uint16, svc *entity.Service) {
-	if m.cfg.HoneypotUniformityThreshold <= 0 || svc == nil || !svc.Verified {
-		return
-	}
-	p := protocols.Lookup(svc.Protocol)
-	if p == nil || !p.ICS {
-		return
-	}
-	s.fpObs = append(s.fpObs, fpObservation{addr: addr, port: port,
-		fp: fpHash(svc.Protocol, svc.Banner)})
-}
-
-// mergeFarmObservations drains every shard's fingerprint buffer into the
-// global accumulator and flags groups that cross the uniformity threshold.
-// Runs serially after each batch, in shard-index order.
-func (m *Map) mergeFarmObservations(now time.Time) {
-	if m.farmSeen == nil {
-		return
-	}
-	threshold := m.cfg.HoneypotUniformityThreshold
+// flagFarms counts, in the write side, every group the batch touched and
+// flags the groups that reach the uniformity threshold, plus each observed
+// member of a group flagged before. Runs serially after each batch.
+func (m *Map) flagFarms(now time.Time) {
+	var flag []netip.Addr
+	counted := map[FarmGroup]bool{}
 	for _, s := range m.shards {
 		for _, o := range s.fpObs {
-			key := farmKey{net: draw.Net24(o.addr), port: o.port, fp: o.fp}
-			set := m.farmSeen[key]
-			if set == nil {
-				set = make(map[netip.Addr]bool)
-				m.farmSeen[key] = set
-			}
-			set[o.addr] = true
-			if len(set) < threshold {
-				continue
-			}
-			// Uniformity proven: flag every member, in canonical order.
-			members := make([]netip.Addr, 0, len(set))
-			for a := range set {
-				members = append(members, a)
-			}
-			sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
-			for _, a := range members {
-				m.markHoneypot(a, now)
+			switch {
+			case m.farmGroups[o.group]:
+				flag = append(flag, o.addr) // on sight
+			case !counted[o.group]:
+				counted[o.group] = true
+				if members := m.farmMembers(o.group); len(members) >= m.cfg.HoneypotUniformityThreshold {
+					m.farmGroups[o.group] = true
+					flag = append(flag, members...)
+				}
 			}
 		}
 		s.fpObs = s.fpObs[:0]
 	}
+	slices.SortFunc(flag, netip.Addr.Compare)
+	for _, a := range slices.Compact(flag) {
+		m.markHoneypot(a, now)
+	}
+}
+
+// farmMembers lists, in address order, the hosts of g's /24 whose current
+// record in g's slot is verified and carries g's fingerprint.
+func (m *Map) farmMembers(g FarmGroup) []netip.Addr {
+	key := entity.ServiceKey{Port: g.Port, Transport: g.Transport}
+	var members []netip.Addr
+	b := g.Net.As4()
+	for i := range 256 {
+		b[3] = byte(i)
+		addr := netip.AddrFrom4(b)
+		if svc, held := m.processor.Record(addr.String(), key); held {
+			if in, ok := icsGroup(addr, &svc); ok && in == g {
+				members = append(members, addr)
+			}
+		}
+	}
+	return members
 }
 
 // markHoneypot flags a host as a honeypot and retires its services from the
@@ -113,59 +122,10 @@ func (m *Map) markHoneypot(addr netip.Addr, now time.Time) {
 	}
 }
 
-// FarmSeenEntry is one uniformity-accumulator group's checkpointed state.
-type FarmSeenEntry struct {
-	Net   netip.Addr   `json:"net"`
-	Port  uint16       `json:"port"`
-	FP    uint64       `json:"fp"`
-	Addrs []netip.Addr `json:"addrs"`
-}
-
-// farmSeenState serializes the accumulator in canonical order.
-func (m *Map) farmSeenState() []FarmSeenEntry {
-	if len(m.farmSeen) == 0 {
-		return nil
-	}
-	out := make([]FarmSeenEntry, 0, len(m.farmSeen))
-	for key, set := range m.farmSeen {
-		e := FarmSeenEntry{Net: key.net, Port: key.port, FP: key.fp}
-		for a := range set {
-			e.Addrs = append(e.Addrs, a)
-		}
-		sort.Slice(e.Addrs, func(i, j int) bool { return e.Addrs[i].Less(e.Addrs[j]) })
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Net != b.Net {
-			return a.Net.Less(b.Net)
-		}
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		return a.FP < b.FP
+// farmGroupList lists the flagged groups in canonical order (checkpoint).
+func (m *Map) farmGroupList() []FarmGroup {
+	return slices.SortedFunc(maps.Keys(m.farmGroups), func(a, b FarmGroup) int {
+		return cmp.Or(a.Net.Compare(b.Net), cmp.Compare(a.Port, b.Port),
+			cmp.Compare(a.Transport, b.Transport), cmp.Compare(a.FP, b.FP))
 	})
-	return out
-}
-
-// restoreFarmSeen rebuilds the accumulator from a checkpoint.
-func (m *Map) restoreFarmSeen(entries []FarmSeenEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	if m.farmSeen == nil {
-		m.farmSeen = make(map[farmKey]map[netip.Addr]bool, len(entries))
-	}
-	for _, e := range entries {
-		set := make(map[netip.Addr]bool, len(e.Addrs))
-		for _, a := range e.Addrs {
-			if m.quarantinedAddr(a) {
-				continue
-			}
-			set[a] = true
-		}
-		if len(set) > 0 {
-			m.farmSeen[farmKey{net: e.Net, port: e.Port, fp: e.FP}] = set
-		}
-	}
 }

@@ -374,6 +374,22 @@ func (p *Processor) LastSeen(id string, key entity.ServiceKey) (seen time.Time, 
 	return time.Time{}, false, 0
 }
 
+// Record returns the entity's record in slot key, if it holds one, without
+// cloning it or allocating: like Services' copies, the value shares the
+// record's Attributes map and PendingRemovalSince, which callers must not
+// modify.
+func (p *Processor) Record(id string, key entity.ServiceKey) (entity.Service, bool) {
+	s := p.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h := s.state[id]; h != nil {
+		if svc := h.Service(key); svc != nil {
+			return *svc, true
+		}
+	}
+	return entity.Service{}, false
+}
+
 // Walk calls fn once per entity with materialized state, in no particular
 // order, holding the entity's shard lock: fn reads the live, uncloned host
 // and must neither retain it nor call back into the Processor.

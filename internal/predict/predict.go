@@ -105,7 +105,8 @@ type Engine struct {
 	// port (the cross-/24 conditional's numerator).
 	net24Ports map[netip.Addr]map[uint16]int
 	// cooc counts host-pair events where ports q and p were both confirmed
-	// (cumulative co-occurrence evidence; never decremented).
+	// (cumulative co-occurrence evidence over each host's first
+	// maxPairPorts ports; never decremented).
 	cooc map[uint16]map[uint16]int
 	// fullHosts marks hosts whose complete 65K port state has been observed
 	// (the seed sample). Conditional likelihoods are estimated on this sample:
@@ -210,21 +211,18 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 		e.ranked = nil
 	}
 	if _, known := hp[port]; !known {
-		for q := range hp {
-			if q == port {
-				continue
-			}
-			e.bump(q, port)
-			e.bump(port, q)
-		}
-		if e.fullHosts[addr] {
+		full := e.fullHosts[addr]
+		if full {
 			e.fullPortHosts[port]++
+		}
+		if len(hp) < maxPairPorts {
 			for q := range hp {
-				if q == port {
-					continue
+				e.bump(q, port)
+				e.bump(port, q)
+				if full {
+					e.bumpFull(q, port)
+					e.bumpFull(port, q)
 				}
-				e.bumpFull(q, port)
-				e.bumpFull(port, q)
 			}
 		}
 		m := e.net24Ports[n24]
@@ -239,6 +237,13 @@ func (e *Engine) Observe(addr netip.Addr, port uint16, transport entity.Transpor
 	}
 	hp[port] = transport
 }
+
+// maxPairPorts bounds the ports per host that feed the co-occurrence counts,
+// which grow with the square of a host's ports: only its first maxPairPorts
+// pair with each other. A host answering on hundreds (a tarpit no filter
+// caught) would otherwise fill the model; the largest host of the bench
+// universes runs 19 services.
+const maxPairPorts = 64
 
 func insertSortedAddr(s *[]netip.Addr, addr netip.Addr) {
 	i := sort.Search(len(*s), func(i int) bool { return !(*s)[i].Less(addr) })
@@ -290,6 +295,9 @@ func (e *Engine) ObserveFull(addr netip.Addr) {
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
 	for i, p := range ports {
 		e.fullPortHosts[p]++
+		if i >= maxPairPorts {
+			continue
+		}
 		for _, q := range ports[:i] {
 			e.bumpFull(q, p)
 			e.bumpFull(p, q)

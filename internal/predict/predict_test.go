@@ -191,3 +191,34 @@ func TestRecommendDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestObservePairsBounded: a host observed on thousands of ports, as a tarpit
+// no filter caught is, adds pairs for its first maxPairPorts ports only, both
+// to the live counts and to the fully scanned sample's; every port still
+// counts toward the priors.
+func TestObservePairsBounded(t *testing.T) {
+	e := New(DefaultConfig())
+	a := ip("10.4.0.9")
+	e.ObserveFull(a)
+	const ports = 3000
+	for p := uint16(1); p <= ports; p++ {
+		e.Observe(a, p, entity.TCP)
+	}
+	st := e.State()
+	for name, pairs := range map[string]PortPairs{"cooc": st.Cooc, "full_cooc": PortPairs(st.FullCooc)} {
+		n := 0
+		for _, row := range pairs {
+			n += len(row)
+		}
+		if len(pairs) > maxPairPorts || n > maxPairPorts*(maxPairPorts-1) {
+			t.Errorf("%s: %d rows, %d pairs for one host; bound %d rows, %d pairs",
+				name, len(pairs), n, maxPairPorts, maxPairPorts*(maxPairPorts-1))
+		}
+	}
+	if got := len(st.HostPorts[a]); got != ports {
+		t.Errorf("host holds %d ports, want %d", got, ports)
+	}
+	if got := len(st.FullPortHosts); got != ports {
+		t.Errorf("sample counts %d ports, want %d", got, ports)
+	}
+}

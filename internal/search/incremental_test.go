@@ -348,7 +348,7 @@ func TestFragmentsMatchFlatten(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		h := genHost(rng, i)
-		check(h, newDocument(h.ID(), h, nil))
+		check(h, hostDocument(h.ID(), h))
 	}
 }
 

@@ -97,19 +97,16 @@ type indexPart struct {
 type document struct {
 	id    string
 	local uint32
-	// host is the record the document renders. Upsert hands it in (the
-	// index owns it); a projected document builds it from base and svcs on
+	// host is the record the document renders, built from base and svcs on
 	// first read (see record), since most versions are never read.
 	host atomic.Pointer[entity.Host]
-	// base is a projected document's host-level fields (Services nil) and
-	// svcs its service records in slot order; an upserted document leaves
-	// both zero.
+	// base is the host-level fields (Services nil) and svcs the service
+	// records in slot order.
 	base entity.Host
 	svcs []entity.Service
 	// frags[identityFrag] indexes the host's ip, location and AS,
 	// frags[derivedFrag] its labels, vulns and software, and
-	// frags[firstServiceFrag:] one active service each: in slot order when
-	// projected, in no particular order when upserted (postings are sets).
+	// frags[firstServiceFrag:] one active service each, in slot order.
 	frags []*fragment
 	// rendered is json.Marshal(host), set by the first read that emits it
 	// (see render) — not at Upsert, because most documents are replaced
@@ -131,7 +128,7 @@ type fragment struct {
 	key     entity.ServiceKey // the service's slot; zero for host fragments
 	entries []entry
 	// derived is what the service contributes to its host's derived context.
-	// Project sets it; on a fragment Upsert built it is nil.
+	// Project sets it; Upsert, whose host comes enriched, leaves it nil.
 	derived *enrich.Derived
 }
 
@@ -161,8 +158,8 @@ func (d *document) render() ([]byte, error) {
 	return b, nil
 }
 
-// record returns the document's host, building a projected document's on
-// first use. Racing first readers build equal hosts; the first stored wins.
+// record returns the document's host, building it on first use. Racing
+// first readers build equal hosts; the first stored wins.
 func (d *document) record() *entity.Host {
 	if h := d.host.Load(); h != nil {
 		return h
@@ -177,19 +174,8 @@ func (d *document) record() *entity.Host {
 	return d.host.Load()
 }
 
-// fields returns the document's host-level fields; its Services may be nil.
-func (d *document) fields() *entity.Host {
-	if d.svcs != nil {
-		return &d.base
-	}
-	return d.host.Load()
-}
-
 // service returns the document's record in key's slot, or nil.
 func (d *document) service(key entity.ServiceKey) *entity.Service {
-	if d.svcs == nil {
-		return d.host.Load().Service(key)
-	}
 	i, ok := slices.BinarySearchFunc(d.svcs, key, func(s entity.Service, key entity.ServiceKey) int {
 		return cmpKey(s.Key(), key)
 	})
@@ -439,59 +425,25 @@ func serviceFragment(svc *entity.Service) *fragment {
 	return b.f
 }
 
-// sameIdentity reports whether two versions of a host agree on every field
-// the identity fragment indexes.
-func sameIdentity(a, b *entity.Host) bool {
-	return (a.Location == nil) == (b.Location == nil) && (a.Location == nil || *a.Location == *b.Location) &&
-		(a.AS == nil) == (b.AS == nil) && (a.AS == nil || *a.AS == *b.AS)
-}
-
-// sameDerived reports whether two versions of a host agree on every field
-// the derived fragment indexes.
-func sameDerived(a, b *entity.Host) bool {
-	return slices.Equal(a.Labels, b.Labels) && slices.Equal(a.Vulns, b.Vulns) && slices.Equal(a.Software, b.Software)
-}
-
-// newDocument builds the document for h, taking from prev (the entity's
-// current document, or nil) every fragment whose source is unchanged: a
-// host fragment when its fields are equal, and a service's fragment when
-// ConfigEqual, which covers every indexed service field.
-func newDocument(id string, h *entity.Host, prev *document) *document {
-	d := &document{id: id, frags: make([]*fragment, firstServiceFrag, firstServiceFrag+len(h.Services))}
-	d.host.Store(h)
-	if prev != nil && sameIdentity(prev.fields(), h) {
-		d.frags[identityFrag] = prev.frags[identityFrag]
-	} else {
-		d.frags[identityFrag] = identityFragment(id, h)
-	}
-	if prev != nil && sameDerived(prev.fields(), h) {
-		d.frags[derivedFrag] = prev.frags[derivedFrag]
-	} else {
-		d.frags[derivedFrag] = derivedFragment(h)
-	}
+// hostDocument builds the document of an enriched host: its host-level
+// fields, copies of its records in slot order (sharing each record's
+// Attributes and PendingRemovalSince), and every fragment new.
+func hostDocument(id string, h *entity.Host) *document {
+	d := &document{id: id, base: *h, svcs: make([]entity.Service, 0, len(h.Services))}
+	d.base.Services = nil
 	for _, s := range h.Services {
-		if s.PendingRemovalSince == nil {
-			d.frags = append(d.frags, prev.fragmentFor(s))
+		d.svcs = append(d.svcs, *s)
+	}
+	slices.SortFunc(d.svcs, func(a, b entity.Service) int { return cmpKey(a.Key(), b.Key()) })
+	d.frags = make([]*fragment, firstServiceFrag, firstServiceFrag+len(d.svcs))
+	d.frags[identityFrag] = identityFragment(id, &d.base)
+	d.frags[derivedFrag] = derivedFragment(&d.base)
+	for i := range d.svcs {
+		if d.svcs[i].PendingRemovalSince == nil {
+			d.frags = append(d.frags, serviceFragment(&d.svcs[i]))
 		}
 	}
 	return d
-}
-
-// fragmentFor returns d's fragment for s's slot if s is unchanged since, else
-// a new one.
-func (d *document) fragmentFor(s *entity.Service) *fragment {
-	if d != nil {
-		key := s.Key()
-		for _, f := range d.frags[firstServiceFrag:] {
-			if f.key == key {
-				if s.ConfigEqual(d.service(key)) {
-					return f
-				}
-				break
-			}
-		}
-	}
-	return serviceFragment(s)
 }
 
 // projectDocument builds the successor of prev (the entity's current
@@ -506,13 +458,13 @@ func (d *document) fragmentFor(s *entity.Service) *fragment {
 //
 // A record whose configuration changed has an event of its own, so once a
 // drain's events are all projected every fragment is current: the document
-// is what newDocument builds from the enriched host.
+// is what hostDocument builds from the enriched host.
 func projectDocument(id string, ip netip.Addr, updated time.Time, svcs []entity.Service,
 	changed entity.ServiceKey, e *enrich.Enricher, prev *document) *document {
 	d := &document{id: id, svcs: svcs, frags: make([]*fragment, firstServiceFrag, firstServiceFrag+len(svcs))}
 	d.base.IP, d.base.LastUpdated = ip, updated
 	var prevFields *entity.Host
-	if prev != nil && prev.svcs != nil {
+	if prev != nil {
 		prevFields = &prev.base
 		d.base.Location, d.base.AS = prevFields.Location, prevFields.AS
 		d.frags[identityFrag] = prev.frags[identityFrag]
@@ -597,21 +549,14 @@ func (p *indexPart) localID(id string) uint32 {
 	return lid
 }
 
-// Upsert indexes (or reindexes) a host's current state. The index keeps h as
-// the document's host — it is rendered and compared against later versions —
-// so the caller must not modify h afterwards.
-//
-// The new document reuses every fragment of the current one whose source is
-// unchanged; fragments are built outside the partition lock, and the
-// postings are diffed under it against whatever document is current by then.
+// Upsert indexes (or reindexes) an enriched host's current state. The
+// document shares the Attributes maps and PendingRemovalSince of h's
+// records, so the caller must not modify those afterwards. Its fragments are
+// built outside the partition lock, and under it only the postings of what
+// changed since the current document move (see repost).
 func (ix *Index) Upsert(h *entity.Host) {
 	id := h.ID()
-	p := ix.part(id)
-	p.mu.RLock()
-	prev := p.docs[id]
-	p.mu.RUnlock()
-	doc := newDocument(id, h, prev)
-	p.replace(id, doc)
+	ix.part(id).replace(id, hostDocument(id, h))
 }
 
 // Project indexes a host's new version after a write-side event on the
@@ -620,10 +565,9 @@ func (ix *Index) Upsert(h *entity.Host) {
 // and the records, and the Attributes maps and PendingRemovalSince they
 // share with the write side must never be modified), and updated is its
 // LastUpdated. e derives the context of the records the event touched; the
-// rest comes from the current document (see projectDocument). The host is
-// rendered only when a read asks for it. A projection over an upserted
-// document (whose host came enriched from its caller) looks the identity up
-// and derives every record afresh.
+// rest comes from the current document (see projectDocument), which must be
+// a projected one: an upserted document's fragments carry no derivation. The
+// host is rendered only when a read asks for it.
 func (ix *Index) Project(id string, ip netip.Addr, updated time.Time, svcs []entity.Service,
 	changed entity.ServiceKey, e *enrich.Enricher) {
 	p := ix.part(id)
